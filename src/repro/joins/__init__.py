@@ -25,7 +25,8 @@ from repro.joins.base import (
     ExecutionContext,
     ExecutionReport,
     JoinStrategy,
-    ProducerSample,
+    ProducerBatch,
+    ProducerSet,
 )
 from repro.joins.executor import JoinExecutor
 from repro.joins.ght_join import GHTJoin
@@ -38,7 +39,8 @@ __all__ = [
     "JoinStrategy",
     "ExecutionContext",
     "ExecutionReport",
-    "ProducerSample",
+    "ProducerBatch",
+    "ProducerSet",
     "DataSource",
     "JoinExecutor",
     "NaiveJoin",

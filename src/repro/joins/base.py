@@ -14,21 +14,33 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Protocol,
+    Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from repro.core.cost_model import Selectivities
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.query.analysis import QueryAnalysis
+from repro.query.expressions import as_column
 from repro.query.query import JoinQuery
-from repro.query.window import JoinState, WindowedTuple
+from repro.query.window import Columns, WindowStore, row_dicts
 
 Pair = Tuple[int, int]
 
 
 class DataSource(Protocol):
-    """Supplies dynamic attribute values for every node and sampling cycle."""
+    """Supplies dynamic attribute values for every node and sampling cycle.
+
+    ``sample`` is all a source has to offer; it must answer every node with
+    the same attribute names.  A source may add ``sample_columns(node_ids,
+    cycle)`` -- one ``[node]`` array per attribute -- which sampling then
+    calls instead, once per node set and cycle.
+    """
 
     def sample(self, node_id: int, cycle: int) -> Dict[str, Any]:
         """Dynamic attribute values of *node_id* at sampling cycle *cycle*."""
@@ -37,26 +49,92 @@ class DataSource(Protocol):
 
 SelectivityProvider = Union[Selectivities, Callable[[Pair], Selectivities]]
 
+#: Per-source memo bound: a failure sweep reuses one data source across many
+#: node sets that never repeat, so the memo is dropped rather than grown.
+_SAMPLE_MEMO_MAX = 8192
 
-@dataclass(frozen=True)
-class ProducerSample:
-    """One reading taken by an eligible producer in a sampling cycle."""
+
+def _sample_columns(data_source: DataSource, node_ids: Tuple[int, ...],
+                    cycle: int) -> Columns:
+    """One ``[node]`` column per dynamic attribute."""
+    sampler = getattr(data_source, "sample_columns", None)
+    if sampler is not None:
+        raw = sampler(node_ids, cycle)
+    else:
+        rows = [data_source.sample(node_id, cycle) for node_id in node_ids]
+        raw = {a: [row[a] for row in rows] for a in rows[0]} if rows else {}
+    return {a: as_column(values) for a, values in raw.items()}
+
+
+class ProducerSet:
+    """A fixed, ordered list of producer nodes, prepared for sampling.
+
+    Strategies build one per relation at initiation; the service engine
+    builds one over the union of its sessions' producers.  Besides the ids
+    it memoizes what depends only on the set and the topology's routing
+    epoch: static attribute columns, the liveness mask, and where its nodes
+    sit inside a larger set that is sampled in its place.
+    """
+
+    def __init__(self, node_ids: Sequence[int]) -> None:
+        self.key: Tuple[int, ...] = tuple(node_ids)
+        self.ids = np.array(self.key, dtype=np.int64)
+        self._epoch = -1
+        self._static: Columns = {}
+        self._alive: Optional[np.ndarray] = None
+        self._within: Tuple[Optional["ProducerSet"], Optional[np.ndarray]] = (None, None)
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def _at_epoch(self, topology: Topology) -> None:
+        if topology.routing_epoch != self._epoch:
+            self._epoch = topology.routing_epoch
+            self._static = {}
+            self._alive = None
+
+    def static_column(self, topology: Topology, attribute: str) -> np.ndarray:
+        self._at_epoch(topology)
+        column = self._static.get(attribute)
+        if column is None:
+            nodes = topology.nodes
+            column = self._static[attribute] = as_column(
+                [nodes[n].static_attributes[attribute] for n in self.key]
+            )
+        return column
+
+    def alive_mask(self, topology: Topology, alive: frozenset) -> np.ndarray:
+        self._at_epoch(topology)
+        if self._alive is None:
+            self._alive = np.fromiter(
+                (n in alive for n in self.key), dtype=bool, count=len(self.key)
+            )
+        return self._alive
+
+    def positions_in(self, universe: "ProducerSet") -> np.ndarray:
+        """Index of each of this set's nodes within *universe*."""
+        cached_for, positions = self._within
+        if cached_for is not universe:
+            lookup = {n: i for i, n in enumerate(universe.key)}
+            positions = np.array([lookup[n] for n in self.key], dtype=np.int64)
+            self._within = (universe, positions)
+        return positions
+
+
+@dataclass
+class ProducerBatch:
+    """One relation's readings of one sampling cycle, over its whole
+    :class:`ProducerSet` (arrays are aligned with the set)."""
 
     alias: str
-    node_id: int
-    cycle: int
-    values: Dict[str, Any]
-
-    def as_windowed_tuple(self) -> WindowedTuple:
-        # Memoized: the same sample is converted once and the (immutable)
-        # WindowedTuple is shared by every pair window it is probed into.
-        cached = self.__dict__.get("_windowed")
-        if cached is None:
-            cached = WindowedTuple(
-                producer_id=self.node_id, cycle=self.cycle, values=self.values
-            )
-            object.__setattr__(self, "_windowed", cached)
-        return cached
+    #: which producers send: alive, and their dynamic selection holds
+    sends: np.ndarray
+    #: the senders' positions in the set, and their node ids (set order)
+    senders: np.ndarray
+    node_ids: np.ndarray
+    #: per attribute the dynamic join clauses read on this side, every
+    #: producer's value (senders or not)
+    values: Columns
 
 
 @dataclass
@@ -74,6 +152,11 @@ class ExecutionContext:
     #: When set (batch-cycle kernel), :meth:`ship` routes through the
     #: batcher instead of calling the simulator per path.
     _batcher: Optional[Any] = field(default=None, repr=False, compare=False)
+    #: When set (service mode), the data source is sampled over this set --
+    #: the union of every live session's producers, so one engine cycle
+    #: samples each physical sensor once -- and this query's producers are
+    #: read out of it by position.
+    universe: Optional[ProducerSet] = field(default=None, repr=False, compare=False)
 
     @property
     def base_id(self) -> int:
@@ -89,95 +172,127 @@ class ExecutionContext:
     # -- producer eligibility and sampling ------------------------------------
     def eligible_producers(self, alias: str) -> List[int]:
         """Nodes passing the pre-evaluated static selection clauses for *alias*."""
+        eligible_for_alias = self.analysis.static_selection(alias)
+        nodes = self.topology.nodes
         eligible = []
         for node_id in self.topology.node_ids:
-            node = self.topology.nodes[node_id]
-            if node.is_base:
-                continue
-            if self.analysis.node_eligible(alias, node.static_attributes):
+            node = nodes[node_id]
+            if not node.is_base and eligible_for_alias(node.static_attributes):
                 eligible.append(node_id)
         return eligible
 
-    def sample_producers(
-        self, cycle: int, eligible: Dict[str, Sequence[int]]
-    ) -> List[ProducerSample]:
-        """Readings of every eligible, alive producer that sends this cycle.
+    def _sample_memo(self) -> Optional[Dict[tuple, Any]]:
+        """The memo sampling keeps on the data source.
 
         Data sources are deterministic functions of (seed, node, cycle), so
-        the per-cycle sample lists are memoized on the data source and shared
-        by every strategy run against it.  Cached entries ignore liveness
-        (aliveness is filtered per call against the topology's current alive
-        set) and are keyed on the topology's identity and routing epoch, so
-        failure and mobility experiments -- including ones running on
-        separate topology copies -- never see stale values.  Samples and
-        their value dicts are treated as immutable by all consumers.
+        what is sampled from one is shared by every strategy run against it
+        -- and by every session of a service engine.  Entries are treated as
+        immutable by all consumers.
         """
-        cache = getattr(self.data_source, "_producer_sample_cache", None)
-        if cache is None:
-            try:
-                self.data_source._producer_sample_cache = cache = {}
-                # Keys include id(topology); pinning the topology keeps the
-                # id from being reused while this cache is alive.
-                self.data_source._producer_sample_pins = {}
-            except AttributeError:  # exotic data sources without __dict__
-                cache = None
-        if cache is not None:
-            if len(cache) > 8192:
-                # Bound memory for data sources reused across many topology
-                # copies (failure sweeps): those runs never hit the cache, so
-                # dropping it costs nothing.
-                cache.clear()
-                self.data_source._producer_sample_pins.clear()
-            self.data_source._producer_sample_pins.setdefault(
-                id(self.topology), self.topology
-            )
-        if self.topology.routing_cache_enabled:
-            alive = self.topology.routing_cache.alive_set
-        else:
-            nodes_map = self.topology.nodes
-            alive = frozenset(n for n, node in nodes_map.items() if node.alive)
-        none_dead = len(alive) == len(self.topology.nodes)
-        sample_many = getattr(self.data_source, "sample_many", None)
-        samples: List[ProducerSample] = []
-        for alias, node_ids in eligible.items():
-            key = (
-                id(self.topology), self.query.name, alias, cycle,
-                tuple(node_ids), self.topology.routing_epoch,
-            )
-            entry = cache.get(key) if cache is not None else None
-            if entry is None:
-                nodes = self.topology.nodes
-                if sample_many is not None:
-                    dynamics = sample_many(node_ids, cycle)
-                else:
-                    dynamics = [
-                        self.data_source.sample(node_id, cycle)
-                        for node_id in node_ids
-                    ]
-                built: List[ProducerSample] = []
-                sends = self.analysis.producer_sends
-                for node_id, dynamic in zip(node_ids, dynamics):
-                    merged = dict(nodes[node_id].static_attributes)
-                    merged.update(dynamic)
-                    if sends(alias, merged):
-                        built.append(
-                            ProducerSample(alias=alias, node_id=node_id,
-                                           cycle=cycle, values=merged)
-                        )
-                entry = tuple(built)
-                if cache is not None:
-                    cache[key] = entry
-            if none_dead:
-                samples.extend(entry)
-            else:
-                samples.extend(s for s in entry if s.node_id in alive)
-        return samples
+        try:
+            memo = self.data_source.__dict__.setdefault("_sample_memo", {})
+        except AttributeError:  # exotic data sources without __dict__
+            return None
+        if len(memo) > _SAMPLE_MEMO_MAX:
+            memo.clear()
+        return memo
 
-    def __post_init__(self) -> None:
-        # Bound once: windowed-join probes call this hundreds of thousands of
-        # times per run; the analysis compiles the dynamic join clauses into
-        # a specialized two-argument closure.
-        self.tuples_join = self.analysis.compiled_tuples_join()
+    def sample_producers(
+        self, cycle: int, producers: Mapping[str, ProducerSet]
+    ) -> List[ProducerBatch]:
+        """Per relation, the alive producers that send this cycle.
+
+        A bare context samples each relation's own producers and memoizes
+        the finished batch, so the strategies of a sweep -- same query, same
+        deployment, one after the other -- sample and select once.  Under a
+        service engine's :attr:`universe` only the universe's columns are
+        shared: each session's batch is its own view of them, used once.
+        """
+        memo = self._sample_memo()
+        topology = self.topology
+        batches: List[ProducerBatch] = []
+        for alias, members in producers.items():
+            key = None
+            if memo is not None and self.universe is None:
+                # the entry pins the objects its key names by id
+                key = (id(self.query), alias, members.key, cycle,
+                       id(topology), topology.routing_epoch)
+                hit = memo.get(key)
+                if hit is not None:
+                    batches.append(hit[0])
+                    continue
+            batch = self._sample_relation(alias, members, cycle, memo)
+            if key is not None:
+                memo[key] = (batch, self.query, topology)
+            batches.append(batch)
+        return batches
+
+    def _sample_relation(self, alias: str, members: ProducerSet, cycle: int,
+                         memo: Optional[Dict[tuple, Any]]) -> ProducerBatch:
+        """One relation's batch, from the data source's columns.
+
+        A producer's tuple is its static attributes overlaid with the data
+        source's dynamic ones; it sends when the relation's dynamic
+        selection holds on it.  The selection runs as one array kernel over
+        the producers' columns (the scalar closure row by row when it has no
+        array form or a column is not numeric), and the batch carries only
+        the attributes the dynamic join clauses read.  Liveness is read from
+        the topology as it stands, so failure and mobility experiments never
+        see stale producers.
+        """
+        topology = self.topology
+        sampled = members if self.universe is None else self.universe
+        key = (sampled.key, cycle)
+        dynamic = memo.get(key) if memo is not None else None
+        if dynamic is None:
+            dynamic = _sample_columns(self.data_source, sampled.key, cycle)
+            if memo is not None:
+                memo[key] = dynamic
+        positions = None if sampled is members else members.positions_in(sampled)
+        merged: Columns = {}
+
+        def column(attribute: str) -> np.ndarray:
+            found = merged.get(attribute)
+            if found is None:
+                found = dynamic.get(attribute)
+                if found is None:
+                    found = members.static_column(topology, attribute)
+                elif positions is not None:
+                    found = found[positions]
+                merged[attribute] = found
+            return found
+
+        selection = self.analysis.selection_kernel(alias)
+        selected = {a: column(a) for a in selection.attributes}
+        if selection.array is not None and all(
+            c.dtype != object for c in selected.values()
+        ):
+            sends = np.asarray(selection.array(selected), dtype=bool)
+            if not sends.ndim:  # the clauses read no attribute
+                sends = np.full(len(members), bool(sends))
+        else:
+            sends = np.fromiter(
+                (bool(selection.scalar(row))
+                 for row in row_dicts(selected, len(members))),
+                dtype=bool, count=len(members),
+            )
+        if topology.routing_cache_enabled:
+            alive = topology.routing_cache.alive_set
+        else:
+            alive = frozenset(n for n, node in topology.nodes.items() if node.alive)
+        if len(alive) != len(topology.nodes):
+            sends = sends & members.alive_mask(topology, alive)
+        senders = sends.nonzero()[0]
+        join = self.analysis.join_kernel()
+        attributes = (join.source_attributes if alias == self.query.source.alias
+                      else join.target_attributes)
+        return ProducerBatch(
+            alias=alias,
+            sends=sends,
+            senders=senders,
+            node_ids=members.ids[senders],
+            values={a: column(a) for a in attributes},
+        )
 
     # -- traffic helpers -------------------------------------------------------
     def data_tuple_size(self) -> int:
@@ -279,12 +394,15 @@ class ResultAccounting:
     total_delay_cycles: int = 0
     total_path_hops: int = 0
 
-    def record(self, delivered: bool, delay_cycles: int, path_hops: int) -> None:
-        self.produced += 1
+    def record_many(self, count: int, delivered: bool, delay_cycles: int = 0,
+                    path_hops: int = 0) -> None:
+        """*count* results that travelled together: one verdict, *path_hops*
+        each, *delay_cycles* in total."""
+        self.produced += count
         if delivered:
-            self.delivered += 1
+            self.delivered += count
             self.total_delay_cycles += delay_cycles
-            self.total_path_hops += path_hops
+            self.total_path_hops += path_hops * count
 
     @property
     def average_delay(self) -> float:
@@ -295,6 +413,38 @@ class ResultAccounting:
         return self.total_path_hops / self.delivered if self.delivered else 0.0
 
 
+class RowIndex:
+    """Which window rows each producer of one relation feeds.
+
+    A compressed-row layout over the relation's :class:`ProducerSet`: entry
+    ``e`` says producer ``owner[e]`` (a set position) feeds window row
+    ``rows[e]``; entries are grouped by producer in set order and, within a
+    producer, in the order the strategy visits its pairs.
+    """
+
+    def __init__(self, rows_of: Sequence[Sequence[int]]) -> None:
+        self.lengths = np.array([len(rows) for rows in rows_of], dtype=np.int64)
+        self.owner = np.repeat(np.arange(len(rows_of)), self.lengths)
+        self.rows = np.array(
+            [row for rows in rows_of for row in rows], dtype=np.int64
+        )
+
+    def bounds(self, senders: np.ndarray) -> List[int]:
+        """Offsets such that, among the entries of *senders* (set positions,
+        ascending), sender ``k`` owns ``[bounds[k], bounds[k + 1])``."""
+        return [0] + np.cumsum(self.lengths[senders]).tolist()
+
+
+class Arrivals(NamedTuple):
+    """One relation's tuples of one cycle, laid out per window row: sender
+    after sender in set order, each sender's rows in visiting order."""
+
+    rows: np.ndarray        # the window row each arriving tuple probes
+    owner: np.ndarray       # its sender, as a position in the producer set
+    values: Columns         # the tuples' join attributes, aligned with rows
+    counts: np.ndarray      # join results each would produce on arrival
+
+
 class JoinStrategy(ABC):
     """Base class for all join algorithms."""
 
@@ -302,7 +452,10 @@ class JoinStrategy(ABC):
 
     def __init__(self) -> None:
         self.results = ResultAccounting()
-        self.pair_states: Dict[Pair, JoinState] = {}
+        #: the strategy's pair windows; opened once its pairs are known
+        self.windows: Optional[WindowStore] = None
+        #: per relation alias, the producers the strategy samples each cycle
+        self.producers: Dict[str, ProducerSet] = {}
         self.storage_peak = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -332,31 +485,48 @@ class JoinStrategy(ABC):
         """React to permanent node failures (default: nothing to do)."""
 
     # -- shared helpers ---------------------------------------------------------
-    def _state_for(self, pair: Pair, window_size: int) -> JoinState:
-        state = self.pair_states.get(pair)
-        if state is None:
-            state = JoinState(window_size=window_size, source_id=pair[0], target_id=pair[1])
-            self.pair_states[pair] = state
-        return state
+    def _open_windows(self, ctx: ExecutionContext, pairs: Sequence[Pair],
+                      keep_recent: bool = False) -> WindowStore:
+        """Allocate the window rows of *pairs* (row = position in *pairs*)."""
+        self.windows = WindowStore(
+            pairs, ctx.query.window_size, ctx.analysis.join_kernel(),
+            keep_recent=keep_recent,
+        )
+        return self.windows
+
+    def _row_index(self, alias: str,
+                   pairs_of: Mapping[int, Sequence[Pair]]) -> RowIndex:
+        """The :class:`RowIndex` of relation *alias* given each producer
+        node's pairs."""
+        row_of = self.windows.row_of
+        return RowIndex([
+            [row_of[pair] for pair in pairs_of.get(node_id, ())]
+            for node_id in self.producers[alias].key
+        ])
+
+    def _arrivals(self, batch: ProducerBatch, index: RowIndex,
+                  from_source: bool) -> Arrivals:
+        """Fan a relation's batch out to its window rows and probe them.
+
+        Nothing is buffered: the strategy ships, then inserts the tuples
+        that got through, so every result count a ship is conditioned on is
+        known before the first ship of the relation.
+        """
+        entries = batch.sends[index.owner].nonzero()[0]
+        rows, owner = index.rows[entries], index.owner[entries]
+        values = {a: column[owner] for a, column in batch.values.items()}
+        counts = self.windows.match(from_source, rows, values).sum(axis=1)
+        return Arrivals(rows, owner, values, counts)
 
     def _track_storage(self) -> None:
-        total = 0
-        for state in self.pair_states.values():
-            total += state.buffered_tuple_count()
-        if total > self.storage_peak:
-            self.storage_peak = total
+        if self.windows is not None and self.windows.total > self.storage_peak:
+            self.storage_peak = self.windows.total
 
-    def _probe_pair(
-        self,
-        ctx: ExecutionContext,
-        pair: Pair,
-        sample: ProducerSample,
-        from_source: bool,
-    ) -> int:
-        """Insert a sample into a pair's window and count join results."""
-        state = self._state_for(pair, ctx.query.window_size)
-        results = state.probe(from_source, sample.as_windowed_tuple(), ctx.tuples_join)
-        return len(results)
+    def release(self) -> None:
+        """Drop everything a finished query held -- windows, plan, routing
+        and delivery structures -- but the facts it still reports."""
+        kept = ("name", "results", "storage_peak", "reoptimizations")
+        self.__dict__ = {k: v for k, v in self.__dict__.items() if k in kept}
 
     def join_nodes_used(self) -> int:
         return 0

@@ -14,7 +14,15 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.joins.base import ExecutionContext, JoinStrategy, Pair, ProducerSample
+import numpy as np
+
+from repro.joins.base import (
+    ExecutionContext,
+    JoinStrategy,
+    Pair,
+    ProducerSet,
+    RowIndex,
+)
 from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
 from repro.routing.dht import DHTSubstrate
@@ -43,6 +51,10 @@ class GHTJoin(JoinStrategy):
         self._unique_keys_of: Dict[Tuple[str, int], Tuple[Key, ...]] = {}
         #: (key, alias, node) -> pairs probed when this producer's tuple arrives
         self._pairs_at_key: Dict[Tuple[Key, str, int], List[Pair]] = {}
+        self._index: Dict[str, RowIndex] = {}
+        #: alias -> per producer (set position), its (key, row count) stops:
+        #: the producer's window rows are laid out key after key
+        self._stops: Dict[str, List[List[Tuple[Key, int]]]] = {}
         #: key -> home (join) node
         self._home_of: Dict[Key, int] = {}
         #: (producer, home) -> cached route
@@ -74,6 +86,29 @@ class GHTJoin(JoinStrategy):
         }
         self._resolve_home_nodes(ctx)
         self._charge_initiation(ctx)
+        self._open_windows(ctx, [
+            pair
+            for (_, alias, _), pairs in self._pairs_at_key.items()
+            if alias == source_alias
+            for pair in pairs
+        ])
+        for alias in ctx.query.aliases:
+            self.producers[alias] = ProducerSet(self._eligible[alias])
+            self._stops[alias] = [
+                [
+                    (key, len(self._pairs_at_key.get((key, alias, node_id), ())))
+                    for key in self._unique_keys_of.get((alias, node_id), ())
+                ]
+                for node_id in self.producers[alias].key
+            ]
+            self._index[alias] = self._row_index(alias, {
+                node_id: [
+                    pair
+                    for key in self._unique_keys_of.get((alias, node_id), ())
+                    for pair in self._pairs_at_key.get((key, alias, node_id), ())
+                ]
+                for node_id in self.producers[alias].key
+            })
 
     # -- key assignment -------------------------------------------------------
     def _assign_keys(self, ctx: ExecutionContext, routing) -> None:
@@ -182,31 +217,7 @@ class GHTJoin(JoinStrategy):
 
     # ------------------------------------------------------------------
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
-        source_alias, _ = ctx.query.aliases
-        samples = ctx.sample_producers(cycle, self._eligible)
-        data_size = ctx.data_tuple_size()
-        result_size = ctx.result_tuple_size()
-        for sample in samples:
-            producer_key = (sample.alias, sample.node_id)
-            for key in self._unique_keys_of.get(producer_key, ()):
-                home = self._home_of[key]
-                path = self._route_to(ctx, sample.node_id, home)
-                if not ctx.ship(path, data_size, MessageKind.DATA):
-                    continue
-                pairs = self._pairs_at_key.get((key, sample.alias, sample.node_id), [])
-                produced = 0
-                for pair in pairs:
-                    produced += self._probe_pair(
-                        ctx, pair, sample, from_source=(sample.alias == source_alias)
-                    )
-                if produced:
-                    result_path = self._result_path.get(home, [home])
-                    delivered = ctx.ship(result_path, result_size, MessageKind.RESULT)
-                    hops = len(path) - 1 + len(result_path) - 1
-                    for _ in range(produced):
-                        self.results.record(delivered=delivered, delay_cycles=0,
-                                            path_hops=hops)
-        self._track_storage()
+        self._cycle(ctx, cycle, batcher=None)
 
     def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int,
                             batcher) -> None:
@@ -218,45 +229,59 @@ class GHTJoin(JoinStrategy):
         by construction).  On perfect links every ship delivers and the
         cycle vectorizes over the cached producer->home and home->base
         routes: one ``ship_many`` for all DATA paths, one for all RESULT
-        paths, probing in the reference order in between.
+        paths.
         """
         if not batcher.lossless:
             with ctx.captured_shipping(batcher):
-                self.execute_cycle(ctx, cycle)
+                self._cycle(ctx, cycle, batcher=None)
             return
+        self._cycle(ctx, cycle, batcher)
+
+    def _cycle(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
+        """Ship each reading to its keys' home nodes, join there, forward
+        results.  With a (lossless) *batcher* every ship delivers, so the
+        paths are collected and shipped once per message kind at the end."""
         source_alias, _ = ctx.query.aliases
-        samples = ctx.sample_producers(cycle, self._eligible)
         data_size = ctx.data_tuple_size()
         result_size = ctx.result_tuple_size()
         data_paths: List[List[int]] = []
         result_paths: List[List[int]] = []
-        for sample in samples:
-            producer_key = (sample.alias, sample.node_id)
-            for key in self._unique_keys_of.get(producer_key, ()):
-                home = self._home_of[key]
-                path = self._route_to(ctx, sample.node_id, home)
-                if len(path) > 1:
-                    data_paths.append(path)
-                pairs = self._pairs_at_key.get(
-                    (key, sample.alias, sample.node_id), []
-                )
-                produced = 0
-                for pair in pairs:
-                    produced += self._probe_pair(
-                        ctx, pair, sample,
-                        from_source=(sample.alias == source_alias),
-                    )
-                if produced:
+        if batcher is None:
+            def ship_data(path): return ctx.ship(path, data_size, MessageKind.DATA)
+            def ship_result(path): return ctx.ship(path, result_size, MessageKind.RESULT)
+        else:
+            def ship_data(path): return data_paths.append(path) or True
+            def ship_result(path): return result_paths.append(path) or True
+        for batch in ctx.sample_producers(cycle, self.producers):
+            from_source = batch.alias == source_alias
+            arrivals = self._arrivals(batch, self._index[batch.alias], from_source)
+            stops = self._stops[batch.alias]
+            reached = np.ones(arrivals.rows.size, dtype=bool)
+            counts = arrivals.counts.tolist()
+            for position, node_id, start in zip(
+                batch.senders.tolist(), batch.node_ids.tolist(),
+                self._index[batch.alias].bounds(batch.senders),
+            ):
+                for key, row_count in stops[position]:
+                    home = self._home_of[key]
+                    path = self._route_to(ctx, node_id, home)
+                    delivered = ship_data(path)
+                    end = start + row_count
+                    if not delivered:
+                        reached[start:end] = False
+                    produced = sum(counts[start:end]) if delivered else 0
+                    start = end
+                    if not produced:
+                        continue
                     result_path = self._result_path.get(home, [home])
-                    if len(result_path) > 1:
-                        result_paths.append(result_path)
-                    hops = len(path) - 1 + len(result_path) - 1
-                    for _ in range(produced):
-                        self.results.record(delivered=True, delay_cycles=0,
-                                            path_hops=hops)
-        if data_paths:
+                    self.results.record_many(
+                        produced, ship_result(result_path),
+                        path_hops=len(path) - 1 + len(result_path) - 1,
+                    )
+            self.windows.insert(from_source, arrivals.rows, arrivals.values,
+                                cycle, mask=reached)
+        if batcher is not None:
             batcher.ship_many(data_paths, data_size, MessageKind.DATA)
-        if result_paths:
             batcher.ship_many(result_paths, result_size, MessageKind.RESULT)
         self._track_storage()
 

@@ -14,7 +14,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.joins.base import ExecutionContext, JoinStrategy, Pair, ProducerSample
+import numpy as np
+
+from repro.joins.base import (
+    ExecutionContext,
+    JoinStrategy,
+    Pair,
+    ProducerBatch,
+    ProducerSet,
+    RowIndex,
+)
 from repro.network.message import MessageKind
 from repro.routing.tree import RoutingTree
 
@@ -29,6 +38,7 @@ class NaiveJoin(JoinStrategy):
         self.tree: RoutingTree = None  # type: ignore[assignment]
         self._eligible: Dict[str, List[int]] = {}
         self._pairs_of: Dict[Tuple[str, int], List[Pair]] = {}
+        self._index: Dict[str, RowIndex] = {}
         self._paths_to_base: Dict[int, List[int]] = {}
 
     # ------------------------------------------------------------------
@@ -45,6 +55,24 @@ class NaiveJoin(JoinStrategy):
             for node_id in self._eligible[alias]
         }
         self._compute_pairs(ctx)
+        self._open_pair_windows(ctx)
+
+    def _open_pair_windows(self, ctx: ExecutionContext) -> None:
+        """One window row per statically joining pair, and per relation the
+        rows each participating producer feeds."""
+        source_alias, _ = ctx.query.aliases
+        self._open_windows(ctx, [
+            pair
+            for (alias, _), pairs in self._pairs_of.items()
+            if alias == source_alias
+            for pair in pairs
+        ])
+        for alias in ctx.query.aliases:
+            self.producers[alias] = ProducerSet(self.participating_producers(alias))
+            self._index[alias] = self._row_index(alias, {
+                node_id: self._pairs_of.get((alias, node_id), ())
+                for node_id in self.producers[alias].key
+            })
 
     def _compute_pairs(self, ctx: ExecutionContext) -> None:
         """Pairs that can join statically; known for free at the base station."""
@@ -69,58 +97,49 @@ class NaiveJoin(JoinStrategy):
     # ------------------------------------------------------------------
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
         source_alias, _ = ctx.query.aliases
-        eligible = {alias: self.participating_producers(alias) for alias in ctx.query.aliases}
-        samples = ctx.sample_producers(cycle, eligible)
         data_size = ctx.data_tuple_size()
-        for sample in samples:
-            path = self._paths_to_base.get(sample.node_id)
-            if path is None or not ctx.topology.nodes[sample.node_id].alive:
-                continue
-            delivered = ctx.ship(path, data_size, MessageKind.DATA)
-            if not delivered:
-                continue
-            self._join_at_base(ctx, sample, from_source=(sample.alias == source_alias))
+        paths_to_base = self._paths_to_base
+        for batch in ctx.sample_producers(cycle, self.producers):
+            delivered = [
+                (path := paths_to_base.get(node_id)) is not None
+                and ctx.ship(path, data_size, MessageKind.DATA)
+                for node_id in batch.node_ids.tolist()
+            ]
+            self._join_at_base(batch, delivered, batch.alias == source_alias, cycle)
         self._track_storage()
 
     def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
-        """Vectorized cycle: one ``ship_many`` for the whole sample fan-in.
+        """Vectorized cycle: one ``ship_many`` per relation's sample fan-in.
 
-        Every producer ships the same-size tuple to the base, so the cycle
+        Every producer ships the same-size tuple to the base, so a relation
         collapses to a single batched link draw and one deferred charge.
-        The batch kernel only engages while every node is alive (the
-        executor's epoch guard), so the per-sample liveness check of
-        :meth:`execute_cycle` is vacuous here.
         """
         source_alias, _ = ctx.query.aliases
-        eligible = {alias: self.participating_producers(alias) for alias in ctx.query.aliases}
-        samples = ctx.sample_producers(cycle, eligible)
         data_size = ctx.data_tuple_size()
         paths_to_base = self._paths_to_base
-        shipped = []
-        paths = []
-        for sample in samples:
-            path = paths_to_base.get(sample.node_id)
-            if path is None:
-                continue
-            shipped.append(sample)
-            paths.append(path)
-        if paths:
-            delivered = batcher.ship_many(paths, data_size, MessageKind.DATA)
-            for sample, ok in zip(shipped, delivered.tolist()):
-                if ok:
-                    self._join_at_base(
-                        ctx, sample, from_source=(sample.alias == source_alias)
-                    )
+        for batch in ctx.sample_producers(cycle, self.producers):
+            paths = [paths_to_base.get(n) for n in batch.node_ids.tolist()]
+            delivered = np.array([path is not None for path in paths], dtype=bool)
+            routed = [path for path in paths if path is not None]
+            if routed:
+                delivered[delivered] = batcher.ship_many(
+                    routed, data_size, MessageKind.DATA
+                )
+            self._join_at_base(batch, delivered, batch.alias == source_alias, cycle)
         self._track_storage()
 
-    def _join_at_base(
-        self, ctx: ExecutionContext, sample: ProducerSample, from_source: bool
-    ) -> None:
-        for pair in self._pairs_of.get((sample.alias, sample.node_id), []):
-            produced = self._probe_pair(ctx, pair, sample, from_source)
-            for _ in range(produced):
-                # Results are produced where they are needed: no extra hops.
-                self.results.record(delivered=True, delay_cycles=0, path_hops=0)
+    def _join_at_base(self, batch: ProducerBatch, delivered,
+                      from_source: bool, cycle: int) -> None:
+        """Probe and buffer the tuples that reached the base station;
+        *delivered* holds one verdict per sender of the batch."""
+        arrivals = self._arrivals(batch, self._index[batch.alias], from_source)
+        got_through = np.zeros(batch.sends.size, dtype=bool)
+        got_through[batch.senders] = delivered
+        reached = got_through[arrivals.owner]
+        self.windows.insert(from_source, arrivals.rows, arrivals.values, cycle,
+                            mask=reached)
+        # Results are produced where they are needed: no extra hops.
+        self.results.record_many(int(arrivals.counts[reached].sum()), delivered=True)
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
         for node_id in failed:
@@ -154,6 +173,8 @@ class BaseJoin(NaiveJoin):
                 path = self._paths_to_base[node_id]
                 ctx.ship(path, report_size, MessageKind.CONTROL)
                 ctx.ship(list(reversed(path)), report_size, MessageKind.CONTROL)
+
+    def _open_pair_windows(self, ctx: ExecutionContext) -> None:
         # Producers with no statically joining partner are eliminated.
         self._participating = {
             alias: [
@@ -162,6 +183,7 @@ class BaseJoin(NaiveJoin):
             ]
             for alias, nodes in self._eligible.items()
         }
+        super()._open_pair_windows(ctx)
 
     def participating_producers(self, alias: str) -> List[int]:
         return list(self._participating.get(alias, []))

@@ -19,26 +19,40 @@ Innet-cmpg, and "In-net learn".
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.adaptive import AdaptivePolicy, LearningState
+from repro.core.adaptive import AdaptivePolicy, LearningState, PairObservation
 from repro.core.cost_model import Selectivities
 from repro.core.group_opt import GroupOptimizer, build_groups
 from repro.core.optimizer import JoinPlan, PairwiseOptimizer
 from repro.core.placement import nomination_traffic
-from repro.joins.base import ExecutionContext, JoinStrategy, Pair, ProducerSample
+from repro.joins.base import (
+    Arrivals,
+    ExecutionContext,
+    JoinStrategy,
+    Pair,
+    ProducerBatch,
+    ProducerSet,
+    RowIndex,
+)
 from repro.joins.multicast import MulticastTree, build_multicast_tree, collapse_paths
 from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
-from repro.query.window import JoinState, WindowedTuple
+from repro.query.window import row_dicts
 from repro.routing.multitree import MultiTreeSubstrate, PairPath
 from repro.summaries import BloomFilterSummary, RTreeSummary
 
 ProducerKey = Tuple[str, int]
+#: A reading held back while its pair recovers: (alias, join attribute
+#: values, the cycle it was sampled in).
+HeldTuple = Tuple[str, Dict[str, Any], int]
+#: How one producer's tuple reaches its join nodes: its multicast tree (or
+#: ``None``) and, for each of its pairs whose join node the tree does not
+#: reach, ``(offset among the producer's rows, join node, path)``.
+ProducerRoute = Tuple[Optional[MulticastTree], List[Tuple[int, int, List[int]]]]
 
 
 @dataclass(frozen=True)
@@ -126,9 +140,20 @@ class InnetJoin(JoinStrategy):
         self._pairs_of: Dict[ProducerKey, List[Pair]] = {}
         self._multicast: Dict[ProducerKey, MulticastTree] = {}
         self._learning: Dict[Pair, LearningState] = {}
-        self._recent_tuples: Dict[Tuple[Pair, str], Deque[WindowedTuple]] = {}
+        self._observations: List[PairObservation] = []  # by window row
+        #: pair -> the cycle its failure recovery ends; ``_held`` flags the
+        #: same pairs by window row
         self._recovering: Dict[Pair, int] = {}
-        self._backlog: Dict[Pair, List[Tuple[str, ProducerSample]]] = {}
+        self._held = np.zeros(0, dtype=bool)
+        self._backlog: Dict[Pair, List[HeldTuple]] = {}
+        #: window row -> pair (the store's row order)
+        self._pairs: List[Pair] = []
+        self._index: Dict[str, RowIndex] = {}
+        #: Derived from the plan's current decisions on first use after
+        #: :meth:`_rebuild_delivery`: per alias and producer (set position)
+        #: its :data:`ProducerRoute`, and per window row its join node.
+        self._routes: Optional[Dict[str, List[Optional[ProducerRoute]]]] = None
+        self._join_node_of_row = np.zeros(0, dtype=np.int64)
         self._group_decision_cache: Dict[int, bool] = {}
         self.reoptimizations = 0
 
@@ -161,11 +186,26 @@ class InnetJoin(JoinStrategy):
                 for decision in self.plan.group_decisions
             }
         self._rebuild_delivery(ctx)
+        # The plan's pair set is fixed from here on (re-optimization only
+        # moves join nodes), so the window rows are too.
+        self._pairs = self.plan.pairs()
+        self._open_windows(ctx, self._pairs, keep_recent=True)
+        self._held = np.zeros(len(self._pairs), dtype=bool)
+        for alias in ctx.query.aliases:
+            self.producers[alias] = ProducerSet(self._eligible[alias])
+            self._index[alias] = self._row_index(alias, {
+                node_id: pairs
+                for (producer_alias, node_id), pairs in self._pairs_of.items()
+                if producer_alias == alias
+            })
         if self.variant.learning:
             for pair, assignment in self.plan.assignments.items():
                 self._learning[pair] = LearningState(
                     current=assignment.assumed, window_size=ctx.query.window_size
                 )
+            self._observations = [
+                self._learning[pair].observation for pair in self._pairs
+            ]
 
     def _build_substrate(self, ctx: ExecutionContext) -> MultiTreeSubstrate:
         routing = ctx.analysis.routing_predicate
@@ -281,6 +321,7 @@ class InnetJoin(JoinStrategy):
                           producers: Optional[List[ProducerKey]] = None) -> None:
         """(Re)build per-producer shipping structures from the current plan."""
         source_alias, target_alias = ctx.query.aliases
+        self._routes = None
         self._pairs_of = {}
         for pair in self.plan.pairs():
             source, target = pair
@@ -325,52 +366,203 @@ class InnetJoin(JoinStrategy):
         source_alias, _ = ctx.query.aliases
         return decision.source_to_join if alias == source_alias else decision.target_to_join
 
+    def _delivery_routes(self, ctx: ExecutionContext
+                         ) -> Dict[str, List[Optional[ProducerRoute]]]:
+        """Per-producer shipping routes under the plan's current decisions."""
+        if self._routes is None:
+            assignments = self.plan.assignments
+            self._join_node_of_row = np.array(
+                [assignments[pair].decision.join_node for pair in self._pairs],
+                dtype=np.int64,
+            )
+            routes: Dict[str, List[Optional[ProducerRoute]]] = {}
+            for alias, members in self.producers.items():
+                routes[alias] = per_producer = []
+                for node_id in members.key:
+                    pairs = self._pairs_of.get((alias, node_id))
+                    if not pairs:
+                        per_producer.append(None)
+                        continue
+                    tree = self._multicast.get((alias, node_id))
+                    reached = tree.destinations if tree is not None else ()
+                    per_producer.append((tree, [
+                        (offset, join_node, self._path_to_join(ctx, alias, pair))
+                        for offset, pair in enumerate(pairs)
+                        if (join_node := assignments[pair].decision.join_node)
+                        not in reached
+                    ]))
+            self._routes = routes
+        return self._routes
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
-        source_alias, target_alias = ctx.query.aliases
-        samples = ctx.sample_producers(cycle, self._eligible)
+        self._cycle(ctx, cycle, batcher=None)
+
+    def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int,
+                            batcher) -> None:
+        """One sampling cycle with tree- and path-shipping batched.
+
+        On lossy links control flow depends on per-ship verdicts, so the
+        cycle streams through the captured-shipping wrapper (scalar draws in
+        ship order -- bit-identical by construction; multicast trees still
+        ship as per-sample edge blocks via :meth:`_ship_tree_edges`).  On
+        perfect links every ship delivers, so the cycle's shipping plan is
+        collected while the relations are joined and shipped at the end:
+        one edge block for all multicast trees, one ``ship_many`` for the
+        SEND_TO_JOIN fan-in.
+        """
+        if not batcher.lossless or self._recovering:
+            with ctx.captured_shipping(batcher):
+                self._cycle(ctx, cycle, batcher=None)
+            return
+        self._cycle(ctx, cycle, batcher)
+
+    def _cycle(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
+        """Sample, ship to the join nodes, join, forward results, learn.
+
+        Per relation, source first: probe every arriving tuple against the
+        opposite windows, ship, then buffer what got through -- so the
+        target relation joins against exactly the source tuples delivered
+        this cycle.  With a (lossless) *batcher* every ship delivers.
+        """
+        source_alias, _ = ctx.query.aliases
+        batches = ctx.sample_producers(cycle, self.producers)
         data_size = ctx.data_tuple_size()
-        produced_at: Dict[int, List[int]] = {}  # join node -> result delays
-
+        #: join node -> [results produced there, their summed delays]
+        produced_at: Dict[int, List[int]] = {}
         self._finish_recoveries(ctx, cycle, produced_at)
-
-        recovering = self._recovering or None
-        assignments = self.plan.assignments
-        for sample in samples:
-            producer_key = (sample.alias, sample.node_id)
-            pairs = self._pairs_of.get(producer_key)
-            if not pairs:
-                continue
-            shipped_join_nodes: set = set()
-            if self.variant.multicast and producer_key in self._multicast:
-                tree = self._multicast[producer_key]
-                self._ship_tree_edges(ctx, tree, data_size)
-                shipped_join_nodes = set(tree.destinations)
-            for pair in pairs:
-                if recovering is not None and recovering.get(pair, -1) > cycle:
-                    self._backlog.setdefault(pair, []).append((sample.alias, sample))
-                    continue
-                decision = assignments[pair].decision
-                if decision.join_node not in shipped_join_nodes:
-                    # The tuple travels to each *distinct* join node once; all
-                    # pairs the producer has at that node share the message.
-                    path = self._path_to_join(ctx, sample.alias, pair)
-                    if not ctx.ship(path, data_size, MessageKind.DATA):
+        routes = self._delivery_routes(ctx)
+        edge_parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        join_paths: List[List[int]] = []
+        for batch in batches:
+            from_source = batch.alias == source_alias
+            arrivals = self._arrivals(batch, self._index[batch.alias], from_source)
+            if batcher is None:
+                delivered = self._ship_to_join_nodes(
+                    ctx, batch, arrivals, routes[batch.alias], data_size, cycle
+                )
+            else:
+                delivered = None
+                for position in batch.senders.tolist():
+                    route = routes[batch.alias][position]
+                    if route is None:
                         continue
-                    shipped_join_nodes.add(decision.join_node)
-                self._remember_tuple(ctx, pair, sample)
-                delays = self._probe(ctx, pair, sample,
-                                     from_source=(sample.alias == source_alias),
-                                     cycle=cycle)
-                if delays:
-                    produced_at.setdefault(decision.join_node, []).extend(delays)
-
-        self._forward_results(ctx, produced_at)
-        if self.variant.learning:
-            self._learn(ctx, cycle)
+                    tree, unreached = route
+                    if tree is not None:
+                        edge_parts.append(tree.edge_arrays())
+                    shipped_join_nodes = set()
+                    for _, join_node, path in unreached:
+                        if join_node not in shipped_join_nodes:
+                            shipped_join_nodes.add(join_node)
+                            join_paths.append(path)
+            self.windows.insert(from_source, arrivals.rows, arrivals.values,
+                                cycle, mask=delivered)
+            self._record_arrivals(arrivals, delivered, from_source, produced_at)
+        if batcher is not None:
+            if edge_parts:
+                batcher.ship_edges(
+                    np.concatenate([senders for senders, _ in edge_parts]),
+                    np.concatenate([receivers for _, receivers in edge_parts]),
+                    data_size, MessageKind.DATA,
+                )
+            batcher.ship_many(join_paths, data_size, MessageKind.DATA)
+            with ctx.captured_shipping(batcher):
+                self._forward_results(ctx, produced_at)
+                if self.variant.learning:
+                    self._learn(ctx, cycle)
+        else:
+            self._forward_results(ctx, produced_at)
+            if self.variant.learning:
+                self._learn(ctx, cycle)
         self._track_storage()
+
+    def _ship_to_join_nodes(
+        self,
+        ctx: ExecutionContext,
+        batch: ProducerBatch,
+        arrivals: Arrivals,
+        routes: List[Optional[ProducerRoute]],
+        data_size: int,
+        cycle: int,
+    ) -> Optional[np.ndarray]:
+        """Ship one relation's tuples, verdict by verdict, in sample order.
+
+        Returns which arrival rows the tuple reached (``None`` = all).  A
+        tuple travels to each *distinct* join node once; all pairs the
+        producer has at that node share the message, and a pair whose ship
+        was lost retries for the next pair at the same node.
+        """
+        delivered: Optional[np.ndarray] = None
+        held: Optional[List[bool]] = None
+        if self._recovering:
+            # Pairs under repair neither ship nor join: their readings wait
+            # in the backlog until the pair re-homes at the base station.
+            waiting = self._held[arrivals.rows]
+            if waiting.any():
+                delivered = ~waiting
+                held = waiting.tolist()
+                rows = arrivals.rows[waiting].tolist()
+                tuples = row_dicts(
+                    {a: c[waiting] for a, c in arrivals.values.items()}, len(rows)
+                )
+                for row, values in zip(rows, tuples):
+                    self._backlog.setdefault(self._pairs[row], []).append(
+                        (batch.alias, values, cycle)
+                    )
+        starts = self._index[batch.alias].bounds(batch.senders)
+        for position, start in zip(batch.senders.tolist(), starts):
+            route = routes[position]
+            if route is None:
+                continue
+            tree, unreached = route
+            if tree is not None:
+                self._ship_tree_edges(ctx, tree, data_size)
+            shipped_join_nodes = set()
+            for offset, join_node, path in unreached:
+                if join_node in shipped_join_nodes:
+                    continue
+                if held is not None and held[start + offset]:
+                    continue
+                if ctx.ship(path, data_size, MessageKind.DATA):
+                    shipped_join_nodes.add(join_node)
+                else:
+                    if delivered is None:
+                        delivered = np.ones(arrivals.rows.size, dtype=bool)
+                    delivered[start + offset] = False
+        return delivered
+
+    def _record_arrivals(self, arrivals: Arrivals, delivered: Optional[np.ndarray],
+                         from_source: bool, produced_at: Dict[int, List[int]]) -> None:
+        """Credit the delivered tuples' results to their join nodes (in
+        first-result order, which is the order results are forwarded in) and
+        their observations to the learning pairs."""
+        rows, counts = arrivals.rows, arrivals.counts
+        if delivered is not None:
+            rows, counts = rows[delivered], counts[delivered]
+        if self._learning:
+            observations = self._observations
+            for row, count in zip(rows.tolist(), counts.tolist()):
+                observation = observations[row]
+                if from_source:
+                    observation.record_source_tuple()
+                else:
+                    observation.record_target_tuple()
+                observation.record_results(count)
+        productive = counts.nonzero()[0]
+        if not productive.size:
+            return
+        # A tuple sampled this cycle joins with no delay: the older tuple of
+        # every result was already waiting in the window.
+        join_nodes = self._join_node_of_row[rows[productive]]
+        if (join_nodes == join_nodes[0]).all():  # typically: all at the base
+            produced_at.setdefault(int(join_nodes[0]), [0, 0])[0] += int(
+                counts[productive].sum()
+            )
+            return
+        for join_node, count in zip(join_nodes.tolist(), counts[productive].tolist()):
+            produced_at.setdefault(join_node, [0, 0])[0] += count
 
     def _ship_tree_edges(self, ctx: ExecutionContext, tree: MulticastTree,
                          data_size: int) -> None:
@@ -393,135 +585,30 @@ class InnetJoin(JoinStrategy):
         for parent, child in tree.edges():
             ctx.ship((parent, child), data_size, MessageKind.DATA)
 
-    def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int,
-                            batcher) -> None:
-        """One sampling cycle with tree- and path-shipping batched.
-
-        On lossy links control flow depends on per-ship verdicts, so the
-        cycle streams through the captured-shipping wrapper (scalar draws in
-        ship order -- bit-identical by construction; multicast trees still
-        ship as per-sample edge blocks via :meth:`_ship_tree_edges`).  On
-        perfect links every ship delivers, so the cycle's shipping plan is
-        computed upfront: one edge block for all multicast trees, one
-        ``ship_many`` for the SEND_TO_JOIN fan-in, with probing and result
-        forwarding in the reference order.
-        """
-        if not batcher.lossless or self._recovering:
-            with ctx.captured_shipping(batcher):
-                self.execute_cycle(ctx, cycle)
-            return
-        source_alias, target_alias = ctx.query.aliases
-        samples = ctx.sample_producers(cycle, self._eligible)
-        data_size = ctx.data_tuple_size()
-        produced_at: Dict[int, List[int]] = {}
-        assignments = self.plan.assignments
-        multicast = self._multicast if self.variant.multicast else {}
-        edge_sender_parts: List[Any] = []
-        edge_receiver_parts: List[Any] = []
-        join_paths: List[List[int]] = []
-        probes: List[Tuple[Pair, ProducerSample, int]] = []
-        for sample in samples:
-            producer_key = (sample.alias, sample.node_id)
-            pairs = self._pairs_of.get(producer_key)
-            if not pairs:
-                continue
-            tree = multicast.get(producer_key)
-            if tree is not None:
-                senders, receivers = tree.edge_arrays()
-                if senders.size:
-                    edge_sender_parts.append(senders)
-                    edge_receiver_parts.append(receivers)
-                shipped_join_nodes = set(tree.destinations)
-            else:
-                shipped_join_nodes = set()
-            for pair in pairs:
-                decision = assignments[pair].decision
-                if decision.join_node not in shipped_join_nodes:
-                    join_paths.append(
-                        self._path_to_join(ctx, sample.alias, pair)
-                    )
-                    shipped_join_nodes.add(decision.join_node)
-                probes.append((pair, sample, decision.join_node))
-        if edge_sender_parts:
-            batcher.ship_edges(
-                np.concatenate(edge_sender_parts),
-                np.concatenate(edge_receiver_parts),
-                data_size, MessageKind.DATA,
-            )
-        if join_paths:
-            batcher.ship_many(join_paths, data_size, MessageKind.DATA)
-        for pair, sample, join_node in probes:
-            self._remember_tuple(ctx, pair, sample)
-            delays = self._probe(ctx, pair, sample,
-                                 from_source=(sample.alias == source_alias),
-                                 cycle=cycle)
-            if delays:
-                produced_at.setdefault(join_node, []).extend(delays)
-        with ctx.captured_shipping(batcher):
-            self._forward_results(ctx, produced_at)
-            if self.variant.learning:
-                self._learn(ctx, cycle)
-        self._track_storage()
-
-    # -- probing with delay tracking -------------------------------------------
-    def _probe(
-        self,
-        ctx: ExecutionContext,
-        pair: Pair,
-        sample: ProducerSample,
-        from_source: bool,
-        cycle: int,
-    ) -> List[int]:
-        state = self._state_for(pair, ctx.query.window_size)
-        matches = state.probe(from_source, sample.as_windowed_tuple(), ctx.tuples_join)
-        delays = [max(0, cycle - max(s.cycle, t.cycle)) for s, t in matches]
-        if self.variant.learning and pair in self._learning:
-            observation = self._learning[pair].observation
-            if from_source:
-                observation.record_source_tuple()
-            else:
-                observation.record_target_tuple()
-            observation.record_results(len(matches))
-        return delays
-
     def _forward_results(self, ctx: ExecutionContext,
                          produced_at: Dict[int, List[int]]) -> None:
         result_size = ctx.result_tuple_size()
         payload = result_size - ctx.sizes.header
-        for join_node, delays in produced_at.items():
-            if not delays:
-                continue
+        for join_node, (count, delay) in produced_at.items():
             if join_node == ctx.base_id:
-                for delay in delays:
-                    self.results.record(delivered=True, delay_cycles=delay, path_hops=0)
+                self.results.record_many(count, True, delay_cycles=delay)
                 continue
             if self.substrate.primary_tree.covers(join_node):
                 path = self.substrate.path_to_base(join_node)
             else:
                 # The join node dropped out of the repaired routing tree (it
                 # failed this cycle); its results of this cycle are lost.
-                for delay in delays:
-                    self.results.record(delivered=False, delay_cycles=delay, path_hops=0)
+                self.results.record_many(count, False)
                 continue
             if self.variant.merging:
-                merged_size = ctx.sizes.header + payload * len(delays)
+                merged_size = ctx.sizes.header + payload * count
                 delivered = ctx.ship(path, merged_size, MessageKind.RESULT)
             else:
                 delivered = True
-                for _ in delays:
+                for _ in range(count):
                     delivered = ctx.ship(path, result_size, MessageKind.RESULT) and delivered
-            for delay in delays:
-                self.results.record(delivered=delivered, delay_cycles=delay,
-                                    path_hops=len(path) - 1)
-
-    def _remember_tuple(self, ctx: ExecutionContext, pair: Pair, sample: ProducerSample) -> None:
-        """Producers keep their last w sent tuples for failure recovery."""
-        key = (pair, sample.alias)
-        buffer = self._recent_tuples.get(key)
-        if buffer is None:
-            buffer = deque(maxlen=ctx.query.window_size)
-            self._recent_tuples[key] = buffer
-        buffer.append(sample.as_windowed_tuple())
+            self.results.record_many(count, delivered, delay_cycles=delay,
+                                     path_hops=len(path) - 1)
 
     # ------------------------------------------------------------------
     # adaptive learning (Section 6)
@@ -531,16 +618,22 @@ class InnetJoin(JoinStrategy):
         changed_producers: List[ProducerKey] = []
         updated_pairs: List[Pair] = []
         source_alias, target_alias = ctx.query.aliases
-        old_join_nodes = {
-            pair: self.plan.decision_for(pair).join_node for pair in self.plan.pairs()
-        }
+        checking = policy.is_check_cycle(cycle) or policy.is_reset_cycle(cycle)
+        old_join_nodes: Dict[Pair, int] = {}
         for pair, learning in self._learning.items():
             learning.observation.record_cycle()
-            if not policy.is_check_cycle(cycle) and not policy.is_reset_cycle(cycle):
+            if not checking:
                 continue
             updated = learning.maybe_update(policy, cycle)
             if updated is None:
                 continue
+            if not old_join_nodes:
+                # Where every pair joins before the first re-placement of
+                # this cycle: what the moves below are measured against.
+                old_join_nodes = {
+                    pair: self.plan.decision_for(pair).join_node
+                    for pair in self.plan.pairs()
+                }
             # Re-place the pair with the learned estimates; nominations are
             # charged below, and only for pairs whose join node actually moved.
             self.optimizer.reoptimize_pair(
@@ -550,6 +643,7 @@ class InnetJoin(JoinStrategy):
             updated_pairs.append(pair)
         if not updated_pairs:
             return
+        self._routes = None  # re-placed pairs ship along new paths
         # Section 6: learning also re-triggers the multi-pair optimization, but
         # only the groups containing re-estimated pairs exchange messages.
         if self.variant.group_optimization:
@@ -616,10 +710,9 @@ class InnetJoin(JoinStrategy):
     def _transfer_window(self, ctx: ExecutionContext, pair: Pair,
                          old_join: int, new_join: int) -> None:
         """Move the pair's buffered window to the new join node (Section 6)."""
-        state = self.pair_states.get(pair)
-        if state is None or old_join == new_join:
+        if old_join == new_join:
             return
-        tuples = state.buffered_tuple_count()
+        tuples = self.windows.buffered(self.windows.row_of[pair])
         if tuples == 0:
             return
         try:
@@ -649,13 +742,17 @@ class InnetJoin(JoinStrategy):
                 # Limited-exploration repair takes a couple of cycles; after it
                 # the pair joins at the base station (Section 7).
                 self._recovering[pair] = cycle + self.failover_cycles
+                self._held[self.windows.row_of[pair]] = True
 
     def _finish_recoveries(self, ctx: ExecutionContext, cycle: int,
                            produced_at: Dict[int, List[int]]) -> None:
         source_alias, target_alias = ctx.query.aliases
         finished = [p for p, until in self._recovering.items() if until <= cycle]
+        store = self.windows
         for pair in finished:
             del self._recovering[pair]
+            row = store.row_of[pair]
+            self._held[row] = False
             assignment = self.plan.assignments.get(pair)
             if assignment is None:
                 continue
@@ -664,30 +761,31 @@ class InnetJoin(JoinStrategy):
             assignment.decision = base_decision
             # Forward the last w tuples from each producer so the base can
             # rebuild the join window, then replay the backlog.
-            replays: List[Tuple[str, WindowedTuple]] = []
-            for alias in (source_alias, target_alias):
-                for tup in self._recent_tuples.get((pair, alias), []):
-                    replays.append((alias, tup))
-            for alias, sample in self._backlog.pop(pair, []):
-                replays.append((alias, sample.as_windowed_tuple()))
+            replays: List[HeldTuple] = [
+                (alias, values, sampled)
+                for alias in (source_alias, target_alias)
+                for values, sampled in store.recent(row, alias == source_alias)
+            ]
+            replays.extend(self._backlog.pop(pair, []))
             # Start a fresh window at the base.
-            self.pair_states[pair] = JoinState(
-                window_size=ctx.query.window_size, source_id=pair[0], target_id=pair[1]
-            )
+            store.reset_row(row)
             data_size = ctx.data_tuple_size()
-            for alias, tup in replays:
-                producer = tup.producer_id
+            for alias, values, sampled in replays:
+                from_source = alias == source_alias
+                producer = pair[0] if from_source else pair[1]
                 if not ctx.topology.nodes[producer].alive:
                     continue
-                path = (base_decision.source_to_join if alias == source_alias
+                path = (base_decision.source_to_join if from_source
                         else base_decision.target_to_join)
                 if not ctx.ship(path, data_size, MessageKind.DATA):
                     continue
-                state = self.pair_states[pair]
-                matches = state.probe(alias == source_alias, tup, ctx.tuples_join)
-                delays = [max(0, cycle - max(s.cycle, t.cycle)) for s, t in matches]
-                if delays:
-                    produced_at.setdefault(base_decision.join_node, []).extend(delays)
+                matched = store.probe_row(row, from_source, values, sampled)
+                if matched:
+                    entry = produced_at.setdefault(base_decision.join_node, [0, 0])
+                    entry[0] += len(matched)
+                    entry[1] += sum(
+                        max(0, cycle - max(sampled, other)) for other in matched
+                    )
             self._rebuild_delivery(ctx)
 
     def _base_decision(self, ctx: ExecutionContext, pair: Pair,

@@ -41,6 +41,7 @@ from repro.joins.base import (
     DataSource,
     ExecutionContext,
     JoinStrategy,
+    ProducerSet,
     SelectivityProvider,
 )
 from repro.metrics.latency import LatencySink
@@ -56,12 +57,17 @@ from repro.query.query import JoinQuery
 
 @dataclass
 class QuerySession:
-    """One admitted query's execution state on the shared substrate."""
+    """One admitted query's execution state on the shared substrate.
+
+    Once detached, a session keeps what :meth:`describe` reports -- the
+    strategy is released (:meth:`~repro.joins.base.JoinStrategy.release`) down
+    to its name and result counters and the context is dropped.
+    """
 
     query_id: int
     query: JoinQuery
     strategy: JoinStrategy
-    context: ExecutionContext
+    context: Optional[ExecutionContext]
     attached_cycle: int
     detached_cycle: Optional[int] = None
     initiation_traffic: float = 0.0
@@ -160,7 +166,13 @@ class SharedSubstrateEngine:
             sinks=sinks,
         )
         self.cycle = 0
+        #: every session ever admitted, and the attached ones; both in
+        #: admission order, which is query-id order
         self._sessions: Dict[int, QuerySession] = {}
+        self._live: Dict[int, QuerySession] = {}
+        #: the union of the live sessions' producers, sampled once per cycle
+        #: on behalf of all of them; rebuilt after the population changes
+        self._universe: Optional[ProducerSet] = None
         self._next_query_id = 1
         self._share_plane = (
             SharedShipmentPlane(self.simulator) if share_shipments else None
@@ -223,6 +235,8 @@ class SharedSubstrateEngine:
             traffic_at_attach=before,
         )
         self._sessions[query_id] = session
+        self._live[query_id] = session
+        self._universe = None
         if self._group_optimizes(strategy):
             pairs = strategy.plan.pairs()
             for pair in pairs:
@@ -287,10 +301,11 @@ class SharedSubstrateEngine:
 
     def detach(self, query_id: int) -> QuerySession:
         """Cancel a query at the current cycle boundary."""
-        session = self._sessions.get(query_id)
-        if session is None or not session.active:
+        session = self._live.pop(query_id, None)
+        if session is None:
             raise KeyError(f"no active query {query_id!r}")
         session.detached_cycle = self.cycle
+        self._universe = None
         removed_pairs: List[Pair] = []
         if query_id in self.group_optimizer.registered_queries():
             for pair in session.strategy.plan.pairs():
@@ -302,20 +317,19 @@ class SharedSubstrateEngine:
                         del self._pair_owners[pair]
             changed = self.group_optimizer.remove_query(query_id)
             self._redecide(changed, delta_pairs=removed_pairs)
+        session.strategy.release()
+        session.context = None
         return session
 
     def session(self, query_id: int) -> Optional[QuerySession]:
         return self._sessions.get(query_id)
 
     def sessions(self, active_only: bool = False) -> List[QuerySession]:
-        ordered = [self._sessions[qid] for qid in sorted(self._sessions)]
-        if active_only:
-            ordered = [s for s in ordered if s.active]
-        return ordered
+        return list((self._live if active_only else self._sessions).values())
 
     @property
     def active_count(self) -> int:
-        return sum(1 for s in self._sessions.values() if s.active)
+        return len(self._live)
 
     # -- cross-query group reoptimization -------------------------------------
     def _owners_of(self, group: Group) -> List[QuerySession]:
@@ -422,7 +436,16 @@ class SharedSubstrateEngine:
         """Execute one sampling cycle across every attached session."""
         cycle = self.cycle
         failed = self.failure_injector.apply(self.topology, cycle)
-        active = self.sessions(active_only=True)
+        active = list(self._live.values())
+        if self._universe is None:
+            self._universe = ProducerSet(sorted({
+                node_id
+                for session in active
+                for producers in session.strategy.producers.values()
+                for node_id in producers.key
+            }))
+            for session in active:
+                session.context.universe = self._universe
         if failed:
             for session in active:
                 session.strategy.handle_failures(session.context, failed, cycle)

@@ -11,11 +11,17 @@ per-node queues are bounded (Section 4.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.joins.base import ExecutionContext, JoinStrategy, Pair, ProducerSample
+import numpy as np
+
+from repro.joins.base import (
+    ExecutionContext,
+    JoinStrategy,
+    ProducerSet,
+    RowIndex,
+)
 from repro.network.message import MessageKind
-from repro.query.window import WindowedTuple
 from repro.routing.tree import RoutingTree
 
 
@@ -30,6 +36,7 @@ class ThroughBaseJoin(JoinStrategy):
         self._eligible: Dict[str, List[int]] = {}
         #: source node -> target nodes its tuples are forwarded to
         self._targets_of_source: Dict[int, List[int]] = {}
+        self._index: Dict[str, RowIndex] = {}
         self._paths_to_base: Dict[int, List[int]] = {}
         self._paths_from_base: Dict[int, List[int]] = {}
 
@@ -57,54 +64,27 @@ class ThroughBaseJoin(JoinStrategy):
                 if ctx.analysis.pair_joins_statically(source_attrs, target_attrs):
                     targets.append(target)
             self._targets_of_source[source] = targets
+        # One window row per (source, target) the base forwards between; a
+        # target meets its sources in the order the base lists them.
+        pairs_of_source = {
+            source: [(source, target) for target in targets]
+            for source, targets in self._targets_of_source.items()
+        }
+        pairs_of_target: Dict[int, list] = {}
+        for pairs in pairs_of_source.values():
+            for pair in pairs:
+                pairs_of_target.setdefault(pair[1], []).append(pair)
+        self._open_windows(
+            ctx, [pair for pairs in pairs_of_source.values() for pair in pairs]
+        )
+        for alias, pairs_of in ((source_alias, pairs_of_source),
+                                (target_alias, pairs_of_target)):
+            self.producers[alias] = ProducerSet(self._eligible[alias])
+            self._index[alias] = self._row_index(alias, pairs_of)
 
     # ------------------------------------------------------------------
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
-        source_alias, target_alias = ctx.query.aliases
-        samples = ctx.sample_producers(cycle, self._eligible)
-        data_size = ctx.data_tuple_size()
-        result_size = ctx.result_tuple_size()
-
-        # Target readings stay local: buffer them at their own node, joining
-        # against the source tuples previously forwarded down to this node.
-        target_samples = [s for s in samples if s.alias == target_alias]
-        for sample in target_samples:
-            for source, targets in self._targets_of_source.items():
-                if sample.node_id in targets:
-                    pair = (source, sample.node_id)
-                    produced = self._probe_pair(ctx, pair, sample, from_source=False)
-                    if produced:
-                        result_path = self._paths_to_base.get(sample.node_id, [sample.node_id])
-                        delivered = ctx.ship(result_path, result_size, MessageKind.RESULT)
-                        for _ in range(produced):
-                            self.results.record(delivered=delivered, delay_cycles=0,
-                                                path_hops=len(result_path) - 1)
-
-        # Source readings go up to the base, then down to each matching target.
-        for sample in (s for s in samples if s.alias == source_alias):
-            up_path = self._paths_to_base.get(sample.node_id)
-            if up_path is None:
-                continue
-            if not ctx.ship(up_path, data_size, MessageKind.DATA):
-                continue
-            for target in self._targets_of_source.get(sample.node_id, []):
-                if not ctx.topology.nodes[target].alive:
-                    continue
-                down_path = self._paths_from_base.get(target)
-                if down_path is None:
-                    continue
-                if not ctx.ship(down_path, data_size, MessageKind.DATA):
-                    continue
-                pair = (sample.node_id, target)
-                produced = self._probe_pair(ctx, pair, sample, from_source=True)
-                if produced:
-                    result_path = self._paths_to_base.get(target, [target])
-                    delivered = ctx.ship(result_path, result_size, MessageKind.RESULT)
-                    hops = (len(up_path) - 1) + (len(down_path) - 1) + (len(result_path) - 1)
-                    for _ in range(produced):
-                        self.results.record(delivered=delivered, delay_cycles=0,
-                                            path_hops=hops)
-        self._track_storage()
+        self._cycle(ctx, cycle, batcher=None)
 
     def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int,
                             batcher) -> None:
@@ -115,66 +95,73 @@ class ThroughBaseJoin(JoinStrategy):
         captured-shipping wrapper (scalar draws in ship order).  On perfect
         links every ship delivers and the cycle vectorizes over the cached
         ``_paths_to_base`` / ``_paths_from_base`` routes: one ``ship_many``
-        per message kind, probing in the reference order.  The batch kernel
-        only engages while every node is alive, so the reference's per-target
-        liveness check is vacuous here.
+        per message kind.
         """
         if not batcher.lossless:
             with ctx.captured_shipping(batcher):
-                self.execute_cycle(ctx, cycle)
+                self._cycle(ctx, cycle, batcher=None)
             return
+        self._cycle(ctx, cycle, batcher)
+
+    def _cycle(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
+        """Join target readings where they are, then route source readings
+        through the base.  With a (lossless) *batcher* every ship delivers,
+        so the paths are collected and shipped once per message kind."""
         source_alias, target_alias = ctx.query.aliases
-        samples = ctx.sample_producers(cycle, self._eligible)
         data_size = ctx.data_tuple_size()
         result_size = ctx.result_tuple_size()
         data_paths: List[List[int]] = []
         result_paths: List[List[int]] = []
+        if batcher is None:
+            def ship_data(path): return ctx.ship(path, data_size, MessageKind.DATA)
+            def ship_result(path): return ctx.ship(path, result_size, MessageKind.RESULT)
+        else:
+            def ship_data(path): return data_paths.append(path) or True
+            def ship_result(path): return result_paths.append(path) or True
+        paths_to_base = self._paths_to_base
+        batches = {b.alias: b for b in ctx.sample_producers(cycle, self.producers)}
 
-        for sample in (s for s in samples if s.alias == target_alias):
-            for source, targets in self._targets_of_source.items():
-                if sample.node_id in targets:
-                    pair = (source, sample.node_id)
-                    produced = self._probe_pair(ctx, pair, sample,
-                                                from_source=False)
-                    if produced:
-                        result_path = self._paths_to_base.get(
-                            sample.node_id, [sample.node_id]
-                        )
-                        if len(result_path) > 1:
-                            result_paths.append(result_path)
-                        for _ in range(produced):
-                            self.results.record(
-                                delivered=True, delay_cycles=0,
-                                path_hops=len(result_path) - 1,
-                            )
+        # Target readings stay local: each is buffered at its own node after
+        # joining against the source tuples previously forwarded down to it,
+        # so the target relation goes first and nothing gates its inserts.
+        local = self._arrivals(batches[target_alias], self._index[target_alias],
+                               from_source=False)
+        self.windows.insert(False, local.rows, local.values, cycle)
+        target_nodes = self.producers[target_alias].key
+        for i in np.flatnonzero(local.counts).tolist():
+            target = target_nodes[local.owner[i]]
+            result_path = paths_to_base.get(target, [target])
+            delivered = ship_result(result_path)
+            self.results.record_many(int(local.counts[i]), delivered,
+                                     path_hops=len(result_path) - 1)
 
-        for sample in (s for s in samples if s.alias == source_alias):
-            up_path = self._paths_to_base.get(sample.node_id)
-            if up_path is None:
+        # Source readings go up to the base, then down to each matching target.
+        sources = batches[source_alias]
+        forwarded = self._arrivals(sources, self._index[source_alias],
+                                   from_source=True)
+        counts = forwarded.counts.tolist()
+        bounds = self._index[source_alias].bounds(sources.senders)
+        reached = np.zeros(forwarded.rows.size, dtype=bool)
+        for k, source in enumerate(sources.node_ids.tolist()):
+            up_path = paths_to_base.get(source)
+            if up_path is None or not ship_data(up_path):
                 continue
-            if len(up_path) > 1:
-                data_paths.append(up_path)
-            for target in self._targets_of_source.get(sample.node_id, []):
-                down_path = self._paths_from_base.get(target)
-                if down_path is None:
+            row_targets = self._targets_of_source.get(source, [])
+            for i, target in zip(range(bounds[k], bounds[k + 1]), row_targets):
+                if not ctx.topology.nodes[target].alive:
                     continue
-                if len(down_path) > 1:
-                    data_paths.append(down_path)
-                pair = (sample.node_id, target)
-                produced = self._probe_pair(ctx, pair, sample,
-                                            from_source=True)
-                if produced:
-                    result_path = self._paths_to_base.get(target, [target])
-                    if len(result_path) > 1:
-                        result_paths.append(result_path)
-                    hops = ((len(up_path) - 1) + (len(down_path) - 1)
-                            + (len(result_path) - 1))
-                    for _ in range(produced):
-                        self.results.record(delivered=True, delay_cycles=0,
-                                            path_hops=hops)
-        if data_paths:
+                down_path = self._paths_from_base.get(target)
+                if down_path is None or not ship_data(down_path):
+                    continue
+                reached[i] = True
+                if counts[i]:
+                    result_path = paths_to_base.get(target, [target])
+                    delivered = ship_result(result_path)
+                    hops = (len(up_path) - 1) + (len(down_path) - 1) + (len(result_path) - 1)
+                    self.results.record_many(counts[i], delivered, path_hops=hops)
+        self.windows.insert(True, forwarded.rows, forwarded.values, cycle, mask=reached)
+        if batcher is not None:
             batcher.ship_many(data_paths, data_size, MessageKind.DATA)
-        if result_paths:
             batcher.ship_many(result_paths, result_size, MessageKind.RESULT)
         self._track_storage()
 

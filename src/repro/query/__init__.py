@@ -39,7 +39,7 @@ from repro.query.expressions import (
 from repro.query.parser import parse_query
 from repro.query.query import JoinQuery, RelationSpec
 from repro.query.schema import Attribute, RelationSchema, SENSOR_SCHEMA
-from repro.query.window import JoinState, TupleWindow, WindowedTuple
+from repro.query.window import JoinState, TupleWindow, WindowStore, WindowedTuple
 
 __all__ = [
     "Attribute",
@@ -65,4 +65,5 @@ __all__ = [
     "TupleWindow",
     "WindowedTuple",
     "JoinState",
+    "WindowStore",
 ]

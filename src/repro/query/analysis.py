@@ -11,7 +11,9 @@ join predicates are evaluated after the routing stage (Appendix B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.query.cnf import to_cnf
 from repro.query.expressions import (
@@ -23,7 +25,9 @@ from repro.query.expressions import (
     Expression,
     FunctionCall,
     Literal,
+    NotVectorizable,
     Predicate,
+    conjunction,
 )
 from repro.query.query import JoinQuery
 from repro.query.schema import RelationSchema
@@ -63,6 +67,60 @@ class RegionRouting:
 
 
 RoutingPredicate = Any  # EqualityRouting | RegionRouting (kept simple for 3.9)
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels
+# ---------------------------------------------------------------------------
+
+Columns = Dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class SelectionKernel:
+    """One relation's dynamic selection clauses, compiled twice.
+
+    ``scalar`` is the fused closure over one attribute dict; ``array`` the
+    same conjunction over columns (one sender mask per call), or ``None``
+    when some clause has no array form.  Either reads only ``attributes``.
+    """
+
+    attributes: Tuple[str, ...]
+    scalar: Callable[[Dict[str, Any]], Any]
+    array: Optional[Callable[[Columns], Any]]
+
+
+@dataclass(frozen=True)
+class JoinKernel:
+    """The dynamic join clauses, compiled twice.
+
+    ``scalar(source_attrs, target_attrs)`` is the closure windowed-join
+    probes have always run; ``array(source_columns, target_columns)`` the
+    same conjunction over columns that broadcast against each other, or
+    ``None`` when some clause has no array form.  The two attribute tuples
+    are what each side's tuples must carry for either to run.
+    """
+
+    source_attributes: Tuple[str, ...]
+    target_attributes: Tuple[str, ...]
+    scalar: Callable[[Dict[str, Any], Dict[str, Any]], bool]
+    array: Optional[Callable[[Columns, Columns], Any]]
+
+
+def _attributes_of(clauses: List[Predicate], alias: str) -> Tuple[str, ...]:
+    return tuple(sorted({
+        attribute
+        for clause in clauses
+        for relation, attribute in clause.referenced_attributes()
+        if relation == alias
+    }))
+
+
+def _array_conjunction(clauses: List[Predicate]):
+    try:
+        return conjunction([clause.compile_array() for clause in clauses])
+    except NotVectorizable:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +202,56 @@ class QueryAnalysis:
             self.__dict__[cache_name] = fn
         return fn
 
+    def selection_kernel(self, alias: str) -> SelectionKernel:
+        """The dynamic selections of *alias* as scalar and array kernels."""
+        cache = self.__dict__.setdefault("_c_selection_kernels", {})
+        kernel = cache.get(alias)
+        if kernel is None:
+            clauses = self.dynamic_selections.get(alias, [])
+            array = _array_conjunction(clauses)
+            kernel = cache[alias] = SelectionKernel(
+                attributes=_attributes_of(clauses, alias),
+                scalar=self._compiled_selection("_c_dynamic_sel", alias, clauses),
+                array=None if array is None
+                else (lambda columns: array({alias: columns})),
+            )
+        return kernel
+
+    def join_kernel(self) -> JoinKernel:
+        """The dynamic join clauses as scalar and array kernels."""
+        kernel = self.__dict__.get("_c_join_kernel")
+        if kernel is None:
+            source_alias, target_alias = self.query.aliases
+            clauses = self.dynamic_join_clauses
+            array = _array_conjunction(clauses)
+            kernel = self.__dict__["_c_join_kernel"] = JoinKernel(
+                source_attributes=_attributes_of(clauses, source_alias),
+                target_attributes=_attributes_of(clauses, target_alias),
+                scalar=self.compiled_tuples_join(),
+                array=None if array is None else (
+                    lambda source, target: array(
+                        {source_alias: source, target_alias: target}
+                    )
+                ),
+            )
+        return kernel
+
     # -- evaluation helpers -------------------------------------------------
+    def static_selection(self, alias: str) -> Callable[[Dict[str, Any]], bool]:
+        """:meth:`node_eligible` for *alias* with the clauses resolved once,
+        for loops over every node of a deployment."""
+        fn = self._compiled_selection(
+            "_c_static_sel", alias, self.static_selections.get(alias, [])
+        )
+
+        def eligible(static_attrs: Dict[str, Any]) -> bool:
+            try:
+                return bool(fn(static_attrs))
+            except KeyError:
+                return False
+
+        return eligible
+
     def node_eligible(self, alias: str, static_attrs: Dict[str, Any]) -> bool:
         """Pre-evaluate static selections: may this node produce for *alias*?"""
         fn = self._compiled_selection(

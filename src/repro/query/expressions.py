@@ -16,9 +16,77 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Sequence, Tuple
 
+import numpy as np
+
 Bindings = Dict[str, Dict[str, Any]]
 AttrRef = Tuple[str, str]
 CompiledExpression = Callable[[Bindings], Any]
+#: Relation alias -> attribute -> numeric column; columns of the two
+#: relations only need to broadcast against each other.
+ArrayBindings = Dict[str, Dict[str, np.ndarray]]
+CompiledArray = Callable[[ArrayBindings], Any]
+
+#: Largest integer magnitude a numeric column may hold (see
+#: :func:`as_column`) and largest magnitude any integer intermediate of an
+#: array kernel may reach.  Below 2**53 int64 never wraps and an int mixed
+#: with a float converts exactly, so numpy computes what Python would.
+ARRAY_INT_LIMIT = 2 ** 31
+_EXACT_LIMIT = 2 ** 53
+
+
+class NotVectorizable(Exception):
+    """This expression has no array kernel; evaluate it with the closure."""
+
+
+def as_column(values: Any) -> np.ndarray:
+    """One attribute's values as a 1-d column: numeric if numpy can stand in
+    for Python on them, an object array of the untouched values otherwise.
+
+    Numeric means all ``bool``, all ``float``, or all ``int`` within
+    :data:`ARRAY_INT_LIMIT`; mixed types, tuples (``pos``), strings, ``None``
+    and wider integers stay Python objects and take the scalar kernels.
+    """
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if kind in "bf" or kind == "O":
+            return values
+        if kind in "iu" and (
+            not values.size or int(np.abs(values).max()) <= ARRAY_INT_LIMIT
+        ):
+            return values.astype(np.int64, copy=False)
+        values = values.tolist()
+    types = set(map(type, values))
+    if types == {int}:
+        if max(map(abs, values)) <= ARRAY_INT_LIMIT:
+            return np.array(values, dtype=np.int64)
+    elif types == {float}:
+        return np.array(values, dtype=np.float64)
+    elif types == {bool}:
+        return np.array(values, dtype=bool)
+    column = np.empty(len(values), dtype=object)
+    for index, value in enumerate(values):
+        column[index] = value
+    return column
+
+
+def _magnitude(expression: "Expression") -> float:
+    """Upper bound on an arithmetic expression's absolute value when every
+    integer column is within :data:`ARRAY_INT_LIMIT`."""
+    if isinstance(expression, Literal):
+        return abs(expression.value)
+    if isinstance(expression, AttributeRef):
+        return ARRAY_INT_LIMIT
+    if isinstance(expression, BinaryOp):
+        left, right = _magnitude(expression.left), _magnitude(expression.right)
+        if expression.op in "+-":
+            return left + right
+        if expression.op == "*":
+            return left * right
+        # '/' and '%' only vectorize over a non-zero literal divisor
+        return left / right if expression.op == "/" else right
+    if isinstance(expression, FunctionCall):
+        return max(_magnitude(arg) for arg in expression.args)
+    raise NotVectorizable(str(expression))
 
 
 def hash16(value: Any) -> int:
@@ -45,6 +113,25 @@ _FUNCTIONS = {
     "min": lambda args: min(args),
     "max": lambda args: max(args),
     "dist": lambda args: _euclidean(args[0], args[1]),
+}
+
+
+def _fold(combine):
+    def folded(args):
+        result = args[0]
+        for arg in args[1:]:
+            result = combine(result, arg)
+        return result
+    return folded
+
+
+_ARRAY_FUNCTIONS = {
+    "abs": lambda args: np.abs(args[0]),
+    # Python's min / max keep the earlier argument unless the later one
+    # compares strictly past it, which is also what they do with a NaN;
+    # np.minimum / np.maximum would propagate the NaN instead
+    "min": _fold(lambda kept, arg: np.where(arg < kept, arg, kept)),
+    "max": _fold(lambda kept, arg: np.where(arg > kept, arg, kept)),
 }
 
 
@@ -86,6 +173,18 @@ class Expression(ABC):
         compiled = self.compile()
         return lambda attrs: compiled({alias: attrs})
 
+    def compile_array(self) -> CompiledArray:
+        """An array kernel equivalent to :meth:`compile`, element by element.
+
+        The kernel takes numeric columns (:func:`as_column`) in place of
+        attribute values and returns the column of results (a scalar when
+        the expression reads no attribute).  Raises :class:`NotVectorizable`
+        for shapes numpy does not evaluate exactly like Python: ``hash()``,
+        ``dist()``, non-numeric literals, division by anything but a
+        non-zero literal, integer intermediates beyond 2**53.
+        """
+        raise NotVectorizable(str(self))
+
     def relations(self) -> FrozenSet[str]:
         return frozenset(rel for rel, _ in self.referenced_attributes())
 
@@ -108,6 +207,12 @@ class Literal(Expression):
     def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
         value = self.value
         return lambda attrs: value
+
+    def compile_array(self) -> CompiledArray:
+        value = self.value
+        if type(value) not in (int, float) or abs(value) > _EXACT_LIMIT:
+            raise NotVectorizable(str(self))
+        return lambda bindings: value
 
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         return frozenset()
@@ -140,6 +245,9 @@ class AttributeRef(Expression):
     def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
         attribute = self.attribute
         return lambda attrs: attrs[attribute]
+
+    def compile_array(self) -> CompiledArray:
+        return self.compile()  # the same lookups, over columns
 
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         return frozenset({(self.relation, self.attribute)})
@@ -183,6 +291,18 @@ class BinaryOp(Expression):
         right = self.right._compile_single(alias)
         return lambda attrs: operator(left(attrs), right(attrs))
 
+    def compile_array(self) -> CompiledArray:
+        if self.op in "/%" and not (
+            isinstance(self.right, Literal) and self.right.value
+        ):
+            # Python raises ZeroDivisionError where numpy yields inf / nan
+            raise NotVectorizable(str(self))
+        left, right = self.left.compile_array(), self.right.compile_array()
+        if _magnitude(self) > _EXACT_LIMIT:
+            raise NotVectorizable(str(self))
+        operator = _ARITHMETIC[self.op]  # numpy overloads the same operators
+        return lambda bindings: operator(left(bindings), right(bindings))
+
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         return self.left.referenced_attributes() | self.right.referenced_attributes()
 
@@ -211,6 +331,13 @@ class FunctionCall(Expression):
         function = _FUNCTIONS[self.name]
         args = tuple(arg._compile_single(alias) for arg in self.args)
         return lambda attrs: function([arg(attrs) for arg in args])
+
+    def compile_array(self) -> CompiledArray:
+        function = _ARRAY_FUNCTIONS.get(self.name)
+        if function is None or not self.args:
+            raise NotVectorizable(str(self))
+        args = tuple(arg.compile_array() for arg in self.args)
+        return lambda bindings: function([arg(bindings) for arg in args])
 
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         refs: FrozenSet[AttrRef] = frozenset()
@@ -260,6 +387,11 @@ class Comparison(Predicate):
         right = self.right._compile_single(alias)
         return lambda attrs: bool(operator(left(attrs), right(attrs)))
 
+    def compile_array(self) -> CompiledArray:
+        operator = _COMPARISONS[self.op]
+        left, right = self.left.compile_array(), self.right.compile_array()
+        return lambda bindings: operator(left(bindings), right(bindings))
+
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         return self.left.referenced_attributes() | self.right.referenced_attributes()
 
@@ -299,6 +431,9 @@ class And(Predicate):
             return operands[0]
         return lambda attrs: all(op(attrs) for op in operands)
 
+    def compile_array(self) -> CompiledArray:
+        return conjunction([op.compile_array() for op in self.operands])
+
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         refs: FrozenSet[AttrRef] = frozenset()
         for operand in self.operands:
@@ -337,6 +472,11 @@ class Or(Predicate):
             return operands[0]
         return lambda attrs: any(op(attrs) for op in operands)
 
+    def compile_array(self) -> CompiledArray:
+        operands = tuple(op.compile_array() for op in self.operands)
+        fold = _fold(np.logical_or)
+        return lambda bindings: fold([op(bindings) for op in operands])
+
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         refs: FrozenSet[AttrRef] = frozenset()
         for operand in self.operands:
@@ -362,6 +502,10 @@ class Not(Predicate):
         operand = self.operand._compile_single(alias)
         return lambda attrs: not operand(attrs)
 
+    def compile_array(self) -> CompiledArray:
+        operand = self.operand.compile_array()
+        return lambda bindings: np.logical_not(operand(bindings))
+
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         return self.operand.referenced_attributes()
 
@@ -384,6 +528,9 @@ class BoolLiteral(Predicate):
         value = self.value
         return lambda attrs: value
 
+    def compile_array(self) -> CompiledArray:
+        return self.compile()
+
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         return frozenset()
 
@@ -393,6 +540,17 @@ class BoolLiteral(Predicate):
 
 TRUE = BoolLiteral(True)
 FALSE = BoolLiteral(False)
+
+
+def conjunction(kernels: Sequence[CompiledArray]) -> CompiledArray:
+    """The array kernel of ``AND`` over compiled operands (``True`` for none)."""
+    kernels = tuple(kernels)
+    if not kernels:
+        return lambda bindings: True
+    if len(kernels) == 1:
+        return kernels[0]
+    fold = _fold(np.logical_and)
+    return lambda bindings: fold([kernel(bindings) for kernel in kernels])
 
 
 def evaluate(expression: Expression, bindings: Bindings) -> Any:

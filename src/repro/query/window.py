@@ -10,13 +10,23 @@ nodes is required.
 The window state can be exported and re-imported so that an adaptive
 re-optimization can hand a join window over to a new join node without losing
 results (Section 6).
+
+Two implementations of the same semantics live here.  :class:`JoinState` is
+the per-pair object form, one tuple at a time: it is the scalar reference the
+tests compare against.  :class:`WindowStore` is what the join strategies run:
+the windows of every pair of one strategy as ring-buffer columns, probed and
+filled a whole sampling cycle at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.query.expressions import as_column
 
 
 @dataclass(frozen=True)
@@ -137,3 +147,205 @@ class JoinState:
     def storage_bytes(self, bytes_per_tuple: int = 4) -> int:
         """Approximate RAM used by the pair's windows (storage cost, Table 3)."""
         return self.buffered_tuple_count() * bytes_per_tuple
+
+
+# ---------------------------------------------------------------------------
+# the columnar store
+# ---------------------------------------------------------------------------
+
+Columns = Dict[str, np.ndarray]
+Pair = Tuple[int, int]
+#: One buffered tuple as the store hands it back: the attribute values the
+#: join clauses read, and the sampling cycle the tuple was taken in.
+BufferedTuple = Tuple[Dict[str, Any], int]
+
+
+def _is_numeric(columns: Columns) -> bool:
+    return all(column.dtype != object for column in columns.values())
+
+
+class _Rings:
+    """One side's tuples for every row: ``[row, slot]`` ring buffers.
+
+    ``count[row]`` is how many tuples the row has taken since it was last
+    cleared: tuple ``n`` lives in slot ``n % size``, so a row occupies slots
+    ``0 .. min(count, size) - 1`` and its oldest tuple, once full, is in
+    slot ``count % size``.  Value columns take the dtype of what is inserted
+    (widening if later values need it), so numeric attributes stay numeric
+    and anything else is kept as Python objects.
+    """
+
+    __slots__ = ("size", "columns", "cycles", "count")
+
+    def __init__(self, rows: int, size: int, attributes: Sequence[str]) -> None:
+        self.size = size
+        self.columns: Dict[str, Optional[np.ndarray]] = dict.fromkeys(attributes)
+        self.cycles = np.zeros((rows, size), dtype=np.int64)
+        self.count = np.zeros(rows, dtype=np.int64)
+
+    def insert(self, rows: np.ndarray, values: Columns, cycle: int) -> int:
+        """Buffer one tuple per row (rows distinct); returns how many rows
+        grew, i.e. did not evict."""
+        count = self.count[rows]
+        slots = count % self.size
+        for attribute, ring in self.columns.items():
+            column = values[attribute]
+            if ring is None:
+                ring = np.zeros(self.cycles.shape, dtype=column.dtype)
+                self.columns[attribute] = ring
+            elif ring.dtype != column.dtype:
+                widened = np.result_type(ring.dtype, column.dtype)
+                if widened != ring.dtype:
+                    ring = self.columns[attribute] = ring.astype(widened)
+            ring[rows, slots] = column
+        self.cycles[rows, slots] = cycle
+        self.count[rows] = count + 1
+        return int(np.count_nonzero(count < self.size))
+
+    def contents(self, row: int) -> List[BufferedTuple]:
+        """The row's buffered tuples, oldest first."""
+        count = int(self.count[row])
+        if not count:
+            return []
+        size = self.size
+        slots = range(count) if count < size else [
+            (count + offset) % size for offset in range(size)
+        ]
+        cycles = self.cycles[row].tolist()
+        values = {a: ring[row].tolist() for a, ring in self.columns.items()}
+        return [
+            ({a: column[slot] for a, column in values.items()}, cycles[slot])
+            for slot in slots
+        ]
+
+    def clear(self, row: int) -> int:
+        dropped = min(int(self.count[row]), self.size)
+        self.count[row] = 0
+        return dropped
+
+
+class WindowStore:
+    """The join windows of every (s, t) pair of one strategy, as columns.
+
+    Rows are pairs.  Each side keeps, per row, the last ``window_size``
+    delivered tuples: one ring column per attribute the dynamic join clauses
+    read on that side, plus the tuple's cycle.  A sampling cycle is, per
+    relation, one :meth:`match` of the arriving tuples against the opposite
+    side followed by one :meth:`insert` of those that were delivered -- the
+    push-based windowed join of :class:`JoinState` for all pairs at once.
+
+    :meth:`match` runs the join clauses as an array kernel over the rings
+    when the clauses compile to one and every column involved is numeric
+    (:func:`repro.query.expressions.as_column`); otherwise it runs the
+    scalar closure slot by slot over the same rings.
+
+    With *keep_recent* a second set of rings remembers what each producer
+    last sent per pair, filled by the same inserts but untouched by
+    :meth:`reset_row`: what failure recovery replays into a fresh window.
+    """
+
+    def __init__(self, pairs: Sequence[Pair], window_size: int, kernel,
+                 keep_recent: bool = False) -> None:
+        if window_size < 1:
+            raise ValueError("window size must be at least 1")
+        self.window_size = window_size
+        self.kernel = kernel
+        self.row_of: Dict[Pair, int] = {pair: row for row, pair in enumerate(pairs)}
+        attributes = (kernel.source_attributes, kernel.target_attributes)
+        rows = len(self.row_of)
+        self._window = tuple(_Rings(rows, window_size, a) for a in attributes)
+        self._recent = (
+            tuple(_Rings(rows, window_size, a) for a in attributes)
+            if keep_recent else None
+        )
+        self._slot_ids = np.arange(window_size)
+        #: tuples buffered over all rows and both sides (the storage cost)
+        self.total = 0
+
+    def __len__(self) -> int:
+        return len(self.row_of)
+
+    # -- the cycle: match, then insert ---------------------------------------
+    def match(self, from_source: bool, rows: np.ndarray, values: Columns) -> np.ndarray:
+        """Join one arriving tuple per row against the opposite side.
+
+        ``values[attribute][i]`` belongs to the tuple arriving at
+        ``rows[i]``.  Returns the ``[len(rows), window_size]`` hit mask over
+        the opposite rings' slots; nothing is buffered.
+        """
+        other = self._window[1 if from_source else 0]
+        hits = self._slot_ids < other.count[rows][:, None]
+        if not hits.any():
+            return hits
+        buffered = {a: ring[rows] for a, ring in other.columns.items()}
+        kernel = self.kernel
+        if kernel.array is not None and _is_numeric(values) and _is_numeric(buffered):
+            arriving = {a: column[:, None] for a, column in values.items()}
+            joined = (kernel.array(arriving, buffered) if from_source
+                      else kernel.array(buffered, arriving))
+            return np.logical_and(hits, joined, out=hits)
+        arriving_rows = row_dicts(values, len(rows))
+        slot_values = {a: column.tolist() for a, column in buffered.items()}
+        scalar = kernel.scalar
+        for index, slot in zip(*(axis.tolist() for axis in np.nonzero(hits))):
+            old = {a: column[index][slot] for a, column in slot_values.items()}
+            new = arriving_rows[index]
+            if not (scalar(new, old) if from_source else scalar(old, new)):
+                hits[index, slot] = False
+        return hits
+
+    def insert(self, from_source: bool, rows: np.ndarray, values: Columns,
+               cycle: int, mask: Optional[np.ndarray] = None) -> None:
+        """Buffer the arriving tuples (those under *mask*), evicting each
+        row's oldest tuple where the row is full.  Rows must be distinct."""
+        if mask is not None:
+            rows = rows[mask]
+            values = {a: column[mask] for a, column in values.items()}
+        if not rows.size:
+            return
+        side = 0 if from_source else 1
+        self.total += self._window[side].insert(rows, values, cycle)
+        if self._recent is not None:
+            self._recent[side].insert(rows, values, cycle)
+
+    # -- one row at a time: recovery and window hand-off -----------------------
+    def probe_row(self, row: int, from_source: bool, values: Dict[str, Any],
+                  cycle: int) -> List[int]:
+        """:meth:`JoinState.probe` for one row and one tuple: join against
+        the opposite side, buffer, and return the matched tuples' cycles
+        (oldest first).  A replay: the sent-tuple memory is left alone."""
+        scalar = self.kernel.scalar
+        other = self._window[1 if from_source else 0]
+        matched = [
+            old_cycle for old, old_cycle in other.contents(row)
+            if (scalar(values, old) if from_source else scalar(old, values))
+        ]
+        columns = {a: as_column([value]) for a, value in values.items()}
+        self.total += self._window[0 if from_source else 1].insert(
+            np.array([row]), columns, cycle
+        )
+        return matched
+
+    def reset_row(self, row: int) -> None:
+        """Start the row's window afresh (its join moved to a new node)."""
+        for rings in self._window:
+            self.total -= rings.clear(row)
+
+    def buffered(self, row: int) -> int:
+        size = self.window_size
+        return sum(min(int(rings.count[row]), size) for rings in self._window)
+
+    def window(self, row: int, from_source: bool) -> List[BufferedTuple]:
+        """One side of the row's window, oldest first."""
+        return self._window[0 if from_source else 1].contents(row)
+
+    def recent(self, row: int, from_source: bool) -> List[BufferedTuple]:
+        """The last ``window_size`` tuples that side's producer got through
+        to the row, oldest first (needs ``keep_recent``)."""
+        return self._recent[0 if from_source else 1].contents(row)
+
+
+def row_dicts(columns: Columns, count: int) -> List[Dict[str, Any]]:
+    """Column-major values as one attribute dict per row."""
+    lists = {a: column.tolist() for a, column in columns.items()}
+    return [{a: values[i] for a, values in lists.items()} for i in range(count)]

@@ -52,21 +52,36 @@ def _uniform(seed: int, node: int, cycle: int, stream: int, modulo: int) -> int:
     return _mix(seed, node, cycle, stream) % modulo
 
 
-def _mix_vector(seed: int, nodes: np.ndarray, cycle: int, stream: int) -> np.ndarray:
-    """Vectorized :func:`_mix` over a node-id array (identical outputs)."""
-    with np.errstate(over="ignore"):
-        value = np.full(nodes.shape, 0x9E3779B97F4A7C15, dtype=np.uint64)
-        for part in (
-            np.uint64(seed & _MASK64),
-            nodes.astype(np.uint64),
-            np.uint64(cycle & _MASK64),
-            np.uint64(stream & _MASK64),
-        ):
-            value = (value ^ part) * np.uint64(0xBF58476D1CE4E5B9)
-            value ^= value >> np.uint64(27)
-            value *= np.uint64(0x94D049BB133111EB)
-            value ^= value >> np.uint64(31)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
+
+
+def _mix_step(value: np.ndarray, part) -> np.ndarray:
+    """One round of :func:`_mix` over arrays (64-bit wrapping arithmetic)."""
+    value = (value ^ part) * _M1
+    value ^= value >> _S27
+    value *= _M2
+    value ^= value >> _S31
     return value
+
+
+def _mix_prefix(seed: int, nodes: np.ndarray) -> np.ndarray:
+    """The state of :func:`_mix` after the (seed, node) coordinates: the
+    cycle-independent half of every draw for a node set."""
+    value = np.full(nodes.shape, 0x9E3779B97F4A7C15, dtype=np.uint64)
+    value = _mix_step(value, np.uint64(seed & _MASK64))
+    return _mix_step(value, nodes.astype(np.uint64))
+
+
+_STREAMS = np.array([[1], [2]], dtype=np.uint64)  # send draw, u draw
+
+
+def _mix_streams(prefix: np.ndarray, cycle: int) -> np.ndarray:
+    """Finish :func:`_mix` for streams 1 and 2 at once: ``[stream, node]``,
+    identical to ``_mix(seed, node, cycle, stream)`` element by element."""
+    return _mix_step(_mix_step(prefix, np.uint64(cycle & _MASK64)), _STREAMS)
 
 
 @dataclass
@@ -131,14 +146,15 @@ class SyntheticDataSource:
         u_value = _uniform(source.seed, node_id, cycle, 2, source.u_range_for(node_id))
         return {"u": u_value, "adc0": adc0, "v": 0}
 
-    def sample_many(
+    def sample_columns(
         self, node_ids: Sequence[int], cycle: int
-    ) -> List[Dict[str, Any]]:
+    ) -> Dict[str, np.ndarray]:
         """Vectorized :meth:`sample` for one cycle over many nodes.
 
-        Produces exactly the per-node dictionaries :meth:`sample` would (the
+        One int64 ``[node]`` array per attribute, holding exactly the values
+        :meth:`sample` would return for each entry of *node_ids* (the
         SplitMix64 draws are computed batched with 64-bit wrapping
-        arithmetic), one list entry per entry of *node_ids*.
+        arithmetic).  Callers must not mutate the arrays.
         """
         source = self._effective(cycle)
         key = tuple(node_ids)
@@ -149,26 +165,33 @@ class SyntheticDataSource:
             if any(r <= 0 for r in u_ranges):
                 raise ValueError("modulo must be positive")  # match sample()
             arrays = (
-                np.asarray(node_ids, dtype=np.int64),
+                _mix_prefix(source.seed, np.array(key, dtype=np.int64)),
                 np.array(
                     [source.send_probability_for(int(n)) for n in node_ids],
                     dtype=float,
                 ) * _SEND_RANGE,
                 np.array(u_ranges, dtype=np.uint64),
+                np.zeros(len(key), dtype=np.int64),
             )
             arrays_cache[key] = arrays
-        ids, send_threshold, u_range = arrays
-        if ids.size == 0:
-            return []
-        send_draw = _mix_vector(source.seed, ids, cycle, 1) % np.uint64(_SEND_RANGE)
-        send_draw = send_draw.astype(np.int64)
-        sends = send_draw < send_threshold
+        prefix, send_threshold, u_range, zeros = arrays
+        if prefix.size == 0:
+            return {"u": zeros, "adc0": zeros, "v": zeros}
+        send_mix, u_mix = _mix_streams(prefix, cycle)
+        send_draw = (send_mix % np.uint64(_SEND_RANGE)).astype(np.int64)
         half = send_draw % SEND_THRESHOLD
-        adc0 = np.where(sends, half, SEND_THRESHOLD + half)
-        u_values = (_mix_vector(source.seed, ids, cycle, 2) % u_range).astype(np.int64)
+        adc0 = np.where(send_draw < send_threshold, half, SEND_THRESHOLD + half)
+        return {"u": (u_mix % u_range).astype(np.int64), "adc0": adc0, "v": zeros}
+
+    def sample_many(
+        self, node_ids: Sequence[int], cycle: int
+    ) -> List[Dict[str, Any]]:
+        """:meth:`sample_columns` as the per-node dictionaries :meth:`sample`
+        would produce, one list entry per entry of *node_ids*."""
+        columns = self.sample_columns(node_ids, cycle)
         return [
-            {"u": int(u_values[i]), "adc0": int(adc0[i]), "v": 0}
-            for i in range(len(node_ids))
+            {"u": u, "adc0": adc0, "v": 0}
+            for u, adc0 in zip(columns["u"].tolist(), columns["adc0"].tolist())
         ]
 
 

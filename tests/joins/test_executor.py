@@ -118,3 +118,37 @@ class TestExecutor:
                                 InnetJoin(InnetVariant.basic()), provider)
         executor.run(2)
         assert calls
+
+
+class TestEligibleProducers:
+    def _context(self, topo, query, selectivities):
+        data_source = make_workload(topo, query, selectivities)
+        return JoinExecutor(query, topo.copy(), data_source, NaiveJoin(),
+                            selectivities).context
+
+    def test_static_selection_is_resolved_once_per_alias(
+        self, topo_small, query1, default_selectivities, monkeypatch
+    ):
+        context = self._context(topo_small, query1, default_selectivities)
+        resolved = []
+        resolve = type(context.analysis)._compiled_selection
+        monkeypatch.setattr(
+            type(context.analysis), "_compiled_selection",
+            lambda self, cache, alias, clauses:
+                resolved.append(alias) or resolve(self, cache, alias, clauses))
+        eligible = context.eligible_producers("S")
+        assert resolved == ["S"]                 # not once per node
+        assert eligible == [
+            n for n in topo_small.node_ids
+            if n != topo_small.base_id
+            and context.analysis.node_eligible("S", topo_small.nodes[n].static_attributes)
+        ]
+
+    def test_a_node_missing_a_selected_attribute_is_not_eligible(
+        self, topo_small, query2, default_selectivities
+    ):
+        context = self._context(topo_small, query2, default_selectivities)   # S.rid = 0
+        before = context.eligible_producers("S")
+        assert before
+        del context.topology.nodes[before[0]].static_attributes["rid"]
+        assert context.eligible_producers("S") == before[1:]

@@ -181,3 +181,34 @@ class TestFailureHandling:
         report = executor.run(10)
         assert report.results_produced >= 0
         assert not executor.topology.nodes[victim].alive
+
+
+class TestLearningBookkeeping:
+    def test_plan_is_scanned_only_on_cycles_that_re_place_a_pair(
+        self, topo100, query1, monkeypatch
+    ):
+        """``_learn`` needs every pair's join node only to see which ones a
+        re-placement moved: not on cycles between checks (50+ scans over a
+        50-cycle run before), and not on a check that changes nothing."""
+        from repro.core.optimizer import JoinPlan
+
+        policy = AdaptivePolicy(check_interval=10, min_cycles=10)
+        strategy = InnetJoin(InnetVariant.learn(), adaptive_policy=policy)
+        data_source = make_workload(topo100, query1, Selectivities(0.1, 1.0, 0.05))
+        executor = JoinExecutor(query1, topo100.copy(), data_source, strategy,
+                                Selectivities(1.0, 0.1, 0.05), seed=3)
+        executor.initiate()
+        scans = []
+        pairs = JoinPlan.pairs
+        monkeypatch.setattr(
+            JoinPlan, "pairs", lambda plan: scans.append(cycle) or pairs(plan))
+        reoptimized_at = set()
+        for cycle in range(50):
+            before = strategy.reoptimizations
+            executor.step_cycle(cycle)
+            if strategy.reoptimizations > before:
+                reoptimized_at.add(cycle)
+        assert reoptimized_at and reoptimized_at <= {10, 20, 30, 40}
+        assert set(scans) == reoptimized_at
+        # old join nodes, the group re-decision, the delivery rebuild
+        assert len(scans) <= 3 * len(reoptimized_at)

@@ -177,3 +177,56 @@ class TestSharedSubstrateEngine:
         stats = engine.stats()
         assert stats["active_queries"] == 1
         assert stats["cycle"] == 0
+
+
+class CountingSource:
+    """Delegates to a SyntheticDataSource, counting columnar sample calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def sample(self, node_id, cycle):
+        return self.inner.sample(node_id, cycle)
+
+    def sample_columns(self, node_ids, cycle):
+        self.calls.append((tuple(node_ids), cycle))
+        return self.inner.sample_columns(node_ids, cycle)
+
+
+class TestSharedSampling:
+    def test_sensors_are_sampled_once_per_engine_cycle(
+        self, topo_small, default_selectivities
+    ):
+        queries = [_overlap_query("qa", 25, 50), _overlap_query("qb", 20, 55),
+                   _overlap_query("qc", 15, 60)]
+        source = CountingSource(make_workload(topo_small, queries[0], default_selectivities))
+        engine = SharedSubstrateEngine(topo_small.copy(), source, default_selectivities)
+        sessions = [engine.attach(q, InnetJoin(InnetVariant.cmg())) for q in queries]
+        engine.run_cycles(4)
+        assert [cycle for _, cycle in source.calls] == [0, 1, 2, 3]
+        union = sorted({n for s in sessions
+                        for members in s.strategy.producers.values()
+                        for n in members.key})
+        assert all(nodes == tuple(union) for nodes, _ in source.calls)
+        # a departure shrinks what is sampled, from the next cycle on
+        engine.detach(sessions[0].query_id)   # the widest producer ranges
+        engine.run_cycles(1)
+        nodes, cycle = source.calls[-1]
+        assert cycle == 4 and len(source.calls) == 5 and set(nodes) < set(union)
+
+    def test_a_shared_sample_gives_each_query_its_own_results(
+        self, topo_small, default_selectivities
+    ):
+        queries = [_overlap_query("qa", 25, 50), _overlap_query("qb", 20, 55)]
+        data_source = make_workload(topo_small, queries[0], default_selectivities)
+        engine = SharedSubstrateEngine(
+            topo_small.copy(), data_source, default_selectivities,
+            share_shipments=False,
+        )
+        sessions = [engine.attach(q, BaseJoin()) for q in queries]
+        engine.run_cycles(8)
+        for query, session in zip(queries, sessions):
+            alone = JoinExecutor(query, topo_small.copy(), data_source, BaseJoin(),
+                                 default_selectivities).run(8)
+            assert session.strategy.results.produced == alone.results_produced > 0

@@ -101,3 +101,54 @@ class TestLiveEvents:
     def test_unknown_event_rejected(self, engine):
         with pytest.raises(ValueError):
             engine.apply_event({"type": "reboot"})
+
+
+class TestDetachedSessions:
+    """A cancelled query keeps answering ``status`` with what it reported when
+    it left; nothing it needed to run stays behind."""
+
+    #: ``status()`` + ``stats()`` after the trace below, as answered at the
+    #: parent commit of the live-session table (SHA-256 of the sorted JSON)
+    TRACE_DIGEST = "8c91ce0ca261c8dd096fc81984d3181ca26dbafc5f0f80fe0d61b4cf6bac5a01"
+
+    @staticmethod
+    def _trace(engine):
+        from repro.service.churn import churn_query
+
+        for slot in range(4):
+            name, sql = churn_query(slot, seed=0, num_nodes=60)
+            engine.submit(sql=sql, name=name)
+        engine.step(6)
+        engine.cancel(2)
+        cancelled = engine.query_status(2)
+        engine.step(3)
+        engine.cancel(4)
+        engine.step(3)
+        return cancelled
+
+    def test_answers_are_unchanged_by_the_live_table(self):
+        import hashlib
+        import json
+
+        engine = ServiceEngine(ServiceConfig(num_nodes=60, default_algorithm="innet-cmg"))
+        cancelled = self._trace(engine)
+        assert engine.query_status(2) == cancelled   # later cycles change nothing
+        assert [q["query_id"] for q in engine.status()["queries"]] == [1, 2, 3, 4]
+        assert engine.status()["active_queries"] == 2
+        answers = json.dumps({"status": engine.status(), "stats": engine.stats()},
+                             sort_keys=True)
+        assert hashlib.sha256(answers.encode()).hexdigest() == self.TRACE_DIGEST
+
+    def test_a_detached_session_holds_no_execution_state(self):
+        engine = ServiceEngine(ServiceConfig(num_nodes=60, default_algorithm="innet-cmg"))
+        self._trace(engine)
+        shared = engine.shared
+        assert [s.query_id for s in shared.sessions(active_only=True)] == [1, 3]
+        for query_id in (2, 4):
+            session = shared.session(query_id)
+            assert session.context is None
+            assert set(vars(session.strategy)) <= {
+                "name", "results", "storage_peak", "reoptimizations"}
+            assert session.describe()["results_produced"] == session.strategy.results.produced
+        live = shared.session(1).strategy
+        assert live.windows is not None and live.plan.assignments

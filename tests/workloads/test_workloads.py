@@ -273,6 +273,26 @@ class TestSyntheticDataSource:
         assert 0 <= sample["u"] < 4
         assert 0 <= sample["adc0"] < 1000
 
+    @given(st.lists(st.integers(0, 2 ** 40), max_size=12), st.integers(0, 2 ** 33),
+           st.integers(0, 2 ** 62))
+    @settings(max_examples=60)
+    def test_columns_and_rows_are_the_per_node_samples(self, nodes, cycle, seed):
+        """The batched draws (mix prefix cached per node set, both streams
+        in one pass) equal ``sample`` node by node, drift included."""
+        switched = SyntheticDataSource(sigma_st=0.5, send_probability=0.9, seed=seed + 1)
+        source = SyntheticDataSource(
+            sigma_st=0.05, send_probability=0.4, seed=seed,
+            per_node_send_probability={n: 0.8 for n in nodes[::3]},
+            per_node_u_range={n: 7 for n in nodes[1::3]},
+            switch_cycle=2 ** 20, switched=switched,
+        )
+        expected = [source.sample(n, cycle) for n in nodes]
+        assert source.sample_many(nodes, cycle) == expected
+        columns = source.sample_columns(nodes, cycle)
+        assert sorted(columns) == ["adc0", "u", "v"]
+        assert [dict(zip(columns, row)) for row in
+                zip(*(columns[a].tolist() for a in columns))] == expected
+
 
 class TestIntelWorkload:
     def test_workload_components(self):
