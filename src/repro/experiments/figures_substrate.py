@@ -379,11 +379,7 @@ def _run_mobility(spec: RunSpec):
         None, preset=spec.topology_preset, seed=spec.topology_seed,
         num_nodes=spec.num_nodes, fresh=True,
     )
-    substrate = MultiTreeSubstrate(
-        topology, num_trees=num_trees,
-        indexed_attributes={"y": lambda: BloomFilterSummary(num_bits=num_bits)},
-        value_extractors={"y": lambda nid, t=topology: t.nodes[nid].static_attributes["y"]},
-    )
+    substrate = MultiTreeSubstrate(topology, num_trees=num_trees)
     mobile = next(
         (n for n in reversed(topology.node_ids)
          if n != topology.base_id and is_leaf(topology, n)),

@@ -26,7 +26,9 @@ from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.routing.paths import strip_cycles
-from repro.routing.semantic import SemanticRoutingTable, SummaryFactory, ValueExtractor
+from repro.routing.semantic import (
+    SemanticRoutingTable, SummaryFactory, ValueExtractor, extract_values,
+)
 from repro.routing.tree import RoutingTree
 from repro.summaries.base import Summary
 
@@ -148,16 +150,26 @@ class MultiTreeSubstrate:
         value_extractors: Dict[str, ValueExtractor],
         simulator: Optional[NetworkSimulator] = None,
     ) -> None:
-        """Build semantic routing tables for the given attributes in every tree."""
+        """Build semantic routing tables for the given attributes in every tree.
+
+        With a *simulator*, each table charges its per-edge reports as it
+        builds.
+        """
         self._indexed_attributes = dict(attribute_factories)
         self._value_extractors = dict(value_extractors)
-        self.tables = []
-        for tree in self.trees:
-            table = SemanticRoutingTable(tree, attribute_factories, value_extractors)
-            if simulator is not None:
-                # Re-run aggregation, charging the per-edge reports.
-                table.build(simulator)
-            self.tables.append(table)
+        self._build_tables(simulator)
+
+    def _build_tables(self, simulator: Optional[NetworkSimulator] = None) -> None:
+        """One table per tree over values extracted once, for all trees."""
+        covered = sorted(set().union(*(tree.parent for tree in self.trees)))
+        values = extract_values(self._indexed_attributes, self._value_extractors, covered)
+        self.tables = [
+            SemanticRoutingTable(
+                tree, self._indexed_attributes, self._value_extractors,
+                simulator=simulator, values=values,
+            )
+            for tree in self.trees
+        ]
 
     @property
     def primary_tree(self) -> RoutingTree:
@@ -446,12 +458,7 @@ class MultiTreeSubstrate:
             lost = tree.repair_after_failure(failed, simulator=simulator)
             if lost:
                 stranded[index] = lost
-        # Rebuild semantic tables over the repaired trees (values unchanged).
+        # Rebuild semantic tables over the repaired trees.
         if self._indexed_attributes and any(t is not None for t in self.tables):
-            self.tables = [
-                SemanticRoutingTable(
-                    tree, self._indexed_attributes, self._value_extractors
-                )
-                for tree in self.trees
-            ]
+            self._build_tables()
         return stranded

@@ -38,14 +38,15 @@ def strip_cycles(path: Sequence[int]) -> List[int]:
     seen: Dict[int, int] = {}
     out: List[int] = []
     for node in path:
-        if node in seen:
-            # Cut back to the previous occurrence.
-            out = out[: seen[node] + 1]
-        else:
+        index = seen.get(node)
+        if index is None:
             seen[node] = len(out)
             out.append(node)
-        # Rebuild the index map after a cut.
-        seen = {n: i for i, n in enumerate(out)}
+        else:
+            # Cut back to the previous occurrence; forget only the cut nodes.
+            for dropped in out[index + 1:]:
+                del seen[dropped]
+            del out[index + 1:]
     return out
 
 

@@ -88,12 +88,9 @@ class RoutingTree:
         discovered = np.zeros(mask.shape[0], dtype=bool)
         discovered[self.root] = True
         frontier = np.asarray([self.root], dtype=np.int64)
-        parent = self.parent
-        children = self.children
-        depth_map = self.depth
-        depth = 0
+        levels: List[np.ndarray] = []
+        level_adopters: List[np.ndarray] = []
         while frontier.size:
-            depth += 1
             starts = indptr[frontier]
             counts = indptr[frontier + 1] - starts
             total = int(counts.sum())
@@ -117,15 +114,24 @@ class RoutingTree:
             sources = sources[visit]
             _, first = np.unique(candidates, return_index=True)
             first.sort()
-            newly = candidates[first]
-            adopters = sources[first]
-            discovered[newly] = True
-            for node, chosen_parent in zip(newly.tolist(), adopters.tolist()):
-                parent[node] = chosen_parent
-                children.setdefault(chosen_parent, []).append(node)
-                children.setdefault(node, [])
-                depth_map[node] = depth
-            frontier = newly
+            frontier = candidates[first]
+            discovered[frontier] = True
+            levels.append(frontier)
+            level_adopters.append(sources[first])
+        if not levels:
+            return
+        nodes = np.concatenate(levels).tolist()
+        parents = np.concatenate(level_adopters).tolist()
+        depths = np.repeat(np.arange(1, len(levels) + 1),
+                           [level.size for level in levels]).tolist()
+        # Bulk fills in discovery order keep the key order of the
+        # node-by-node BFS, and appending in that order its children lists.
+        self.parent.update(zip(nodes, parents))
+        self.depth.update(zip(nodes, depths))
+        children = self.children
+        children.update(zip(nodes, [[] for _ in nodes]))
+        for node, chosen_parent in zip(nodes, parents):
+            children[chosen_parent].append(node)
 
     def construction_traffic(self, simulator: NetworkSimulator,
                              beacon_bytes: int = 13) -> int:

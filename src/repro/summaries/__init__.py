@@ -11,6 +11,8 @@ uses different structures depending on the attribute type:
   TinyDB's semantic routing trees.
 * :class:`RTreeSummary` -- multidimensional rectangles for positions
   (``pos``), used by region-based queries (Query 3).
+* :class:`RectSummary` -- one bounding rectangle, what a semantic routing
+  table keeps per subtree for ``pos``.
 * :class:`HistogramSummary` -- equi-width histograms for approximate
   selectivity estimation.
 
@@ -24,13 +26,14 @@ from repro.summaries.base import Summary
 from repro.summaries.bloom import BloomFilterSummary
 from repro.summaries.histogram import HistogramSummary
 from repro.summaries.interval import IntervalSummary
-from repro.summaries.rtree import Rect, RTreeSummary
+from repro.summaries.rtree import Rect, RectSummary, RTreeSummary
 
 __all__ = [
     "Summary",
     "BloomFilterSummary",
     "IntervalSummary",
     "RTreeSummary",
+    "RectSummary",
     "Rect",
     "HistogramSummary",
 ]

@@ -69,6 +69,48 @@ class Rect:
         return math.hypot(dx, dy)
 
 
+class RectSummary(Summary):
+    """The bounding rectangle (MBR) of a set of 2-D points.
+
+    What a semantic routing table keeps per subtree for a spatial attribute:
+    one rectangle, which is all a radius probe reads.  Containment is
+    rectangle containment, so it has false positives but no false negatives.
+    """
+
+    def __init__(self, rect: Optional[Rect] = None) -> None:
+        self.rect = rect
+
+    def add(self, value: Any) -> None:
+        point = Rect.from_point(RTreeSummary._as_point(value))
+        self.rect = point if self.rect is None else self.rect.expand(point)
+
+    def might_contain(self, value: Any) -> bool:
+        return self.rect is not None and self.rect.contains(RTreeSummary._as_point(value))
+
+    def merge(self, other: Summary) -> "RectSummary":
+        if not isinstance(other, RectSummary):
+            raise TypeError("can only merge with another RectSummary")
+        if self.rect is None or other.rect is None:
+            return RectSummary(self.rect or other.rect)
+        return RectSummary(self.rect.expand(other.rect))
+
+    def size_bytes(self) -> int:
+        # One rectangle: four 16-bit coordinates.
+        return 8
+
+    def copy(self) -> "RectSummary":
+        return RectSummary(self.rect)
+
+    def intersects_radius(self, center: Point, radius: float) -> bool:
+        return self.rect is not None and self.rect.min_distance(center) <= radius
+
+    def bounding_rect(self) -> Optional[Rect]:
+        return self.rect
+
+    def is_empty(self) -> bool:
+        return self.rect is None
+
+
 class _RTreeNode:
     __slots__ = ("rect", "children", "points", "is_leaf")
 

@@ -10,6 +10,11 @@ re-decisions all run.  Each digest is the SHA-256 of the complete
 :class:`~repro.joins.base.ExecutionReport` (every field, including per-kind
 traffic, per-node sink series and per-phase extras) as recorded by running
 this file's scenarios at the parent commit.
+
+The last two digests were pinned from the parent commit of the array
+semantic routing index: a keyed Query 0 ``innet-cmg`` run on a 3,000-node
+``scale`` deployment (Bloom-indexed content search over ``id``) and an
+``innet`` Query 3 run of the Figure 13 shape (region routing over ``pos``).
 """
 
 import dataclasses
@@ -65,9 +70,36 @@ LEARNING_DIGESTS = {
 }
 
 
-def report_digests(scenario, cycles):
+KEYED_SCALE = ScenarioSpec(
+    name="digest/keyed-scale",
+    query="query0-keyed",
+    query_kwargs={"seed": 1},
+    algorithms=("innet-cmg",),
+    topology_preset="scale",
+    data={"ratio": "1/2:1/2", "sigma_st": 0.2},
+    topology_seed=0, seed_base=5, workload_seed_base=105,
+)
+KEYED_SCALE_DIGESTS = {
+    "innet-cmg": "cc838b97cfb4a427b0ac6ead25913deadcd6e1b180ea85b98606a3d02a5320d9",
+}
+
+REGION = ScenarioSpec(
+    name="digest/region",
+    query="query3",
+    algorithms=("innet",),
+    topology_preset="intel",
+    data={"source": "intel-humidity"},
+    assumed={"provider": "fig13-measured"},
+    topology_seed=0, seed_base=6, workload_seed_base=2,
+)
+REGION_DIGESTS = {
+    "innet": "68ade4aa0a292ebfd843d3207816390ff20e8aed3571183707e6ef026a4b7962",
+}
+
+
+def report_digests(scenario, cycles, num_nodes=100):
     scale = ExperimentScale(name="digest", runs=1, cycles=cycles,
-                            num_nodes=100, long_cycles=cycles)
+                            num_nodes=num_nodes, long_cycles=cycles)
     sweep = SweepRunner(jobs=1).run(scenario, scale)
     reports = {
         algorithm: aggregate.runs[0].report
@@ -100,8 +132,25 @@ def test_learning_under_loss_and_failures_matches_the_parent_commit():
     assert reports["innet-basic-learn"].traffic_by_kind.get("window_xfer", 0) > 0
 
 
+def test_keyed_content_search_on_a_scale_deployment_matches_the_parent_commit():
+    reports, digests = report_digests(KEYED_SCALE, cycles=20, num_nodes=3000)
+    assert digests == KEYED_SCALE_DIGESTS
+    report = reports["innet-cmg"]
+    assert report.traffic_by_kind["explore"] > 0   # searched the Bloom index
+    assert report.results_produced > 0
+
+
+def test_region_routing_matches_the_parent_commit():
+    reports, digests = report_digests(REGION, cycles=40)
+    assert digests == REGION_DIGESTS
+    report = reports["innet"]
+    assert report.traffic_by_kind["explore"] > 0   # searched the pos index
+    assert report.results_produced > 0
+
+
 if __name__ == "__main__":   # prints the tables above: run at the parent commit
-    for spec, cycles in ((DYNAMIC, 40), (LEARNING, 80)):
+    for spec, cycles, num_nodes in ((DYNAMIC, 40, 100), (LEARNING, 80, 100),
+                                    (KEYED_SCALE, 20, 3000), (REGION, 40, 100)):
         print(spec.name)
-        for algorithm, digest in report_digests(spec, cycles)[1].items():
+        for algorithm, digest in report_digests(spec, cycles, num_nodes)[1].items():
             print(f'    "{algorithm}": "{digest}",')

@@ -79,6 +79,24 @@ class TestProperties:
         assert cleaned[0] == path[0]
         assert cleaned[-1] == path[-1]
 
+    @given(st.lists(st.integers(0, 12), max_size=60))
+    @settings(max_examples=200)
+    def test_strip_cycles_equals_the_rebuild_every_node_body(self, path):
+        # The former body: rebuilds its index map after every node.
+        def reference(path):
+            seen = {}
+            out = []
+            for node in path:
+                if node in seen:
+                    out = out[: seen[node] + 1]
+                else:
+                    seen[node] = len(out)
+                    out.append(node)
+                seen = {n: i for i, n in enumerate(out)}
+            return out
+
+        assert strip_cycles(path) == reference(path)
+
     @given(st.lists(st.integers(0, 65535), min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_compress_roundtrip(self, path):

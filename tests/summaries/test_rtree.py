@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.summaries import Rect, RTreeSummary
+from repro.summaries import Rect, RectSummary, RTreeSummary
 
 coords = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
 points = st.tuples(coords, coords)
@@ -114,3 +114,27 @@ class TestRTreeProperties:
             if math.dist((float(x), float(y)), center) <= radius
         )
         assert sorted(tree.query_radius(center, radius)) == expected
+
+
+class TestRectSummary:
+    @given(st.lists(points, max_size=20), st.lists(points, max_size=20),
+           points, st.floats(min_value=0, max_value=500))
+    @settings(max_examples=60)
+    def test_matches_the_r_tree_root_rectangle(self, left, right, center, radius):
+        summary = RectSummary()
+        summary.add_all(left)
+        other = RectSummary()
+        other.add_all(right)
+        merged = summary.merge(other)
+        tree = RTreeSummary(max_entries=4, points=left + right)
+        assert merged.bounding_rect() == tree.bounding_rect()
+        assert merged.is_empty() == tree.is_empty()
+        assert merged.intersects_radius(center, radius) == tree.intersects_radius(center, radius)
+        # containment is the rectangle's: no false negatives
+        assert all(merged.might_contain(p) for p in left + right)
+        assert merged.copy().bounding_rect() == merged.bounding_rect()
+        assert merged.size_bytes() == 8
+
+    def test_merge_refuses_other_summaries(self):
+        with pytest.raises(TypeError):
+            RectSummary().merge(RTreeSummary())
