@@ -1,10 +1,10 @@
-"""Scale-substrate benchmarks: sparse generation and array BFS at 10k nodes.
+"""Scale benchmarks: grid-bucketed generation and array BFS at 10k nodes.
 
 The scale ladder's wall-clock/RSS trajectory lives in ``BENCH_scale.json``,
 written by ``python -m repro.experiments.scale_bench`` (one subprocess per
 rung so peak RSS is attributable).  This module keeps the 10k rung honest on
 every benchmark run -- regenerating its ladder entry under the acceptance
-ceilings -- and micro-benchmarks the two sparse-substrate hot paths (grid-
+ceilings -- and micro-benchmarks the two scale hot paths (grid-
 bucketed generation, vectorized BFS) so a regression shows up as a timing,
 not just as a CI timeout.
 """
@@ -14,11 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.network.topology import (
-    CSRAdjacency,
-    random_topology,
-    scale_preset_degree,
-)
+from repro.network.topology import random_topology, scale_preset_degree
 
 _REPO = Path(__file__).resolve().parent.parent
 _NODES = 10_000
@@ -27,14 +23,13 @@ _NODES = 10_000
 def _sparse_10k():
     return random_topology(
         num_nodes=_NODES, average_degree=scale_preset_degree(_NODES),
-        seed=0, sparse=True,
+        seed=0,
     )
 
 
 def test_perf_sparse_generation_10k(benchmark):
     """Grid-bucketed generation of a connected 10k-node deployment."""
     topology = benchmark.pedantic(_sparse_10k, rounds=3, iterations=1)
-    assert isinstance(topology.adjacency, CSRAdjacency)
     assert topology.is_connected()
 
 
@@ -77,5 +72,4 @@ def test_perf_scale_bench_10k_rung_ceilings():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads((_REPO / "BENCH_scale.json").read_text())
     rungs = {r["num_nodes"]: r for r in payload["rungs"]}
-    assert rungs[_NODES]["sparse"] is True
     assert rungs[_NODES]["run_seconds"] is not None

@@ -62,7 +62,6 @@ def _measure_rung(num_nodes: int, cycles: int,
     from repro.engine.execution import execute_run
     from repro.engine.spec import RunSpec, freeze
     from repro.engine.workload import build_topology
-    from repro.network.topology import CSRAdjacency
     from repro.routing.tree import RoutingTree
     from repro.workloads.selectivity import selectivities_for_ratio
 
@@ -73,8 +72,7 @@ def _measure_rung(num_nodes: int, cycles: int,
     started = time.perf_counter()
     cache = topology.routing_cache.validate()
     RoutingTree(topology)
-    if cache.array_mode:
-        cache.landmark_tables()
+    cache.landmark_tables()
     routing_s = time.perf_counter() - started
 
     sel = selectivities_for_ratio("1/2:1/2", 0.2)
@@ -131,7 +129,6 @@ def _measure_rung(num_nodes: int, cycles: int,
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     record = {
         "num_nodes": num_nodes,
-        "sparse": isinstance(topology.adjacency, CSRAdjacency),
         "average_degree": round(topology.average_degree(), 2),
         "generation_seconds": round(generation_s, 3),
         "routing_seconds": round(routing_s, 3),

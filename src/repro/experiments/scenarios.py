@@ -167,7 +167,7 @@ def _lifetime_under_load_scenario() -> ScenarioSpec:
 
 
 #: The massive-topology node ladder (see ROADMAP "scale ladder"): mote scale
-#: up to the 1M-node rung the sparse substrate exists for.
+#: up to the 1M-node rung.
 SCALE_LADDER_RUNGS: Tuple[int, ...] = (1_000, 10_000, 100_000, 1_000_000)
 
 #: Every join strategy the scale ladder exercises: the through-the-base
@@ -180,11 +180,10 @@ SCALE_LADDER_ROSTER: Tuple[str, ...] = (
 
 def _scale_ladder_scenario(rungs: Sequence[int] = SCALE_LADDER_RUNGS,
                            name: str = "scale-ladder") -> ScenarioSpec:
-    """Full-roster strategy x ratio sweep up the sparse-substrate node ladder.
+    """Full-roster strategy x ratio sweep up the scale node ladder.
 
     The ``scale`` preset grows the target degree logarithmically so random
-    deployments stay connected at every rung; past the sparse threshold the
-    CSR substrate engages automatically.  The workload is ``query0-keyed``
+    deployments stay connected at every rung.  The workload is ``query0-keyed``
     (the ``query0-random`` endpoint draw plus a routable static join key) so
     the hash-keyed ght/dht strategies can climb the same ladder; the innet
     variants pay their keyed exploration flood at initiation, which is part

@@ -25,6 +25,7 @@ from repro.network.node import SensorNode
 from repro.network.simulator import NetworkSimulator, SimulationClock
 from repro.network.topology import (
     DENSITY_PRESETS,
+    CSRAdjacency,
     Topology,
     grid_topology,
     intel_lab_topology,
@@ -37,6 +38,7 @@ from repro.network.mobility import MobilityEvent, move_leaf_node
 
 __all__ = [
     "SensorNode",
+    "CSRAdjacency",
     "Topology",
     "random_topology",
     "grid_topology",

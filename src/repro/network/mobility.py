@@ -32,30 +32,10 @@ class MobilityEvent:
 
 
 def is_leaf(topology: Topology, node_id: int) -> bool:
-    """A node is a (topology) leaf if removing it keeps the network connected.
-
-    Runs the connectivity BFS directly on the topology with *node_id*
-    excluded instead of failing the node on a full copy, which keeps leaf
-    probing cheap on large deployments.
-    """
+    """A node is a (topology) leaf if removing it keeps the network connected."""
     if node_id == topology.base_id:
         return False
-    eligible = {
-        nid for nid, node in topology.nodes.items()
-        if node.alive and nid != node_id
-    }
-    if not eligible:
-        return True
-    start = next(iter(eligible))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for neighbour in topology.adjacency.get(current, ()):
-            if neighbour in eligible and neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append(neighbour)
-    return len(seen) == len(eligible)
+    return topology.is_connected(excluding=node_id)
 
 
 def move_leaf_node(
@@ -79,7 +59,7 @@ def move_leaf_node(
 
     node = topology.nodes[node_id]
     old_position = node.position
-    old_neighbours = set(topology.adjacency.get(node_id, set()))
+    old_neighbours = set(topology.neighbors(node_id, only_alive=False))
 
     topology.remove_links_of(node_id)
     node.move_to(new_position)

@@ -10,15 +10,16 @@ Connectivity is derived from node positions via a disc radio model: two nodes
 are neighbours iff their Euclidean distance is below the radio range.  For
 random topologies the radio range is solved numerically so that the achieved
 average degree matches the requested density, and the deployment is rejected
-and re-sampled if the resulting graph is disconnected.
+and re-sampled if the resulting graph is disconnected.  Every generator finds
+the pairs in range with a grid-bucketed search and stores the graph as a
+:class:`CSRAdjacency`, the one adjacency representation at every scale.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,179 +33,97 @@ DENSITY_PRESETS: Dict[str, float] = {
     "dense": 13.0,
 }
 
-#: Deployments at or above this node count switch to the sparse substrate
-#: (grid-bucketed generation + CSR adjacency + array BFS) automatically.
-#: Paper-scale topologies (tens to hundreds of nodes) stay on the dict
-#: representation, which is the bit-identity reference.
-SPARSE_NODE_THRESHOLD = 4096
-
-
-def sparse_mode_enabled(num_nodes: int, sparse: Optional[bool] = None) -> bool:
-    """Resolve the sparse-substrate knob.
-
-    Priority: explicit *sparse* argument, then the ``REPRO_SPARSE``
-    environment variable (``1``/``true`` forces the sparse substrate on at
-    any scale, ``0``/``false`` forces the dense reference), then the
-    :data:`SPARSE_NODE_THRESHOLD` size cutoff.
-    """
-    if sparse is not None:
-        return bool(sparse)
-    env = os.environ.get("REPRO_SPARSE", "").strip().lower()
-    if env in ("1", "true", "yes", "on"):
-        return True
-    if env in ("0", "false", "no", "off"):
-        return False
-    return num_nodes >= SPARSE_NODE_THRESHOLD
+#: Alive-node count from which :class:`PathCache` runs the level-synchronous
+#: array BFS instead of the frontier loop over memoised rows.  Both walk the
+#: same CSR rows in the same order; only their speed differs.  Where they
+#: cross depends on how many sources share one epoch's rows: for a single
+#: source the array kernel wins from ~1k nodes (it builds no rows), for
+#: twenty the loop wins up to ~8k (2k nodes: array 3.3 ms, loop 1.7 ms per
+#: source; 30k: 31 ms against 51 ms).  The cutoff sits between the two.
+ARRAY_BFS_MIN_NODES = 3072
 
 
 class CSRAdjacency:
-    """Compressed-sparse-row adjacency behind the dict-of-sets interface.
+    """Symmetric adjacency of nodes ``0..num_nodes-1`` in compressed-sparse-row form.
 
-    ``indptr``/``indices`` hold the symmetric neighbour lists of nodes
-    ``0..num_nodes-1`` (each row sorted ascending), which is what the sparse
-    generators produce.  The class quacks like the ``Dict[int, Set[int]]``
-    the rest of the codebase expects:
-
-    - reads go through :meth:`get` / iteration and return sorted neighbour
-      lists (cheap slices of the index array);
-    - the rare mutation paths (``remove_links_of`` / ``rebuild_links_of``
-      during mobility and failure experiments) go through ``__getitem__`` /
-      ``__setitem__``, which copy the affected row into a per-row overlay of
-      plain Python sets -- the CSR arrays themselves are immutable;
-    - :meth:`effective_csr` splices the overlay back into array form for the
-      vectorized BFS consumers, rebuilt lazily only after a mutation.
-
-    ``validated`` marks adjacencies whose symmetry is guaranteed by
-    construction, letting ``Topology.__post_init__`` skip its O(E) Python
-    validation loop (the dense dict path keeps validating as before).
+    ``indices[indptr[n]:indptr[n + 1]]`` holds the neighbours of node ``n``,
+    sorted ascending.  The arrays are never written in place: the two row
+    mutators (:meth:`isolate` / :meth:`connect`, used by link surgery during
+    mobility) build replacement arrays, so copies may share them.
     """
 
-    __slots__ = (
-        "indptr", "indices", "num_nodes", "validated",
-        "_overlay", "_version", "_effective", "_effective_version",
-    )
+    __slots__ = ("indptr", "indices", "num_nodes")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 num_nodes: int, validated: bool = False) -> None:
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, num_nodes: int) -> None:
         self.indptr = indptr
         self.indices = indices
         self.num_nodes = int(num_nodes)
-        self.validated = bool(validated)
-        self._overlay: Dict[int, Set[int]] = {}
-        self._version = 0
-        self._effective: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._effective_version = -1
 
-    # -- reads ---------------------------------------------------------------
-    def _base_row(self, node_id: int) -> np.ndarray:
-        return self.indices[self.indptr[node_id]:self.indptr[node_id + 1]]
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[int, Iterable[int]],
+                     num_nodes: int) -> "CSRAdjacency":
+        """Build from ``{node: neighbours}``; the mapping must be symmetric."""
+        rows = {node_id: set(neighbours) for node_id, neighbours in mapping.items()}
+        for node_id, neighbours in rows.items():
+            for other in (node_id, *neighbours):
+                if not (isinstance(other, (int, np.integer)) and 0 <= other < num_nodes):
+                    raise ValueError(f"adjacency references unknown node {other}")
+            for other in neighbours:
+                if node_id not in rows.get(other, ()):
+                    raise ValueError("adjacency must be symmetric")
+        edges = [(a, b) for a, neighbours in rows.items() for b in neighbours if a < b]
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        return _csr_from_pairs(pairs[:, 0], pairs[:, 1], num_nodes)
 
     def row_list(self, node_id: int) -> List[int]:
         """Sorted neighbour ids of one node as plain Python ints."""
-        if not 0 <= node_id < self.num_nodes:
-            return []
-        overlay = self._overlay.get(node_id)
-        if overlay is not None:
-            return sorted(overlay)
-        return self._base_row(node_id).tolist()
-
-    def get(self, node_id: int, default=None):
-        if isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes:
-            return self.row_list(int(node_id))
-        return default
-
-    def degree(self, node_id: int) -> int:
-        overlay = self._overlay.get(node_id)
-        if overlay is not None:
-            return len(overlay)
-        return int(self.indptr[node_id + 1] - self.indptr[node_id])
+        return self.indices[self.indptr[node_id]:self.indptr[node_id + 1]].tolist()
 
     def total_degree(self) -> int:
-        total = int(self.indptr[-1])
-        for node_id, overlay in self._overlay.items():
-            total += len(overlay) - int(self.indptr[node_id + 1] - self.indptr[node_id])
-        return total
+        return int(self.indptr[-1])
 
-    # -- mapping protocol ------------------------------------------------------
-    def __contains__(self, node_id) -> bool:
-        return isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes
+    # -- row mutators ------------------------------------------------------------
+    def isolate(self, node_id: int) -> None:
+        """Drop every link of *node_id*."""
+        rows = {other: [n for n in self.row_list(other) if n != node_id]
+                for other in self.row_list(node_id)}
+        rows[node_id] = []
+        self._replace_rows(rows)
 
-    def __iter__(self):
-        return iter(range(self.num_nodes))
+    def connect(self, node_id: int, others: Iterable[int]) -> None:
+        """Link *node_id* to each of *others* (existing links are kept)."""
+        others = set(others)
+        rows = {other: set(self.row_list(other)) | {node_id} for other in others}
+        rows[node_id] = set(self.row_list(node_id)) | others
+        self._replace_rows(rows)
 
-    def __len__(self) -> int:
-        return self.num_nodes
-
-    def keys(self):
-        return range(self.num_nodes)
-
-    def values(self):
-        return (set(self.row_list(node_id)) for node_id in range(self.num_nodes))
-
-    def items(self):
-        return (
-            (node_id, set(self.row_list(node_id)))
-            for node_id in range(self.num_nodes)
-        )
-
-    # -- mutation --------------------------------------------------------------
-    def __getitem__(self, node_id: int) -> Set[int]:
-        """The live, mutable row set (copied out of the CSR arrays on first use).
-
-        Callers mutate the returned set in place (``.add``/``.discard``), so
-        any access through here conservatively invalidates the effective-CSR
-        memo.
-        """
-        if not (isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes):
-            raise KeyError(node_id)
-        node_id = int(node_id)
-        overlay = self._overlay.get(node_id)
-        if overlay is None:
-            overlay = set(self._base_row(node_id).tolist())
-            self._overlay[node_id] = overlay
-        self._version += 1
-        return overlay
-
-    def __setitem__(self, node_id: int, value: Iterable[int]) -> None:
-        if not (isinstance(node_id, (int, np.integer)) and 0 <= node_id < self.num_nodes):
-            raise KeyError(node_id)
-        self._overlay[int(node_id)] = set(value)
-        self._version += 1
-
-    # -- array form -------------------------------------------------------------
-    def effective_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) with any overlay mutations spliced back in."""
-        if not self._overlay:
-            return self.indptr, self.indices
-        if self._effective is None or self._effective_version != self._version:
-            rows: List[np.ndarray] = []
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            for node_id in range(self.num_nodes):
-                overlay = self._overlay.get(node_id)
-                if overlay is None:
-                    row = self._base_row(node_id)
-                else:
-                    row = np.asarray(sorted(overlay), dtype=np.int32)
-                rows.append(row)
-                indptr[node_id + 1] = indptr[node_id] + row.shape[0]
-            indices = (
-                np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
-            ).astype(np.int32, copy=False)
-            self._effective = (indptr, indices)
-            self._effective_version = self._version
-        return self._effective
+    def _replace_rows(self, rows: Mapping[int, Iterable[int]]) -> None:
+        """New arrays with the given rows replaced (re-sorted), the rest copied."""
+        indptr, indices = self.indptr, self.indices
+        counts = np.diff(indptr)
+        owner = np.repeat(np.arange(self.num_nodes), counts)
+        replaced = {node_id: np.asarray(sorted(row), dtype=np.int32)
+                    for node_id, row in rows.items()}
+        for node_id, row in replaced.items():
+            counts[node_id] = row.size
+        new_indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=new_indptr[1:])
+        new_indices = np.empty(int(new_indptr[-1]), dtype=np.int32)
+        kept = np.ones(self.num_nodes, dtype=bool)
+        kept[list(replaced)] = False
+        keep = np.flatnonzero(kept[owner])
+        kept_owner = owner[keep]
+        new_indices[new_indptr[kept_owner] + keep - indptr[kept_owner]] = indices[keep]
+        for node_id, row in replaced.items():
+            new_indices[new_indptr[node_id]:new_indptr[node_id + 1]] = row
+        self.indptr, self.indices = new_indptr, new_indices
 
     def copy(self) -> "CSRAdjacency":
-        """Shares the immutable CSR arrays; deep-copies the mutation overlay."""
-        dup = CSRAdjacency(self.indptr, self.indices, self.num_nodes,
-                           validated=self.validated)
-        dup._overlay = {nid: set(row) for nid, row in self._overlay.items()}
-        return dup
+        """Shares the arrays, which the mutators replace rather than write."""
+        return CSRAdjacency(self.indptr, self.indices, self.num_nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"CSRAdjacency(nodes={self.num_nodes}, "
-                f"edges={int(self.indptr[-1]) // 2}, "
-                f"overlaid={len(self._overlay)})")
+        return f"CSRAdjacency(nodes={self.num_nodes}, edges={int(self.indptr[-1]) // 2})"
 
 
 def _ragged_gather(indptr: np.ndarray, indices: np.ndarray,
@@ -226,55 +145,50 @@ def _ragged_gather(indptr: np.ndarray, indices: np.ndarray,
     return candidates, sources
 
 
-class _AliveAdjacencyView:
-    """Lazy per-row alive-neighbour view over a CSR adjacency.
+class _AliveAdjacencyView(dict):
+    """``{node: sorted alive neighbours}``, rows sliced out on first use.
 
-    Stands in for the eager ``{node: sorted alive neighbours}`` dict the
-    dict-mode :class:`PathCache` builds: the simulator's broadcast/flood paths
-    only ever call ``.get(node_id, default)``, so rows are materialized on
-    demand instead of all at once (which would be O(N+E) per epoch at 1M
-    nodes).
+    Rows are built on demand rather than all at once per epoch (O(N+E) at
+    1M nodes).  With *memoise* each row is kept once built, which is what
+    the frontier-loop BFS reads over and over; large deployments leave it
+    off so a network-wide flood does not pin every row.  Treat the
+    returned lists as read-only.
     """
 
-    __slots__ = ("_indptr", "_indices", "_alive_mask", "_all_alive")
+    __slots__ = ("_indptr", "_indices", "_alive_mask", "_all_alive", "_memoise")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 alive_mask: np.ndarray, all_alive: bool) -> None:
+                 alive_mask: np.ndarray, all_alive: bool, memoise: bool) -> None:
+        super().__init__()
         self._indptr = indptr
         self._indices = indices
         self._alive_mask = alive_mask
         self._all_alive = all_alive
+        self._memoise = memoise
 
-    def _row(self, node_id: int) -> List[int]:
+    def __missing__(self, node_id: int) -> List[int]:
         row = self._indices[self._indptr[node_id]:self._indptr[node_id + 1]]
         if not self._all_alive:
             row = row[self._alive_mask[row]]
-        return row.tolist()
+        row = row.tolist()
+        if self._memoise:
+            self[node_id] = row
+        return row
 
     def get(self, node_id, default=None):
         if isinstance(node_id, (int, np.integer)) and \
                 0 <= node_id < self._alive_mask.shape[0]:
-            return self._row(int(node_id))
+            return self[int(node_id)]
         return default
-
-    def __getitem__(self, node_id: int) -> List[int]:
-        row = self.get(node_id)
-        if row is None:
-            raise KeyError(node_id)
-        return row
-
-    def __contains__(self, node_id) -> bool:
-        return isinstance(node_id, (int, np.integer)) and \
-            0 <= node_id < self._alive_mask.shape[0]
 
 
 class PathCache:
     """Epoch-guarded routing cache for one :class:`Topology`.
 
-    Memoizes, per source node, the single-source BFS hop table and parent
-    table over the *alive* subgraph, plus reconstructed shortest paths, and
-    keeps a precomputed alive-adjacency structure so ``neighbors()`` stops
-    filtering and sorting on every call.
+    Memoizes, per source node, one BFS over the *alive* subgraph -- hop and
+    parent vectors indexed by node id (-1 = unreachable) plus the discovery
+    order -- and the shortest paths reconstructed from it, and keeps the
+    alive-adjacency rows so ``neighbors()`` stops filtering on every call.
 
     Every structure is validated against the owning topology's routing epoch,
     which is bumped by ``remove_links_of`` / ``rebuild_links_of``, by node
@@ -282,42 +196,40 @@ class PathCache:
     state listener) and by explicit ``invalidate_routing_caches()`` calls, so
     failure and mobility experiments always see fresh tables.
 
-    BFS discovery order matches the uncached implementation exactly (frontier
-    order, sorted adjacency), so cached paths and hop tables are identical to
-    the ones the seed code computed from scratch.
-
-    When the owning topology carries a :class:`CSRAdjacency` the cache runs
-    in *array mode*: hop/parent tables are int32 numpy vectors computed by a
-    level-synchronous vectorized BFS whose discovery order is identical to
-    the dict BFS (frontier order x sorted rows, first discoverer wins), and
-    the dict-shaped API lazily rebuilds dictionaries in that same insertion
-    order only when a caller asks for them.  Array mode also offers
-    landmark-based approximate hop estimates for the largest deployments,
-    where even one exact BFS table per queried source is too much state.
+    Two kernels produce the BFS, chosen per epoch by the alive node count
+    (:data:`ARRAY_BFS_MIN_NODES`): a frontier loop over the memoised alive
+    rows (Python lists) below it, a level-synchronous vectorized BFS
+    (int32 arrays) from it on.  Both visit candidates in frontier order x
+    sorted row and let the first discoverer win, so they produce the same
+    tables; the dict-shaped :meth:`bfs_tables` keeps that discovery order as
+    its insertion order.  Landmark-based approximate hop estimates serve the
+    largest deployments, where even one exact table per source is too much.
     """
 
+    #: Always true: every topology is CSR-backed (kept for callers that
+    #: still ask).
+    array_mode = True
+
     __slots__ = (
-        "_topology", "epoch", "alive_set", "alive_adjacency",
-        "_hops", "_parents", "_paths",
-        "array_mode", "_indptr", "_indices", "_alive_mask", "_all_alive",
-        "_arrays", "_landmarks",
+        "_topology", "epoch", "alive_set", "alive_adjacency", "alive_mask",
+        "indptr", "indices", "_array_kernel", "_results", "_tables", "_paths",
+        "_landmarks",
     )
 
     def __init__(self, topology: "Topology") -> None:
         self._topology = topology
         self.epoch = -1
         self.alive_set: frozenset = frozenset()
-        self.alive_adjacency = {}
-        self._hops: Dict[int, Dict[int, int]] = {}
-        self._parents: Dict[int, Dict[int, int]] = {}
+        self.alive_adjacency: Dict[int, List[int]] = {}
+        self.alive_mask: Optional[np.ndarray] = None
+        self.indptr: Optional[np.ndarray] = None
+        self.indices: Optional[np.ndarray] = None
+        self._array_kernel = False
+        #: source -> (hops, parents, discovery order)
+        self._results: Dict[int, Tuple[Sequence[int], Sequence[int], Sequence[int]]] = {}
+        #: source -> (hops dict, parents dict), both in discovery order
+        self._tables: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
         self._paths: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
-        self.array_mode = False
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._alive_mask: Optional[np.ndarray] = None
-        self._all_alive = True
-        #: source -> (hops int32[n], parents int32[n], discovery order int32)
-        self._arrays: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         #: landmark count -> (landmark ids int64[k], hop matrix int32[k, n])
         self._landmarks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -327,58 +239,73 @@ class PathCache:
         topology = self._topology
         epoch = topology.routing_epoch
         if epoch != self.epoch:
-            nodes = topology.nodes
             adjacency = topology.adjacency
-            if isinstance(adjacency, CSRAdjacency):
-                self.array_mode = True
-                self._indptr, self._indices = adjacency.effective_csr()
-                num_nodes = adjacency.num_nodes
-                mask = np.ones(num_nodes, dtype=bool)
-                dead = [nid for nid, node in nodes.items() if not node.alive]
-                if dead:
-                    mask[np.asarray(dead, dtype=np.int64)] = False
-                    self.alive_set = frozenset(np.flatnonzero(mask).tolist())
-                else:
-                    self.alive_set = frozenset(range(num_nodes))
-                self._alive_mask = mask
-                self._all_alive = not dead
-                self.alive_adjacency = _AliveAdjacencyView(
-                    self._indptr, self._indices, mask, self._all_alive
-                )
+            self.indptr, self.indices = adjacency.indptr, adjacency.indices
+            num_nodes = adjacency.num_nodes
+            mask = np.ones(num_nodes, dtype=bool)
+            dead = [nid for nid, node in topology.nodes.items() if not node.alive]
+            if dead:
+                mask[np.asarray(dead, dtype=np.int64)] = False
+                self.alive_set = frozenset(np.flatnonzero(mask).tolist())
             else:
-                self.array_mode = False
-                self._indptr = self._indices = self._alive_mask = None
-                self._all_alive = True
-                alive = frozenset(nid for nid, node in nodes.items() if node.alive)
-                self.alive_set = alive
-                self.alive_adjacency = {
-                    nid: sorted(n for n in neighbours if n in alive)
-                    for nid, neighbours in topology.adjacency.items()
-                }
-            self._hops.clear()
-            self._parents.clear()
+                self.alive_set = frozenset(range(num_nodes))
+            self.alive_mask = mask
+            self._array_kernel = num_nodes - len(dead) >= ARRAY_BFS_MIN_NODES
+            self.alive_adjacency = _AliveAdjacencyView(
+                self.indptr, self.indices, mask, not dead,
+                memoise=not self._array_kernel,
+            )
+            self._results.clear()
+            self._tables.clear()
             self._paths.clear()
-            self._arrays.clear()
             self._landmarks.clear()
             self.epoch = epoch
         return self
 
     # ------------------------------------------------------------------
-    # array-mode internals
+    # the two BFS kernels
     # ------------------------------------------------------------------
+    def _bfs(self, source: int) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        result = self._results.get(source)
+        if result is None:
+            result = (self._array_bfs(source) if self._array_kernel
+                      else self._frontier_bfs(source))
+            self._results[source] = result
+        return result
+
+    def _frontier_bfs(self, source: int) -> Tuple[List[int], List[int], List[int]]:
+        """Python frontier loop over the memoised alive rows."""
+        rows = self.alive_adjacency
+        num_nodes = self.alive_mask.shape[0]
+        hops = [-1] * num_nodes
+        parents = [-1] * num_nodes
+        hops[source] = 0
+        parents[source] = source
+        order = [source]
+        frontier = [source]
+        depth = 0
+        while frontier:
+            depth += 1
+            next_frontier: List[int] = []
+            for current in frontier:
+                for neighbour in rows[current]:
+                    if hops[neighbour] < 0:
+                        hops[neighbour] = depth
+                        parents[neighbour] = current
+                        next_frontier.append(neighbour)
+            order.extend(next_frontier)
+            frontier = next_frontier
+        return hops, parents, order
+
     def _array_bfs(self, source: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized alive-subgraph BFS with dict-identical discovery order.
+        """Vectorized level-synchronous BFS with the frontier loop's order.
 
         Candidates are gathered level by level in (frontier order x sorted
         row) order; ``np.unique(..., return_index=True)`` keeps each node's
-        first occurrence, and re-sorting those indices restores the original
-        gather order -- exactly the "first discoverer wins" order of the
-        Python dict BFS.
+        first occurrence, and re-sorting those indices restores the gather
+        order -- exactly the "first discoverer wins" order of the loop.
         """
-        cached = self._arrays.get(source)
-        if cached is not None:
-            return cached
-        indptr, indices, mask = self._indptr, self._indices, self._alive_mask
+        indptr, indices, mask = self.indptr, self.indices, self.alive_mask
         num_nodes = mask.shape[0]
         hops = np.full(num_nodes, -1, dtype=np.int32)
         parents = np.full(num_nodes, -1, dtype=np.int32)
@@ -404,28 +331,23 @@ class PathCache:
             parents[newly] = sources[first]
             order_chunks.append(newly)
             frontier = newly
-        order = np.concatenate(order_chunks)
-        result = (hops, parents, order)
-        self._arrays[source] = result
-        return result
+        return hops, parents, np.concatenate(order_chunks)
 
     def hops_array(self, source: int) -> np.ndarray:
-        """int32 hop vector from *source* (-1 = unreachable); array mode only."""
-        if not self.array_mode:
-            raise RuntimeError("hops_array requires a CSR-backed topology")
-        return self._array_bfs(source)[0]
+        """int32 hop vector from *source* (-1 = unreachable)."""
+        return np.asarray(self._bfs(source)[0], dtype=np.int32)
 
-    def parents_array(self, source: int) -> np.ndarray:
-        if not self.array_mode:
-            raise RuntimeError("parents_array requires a CSR-backed topology")
-        return self._array_bfs(source)[1]
+    def hop_count(self, source: int, target: int) -> Optional[int]:
+        """Hop count from *source* to *target*, or ``None`` if unreachable."""
+        hop = self._bfs(source)[0][target]
+        return None if hop < 0 else int(hop)
 
     # ------------------------------------------------------------------
     # landmark / approximate-BFS mode (largest rungs)
     # ------------------------------------------------------------------
     def landmark_tables(self, num_landmarks: int = 8
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Hop tables from *num_landmarks* spread sources (array mode only).
+        """Hop tables from *num_landmarks* spread sources.
 
         The base station is always the first landmark; the rest are spread
         deterministically over the id range.  Returns ``(landmark_ids,
@@ -433,9 +355,7 @@ class PathCache:
         landmark ``k`` to node ``n`` (-1 = unreachable).  Epoch-guarded like
         every other table in this cache.
         """
-        if not self.array_mode:
-            raise RuntimeError("landmark_tables requires a CSR-backed topology")
-        num_nodes = self._alive_mask.shape[0]
+        num_nodes = self.alive_mask.shape[0]
         num_landmarks = max(1, min(int(num_landmarks), num_nodes))
         cached = self._landmarks.get(num_landmarks)
         if cached is not None:
@@ -448,9 +368,7 @@ class PathCache:
             if candidate not in picks:
                 picks.append(candidate)
         landmark_ids = np.asarray(picks[:num_landmarks], dtype=np.int64)
-        matrix = np.vstack([
-            self._array_bfs(int(landmark))[0] for landmark in landmark_ids
-        ])
+        matrix = np.vstack([self.hops_array(int(landmark)) for landmark in landmark_ids])
         result = (landmark_ids, matrix)
         self._landmarks[num_landmarks] = result
         return result
@@ -474,66 +392,32 @@ class PathCache:
 
     # ------------------------------------------------------------------
     def bfs_tables(self, source: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Memoized (hops, parents) tables of a BFS over the alive subgraph."""
-        hops = self._hops.get(source)
-        if hops is None:
-            if self.array_mode:
-                hops_arr, parents_arr, order = self._array_bfs(source)
-                hops = {}
-                parents = {}
-                for nid, hop, parent in zip(order.tolist(),
-                                            hops_arr[order].tolist(),
-                                            parents_arr[order].tolist()):
-                    hops[nid] = hop
-                    parents[nid] = parent
-            else:
-                adjacency = self.alive_adjacency
-                hops = {source: 0}
-                parents = {source: source}
-                frontier = [source]
-                depth = 0
-                while frontier:
-                    depth += 1
-                    next_frontier: List[int] = []
-                    for current in frontier:
-                        for neighbour in adjacency.get(current, ()):
-                            if neighbour not in hops:
-                                hops[neighbour] = depth
-                                parents[neighbour] = current
-                                next_frontier.append(neighbour)
-                    frontier = next_frontier
-            self._hops[source] = hops
-            self._parents[source] = parents
-        return hops, self._parents[source]
+        """Memoized (hops, parents) dicts in BFS discovery order."""
+        tables = self._tables.get(source)
+        if tables is None:
+            hops, parents, order = (
+                vector if isinstance(vector, list) else vector.tolist()
+                for vector in self._bfs(source)
+            )
+            tables = ({nid: hops[nid] for nid in order},
+                      {nid: parents[nid] for nid in order})
+            self._tables[source] = tables
+        return tables
 
     def path(self, source: int, target: int) -> Optional[Tuple[int, ...]]:
         """Memoized minimum-hop path (as a tuple), or ``None``."""
         key = (source, target)
         if key in self._paths:
             return self._paths[key]
-        if self.array_mode:
-            # Climb the int32 parent vector directly: no per-pair Python
-            # dict tables are materialized for path queries at scale.
-            hops_arr, parents_arr, _ = self._array_bfs(source)
-            if hops_arr[target] < 0 and target != source:
-                self._paths[key] = None
-                return None
-            path = [int(target)]
+        hops, parents, _ = self._bfs(source)
+        if hops[target] < 0:
+            result = None
+        else:
+            path = [target]
             while path[-1] != source:
-                path.append(int(parents_arr[path[-1]]))
+                path.append(int(parents[path[-1]]))
             path.reverse()
             result = tuple(path)
-            self._paths[key] = result
-            return result
-        _, parents = self.bfs_tables(source)
-        if target not in parents:
-            self._paths[key] = None
-            return None
-        path = [target]
-        while path[-1] != source:
-            path.append(parents[path[-1]])
-        path.reverse()
-        result = tuple(path)
         self._paths[key] = result
         return result
 
@@ -542,12 +426,14 @@ class PathCache:
 class Topology:
     """An immutable-ish deployment: node set plus symmetric adjacency.
 
+    Nodes are ids ``0..n-1``; their links are one :class:`CSRAdjacency`
+    (hand-built graphs go through :meth:`CSRAdjacency.from_mapping`).
     The base station is always present and is, by convention, the node whose
     id equals :attr:`base_id`.
     """
 
     nodes: Dict[int, SensorNode]
-    adjacency: Dict[int, Set[int]]
+    adjacency: CSRAdjacency
     base_id: int = 0
     radio_range: float = 0.0
     name: str = "topology"
@@ -565,22 +451,11 @@ class Topology:
     def __post_init__(self) -> None:
         if self.base_id not in self.nodes:
             raise ValueError("base_id must refer to an existing node")
-        if isinstance(self.adjacency, CSRAdjacency) and self.adjacency.validated:
-            # Symmetry is guaranteed by the sparse generator (every pair is
-            # inserted in both directions); re-checking would cost O(E)
-            # Python per construction, which is what this representation
-            # exists to avoid.  Validation is thereby O(1) amortized.
-            if self.adjacency.num_nodes != len(self.nodes):
-                raise ValueError("CSR adjacency size does not match node count")
-        else:
-            for node_id, neighbours in self.adjacency.items():
-                if node_id not in self.nodes:
-                    raise ValueError(f"adjacency references unknown node {node_id}")
-                for other in neighbours:
-                    if other not in self.nodes:
-                        raise ValueError(f"adjacency references unknown node {other}")
-                    if node_id not in self.adjacency.get(other, set()):
-                        raise ValueError("adjacency must be symmetric")
+        # Symmetry holds by construction (generators insert every pair both
+        # ways; from_mapping checks hand-built graphs), so only the size is
+        # checked here.
+        if self.adjacency.num_nodes != len(self.nodes):
+            raise ValueError("adjacency size does not match node count")
         self.nodes[self.base_id].is_base = True
         self._routing_epoch = 0
         self._path_cache = PathCache(self)
@@ -646,19 +521,13 @@ class Topology:
         epoch either way and returns identical results.)
         """
         if not only_alive:
-            adjacency = self.adjacency
-            if isinstance(adjacency, CSRAdjacency):
-                return adjacency.row_list(node_id)
-            return sorted(adjacency.get(node_id, set()))
+            return self.adjacency.row_list(node_id)
         return list(self._path_cache.validate().alive_adjacency.get(node_id, ()))
 
     def average_degree(self) -> float:
         if not self.nodes:
             return 0.0
-        adjacency = self.adjacency
-        if isinstance(adjacency, CSRAdjacency):
-            return adjacency.total_degree() / len(self.nodes)
-        return sum(len(v) for v in adjacency.values()) / len(self.nodes)
+        return self.adjacency.total_degree() / len(self.nodes)
 
     def positions(self) -> Dict[int, Position]:
         """Node positions (memoized per routing epoch -- treat as read-only).
@@ -678,35 +547,19 @@ class Topology:
         return self.nodes[a].distance_to(self.nodes[b])
 
     # -- graph algorithms ------------------------------------------------------
-    def is_connected(self, only_alive: bool = True) -> bool:
-        if isinstance(self.adjacency, CSRAdjacency):
-            return self._is_connected_array(only_alive)
-        node_ids = [
-            nid for nid, node in self.nodes.items() if node.alive or not only_alive
-        ]
-        if not node_ids:
-            return True
-        seen = {node_ids[0]}
-        frontier = [node_ids[0]]
-        eligible = set(node_ids)
-        while frontier:
-            current = frontier.pop()
-            for neighbour in self.adjacency.get(current, ()):  # symmetric
-                if neighbour in eligible and neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen) == len(eligible)
-
-    def _is_connected_array(self, only_alive: bool) -> bool:
-        """Vectorized connectivity check over the CSR adjacency."""
+    def is_connected(self, only_alive: bool = True,
+                     excluding: Optional[int] = None) -> bool:
+        """Whether the (alive) nodes, less *excluding*, form one component."""
         adjacency = self.adjacency
-        indptr, indices = adjacency.effective_csr()
+        indptr, indices = adjacency.indptr, adjacency.indices
         num_nodes = adjacency.num_nodes
         eligible = np.ones(num_nodes, dtype=bool)
         if only_alive:
             dead = [nid for nid, node in self.nodes.items() if not node.alive]
             if dead:
                 eligible[np.asarray(dead, dtype=np.int64)] = False
+        if excluding is not None:
+            eligible[excluding] = False
         total = int(eligible.sum())
         if total == 0:
             return True
@@ -802,14 +655,12 @@ class Topology:
         if a == b:
             return 0
         if only_alive and self.routing_cache_enabled:
-            return self._path_cache.validate().bfs_tables(a)[0].get(b)
+            return self._path_cache.validate().hop_count(a, b)
         return self._bfs_hops_uncached(a, only_alive=only_alive, stop_at=b).get(b)
 
     # -- mutation (used by mobility and failures) -----------------------------
     def remove_links_of(self, node_id: int) -> None:
-        for other in list(self.adjacency.get(node_id, ())):
-            self.adjacency[other].discard(node_id)
-        self.adjacency[node_id] = set()
+        self.adjacency.isolate(node_id)
         self.invalidate_routing_caches()
 
     def rebuild_links_of(self, node_id: int) -> List[int]:
@@ -820,9 +671,8 @@ class Topology:
             if other_id == node_id or not other.alive:
                 continue
             if node.distance_to(other) <= self.radio_range:
-                self.adjacency[node_id].add(other_id)
-                self.adjacency[other_id].add(node_id)
                 new_neighbours.append(other_id)
+        self.adjacency.connect(node_id, new_neighbours)
         self.invalidate_routing_caches()
         return sorted(new_neighbours)
 
@@ -839,13 +689,9 @@ class Topology:
             )
             for nid, n in self.nodes.items()
         }
-        if isinstance(self.adjacency, CSRAdjacency):
-            adjacency = self.adjacency.copy()
-        else:
-            adjacency = {nid: set(neigh) for nid, neigh in self.adjacency.items()}
         return Topology(
             nodes=nodes,
-            adjacency=adjacency,
+            adjacency=self.adjacency.copy(),
             base_id=self.base_id,
             radio_range=self.radio_range,
             name=self.name,
@@ -863,80 +709,7 @@ def _reconstruct(parents: Dict[int, int], source: int, target: int) -> List[int]
 
 
 # ---------------------------------------------------------------------------
-# Generators
-# ---------------------------------------------------------------------------
-
-def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    diffs = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diffs ** 2).sum(axis=-1))
-
-
-def _adjacency_from_distances(
-    ids: Sequence[int], dists: np.ndarray, radio_range: float
-) -> Dict[int, Set[int]]:
-    adjacency: Dict[int, Set[int]] = {i: set() for i in ids}
-    if len(ids) < 2:
-        return adjacency
-    within = dists <= radio_range
-    np.fill_diagonal(within, False)
-    rows, cols = np.nonzero(within)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        adjacency[ids[row]].add(ids[col])
-    return adjacency
-
-
-def _adjacency_for_range(
-    positions: Dict[int, Position], radio_range: float
-) -> Dict[int, Set[int]]:
-    ids = sorted(positions)
-    if len(ids) < 2:
-        return {i: set() for i in ids}
-    coords = np.array([positions[i] for i in ids], dtype=float)
-    return _adjacency_from_distances(ids, _pairwise_distances(coords), radio_range)
-
-
-def _average_degree(adjacency: Dict[int, Set[int]]) -> float:
-    if not adjacency:
-        return 0.0
-    return sum(len(v) for v in adjacency.values()) / len(adjacency)
-
-
-def _solve_radio_range(
-    positions: Dict[int, Position], target_degree: float
-) -> Tuple[float, Dict[int, Set[int]]]:
-    """Binary-search the disc radius so the average degree hits the target.
-
-    The pairwise distance matrix is computed once and each probe of the
-    search is a vectorized threshold count; the adjacency sets are only
-    materialized for the final radius.  The iteration sequence (and therefore
-    the returned radius and adjacency) is identical to probing with fully
-    built adjacencies, since the average degree equals the count of
-    off-diagonal entries within range divided by the node count.
-    """
-    ids = sorted(positions)
-    coords = np.array([positions[i] for i in ids], dtype=float)
-    span = float(np.max(coords) - np.min(coords)) if len(coords) else 1.0
-    lo, hi = 1e-6, max(span * 2.0, 1.0)
-    if len(ids) < 2:
-        return hi, {i: set() for i in ids}
-    dists = _pairwise_distances(coords)
-    num_nodes = len(ids)
-
-    def degree_at(radius: float) -> float:
-        # The diagonal (distance 0) is always within range; subtract it.
-        return float((dists <= radius).sum() - num_nodes) / num_nodes
-
-    for _ in range(48):
-        mid = (lo + hi) / 2.0
-        if degree_at(mid) < target_degree:
-            lo = mid
-        else:
-            hi = mid
-    return hi, _adjacency_from_distances(ids, dists, hi)
-
-
-# ---------------------------------------------------------------------------
-# Sparse (grid-bucketed) generation -- no dense N x N distance matrix
+# Generators: grid-bucketed pair search, no N x N distance matrix
 # ---------------------------------------------------------------------------
 
 def _radius_candidate_pairs(
@@ -951,9 +724,9 @@ def _radius_candidate_pairs(
     (sort + searchsorted + ragged gathers): scipy is optional in the target
     environments, so no cKDTree.
 
-    Returns ``(i, j, dist)`` with ``dist`` computed exactly as the dense
-    ``_pairwise_distances`` does (``sqrt(dx*dx + dy*dy)`` in float64), so
-    threshold decisions downstream are bit-identical to the dense path.
+    Returns ``(i, j, dist)`` with ``dist = sqrt(dx*dx + dy*dy)`` in float64,
+    the same IEEE operations as a full pairwise distance matrix, so threshold
+    decisions downstream do not depend on how the pairs were found.
     """
     num_points = xs.shape[0]
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
@@ -1019,23 +792,39 @@ def _csr_from_pairs(i: np.ndarray, j: np.ndarray, num_nodes: int) -> CSRAdjacenc
     dst = dst[order]
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
-    return CSRAdjacency(indptr, dst.astype(np.int32), num_nodes, validated=True)
+    return CSRAdjacency(indptr, dst.astype(np.int32), num_nodes)
 
 
-def _solve_radio_range_sparse(
+def _gather_margin(span: float) -> float:
+    """Slack added to a gather radius so float rounding in the cell bucketing
+    (or a bisection landing a hair past its bound) never drops a pair."""
+    return max(1e-9, span * 1e-9)
+
+
+def _csr_within_radius(positions: Dict[int, Position], radius: float) -> CSRAdjacency:
+    """Disc-model adjacency of nodes ``0..n-1`` for a fixed radio range."""
+    coords = np.array([positions[i] for i in range(len(positions))], dtype=float)
+    span = float(coords.max() - coords.min())
+    i, j, dist = _radius_candidate_pairs(
+        coords[:, 0], coords[:, 1], radius + _gather_margin(span)
+    )
+    keep = dist <= radius
+    return _csr_from_pairs(i[keep], j[keep], len(positions))
+
+
+def _solve_radio_range(
     xs: np.ndarray, ys: np.ndarray, target_degree: float
 ) -> Tuple[float, CSRAdjacency]:
-    """Sparse replication of :func:`_solve_radio_range`, bit-identical result.
+    """Binary-search the disc radius so the average degree hits the target.
 
-    Candidate pairs are gathered once within an upper-bound radius whose
-    exact degree already reaches the target; each bisection probe below that
-    bound is then an exact ``searchsorted`` count over the sorted candidate
-    distances (the same numerator the dense probe computes), and probes above
-    the bound take the "degree >= target" branch by monotonicity -- the
-    branch the dense probe would take too.  The bisection therefore walks the
-    identical (lo, hi) sequence and returns the identical radius, and the
-    final adjacency holds the identical edge set, without ever materializing
-    the N x N distance matrix.
+    The average degree at radius r is twice the number of pairs within r
+    over the node count.  Candidate pairs are gathered once within an
+    upper-bound radius whose degree already reaches the target; each
+    bisection probe below that bound is then an exact ``searchsorted`` count
+    over the sorted candidate distances, and probes above the bound take the
+    "degree >= target" branch by monotonicity.  The bisection thus walks the
+    same (lo, hi) sequence as exact counting over all N^2 pairs, without
+    materializing them.
     """
     num_nodes = xs.shape[0]
     span = float(max(xs.max(), ys.max()) - min(xs.min(), ys.min())) if num_nodes else 1.0
@@ -1053,11 +842,10 @@ def _solve_radio_range_sparse(
         r_bound = hi
     r_bound = min(max(r_bound, 1e-6), hi)
     while True:
-        # The gather margin covers the worst-case bisection drift above
-        # r_bound (~span * 2^-47), so the final radius is always inside the
+        # The margin covers the worst-case bisection drift above r_bound
+        # (~span * 2^-47), so the final radius is always inside the
         # candidate set even when it lands a hair past the bound.
-        r_gather = r_bound + max(1e-9, span * 1e-9)
-        i, j, dist = _radius_candidate_pairs(xs, ys, r_gather)
+        i, j, dist = _radius_candidate_pairs(xs, ys, r_bound + _gather_margin(span))
         pairs_at_bound = int(np.searchsorted(np.sort(dist), r_bound, side="right"))
         if float(2 * pairs_at_bound) / num_nodes >= target_degree or r_bound >= hi:
             break
@@ -1069,8 +857,7 @@ def _solve_radio_range_sparse(
             count = int(np.searchsorted(dist_sorted, mid, side="right"))
             below_target = float(2 * count) / num_nodes < target_degree
         else:
-            # degree(mid) >= degree(r_bound) >= target by monotonicity; the
-            # dense probe would take the same else-branch.
+            # degree(mid) >= degree(r_bound) >= target by monotonicity
             below_target = False
         if below_target:
             lo = mid
@@ -1098,7 +885,6 @@ def random_topology(
     seed: int = 0,
     name: Optional[str] = None,
     max_attempts: int = 50,
-    sparse: Optional[bool] = None,
 ) -> Topology:
     """Generate a connected random deployment with a target average degree.
 
@@ -1106,45 +892,23 @@ def random_topology(
     square (the paper uses a 256 m x 256 m grid for ``pos``).  The base
     station is the node closest to the centre of the area, mirroring typical
     deployments where the sink is centrally placed.
-
-    *sparse* selects the grid-bucketed generator + CSR adjacency (see
-    :func:`sparse_mode_enabled` for the default resolution).  Both paths
-    draw the same placements from the same RNG stream and solve the same
-    radius bisection, so for a given seed they produce the same topology --
-    the sparse one merely never materializes the N x N distance matrix.
     """
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
     if average_degree <= 0:
         raise ValueError("average_degree must be positive")
-    use_sparse = sparse_mode_enabled(num_nodes, sparse)
     rng = np.random.default_rng(seed)
     for attempt in range(max_attempts):
         xs = rng.uniform(0.0, area_size, size=num_nodes)
         ys = rng.uniform(0.0, area_size, size=num_nodes)
         positions = {i: (float(xs[i]), float(ys[i])) for i in range(num_nodes)}
-        if use_sparse:
-            radio_range, adjacency = _solve_radio_range_sparse(
-                xs, ys, average_degree
-            )
-        else:
-            radio_range, adjacency = _solve_radio_range(positions, average_degree)
+        radio_range, adjacency = _solve_radio_range(xs, ys, average_degree)
         nodes = {
             i: SensorNode(node_id=i, position=positions[i]) for i in range(num_nodes)
         }
         centre = (area_size / 2.0, area_size / 2.0)
-        if use_sparse:
-            # argmin = first occurrence of the minimum, the same tie rule as
-            # min() over the id-ascending dict below.
-            base_id = int(np.argmin(
-                (xs - centre[0]) ** 2 + (ys - centre[1]) ** 2
-            ))
-        else:
-            base_id = min(
-                positions,
-                key=lambda i: (positions[i][0] - centre[0]) ** 2
-                + (positions[i][1] - centre[1]) ** 2,
-            )
+        # argmin takes the first minimum: ties go to the lowest id
+        base_id = int(np.argmin((xs - centre[0]) ** 2 + (ys - centre[1]) ** 2))
         topology = Topology(
             nodes=nodes,
             adjacency=adjacency,
@@ -1215,7 +979,7 @@ def grid_topology(
             positions[node_id] = (col * spacing, row * spacing)
     # 8-connectivity: diagonal distance is spacing * sqrt(2)
     radio_range = spacing * 1.5
-    adjacency = _adjacency_for_range(positions, radio_range)
+    adjacency = _csr_within_radius(positions, radio_range)
     nodes = {i: SensorNode(node_id=i, position=positions[i]) for i in positions}
     centre_id = (side // 2) * side + side // 2
     topology = Topology(
@@ -1261,7 +1025,7 @@ def intel_lab_topology(radio_range: float = 7.5, name: str = "intel") -> Topolog
     for the Intel dataset deployment.
     """
     positions = {i: pos for i, pos in enumerate(_INTEL_LAB_POSITIONS)}
-    adjacency = _adjacency_for_range(positions, radio_range)
+    adjacency = _csr_within_radius(positions, radio_range)
     nodes = {i: SensorNode(node_id=i, position=positions[i]) for i in positions}
     # The base station sits by the lab entrance near the corridor centre.
     base_id = 51

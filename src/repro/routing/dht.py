@@ -32,11 +32,6 @@ def _stable_hash(value: Any, salt: int = 0) -> int:
     return acc
 
 
-def _ring_distance(a: int, b: int) -> int:
-    diff = abs(a - b)
-    return min(diff, _ID_SPACE - diff)
-
-
 class DHTSubstrate:
     """Hash-space routing over the physical mesh topology."""
 
@@ -68,34 +63,21 @@ class DHTSubstrate:
         if cached is not None and cached[0] == epoch:
             return cached[1]
         key_hash = self.key_hash(key)
-        routing_cache = self.topology.routing_cache
-        if routing_cache.array_mode:
-            # Pure-integer ring distances, so the vectorized argmin picks
-            # exactly the node the scalar (_ring_distance, nid) min picks
-            # (first occurrence of the minimum = lowest id among ties).
-            hashes = self._hash_array
-            if hashes is None:
-                hashes = np.asarray(
-                    [self._node_hashes[nid] for nid in range(len(self._node_hashes))],
-                    dtype=np.int64,
-                )
-                self._hash_array = hashes
-            diff = np.abs(hashes - key_hash)
-            ring = np.minimum(diff, _ID_SPACE - diff)
-            ring = np.where(routing_cache._alive_mask, ring, _ID_SPACE)
-            if int(ring.min()) >= _ID_SPACE:
-                raise RuntimeError("no alive nodes")
-            home = int(np.argmin(ring))
-        else:
-            candidates = [
-                node_id for node_id, node in self.topology.nodes.items() if node.alive
-            ]
-            if not candidates:
-                raise RuntimeError("no alive nodes")
-            home = min(
-                candidates,
-                key=lambda nid: (_ring_distance(self._node_hashes[nid], key_hash), nid),
+        # Pure-integer ring distances: argmin takes the first minimum, so
+        # ties go to the lowest id.
+        hashes = self._hash_array
+        if hashes is None:
+            hashes = np.asarray(
+                [self._node_hashes[nid] for nid in range(len(self._node_hashes))],
+                dtype=np.int64,
             )
+            self._hash_array = hashes
+        diff = np.abs(hashes - key_hash)
+        ring = np.minimum(diff, _ID_SPACE - diff)
+        ring = np.where(self.topology.routing_cache.alive_mask, ring, _ID_SPACE)
+        if int(ring.min()) >= _ID_SPACE:
+            raise RuntimeError("no alive nodes")
+        home = int(np.argmin(ring))
         self._home_cache[key] = (epoch, home)
         return home
 

@@ -71,29 +71,17 @@ class GHTSubstrate:
         if cached is not None and cached[0] == epoch:
             return cached[1]
         location = self.hash_location(key)
-        routing_cache = self.topology.routing_cache
-        if routing_cache.array_mode:
-            home = self._home_node_array(location, routing_cache)
-        else:
-            candidates = [
-                node_id for node_id, node in self.topology.nodes.items() if node.alive
-            ]
-            if not candidates:
-                raise RuntimeError("no alive nodes")
-            home = min(
-                candidates,
-                key=lambda nid: self._distance_to(nid, location),
-            )
+        home = self._closest_alive_node(location)
         self._home_cache[key] = (epoch, home)
         return home
 
-    def _home_node_array(self, location: Tuple[float, float], routing_cache) -> int:
-        """Vectorized closest-alive-node scan, identical pick to the scalar min.
+    def _closest_alive_node(self, location: Tuple[float, float]) -> int:
+        """Vectorized closest-alive-node scan; ties go to the lowest id.
 
-        Squared distances order candidates (same IEEE ops as the scalar
-        path); the handful of nodes within a relative whisker of the minimum
-        are re-ranked with the scalar key, so even a rounding collision in
-        the scalar ``** 0.5`` cannot change which node wins.
+        Squared distances order candidates; the handful of nodes within a
+        relative whisker of the minimum are re-ranked by the Euclidean
+        distance itself, so a rounding collision in ``** 0.5`` picks the
+        same node as a scalar ``min`` over ascending ids would.
         """
         epoch = self.topology.routing_epoch
         pos = self._pos_cache
@@ -107,7 +95,7 @@ class GHTSubstrate:
             self._pos_cache = pos
         _, xs, ys = pos
         d2 = (xs - location[0]) ** 2 + (ys - location[1]) ** 2
-        d2 = np.where(routing_cache._alive_mask, d2, np.inf)
+        d2 = np.where(self.topology.routing_cache.alive_mask, d2, np.inf)
         closest = float(d2.min())
         if not np.isfinite(closest):
             raise RuntimeError("no alive nodes")

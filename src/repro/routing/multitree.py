@@ -118,31 +118,15 @@ class MultiTreeSubstrate:
     def _furthest_from_existing_roots(self) -> int:
         """Pick the node maximizing its minimum hop distance to existing roots."""
         cache = self.topology.routing_cache
-        if cache.array_mode:
-            # Same selection, against the int32 hop vectors: unreachable
-            # nodes score 0 (the dict path's ``.get(node_id, 0)``), dead
-            # nodes are excluded, and argmax takes the first (lowest-id)
-            # maximum -- the dict loop's tie rule over ascending ids.
-            score = np.minimum.reduce([
-                np.maximum(cache.hops_array(tree.root), 0) for tree in self.trees
-            ]).astype(np.int64)
-            score[~cache._alive_mask] = -1
-            if int(score.max()) < 0:
-                return self.topology.base_id
-            return int(np.argmax(score))
-        distances: List[Dict[int, int]] = [
-            self.topology.shortest_hops_view(tree.root) for tree in self.trees
-        ]
-        best_node = self.topology.base_id
-        best_score = -1
-        for node_id in self.topology.node_ids:
-            if not self.topology.nodes[node_id].alive:
-                continue
-            score = min(d.get(node_id, 0) for d in distances)
-            if score > best_score or (score == best_score and node_id < best_node):
-                best_node = node_id
-                best_score = score
-        return best_node
+        # Unreachable nodes score 0, dead nodes are excluded, and argmax
+        # takes the first maximum: ties go to the lowest id.
+        score = np.minimum.reduce([
+            np.maximum(cache.hops_array(tree.root), 0) for tree in self.trees
+        ]).astype(np.int64)
+        score[~cache.alive_mask] = -1
+        if int(score.max()) < 0:
+            return self.topology.base_id
+        return int(np.argmax(score))
 
     def index_attributes(
         self,

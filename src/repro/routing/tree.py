@@ -10,14 +10,13 @@ lowest common ancestor and descend.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.network.message import MessageKind
 from repro.network.simulator import NetworkSimulator
-from repro.network.topology import CSRAdjacency, Topology
+from repro.network.topology import Topology
 
 
 class RoutingTree:
@@ -43,47 +42,23 @@ class RoutingTree:
     # construction
     # ------------------------------------------------------------------
     def build(self) -> None:
-        """(Re)build the tree with a BFS from the root over alive nodes.
+        """(Re)build the tree with a level-synchronous BFS from the root.
 
-        Ties between candidate parents at equal depth are broken by node id
-        (shifted by ``tie_break_seed`` so different trees over the same
-        topology do not always pick the same parents).
+        Each level gathers every alive frontier neighbour, orders them by
+        (frontier position, (id + tie_break_seed) % 7, id) and keeps each
+        node's first discoverer as its parent.  Ties between candidate parents
+        at equal depth are thus broken by node id, shifted by
+        ``tie_break_seed`` so different trees over the same topology do not
+        always pick the same parents.  Children lists are appended in
+        discovery order.
         """
         self.parent = {self.root: None}
         self.children = {self.root: []}
         self.depth = {self.root: 0}
         self._paths_to_root = {}
         self._routes = {}
-        if isinstance(self.topology.adjacency, CSRAdjacency):
-            self._build_from_arrays()
-            return
-        queue = deque([self.root])
-        while queue:
-            current = queue.popleft()
-            neighbours = self.topology.neighbors(current)
-            # Deterministic but seed-dependent ordering.
-            neighbours.sort(key=lambda n: ((n + self.tie_break_seed) % 7, n))
-            for neighbour in neighbours:
-                if neighbour in self.parent:
-                    continue
-                self.parent[neighbour] = current
-                self.children.setdefault(current, []).append(neighbour)
-                self.children.setdefault(neighbour, [])
-                self.depth[neighbour] = self.depth[current] + 1
-                queue.append(neighbour)
-
-    def _build_from_arrays(self) -> None:
-        """Vectorized BFS construction over a CSR-backed topology.
-
-        Produces exactly the tree the dict BFS builds: each level gathers all
-        alive frontier neighbours, orders them by (frontier position,
-        (id + tie_break_seed) % 7, id) -- the per-node neighbour sort of the
-        scalar loop -- and keeps each node's first discoverer as its parent.
-        Children lists are appended in that same discovery order.
-        """
         cache = self.topology.routing_cache
-        indptr, indices = self.topology.adjacency.effective_csr()
-        mask = cache._alive_mask
+        indptr, indices, mask = cache.indptr, cache.indices, cache.alive_mask
         seed = self.tie_break_seed
         discovered = np.zeros(mask.shape[0], dtype=bool)
         discovered[self.root] = True

@@ -1,6 +1,6 @@
 """Concurrent multi-query service mode.
 
-A long-running daemon owns one (optionally sparse) substrate, admits
+A long-running daemon owns one substrate, admits
 StreamSQL queries over a JSON-line protocol, runs every admitted query's
 join strategy on the shared simulator, and keeps the multi-query group
 optimizer (GROUPOPT, Section 5.2) incrementally up to date as queries

@@ -50,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="0 picks an ephemeral port (printed when ready)")
     serve.add_argument("--preset", default="moderate")
     serve.add_argument("--num-nodes", type=int, default=None,
-                       help="override the preset's node count (sparse CSR "
-                            "substrates engage automatically above 4096)")
+                       help="override the preset's node count")
     serve.add_argument("--topology-seed", type=int, default=0)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--send-probability", type=float, default=0.5)

@@ -166,9 +166,7 @@ class TestCentralized:
     def test_unreachable_placement_cost_infinite(self, topo):
         broken = topo.copy()
         victim = next(n for n in broken.node_ids if n != broken.base_id)
-        for other in list(broken.adjacency[victim]):
-            broken.adjacency[other].discard(victim)
-        broken.adjacency[victim] = set()
+        broken.remove_links_of(victim)
         cost = placement_cost_with_global_distances(
             broken, victim, broken.base_id, broken.base_id,
             Selectivities(1, 1, 0), 1,

@@ -14,6 +14,7 @@ from repro.metrics import (
     validate_sink_entries,
 )
 from repro.network import (
+    CSRAdjacency,
     MessageKind,
     NetworkSimulator,
     SensorNode,
@@ -28,7 +29,8 @@ def chain_topology(length=5):
     for i in range(length - 1):
         adjacency[i].add(i + 1)
         adjacency[i + 1].add(i)
-    return Topology(nodes=nodes, adjacency=adjacency, base_id=0, radio_range=1.5)
+    return Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping(adjacency, length),
+                    base_id=0, radio_range=1.5)
 
 
 class RecordingSink(MetricsSink):

@@ -5,6 +5,7 @@ import pytest
 from repro.metrics import EnergyModel, EnergySink, HotspotSink, LatencySink
 from repro.metrics.latency import StreamingQuantile
 from repro.network import (
+    CSRAdjacency,
     Message,
     MessageKind,
     NetworkSimulator,
@@ -19,7 +20,8 @@ def chain_topology(length=5):
     for i in range(length - 1):
         adjacency[i].add(i + 1)
         adjacency[i + 1].add(i)
-    return Topology(nodes=nodes, adjacency=adjacency, base_id=0, radio_range=1.5)
+    return Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping(adjacency, length),
+                    base_id=0, radio_range=1.5)
 
 
 class TestEnergyArithmetic:

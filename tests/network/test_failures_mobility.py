@@ -5,7 +5,13 @@ import pytest
 from repro.network import FailureInjector, MobilityEvent, move_leaf_node
 from repro.network.failures import FailureEvent, no_failures
 from repro.network.mobility import candidate_positions_near, is_leaf, max_supported_speed
-from repro.network.topology import grid_topology, random_topology
+from repro.network.topology import (
+    grid_topology,
+    intel_lab_topology,
+    random_topology,
+    topology_from_preset,
+)
+from tests.network import topology_oracle as oracle
 
 
 class TestFailureInjector:
@@ -95,3 +101,25 @@ class TestMobility:
         x0, y0 = topo.nodes[0].position
         for x, y in candidates:
             assert ((x - x0) ** 2 + (y - y0) ** 2) ** 0.5 == pytest.approx(5.0)
+
+
+class TestLeafParity:
+    """``is_leaf`` against the scalar rule kept in the topology oracle."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: topology_from_preset("dense", num_nodes=100, seed=0),
+        lambda: grid_topology(num_nodes=100),
+        intel_lab_topology,
+    ], ids=["dense", "grid", "intel"])
+    def test_every_non_base_node_before_and_after_a_failure(self, build):
+        topo = build()
+        for failed in (None, topo.node_ids[-1]):
+            if failed is not None:
+                topo.nodes[failed].fail()
+            adjacency, alive = oracle.dict_adjacency(topo), oracle.alive_ids(topo)
+            for node in topo.node_ids:
+                if node == topo.base_id:
+                    continue
+                expected = oracle.is_leaf(adjacency, alive, node, topo.base_id)
+                assert is_leaf(topo, node) == expected, node
+        assert not is_leaf(topo, topo.base_id)

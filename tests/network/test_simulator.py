@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import (
+    CSRAdjacency,
     LinkModel,
     Message,
     MessageKind,
@@ -19,7 +20,8 @@ def chain_topology(length=5):
     for i in range(length - 1):
         adjacency[i].add(i + 1)
         adjacency[i + 1].add(i)
-    return Topology(nodes=nodes, adjacency=adjacency, base_id=0, radio_range=1.5)
+    return Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping(adjacency, length),
+                    base_id=0, radio_range=1.5)
 
 
 class TestInstantTransfer:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.network import (
     DENSITY_PRESETS,
+    CSRAdjacency,
     SensorNode,
     Topology,
     grid_topology,
@@ -18,7 +19,7 @@ from repro.network import (
 def small_line_topology():
     """0 - 1 - 2 - 3 chain used by several tests."""
     nodes = {i: SensorNode(node_id=i, position=(float(i), 0.0)) for i in range(4)}
-    adjacency = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
+    adjacency = CSRAdjacency.from_mapping({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}, 4)
     return Topology(nodes=nodes, adjacency=adjacency, base_id=0, radio_range=1.5)
 
 
@@ -26,17 +27,21 @@ class TestTopologyBasics:
     def test_validation_rejects_unknown_base(self):
         nodes = {0: SensorNode(node_id=0, position=(0, 0))}
         with pytest.raises(ValueError):
-            Topology(nodes=nodes, adjacency={0: set()}, base_id=5)
+            Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping({0: set()}, 1),
+                     base_id=5)
 
     def test_validation_rejects_asymmetric_adjacency(self):
         nodes = {i: SensorNode(node_id=i, position=(i, 0)) for i in range(2)}
         with pytest.raises(ValueError):
-            Topology(nodes=nodes, adjacency={0: {1}, 1: set()}, base_id=0)
+            Topology(nodes=nodes,
+                     adjacency=CSRAdjacency.from_mapping({0: {1}, 1: set()}, 2),
+                     base_id=0)
 
     def test_validation_rejects_unknown_neighbor(self):
         nodes = {0: SensorNode(node_id=0, position=(0, 0))}
         with pytest.raises(ValueError):
-            Topology(nodes=nodes, adjacency={0: {9}}, base_id=0)
+            Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping({0: {9}}, 1),
+                     base_id=0)
 
     def test_base_flag_set(self):
         topo = small_line_topology()
@@ -87,15 +92,15 @@ class TestTopologyBasics:
         topo = small_line_topology()
         clone = topo.copy()
         clone.nodes[1].fail()
-        clone.adjacency[0].discard(1)
+        clone.remove_links_of(1)
         assert topo.nodes[1].alive
-        assert 1 in topo.adjacency[0]
+        assert 1 in topo.neighbors(0, only_alive=False)
 
     def test_remove_and_rebuild_links(self):
         topo = small_line_topology()
         topo.remove_links_of(1)
         assert topo.neighbors(1) == []
-        assert 1 not in topo.adjacency[0]
+        assert 1 not in topo.neighbors(0, only_alive=False)
         rebuilt = topo.rebuild_links_of(1)
         assert rebuilt == [0, 2]
 
@@ -113,7 +118,8 @@ class TestGenerators:
         a = random_topology(num_nodes=50, average_degree=7, seed=3)
         b = random_topology(num_nodes=50, average_degree=7, seed=3)
         assert a.positions() == b.positions()
-        assert a.adjacency == b.adjacency
+        assert [a.adjacency.row_list(n) for n in a.node_ids] == \
+            [b.adjacency.row_list(n) for n in b.node_ids]
 
     def test_random_topology_different_seeds_differ(self):
         a = random_topology(num_nodes=50, average_degree=7, seed=3)
@@ -160,9 +166,9 @@ class TestTopologyProperties:
     def test_random_topologies_connected_and_symmetric(self, num_nodes, seed):
         topo = random_topology(num_nodes=num_nodes, average_degree=6, seed=seed)
         assert topo.is_connected()
-        for node_id, neighbours in topo.adjacency.items():
-            for other in neighbours:
-                assert node_id in topo.adjacency[other]
+        for node_id in topo.node_ids:
+            for other in topo.neighbors(node_id, only_alive=False):
+                assert node_id in topo.neighbors(other, only_alive=False)
 
     @given(st.integers(0, 4))
     @settings(max_examples=5, deadline=None)

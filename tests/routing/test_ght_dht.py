@@ -50,7 +50,7 @@ class TestGHT:
                 assert path[0] == source
                 assert path[-1] == home
                 for a, b in zip(path, path[1:]):
-                    assert b in topo.adjacency[a]
+                    assert b in topo.neighbors(a, only_alive=False)
 
     def test_rendezvous_route(self, topo):
         ght = GHTSubstrate(topo)

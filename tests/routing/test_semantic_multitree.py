@@ -118,7 +118,7 @@ class TestMultiTreeSubstrate:
         assert route[0] == topo.node_ids[2]
         assert route[-1] == topo.node_ids[-3]
         for a, b in zip(route, route[1:]):
-            assert b in topo.adjacency[a]
+            assert b in topo.neighbors(a, only_alive=False)
 
     def test_content_search_finds_all_holders(self, topo):
         substrate = MultiTreeSubstrate(

@@ -73,7 +73,7 @@ class TestRouting:
         assert route[-1] == target
         # Adjacent hops must be neighbours in the topology.
         for a, b in zip(route, route[1:]):
-            assert b in topo.adjacency[a]
+            assert b in topo.neighbors(a, only_alive=False)
 
     def test_route_to_self(self, topo):
         tree = RoutingTree(topo)
