@@ -28,7 +28,7 @@ import os
 import pytest
 
 from repro.experiments import format_table
-from repro.experiments.harness import scale_from_env
+from repro.engine import scale_from_env
 from repro.workloads.selectivity import JOIN_SELECTIVITIES, RATIO_LADDER
 
 

@@ -7,12 +7,12 @@ twenty cycles to propagate, supporting continuous connectivity at roughly
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_substrate
+from repro.experiments.scenarios import figure_rows
 from repro.network.mobility import max_supported_speed
 
 
 def test_appg_mobility(benchmark, repro_scale, show):
-    rows = run_once(benchmark, figures_substrate.appg_mobility, scale=repro_scale)
+    rows = run_once(benchmark, figure_rows, "appg", repro_scale)
     show("Appendix G -- leaf mobility: update traffic and propagation delay", rows)
     assert rows
     mean_traffic = sum(r["update_traffic_bytes"] for r in rows) / len(rows)

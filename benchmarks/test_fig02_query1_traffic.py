@@ -15,16 +15,17 @@ total-traffic ordering holds and is asserted directly.
 """
 
 from benchmarks.conftest import run_once, shape_metric
-from repro.experiments import figures_joins
+from repro.experiments.figures_joins import query_traffic_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig02_query1_traffic(benchmark, repro_scale, sweep_ratios,
                               sweep_join_selectivities, show):
-    rows = run_once(
-        benchmark, figures_joins.fig02_query1_traffic,
-        scale=repro_scale, ratios=sweep_ratios,
+    scenario = query_traffic_scenario(
+        "query1", "fig02", ratios=sweep_ratios,
         join_selectivities=sweep_join_selectivities,
     )
+    rows = run_once(benchmark, figure_rows, scenario, repro_scale)
     show(
         "Figure 2 -- Query 1, total traffic (KB) and base-station load (KB)",
         rows,

@@ -6,14 +6,15 @@ more.
 """
 
 from benchmarks.conftest import full_sweep_enabled, run_once
-from repro.experiments import figures_joins
+from repro.experiments.figures_joins import fig04_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig04_costmodel_query0(benchmark, repro_scale, show):
     ratios = None if full_sweep_enabled() else ["1/10:1", "1/2:1/2", "1:1/10"]
     rows = run_once(
-        benchmark, figures_joins.fig04_costmodel_query0,
-        scale=repro_scale, true_ratios=ratios, estimated_ratios=ratios,
+        benchmark, figure_rows,
+        fig04_scenario(true_ratios=ratios, estimated_ratios=ratios), repro_scale,
     )
     show(
         "Figure 4 -- Query 0 traffic (KB) when optimizing for each estimate",

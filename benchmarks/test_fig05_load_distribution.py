@@ -6,11 +6,11 @@ the node(s) next to the base station.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_joins
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig05_load_distribution(benchmark, repro_scale, show):
-    rows = run_once(benchmark, figures_joins.fig05_load_distribution, scale=repro_scale)
+    rows = run_once(benchmark, figure_rows, "fig05", repro_scale)
     show(
         "Figure 5 -- per-node load (KB) of the 15 most loaded nodes",
         rows,

@@ -5,13 +5,11 @@ base station and up to ~5x lower latency than centralized optimization.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_joins
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig06_centralized_vs_distributed(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_joins.fig06_centralized_vs_distributed, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "fig06", repro_scale)
     show("Figure 6 -- initiation traffic at the base (KB) and latency (cycles)", rows)
     by_scheme = {row["scheme"]: row for row in rows}
     centralized, distributed = by_scheme["centralized"], by_scheme["distributed"]

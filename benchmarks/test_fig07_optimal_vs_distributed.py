@@ -5,13 +5,11 @@ few percent of the optimal centralized placement, independent of topology.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_joins
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig07_optimal_vs_distributed(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_joins.fig07_optimal_vs_distributed, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "fig07", repro_scale)
     show(
         "Figure 7 -- expected per-cycle cost: optimal (O) vs distributed (D)",
         rows,

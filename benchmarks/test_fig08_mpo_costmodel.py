@@ -6,14 +6,15 @@ remain reasonable while very inaccurate estimates can be expensive.
 """
 
 from benchmarks.conftest import full_sweep_enabled, run_once
-from repro.experiments import figures_joins
+from repro.experiments.figures_joins import fig08_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig08_mpo_costmodel(benchmark, repro_scale, show):
     ratios = None if full_sweep_enabled() else ["1/10:1", "1/2:1/2", "1:1/10"]
     rows = run_once(
-        benchmark, figures_joins.fig08_mpo_costmodel,
-        scale=repro_scale, true_ratios=ratios, estimated_ratios=ratios,
+        benchmark, figure_rows,
+        fig08_scenario(true_ratios=ratios, estimated_ratios=ratios), repro_scale,
     )
     show(
         "Figure 8 -- Innet-cmpg traffic (KB) under different selectivity estimates",

@@ -7,13 +7,15 @@ Innet-cmg.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_joins
+from repro.experiments.figures_joins import fig09a_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig09a_method_vs_duration(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_joins.fig09a_method_vs_duration, scale=repro_scale
-    )
+    # The longest run needs >= 40 cycles for the in-network family to amortize
+    # its initiation; the floor only lifts smoke's 5/10/20 to 10/20/40.
+    scenario = fig09a_scenario().with_overrides(min_cycles=20)
+    rows = run_once(benchmark, figure_rows, scenario, repro_scale)
     show("Figure 9a -- Query 2 total traffic (KB) vs run duration", rows)
     durations = sorted({row["cycles"] for row in rows})
     for algorithm in {row["algorithm"] for row in rows}:
@@ -26,9 +28,7 @@ def test_fig09a_method_vs_duration(benchmark, repro_scale, show):
 
 
 def test_fig09b_traffic_vs_join_selectivity(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_joins.fig09b_mpo_vs_join_selectivity, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "fig09b", repro_scale)
     show("Figure 9b -- Innet variants, total traffic (KB) vs join selectivity", rows)
     for sigma_st in {row["sigma_st"] for row in rows}:
         subset = {r["algorithm"]: r["total_traffic_kb"] for r in rows

@@ -5,7 +5,8 @@ yields large gains; with correct estimates the learning overhead is small.
 """
 
 from benchmarks.conftest import full_sweep_enabled, run_once
-from repro.experiments import figures_adaptive
+from repro.experiments.figures_adaptive import fig10_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig10_learning_gain(benchmark, repro_scale, show):
@@ -14,11 +15,9 @@ def test_fig10_learning_gain(benchmark, repro_scale, show):
     else:
         queries = ["query1"]
         ratios = ["1/10:1", "1:1/10"]
-    rows = run_once(
-        benchmark, figures_adaptive.fig10_learning_gain,
-        scale=repro_scale, queries=queries,
-        true_ratios=ratios, estimated_ratios=ratios,
-    )
+    scenario = fig10_scenario(queries=queries, true_ratios=ratios,
+                              estimated_ratios=ratios)
+    rows = run_once(benchmark, figure_rows, scenario, repro_scale)
     show(
         "Figure 10 -- traffic (KB) with and without learning",
         rows,

@@ -6,15 +6,13 @@ largely removing the need to know selectivities in advance.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_adaptive
+from repro.experiments.figures_adaptive import fig11_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig11_learning_duration(benchmark, repro_scale, show):
     durations = [repro_scale.long_cycles, 2 * repro_scale.long_cycles]
-    rows = run_once(
-        benchmark, figures_adaptive.fig11_learning_duration,
-        scale=repro_scale, durations=durations,
-    )
+    rows = run_once(benchmark, figure_rows, fig11_scenario(durations), repro_scale)
     show(
         "Figure 11 -- Query 0 learning vs run duration",
         rows,

@@ -7,7 +7,8 @@ mid-run, learning recovers roughly half the oracle's advantage.
 """
 
 from benchmarks.conftest import full_sweep_enabled, run_once
-from repro.experiments import figures_adaptive
+from repro.experiments.figures_adaptive import fig12a_scenario, fig12b_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def _queries():
@@ -15,10 +16,7 @@ def _queries():
 
 
 def test_fig12a_spatial_skew(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_adaptive.fig12a_spatial_skew,
-        scale=repro_scale, queries=_queries(),
-    )
+    rows = run_once(benchmark, figure_rows, fig12a_scenario(_queries()), repro_scale)
     show("Figure 12a -- spatial skew: traffic (KB) per optimization setting", rows)
     for query in {row["query"] for row in rows}:
         subset = {r["setting"]: r["total_traffic_kb"] for r in rows if r["query"] == query}
@@ -29,10 +27,7 @@ def test_fig12a_spatial_skew(benchmark, repro_scale, show):
 
 
 def test_fig12b_temporal_drift(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_adaptive.fig12b_temporal_drift,
-        scale=repro_scale, queries=_queries(),
-    )
+    rows = run_once(benchmark, figure_rows, fig12b_scenario(_queries()), repro_scale)
     show("Figure 12b -- temporal drift: traffic (KB) per optimization setting", rows)
     for query in {row["query"] for row in rows}:
         subset = {r["setting"]: r["total_traffic_kb"] for r in rows if r["query"] == query}

@@ -8,13 +8,11 @@ more expensive (the paper plots this on a log scale).
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_adaptive
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig13_intel_learning(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_adaptive.fig13_intel_learning, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "fig13", repro_scale)
     show(
         "Figure 13 -- Intel dataset (Query 3): traffic at base, max node, total (KB)",
         rows,

@@ -6,11 +6,11 @@ at the base station; no results are lost.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_adaptive
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig14_failure(benchmark, repro_scale, show):
-    rows = run_once(benchmark, figures_adaptive.fig14_failure, scale=repro_scale)
+    rows = run_once(benchmark, figure_rows, "fig14", repro_scale)
     show("Figure 14 -- join-node failure: result delay (cycles) and traffic (KB)", rows)
     for sigma_st in {row["sigma_st"] for row in rows}:
         subset = {r["setting"]: r for r in rows if r["sigma_st"] == sigma_st}

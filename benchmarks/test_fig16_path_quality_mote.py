@@ -6,13 +6,11 @@ connectivity graph as trees are added, while keeping the maximum node load low.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_substrate
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig16_path_quality_mote(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_substrate.fig16_path_quality_mote, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "fig16", repro_scale)
     show("Figure 16 -- mote network path quality", rows)
     for topology in {row["topology"] for row in rows}:
         subset = {row["scheme"]: row for row in rows if row["topology"] == topology}

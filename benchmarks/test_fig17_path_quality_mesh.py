@@ -6,13 +6,11 @@ more load on its home nodes than the trees do.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_substrate
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig17_path_quality_mesh(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_substrate.fig17_path_quality_mesh, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "fig17", repro_scale)
     show("Figure 17 -- mesh network path quality", rows)
     for topology in {row["topology"] for row in rows}:
         subset = {row["scheme"]: row for row in rows if row["topology"] == topology}

@@ -6,11 +6,11 @@ flat -- the substrate scales.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_substrate
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig18_mesh_scaleup(benchmark, repro_scale, show):
-    rows = run_once(benchmark, figures_substrate.fig18_mesh_scaleup, scale=repro_scale)
+    rows = run_once(benchmark, figure_rows, "fig18", repro_scale)
     show("Figure 18 -- mesh scale-up: 50/100/200 nodes", rows)
     sizes = sorted({row["num_nodes"] for row in rows})
     assert sizes == [50, 100, 200]

@@ -12,16 +12,17 @@ test_fig02_query1_traffic for the full rationale).
 """
 
 from benchmarks.conftest import run_once, shape_metric
-from repro.experiments import figures_substrate
+from repro.experiments.figures_substrate import mesh_query_scenario
+from repro.experiments.scenarios import figure_rows
 
 
 def test_fig19_mesh_query1(benchmark, repro_scale, sweep_ratios,
                            sweep_join_selectivities, show):
-    rows = run_once(
-        benchmark, figures_substrate.fig19_mesh_query1,
-        scale=repro_scale, ratios=sweep_ratios,
+    scenario = mesh_query_scenario(
+        "query1", "fig19", ratios=sweep_ratios,
         join_selectivities=sweep_join_selectivities,
     )
+    rows = run_once(benchmark, figure_rows, scenario, repro_scale)
     show("Figure 19 -- Query 1 on a mesh network (thousands of messages)", rows)
     metric = shape_metric(repro_scale, "total_messages_k", "computation_messages_k")
     for ratio in sweep_ratios:
@@ -34,11 +35,11 @@ def test_fig19_mesh_query1(benchmark, repro_scale, sweep_ratios,
 
 def test_fig20_mesh_query2(benchmark, repro_scale, sweep_ratios,
                            sweep_join_selectivities, show):
-    rows = run_once(
-        benchmark, figures_substrate.fig20_mesh_query2,
-        scale=repro_scale, ratios=sweep_ratios,
+    scenario = mesh_query_scenario(
+        "query2", "fig20", ratios=sweep_ratios,
         join_selectivities=sweep_join_selectivities,
     )
+    rows = run_once(benchmark, figure_rows, scenario, repro_scale)
     show("Figure 20 -- Query 2 on a mesh network (thousands of messages)", rows)
     metric = shape_metric(repro_scale, "total_messages_k", "computation_messages_k")
     for ratio in ("1/10:1", "1:1/10"):

@@ -9,7 +9,6 @@ root so future PRs have a perf trajectory to compare against.
 
 import json
 import platform
-import time
 from pathlib import Path
 
 import numpy as np
@@ -226,50 +225,35 @@ def test_perf_batch_innet_speedup_guard():
     )
 
 
-def _best_of(function, repeats=9):
-    """Minimum wall-clock of *repeats* invocations (the stable statistic)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def test_perf_pipeline_overhead_guard(mesh):
-    """Pipeline with only the traffic sink adds <5% vs seed accounting.
+    """A pipeline with only the traffic sink adds nothing over seed accounting.
 
     The seed accounting path charged ``TrafficStats.charge_path`` directly;
-    the pipeline's single-listener dispatch binds the same bound method, so
-    the instrumented hot path must stay within 5 % of it (it is the same
-    call -- measured overhead is ~0%; the margin absorbs timer noise).
-    Recorded in ``BENCH_transport.json`` alongside the transfer benchmarks.
+    the pipeline's single-listener dispatch binds that same bound method, so
+    the instrumented hot path is the same call.  Asserting the identity
+    instead of timing both paths keeps the guard exact and clock-free.  A
+    two-sink pipeline (the fan-out closure) must charge every sink exactly
+    the totals of direct calls.
     """
+    stats = TrafficStats()
+    assert MetricsPipeline([stats]).charge_path == stats.charge_path
+
     base = mesh.base_id
     paths = [mesh.shortest_path(node, base) for node in mesh.node_ids if node != base]
 
     def charge_all(charge_path):
-        for _ in range(40):
-            for path in paths:
-                charge_path(path, 24, MessageKind.DATA)
+        for path in paths:
+            charge_path(path, 24, MessageKind.DATA)
+            charge_path(path, 12, MessageKind.EXPLORE, [2] * (len(path) - 1))
 
     direct = TrafficStats()
-    pipeline = MetricsPipeline([TrafficStats()])
-    # warm-up so both paths are compiled/cached before timing
     charge_all(direct.charge_path)
-    charge_all(pipeline.charge_path)
-    seed_s = _best_of(lambda: charge_all(direct.charge_path))
-    piped_s = _best_of(lambda: charge_all(pipeline.charge_path))
-    overhead = piped_s / seed_s - 1.0
-    _RESULTS["pipeline_overhead_traffic_only"] = {
-        "seed_best_s": seed_s,
-        "pipeline_best_s": piped_s,
-        "overhead_fraction": overhead,
-    }
-    assert overhead < 0.05, (
-        f"metrics pipeline costs {overhead:.1%} over seed accounting "
-        f"({piped_s:.4f}s vs {seed_s:.4f}s)"
-    )
+    first, second = TrafficStats(), TrafficStats()
+    charge_all(MetricsPipeline([first, second]).charge_path)
+    for piped in (first, second):
+        assert piped.snapshot() == direct.snapshot()
+        assert piped.transmitted == direct.transmitted
+        assert piped.received == direct.received
 
 
 def test_perf_transfer_instrumented(benchmark, mesh):

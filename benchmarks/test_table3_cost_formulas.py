@@ -9,13 +9,11 @@ validates the foundation of every placement decision.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import figures_substrate
+from repro.experiments.scenarios import figure_rows
 
 
 def test_table3_cost_formulas(benchmark, repro_scale, show):
-    rows = run_once(
-        benchmark, figures_substrate.table3_cost_validation, scale=repro_scale
-    )
+    rows = run_once(benchmark, figure_rows, "table3", repro_scale)
     show("Table 3 -- analytic vs simulated computation traffic (KB)", rows)
     by_algorithm = {row["algorithm"]: row for row in rows}
     # Naive has no free parameters: the match is tight.

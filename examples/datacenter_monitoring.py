@@ -19,8 +19,8 @@ Run it with::
 """
 
 from repro.core import Selectivities
+from repro.engine import make_strategy
 from repro.experiments import format_table
-from repro.experiments.harness import make_strategy
 from repro.joins import InnetJoin, InnetVariant, JoinExecutor
 from repro.network.failures import FailureInjector
 from repro.network.topology import grid_topology

@@ -22,8 +22,8 @@ Run it with::
 
 from repro.core import Selectivities
 from repro.core.adaptive import AdaptivePolicy
+from repro.engine import SCALES, build_topology, build_workload, make_strategy
 from repro.experiments import format_table
-from repro.experiments.harness import build_topology, build_workload, make_strategy, SCALES
 from repro.joins import JoinExecutor
 from repro.workloads.queries import build_query2
 

@@ -12,8 +12,8 @@ Run it with::
 """
 
 from repro.core import Selectivities
+from repro.engine import SCALES, build_topology, build_workload, make_strategy
 from repro.experiments import format_table
-from repro.experiments.harness import SCALES, build_topology, build_workload, make_strategy
 from repro.joins import JoinExecutor
 from repro.workloads.queries import PAPER_QUERY_SQL, build_query1
 

@@ -17,8 +17,8 @@ Run it with::
 """
 
 from repro.core import Selectivities, grouped_base_cost, naive_cost
+from repro.engine import SCALES, build_topology, build_workload, make_strategy
 from repro.experiments import format_table
-from repro.experiments.harness import SCALES, build_topology, build_workload, make_strategy
 from repro.joins import JoinExecutor
 from repro.network.message import MessageSizes
 from repro.query import analyze_query, parse_query

@@ -8,9 +8,9 @@ mutating experiment).  Queries and data sources are likewise deterministic in
 their parameters and are memoized so every algorithm run against the same
 workload shares one instance -- and therefore its per-cycle sample memos.
 
-Unlike the old process-global ``harness._TOPOLOGY_CACHE`` these caches are
-**bounded** (FIFO eviction) and expose :func:`reset_workload_caches`, so a
-long multi-scenario process cannot grow memory without limit.  Each
+These caches are **bounded** (FIFO eviction) and expose
+:func:`reset_workload_caches`, so a long multi-scenario process cannot grow
+memory without limit.  Each
 multiprocessing worker holds its own copies -- the caches are plain module
 globals, private to the process.
 """
@@ -123,8 +123,8 @@ def build_query(name: str, frozen_kwargs: Tuple = (),
                 topology_key: Optional[Tuple] = None) -> JoinQuery:
     """A memoized query instance for a registered builder name.
 
-    Queries are read-only after construction; sharing one instance across
-    runs mirrors what ``run_comparison`` always did.  Builders declaring a
+    Queries are read-only after construction, so every run of a workload
+    shares one instance.  Builders declaring a
     ``topology`` parameter get the run's topology injected (and are memoized
     per topology).
     """

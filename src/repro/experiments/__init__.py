@@ -1,16 +1,17 @@
-"""Experiment harness reproducing every figure of the paper's evaluation.
+"""Experiments reproducing every figure of the paper's evaluation.
+
+There is one way to run a figure: its built-in scenario plus a row shaper.
 
 * :mod:`repro.engine` -- the underlying scenario/execution/persistence
-  engine: declarative :class:`~repro.engine.spec.ScenarioSpec` sweeps, the
+  engine: scale presets (``smoke`` / ``default`` / ``paper``), declarative
+  :class:`~repro.engine.spec.ScenarioSpec` sweeps, the
   :class:`~repro.engine.runner.SweepRunner` (serial or multiprocessing
-  executors) and the SQLite-backed
-  :class:`~repro.engine.store.ResultStore` for resumable sweeps.
-* :mod:`repro.experiments.harness` -- the historical façade: scale presets
-  (``smoke`` / ``default`` / ``paper``), workload construction, and
-  :func:`~repro.experiments.harness.run_comparison` as a thin wrapper over
-  the engine.
-* :mod:`repro.experiments.scenarios` -- named built-in scenarios and
-  scenario-file discovery for the CLI.
+  executors) and the SQLite-backed :class:`~repro.engine.store.ResultStore`
+  for resumable sweeps.
+* :mod:`repro.experiments.scenarios` -- named built-in scenarios,
+  scenario-file discovery, the ``SCENARIO_TABLE_SHAPERS`` registry and
+  :func:`~repro.experiments.scenarios.figure_rows`, which runs a scenario and
+  shapes the finished sweep into its figure's rows.
 * :mod:`repro.experiments.figures_joins` -- Figures 2-9 (join algorithm
   comparison, cost-model validation, centralized-vs-distributed, MPO).
 * :mod:`repro.experiments.figures_adaptive` -- Figures 10-14 (learning,
@@ -18,29 +19,27 @@
 * :mod:`repro.experiments.figures_substrate` -- Appendix C/F/G figures
   (16-20: path quality, mesh networks, scale-up) and Table 3 validation.
 * :mod:`repro.experiments.report` -- plain-text tables mirroring the figures.
+* :mod:`repro.experiments.cli` -- ``--figure X`` prints a figure's table;
+  ``run-scenario X`` prints the sweep table and then the same figure table.
 """
 
 from repro.engine import (
+    AggregateResult,
+    ExperimentScale,
     ResultStore,
+    RunResult,
     ScenarioSpec,
     SweepResult,
     SweepRunner,
-    load_scenario_file,
-    reset_workload_caches,
-)
-from repro.experiments.harness import (
-    AggregateResult,
-    ExperimentScale,
-    RunResult,
     available_algorithms,
     build_workload,
-    comparison_scenario,
+    load_scenario_file,
     make_strategy,
-    run_comparison,
+    reset_workload_caches,
     run_single,
     scale_from_env,
 )
-from repro.experiments.report import format_table, results_to_rows, sweep_to_rows
+from repro.experiments.report import format_table, sweep_to_rows
 
 __all__ = [
     "AggregateResult",
@@ -52,13 +51,10 @@ __all__ = [
     "SweepRunner",
     "available_algorithms",
     "build_workload",
-    "comparison_scenario",
     "format_table",
     "load_scenario_file",
     "make_strategy",
     "reset_workload_caches",
-    "results_to_rows",
-    "run_comparison",
     "run_single",
     "scale_from_env",
     "sweep_to_rows",

@@ -1,6 +1,6 @@
 """Command-line entry point: figures, scenarios, parallel sweeps, result store.
 
-Figure interface (historical)::
+Figure interface (a figure is a built-in scenario plus its row shaper)::
 
     python -m repro.experiments --list
     python -m repro.experiments --figure fig02 --scale smoke
@@ -34,14 +34,11 @@ into the store's ``run_node_metrics`` table.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.engine import SweepRunner, shutdown_shared_pools
-from repro.experiments import figures_adaptive, figures_joins, figures_substrate
-from repro.experiments.harness import SCALES, ExperimentScale, scale_from_env
+from repro.engine import SCALES, SweepRunner, scale_from_env, shutdown_shared_pools
 from repro.experiments.report import (
     campaign_rows,
     format_duration,
@@ -53,71 +50,18 @@ from repro.experiments.report import (
     sweep_to_rows,
 )
 from repro.experiments.scenarios import (
+    SCENARIO_TABLE_SHAPERS,
     available_scenarios,
-    extra_scenario_tables,
+    figure_names,
+    figure_rows,
     match_scenarios,
     resolve_scenario,
 )
 
-#: Registry mapping a short figure id to (description, callable).
-FIGURES: Dict[str, tuple] = {
-    "fig02": ("Query 1 traffic and base load", figures_joins.fig02_query1_traffic),
-    "fig03": ("Query 2 traffic and base load", figures_joins.fig03_query2_traffic),
-    "fig04": ("Cost-model validation on Query 0", figures_joins.fig04_costmodel_query0),
-    "fig05": ("Load distribution of top-15 nodes", figures_joins.fig05_load_distribution),
-    "fig06": ("Centralized vs distributed initiation",
-              figures_joins.fig06_centralized_vs_distributed),
-    "fig07": ("Distributed placement vs optimum", figures_joins.fig07_optimal_vs_distributed),
-    "fig08": ("MPO cost-model validation", figures_joins.fig08_mpo_costmodel),
-    "fig09a": ("Method vs duration", figures_joins.fig09a_method_vs_duration),
-    "fig09b": ("MPO variants vs join selectivity",
-               figures_joins.fig09b_mpo_vs_join_selectivity),
-    "fig10": ("Learning gain under wrong estimates", figures_adaptive.fig10_learning_gain),
-    "fig11": ("Learning vs run duration", figures_adaptive.fig11_learning_duration),
-    "fig12a": ("Spatial skew (Sel1/Sel2)", figures_adaptive.fig12a_spatial_skew),
-    "fig12b": ("Temporal drift", figures_adaptive.fig12b_temporal_drift),
-    "fig13": ("Intel dataset with learning", figures_adaptive.fig13_intel_learning),
-    "fig14": ("Join-node failure", figures_adaptive.fig14_failure),
-    "fig16": ("Mote path quality", figures_substrate.fig16_path_quality_mote),
-    "fig17": ("Mesh path quality", figures_substrate.fig17_path_quality_mesh),
-    "fig18": ("Mesh scale-up", figures_substrate.fig18_mesh_scaleup),
-    "fig19": ("Mesh Query 1", figures_substrate.fig19_mesh_query1),
-    "fig20": ("Mesh Query 2", figures_substrate.fig20_mesh_query2),
-    "table3": ("Cost-formula validation", figures_substrate.table3_cost_validation),
-    "appg": ("Leaf mobility", figures_substrate.appg_mobility),
-}
-
-
-def available_figures() -> List[str]:
-    return sorted(FIGURES)
-
-
-def run_figure(name: str, scale: ExperimentScale,
-               runner: Optional[SweepRunner] = None) -> List[dict]:
-    """Run one figure's experiment and return its rows.
-
-    Every built-in figure accepts an engine runner (parallel execution and
-    result-store reuse).  If a figure function has no ``runner`` parameter
-    (e.g. an externally registered one), a warning names it instead of
-    silently dropping the requested ``--jobs``/store settings.
-    """
-    try:
-        _, function = FIGURES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown figure {name!r}; expected one of {available_figures()}"
-        ) from None
-    kwargs = {"scale": scale}
-    if runner is not None:
-        if "runner" in inspect.signature(function).parameters:
-            kwargs["runner"] = runner
-        else:
-            print(
-                f"warning: figure {name!r} does not accept a sweep runner; "
-                "--jobs/--store settings are ignored and it runs serially",
-                file=sys.stderr,
-            )
-    return function(**kwargs)
+def _figure_table(scenario, scale_name: str, rows: List[dict]) -> str:
+    """A figure's shaped rows, titled by its scenario's own description."""
+    return format_table(rows, title=f"{scenario.name} -- {scenario.description} "
+                                    f"({scale_name} scale)")
 
 
 def _default_scale_name() -> str:
@@ -219,7 +163,8 @@ def _apply_metric_sinks(scenario, metric_sinks):
 
 
 def _print_sink_tables(sweep) -> None:
-    """Render sink summaries and the per-node energy/load hotspots."""
+    """Render sink summaries, the per-node energy/load hotspots and, for a
+    scenario with a row shaper, its figure table."""
     summary_rows = sink_summary_rows(sweep)
     if summary_rows:
         print(format_table(summary_rows, title="Instrumentation summary"))
@@ -228,8 +173,9 @@ def _print_sink_tables(sweep) -> None:
         rows = node_series_rows(sweep, series=series, top=5)
         if rows:
             print(format_table(rows, title=label))
-    for title, rows in extra_scenario_tables(sweep):
-        print(format_table(rows, title=title))
+    shaper = SCENARIO_TABLE_SHAPERS.get(sweep.scenario.name)
+    if shaper is not None:
+        print(_figure_table(sweep.scenario, sweep.scale_name, shaper(sweep)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment scale preset (default: REPRO_SCALE "
                              "or 'default')")
     parser.add_argument("--list", "-l", action="store_true",
-                        help="list available figure ids and exit")
+                        help="list available figure ids (the built-in "
+                             "scenarios with a row shaper) and exit")
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes for sweep-based figures (default: 1)")
     return parser
@@ -452,8 +399,8 @@ def main(argv: Sequence[str] = None) -> int:
     args = parser.parse_args(argv)
     if args.list or not args.figure:
         rows = [
-            {"figure": name, "description": FIGURES[name][0]}
-            for name in available_figures()
+            {"figure": name, "description": resolve_scenario(name).description}
+            for name in figure_names()
         ]
         print(format_table(rows, title="Available figures"))
         return 0
@@ -462,12 +409,13 @@ def main(argv: Sequence[str] = None) -> int:
     exit_code = 0
     for name in args.figure:
         try:
-            rows = run_figure(name, scale, runner=runner)
+            scenario = resolve_scenario(name)
+            rows = figure_rows(scenario, scale, runner=runner)
         except KeyError as error:
             print(error, file=sys.stderr)
             exit_code = 2
             continue
-        print(format_table(rows, title=f"{name} -- {FIGURES[name][0]} ({scale.name} scale)"))
+        print(_figure_table(scenario, scale.name, rows))
         print()
     return exit_code
 

@@ -1,12 +1,12 @@
 """Figures 10-14: adaptive re-optimization, real-life data and node failure.
 
 These experiments exercise Section 6 (learning selectivities and
-re-optimizing) and Section 7 (join-node failure).  Every figure is expressed
-as a declarative :class:`~repro.engine.spec.ScenarioSpec` factory run through
-the engine's :class:`~repro.engine.runner.SweepRunner` -- the figure
-functions are thin row-shaping wrappers, so all of them take ``--jobs``-style
-parallel runners and resume from the result store.  The temporal-drift and
-failure experiments are multi-phase scenarios (:class:`PhaseSpec`).
+re-optimizing) and Section 7 (join-node failure).  Every figure is a
+declarative :class:`~repro.engine.spec.ScenarioSpec` factory plus a row
+shaper that turns the finished sweep into the figure's rows, so every figure
+runs in parallel and resumes from the result store like any other scenario.
+The temporal-drift and failure experiments are multi-phase scenarios
+(:class:`PhaseSpec`).
 """
 
 from __future__ import annotations
@@ -15,33 +15,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import Selectivities
 from repro.engine import (
-    ExperimentScale,
     ScenarioSpec,
-    SweepRunner,
     register_assumed_provider,
     register_query_builder,
     register_workload_source,
-    scale_from_env,
 )
 from repro.query.analysis import analyze_query
 from repro.workloads.datasource import SyntheticDataSource
 from repro.workloads.intel import IntelDataSource, measure_dynamic_join_selectivity
 from repro.workloads.queries import build_query0
-from repro.workloads.selectivity import RATIO_LADDER, SEL1, SEL2
+from repro.workloads.selectivity import SEL1, SEL2
 
 __all__ = [
-    "fig10_learning_gain", "fig11_learning_duration", "fig12a_spatial_skew",
-    "fig12b_temporal_drift", "fig13_intel_learning", "fig14_failure",
+    "drift_rows", "failure_rows", "intel_rows", "learning_gain_rows",
+    "skew_rows",
     "fig10_scenario", "fig11_scenario", "fig12a_scenario", "fig12b_scenario",
     "fig13_scenario", "fig14_scenario",
 ]
-
-
-def _selectivities(label: str, sigma_st: float) -> Selectivities:
-    for candidate, (sigma_s, sigma_t) in RATIO_LADDER:
-        if candidate == label:
-            return Selectivities(sigma_s, sigma_t, sigma_st)
-    raise KeyError(label)
 
 
 def _sigma_dict(selectivities: Selectivities) -> Dict[str, float]:
@@ -117,7 +107,11 @@ def fig10_scenario(queries: Optional[Sequence[str]] = None,
                    true_ratios: Optional[Sequence[str]] = None,
                    estimated_ratios: Optional[Sequence[str]] = None,
                    ) -> ScenarioSpec:
-    """The declarative Figure 10 sweep: learning gain per query and ratio."""
+    """The declarative Figure 10 sweep: learning gain per query and ratio.
+
+    Traffic with and without learning when initial estimates are wrong
+    (Queries 0-2, 200 sampling cycles in the paper).
+    """
     default_ratios = ["1/10:1", "1/2:1/2", "1:1/10"]
     queries = list(queries or ["query0", "query1", "query2"])
     workloads = [w for w in _LEARNING_WORKLOADS
@@ -134,9 +128,10 @@ def fig10_scenario(queries: Optional[Sequence[str]] = None,
 def fig11_scenario(durations: Optional[Sequence[int]] = None) -> ScenarioSpec:
     """The declarative Figure 11 sweep: learning gain vs run duration.
 
-    Without explicit *durations*, the scale-relative ``cycles_factor`` axis
-    sweeps 1x/2x/4x the scale's long-cycle count (exactly the bespoke
-    figure's durations at every scale).
+    The longer the run, the closer wrong-estimate + learning gets to
+    correct-estimate performance (Query 0, sigma_st = 20 %).  Without
+    explicit *durations*, the scale-relative ``cycles_factor`` axis sweeps
+    1x/2x/4x the scale's long-cycle count.
     """
     duration_grid: Dict[str, Sequence[object]] = (
         {"cycles": list(durations)} if durations is not None
@@ -153,7 +148,8 @@ def fig11_scenario(durations: Optional[Sequence[int]] = None) -> ScenarioSpec:
     return scenario
 
 
-def _learning_gain_rows(sweep, cycles_of) -> List[Dict[str, object]]:
+def learning_gain_rows(sweep) -> List[Dict[str, object]]:
+    """Figures 10 and 11: traffic with and without learning per setting."""
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         setting = group.setting
@@ -170,37 +166,9 @@ def _learning_gain_rows(sweep, cycles_of) -> List[Dict[str, object]]:
             "learning_kb": with_learning / 1000.0,
             "gain_kb": (no_learning - with_learning) / 1000.0,
             "reoptimizations": int(learning.mean("reoptimizations")),
-            "cycles": cycles_of(setting),
+            "cycles": learning.runs[0].report.cycles,
         })
     return rows
-
-
-def fig10_learning_gain(scale: Optional[ExperimentScale] = None,
-                        queries: Optional[Sequence[str]] = None,
-                        true_ratios: Optional[Sequence[str]] = None,
-                        estimated_ratios: Optional[Sequence[str]] = None,
-                        runner: Optional[SweepRunner] = None,
-                        ) -> List[Dict[str, object]]:
-    """Figure 10: traffic with and without learning when initial estimates are
-    wrong (Queries 0-2, 200 sampling cycles in the paper)."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(
-        fig10_scenario(queries, true_ratios, estimated_ratios), scale
-    )
-    return _learning_gain_rows(sweep, lambda setting: scale.long_cycles)
-
-
-def fig11_learning_duration(scale: Optional[ExperimentScale] = None,
-                            durations: Optional[Sequence[int]] = None,
-                            runner: Optional[SweepRunner] = None,
-                            ) -> List[Dict[str, object]]:
-    """Figure 11: the longer the run, the closer wrong-estimate + learning gets
-    to correct-estimate performance (Query 0, sigma_st = 20 %)."""
-    scale = scale or scale_from_env()
-    if durations is None:
-        durations = [scale.long_cycles, 2 * scale.long_cycles, 4 * scale.long_cycles]
-    sweep = (runner or SweepRunner()).run(fig11_scenario(durations), scale)
-    return _learning_gain_rows(sweep, lambda setting: setting["cycles"])
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +272,9 @@ def fig12a_scenario(queries: Optional[Sequence[str]] = None) -> ScenarioSpec:
     )
 
 
-def fig12a_spatial_skew(scale: Optional[ExperimentScale] = None,
-                        queries: Optional[Sequence[str]] = None,
-                        runner: Optional[SweepRunner] = None,
-                        ) -> List[Dict[str, object]]:
+def skew_rows(sweep) -> List[Dict[str, object]]:
     """Figure 12a: per-node regimes (Sel1/Sel2); learning approaches the
     full-knowledge oracle."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig12a_scenario(queries), scale)
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for label, aggregate in group.aggregates.items():
@@ -370,14 +333,9 @@ def fig12b_scenario(queries: Optional[Sequence[str]] = None) -> ScenarioSpec:
     )
 
 
-def fig12b_temporal_drift(scale: Optional[ExperimentScale] = None,
-                          queries: Optional[Sequence[str]] = None,
-                          runner: Optional[SweepRunner] = None,
-                          ) -> List[Dict[str, object]]:
+def drift_rows(sweep) -> List[Dict[str, object]]:
     """Figure 12b: the workload follows Sel1 for the first half of the run and
     Sel2 for the second half; learning recovers most of the oracle's gain."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig12b_scenario(queries), scale)
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         aggregates = group.aggregates
@@ -443,10 +401,7 @@ def fig13_scenario(cycles: Optional[int] = None) -> ScenarioSpec:
     )
 
 
-def fig13_intel_learning(scale: Optional[ExperimentScale] = None,
-                         cycles: Optional[int] = None,
-                         runner: Optional[SweepRunner] = None,
-                         ) -> List[Dict[str, object]]:
+def intel_rows(sweep) -> List[Dict[str, object]]:
     """Figure 13: Query 3 on the Intel-like dataset.
 
     ``In-net learn`` starts optimized for sigma_s = sigma_t = sigma_st = 100 %
@@ -454,8 +409,6 @@ def fig13_intel_learning(scale: Optional[ExperimentScale] = None,
     in-network as estimates become available, approaching the full-knowledge
     Innet run while keeping a Naive/Base-like load profile.
     """
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig13_scenario(cycles), scale)
     rows: List[Dict[str, object]] = []
     for label, aggregate in sweep.only().items():
         report = aggregate.runs[0].report
@@ -509,17 +462,9 @@ def fig14_scenario(join_selectivities: Sequence[float] = (0.10, 0.20),
     )
 
 
-def fig14_failure(scale: Optional[ExperimentScale] = None,
-                  join_selectivities: Sequence[float] = (0.10, 0.20),
-                  failure_fraction: float = 0.5,
-                  runner: Optional[SweepRunner] = None,
-                  ) -> List[Dict[str, object]]:
+def failure_rows(sweep) -> List[Dict[str, object]]:
     """Figure 14: result delay and total traffic with and without a join-node
     failure halfway through the run (single join pair)."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(
-        fig14_scenario(join_selectivities, failure_fraction), scale
-    )
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for label, aggregate in group.aggregates.items():

@@ -7,8 +7,7 @@ city-scale figure: a ``strategy-crossover`` scenario family sweeps
 deployment size x producer ratio x join selectivity over the sparse
 ``scale`` substrate and the row shapers locate, per (ratio, selectivity)
 cell, the smallest rung where an in-network variant's total traffic
-undercuts the through-the-base baseline -- plus per-node hotspot/Gini maps
-at the ladder's largest rung from the bounded node-series summaries.
+undercuts the through-the-base baseline.
 
 The workload is ``query0-near``: a 1:1 join between a deep node and its
 deepest neighbor, deployment-relative like ``query0-random`` but with
@@ -26,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import ScenarioSpec
 
-#: Node-count rungs of the crossover sweep (the 100k top rung is where the
-#: hotspot/Gini maps are read; 1M-node crossover points extrapolate from it).
+#: Node-count rungs of the crossover sweep (1M-node crossover points
+#: extrapolate from the 100k top rung).
 CROSSOVER_RUNGS: Tuple[int, ...] = (1_000, 10_000, 100_000)
 
 #: The through-the-base reference the in-network variants must undercut.
@@ -46,7 +45,7 @@ def strategy_crossover_scenario(
     Cycles are pinned (not scale-relative) so per-cycle computation traffic
     dominates one-off initiation at every rung the same way; the hotspots
     sink feeds both the ``hotspot_gini`` metric column and the per-node
-    load maps at the largest rung.
+    load table.
     """
     return ScenarioSpec(
         name=name,
@@ -138,60 +137,3 @@ def crossover_rows(sweep, baseline: str = CROSSOVER_BASELINE
                 )
             rows.append(row)
     return rows
-
-
-def hotspot_map_rows(sweep, series: str = "hotspot.load", top: int = 5
-                     ) -> List[Dict[str, object]]:
-    """Hotspot/Gini map at the sweep's largest rung.
-
-    One row per (workload cell, algorithm) with the Gini load-balance
-    coefficient and the hottest relay nodes from the bounded per-node load
-    series (``JoinExecutor`` caps the series to the top loads from the 10k
-    rung up, which is exactly what this map needs).
-    """
-    largest = 0
-    for group in sweep.groups:
-        largest = max(largest, int(dict(group.setting).get("num_nodes", 0)))
-    rows: List[Dict[str, object]] = []
-    for group in sweep.groups:
-        setting = dict(group.setting)
-        if int(setting.get("num_nodes", 0)) != largest:
-            continue
-        for algorithm, aggregate in group.aggregates.items():
-            if not aggregate.runs:
-                continue
-            loads: Dict[int, float] = {}
-            counted = 0
-            for run in aggregate.runs:
-                mapping = run.report.node_series.get(series)
-                if not mapping:
-                    continue
-                counted += 1
-                for node_id, value in mapping.items():
-                    loads[node_id] = loads.get(node_id, 0.0) + value
-            row: Dict[str, object] = dict(setting)
-            row["algorithm"] = algorithm
-            row["hotspot_gini"] = aggregate.mean("hotspot_gini")
-            row["max_load"] = aggregate.mean("hotspot_max_load")
-            ranked = sorted(loads.items(), key=lambda item: item[1],
-                            reverse=True)[:top]
-            row["hot_nodes"] = " ".join(
-                f"{node}:{total / counted:.0f}" for node, total in ranked
-            ) if counted else ""
-            rows.append(row)
-    return rows
-
-
-def crossover_tables(sweep) -> List[Tuple[str, List[Dict[str, object]]]]:
-    """The (title, rows) tables the CLI prints after a crossover sweep."""
-    tables: List[Tuple[str, List[Dict[str, object]]]] = []
-    rows = crossover_rows(sweep)
-    if rows:
-        tables.append((
-            f"Crossover points (smallest N where innet undercuts "
-            f"{CROSSOVER_BASELINE!r})", rows,
-        ))
-    hotspots = hotspot_map_rows(sweep)
-    if hotspots:
-        tables.append(("Hotspot/Gini map at the largest rung", hotspots))
-    return tables

@@ -1,8 +1,10 @@
 """Figures 2-9: join-algorithm comparison, cost-model validation and MPO.
 
-Each function reproduces one figure of Section 4 / 5 and returns a list of
-row dictionaries (one per bar or series point in the original figure), ready
-to be printed with :func:`repro.experiments.report.format_table`.
+Each figure of Section 4 / 5 is a declarative scenario factory plus a row
+shaper: a function that turns the finished sweep into row dictionaries (one
+per bar or series point in the original figure), ready to be printed with
+:func:`repro.experiments.report.format_table`.  The shapers are registered
+by scenario name in :data:`repro.experiments.scenarios.SCENARIO_TABLE_SHAPERS`.
 """
 
 from __future__ import annotations
@@ -18,15 +20,12 @@ from repro.core.cost_model import Selectivities
 from repro.core.placement import place_join_node
 from repro.engine import (
     FIGURE2_ALGORITHMS,
-    ExperimentScale,
     RunSpec,
     ScenarioSpec,
-    SweepRunner,
     build_topology,
     measurement_report,
     register_query_builder,
     register_run_kind,
-    scale_from_env,
 )
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
@@ -98,13 +97,6 @@ def _default_ratios(ratios: Optional[Sequence[str]]) -> List[str]:
     return list(ratios)
 
 
-def _selectivities(label: str, sigma_st: float) -> Selectivities:
-    for candidate, (sigma_s, sigma_t) in RATIO_LADDER:
-        if candidate == label:
-            return Selectivities(sigma_s, sigma_t, sigma_st)
-    raise KeyError(label)
-
-
 # ---------------------------------------------------------------------------
 # Figures 2 and 3: total traffic and base-station load for Queries 1 and 2
 # ---------------------------------------------------------------------------
@@ -132,21 +124,8 @@ def query_traffic_scenario(
     )
 
 
-def _query_traffic_figure(
-    query: str,
-    scale: Optional[ExperimentScale],
-    ratios: Optional[Sequence[str]],
-    join_selectivities: Optional[Sequence[float]],
-    algorithms: Sequence[str] = tuple(FIGURE2_ALGORITHMS),
-    accounting: str = "bytes",
-    runner: Optional[SweepRunner] = None,
-) -> List[Dict[str, object]]:
-    scale = scale or scale_from_env()
-    scenario = query_traffic_scenario(
-        query, f"traffic/{query}", ratios, join_selectivities,
-        algorithms=algorithms, accounting=accounting,
-    )
-    sweep = (runner or SweepRunner()).run(scenario, scale)
+def query_traffic_rows(sweep) -> List[Dict[str, object]]:
+    """Figures 2 and 3: total traffic and base-station load per algorithm."""
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for algorithm, aggregate in group.aggregates.items():
@@ -163,26 +142,6 @@ def _query_traffic_figure(
     return rows
 
 
-def fig02_query1_traffic(scale: Optional[ExperimentScale] = None,
-                         ratios: Optional[Sequence[str]] = None,
-                         join_selectivities: Optional[Sequence[float]] = None,
-                         runner: Optional[SweepRunner] = None,
-                         ) -> List[Dict[str, object]]:
-    """Figure 2: Query 1 (w=3), total traffic and load at the base station."""
-    return _query_traffic_figure("query1", scale, ratios, join_selectivities,
-                                 runner=runner)
-
-
-def fig03_query2_traffic(scale: Optional[ExperimentScale] = None,
-                         ratios: Optional[Sequence[str]] = None,
-                         join_selectivities: Optional[Sequence[float]] = None,
-                         runner: Optional[SweepRunner] = None,
-                         ) -> List[Dict[str, object]]:
-    """Figure 3: Query 2 (w=1), total traffic and load at the base station."""
-    return _query_traffic_figure("query2", scale, ratios, join_selectivities,
-                                 runner=runner)
-
-
 # ---------------------------------------------------------------------------
 # Figure 4 / Figure 8: cost-model validation (optimize for wrong selectivities)
 # ---------------------------------------------------------------------------
@@ -190,7 +149,12 @@ def fig03_query2_traffic(scale: Optional[ExperimentScale] = None,
 def fig04_scenario(true_ratios: Optional[Sequence[str]] = None,
                    estimated_ratios: Optional[Sequence[str]] = None,
                    ) -> ScenarioSpec:
-    """The declarative Figure 4 sweep: Query 0, true x estimated ratio grid."""
+    """The declarative Figure 4 sweep: Query 0, true x estimated ratio grid.
+
+    The paper optimizes Query 0 (sigma_st = 20 %, w = 3) for each of the five
+    selectivity ratios while the data follows one true ratio; the dark (true)
+    bar should be the lowest in each group.
+    """
     true_ratios = _default_ratios(true_ratios)
     estimated_ratios = _default_ratios(estimated_ratios)
     return ScenarioSpec(
@@ -230,13 +194,14 @@ def fig08_scenario(true_ratios: Optional[Sequence[str]] = None,
     )
 
 
-def _estimate_sensitivity_rows(sweep, algorithm: str) -> List[Dict[str, object]]:
-    """Figure 4/8-style rows: per true ratio, which estimate ran cheapest."""
+def estimate_sensitivity_rows(sweep) -> List[Dict[str, object]]:
+    """Figures 4 and 8: per true ratio, which estimate ran cheapest."""
     per_true: Dict[tuple, List[tuple]] = {}
     for group in sweep.groups:
         query = group.setting.get("query")
         key = (query, group.setting["true_ratio"])
-        mean = group.aggregates[algorithm].mean("total_traffic")
+        (aggregate,) = group.aggregates.values()
+        mean = aggregate.mean("total_traffic")
         per_true.setdefault(key, []).append((group.setting["assumed_ratio"], mean))
     rows: List[Dict[str, object]] = []
     for (query, true_label), entries in per_true.items():
@@ -253,37 +218,6 @@ def _estimate_sensitivity_rows(sweep, algorithm: str) -> List[Dict[str, object]]
                 row["query"] = query
             rows.append(row)
     return rows
-
-
-def fig04_costmodel_query0(scale: Optional[ExperimentScale] = None,
-                           true_ratios: Optional[Sequence[str]] = None,
-                           estimated_ratios: Optional[Sequence[str]] = None,
-                           runner: Optional[SweepRunner] = None,
-                           ) -> List[Dict[str, object]]:
-    """Figure 4: pairwise cost model validation on the 1:1 Query 0.
-
-    The paper optimizes Query 0 (sigma_st = 20 %, w = 3) for each of the five
-    selectivity ratios while the data follows one true ratio; the dark (true)
-    bar should be the lowest in each group.
-    """
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(
-        fig04_scenario(true_ratios, estimated_ratios), scale
-    )
-    return _estimate_sensitivity_rows(sweep, "innet")
-
-
-def fig08_mpo_costmodel(scale: Optional[ExperimentScale] = None,
-                        true_ratios: Optional[Sequence[str]] = None,
-                        estimated_ratios: Optional[Sequence[str]] = None,
-                        runner: Optional[SweepRunner] = None,
-                        ) -> List[Dict[str, object]]:
-    """Figure 8: MPO cost-model validation for Query 1 (5 %) and Query 2 (10 %)."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(
-        fig08_scenario(true_ratios, estimated_ratios), scale
-    )
-    return _estimate_sensitivity_rows(sweep, "innet-cmpg")
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +239,12 @@ def fig05_scenario(algorithms: Optional[Sequence[str]] = None) -> ScenarioSpec:
     )
 
 
-def fig05_load_distribution(scale: Optional[ExperimentScale] = None,
-                            algorithms: Optional[Sequence[str]] = None,
-                            top_k: int = 15,
-                            runner: Optional[SweepRunner] = None,
-                            ) -> List[Dict[str, object]]:
+def load_distribution_rows(sweep) -> List[Dict[str, object]]:
     """Figure 5: per-node load of the 15 most loaded nodes, Query 1."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig05_scenario(algorithms), scale)
     rows: List[Dict[str, object]] = []
     for algorithm, aggregate in sweep.only().items():
         report = aggregate.runs[0].report
-        for rank, (node_id, load) in enumerate(report.top_loaded_nodes[:top_k], 1):
+        for rank, (node_id, load) in enumerate(report.top_loaded_nodes[:15], 1):
             rows.append({
                 "algorithm": algorithm,
                 "rank": rank,
@@ -395,14 +323,9 @@ def fig06_scenario(num_pairs: int = 10) -> ScenarioSpec:
     )
 
 
-def fig06_centralized_vs_distributed(scale: Optional[ExperimentScale] = None,
-                                     num_pairs: int = 10,
-                                     runner: Optional[SweepRunner] = None,
-                                     ) -> List[Dict[str, object]]:
+def initiation_rows(sweep) -> List[Dict[str, object]]:
     """Figure 6: initiation traffic at the base and latency, centralized vs
     distributed optimization."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig06_scenario(num_pairs), scale)
     return [
         {
             "scheme": scheme,
@@ -475,20 +398,15 @@ def fig07_scenario(num_pairs: int = 10) -> ScenarioSpec:
     )
 
 
-def fig07_optimal_vs_distributed(scale: Optional[ExperimentScale] = None,
-                                 num_pairs: int = 10,
-                                 runner: Optional[SweepRunner] = None,
-                                 ) -> List[Dict[str, object]]:
+def placement_quality_rows(sweep) -> List[Dict[str, object]]:
     """Figure 7: expected computation traffic of the distributed placement vs
     the optimum computed with global knowledge, across the five topologies.
 
     The paper's setting (sigma_s = 1, sigma_t = sigma_st = 0) makes the
-    optimum trivially "join at the source"; we also report the symmetric
-    variant (sigma_s = sigma_t = 1), where the placement is non-trivial, to
-    show the distributed scheme stays within a few percent of the optimum.
+    optimum trivially "join at the source"; the symmetric variant
+    (sigma_s = sigma_t = 1), where the placement is non-trivial, shows the
+    distributed scheme stays within a few percent of the optimum.
     """
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig07_scenario(num_pairs), scale)
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         aggregate = group.aggregates["distributed"]
@@ -512,8 +430,7 @@ def fig09a_scenario(durations: Optional[Sequence[int]] = None,
 
     With explicit *durations* the cycles axis is exact; without, the
     scale-relative ``cycles_factor`` axis sweeps 0.5x/1x/2x the scale's
-    cycle count (the bespoke figure additionally floored the step at 10
-    cycles, which only matters at smoke scale).
+    cycle count.
     """
     algorithms = list(algorithms or ["naive", "base", "ght", "innet", "innet-cm",
                                      "innet-cmg", "innet-cmpg"])
@@ -533,24 +450,17 @@ def fig09a_scenario(durations: Optional[Sequence[int]] = None,
     )
 
 
-def fig09a_method_vs_duration(scale: Optional[ExperimentScale] = None,
-                              durations: Optional[Sequence[int]] = None,
-                              algorithms: Optional[Sequence[str]] = None,
-                              runner: Optional[SweepRunner] = None,
-                              ) -> List[Dict[str, object]]:
-    """Figure 9a: total traffic against query duration, Query 2."""
-    scale = scale or scale_from_env()
-    if durations is None:
-        step = max(10, scale.cycles // 2)
-        durations = [step, 2 * step, 4 * step]
-    sweep = (runner or SweepRunner()).run(
-        fig09a_scenario(durations, algorithms), scale
-    )
+def duration_rows(sweep) -> List[Dict[str, object]]:
+    """Figure 9a: total traffic against query duration, Query 2.
+
+    The duration is read from the runs, so the exact ``cycles`` axis and the
+    scale-relative ``cycles_factor`` axis shape alike.
+    """
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for algorithm, aggregate in group.aggregates.items():
             rows.append({
-                "cycles": group.setting["cycles"],
+                "cycles": aggregate.runs[0].report.cycles,
                 "algorithm": algorithm,
                 "total_traffic_kb": aggregate.mean("total_traffic") / 1000.0,
             })
@@ -574,16 +484,8 @@ def fig09b_scenario(join_selectivities: Optional[Sequence[float]] = None,
     )
 
 
-def fig09b_mpo_vs_join_selectivity(scale: Optional[ExperimentScale] = None,
-                                   join_selectivities: Optional[Sequence[float]] = None,
-                                   cycles: Optional[int] = None,
-                                   runner: Optional[SweepRunner] = None,
-                                   ) -> List[Dict[str, object]]:
+def join_selectivity_rows(sweep) -> List[Dict[str, object]]:
     """Figure 9b: Innet / -cm / -cmg / -cmpg at long duration vs sigma_st."""
-    scale = scale or scale_from_env()
-    scenario = fig09b_scenario(join_selectivities,
-                               cycles=cycles or scale.long_cycles)
-    sweep = (runner or SweepRunner()).run(scenario, scale)
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for algorithm, aggregate in group.aggregates.items():

@@ -7,10 +7,10 @@
 * Table 3: the analytic cost model validated against simulated traffic.
 * Appendix G: mobile leaf nodes -- routing-table update latency and traffic.
 
-Like the join figures, everything here runs through the scenario engine: the
-measurement-style experiments are registered *run kinds* (``path-quality``,
-``costmodel-validation``, ``mobility``) so they parallelize, persist and
-resume exactly like join sweeps.
+Like the join figures, every experiment here is a scenario factory plus a
+row shaper: the measurement-style experiments are registered *run kinds*
+(``path-quality``, ``costmodel-validation``, ``mobility``) so they
+parallelize, persist and resume exactly like join sweeps.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.cost_model import grouped_base_cost, naive_cost, through_base_cost
 from repro.engine import (
     MESH_ALGORITHMS,
-    ExperimentScale,
     RunSpec,
     ScenarioSpec,
-    SweepRunner,
     build_topology,
     measurement_report,
     register_run_kind,
     run_single,
-    scale_from_env,
 )
 from repro.engine.workload import build_query, memoized_workload
 from repro.experiments.figures_joins import _preset_num_nodes, query_traffic_scenario
@@ -133,7 +130,9 @@ def fig18_scenario(sizes: Sequence[int] = (50, 100, 200),
     )
 
 
-def _path_quality_rows(sweep) -> List[Dict[str, object]]:
+def path_quality_rows(sweep) -> List[Dict[str, object]]:
+    """Figures 16 and 17: average path length and max node load per scheme,
+    on mote networks (vs GPSR) and on a mesh network (vs a DHT)."""
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for scheme, aggregate in group.aggregates.items():
@@ -146,38 +145,8 @@ def _path_quality_rows(sweep) -> List[Dict[str, object]]:
     return rows
 
 
-def fig16_path_quality_mote(scale: Optional[ExperimentScale] = None,
-                            num_pairs: int = 200,
-                            runner: Optional[SweepRunner] = None,
-                            ) -> List[Dict[str, object]]:
-    """Figure 16: average path length and max node load on mote networks."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(
-        path_quality_scenario("fig16", "gpsr", num_pairs), scale
-    )
-    return _path_quality_rows(sweep)
-
-
-def fig17_path_quality_mesh(scale: Optional[ExperimentScale] = None,
-                            num_pairs: int = 200,
-                            runner: Optional[SweepRunner] = None,
-                            ) -> List[Dict[str, object]]:
-    """Figure 17: the same comparison on a mesh network with a DHT."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(
-        path_quality_scenario("fig17", "dht", num_pairs), scale
-    )
-    return _path_quality_rows(sweep)
-
-
-def fig18_mesh_scaleup(scale: Optional[ExperimentScale] = None,
-                       sizes: Sequence[int] = (50, 100, 200),
-                       num_pairs: int = 200,
-                       runner: Optional[SweepRunner] = None,
-                       ) -> List[Dict[str, object]]:
+def scaleup_rows(sweep) -> List[Dict[str, object]]:
     """Figure 18: path quality of the medium topology at 50, 100 and 200 nodes."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(fig18_scenario(sizes, num_pairs), scale)
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for scheme, aggregate in group.aggregates.items():
@@ -202,13 +171,15 @@ def mesh_query_scenario(query: str, name: str,
     return query_traffic_scenario(
         query, name, ratios, join_selectivities,
         algorithms=tuple(MESH_ALGORITHMS), accounting="messages",
+    ).with_overrides(
+        description=f"{query} message counts on a mesh network over producer "
+                    "ratios and join selectivities",
     )
 
 
-def _mesh_query_rows(query, scale, ratios, join_selectivities, runner=None):
-    scale = scale or scale_from_env()
-    scenario = mesh_query_scenario(query, f"mesh/{query}", ratios, join_selectivities)
-    sweep = (runner or SweepRunner()).run(scenario, scale)
+def mesh_query_rows(sweep) -> List[Dict[str, object]]:
+    """Figures 19 and 20: Queries 1 and 2 on a 100-node mesh network,
+    counted in messages."""
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         for algorithm, aggregate in group.aggregates.items():
@@ -221,24 +192,6 @@ def _mesh_query_rows(query, scale, ratios, join_selectivities, runner=None):
                 "computation_messages_k": aggregate.mean("computation_traffic") / 1000.0,
             })
     return rows
-
-
-def fig19_mesh_query1(scale: Optional[ExperimentScale] = None,
-                      ratios: Optional[Sequence[str]] = None,
-                      join_selectivities: Optional[Sequence[float]] = None,
-                      runner: Optional[SweepRunner] = None,
-                      ) -> List[Dict[str, object]]:
-    """Figure 19: Query 1 on a 100-node mesh network, counted in messages."""
-    return _mesh_query_rows("query1", scale, ratios, join_selectivities, runner)
-
-
-def fig20_mesh_query2(scale: Optional[ExperimentScale] = None,
-                      ratios: Optional[Sequence[str]] = None,
-                      join_selectivities: Optional[Sequence[float]] = None,
-                      runner: Optional[SweepRunner] = None,
-                      ) -> List[Dict[str, object]]:
-    """Figure 20: Query 2 on a 100-node mesh network, counted in messages."""
-    return _mesh_query_rows("query2", scale, ratios, join_selectivities, runner)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +283,12 @@ def table3_scenario(cycles: Optional[int] = None) -> ScenarioSpec:
     )
 
 
-def table3_cost_validation(scale: Optional[ExperimentScale] = None,
-                           cycles: Optional[int] = None,
-                           runner: Optional[SweepRunner] = None,
-                           ) -> List[Dict[str, object]]:
+def cost_validation_rows(sweep) -> List[Dict[str, object]]:
     """Table 3: the analytic per-cycle cost formulas, validated against the
     simulator for the strategies whose cost depends only on tree depths
     (Naive, Base, Yang+07).  The analytic figure counts expected tuple-hops;
     multiplying by the data-tuple size gives predicted bytes, which should be
     within a few percent of the measured computation traffic."""
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(table3_scenario(cycles), scale)
     rows: List[Dict[str, object]] = []
     for algorithm, aggregate in sweep.only().items():
         report = aggregate.runs[0].report
@@ -425,9 +373,8 @@ def _run_mobility(spec: RunSpec):
 def appg_scenario(num_moves: int = 5) -> ScenarioSpec:
     """The declarative Appendix G sweep: ``num_moves * 4`` move attempts.
 
-    The bespoke loop stopped after *num_moves* successes; attempts are
-    independent and deterministic per seed, so running all of them yields the
-    same first *num_moves* successful rows (the wrapper slices them).
+    Attempts are independent and deterministic per seed; the shaper keeps
+    the first *num_moves* successful ones.
     """
     return ScenarioSpec(
         name="appg",
@@ -443,17 +390,15 @@ def appg_scenario(num_moves: int = 5) -> ScenarioSpec:
     )
 
 
-def appg_mobility(scale: Optional[ExperimentScale] = None,
-                  num_moves: int = 5,
-                  runner: Optional[SweepRunner] = None,
-                  ) -> List[Dict[str, object]]:
+def mobility_rows(sweep) -> List[Dict[str, object]]:
     """Appendix G: propagation delay and traffic for a moving leaf node.
 
     The paper reports ~19.4 cycles to propagate routing-table updates and
     ~1.2 kB of traffic for one move in the medium random topology.
+    :func:`appg_scenario` makes four attempts per wanted move, so the first
+    ``attempts // 4`` successful moves are kept.
     """
-    scale = scale or scale_from_env()
-    sweep = (runner or SweepRunner()).run(appg_scenario(num_moves), scale)
+    num_moves = len(sweep.groups) // 4
     rows: List[Dict[str, object]] = []
     for group in sweep.groups:
         if len(rows) >= num_moves:

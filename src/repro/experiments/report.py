@@ -1,7 +1,7 @@
 """Plain-text reporting of experiment results.
 
-The paper's figures are bar charts; the harness reports the same series as
-aligned text tables so the benchmarks can print exactly the rows a reader
+The paper's figures are bar charts; the figure shapers report the same series
+as aligned text tables so the benchmarks can print exactly the rows a reader
 needs to compare against the paper.
 """
 
@@ -48,27 +48,6 @@ def format_table(
     if title:
         return f"{title}\n{table}"
     return table
-
-
-def results_to_rows(
-    results: Dict[str, "AggregateResult"],
-    metrics: Sequence[str] = ("total_traffic", "base_traffic", "max_node_load"),
-    label: Optional[str] = None,
-    to_kb: bool = True,
-) -> List[Dict[str, object]]:
-    """Flatten a run_comparison() result into table rows (one per algorithm)."""
-    rows: List[Dict[str, object]] = []
-    divisor = 1000.0 if to_kb else 1.0
-    for algorithm, aggregate in results.items():
-        row: Dict[str, object] = {"algorithm": algorithm}
-        if label is not None:
-            row = {"setting": label, "algorithm": algorithm}
-        for metric in metrics:
-            row[metric if not to_kb else f"{metric}_kb"] = aggregate.mean(metric) / divisor
-            ci = aggregate.confidence_95(metric) / divisor
-            row["ci95" if len(metrics) == 1 else f"{metric}_ci95"] = ci
-        rows.append(row)
-    return rows
 
 
 def sweep_to_rows(
@@ -223,19 +202,3 @@ def campaign_rows(summaries: Sequence[Mapping[str, object]]) -> List[Dict[str, o
             )
         rows.append(total)
     return rows
-
-
-def winner(results: Dict[str, "AggregateResult"], metric: str = "total_traffic") -> str:
-    """The algorithm with the lowest mean value of *metric*."""
-    return min(results, key=lambda name: results[name].mean(metric))
-
-
-def relative_to(
-    results: Dict[str, "AggregateResult"], reference: str,
-    metric: str = "total_traffic",
-) -> Dict[str, float]:
-    """Each algorithm's mean metric normalized to a reference algorithm."""
-    base = results[reference].mean(metric)
-    if base == 0:
-        return {name: 0.0 for name in results}
-    return {name: results[name].mean(metric) / base for name in results}

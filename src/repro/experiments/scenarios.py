@@ -5,6 +5,10 @@ here plus any ``*.json`` / ``*.toml`` files in the scenario directory
 (``examples/scenarios`` by default); ``run-scenario`` accepts either a
 built-in name or a path to a scenario file.
 
+A paper figure is a built-in scenario plus a row shaper registered under
+the same name in :data:`SCENARIO_TABLE_SHAPERS`; :func:`figure_rows` runs
+the scenario and shapes the finished sweep into the figure's rows.
+
 Built-ins are factories (zero-argument callables returning a
 :class:`~repro.engine.spec.ScenarioSpec`) so a scenario's run counts and
 cycle lengths stay scale-relative: the runner resolves them against the
@@ -23,21 +27,33 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine import ScenarioSpec, load_scenario_file
+from repro.engine import (
+    ExperimentScale,
+    ScenarioSpec,
+    SweepRunner,
+    load_scenario_file,
+)
 from repro.experiments.figures_crossover import (
-    crossover_tables,
+    crossover_rows,
     strategy_crossover_scenario,
     strategy_crossover_smoke_scenario,
 )
 from repro.experiments.figures_adaptive import (
+    drift_rows,
+    failure_rows,
     fig10_scenario,
     fig11_scenario,
     fig12a_scenario,
     fig12b_scenario,
     fig13_scenario,
     fig14_scenario,
+    intel_rows,
+    learning_gain_rows,
+    skew_rows,
 )
 from repro.experiments.figures_joins import (
+    duration_rows,
+    estimate_sensitivity_rows,
     fig04_scenario,
     fig05_scenario,
     fig06_scenario,
@@ -45,6 +61,11 @@ from repro.experiments.figures_joins import (
     fig08_scenario,
     fig09a_scenario,
     fig09b_scenario,
+    initiation_rows,
+    join_selectivity_rows,
+    load_distribution_rows,
+    placement_quality_rows,
+    query_traffic_rows,
     query_traffic_scenario,
 )
 from repro.experiments.figures_service import (
@@ -53,9 +74,14 @@ from repro.experiments.figures_service import (
 )
 from repro.experiments.figures_substrate import (
     appg_scenario,
+    cost_validation_rows,
     fig18_scenario,
+    mesh_query_rows,
     mesh_query_scenario,
+    mobility_rows,
+    path_quality_rows,
     path_quality_scenario,
+    scaleup_rows,
     table3_scenario,
 )
 
@@ -260,20 +286,62 @@ def register_scenario(name: str, factory: Callable[[], ScenarioSpec]) -> None:
     BUILTIN_SCENARIOS[name] = factory
 
 
-#: Scenario name -> shaper returning extra ``(title, rows)`` tables the CLI
-#: prints after the sink tables (e.g. the crossover-point table).
-SCENARIO_TABLE_SHAPERS: Dict[str, Callable] = {
-    "strategy-crossover": crossover_tables,
-    "strategy-crossover-smoke": crossover_tables,
+#: Scenario name -> row shaper: a function turning the scenario's finished
+#: sweep into its figure's table rows.  ``--figure`` runs exactly these.
+SCENARIO_TABLE_SHAPERS: Dict[str, Callable[..., List[dict]]] = {
+    "fig02": query_traffic_rows,
+    "fig02-smoke": query_traffic_rows,
+    "fig03": query_traffic_rows,
+    "fig04": estimate_sensitivity_rows,
+    "fig05": load_distribution_rows,
+    "fig06": initiation_rows,
+    "fig07": placement_quality_rows,
+    "fig08": estimate_sensitivity_rows,
+    "fig09a": duration_rows,
+    "fig09b": join_selectivity_rows,
+    "fig10": learning_gain_rows,
+    "fig11": learning_gain_rows,
+    "fig12a": skew_rows,
+    "fig12b": drift_rows,
+    "fig13": intel_rows,
+    "fig14": failure_rows,
+    "fig14-smoke": failure_rows,
+    "fig16": path_quality_rows,
+    "fig17": path_quality_rows,
+    "fig18": scaleup_rows,
+    "fig19": mesh_query_rows,
+    "fig20": mesh_query_rows,
+    "table3": cost_validation_rows,
+    "appg": mobility_rows,
+    "appg-smoke": mobility_rows,
+    "strategy-crossover": crossover_rows,
+    "strategy-crossover-smoke": crossover_rows,
 }
 
 
-def extra_scenario_tables(sweep) -> List[Tuple[str, List[dict]]]:
-    """Scenario-specific derived tables for a finished sweep (may be empty)."""
-    shaper = SCENARIO_TABLE_SHAPERS.get(sweep.scenario.name)
+def figure_names() -> List[str]:
+    """The built-in scenarios that have a row shaper (``--figure`` ids)."""
+    return sorted(name for name in BUILTIN_SCENARIOS
+                  if name in SCENARIO_TABLE_SHAPERS)
+
+
+def figure_rows(scenario: Union[str, ScenarioSpec], scale: ExperimentScale,
+                runner: Optional[SweepRunner] = None) -> List[dict]:
+    """Run a scenario (name, file path or spec) and shape its figure rows.
+
+    *runner* carries parallelism and a result store; without one the sweep
+    runs serially in-process.  A scenario without a registered shaper raises
+    ``KeyError`` before anything runs.
+    """
+    if isinstance(scenario, str):
+        scenario = resolve_scenario(scenario)
+    shaper = SCENARIO_TABLE_SHAPERS.get(scenario.name)
     if shaper is None:
-        return []
-    return shaper(sweep)
+        raise KeyError(
+            f"scenario {scenario.name!r} has no figure table; expected one "
+            f"of {figure_names()}"
+        )
+    return shaper((runner or SweepRunner()).run(scenario, scale))
 
 
 def scenario_files(directory: Union[str, Path, None] = None) -> List[Path]:

@@ -188,10 +188,6 @@ class NetworkSimulator:
         """Handler invoked for deliveries at nodes without a specific handler."""
         self._default_handlers.append(handler)
 
-    def clear_handlers(self) -> None:
-        self._handlers.clear()
-        self._default_handlers.clear()
-
     # ------------------------------------------------------------------
     # instant accounting transport
     # ------------------------------------------------------------------

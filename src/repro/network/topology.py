@@ -1041,21 +1041,3 @@ def intel_lab_topology(radio_range: float = 7.5, name: str = "intel") -> Topolog
     if not topology.is_connected():
         raise RuntimeError("Intel lab topology should be connected; check radio range")
     return topology
-
-
-def all_standard_topologies(
-    num_nodes: int = 100, seed: int = 0
-) -> Dict[str, Topology]:
-    """The five Appendix-C topologies (dense/medium/moderate/sparse/grid).
-
-    The grid variant needs a perfect-square node count, so it uses the nearest
-    perfect square when *num_nodes* is not one.
-    """
-    grid_side = max(2, int(round(num_nodes ** 0.5)))
-    return {
-        "dense": topology_from_preset("dense", num_nodes=num_nodes, seed=seed),
-        "medium": topology_from_preset("medium", num_nodes=num_nodes, seed=seed),
-        "moderate": topology_from_preset("moderate", num_nodes=num_nodes, seed=seed),
-        "sparse": topology_from_preset("sparse", num_nodes=num_nodes, seed=seed),
-        "grid": grid_topology(num_nodes=grid_side * grid_side),
-    }

@@ -63,12 +63,6 @@ class ExplorationResult:
     edges_traversed: int = 0
     messages_sent: int = 0
 
-    def best_path(self, target: int) -> Optional[PairPath]:
-        candidates = self.paths.get(target)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.length)
-
     def targets(self) -> List[int]:
         return sorted(self.paths)
 

@@ -171,9 +171,6 @@ class RoutingTree:
     def path_from_root(self, node_id: int) -> List[int]:
         return list(reversed(self.path_to_root(node_id)))
 
-    def hops_to_root(self, node_id: int) -> int:
-        return self.depth[node_id]
-
     def route(self, source: int, target: int) -> List[int]:
         """Tree route: climb to the lowest common ancestor, then descend.
 

@@ -152,10 +152,6 @@ class BloomFilterSummary(Summary):
         """Fraction of bits set; a proxy for the false-positive rate."""
         return bin(self._bits).count("1") / self.num_bits
 
-    def false_positive_rate(self) -> float:
-        """Estimated false-positive probability at the current fill level."""
-        return self.fill_ratio ** self.num_hashes
-
     def is_empty(self) -> bool:
         return self._bits == 0
 

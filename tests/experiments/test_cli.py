@@ -2,27 +2,44 @@
 
 import pytest
 
-from repro.experiments.cli import FIGURES, available_figures, build_parser, main, run_figure
-from repro.experiments.harness import SCALES
+from repro.engine import SCALES
+from repro.experiments.cli import build_parser, main
+from repro.experiments.scenarios import (
+    BUILTIN_SCENARIOS,
+    SCENARIO_TABLE_SHAPERS,
+    figure_names,
+    figure_rows,
+)
+
+#: The paper's evaluation: Figures 2-20, Table 3 and Appendix G.
+PAPER_FIGURE_IDS = (
+    "fig02", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09a",
+    "fig09b", "fig10", "fig11", "fig12a", "fig12b", "fig13", "fig14", "fig16",
+    "fig17", "fig18", "fig19", "fig20", "table3", "appg",
+)
 
 
 class TestRegistry:
     def test_every_registered_figure_is_callable(self):
-        for name, (description, function) in FIGURES.items():
-            assert description
-            assert callable(function)
+        for name in figure_names():
+            assert BUILTIN_SCENARIOS[name]().description
+            assert callable(SCENARIO_TABLE_SHAPERS[name])
 
     def test_expected_figures_present(self):
-        names = available_figures()
-        for expected in ("fig02", "fig07", "fig10", "fig13", "fig16", "table3", "appg"):
+        names = figure_names()
+        for expected in PAPER_FIGURE_IDS:
             assert expected in names
 
-    def test_run_figure_unknown(self):
+    def test_figure_rows_unknown(self):
         with pytest.raises(KeyError):
-            run_figure("fig99", SCALES["smoke"])
+            figure_rows("fig99", SCALES["smoke"])
 
-    def test_run_figure_smoke(self):
-        rows = run_figure("fig06", SCALES["smoke"])
+    def test_figure_rows_unshaped_scenario(self):
+        with pytest.raises(KeyError, match="no figure table"):
+            figure_rows("energy-budget", SCALES["smoke"])
+
+    def test_figure_rows_smoke(self):
+        rows = figure_rows("fig06", SCALES["smoke"])
         assert rows
         assert {"centralized", "distributed"} == {row["scheme"] for row in rows}
 
@@ -31,8 +48,9 @@ class TestCli:
     def test_list(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "fig02" in out
         assert "Available figures" in out
+        listed = [line.split()[0] for line in out.splitlines()[3:]]
+        assert listed == figure_names()
 
     def test_no_arguments_lists(self, capsys):
         assert main([]) == 0
@@ -46,6 +64,16 @@ class TestCli:
 
     def test_unknown_figure_sets_exit_code(self, capsys):
         assert main(["--figure", "fig99", "--scale", "smoke"]) == 2
+        assert "fig99" in capsys.readouterr().err
+
+    def test_figure_and_run_scenario_print_the_same_table(self, capsys):
+        assert main(["--figure", "fig06", "--scale", "smoke"]) == 0
+        figure = capsys.readouterr().out.strip()
+        assert figure.startswith("fig06 -- ")
+        assert "centralized" in figure
+        assert main(["run-scenario", "fig06", "--scale", "smoke",
+                     "--no-store"]) == 0
+        assert figure in capsys.readouterr().out
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
@@ -256,34 +284,16 @@ class TestRunCampaign:
 
 
 class TestRunnerPassThrough:
-    def test_every_builtin_figure_accepts_a_runner(self):
-        import inspect
-
-        for name, (_, function) in FIGURES.items():
-            assert "runner" in inspect.signature(function).parameters, name
-
-    def test_runner_less_figure_warns(self, capsys):
+    def test_every_builtin_figure_accepts_a_runner(self, tmp_path):
         from repro.engine import SweepRunner
-        from repro.experiments import cli
 
-        def no_runner_figure(scale):
-            return [{"value": 1}]
-
-        cli.FIGURES["figtest"] = ("runner-less test figure", no_runner_figure)
-        try:
-            rows = run_figure("figtest", SCALES["smoke"],
-                              runner=SweepRunner(jobs=2))
-            assert rows == [{"value": 1}]
-            err = capsys.readouterr().err
-            assert "figtest" in err
-            assert "does not accept a sweep runner" in err
-        finally:
-            del cli.FIGURES["figtest"]
+        with SweepRunner(store=tmp_path / "figures.sqlite") as runner:
+            first = figure_rows("fig06", SCALES["smoke"], runner=runner)
+            again = figure_rows("fig06", SCALES["smoke"], runner=runner)
+        assert first == again == figure_rows("fig06", SCALES["smoke"])
 
     def test_runner_figures_do_not_warn(self, capsys):
-        from repro.engine import SweepRunner
-
-        run_figure("fig06", SCALES["smoke"], runner=SweepRunner(jobs=1))
+        assert main(["--figure", "fig06", "--scale", "smoke", "--jobs", "2"]) == 0
         assert capsys.readouterr().err == ""
 
 
@@ -311,11 +321,10 @@ class TestEnvScaleHandling:
 
 class TestScenarioCoverage:
     def test_every_figure_is_a_registered_scenario(self):
-        """Every cli.FIGURES entry must be runnable via run-scenario."""
-        from repro.experiments.scenarios import BUILTIN_SCENARIOS
-
-        for name in FIGURES:
+        """Every shaped figure is a built-in scenario named by its id."""
+        for name in figure_names():
             assert name in BUILTIN_SCENARIOS, name
+            assert BUILTIN_SCENARIOS[name]().name == name
 
     def test_run_scenario_multi_phase_builtin(self, capsys):
         assert main(["run-scenario", "fig14-smoke", "--scale", "smoke",

@@ -7,12 +7,10 @@ from repro.engine.registry import query_builder_for
 from repro.experiments.figures_crossover import (
     CROSSOVER_RUNGS,
     crossover_rows,
-    crossover_tables,
-    hotspot_map_rows,
     strategy_crossover_scenario,
     strategy_crossover_smoke_scenario,
 )
-from repro.experiments.scenarios import BUILTIN_SCENARIOS, extra_scenario_tables
+from repro.experiments.scenarios import BUILTIN_SCENARIOS, SCENARIO_TABLE_SHAPERS
 from repro.network.topology import random_topology
 from repro.query.analysis import analyze_query
 
@@ -24,16 +22,11 @@ SMOKE = SCALES["smoke"]
 # ---------------------------------------------------------------------------
 
 class FakeAggregate:
-    def __init__(self, means, runs=()):
+    def __init__(self, means):
         self._means = means
-        self.runs = list(runs)
 
     def mean(self, metric):
         return self._means[metric]
-
-
-def fake_run(node_series):
-    return SimpleNamespace(report=SimpleNamespace(node_series=node_series))
 
 
 def fake_sweep(name, groups):
@@ -144,51 +137,12 @@ class TestCrossoverRows:
         assert all(row["crossover_n"] == 1_000 for row in rows)
 
 
-class TestHotspotMapRows:
-    def test_reports_only_the_largest_rung(self):
-        series = {"hotspot.load": {7: 400.0, 3: 100.0}}
-        sweep = fake_sweep("strategy-crossover", [
-            ({"num_nodes": 1_000, "ratio": "1/2:1/2"},
-             {"innet": FakeAggregate(
-                 {"hotspot_gini": 0.9, "hotspot_max_load": 9.0},
-                 runs=[fake_run(series)])}),
-            ({"num_nodes": 10_000, "ratio": "1/2:1/2"},
-             {"innet": FakeAggregate(
-                 {"hotspot_gini": 0.5, "hotspot_max_load": 400.0},
-                 runs=[fake_run(series)])}),
-        ])
-        rows = hotspot_map_rows(sweep)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["num_nodes"] == 10_000
-        assert row["hotspot_gini"] == 0.5
-        assert row["max_load"] == 400.0
-        assert row["hot_nodes"].startswith("7:400")
-
-    def test_missing_series_yields_empty_hot_nodes(self):
-        sweep = fake_sweep("strategy-crossover", [
-            ({"num_nodes": 10_000, "ratio": "1/2:1/2"},
-             {"base": FakeAggregate(
-                 {"hotspot_gini": 0.1, "hotspot_max_load": 5.0},
-                 runs=[fake_run({})])}),
-        ])
-        rows = hotspot_map_rows(sweep)
-        assert rows[0]["hot_nodes"] == ""
-
-
 class TestTableDispatch:
-    def _sweep(self, name):
-        return fake_sweep(name, [
+    def test_crossover_shaper_dispatches_by_scenario_name(self):
+        sweep = fake_sweep("strategy-crossover", [
             ({"num_nodes": 1_000, "ratio": "1/2:1/2"},
              {"base": _traffic(2_000), "innet": _traffic(1_000)}),
         ])
-
-    def test_crossover_tables_titles(self):
-        tables = crossover_tables(self._sweep("strategy-crossover"))
-        titles = [title for title, _rows in tables]
-        assert any("Crossover points" in title for title in titles)
-
-    def test_extra_scenario_tables_dispatches_by_scenario_name(self):
-        assert extra_scenario_tables(self._sweep("strategy-crossover"))
-        assert extra_scenario_tables(self._sweep("strategy-crossover-smoke"))
-        assert extra_scenario_tables(self._sweep("fig02-smoke")) == []
+        for name in ("strategy-crossover", "strategy-crossover-smoke"):
+            assert SCENARIO_TABLE_SHAPERS[name](sweep) == crossover_rows(sweep)
+        assert "energy-budget" not in SCENARIO_TABLE_SHAPERS

@@ -1,45 +1,47 @@
-"""Smoke-scale integration tests for every figure-reproduction function.
+"""Smoke-scale integration tests for every figure: scenario factory + shaper.
 
-Each test runs the experiment at the tiny ``smoke`` scale and checks the
+Each test builds the figure's scenario from its factory, runs it through
+:func:`~repro.experiments.scenarios.figure_rows` at the tiny ``smoke`` scale
+and checks the
 structural properties the paper's figure relies on (who is compared, which
 columns exist, basic sanity of the trend) without asserting exact magnitudes.
 """
 
 import pytest
 
+from repro.engine import SCALES
 from repro.experiments import figures_adaptive as adaptive
 from repro.experiments import figures_joins as joins
 from repro.experiments import figures_substrate as substrate
-from repro.experiments.harness import SCALES
+from repro.experiments.scenarios import figure_rows
 
 SMOKE = SCALES["smoke"]
 
 
 class TestJoinFigures:
     def test_fig02_structure(self):
-        rows = joins.fig02_query1_traffic(
-            scale=SMOKE, ratios=["1/2:1/2"], join_selectivities=[0.2]
-        )
+        rows = figure_rows(joins.query_traffic_scenario(
+            "query1", "fig02", ratios=["1/2:1/2"], join_selectivities=[0.2]
+        ), SMOKE)
         algorithms = {row["algorithm"] for row in rows}
         assert algorithms == {"naive", "base", "ght", "innet", "innet-cmg", "innet-cmpg"}
         assert all(row["total_traffic_kb"] > 0 for row in rows)
         assert all(row["base_traffic_kb"] > 0 for row in rows)
 
     def test_fig03_structure(self):
-        rows = joins.fig03_query2_traffic(
-            scale=SMOKE, ratios=["1/10:1"], join_selectivities=[0.1]
-        )
+        rows = figure_rows(joins.query_traffic_scenario(
+            "query2", "fig03", ratios=["1/10:1"], join_selectivities=[0.1]
+        ), SMOKE)
         assert len(rows) == 6
         naive = next(r for r in rows if r["algorithm"] == "naive")
         ght = next(r for r in rows if r["algorithm"] == "ght")
         assert ght["total_traffic_kb"] > 0 and naive["total_traffic_kb"] > 0
 
     def test_fig04_true_estimate_is_competitive(self):
-        rows = joins.fig04_costmodel_query0(
-            scale=SMOKE,
+        rows = figure_rows(joins.fig04_scenario(
             true_ratios=["1/10:1"],
             estimated_ratios=["1/10:1", "1:1/10"],
-        )
+        ), SMOKE)
         assert len(rows) == 2
         true_row = next(r for r in rows if r["is_true_estimate"])
         other_row = next(r for r in rows if not r["is_true_estimate"])
@@ -47,20 +49,21 @@ class TestJoinFigures:
         assert true_row["total_traffic_kb"] <= other_row["total_traffic_kb"] * 1.05
 
     def test_fig05_ranks_descend(self):
-        rows = joins.fig05_load_distribution(scale=SMOKE, algorithms=["naive", "innet-cmg"])
+        rows = figure_rows(joins.fig05_scenario(algorithms=["naive", "innet-cmg"]),
+                           SMOKE)
         naive_rows = [r for r in rows if r["algorithm"] == "naive"]
         loads = [r["load_kb"] for r in naive_rows]
         assert loads == sorted(loads, reverse=True)
 
     def test_fig06_centralized_worse_at_base_and_latency(self):
-        rows = joins.fig06_centralized_vs_distributed(scale=SMOKE)
+        rows = figure_rows(joins.fig06_scenario(), SMOKE)
         centralized = next(r for r in rows if r["scheme"] == "centralized")
         distributed = next(r for r in rows if r["scheme"] == "distributed")
         assert centralized["traffic_at_base_kb"] > distributed["traffic_at_base_kb"]
         assert centralized["latency_cycles"] > distributed["latency_cycles"]
 
     def test_fig07_distributed_close_to_optimal(self):
-        rows = joins.fig07_optimal_vs_distributed(scale=SMOKE, num_pairs=8)
+        rows = figure_rows(joins.fig07_scenario(num_pairs=8), SMOKE)
         assert {row["topology"] for row in rows} == {
             "dense", "medium", "moderate", "sparse", "grid"
         }
@@ -75,22 +78,22 @@ class TestJoinFigures:
                 assert row["overhead_percent"] <= 60.0
 
     def test_fig08_contains_both_queries(self):
-        rows = joins.fig08_mpo_costmodel(
-            scale=SMOKE, true_ratios=["1/2:1/2"], estimated_ratios=["1/2:1/2"]
-        )
+        rows = figure_rows(joins.fig08_scenario(
+            true_ratios=["1/2:1/2"], estimated_ratios=["1/2:1/2"]
+        ), SMOKE)
         assert {row["query"] for row in rows} == {"query1", "query2"}
 
     def test_fig09a_traffic_grows_with_duration(self):
-        rows = joins.fig09a_method_vs_duration(
-            scale=SMOKE, algorithms=["naive", "innet-cmg"], durations=[5, 20]
-        )
+        rows = figure_rows(joins.fig09a_scenario(
+            algorithms=["naive", "innet-cmg"], durations=[5, 20]
+        ), SMOKE)
         naive = {r["cycles"]: r["total_traffic_kb"] for r in rows if r["algorithm"] == "naive"}
         assert naive[20] > naive[5]
 
     def test_fig09b_mpo_variants(self):
-        rows = joins.fig09b_mpo_vs_join_selectivity(
-            scale=SMOKE, join_selectivities=[0.2], cycles=15
-        )
+        rows = figure_rows(joins.fig09b_scenario(
+            join_selectivities=[0.2], cycles=15
+        ), SMOKE)
         assert {r["algorithm"] for r in rows} == {"innet", "innet-cm", "innet-cmg",
                                                   "innet-cmpg"}
         plain = next(r for r in rows if r["algorithm"] == "innet")
@@ -106,32 +109,32 @@ class TestJoinFigures:
 
 class TestAdaptiveFigures:
     def test_fig10_gain_for_wrong_estimates(self):
-        rows = adaptive.fig10_learning_gain(
-            scale=SMOKE, queries=["query1"],
+        rows = figure_rows(adaptive.fig10_scenario(
+            queries=["query1"],
             true_ratios=["1/10:1"], estimated_ratios=["1/10:1", "1:1/10"],
-        )
+        ), SMOKE)
         assert len(rows) == 2
         for row in rows:
             assert row["no_learning_kb"] > 0
             assert row["learning_kb"] > 0
 
     def test_fig11_duration_rows(self):
-        rows = adaptive.fig11_learning_duration(scale=SMOKE, durations=[10, 20])
+        rows = figure_rows(adaptive.fig11_scenario(durations=[10, 20]), SMOKE)
         assert {row["cycles"] for row in rows} == {10, 20}
 
     def test_fig12a_settings(self):
-        rows = adaptive.fig12a_spatial_skew(scale=SMOKE, queries=["query1"])
+        rows = figure_rows(adaptive.fig12a_scenario(queries=["query1"]), SMOKE)
         settings = {row["setting"] for row in rows}
         assert settings == {"Sel1", "Sel2", "Full knowledge", "Sel1 learn", "Sel2 learn"}
 
     def test_fig12b_settings(self):
-        rows = adaptive.fig12b_temporal_drift(scale=SMOKE, queries=["query1"])
+        rows = figure_rows(adaptive.fig12b_scenario(queries=["query1"]), SMOKE)
         settings = {row["setting"] for row in rows}
         assert "Full knowledge" in settings
         assert "Sel1 learn" in settings
 
     def test_fig13_intel_orderings(self):
-        rows = adaptive.fig13_intel_learning(scale=SMOKE, cycles=15)
+        rows = figure_rows(adaptive.fig13_scenario(cycles=15), SMOKE)
         by_setting = {row["setting"]: row for row in rows}
         assert set(by_setting) == {
             "yang07", "ght_gpsr", "naive_base", "innet_full_knowledge", "innet_learn",
@@ -145,7 +148,8 @@ class TestAdaptiveFigures:
         )
 
     def test_fig14_failure_increases_delay(self):
-        rows = adaptive.fig14_failure(scale=SMOKE, join_selectivities=(0.2,))
+        rows = figure_rows(adaptive.fig14_scenario(join_selectivities=(0.2,)),
+                           SMOKE)
         by_setting = {row["setting"]: row for row in rows}
         assert by_setting["with_failure"]["delay_cycles"] >= (
             by_setting["no_failure"]["delay_cycles"]
@@ -154,34 +158,40 @@ class TestAdaptiveFigures:
 
 class TestSubstrateFigures:
     def test_fig16_more_trees_shorter_paths(self):
-        rows = substrate.fig16_path_quality_mote(scale=SMOKE, num_pairs=40)
+        rows = figure_rows(
+            substrate.path_quality_scenario("fig16", "gpsr", num_pairs=40), SMOKE
+        )
         for topology in {row["topology"] for row in rows}:
             subset = {row["scheme"]: row for row in rows if row["topology"] == topology}
             assert subset["3-tree"]["avg_path_length"] <= subset["1-tree"]["avg_path_length"]
             assert subset["full-graph"]["avg_path_length"] <= subset["3-tree"]["avg_path_length"]
 
     def test_fig17_has_dht_scheme(self):
-        rows = substrate.fig17_path_quality_mesh(scale=SMOKE, num_pairs=30)
+        rows = figure_rows(
+            substrate.path_quality_scenario("fig17", "dht", num_pairs=30), SMOKE
+        )
         assert any(row["scheme"] == "dht" for row in rows)
 
     def test_fig18_scaleup(self):
-        rows = substrate.fig18_mesh_scaleup(scale=SMOKE, sizes=(49, 100), num_pairs=30)
+        rows = figure_rows(
+            substrate.fig18_scenario(sizes=(49, 100), num_pairs=30), SMOKE
+        )
         small = [r for r in rows if r["num_nodes"] == 49 and r["scheme"] == "3-tree"][0]
         large = [r for r in rows if r["num_nodes"] == 100 and r["scheme"] == "3-tree"][0]
         assert large["avg_path_length"] >= small["avg_path_length"] * 0.8
 
     def test_fig19_20_mesh_queries(self):
-        rows = substrate.fig19_mesh_query1(
-            scale=SMOKE, ratios=["1/2:1/2"], join_selectivities=[0.1]
-        )
+        rows = figure_rows(substrate.mesh_query_scenario(
+            "query1", "fig19", ratios=["1/2:1/2"], join_selectivities=[0.1]
+        ), SMOKE)
         assert {row["algorithm"] for row in rows} == {"naive", "base", "dht", "innet-cmg"}
-        rows2 = substrate.fig20_mesh_query2(
-            scale=SMOKE, ratios=["1/2:1/2"], join_selectivities=[0.1]
-        )
+        rows2 = figure_rows(substrate.mesh_query_scenario(
+            "query2", "fig20", ratios=["1/2:1/2"], join_selectivities=[0.1]
+        ), SMOKE)
         assert all(row["total_messages_k"] > 0 for row in rows2)
 
     def test_table3_validation(self):
-        rows = substrate.table3_cost_validation(scale=SMOKE, cycles=10)
+        rows = figure_rows(substrate.table3_scenario(cycles=10), SMOKE)
         by_algorithm = {row["algorithm"]: row for row in rows}
         assert set(by_algorithm) == {"naive", "base", "yang07"}
         # The Naive formula has no free parameters: simulation matches closely.
@@ -190,7 +200,7 @@ class TestSubstrateFigures:
             assert 0.3 <= row["ratio"] <= 1.7
 
     def test_appg_mobility(self):
-        rows = substrate.appg_mobility(scale=SMOKE, num_moves=2)
+        rows = figure_rows(substrate.appg_scenario(num_moves=2), SMOKE)
         assert rows
         for row in rows:
             assert row["update_traffic_bytes"] > 0

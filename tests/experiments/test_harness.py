@@ -1,31 +1,40 @@
-"""Tests for the experiment harness, scales, aggregation and reporting."""
+"""Tests for scales, the strategy factory, run_single, aggregation and reporting."""
 
 import pytest
 
 from repro.core import Selectivities
-from repro.experiments import (
-    available_algorithms,
-    build_workload,
-    format_table,
-    make_strategy,
-    results_to_rows,
-    run_comparison,
-    run_single,
-    scale_from_env,
-)
-from repro.experiments.harness import (
+from repro.engine import (
     FIGURE2_ALGORITHMS,
     MESH_ALGORITHMS,
     SCALES,
     AggregateResult,
     RunResult,
+    ScenarioSpec,
+    SweepRunner,
+    available_algorithms,
     build_topology,
+    build_workload,
+    make_strategy,
+    run_single,
+    scale_from_env,
 )
-from repro.experiments.report import relative_to, winner
+from repro.engine.registry import resolve_query_name
+from repro.experiments.report import format_table, sweep_to_rows
 from repro.joins import InnetJoin, NaiveJoin
 from repro.workloads.queries import build_query1
 
 SMOKE = SCALES["smoke"]
+
+
+def comparison(algorithms=("naive", "base"), query="query1", scale=SMOKE):
+    """Several algorithms on one Query 1 workload, aggregated over the runs."""
+    scenario = ScenarioSpec(
+        name="comparison-test",
+        query=query,
+        algorithms=tuple(algorithms),
+        data={"sigma_s": 0.5, "sigma_t": 0.5, "sigma_st": 0.2},
+    )
+    return SweepRunner().run(scenario, scale)
 
 
 class TestScales:
@@ -77,12 +86,8 @@ class TestRunners:
         assert result.report.total_traffic > 0
         assert result.metric("total_traffic") == result.report.total_traffic
 
-    def test_run_comparison_aggregates(self):
-        selectivities = Selectivities(0.5, 0.5, 0.2)
-        results = run_comparison(
-            build_query1, algorithms=["naive", "base"],
-            data_selectivities=selectivities, scale=SMOKE,
-        )
+    def test_scenario_sweep_aggregates(self):
+        results = comparison().only()
         assert set(results) == {"naive", "base"}
         for aggregate in results.values():
             assert isinstance(aggregate, AggregateResult)
@@ -92,63 +97,29 @@ class TestRunners:
         summary = results["naive"].summary()
         assert "total_traffic" in summary
 
-    def test_run_comparison_with_adhoc_builder(self):
-        # Unregistered callables still work (engine falls back to a
-        # process-local inline registration and serial execution).
-        selectivities = Selectivities(0.5, 0.5, 0.2)
-        results = run_comparison(
-            lambda: build_query1(window_size=1), algorithms=["naive"],
-            data_selectivities=selectivities, scale=SMOKE,
-        )
+    def test_scenario_with_adhoc_query_builder(self):
+        # Unregistered callables still work: the engine registers them
+        # process-locally and runs them serially.
+        query = resolve_query_name(lambda: build_query1(window_size=1))
+        results = comparison(algorithms=["naive"], query=query).only()
         assert results["naive"].mean("total_traffic") > 0
 
-    def test_run_comparison_parallel_matches_serial(self):
-        selectivities = Selectivities(0.5, 0.5, 0.2)
-        kwargs = dict(
-            query_builder=build_query1, algorithms=["naive", "base"],
-            data_selectivities=selectivities, scale=SMOKE,
-        )
-        serial = run_comparison(**kwargs)
-        parallel = run_comparison(jobs=2, **kwargs)
-        for name in serial:
-            assert serial[name].mean("total_traffic") == parallel[name].mean("total_traffic")
-
     def test_confidence_interval_with_multiple_runs(self):
-        selectivities = Selectivities(0.5, 0.5, 0.2)
         two_run_scale = SCALES["smoke"].__class__(
             name="two", runs=2, cycles=5, num_nodes=60, long_cycles=10
         )
-        results = run_comparison(
-            build_query1, algorithms=["naive"],
-            data_selectivities=selectivities, scale=two_run_scale,
-        )
-        aggregate = results["naive"]
+        aggregate = comparison(algorithms=["naive"], scale=two_run_scale).only()["naive"]
         assert len(aggregate.runs) == 2
         assert aggregate.confidence_95("total_traffic") >= 0.0
 
 
 class TestReporting:
-    def _fake_results(self):
-        selectivities = Selectivities(0.5, 0.5, 0.2)
-        return run_comparison(
-            build_query1, algorithms=["naive", "base"],
-            data_selectivities=selectivities, scale=SMOKE,
-        )
-
-    def test_results_to_rows_and_format(self):
-        results = self._fake_results()
-        rows = results_to_rows(results, metrics=("total_traffic",), label="1/2:1/2")
+    def test_sweep_rows_and_format(self):
+        rows = sweep_to_rows(comparison(), metrics=("total_traffic",))
         assert len(rows) == 2
-        assert rows[0]["setting"] == "1/2:1/2"
+        assert {row["algorithm"] for row in rows} == {"naive", "base"}
+        assert "total_traffic_ci95_kb" in rows[0]
         table = format_table(rows, title="Figure X")
         assert "Figure X" in table
         assert "naive" in table
         assert format_table([]) == "(no rows)"
-
-    def test_winner_and_relative(self):
-        results = self._fake_results()
-        best = winner(results)
-        assert best in {"naive", "base"}
-        ratios = relative_to(results, reference="naive")
-        assert ratios["naive"] == pytest.approx(1.0)
-        assert all(v > 0 for v in ratios.values())

@@ -201,24 +201,22 @@ class TestTransportEquivalence:
 class TestExperimentEquivalence:
     """Fig 14 / App G produce the same rows with caches on and off."""
 
-    def _clear_experiment_caches(self):
-        from repro.experiments import harness
-
-        harness._TOPOLOGY_CACHE.clear()
-
     def _run_fig14(self):
-        from repro.experiments.figures_adaptive import fig14_failure
-        from repro.experiments.harness import SCALES
+        from repro.engine import SCALES, reset_workload_caches
+        from repro.experiments.figures_adaptive import fig14_scenario
+        from repro.experiments.scenarios import figure_rows
 
-        self._clear_experiment_caches()
-        return fig14_failure(scale=SCALES["smoke"], join_selectivities=(0.2,))
+        reset_workload_caches()
+        return figure_rows(fig14_scenario(join_selectivities=(0.2,)),
+                           SCALES["smoke"])
 
     def _run_appg(self):
-        from repro.experiments.figures_substrate import appg_mobility
-        from repro.experiments.harness import SCALES
+        from repro.engine import SCALES, reset_workload_caches
+        from repro.experiments.figures_substrate import appg_scenario
+        from repro.experiments.scenarios import figure_rows
 
-        self._clear_experiment_caches()
-        return appg_mobility(scale=SCALES["smoke"], num_moves=1)
+        reset_workload_caches()
+        return figure_rows(appg_scenario(num_moves=1), SCALES["smoke"])
 
     def test_fig14_failure_same_with_cache_disabled(self):
         with_cache = self._run_fig14()

@@ -328,13 +328,14 @@ class TestExperimentIdentity:
         reset_workload_caches()
 
     def test_fig14_failure_same_on_oracle_graph(self, generator):
-        from repro.experiments import harness
-        from repro.experiments.figures_adaptive import fig14_failure
+        from repro.engine import SCALES
+        from repro.experiments.figures_adaptive import fig14_scenario
+        from repro.experiments.scenarios import figure_rows
 
         def run(oracle_generated):
             generator(oracle_generated)
-            return fig14_failure(scale=harness.SCALES["smoke"],
-                                 join_selectivities=(0.2,))
+            return figure_rows(fig14_scenario(join_selectivities=(0.2,)),
+                               SCALES["smoke"])
 
         assert run(False) == run(True)
 
