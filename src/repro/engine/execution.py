@@ -60,7 +60,6 @@ def run_single(
     copy_topology: Optional[bool] = None,
     link_model: Optional[LinkModel] = None,
     sinks: Optional[List] = None,
-    batch_cycles: bool = True,
     node_series_cap: Optional[int] = None,
 ) -> RunResult:
     """One run of one algorithm.
@@ -87,7 +86,6 @@ def run_single(
         queue_capacity=queue_capacity,
         seed=seed,
         sinks=sinks,
-        batch_cycles=batch_cycles,
         node_series_cap=node_series_cap,
     )
     report = executor.run(cycles)
@@ -300,7 +298,6 @@ def _execute_join_run(spec: RunSpec) -> RunResult:
             strategy_kwargs=_strategy_kwargs_from_spec(spec),
             link_model=link_model,
             sinks=sinks,
-            batch_cycles=spec.batch_cycles,
             node_series_cap=spec.node_series_cap,
         )
     return _run_phased(spec, query, topology, data_source, assumed,
@@ -343,7 +340,6 @@ def _run_phased(spec: RunSpec, query: JoinQuery, topology: Topology,
         queue_capacity=spec.queue_capacity,
         seed=spec.seed,
         sinks=sinks,
-        batch_cycles=spec.batch_cycles,
         node_series_cap=spec.node_series_cap,
     )
     executor.initiate()

@@ -331,11 +331,6 @@ class RunSpec:
     #: mappings with a "sink" key.  Excluded from the run key when empty, so
     #: default-instrumented runs keep their pre-metrics content hash.
     sinks: Tuple[Any, ...] = ()
-    #: Batch-cycle execution kernel (see repro.network.batch).  Traffic is
-    #: bit-identical to the per-tuple reference path, so the default (True)
-    #: is excluded from the run key: batched runs keep the per-tuple content
-    #: hash and resume stored results either way.
-    batch_cycles: bool = True
     #: Per-node series bound in the report (see
     #: :func:`repro.metrics.pipeline.bound_node_series`).  ``None`` (the
     #: default, excluded from the run key) keeps the executor's behavior:
@@ -404,10 +399,6 @@ class RunSpec:
             # instrumentation is off by default: leaving the empty knob out
             # of the hash keeps every pre-metrics stored result addressable
             del payload["sinks"]
-        if payload["batch_cycles"]:
-            # the batch kernel is bit-identical to the per-tuple reference,
-            # so default-batched runs keep the per-tuple content hash
-            del payload["batch_cycles"]
         if payload["node_series_cap"] is None:
             # reporting knob only (traffic metrics are unaffected); leaving
             # the default out keeps every pre-cap stored result addressable
@@ -418,7 +409,7 @@ class RunSpec:
     def __hash__(self) -> int:  # dict-free fields only, all hashable
         return hash((self.scenario, self.setting, self.query, self.query_kwargs,
                      self.algorithm, self.run_index, self.seed, self.kind,
-                     self.label, self.phases, self.sinks, self.batch_cycles))
+                     self.label, self.phases, self.sinks))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +420,7 @@ class RunSpec:
 _FIELD_AXES = {
     "query", "query_kwargs", "cycles", "cycles_factor", "num_nodes",
     "topology_preset", "topology_seed", "queue_capacity", "link_loss",
-    "accounting", "sinks", "batch_cycles", "node_series_cap",
+    "accounting", "sinks", "node_series_cap",
 }
 #: Grid axes with workload-specific handling.  ``ratio`` applies to both the
 #: data and the assumed selectivities; ``true_ratio`` to the data only and
@@ -582,11 +573,6 @@ class ScenarioSpec:
     #: ``join`` run kind instruments its simulator; measurement kinds ignore
     #: the knob.  Sweepable via a ``sinks`` grid axis.
     sinks: Tuple[Any, ...] = ()
-    #: Batch-cycle execution kernel (array-level charges, one pipeline event
-    #: per cycle).  Bit-identical to per-tuple execution, so the default
-    #: (True) is omitted from :meth:`to_dict` to keep spec hashes stable.
-    #: Sweepable via a ``batch_cycles`` grid axis.
-    batch_cycles: bool = True
     #: Per-node series bound applied to every run's report (``None`` =
     #: executor default: full series, auto-bounded above 10k nodes).  A
     #: reporting knob only; omitted from :meth:`to_dict` when unset so spec
@@ -656,11 +642,6 @@ class ScenarioSpec:
         ]
         payload["failures"] = [dict(f) for f in self.failures]
         payload["phases"] = [phase.to_dict() for phase in self.phases]
-        if payload["batch_cycles"]:
-            # bit-identical default: omitting it keeps spec hashes (and the
-            # result store's campaign keys) stable across the kernel's
-            # introduction
-            del payload["batch_cycles"]
         if payload["node_series_cap"] is None:
             del payload["node_series_cap"]
         return payload
@@ -855,9 +836,6 @@ class ScenarioSpec:
             sinks=tuple(
                 entry if isinstance(entry, str) else freeze(entry)
                 for entry in sink_entries
-            ),
-            batch_cycles=bool(
-                field_overrides.get("batch_cycles", self.batch_cycles)
             ),
             node_series_cap=field_overrides.get(
                 "node_series_cap", self.node_series_cap

@@ -104,10 +104,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                              "attached to every run; summaries are rendered "
                              "after the sweep table and per-node series are "
                              "persisted in the store's run_node_metrics table")
-    parser.add_argument("--no-batch-cycles", action="store_true",
-                        help="run the per-tuple reference execution path "
-                             "instead of the (bit-identical, much faster) "
-                             "batch-cycle kernel")
 
 
 def _make_runner(args: argparse.Namespace) -> SweepRunner:
@@ -292,8 +288,6 @@ def _cmd_run_scenario(argv: Sequence[str]) -> int:
                 exit_code = 2
                 continue
             scenario = _apply_metric_sinks(scenario, metric_sinks)
-            if args.no_batch_cycles:
-                scenario = scenario.with_overrides(batch_cycles=False)
             sweep = runner.run(scenario, scale)
             print(format_table(
                 sweep_to_rows(sweep),
@@ -334,8 +328,6 @@ def _cmd_run_campaign(argv: Sequence[str]) -> int:
                 exit_code = 2
                 continue
             scenario = _apply_metric_sinks(scenario, metric_sinks)
-            if args.no_batch_cycles:
-                scenario = scenario.with_overrides(batch_cycles=False)
             runner.progress = (None if args.quiet else
                                _CampaignProgress(scenario.name, index, len(names)))
             started = time.monotonic()

@@ -184,8 +184,7 @@ def _lifetime_under_load_scenario() -> ScenarioSpec:
         algorithms=("base", "innet-cmpg"),
         data={"sigma_st": 0.2},
         grid={"ratio": ["1/10:1", "1/2:1/2", "1:1/10"]},
-        sinks=({"sink": "energy", "capacity_uj": 25_000.0},
-               "hotspots", "latency"),
+        sinks=({"sink": "energy", "capacity_uj": 25_000.0}, "hotspots"),
         use_long_cycles=True,
         metrics=("total_traffic", "energy_lifetime_cycles",
                  "energy_dead_nodes", "hotspot_max_load"),

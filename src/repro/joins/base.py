@@ -276,10 +276,7 @@ class ExecutionContext:
                  for row in row_dicts(selected, len(members))),
                 dtype=bool, count=len(members),
             )
-        if topology.routing_cache_enabled:
-            alive = topology.routing_cache.alive_set
-        else:
-            alive = frozenset(n for n, node in topology.nodes.items() if node.alive)
+        alive = topology.routing_cache.alive_set
         if len(alive) != len(topology.nodes):
             sends = sends & members.alive_mask(topology, alive)
         senders = sends.nonzero()[0]
@@ -312,8 +309,8 @@ class ExecutionContext:
             return True
         if self._batcher is not None:
             return self._batcher.ship(path, size_bytes, kind)
-        # transfer() never stores or mutates the path (Message construction
-        # copies it), so shipping avoids a defensive copy per call.
+        # transfer() never stores or mutates the path, so shipping avoids a
+        # defensive copy per call.
         return self.simulator.transfer(path, size_bytes, kind)
 
     @contextmanager

@@ -55,7 +55,6 @@ class JoinExecutor:
         charge_tree_construction: bool = False,
         seed: int = 0,
         sinks: Optional[Sequence] = None,
-        batch_cycles: bool = True,
         node_series_cap: Optional[int] = None,
     ) -> None:
         self.query = query
@@ -68,7 +67,6 @@ class JoinExecutor:
             link_model=link_model,
             accounting=accounting,
             sizes=sizes,
-            transmission_cycles_per_sample=query.sample_interval,
             queue_capacity=queue_capacity,
             sinks=sinks,
         )
@@ -85,10 +83,9 @@ class JoinExecutor:
         self._initiated = False
         self._initiation_traffic = 0.0
         self.node_series_cap = node_series_cap
-        self.batch_cycles = batch_cycles
         self._batcher: Optional[CycleBatcher] = None
         self._batch_epoch = -1
-        self._batch_off = not batch_cycles
+        self._batch_off = False
 
     # ------------------------------------------------------------------
     def initiate(self) -> float:
@@ -148,16 +145,16 @@ class JoinExecutor:
         """The batch-cycle kernel for this cycle, or ``None`` for per-tuple.
 
         The kernel engages only while the network is static: every node
-        alive, fast transport, no delivery queues.  The first topology
-        mutation after engagement (failure injection, mobility -- both
-        bump the routing epoch) drops the run back to the bit-identical
-        per-tuple reference path for the rest of the run, so mid-phase
-        dynamics never race the deferred charges.
+        alive, no forwarding queues.  The first topology mutation after
+        engagement (failure injection, mobility -- both bump the routing
+        epoch) drops the run back to the bit-identical per-tuple path for
+        the rest of the run, so mid-phase dynamics never race the deferred
+        charges.
         """
         if self._batch_off:
             return None
         simulator = self.simulator
-        if not simulator.fast_transport or simulator.queue_capacity is not None:
+        if simulator.queue_capacity is not None:
             self._batch_off = True
             return None
         epoch = self.topology.routing_epoch

@@ -147,7 +147,6 @@ class SharedSubstrateEngine:
         queue_capacity: Optional[int] = None,
         failure_injector: Optional[FailureInjector] = None,
         seed: int = 0,
-        sample_interval: int = 100,
         share_shipments: bool = True,
         sinks: Optional[Sequence] = None,
     ) -> None:
@@ -161,7 +160,6 @@ class SharedSubstrateEngine:
             link_model=link_model,
             accounting=accounting,
             sizes=sizes,
-            transmission_cycles_per_sample=sample_interval,
             queue_capacity=queue_capacity,
             sinks=sinks,
         )

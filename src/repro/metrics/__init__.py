@@ -10,9 +10,7 @@ scenarios opt into additional observational sinks by preset name:
   energy (per-byte tx/rx + per-cycle idle) and first-node-death lifetime.
 * ``hotspots`` -- :class:`~repro.metrics.hotspot.HotspotSink`: streaming
   per-node load with top-k / max-load / Gini load-balance summaries.
-* ``latency`` -- :class:`~repro.metrics.latency.LatencySink`: streaming
-  delivery-latency mean and P-square percentiles, O(1) memory.
-* ``all`` -- all three.
+* ``all`` -- both.
 
 Presets are plain names (``"energy"``) or mappings with builder kwargs
 (``{"sink": "energy", "capacity_uj": 40000}``) -- the form
@@ -32,12 +30,11 @@ from repro.metrics.pipeline import MetricsPipeline, MetricsSink
 SINK_BUILDERS: Dict[str, Any] = {
     "energy": lambda **kwargs: EnergySink(**kwargs),
     "hotspots": lambda **kwargs: HotspotSink(**kwargs),
-    "latency": lambda **kwargs: LatencySink(**kwargs),
 }
 
 #: Preset groups expanding to several sinks (no kwargs allowed).
 PRESET_GROUPS: Dict[str, Tuple[str, ...]] = {
-    "all": ("energy", "hotspots", "latency"),
+    "all": ("energy", "hotspots"),
 }
 
 

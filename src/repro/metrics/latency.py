@@ -1,19 +1,15 @@
-"""Streaming delivery-latency accumulation.
+"""Streaming latency accumulation.
 
-The simulator used to keep every delivered :class:`Message` in an unbounded
-list just to answer "what was the average delivery latency" -- memory
-proportional to run length.  :class:`LatencySink` replaces that with O(1)
-state: exact per-kind count/sum accumulators (so the mean is bit-identical to
-the old list-based computation -- integer latencies sum exactly) plus P-square
-streaming percentile estimators (Jain & Chlamtac 1985) for p50/p95/p99
-without retaining observations.
+:class:`LatencySink` keeps O(1) state for a stream of latency observations:
+exact per-kind count/sum accumulators (integer latencies sum exactly) plus
+P-square streaming percentile estimators (Jain & Chlamtac 1985) for
+p50/p95/p99 without retaining observations.  The shared-substrate engine
+records the control-plane delay of every group re-decision in one.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.metrics.pipeline import MetricsSink
 
 
 class StreamingQuantile:
@@ -104,10 +100,8 @@ DEFAULT_PERCENTILES: Tuple[Tuple[str, float], ...] = (
 )
 
 
-class LatencySink(MetricsSink):
-    """Streaming per-kind delivery-latency statistics."""
-
-    name = "latency"
+class LatencySink:
+    """Streaming per-kind latency statistics."""
 
     def __init__(
         self,
@@ -145,12 +139,7 @@ class LatencySink(MetricsSink):
 
     # -- results ------------------------------------------------------------
     def mean(self, kinds: Optional[Iterable] = None) -> float:
-        """Exact mean latency, optionally restricted to message *kinds*.
-
-        Equivalent to averaging the latencies of the old ``delivered`` list:
-        the per-kind accumulators sum the same integer latencies in arrival
-        order.
-        """
+        """Exact mean latency, optionally restricted to *kinds*."""
         if kinds is None:
             return self.total / self.count if self.count else 0.0
         count = total = 0.0

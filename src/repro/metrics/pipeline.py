@@ -1,12 +1,12 @@
 """The event-sink metrics pipeline behind every accounting charge point.
 
 The simulator's charge points (``charge_path`` / ``charge_transmission`` /
-``charge_broadcast`` / ``charge_drop``), its sampling-cycle ticks and its
-message deliveries all flow through one :class:`MetricsPipeline`.  A sink is
-any object implementing a subset of the :class:`MetricsSink` event methods --
+``charge_broadcast`` / ``charge_drop``) and its sampling-cycle ticks all flow
+through one :class:`MetricsPipeline`.  A sink is any object implementing a
+subset of the :class:`MetricsSink` event methods --
 :class:`~repro.network.traffic.TrafficStats` is itself a sink (its charge
 methods *are* the event signatures), joined by the observational sinks in
-this package (energy, hotspots, latency).
+this package (energy, hotspots).
 
 Dispatch is built for the accounting fast path: for every event the pipeline
 precomputes the tuple of interested handlers (a sink only receives events its
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Event methods fanned out to sinks.  The charge events mirror the
-#: TrafficStats signatures exactly; the on_* events are pipeline-only.
+#: TrafficStats signatures exactly; on_sampling_cycle is pipeline-only.
 EVENTS = (
     "charge_transmission",
     "charge_path",
@@ -32,7 +32,6 @@ EVENTS = (
     "charge_broadcast",
     "charge_drop",
     "on_sampling_cycle",
-    "on_delivery",
 )
 
 
@@ -78,9 +77,6 @@ class MetricsSink:
     # -- pipeline-only events ----------------------------------------------
     def on_sampling_cycle(self, cycle: int) -> None:
         """A sampling cycle completed (idle costs, death checks)."""
-
-    def on_delivery(self, kind, latency_cycles: int, hops: int = 0) -> None:
-        """A message reached its destination after *latency_cycles*."""
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self, simulator) -> None:
@@ -194,8 +190,7 @@ class MetricsPipeline:
     def add_sink(self, sink: Any, reporting: bool = True) -> Any:
         """Register *sink*; non-``reporting`` sinks are excluded from
         :meth:`summaries` / :meth:`node_series` (the simulator's built-in
-        traffic and latency accounting, which the execution report already
-        covers)."""
+        traffic accounting, which the execution report already covers)."""
         self._entries.append((sink, reporting))
         self._rebuild()
         return sink
@@ -236,8 +231,7 @@ class MetricsPipeline:
         """A per-tuple replay handler for a sink without a batch event.
 
         ``None`` when the sink observes neither ``charge_path`` nor
-        ``charge_drop`` (nothing to replay -- e.g. the latency sink, which
-        only listens to deliveries).
+        ``charge_drop`` (nothing to replay).
         """
         handlers = {}
         for event in ("charge_path", "charge_drop"):

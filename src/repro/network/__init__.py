@@ -12,17 +12,16 @@ and its Java 802.11 mesh simulator (see DESIGN.md).  It provides:
 * :mod:`repro.network.links` -- symmetric lossy links with retransmission.
 * :mod:`repro.network.traffic` -- per-node and aggregate traffic statistics
   (bytes for mote networks, messages for mesh networks).
-* :mod:`repro.network.simulator` -- the cycle-driven simulator: transmission
-  cycles nested inside sampling cycles, hop-by-hop forwarding, bounded
-  forwarding queues, delivery callbacks.
+* :mod:`repro.network.simulator` -- the sampling-cycle simulator: instant
+  per-path traffic accounting, bounded per-cycle forwarding queues.
 * :mod:`repro.network.failures` -- permanent node-failure injection.
 * :mod:`repro.network.mobility` -- leaf-node movement support.
 """
 
 from repro.network.links import LinkModel
-from repro.network.message import Message, MessageKind, MessageSizes
+from repro.network.message import MessageKind, MessageSizes
 from repro.network.node import SensorNode
-from repro.network.simulator import NetworkSimulator, SimulationClock
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import (
     DENSITY_PRESETS,
     CSRAdjacency,
@@ -45,14 +44,12 @@ __all__ = [
     "intel_lab_topology",
     "topology_from_preset",
     "DENSITY_PRESETS",
-    "Message",
     "MessageKind",
     "MessageSizes",
     "LinkModel",
     "TrafficStats",
     "TrafficAccounting",
     "NetworkSimulator",
-    "SimulationClock",
     "FailureInjector",
     "FailureEvent",
     "MobilityEvent",

@@ -1,4 +1,4 @@
-"""Message model and byte-size accounting.
+"""Message kinds and byte-size accounting.
 
 The paper's cost metric is bytes transferred on mote networks and messages on
 mesh networks (Appendix F).  Message sizes follow the mote implementation:
@@ -8,10 +8,8 @@ path vectors encoded as delta-compressed node-id lists (Section 3.1).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
 
 
 class MessageKind(Enum):
@@ -63,55 +61,3 @@ class MessageSizes:
 
     def control(self, num_fields: int = 3) -> int:
         return self.header + num_fields * self.attribute
-
-
-_message_counter = itertools.count()
-
-
-@dataclass
-class Message:
-    """A unit of communication travelling hop by hop through the network."""
-
-    kind: MessageKind
-    source: int
-    destination: Optional[int]
-    size_bytes: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-    path: Optional[List[int]] = None
-    created_cycle: int = 0
-    message_id: int = field(default_factory=lambda: next(_message_counter))
-    hops_taken: int = 0
-    delivered_cycle: Optional[int] = None
-    dropped: bool = False
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if self.path is not None and len(self.path) < 1:
-            raise ValueError("path must contain at least the source node")
-        if self.path is not None and self.path[0] != self.source:
-            raise ValueError("path must start at the source node")
-        if (
-            self.path is not None
-            and self.destination is not None
-            and self.path[-1] != self.destination
-        ):
-            raise ValueError("path must end at the destination node")
-
-    @property
-    def latency_cycles(self) -> Optional[int]:
-        """Transmission cycles from creation to delivery, if delivered."""
-        if self.delivered_cycle is None:
-            return None
-        return self.delivered_cycle - self.created_cycle
-
-    def remaining_path(self) -> Sequence[int]:
-        """Nodes not yet visited (excluding the current position)."""
-        if self.path is None:
-            return []
-        return self.path[self.hops_taken + 1 :]
-
-    def current_node(self) -> int:
-        if self.path is None:
-            return self.source
-        return self.path[min(self.hops_taken, len(self.path) - 1)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -440,14 +440,6 @@ class Topology:
     area: Tuple[float, float] = (0.0, 0.0)
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    #: Class-level kill switch for the routing caches (equivalence tests):
-    #: when False, neighbour/path/hop queries -- and the simulator's
-    #: alive-set/adjacency reads -- recompute from scratch on every call,
-    #: like the pre-cache implementation.  The vectorized transfer
-    #: accounting is governed separately by ``NetworkSimulator``'s
-    #: ``fast_transport`` flag.
-    routing_cache_enabled: ClassVar[bool] = True
-
     def __post_init__(self) -> None:
         if self.base_id not in self.nodes:
             raise ValueError("base_id must refer to an existing node")
@@ -515,10 +507,7 @@ class Topology:
         The alive view always comes from the epoch-validated adjacency in the
         routing cache, so the per-call cost is one row copy; the cache
         rebuilds at most once per connectivity change instead of re-filtering
-        ``nodes[n].alive`` and re-sorting on every invocation.  (The
-        ``routing_cache_enabled`` kill switch governs the BFS/path
-        memoization, not this precomputed view -- the view is rebuilt per
-        epoch either way and returns identical results.)
+        ``nodes[n].alive`` and re-sorting on every invocation.
         """
         if not only_alive:
             return self.adjacency.row_list(node_id)
@@ -580,17 +569,15 @@ class Topology:
             frontier = candidates.astype(np.int32, copy=False)
         return num_seen == total
 
-    def shortest_hops(self, source: int, only_alive: bool = True) -> Dict[int, int]:
-        """Hop counts from *source* to every reachable node (BFS).
+    def shortest_hops(self, source: int) -> Dict[int, int]:
+        """Hop counts from *source* to every reachable alive node (BFS).
 
-        Served from the epoch-guarded :class:`PathCache` for the default
-        alive view; the returned dictionary is a copy the caller may mutate.
+        Served from the epoch-guarded :class:`PathCache`; the returned
+        dictionary is a copy the caller may mutate.
         """
         if source not in self.nodes:
             raise KeyError(f"unknown node {source}")
-        if only_alive and self.routing_cache_enabled:
-            return dict(self._path_cache.validate().bfs_tables(source)[0])
-        return self._bfs_hops_uncached(source, only_alive=only_alive)
+        return dict(self._path_cache.validate().bfs_tables(source)[0])
 
     def shortest_hops_view(self, source: int) -> Dict[int, int]:
         """The cached alive-subgraph hop table itself (treat as read-only).
@@ -600,63 +587,22 @@ class Topology:
         """
         if source not in self.nodes:
             raise KeyError(f"unknown node {source}")
-        if not self.routing_cache_enabled:
-            return self._bfs_hops_uncached(source, only_alive=True)
         return self._path_cache.validate().bfs_tables(source)[0]
 
-    def _bfs_hops_uncached(
-        self, source: int, only_alive: bool, stop_at: Optional[int] = None
-    ) -> Dict[int, int]:
-        """Fresh BFS hop table; exits early once *stop_at* is reached."""
-        hops = {source: 0}
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for current in frontier:
-                for neighbour in self.neighbors(current, only_alive=only_alive):
-                    if neighbour not in hops:
-                        hops[neighbour] = hops[current] + 1
-                        if neighbour == stop_at:
-                            return hops
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return hops
-
-    def shortest_path(
-        self, source: int, target: int, only_alive: bool = True
-    ) -> Optional[List[int]]:
-        """A minimum-hop path from *source* to *target*, or ``None``."""
+    def shortest_path(self, source: int, target: int) -> Optional[List[int]]:
+        """A minimum-hop path over alive nodes from *source* to *target*, or
+        ``None``."""
         if source == target:
             return [source]
-        if only_alive and self.routing_cache_enabled:
-            cached = self._path_cache.validate().path(source, target)
-            return None if cached is None else list(cached)
-        parents: Dict[int, int] = {source: source}
-        frontier = [source]
-        while frontier:
-            next_frontier: List[int] = []
-            for current in frontier:
-                for neighbour in self.neighbors(current, only_alive=only_alive):
-                    if neighbour in parents:
-                        continue
-                    parents[neighbour] = current
-                    if neighbour == target:
-                        return _reconstruct(parents, source, target)
-                    next_frontier.append(neighbour)
-            frontier = next_frontier
-        return None
+        cached = self._path_cache.validate().path(source, target)
+        return None if cached is None else list(cached)
 
-    def hops_between(self, a: int, b: int, only_alive: bool = True) -> Optional[int]:
-        """Hop count between two nodes, without reconstructing the path.
-
-        The alive view is a lookup in the cached BFS hop table; the full view
-        runs a distance-only BFS that exits as soon as *b* is discovered.
-        """
+    def hops_between(self, a: int, b: int) -> Optional[int]:
+        """Hop count between two nodes over alive nodes, without
+        reconstructing the path (a lookup in the cached BFS hop table)."""
         if a == b:
             return 0
-        if only_alive and self.routing_cache_enabled:
-            return self._path_cache.validate().hop_count(a, b)
-        return self._bfs_hops_uncached(a, only_alive=only_alive, stop_at=b).get(b)
+        return self._path_cache.validate().hop_count(a, b)
 
     # -- mutation (used by mobility and failures) -----------------------------
     def remove_links_of(self, node_id: int) -> None:
@@ -698,14 +644,6 @@ class Topology:
             area=self.area,
             metadata=dict(self.metadata),
         )
-
-
-def _reconstruct(parents: Dict[int, int], source: int, target: int) -> List[int]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
 
 
 # ---------------------------------------------------------------------------

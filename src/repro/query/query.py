@@ -44,7 +44,9 @@ class JoinQuery:
     window_size:
         Tuple-based window size ``w`` maintained per producer pair.
     sample_interval:
-        Transmission cycles per sampling cycle (the paper uses 100).
+        The query's ``sampleinterval`` (transmission cycles per sampling
+        cycle; the paper uses 100).  Parsed and validated; the simulator
+        counts sampling cycles only, so execution does not read it.
     projection:
         Attributes included in join results (affects result message size).
     """

@@ -42,7 +42,6 @@ class ServiceConfig:
         default_factory=lambda: Selectivities(0.5, 0.5, 0.2)
     )
     accounting: str = "bytes"
-    sample_interval: int = 100
     share_shipments: bool = True
     default_algorithm: str = "base"
 
@@ -80,7 +79,6 @@ class ServiceEngine:
             self.config.assumed,
             accounting=TrafficAccounting(self.config.accounting),
             seed=self.config.seed,
-            sample_interval=self.config.sample_interval,
             share_shipments=self.config.share_shipments,
         )
         self.admitted = 0

@@ -1,17 +1,16 @@
 """Batch-cycle kernel parity: batched runs are bit-identical to per-tuple.
 
-The acceptance bar of the batch-cycle kernel: on the fig02/fig14/fig18
-smoke workloads -- including lossy links, instrumentation sinks, failure
-phases and mobility phases -- every traffic figure produced with
-``batch_cycles=True`` (the default) equals the per-tuple reference
-(``batch_cycles=False``) exactly, and the knob stays out of the run key so
-stored per-tuple results resume under the batched engine.
+The acceptance bar of the batch-cycle kernel: on the figure smoke
+workloads -- including lossy links, instrumentation sinks, bounded queues,
+failure phases and mobility phases -- every traffic figure produced by the
+default executor equals the per-tuple reference exactly.  The reference is
+the ``per_tuple_cycles`` fixture, which keeps every executor off the kernel.
 """
 
-import pytest
-
 from repro.engine import SCALES, ScenarioSpec, execute_run
-from repro.experiments.scenarios import BUILTIN_SCENARIOS
+from repro.engine.spec import PhaseSpec
+from repro.experiments.scenarios import BUILTIN_SCENARIOS, figure_rows
+from repro.joins.executor import JoinExecutor
 
 SMOKE = SCALES["smoke"]
 
@@ -28,50 +27,88 @@ def _traffic_view(report):
     )
 
 
-def _compare(scenario: ScenarioSpec, limit=None):
-    batched = scenario.expand(SMOKE)
-    reference = scenario.with_overrides(batch_cycles=False).expand(SMOKE)
-    assert len(batched) == len(reference)
-    if limit is not None:
-        batched, reference = batched[:limit], reference[:limit]
-    for spec_on, spec_off in zip(batched, reference):
-        report_on = execute_run(spec_on).report
-        report_off = execute_run(spec_off).report
+def _compare(per_tuple, scenario: ScenarioSpec, limit=None):
+    specs = scenario.expand(SMOKE)[:limit]
+    batched = [execute_run(spec).report for spec in specs]
+    with per_tuple():
+        reference = [execute_run(spec).report for spec in specs]
+    for spec, report_on, report_off in zip(specs, batched, reference):
         assert _traffic_view(report_on) == _traffic_view(report_off), (
-            f"batch/per-tuple divergence: {spec_on.algorithm} "
-            f"{spec_on.setting_dict()}"
+            f"batch/per-tuple divergence: {spec.algorithm} "
+            f"{spec.setting_dict()}"
         )
 
 
 class TestBatchParity:
-    def test_fig02_smoke_subset(self):
-        _compare(BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
+    def test_fig02_smoke_subset(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
             algorithms=("naive", "base", "innet-cmpg", "ght"),
             grid={"ratio": ["1/2:1/2"], "sigma_st": [0.2]},
         ))
 
-    def test_fig02_smoke_lossy_links(self):
-        _compare(BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
+    def test_fig02_smoke_full(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig02-smoke"]())
+
+    def test_fig02_smoke_lossy_links(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
             algorithms=("naive", "base", "innet-cmpg"),
             grid={"ratio": ["1/2:1/2"], "sigma_st": [0.2]},
             link_loss=0.2,
         ))
 
-    def test_fig14_smoke_failure_phases(self):
-        """Mid-run failure injection drops back to the per-tuple reference
-        path automatically -- and still matches it exactly."""
-        _compare(BUILTIN_SCENARIOS["fig14-smoke"]())
+    def test_fig14_smoke_failure_phases(self, per_tuple_cycles):
+        """Mid-run failure injection drops back to the per-tuple path
+        automatically -- and still matches it exactly."""
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig14-smoke"]())
 
-    def test_fig18_mesh_at_smoke_scale(self):
-        _compare(BUILTIN_SCENARIOS["fig18"](), limit=6)
+    def test_leaf_move_with_every_node_alive(self, per_tuple_cycles, monkeypatch):
+        """A mid-run leaf move bumps the routing epoch while every node is
+        alive: the executor leaves the kernel on the epoch change alone."""
+        on_kernel = []
+        step = JoinExecutor.step_cycle
 
-    def test_instrumented_lossy_run(self):
-        _compare(BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
+        def recorded(self, cycle):
+            on_kernel.append(self._cycle_batcher() is not None)
+            step(self, cycle)
+        monkeypatch.setattr(JoinExecutor, "step_cycle", recorded)
+        scenario = BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
+            algorithms=("base", "innet-cmpg", "ght"),
+            grid={"ratio": ["1/2:1/2"], "sigma_st": [0.2]},
+            phases=(PhaseSpec("before", fraction=0.5),
+                    PhaseSpec("after", moves=({"node": "leaf"},))),
+        )
+        specs = scenario.expand(SMOKE)
+        batched = [execute_run(spec).report for spec in specs]
+        assert True in on_kernel and False in on_kernel
+        with per_tuple_cycles():
+            reference = [execute_run(spec).report for spec in specs]
+        for report_on, report_off in zip(batched, reference):
+            assert report_on.extra["phase_after_moves"] == 1.0
+            assert _traffic_view(report_on) == _traffic_view(report_off)
+
+    def test_appg_smoke_mobility(self, per_tuple_cycles):
+        """App G moves a leaf on a fully alive topology; its rows are the
+        same with every executor held to the per-tuple path."""
+        batched = figure_rows("appg-smoke", SMOKE)
+        with per_tuple_cycles():
+            assert figure_rows("appg-smoke", SMOKE) == batched
+
+    def test_fig18_mesh_at_smoke_scale(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig18"](), limit=6)
+
+    def test_instrumented_lossy_run(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
             algorithms=("naive", "innet-cmpg"),
             grid={"ratio": ["1/2:1/2"], "sigma_st": [0.2]},
             link_loss=0.15,
-            sinks=({"sink": "energy", "capacity_uj": 20_000.0},
-                   "hotspots", "latency"),
+            sinks=({"sink": "energy", "capacity_uj": 20_000.0}, "hotspots"),
+        ))
+
+    def test_bounded_queues(self, per_tuple_cycles):
+        """Per-node queue bounds (``queue_capacity=8``, as in the Yang+07
+        overflow test) keep the executor on the per-tuple path."""
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["table3"]().with_overrides(
+            queue_capacity=8,
         ))
 
 
@@ -80,68 +117,62 @@ class TestRosterParity:
     to its per-tuple reference -- on perfect links (the vectorized lossless
     formulations) and on lossy links (the captured-shipping stream)."""
 
-    def test_fig05_innet_family_perfect(self):
-        _compare(BUILTIN_SCENARIOS["fig05"]())
+    def test_fig05_innet_family_perfect(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig05"]())
 
-    def test_fig05_innet_family_lossy(self):
-        _compare(BUILTIN_SCENARIOS["fig05"]().with_overrides(link_loss=0.2))
+    def test_fig05_innet_family_lossy(self, per_tuple_cycles):
+        _compare(per_tuple_cycles,
+                 BUILTIN_SCENARIOS["fig05"]().with_overrides(link_loss=0.2))
 
-    def test_fig09a_ght_perfect(self):
-        _compare(BUILTIN_SCENARIOS["fig09a"]())
+    def test_fig09a_ght_perfect(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig09a"]())
 
-    def test_fig09a_ght_lossy(self):
-        _compare(BUILTIN_SCENARIOS["fig09a"]().with_overrides(link_loss=0.15))
+    def test_fig09a_ght_lossy(self, per_tuple_cycles):
+        _compare(per_tuple_cycles,
+                 BUILTIN_SCENARIOS["fig09a"]().with_overrides(link_loss=0.15))
 
-    def test_table3_yang07_perfect(self):
-        _compare(BUILTIN_SCENARIOS["table3"]())
+    def test_table3_yang07_perfect(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["table3"]())
 
-    def test_table3_yang07_lossy(self):
-        _compare(BUILTIN_SCENARIOS["table3"]().with_overrides(link_loss=0.2))
+    def test_table3_yang07_lossy(self, per_tuple_cycles):
+        _compare(per_tuple_cycles,
+                 BUILTIN_SCENARIOS["table3"]().with_overrides(link_loss=0.2))
 
-    def test_scale_ladder_roster_rung(self):
+    def test_scale_ladder_roster_rung(self, per_tuple_cycles):
         """The full 9-strategy roster on the keyed ladder workload at the
         1k rung (larger rungs are covered by the crossover smoke)."""
-        _compare(BUILTIN_SCENARIOS["scale-ladder-smoke"]().with_overrides(
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["scale-ladder-smoke"]().with_overrides(
             grid={"num_nodes": [1_000], "ratio": ["1/2:1/2"]},
         ))
 
-    def test_strategy_crossover_smoke(self):
-        _compare(BUILTIN_SCENARIOS["strategy-crossover-smoke"]())
+    def test_strategy_crossover_smoke(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["strategy-crossover-smoke"]())
 
-    def test_strategy_crossover_smoke_lossy(self):
-        _compare(BUILTIN_SCENARIOS["strategy-crossover-smoke"]()
+    def test_strategy_crossover_smoke_lossy(self, per_tuple_cycles):
+        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["strategy-crossover-smoke"]()
                  .with_overrides(link_loss=0.2, grid={
                      "num_nodes": [1_000], "ratio": ["1/2:1/2"],
                      "sigma_st": [0.2],
                  }))
 
+    def test_fixture_keeps_every_cycle_off_the_kernel(self, per_tuple_cycles,
+                                                      monkeypatch):
+        """The reference really is per-tuple: under the fixture no cycle
+        flushes a batch, where the default executor flushes every cycle."""
+        from repro.network.batch import CycleBatcher
 
-class TestBatchKnob:
-    def test_default_batched_run_keeps_per_tuple_run_key(self):
-        scenario = ScenarioSpec(name="plain", query="query1",
-                                algorithms=("naive",), cycles=3)
-        batched = scenario.expand(SMOKE)[0]
-        reference = scenario.with_overrides(batch_cycles=False).expand(SMOKE)[0]
-        assert batched.batch_cycles and not reference.batch_cycles
-        assert batched.run_key() != reference.run_key()
-        payload = batched.to_dict()
-        assert payload["batch_cycles"] is True
-        # scenario spec hashes are stable across the kernel's introduction
-        assert "batch_cycles" not in scenario.to_dict()
-        assert "batch_cycles" in \
-            scenario.with_overrides(batch_cycles=False).to_dict()
+        flushes = []
+        flush = CycleBatcher.flush
 
-    def test_batch_cycles_grid_axis(self):
-        scenario = ScenarioSpec(
-            name="knob-sweep", query="query1", algorithms=("naive",),
-            runs=1, cycles=3, grid={"batch_cycles": [True, False]},
-        )
-        specs = scenario.expand(SMOKE)
-        assert [spec.batch_cycles for spec in specs] == [True, False]
-
-    def test_scenario_round_trip(self):
-        scenario = ScenarioSpec(name="ref", query="query1",
-                                algorithms=("naive",), batch_cycles=False)
-        clone = ScenarioSpec.from_json(scenario.to_json())
-        assert clone == scenario
-        assert clone.batch_cycles is False
+        def counted(self):
+            flushes.append(self)
+            flush(self)
+        monkeypatch.setattr(CycleBatcher, "flush", counted)
+        spec = next(spec for spec in BUILTIN_SCENARIOS["fig05"]().expand(SMOKE)
+                    if spec.algorithm.startswith("innet"))
+        execute_run(spec)
+        assert len(flushes) == spec.cycles
+        flushes.clear()
+        with per_tuple_cycles():
+            execute_run(spec)
+        assert flushes == []

@@ -29,8 +29,7 @@ TRAFFIC_FIELDS = ("total_traffic", "initiation_traffic", "computation_traffic",
 
 def _instrumented(scenario: ScenarioSpec) -> ScenarioSpec:
     return scenario.with_overrides(
-        sinks=({"sink": "energy", "capacity_uj": 20_000.0}, "hotspots",
-               "latency"),
+        sinks=({"sink": "energy", "capacity_uj": 20_000.0}, "hotspots"),
     )
 
 
@@ -50,7 +49,7 @@ class TestTrafficBitIdentity:
             report_plain = execute_run(spec_plain).report
             report_inst = execute_run(spec_inst).report
             assert _traffic_view(report_plain) == _traffic_view(report_inst)
-            markers = ("energy_", "hotspot_", "latency_")
+            markers = ("energy_", "hotspot_")
             assert report_plain.extra == {
                 key: value for key, value in report_inst.extra.items()
                 if not any(marker in key for marker in markers)
@@ -101,16 +100,15 @@ class TestSpecSinks:
         """Stored results from before the metrics subsystem stay valid.
 
         Pre-metrics payloads carry neither the ``sinks`` nor the
-        ``batch_cycles`` nor the ``node_series_cap`` knob; all three are
-        excluded from the run key at their defaults, so the historical
-        content hashes remain addressable.
+        ``node_series_cap`` knob; both are excluded from the run key at
+        their defaults, so the historical content hashes remain
+        addressable.
         """
         scenario = ScenarioSpec(name="plain", query="query1",
                                 algorithms=("naive",), cycles=3)
         spec = scenario.expand(SMOKE)[0]
         legacy_payload = spec.to_dict()
         del legacy_payload["sinks"]
-        del legacy_payload["batch_cycles"]
         del legacy_payload["node_series_cap"]
         legacy_payload["engine_version"] = ENGINE_VERSION
         assert spec.run_key() == content_hash(legacy_payload)
@@ -163,17 +161,26 @@ class TestSpecSinks:
 
         scenario = ScenarioSpec(
             name="dedupe", query="query1", algorithms=("naive",),
-            sinks=("energy", "hotspots"),
+            sinks=("energy",),
         )
         augmented = _apply_metric_sinks(scenario, ("all",))
-        assert augmented.sinks == ("energy", "hotspots", "latency")
+        assert augmented.sinks == ("energy", "hotspots")
         # idempotent once everything is present
         assert _apply_metric_sinks(augmented, ("all",)) is augmented
         # deduplication also applies within the request itself
         plain = ScenarioSpec(name="dedupe2", query="query1",
                              algorithms=("naive",))
         assert _apply_metric_sinks(plain, ("all", "energy", "energy")).sinks \
-            == ("energy", "hotspots", "latency")
+            == ("energy", "hotspots")
+
+    def test_latency_preset_is_unknown(self):
+        """No charge point emits deliveries, so a scenario naming the old
+        ``latency`` preset fails with the unknown-preset error."""
+        scenario = ScenarioSpec(name="latency", query="query1",
+                                algorithms=("naive",), cycles=2,
+                                sinks=("latency",))
+        with pytest.raises(KeyError, match="unknown sink preset 'latency'"):
+            execute_run(scenario.expand(SMOKE)[0])
 
     def test_malformed_sink_entry_rejected(self):
         with pytest.raises(ValueError, match="'sink' key"):

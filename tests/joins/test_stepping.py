@@ -81,15 +81,15 @@ class TestStepCycle:
 
 class TestSharedSubstrateEngine:
     def test_single_query_matches_batch_executor(
-        self, topo_small, query1, default_selectivities
+        self, topo_small, query1, default_selectivities, per_tuple_cycles
     ):
         data_source = make_workload(topo_small, query1, default_selectivities)
         reference = JoinExecutor(
             query1, topo_small.copy(), data_source,
             InnetJoin(InnetVariant.cmg()), default_selectivities,
-            batch_cycles=False,
         )
-        expected = reference.run(15)
+        with per_tuple_cycles():
+            expected = reference.run(15)
 
         engine = SharedSubstrateEngine(
             topo_small.copy(), data_source, default_selectivities,

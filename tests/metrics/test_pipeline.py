@@ -5,7 +5,6 @@ import pytest
 from repro.metrics import (
     EnergySink,
     HotspotSink,
-    LatencySink,
     MetricsPipeline,
     MetricsSink,
     available_sink_presets,
@@ -51,6 +50,13 @@ class RecordingSink(MetricsSink):
         self.events.append(("cycle", cycle))
 
 
+class CycleSink(MetricsSink):
+    """A sink that listens to sampling-cycle ticks only."""
+
+    def on_sampling_cycle(self, cycle):
+        pass
+
+
 class TestDispatch:
     def test_single_listener_is_the_bound_method(self):
         """The default config dispatches with zero added indirection."""
@@ -62,12 +68,12 @@ class TestDispatch:
     def test_uninterested_sinks_are_skipped(self):
         """A sink only receives events its class implements."""
         stats = TrafficStats()
-        latency = LatencySink()
-        pipeline = MetricsPipeline([stats, latency])
-        # latency inherits the charge no-ops, so stats stays the only
+        ticks = CycleSink()
+        pipeline = MetricsPipeline([stats, ticks])
+        # the tick sink inherits the charge no-ops, so stats stays the only
         # charge listener and keeps the direct-bound dispatch
         assert pipeline.charge_path.__self__ is stats
-        assert pipeline.on_delivery.__self__ is latency
+        assert pipeline.on_sampling_cycle.__self__ is ticks
 
     def test_fanout_reaches_every_listener(self):
         stats = TrafficStats()
@@ -86,7 +92,7 @@ class TestDispatch:
         pipeline = MetricsPipeline()
         pipeline.charge_drop()
         pipeline.charge_path([0, 1], 10, MessageKind.DATA)
-        pipeline.on_delivery(MessageKind.DATA, 2)
+        pipeline.on_sampling_cycle(2)
         assert pipeline.summaries() == {}
         assert pipeline.node_series() == {}
 
@@ -114,7 +120,7 @@ class TestSimulatorIntegration:
         plain = NetworkSimulator(chain_topology())
         instrumented = NetworkSimulator(
             chain_topology(),
-            sinks=[EnergySink(), HotspotSink(), LatencySink()],
+            sinks=[EnergySink(), HotspotSink()],
         )
         self._drive(plain)
         self._drive(instrumented)
@@ -170,7 +176,7 @@ class TestSimulatorIntegration:
         sim.transfer([0, 1], 10, MessageKind.DATA)
         summaries = sim.pipeline.summaries()
         assert "energy_total_uj" in summaries
-        # built-in traffic/latency sinks are non-reporting
+        # the built-in traffic sink is non-reporting
         assert all(key.startswith("energy_") for key in summaries)
         series = sim.pipeline.node_series()
         assert set(series) == {"energy.energy_uj"}
@@ -178,28 +184,30 @@ class TestSimulatorIntegration:
 
 class TestPresets:
     def test_build_sinks_by_name_and_mapping(self):
-        sinks = build_sinks(["energy", {"sink": "hotspots", "top_k": 3},
-                             "latency"])
+        sinks = build_sinks(["energy", {"sink": "hotspots", "top_k": 3}])
         assert [type(sink).__name__ for sink in sinks] == [
-            "EnergySink", "HotspotSink", "LatencySink"]
+            "EnergySink", "HotspotSink"]
         assert sinks[1].top_k == 3
 
     def test_all_group_expands(self):
         sinks = build_sinks(["all"])
-        assert len(sinks) == 3
+        assert [type(sink).__name__ for sink in sinks] == [
+            "EnergySink", "HotspotSink"]
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError, match="unknown sink preset"):
             build_sinks(["voltage"])
+        # no charge point emits deliveries, so there is no latency preset
+        with pytest.raises(KeyError, match="unknown sink preset 'latency'"):
+            build_sinks(["latency"])
         with pytest.raises(ValueError, match="'sink' key"):
             validate_sink_entries([{"capacity_uj": 1.0}])
 
     def test_available_presets(self):
-        assert {"energy", "hotspots", "latency", "all"} <= set(
-            available_sink_presets())
+        assert available_sink_presets() == ["all", "energy", "hotspots"]
 
     def test_summary_prefixes(self):
-        assert summary_prefixes(["all"]) == ("energy_", "hotspot_", "latency_")
+        assert summary_prefixes(["all"]) == ("energy_", "hotspot_")
         assert summary_prefixes([{"sink": "energy", "capacity_uj": 1.0}]) == (
             "energy_",)
 

@@ -6,7 +6,6 @@ from repro.metrics import EnergyModel, EnergySink, HotspotSink, LatencySink
 from repro.metrics.latency import StreamingQuantile
 from repro.network import (
     CSRAdjacency,
-    Message,
     MessageKind,
     NetworkSimulator,
     SensorNode,
@@ -212,18 +211,17 @@ class TestHotspotSink:
 
 class TestLatencySink:
     def test_mean_matches_listwise_average(self):
-        sim = NetworkSimulator(chain_topology())
-        for destination, kind in ((2, MessageKind.DATA), (1, MessageKind.RESULT),
-                                  (4, MessageKind.DATA)):
-            sim.send(Message(kind=kind, source=0, destination=destination,
-                             size_bytes=5, path=list(range(destination + 1))))
-        sim.run_until_idle()
-        expected = [m.latency_cycles for m in sim.delivered]
-        assert sim.latency.mean() == pytest.approx(sum(expected) / len(expected))
-        data = [m.latency_cycles for m in sim.delivered if m.kind is MessageKind.DATA]
-        assert sim.latency.mean([MessageKind.DATA]) == pytest.approx(
+        observed = [(MessageKind.DATA, 2), (MessageKind.RESULT, 1),
+                    (MessageKind.DATA, 4)]
+        sink = LatencySink()
+        for kind, latency in observed:
+            sink.on_delivery(kind, latency)
+        expected = [latency for _, latency in observed]
+        assert sink.mean() == pytest.approx(sum(expected) / len(expected))
+        data = [latency for kind, latency in observed if kind is MessageKind.DATA]
+        assert sink.mean([MessageKind.DATA]) == pytest.approx(
             sum(data) / len(data))
-        assert sim.latency.mean([MessageKind.CONTROL]) == 0.0
+        assert sink.mean([MessageKind.CONTROL]) == 0.0
 
     def test_summary_keys(self):
         sink = LatencySink()

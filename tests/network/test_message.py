@@ -1,8 +1,6 @@
-"""Tests for the message model and size accounting."""
+"""Tests for message size accounting."""
 
-import pytest
-
-from repro.network import Message, MessageKind, MessageSizes
+from repro.network import MessageSizes
 
 
 class TestMessageSizes:
@@ -22,53 +20,3 @@ class TestMessageSizes:
 
     def test_control_size(self):
         assert MessageSizes().control(num_fields=3) == 11 + 6
-
-
-class TestMessage:
-    def test_valid_message(self):
-        message = Message(
-            kind=MessageKind.DATA,
-            source=1,
-            destination=3,
-            size_bytes=15,
-            path=[1, 2, 3],
-        )
-        assert message.current_node() == 1
-        assert list(message.remaining_path()) == [2, 3]
-        assert message.latency_cycles is None
-
-    def test_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Message(kind=MessageKind.DATA, source=1, destination=2, size_bytes=0)
-
-    def test_path_must_start_at_source(self):
-        with pytest.raises(ValueError):
-            Message(
-                kind=MessageKind.DATA, source=1, destination=3,
-                size_bytes=10, path=[2, 3],
-            )
-
-    def test_path_must_end_at_destination(self):
-        with pytest.raises(ValueError):
-            Message(
-                kind=MessageKind.DATA, source=1, destination=3,
-                size_bytes=10, path=[1, 2],
-            )
-
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            Message(kind=MessageKind.DATA, source=1, destination=None,
-                    size_bytes=10, path=[])
-
-    def test_latency(self):
-        message = Message(
-            kind=MessageKind.RESULT, source=1, destination=2,
-            size_bytes=10, path=[1, 2], created_cycle=5,
-        )
-        message.delivered_cycle = 9
-        assert message.latency_cycles == 4
-
-    def test_message_ids_unique(self):
-        a = Message(kind=MessageKind.DATA, source=1, destination=None, size_bytes=1)
-        b = Message(kind=MessageKind.DATA, source=1, destination=None, size_bytes=1)
-        assert a.message_id != b.message_id

@@ -1,10 +1,10 @@
 """Correctness of the routing/transport performance layer.
 
 The PathCache must be invalidated by every topology mutation (link surgery,
-node death/recovery, moves), the transfer fast path must produce traffic
-statistics bit-identical to the per-hop reference implementation on perfect
-links, and the figure experiments must produce the same results with the
-caches enabled as with them disabled.
+node death/recovery, moves), the vectorized transfer must produce traffic
+statistics bit-identical to the per-hop reference rule on perfect links, and
+the figure experiments must produce the same results with routing queries
+answered by the cache as by the scalar BFS of ``topology_oracle``.
 """
 
 import pytest
@@ -14,8 +14,10 @@ from repro.network.links import LinkModel, lossy_links, perfect_links
 from repro.network.message import MessageKind
 from repro.network.mobility import is_leaf, move_leaf_node
 from repro.network.simulator import NetworkSimulator
-from repro.network.topology import Topology, grid_topology, random_topology
+from repro.network.topology import PathCache, Topology, grid_topology, random_topology
 from repro.network.traffic import TrafficStats
+from tests.network import topology_oracle as oracle
+from tests.network.transport_oracle import per_hop_transfer
 
 
 def fresh_copy(topology: Topology) -> Topology:
@@ -31,34 +33,30 @@ def topo():
 class TestPathCacheEquivalence:
     def test_cached_queries_match_cold_copy(self, topo):
         # Warm the cache with a first round of queries, then compare every
-        # result against a cold topology and against the cache-disabled path.
+        # result against a cold topology and against the scalar oracle BFS.
         nodes = topo.node_ids
         for source in nodes[::5]:
             topo.shortest_hops(source)
         cold = fresh_copy(topo)
-        try:
-            for source in nodes[::5]:
-                assert topo.shortest_hops(source) == cold.shortest_hops(source)
-                for target in nodes[::3]:
-                    assert topo.shortest_path(source, target) == \
-                        cold.shortest_path(source, target)
-                    assert topo.hops_between(source, target) == \
-                        cold.hops_between(source, target)
-            Topology.routing_cache_enabled = False
-            for source in nodes[::5]:
-                assert topo.shortest_hops(source) == cold.shortest_hops(source)
-                assert topo.neighbors(source) == cold.neighbors(source)
-        finally:
-            Topology.routing_cache_enabled = True
+        adjacency, alive = oracle.dict_adjacency(topo), oracle.alive_ids(topo)
+        for source in nodes[::5]:
+            assert topo.shortest_hops(source) == cold.shortest_hops(source)
+            assert topo.shortest_hops(source) == \
+                oracle.bfs_tables(adjacency, alive, source)[0]
+            assert topo.neighbors(source) == \
+                oracle.alive_rows(adjacency, alive)[source]
+            for target in nodes[::3]:
+                assert topo.shortest_path(source, target) == \
+                    cold.shortest_path(source, target)
+                assert topo.hops_between(source, target) == \
+                    cold.hops_between(source, target)
 
     def test_hops_between_matches_path_length(self, topo):
         for source in topo.node_ids[::7]:
             for target in topo.node_ids[::4]:
                 path = topo.shortest_path(source, target)
                 hops = topo.hops_between(source, target)
-                full = topo.hops_between(source, target, only_alive=False)
                 assert hops == (None if path is None else len(path) - 1)
-                assert full == hops  # everyone alive: views agree
 
     def test_shortest_hops_returns_mutable_copy(self, topo):
         first = topo.shortest_hops(topo.base_id)
@@ -131,13 +129,18 @@ class TestTransportEquivalence:
     def _run_traffic(self, fast: bool, link_model=None) -> TrafficStats:
         topo = grid_topology(num_nodes=49)
         simulator = NetworkSimulator(
-            topo, link_model=link_model or perfect_links(), fast_transport=fast
+            topo, link_model=link_model or perfect_links()
         )
+        if fast:
+            transfer = simulator.transfer
+        else:
+            def transfer(path, size_bytes, kind):
+                return per_hop_transfer(simulator, path, size_bytes, kind)
         base = topo.base_id
         for node in topo.node_ids:
             path = topo.shortest_path(node, base)
-            simulator.transfer(path, 24, MessageKind.DATA)
-            simulator.transfer(list(reversed(path)), 13, MessageKind.CONTROL)
+            transfer(path, 24, MessageKind.DATA)
+            transfer(list(reversed(path)), 13, MessageKind.CONTROL)
         simulator.flood(base, 13)
         for node in topo.node_ids[::5]:
             simulator.broadcast(node, 11, MessageKind.TREE_MAINT)
@@ -145,7 +148,7 @@ class TestTransportEquivalence:
         victim = next(n for n in topo.node_ids if n != base)
         witness = topo.neighbors(victim)[0]
         topo.nodes[victim].fail()
-        simulator.transfer([witness, victim, base], 24, MessageKind.DATA)
+        transfer([witness, victim, base], 24, MessageKind.DATA)
         return simulator.stats
 
     def test_fast_and_slow_paths_bit_identical_on_perfect_links(self):
@@ -198,8 +201,28 @@ class TestTransportEquivalence:
         assert run() == run()
 
 
+def _oracle_routing(monkeypatch):
+    """Answer every routing query with the oracle's scalar BFS over the
+    topology as it stands: every PathCache table (hop vectors, hop counts,
+    paths, hop dicts) is built from ``PathCache._bfs``, which is replaced
+    by an unmemoised oracle BFS."""
+    def bfs(cache, source):
+        topology = cache._topology
+        hop_table, parent_table = oracle.bfs_tables(
+            oracle.dict_adjacency(topology), oracle.alive_ids(topology), source)
+        hops = [-1] * topology.num_nodes
+        parents = [-1] * topology.num_nodes
+        for node_id, hop in hop_table.items():
+            hops[node_id] = hop
+            parents[node_id] = parent_table[node_id]
+        return hops, parents, list(hop_table)
+
+    monkeypatch.setattr(PathCache, "_bfs", bfs)
+
+
 class TestExperimentEquivalence:
-    """Fig 14 / App G produce the same rows with caches on and off."""
+    """Fig 14 / App G produce the same rows with routing queries answered
+    by the cache and, with the cache disabled, by the oracle BFS."""
 
     def _run_fig14(self):
         from repro.engine import SCALES, reset_workload_caches
@@ -218,20 +241,12 @@ class TestExperimentEquivalence:
         reset_workload_caches()
         return figure_rows(appg_scenario(num_moves=1), SCALES["smoke"])
 
-    def test_fig14_failure_same_with_cache_disabled(self):
+    def test_fig14_failure_same_with_cache_disabled(self, monkeypatch):
         with_cache = self._run_fig14()
-        try:
-            Topology.routing_cache_enabled = False
-            without_cache = self._run_fig14()
-        finally:
-            Topology.routing_cache_enabled = True
-        assert with_cache == without_cache
+        _oracle_routing(monkeypatch)
+        assert self._run_fig14() == with_cache
 
-    def test_appg_mobility_same_with_cache_disabled(self):
+    def test_appg_mobility_same_with_cache_disabled(self, monkeypatch):
         with_cache = self._run_appg()
-        try:
-            Topology.routing_cache_enabled = False
-            without_cache = self._run_appg()
-        finally:
-            Topology.routing_cache_enabled = True
-        assert with_cache == without_cache
+        _oracle_routing(monkeypatch)
+        assert self._run_appg() == with_cache
