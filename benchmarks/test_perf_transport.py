@@ -1,9 +1,11 @@
 """Micro-benchmarks for the routing/transport performance layer.
 
-Times the two Python-level hot paths every figure benchmark leans on — the
-instant-accounting ``NetworkSimulator.transfer`` and the PathCache-backed
-``Topology.shortest_path``/``shortest_hops`` — plus the lossy batched
-variant, and records the results in ``BENCH_transport.json`` at the repo
+Times the Python-level hot paths every figure benchmark leans on — the
+per-tuple ``NetworkSimulator.transfer``, the batch-cycle kernel's
+``CycleBatcher.ship_many`` / ``ship_edges`` + ``flush`` (the calls the
+strategies make on the kernel) and the PathCache-backed
+``Topology.shortest_path``/``shortest_hops`` — on perfect and lossy links,
+and records the results in ``BENCH_transport.json`` at the repo
 root so future PRs have a perf trajectory to compare against.
 """
 
@@ -92,19 +94,26 @@ def test_perf_transfer_lossy(benchmark, mesh):
     _record("transfer_heavy_lossy", benchmark)
 
 
+def _batch_rounds(simulator, paths, rounds=10):
+    """*rounds* kernel cycles over *paths*: one ``ship_many`` + ``flush``
+    each, the calls a strategy's ``execute_cycle_batch`` makes."""
+    batcher = CycleBatcher(simulator)
+
+    def run():
+        for _ in range(rounds):
+            batcher.ship_many(paths, 24, MessageKind.DATA)
+            batcher.flush()
+        return simulator.stats.messages_sent
+    return run
+
+
 def test_perf_transfer_batch_perfect(benchmark, mesh):
     """The batch-cycle kernel on perfect links: one event per round."""
     simulator = NetworkSimulator(mesh)
     base = mesh.base_id
     paths = [mesh.shortest_path(node, base) for node in mesh.node_ids if node != base]
-    prepared = simulator.prepare_paths(paths)
 
-    def run():
-        for _ in range(10):
-            simulator.transfer_many(prepared, 24, MessageKind.DATA)
-        return simulator.stats.messages_sent
-
-    assert benchmark(run) > 0
+    assert benchmark(_batch_rounds(simulator, paths)) > 0
     _record("transfer_heavy_batch_perfect", benchmark)
 
 
@@ -113,14 +122,8 @@ def test_perf_transfer_batch_lossy(benchmark, mesh):
     simulator = NetworkSimulator(mesh, link_model=lossy_links(0.2, seed=9))
     base = mesh.base_id
     paths = [mesh.shortest_path(node, base) for node in mesh.node_ids if node != base]
-    prepared = simulator.prepare_paths(paths)
 
-    def run():
-        for _ in range(10):
-            simulator.transfer_many(prepared, 24, MessageKind.DATA)
-        return simulator.stats.messages_sent
-
-    assert benchmark(run) > 0
+    assert benchmark(_batch_rounds(simulator, paths)) > 0
     _record("transfer_heavy_batch_lossy", benchmark)
 
 
@@ -155,7 +158,7 @@ def _count_work(monkeypatch, simulator):
 
 
 def test_perf_batch_work_count_guard(mesh, monkeypatch):
-    """One ``transfer_many`` call does a round's work in one piece.
+    """One ``ship_many`` + ``flush`` does a round's work in one piece.
 
     Over the mesh's paths it emits exactly one ``charge_paths_batch``
     event, makes one link-model draw on lossy links (none on perfect
@@ -168,9 +171,8 @@ def test_perf_batch_work_count_guard(mesh, monkeypatch):
     paths = [mesh.shortest_path(node, base) for node in mesh.node_ids if node != base]
     for link_model, draws in ((None, 0), (lossy_links(0.2, seed=9), 1)):
         simulator = NetworkSimulator(mesh, link_model=link_model)
-        prepared = simulator.prepare_paths(paths)
         counts = _count_work(monkeypatch, simulator)
-        simulator.transfer_many(prepared, 24, MessageKind.DATA)
+        _batch_rounds(simulator, paths, rounds=1)()
         assert counts == {"charge_paths_batch": 1, "link_draw": draws,
                           "transfer": 0}
 

@@ -29,6 +29,7 @@ from repro.engine import (
 )
 from repro.engine.workload import build_query, memoized_workload
 from repro.experiments.figures_joins import _preset_num_nodes, query_traffic_scenario
+from repro.network.links import lossy_links
 from repro.network.message import MessageSizes
 from repro.query.analysis import analyze_query
 from repro.routing import DHTSubstrate, GHTSubstrate, MultiTreeSubstrate
@@ -254,7 +255,10 @@ def _run_costmodel_validation(spec: RunSpec):
     )
     result = run_single(query, topology, data_source, spec.algorithm,
                         spec.assumed_selectivities, cycles=spec.cycles,
-                        seed=spec.seed)
+                        seed=spec.seed, queue_capacity=spec.queue_capacity,
+                        link_model=(None if spec.link_loss is None else
+                                    lossy_links(spec.link_loss,
+                                                seed=spec.link_seed)))
     report = result.report
     measured = report.computation_traffic
     report.extra.update({

@@ -464,19 +464,17 @@ class JoinStrategy(ABC):
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
         """Run one sampling cycle: sample, ship, join, forward results."""
 
+    @abstractmethod
     def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
         """Run one sampling cycle with charges batched through *batcher*.
 
-        The default runs the strategy's own :meth:`execute_cycle` with
-        :meth:`ExecutionContext.ship` captured by the batcher: delivery
-        verdicts are identical (same RNG draw order), but all metric
-        charges are deferred and emitted as one array-level pipeline event
-        when the executor flushes the batcher.  Strategies with a wide
-        same-shape fan-out (e.g. every producer shipping to the base) can
-        override this with a vectorized ``ship_many`` formulation.
+        Delivery verdicts equal :meth:`execute_cycle`'s (same RNG draw
+        order), but every metric charge is deferred to the one array-level
+        pipeline event the executor's ``batcher.flush()`` emits.  Strategies
+        ship their wide same-shape fan-outs with ``batcher.ship_many`` /
+        ``ship_edges`` and route the rest of :meth:`execute_cycle` through
+        it with :meth:`ExecutionContext.captured_shipping`.
         """
-        with ctx.captured_shipping(batcher):
-            self.execute_cycle(ctx, cycle)
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
         """React to permanent node failures (default: nothing to do)."""

@@ -83,9 +83,7 @@ class JoinExecutor:
         self._initiated = False
         self._initiation_traffic = 0.0
         self.node_series_cap = node_series_cap
-        self._batcher: Optional[CycleBatcher] = None
-        self._batch_epoch = -1
-        self._batch_off = False
+        self._batcher = CycleBatcher(self.simulator)
 
     # ------------------------------------------------------------------
     def initiate(self) -> float:
@@ -144,29 +142,15 @@ class JoinExecutor:
     def _cycle_batcher(self) -> Optional[CycleBatcher]:
         """The batch-cycle kernel for this cycle, or ``None`` for per-tuple.
 
-        The kernel engages only while the network is static: every node
-        alive, no forwarding queues.  The first topology mutation after
-        engagement (failure injection, mobility -- both bump the routing
-        epoch) drops the run back to the bit-identical per-tuple path for
-        the rest of the run, so mid-phase dynamics never race the deferred
-        charges.
+        Decided afresh every cycle: the kernel runs unless a forwarding-queue
+        bound is set or a node is dead, the two cases only the per-hop
+        :meth:`~repro.network.simulator.NetworkSimulator.transfer` walk
+        models.  Failures are permanent, so a run leaves the kernel from its
+        first failure cycle on; a move with every node alive stays on it.
         """
-        if self._batch_off:
-            return None
         simulator = self.simulator
-        if simulator.queue_capacity is not None:
-            self._batch_off = True
-            return None
-        epoch = self.topology.routing_epoch
-        if self._batcher is None:
-            if len(simulator._current_alive_set()) != len(self.topology.nodes):
-                self._batch_off = True
-                return None
-            self._batcher = CycleBatcher(simulator)
-            self._batch_epoch = epoch
-        elif epoch != self._batch_epoch:
-            self._batch_off = True
-            self._batcher = None
+        if (simulator.queue_capacity is not None
+                or len(simulator._current_alive_set()) != len(self.topology.nodes)):
             return None
         return self._batcher
 

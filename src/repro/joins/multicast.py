@@ -52,10 +52,10 @@ class MulticastTree:
         """The transmission edges as flat ``(senders, receivers)`` arrays.
 
         The batched edge-expansion view of :meth:`edges` (same order, same
-        cache-refresh guard), pre-flattened once per tree so the batch-cycle
-        kernel can ship a whole tree without per-edge Python calls --
-        mirroring what :class:`~repro.network.batch.PreparedPaths` does for
-        path lists.  Callers must not mutate the returned arrays.
+        cache-refresh guard), pre-flattened once per tree so
+        :meth:`~repro.network.batch.CycleBatcher.ship_edges` can ship a whole
+        tree without per-edge Python calls.  Callers must not mutate the
+        returned arrays.
         """
         cached = self.__dict__.get("_edge_arrays_cache")
         if cached is None or cached[0].size != len(self.parent):

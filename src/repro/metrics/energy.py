@@ -128,30 +128,20 @@ class EnergySink(MetricsSink):
         per cycle -- the same order of work as the per-cycle idle loop.
         """
         model = self.model
-        uniform = batch.uniform
-        if uniform is not None:
-            size_bytes, _kind, tx_counts, rx_counts, _total_hops = uniform
-            size = tx_counts.shape[0]
-            delta = np.zeros(max(size, rx_counts.shape[0]), dtype=np.float64)
-            delta[:size] += tx_counts * (size_bytes * model.tx_uj_per_byte)
-            delta[:rx_counts.shape[0]] += rx_counts * (
-                size_bytes * model.rx_uj_per_byte
-            )
-        else:
-            if batch.senders.size == 0:
-                return
-            tx_weights = batch.sizes * model.tx_uj_per_byte
-            if batch.attempts is not None:
-                tx_weights = tx_weights * batch.attempts
-            tx_counts = np.bincount(batch.senders, weights=tx_weights)
-            rx_counts = np.bincount(
-                batch.receivers, weights=batch.sizes * model.rx_uj_per_byte
-            )
-            delta = np.zeros(
-                max(tx_counts.shape[0], rx_counts.shape[0]), dtype=np.float64
-            )
-            delta[:tx_counts.shape[0]] += tx_counts
-            delta[:rx_counts.shape[0]] += rx_counts
+        if batch.senders.size == 0:
+            return
+        tx_weights = batch.sizes * model.tx_uj_per_byte
+        if batch.attempts is not None:
+            tx_weights = tx_weights * batch.attempts
+        tx_counts = np.bincount(batch.senders, weights=tx_weights)
+        rx_counts = np.bincount(
+            batch.receivers, weights=batch.sizes * model.rx_uj_per_byte
+        )
+        delta = np.zeros(
+            max(tx_counts.shape[0], rx_counts.shape[0]), dtype=np.float64
+        )
+        delta[:tx_counts.shape[0]] += tx_counts
+        delta[:rx_counts.shape[0]] += rx_counts
         energy = self.energy
         nonzero = np.flatnonzero(delta)
         values = delta[nonzero]

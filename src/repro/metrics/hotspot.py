@@ -114,38 +114,26 @@ class HotspotSink(MetricsSink):
         including retransmission attempts, plus received units) as one
         ``np.bincount`` fold into the public ``load`` dictionary per cycle.
         """
-        uniform = batch.uniform
-        if uniform is not None:
-            size_bytes, _kind, tx_counts, rx_counts, _total_hops = uniform
-            units = float(size_bytes) if self.bytes_per_unit else 1.0
-            delta = np.zeros(
-                max(tx_counts.shape[0], rx_counts.shape[0]), dtype=np.float64
+        if batch.senders.size == 0:
+            return
+        attempts = batch.attempts
+        if self.bytes_per_unit:
+            rx_weights: Optional[np.ndarray] = batch.sizes
+            tx_weights = (
+                batch.sizes if attempts is None else batch.sizes * attempts
             )
-            delta[:tx_counts.shape[0]] += tx_counts
-            delta[:rx_counts.shape[0]] += rx_counts
-            if units != 1.0:
-                delta *= units
         else:
-            if batch.senders.size == 0:
-                return
-            attempts = batch.attempts
-            if self.bytes_per_unit:
-                rx_weights: Optional[np.ndarray] = batch.sizes
-                tx_weights = (
-                    batch.sizes if attempts is None else batch.sizes * attempts
-                )
-            else:
-                rx_weights = None
-                tx_weights = (
-                    None if attempts is None else attempts.astype(np.float64)
-                )
-            tx_counts = np.bincount(batch.senders, weights=tx_weights)
-            rx_counts = np.bincount(batch.receivers, weights=rx_weights)
-            delta = np.zeros(
-                max(tx_counts.shape[0], rx_counts.shape[0]), dtype=np.float64
+            rx_weights = None
+            tx_weights = (
+                None if attempts is None else attempts.astype(np.float64)
             )
-            delta[:tx_counts.shape[0]] += tx_counts
-            delta[:rx_counts.shape[0]] += rx_counts
+        tx_counts = np.bincount(batch.senders, weights=tx_weights)
+        rx_counts = np.bincount(batch.receivers, weights=rx_weights)
+        delta = np.zeros(
+            max(tx_counts.shape[0], rx_counts.shape[0]), dtype=np.float64
+        )
+        delta[:tx_counts.shape[0]] += tx_counts
+        delta[:rx_counts.shape[0]] += rx_counts
         load = self.load
         nonzero = np.flatnonzero(delta)
         values = delta[nonzero]

@@ -1,17 +1,19 @@
 """Batch-cycle transport kernel: one array-level charge per sampling cycle.
 
-The per-tuple fast path (:meth:`NetworkSimulator.transfer`) still executes one
-Python call chain per shipped tuple; at figure scale that caps the whole
-engine at a few hundred transfers per second.  This module materializes an
-entire sampling cycle's shipping as flat numpy arrays instead:
+The per-tuple path (:meth:`NetworkSimulator.transfer`) executes one Python
+call chain per shipped tuple; at figure scale that caps the whole engine at
+a few hundred transfers per second.  This module is the only array
+transport: it materializes an entire sampling cycle's shipping as flat numpy
+arrays instead.
 
-* :class:`PreparedPaths` -- a reusable set of paths pre-flattened into
-  hop-level sender/receiver arrays with cached per-node hop counts,
-* :class:`PathBatch` -- the payload of the pipeline's ``charge_paths_batch``
-  event: one event carries every hop charged in a cycle,
 * :class:`CycleBatcher` -- the per-cycle collector join strategies ship
-  through in batch mode (``ctx.ship`` routes here); delivery outcomes are
-  computed immediately, charging is deferred to one :meth:`CycleBatcher.flush`.
+  through on the kernel (``ctx.ship`` routes here, and the strategies'
+  ``execute_cycle_batch`` calls :meth:`~CycleBatcher.ship_many` /
+  :meth:`~CycleBatcher.ship_edges` directly); delivery outcomes are
+  computed immediately, charging is deferred to one
+  :meth:`CycleBatcher.flush`,
+* :class:`PathBatch` -- the payload of the pipeline's ``charge_paths_batch``
+  event that flush emits: one event carries every hop charged in a cycle.
 
 Bit-identity with the per-tuple reference path rests on two facts:
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from repro.network.message import MessageKind
 
-__all__ = ["PathBatch", "PreparedPaths", "CycleBatcher"]
+__all__ = ["PathBatch", "CycleBatcher"]
 
 
 def _segment_outcomes(
@@ -72,60 +74,6 @@ def _segment_outcomes(
     return delivered, charged, starts
 
 
-class PreparedPaths:
-    """A path set pre-flattened for repeated batched transfers.
-
-    Zero- and one-node paths ship nothing (they deliver trivially, exactly
-    like :meth:`NetworkSimulator.transfer` on a single-node path) and are
-    excluded from the hop arrays; ``active`` maps the remaining rows back to
-    the original path order.
-    """
-
-    __slots__ = ("paths", "n", "active", "lens", "starts", "within",
-                 "senders", "receivers", "node_set", "sender_counts",
-                 "receiver_counts", "total_hops")
-
-    def __init__(self, paths: Sequence[Sequence[int]],
-                 minlength: int = 0) -> None:
-        self.paths: List[Sequence[int]] = list(paths)
-        self.n = len(self.paths)
-        flat_senders: List[int] = []
-        flat_receivers: List[int] = []
-        lens: List[int] = []
-        active: List[int] = []
-        for index, path in enumerate(self.paths):
-            hops = len(path) - 1
-            if hops <= 0:
-                continue
-            active.append(index)
-            lens.append(hops)
-            flat_senders.extend(path[:hops])
-            flat_receivers.extend(path[1:])
-        self.active = np.asarray(active, dtype=np.int64)
-        self.lens = np.asarray(lens, dtype=np.int64)
-        self.starts = np.zeros(self.lens.size, dtype=np.int64)
-        if self.lens.size > 1:
-            np.cumsum(self.lens[:-1], out=self.starts[1:])
-        self.senders = np.asarray(flat_senders, dtype=np.int64)
-        self.receivers = np.asarray(flat_receivers, dtype=np.int64)
-        self.total_hops = int(self.senders.size)
-        self.within = (
-            np.arange(self.total_hops, dtype=np.int64)
-            - np.repeat(self.starts, self.lens)
-        )
-        self.node_set = frozenset(
-            node for path in self.paths for node in path
-        )
-        # Cached per-node hop counts: the whole-batch charge on perfect links
-        # is two vector multiply-adds over these, independent of path count.
-        self.sender_counts = np.bincount(
-            self.senders, minlength=minlength
-        ).astype(np.float64)
-        self.receiver_counts = np.bincount(
-            self.receivers, minlength=minlength
-        ).astype(np.float64)
-
-
 class PathBatch:
     """One ``charge_paths_batch`` event: every hop charged this cycle.
 
@@ -133,11 +81,9 @@ class PathBatch:
     per-charged-hop arrays (``kinds[kind_codes[i]]`` is hop *i*'s message
     kind); ``attempts`` is the per-hop transmission count or ``None`` when
     every hop is a single transmission (perfect links).  ``drops`` counts
-    link-loss message drops.  ``uniform`` is an optional fast form
-    ``(size_bytes, kind, sender_counts, receiver_counts, total_hops)`` set
-    when the whole batch is one perfect-links :class:`PreparedPaths`
-    transfer -- sinks should consume it instead of the hop arrays (which are
-    still populated for uniform batches).
+    link-loss message drops.  :meth:`CycleBatcher.flush` is the only
+    producer: sinks charge from the hop arrays with one ``np.bincount``
+    body.
 
     :meth:`iter_records` exposes the per-path view -- the exact
     ``charge_path`` / ``charge_drop`` call sequence the per-tuple reference
@@ -146,11 +92,10 @@ class PathBatch:
     """
 
     __slots__ = ("senders", "receivers", "sizes", "attempts", "kind_codes",
-                 "kinds", "drops", "uniform", "_record_groups",
-                 "_uniform_source", "_prepared_lossy")
+                 "kinds", "drops", "_record_groups")
 
     def __init__(self, senders, receivers, sizes, attempts, kind_codes,
-                 kinds, drops, uniform=None, record_groups=()) -> None:
+                 kinds, drops, record_groups) -> None:
         self.senders = senders
         self.receivers = receivers
         self.sizes = sizes
@@ -158,48 +103,7 @@ class PathBatch:
         self.kind_codes = kind_codes
         self.kinds = kinds
         self.drops = drops
-        self.uniform = uniform
         self._record_groups = record_groups
-        self._uniform_source = None
-        self._prepared_lossy = None
-
-    @classmethod
-    def from_prepared(cls, prepared: PreparedPaths, size_bytes: int,
-                      kind: MessageKind) -> "PathBatch":
-        """The perfect-links uniform batch for one prepared transfer."""
-        batch = cls(
-            senders=prepared.senders,
-            receivers=prepared.receivers,
-            sizes=np.full(prepared.total_hops, float(size_bytes)),
-            attempts=None,
-            kind_codes=np.zeros(prepared.total_hops, dtype=np.int64),
-            kinds=(kind,),
-            drops=0,
-            uniform=(size_bytes, kind, prepared.sender_counts,
-                     prepared.receiver_counts, prepared.total_hops),
-        )
-        batch._uniform_source = (prepared, size_bytes, kind)
-        return batch
-
-    @classmethod
-    def from_prepared_lossy(cls, prepared: PreparedPaths, size_bytes: int,
-                            kind: MessageKind, attempts: np.ndarray,
-                            delivered: np.ndarray, charged: np.ndarray
-                            ) -> "PathBatch":
-        """A lossy prepared transfer: hops masked to their charged prefix."""
-        keep = prepared.within < np.repeat(charged, prepared.lens)
-        batch = cls(
-            senders=prepared.senders[keep],
-            receivers=prepared.receivers[keep],
-            sizes=np.full(int(np.count_nonzero(keep)), float(size_bytes)),
-            attempts=attempts[keep],
-            kind_codes=np.zeros(int(np.count_nonzero(keep)), dtype=np.int64),
-            kinds=(kind,),
-            drops=int(np.count_nonzero(~delivered)),
-        )
-        batch._prepared_lossy = (prepared, size_bytes, kind, attempts,
-                                 delivered, charged)
-        return batch
 
     def iter_records(self) -> Iterator[Tuple[Any, int, MessageKind,
                                              Optional[np.ndarray],
@@ -211,30 +115,6 @@ class PathBatch:
         ``None`` on perfect links), a dropped one is ``charge_path(...,
         num_hops=first_failed_hop + 1)`` followed by ``charge_drop()``.
         """
-        if self._uniform_source is not None:
-            prepared, size_bytes, kind = self._uniform_source
-            for path in prepared.paths:
-                if len(path) > 1:
-                    yield path, size_bytes, kind, None, None, False
-            return
-        if self._prepared_lossy is not None:
-            prepared, size_bytes, kind, attempts, delivered, charged = \
-                self._prepared_lossy
-            starts = prepared.starts
-            lens = prepared.lens
-            row = 0
-            for path in prepared.paths:
-                if len(path) <= 1:
-                    continue
-                start = int(starts[row])
-                per_path = attempts[start:start + int(lens[row])]
-                if delivered[row]:
-                    yield path, size_bytes, kind, per_path, None, False
-                else:
-                    yield (path, size_bytes, kind, per_path,
-                           int(charged[row]), True)
-                row += 1
-            return
         for kind, size_bytes, records in self._record_groups:
             for entry in records:
                 if type(entry) is _EdgeBlock:

@@ -4,9 +4,11 @@ The paper charges a query's cost per sampling cycle: bytes transferred on
 mote networks, messages on mesh networks.  The simulator has one transport
 model, **instant accounting**: :meth:`NetworkSimulator.transfer` charges a
 message's whole path in one call (every sender on the path transmits, plus
-the retransmissions its link model draws), and :meth:`transfer_many` charges
-a cycle's worth of same-size paths in one vectorized call.  Result delay is
-not simulated hop by hop; strategies account it in
+the retransmissions its link model draws).  The join executor charges a
+cycle through :class:`~repro.network.batch.CycleBatcher` instead -- the same
+link-model draws, one array-level pipeline event for the whole cycle --
+unless a node is dead or a queue bound is set.  Result delay is not
+simulated hop by hop; strategies account it in
 :class:`~repro.joins.base.ResultAccounting`.
 
 With a per-node forwarding-queue bound (``queue_capacity``, messages per
@@ -23,7 +25,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.metrics.pipeline import MetricsPipeline, MetricsSink
-from repro.network.batch import PathBatch, PreparedPaths, _segment_outcomes
 from repro.network.links import LinkModel, perfect_links
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.topology import Topology
@@ -169,67 +170,6 @@ class NetworkSimulator:
                 self.pipeline.charge_drop()
                 return False
         return True
-
-    def prepare_paths(self, paths: Sequence[Sequence[int]]) -> PreparedPaths:
-        """Pre-flatten *paths* for repeated :meth:`transfer_many` calls.
-
-        Preparation hoists the per-path Python work (hop slicing, per-node
-        hop counts) out of the hot loop: a prepared perfect-links transfer
-        charges the whole set with two cached-``bincount`` vector adds.
-        """
-        nodes = self.topology.nodes
-        minlength = (max(nodes) + 1) if nodes else 0
-        return PreparedPaths(paths, minlength=minlength)
-
-    def transfer_many(
-        self,
-        paths: "Sequence[Sequence[int]] | PreparedPaths",
-        size_bytes: int,
-        kind: MessageKind = MessageKind.DATA,
-    ) -> np.ndarray:
-        """Charge many same-size, same-kind paths in one vectorized call.
-
-        Returns the per-path delivered flags.  Bit-identical -- traffic
-        statistics *and* consumed RNG stream -- to calling :meth:`transfer`
-        once per path in order: on lossy links the single
-        :meth:`~repro.network.links.LinkModel.attempt_hops_batch` draw equals
-        the per-path ``attempt_hops`` draws, and the aggregated charges sum
-        the same integer-valued units.  When per-hop queue bookkeeping is on
-        or any path crosses a dead node, each path goes through
-        :meth:`transfer` in turn.
-        """
-        prepared = (
-            paths if isinstance(paths, PreparedPaths)
-            else self.prepare_paths(paths)
-        )
-        if not (
-            self.queue_capacity is None
-            and self._current_alive_set().issuperset(prepared.node_set)
-        ):
-            return np.fromiter(
-                (self.transfer(path, size_bytes, kind)
-                 for path in prepared.paths),
-                count=prepared.n, dtype=bool,
-            )
-        if self.links.loss_probability == 0.0:
-            if prepared.total_hops:
-                self.pipeline.charge_paths_batch(
-                    PathBatch.from_prepared(prepared, size_bytes, kind)
-                )
-            return np.ones(prepared.n, dtype=bool)
-        delivered_hops, attempts = self.links.attempt_hops_batch(prepared.lens)
-        delivered, charged, _starts = _segment_outcomes(
-            prepared.lens, delivered_hops
-        )
-        if prepared.total_hops:
-            self.pipeline.charge_paths_batch(
-                PathBatch.from_prepared_lossy(
-                    prepared, size_bytes, kind, attempts, delivered, charged
-                )
-            )
-        out = np.ones(prepared.n, dtype=bool)
-        out[prepared.active] = delivered
-        return out
 
     def broadcast(
         self, node_id: int, size_bytes: int, kind: MessageKind = MessageKind.CONTROL

@@ -185,52 +185,37 @@ class TrafficStats:
         counters update from the same weights.  Bit-identical because every
         addend is an integer-valued float.
         """
-        uniform = batch.uniform
-        if uniform is not None:
-            size_bytes, kind, tx_counts, rx_counts, total_hops = uniform
-            units = (
-                float(size_bytes)
-                if self.accounting is TrafficAccounting.BYTES
-                else 1.0
-            )
-            if units == 1.0:
-                self._accumulate(tx_counts, rx_counts)
+        senders = batch.senders
+        if senders.size:
+            attempts = batch.attempts
+            if self.accounting is TrafficAccounting.BYTES:
+                rx_weights: Optional[np.ndarray] = batch.sizes
+                tx_weights = (
+                    batch.sizes if attempts is None
+                    else batch.sizes * attempts
+                )
             else:
-                self._accumulate(tx_counts * units, rx_counts * units)
-            self.by_kind[kind] += units * total_hops
-            self.messages_sent += total_hops
-        else:
-            senders = batch.senders
-            if senders.size:
-                attempts = batch.attempts
-                if self.accounting is TrafficAccounting.BYTES:
-                    rx_weights: Optional[np.ndarray] = batch.sizes
-                    tx_weights = (
-                        batch.sizes if attempts is None
-                        else batch.sizes * attempts
-                    )
-                else:
-                    rx_weights = None
-                    tx_weights = (
-                        None if attempts is None
-                        else attempts.astype(np.float64)
-                    )
-                self._accumulate(
-                    np.bincount(senders, weights=tx_weights).astype(
-                        np.float64, copy=False),
-                    np.bincount(batch.receivers, weights=rx_weights).astype(
-                        np.float64, copy=False),
+                rx_weights = None
+                tx_weights = (
+                    None if attempts is None
+                    else attempts.astype(np.float64)
                 )
-                per_kind = np.bincount(
-                    batch.kind_codes, weights=tx_weights,
-                    minlength=len(batch.kinds),
-                )
-                for code, kind in enumerate(batch.kinds):
-                    self.by_kind[kind] += float(per_kind[code])
-                self.messages_sent += (
-                    int(attempts.sum()) if attempts is not None
-                    else int(senders.size)
-                )
+            self._accumulate(
+                np.bincount(senders, weights=tx_weights).astype(
+                    np.float64, copy=False),
+                np.bincount(batch.receivers, weights=rx_weights).astype(
+                    np.float64, copy=False),
+            )
+            per_kind = np.bincount(
+                batch.kind_codes, weights=tx_weights,
+                minlength=len(batch.kinds),
+            )
+            for code, kind in enumerate(batch.kinds):
+                self.by_kind[kind] += float(per_kind[code])
+            self.messages_sent += (
+                int(attempts.sum()) if attempts is not None
+                else int(senders.size)
+            )
         if batch.drops:
             self.messages_dropped += batch.drops
 

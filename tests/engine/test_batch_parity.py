@@ -11,6 +11,7 @@ from repro.engine import SCALES, ScenarioSpec, execute_run
 from repro.engine.spec import PhaseSpec
 from repro.experiments.scenarios import BUILTIN_SCENARIOS, figure_rows
 from repro.joins.executor import JoinExecutor
+from repro.network.batch import CycleBatcher
 
 SMOKE = SCALES["smoke"]
 
@@ -39,6 +40,28 @@ def _compare(per_tuple, scenario: ScenarioSpec, limit=None):
         )
 
 
+def _record_kernel_cycles(monkeypatch):
+    """Per executor, one ``(flush calls, every node alive)`` pair for each
+    cycle it steps: the executor's kernel rule, observed with exact counts."""
+    runs = {}
+    flushes = []
+    flush = CycleBatcher.flush
+    step = JoinExecutor.step_cycle
+
+    def counted(self):
+        flushes.append(self)
+        flush(self)
+
+    def recorded(self, cycle):
+        before = len(flushes)
+        step(self, cycle)
+        alive = all(node.alive for node in self.topology.nodes.values())
+        runs.setdefault(self, []).append((len(flushes) - before, alive))
+    monkeypatch.setattr(CycleBatcher, "flush", counted)
+    monkeypatch.setattr(JoinExecutor, "step_cycle", recorded)
+    return runs
+
+
 class TestBatchParity:
     def test_fig02_smoke_subset(self, per_tuple_cycles):
         _compare(per_tuple_cycles, BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
@@ -63,14 +86,8 @@ class TestBatchParity:
 
     def test_leaf_move_with_every_node_alive(self, per_tuple_cycles, monkeypatch):
         """A mid-run leaf move bumps the routing epoch while every node is
-        alive: the executor leaves the kernel on the epoch change alone."""
-        on_kernel = []
-        step = JoinExecutor.step_cycle
-
-        def recorded(self, cycle):
-            on_kernel.append(self._cycle_batcher() is not None)
-            step(self, cycle)
-        monkeypatch.setattr(JoinExecutor, "step_cycle", recorded)
+        alive: the executor stays on the kernel through the move."""
+        runs = _record_kernel_cycles(monkeypatch)
         scenario = BUILTIN_SCENARIOS["fig02-smoke"]().with_overrides(
             algorithms=("base", "innet-cmpg", "ght"),
             grid={"ratio": ["1/2:1/2"], "sigma_st": [0.2]},
@@ -79,7 +96,9 @@ class TestBatchParity:
         )
         specs = scenario.expand(SMOKE)
         batched = [execute_run(spec).report for spec in specs]
-        assert True in on_kernel and False in on_kernel
+        assert len(runs) == len(specs)
+        for spec, cycles in zip(specs, runs.values()):
+            assert [count for count, _ in cycles] == [1] * spec.cycles
         with per_tuple_cycles():
             reference = [execute_run(spec).report for spec in specs]
         for report_on, report_off in zip(batched, reference):
@@ -110,6 +129,39 @@ class TestBatchParity:
         _compare(per_tuple_cycles, BUILTIN_SCENARIOS["table3"]().with_overrides(
             queue_capacity=8,
         ))
+
+
+class TestKernelRule:
+    """The executor decides the kernel each cycle: on it unless a node is
+    dead or a forwarding-queue bound is set."""
+
+    def test_fig14_smoke_leaves_kernel_from_failure_cycle(self, monkeypatch):
+        """Failures are permanent: every cycle before the first failure
+        flushes one batch, no cycle from the failure cycle on flushes."""
+        runs = _record_kernel_cycles(monkeypatch)
+        for spec in BUILTIN_SCENARIOS["fig14-smoke"]().expand(SMOKE):
+            execute_run(spec)
+        failed_runs = 0
+        for cycles in runs.values():
+            alive = [every_alive for _, every_alive in cycles]
+            first_failure = alive.index(False) if False in alive else len(cycles)
+            assert [count for count, _ in cycles] == (
+                [1] * first_failure + [0] * (len(cycles) - first_failure)
+            )
+            if first_failure < len(cycles):
+                assert first_failure > 0
+                failed_runs += 1
+        assert failed_runs > 0
+
+    def test_queue_bound_keeps_every_cycle_off_the_kernel(self, monkeypatch):
+        """With ``queue_capacity=8`` no cycle flushes a batch."""
+        runs = _record_kernel_cycles(monkeypatch)
+        for spec in BUILTIN_SCENARIOS["table3"]().with_overrides(
+                queue_capacity=8).expand(SMOKE):
+            execute_run(spec)
+        assert runs
+        assert all(count == 0 for cycles in runs.values()
+                   for count, _ in cycles)
 
 
 class TestRosterParity:
@@ -159,8 +211,6 @@ class TestRosterParity:
                                                       monkeypatch):
         """The reference really is per-tuple: under the fixture no cycle
         flushes a batch, where the default executor flushes every cycle."""
-        from repro.network.batch import CycleBatcher
-
         flushes = []
         flush = CycleBatcher.flush
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.pipeline import MetricsSink
-from repro.network.batch import CycleBatcher, PreparedPaths, _segment_outcomes
+from repro.network.batch import CycleBatcher, _segment_outcomes
 from repro.network.links import lossy_links, perfect_links
 from repro.network.message import MessageKind
 from repro.network.simulator import NetworkSimulator
@@ -32,6 +32,18 @@ def _paths(simulator, count=None):
         if node_id != topology.base_id
     ]
     return paths[:count] if count is not None else paths
+
+
+def _paths_with_single_nodes(simulator):
+    """Base paths with single-node paths interleaved: they deliver without
+    a charge or a link-model draw, wherever they sit in the list."""
+    base = simulator.topology.base_id
+    paths = []
+    for index, path in enumerate(_paths(simulator)):
+        if index % 4 == 0:
+            paths.append([base])
+        paths.append(path)
+    return paths
 
 
 def _traffic_view(simulator):
@@ -72,58 +84,6 @@ class TestSegmentOutcomes:
         assert charged.tolist() == [0, 2, 0]
 
 
-class TestTransferMany:
-    @pytest.mark.parametrize("loss", [0.0, 0.25])
-    def test_bit_identical_to_looped_transfer(self, loss):
-        batched = _sim(loss=loss, seed=7)
-        reference = _sim(loss=loss, seed=7)
-        paths = _paths(batched)
-        out = batched.transfer_many(paths, 24, MessageKind.DATA)
-        expected = np.array([
-            reference.transfer(path, 24, MessageKind.DATA) for path in paths
-        ])
-        assert np.array_equal(out, expected)
-        assert _traffic_view(batched) == _traffic_view(reference)
-
-    def test_prepared_paths_reusable_across_calls(self):
-        batched = _sim(loss=0.3, seed=3)
-        reference = _sim(loss=0.3, seed=3)
-        paths = _paths(batched)
-        prepared = batched.prepare_paths(paths)
-        for _ in range(5):
-            out = batched.transfer_many(prepared, 10, MessageKind.DATA)
-            expected = np.array([
-                reference.transfer(p, 10, MessageKind.DATA) for p in paths
-            ])
-            assert np.array_equal(out, expected)
-        assert _traffic_view(batched) == _traffic_view(reference)
-
-    def test_single_node_paths_deliver_without_charges(self):
-        simulator = _sim(loss=0.4, seed=2)
-        base = simulator.topology.base_id
-        out = simulator.transfer_many([[base], []], 16, MessageKind.DATA)
-        assert out.tolist() == [True, True]
-        assert simulator.stats.total() == 0.0
-        # and no randomness was consumed
-        fresh = lossy_links(0.4, seed=2)
-        assert simulator.links.attempt_hop() == fresh.attempt_hop()
-
-    def test_dead_node_falls_back_to_reference_path(self):
-        batched = _sim(loss=0.0)
-        reference = _sim(loss=0.0)
-        paths = _paths(batched)
-        victim = paths[0][0]
-        for simulator in (batched, reference):
-            simulator.topology.nodes[victim].fail()
-        out = batched.transfer_many(paths, 8, MessageKind.DATA)
-        expected = np.array([
-            reference.transfer(p, 8, MessageKind.DATA) for p in paths
-        ])
-        assert np.array_equal(out, expected)
-        assert not out[0]
-        assert _traffic_view(batched) == _traffic_view(reference)
-
-
 class TestCycleBatcher:
     @pytest.mark.parametrize("loss", [0.0, 0.3])
     def test_ship_matches_reference_transfer(self, loss):
@@ -139,21 +99,36 @@ class TestCycleBatcher:
         assert verdicts == expected
         assert _traffic_view(batched) == _traffic_view(reference)
 
-    @pytest.mark.parametrize("loss", [0.0, 0.3])
-    def test_ship_many_matches_per_path_ship(self, loss):
+    @pytest.mark.parametrize("loss, paths_of, flushes", [
+        pytest.param(0.0, _paths, 1, id="0.0"),
+        pytest.param(0.3, _paths, 1, id="0.3"),
+        pytest.param(0.25, _paths_with_single_nodes, 1,
+                     id="0.25-single-node-paths"),
+        pytest.param(0.3, _paths, 5, id="0.3-five-flushes"),
+    ])
+    def test_ship_many_matches_per_path_ship(self, loss, paths_of, flushes):
+        """``ship_many`` equals per-path ``ship`` and looped ``transfer``:
+        same verdicts, same seeded stream, same charges, flush after flush
+        on one batcher."""
         many = _sim(loss=loss, seed=9)
         single = _sim(loss=loss, seed=9)
-        paths = _paths(many)
+        reference = _sim(loss=loss, seed=9)
+        paths = paths_of(many)
         batcher_many = CycleBatcher(many)
-        out = batcher_many.ship_many(paths, 20, MessageKind.DATA)
-        batcher_many.flush()
         batcher_single = CycleBatcher(single)
-        expected = [
-            batcher_single.ship(p, 20, MessageKind.DATA) for p in paths
-        ]
-        batcher_single.flush()
-        assert out.tolist() == expected
+        for _ in range(flushes):
+            out = batcher_many.ship_many(paths, 20, MessageKind.DATA)
+            batcher_many.flush()
+            expected = [
+                batcher_single.ship(p, 20, MessageKind.DATA) for p in paths
+            ]
+            batcher_single.flush()
+            looped = [
+                reference.transfer(p, 20, MessageKind.DATA) for p in paths
+            ]
+            assert out.tolist() == expected == looped
         assert _traffic_view(many) == _traffic_view(single)
+        assert _traffic_view(many) == _traffic_view(reference)
 
     def test_mixed_kinds_and_sizes_in_one_flush(self):
         batched = _sim(loss=0.2, seed=13)
@@ -345,27 +320,3 @@ class TestUnrollAdapter:
             reference.transfer(path, 18, MessageKind.DATA)
         assert batched_sink.calls == reference_sink.calls
         assert _traffic_view(batched) == _traffic_view(reference)
-
-    def test_replay_covers_prepared_transfer_many(self):
-        batched_sink = self.Recorder()
-        reference_sink = self.Recorder()
-        batched = _sim(loss=0.35, seed=4, sinks=[batched_sink])
-        reference = _sim(loss=0.35, seed=4, sinks=[reference_sink])
-        paths = _paths(batched)
-        batched.transfer_many(paths, 18, MessageKind.DATA)
-        for path in paths:
-            reference.transfer(path, 18, MessageKind.DATA)
-        assert batched_sink.calls == reference_sink.calls
-
-
-class TestPreparedPaths:
-    def test_counts_and_flattening(self):
-        prepared = PreparedPaths([[1, 2, 3], [4], [2, 3]], minlength=6)
-        assert prepared.n == 3
-        assert prepared.active.tolist() == [0, 2]
-        assert prepared.lens.tolist() == [2, 1]
-        assert prepared.senders.tolist() == [1, 2, 2]
-        assert prepared.receivers.tolist() == [2, 3, 3]
-        assert prepared.total_hops == 3
-        assert prepared.sender_counts.tolist() == [0, 1, 2, 0, 0, 0]
-        assert prepared.receiver_counts.tolist() == [0, 0, 1, 2, 0, 0]
