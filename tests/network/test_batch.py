@@ -102,6 +102,8 @@ class TestCycleBatcher:
     @pytest.mark.parametrize("loss, paths_of, flushes", [
         pytest.param(0.0, _paths, 1, id="0.0"),
         pytest.param(0.3, _paths, 1, id="0.3"),
+        pytest.param(0.0, _paths_with_single_nodes, 1,
+                     id="0.0-single-node-paths"),
         pytest.param(0.25, _paths_with_single_nodes, 1,
                      id="0.25-single-node-paths"),
         pytest.param(0.3, _paths, 5, id="0.3-five-flushes"),
