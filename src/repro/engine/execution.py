@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.cost_model import Selectivities
-from repro.engine.registry import make_strategy, resolve_run_kind
+from repro.engine.registry import RUN_KINDS, make_strategy
 from repro.engine.results import RunResult
 from repro.engine.spec import PhaseSpec, RunSpec, thaw
 from repro.engine.workload import (
@@ -372,7 +372,7 @@ def _run_phased(spec: RunSpec, query: JoinQuery, topology: Topology,
 def execute_run(spec: RunSpec) -> RunResult:
     """Materialize and run one RunSpec (the unit a pool worker executes)."""
     if spec.kind != "join":
-        kind_executor = resolve_run_kind(spec.kind)
+        kind_executor = RUN_KINDS.get(spec.kind)
         report = kind_executor(spec)
         return RunResult(algorithm=spec.algorithm, seed=spec.seed, report=report)
     return _execute_join_run(spec)

@@ -13,10 +13,14 @@ engine:
     def _build(**kwargs):
         return MyJoin(**kwargs)
 
-Both registries are plain process-global dictionaries; under the
-multiprocessing executor each worker process re-imports this module and gets
-the built-in entries (fork-started workers additionally inherit any runtime
-registrations made before the pool was created).
+Every registry is a plain process-global dictionary, and every lookup goes
+through :meth:`Registry.get`: a miss imports the experiment layer's
+registrations once (:func:`load_experiment_registrations`) before it raises
+``KeyError``.  Only names are looked up, so a scenario always names its query;
+an unregistered callable is not a query.  Under the multiprocessing executor
+each worker process re-imports this module and gets the built-in entries
+(fork-started workers additionally inherit any runtime registrations made
+before the pool was created).
 """
 
 from __future__ import annotations
@@ -35,17 +39,14 @@ from repro.joins.base import JoinStrategy
 from repro.query.query import JoinQuery
 
 
-#: Prefix of process-local ad-hoc query registrations (see resolve_query_name).
-_INLINE_PREFIX = "_inline/"
-
-#: Bumped on every durable (non-inline) registration.  Long-lived worker
-#: pools compare it against the generation they forked at and restart their
-#: workers when it moved, so late runtime registrations reach workers too.
+#: Bumped on every registration.  Long-lived worker pools compare it against
+#: the generation they forked at and restart their workers when it moved, so
+#: late runtime registrations reach workers too.
 _REGISTRY_GENERATION = 0
 
 
 def registry_generation() -> int:
-    """Monotonic counter of durable registrations across all registries."""
+    """Monotonic counter of registrations across all registries."""
     return _REGISTRY_GENERATION
 
 
@@ -62,37 +63,34 @@ class Registry:
         def _register(fn: Callable) -> Callable:
             global _REGISTRY_GENERATION
             self._builders[name] = fn
-            # inline ad-hoc registrations never cross process boundaries
-            # (their scenarios run serially), so they don't age a warm pool
-            if not name.startswith(_INLINE_PREFIX):
-                _REGISTRY_GENERATION += 1
+            _REGISTRY_GENERATION += 1
             return fn
 
         if builder is not None:
             return _register(builder)
         return _register
 
+    def get(self, name: str) -> Callable:
+        """The builder registered under *name*.
+
+        A miss loads the experiment layer's registrations once and looks
+        again before raising ``KeyError``.
+        """
+        builder = self._builders.get(name)
+        if builder is None:
+            load_experiment_registrations()
+            builder = self._builders.get(name)
+            if builder is None:
+                raise KeyError(
+                    f"unknown {self.kind} {name!r}; expected one of {self.names()}"
+                )
+        return builder
+
     def create(self, name: str, **kwargs):
-        try:
-            builder = self._builders[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown {self.kind} {name!r}; expected one of {self.names()}"
-            ) from None
-        return builder(**kwargs)
+        return self.get(name)(**kwargs)
 
     def names(self) -> List[str]:
         return sorted(self._builders)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._builders
-
-    def name_for(self, builder: Callable) -> Optional[str]:
-        """Reverse lookup: the registered name of *builder*, if any."""
-        for name, candidate in self._builders.items():
-            if candidate is builder:
-                return name
-        return None
 
     @property
     def builders(self) -> Dict[str, Callable]:
@@ -146,15 +144,9 @@ def load_experiment_registrations() -> None:
         pass
 
 
-def _create_with_fallback(registry: "Registry", name: str, **kwargs):
-    if name not in registry:
-        load_experiment_registrations()
-    return registry.create(name, **kwargs)
-
-
 def make_strategy(name: str, **kwargs) -> JoinStrategy:
     """Instantiate a join strategy by its figure label."""
-    return _create_with_fallback(STRATEGIES, name, **kwargs)
+    return STRATEGIES.create(name, **kwargs)
 
 
 def available_algorithms() -> List[str]:
@@ -173,10 +165,6 @@ MESH_ALGORITHMS = ["naive", "base", "dht", "innet-cmg"]
 
 QUERIES = Registry("query")
 register_query_builder = QUERIES.register
-
-_INLINE_MAX = 32
-_inline_counter = 0
-_inline_names: List[str] = []
 
 
 def _register_builtin_queries() -> None:
@@ -198,18 +186,7 @@ _register_builtin_queries()
 
 def make_query(name: str, **kwargs) -> JoinQuery:
     """Build a query by its registered name."""
-    return _create_with_fallback(QUERIES, name, **kwargs)
-
-
-def query_builder_for(name: str) -> Callable[..., JoinQuery]:
-    """The registered builder callable for *name* (with lazy fallback)."""
-    if name not in QUERIES:
-        load_experiment_registrations()
-    if name not in QUERIES:
-        raise KeyError(
-            f"unknown query {name!r}; expected one of {QUERIES.names()}"
-        )
-    return QUERIES.builders[name]
+    return QUERIES.create(name, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,74 +211,3 @@ register_workload_source = WORKLOAD_SOURCES.register
 #: functions of the workload (per-pair oracles, measured selectivities).
 ASSUMED_PROVIDERS = Registry("assumed-selectivity provider")
 register_assumed_provider = ASSUMED_PROVIDERS.register
-
-
-def resolve_run_kind(name: str) -> Callable:
-    """The executor callable registered for run kind *name*."""
-    if name not in RUN_KINDS:
-        load_experiment_registrations()
-    if name not in RUN_KINDS:
-        raise KeyError(
-            f"unknown run kind {name!r}; expected 'join' or one of "
-            f"{RUN_KINDS.names()}"
-        )
-    return RUN_KINDS.builders[name]
-
-
-def resolve_workload_source(name: str) -> Callable:
-    """The data-source builder registered under *name*."""
-    if name not in WORKLOAD_SOURCES:
-        load_experiment_registrations()
-    if name not in WORKLOAD_SOURCES:
-        raise KeyError(
-            f"unknown workload source {name!r}; expected one of "
-            f"{WORKLOAD_SOURCES.names()}"
-        )
-    return WORKLOAD_SOURCES.builders[name]
-
-
-def resolve_assumed_provider(name: str) -> Callable:
-    """The assumed-selectivity provider registered under *name*."""
-    if name not in ASSUMED_PROVIDERS:
-        load_experiment_registrations()
-    if name not in ASSUMED_PROVIDERS:
-        raise KeyError(
-            f"unknown assumed-selectivity provider {name!r}; expected one of "
-            f"{ASSUMED_PROVIDERS.names()}"
-        )
-    return ASSUMED_PROVIDERS.builders[name]
-
-
-def resolve_query_name(query_builder: Callable[..., JoinQuery]) -> str:
-    """The registered name of a query-builder callable.
-
-    Unregistered callables (ad-hoc lambdas from legacy call sites) get a
-    process-local ``_inline/N`` registration so the engine can still schedule
-    them; such scenarios are not portable across processes and the runner
-    falls back to serial execution for them.  Inline registrations are
-    bounded: beyond the newest ``_INLINE_MAX`` the oldest are evicted, so a
-    long-lived process churning ad-hoc lambdas cannot grow the registry (or
-    retain the lambdas' closures) without limit.
-    """
-    name = QUERIES.name_for(query_builder)
-    if name is not None:
-        return name
-    global _inline_counter
-    _inline_counter += 1
-    name = f"{_INLINE_PREFIX}{_inline_counter}"
-    QUERIES.register(name, query_builder)
-    _inline_names.append(name)
-    while len(_inline_names) > _INLINE_MAX:
-        QUERIES.builders.pop(_inline_names.pop(0), None)
-    return name
-
-
-def clear_inline_queries() -> None:
-    """Drop every process-local ad-hoc query registration."""
-    while _inline_names:
-        QUERIES.builders.pop(_inline_names.pop(), None)
-
-
-def is_inline_query(name: str) -> bool:
-    """Whether *name* is a process-local ad-hoc registration."""
-    return name.startswith(_INLINE_PREFIX)

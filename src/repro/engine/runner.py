@@ -36,7 +36,6 @@ from repro.engine.pool import (
     record_run_cost,
     shared_pool,
 )
-from repro.engine.registry import is_inline_query
 from repro.engine.results import AggregateResult, RunResult
 from repro.engine.spec import ExperimentScale, RunSpec, ScenarioSpec, scale_from_env
 from repro.engine.store import ResultStore, StreamingWriter
@@ -182,12 +181,11 @@ class SweepRunner:
             scale: Optional[ExperimentScale] = None) -> SweepResult:
         scale = scale or scale_from_env()
         specs = scenario.expand(scale)
-        portable = all(not is_inline_query(spec.query) for spec in specs)
 
         reports: Dict[RunSpec, ExecutionReport] = {}
         from_store = 0
         pending: List[RunSpec] = []
-        if self.store is not None and portable and self.resume:
+        if self.store is not None and self.resume:
             keys = {spec: spec.run_key() for spec in specs}
             done = self.store.completed(keys.values())
             for spec in specs:
@@ -202,11 +200,11 @@ class SweepRunner:
             pending = list(specs)
 
         writer = None
-        if self.store is not None and portable:
+        if self.store is not None:
             writer = StreamingWriter(self.store, flush_every=self.flush_every,
                                      flush_seconds=self.flush_seconds)
         executed = self._execute(pending, reports, total=len(specs), done=from_store,
-                                 portable=portable, writer=writer)
+                                 writer=writer)
 
         self.last_executed = executed
         self.last_from_store = from_store
@@ -220,7 +218,7 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     def _execute(self, pending: List[RunSpec], reports: Dict[RunSpec, ExecutionReport],
-                 total: int, done: int, portable: bool,
+                 total: int, done: int,
                  writer: Optional[StreamingWriter] = None) -> int:
         if not pending:
             return 0
@@ -228,10 +226,8 @@ class SweepRunner:
         # smoke vs paper size differs by orders of magnitude per run
         cost_key = (pending[0].scenario, pending[0].num_nodes,
                     pending[0].cycles)
-        workers = 1
-        if portable:
-            workers = effective_jobs(self.jobs, len(pending), scenario=cost_key,
-                                     adaptive=self.adaptive)
+        workers = effective_jobs(self.jobs, len(pending), scenario=cost_key,
+                                 adaptive=self.adaptive)
         pool = None
         completed = 0
         started = time.perf_counter()

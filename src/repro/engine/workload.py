@@ -53,16 +53,12 @@ def reset_workload_caches() -> None:
 
     Long-lived multi-scenario processes can call this between scenarios to
     release the retained deployments (and, transitively, the per-cycle
-    producer-sample memos attached to the cached data sources).  Ad-hoc
-    inline query registrations are dropped too.
+    producer-sample memos attached to the cached data sources).
     """
-    from repro.engine.registry import clear_inline_queries
-
     _TOPOLOGY_CACHE.clear()
     _QUERY_CACHE.clear()
     _DATA_SOURCE_CACHE.clear()
     _PROVIDER_CACHE.clear()
-    clear_inline_queries()
 
 
 def workload_cache_stats() -> Dict[str, int]:
@@ -128,23 +124,21 @@ def build_query(name: str, frozen_kwargs: Tuple = (),
     ``topology`` parameter get the run's topology injected (and are memoized
     per topology).
     """
-    from repro.engine.registry import is_inline_query, make_query, query_builder_for
+    from repro.engine.registry import QUERIES
     from repro.engine.spec import thaw
 
+    builder = QUERIES.get(name)
     kwargs = thaw(frozen_kwargs) or {}
-    wants_topology = (
-        topology is not None and _builder_wants_topology(query_builder_for(name))
-    )
+    wants_topology = topology is not None and _builder_wants_topology(builder)
     key = (name, frozen_kwargs, topology_key if wants_topology else None)
     cached = _QUERY_CACHE.get(key)
     if cached is not None:
         return cached
     if wants_topology:
         kwargs["topology"] = topology
-    query = make_query(name, **kwargs)
-    if not is_inline_query(name):
-        _evict_to(_QUERY_CACHE, QUERY_CACHE_MAX)
-        _QUERY_CACHE[key] = query
+    query = builder(**kwargs)
+    _evict_to(_QUERY_CACHE, QUERY_CACHE_MAX)
+    _QUERY_CACHE[key] = query
     return query
 
 
@@ -290,14 +284,14 @@ def memoized_workload_source(
     instance across the runs of a sweep keeps the per-cycle sample memos
     shared exactly like the synthetic default.
     """
-    from repro.engine.registry import resolve_workload_source
+    from repro.engine.registry import WORKLOAD_SOURCES
     from repro.engine.spec import thaw
 
     key = ("source", name, topology_key, query_key, seed, frozen_kwargs)
     cached = _DATA_SOURCE_CACHE.get(key)
     if cached is not None:
         return cached
-    builder = resolve_workload_source(name)
+    builder = WORKLOAD_SOURCES.get(name)
     source = builder(topology, query, seed=seed, **(thaw(frozen_kwargs) or {}))
     _evict_to(_DATA_SOURCE_CACHE, DATA_SOURCE_CACHE_MAX)
     _DATA_SOURCE_CACHE[key] = source
@@ -323,7 +317,7 @@ def memoized_assumed_provider(
     name/kwargs or the data selectivities -- so grid points with different
     workloads never share a measured provider.
     """
-    from repro.engine.registry import resolve_assumed_provider
+    from repro.engine.registry import ASSUMED_PROVIDERS
     from repro.engine.spec import thaw
 
     key = (name, topology_key, query_key, spec.workload_seed, spec.cycles,
@@ -332,7 +326,7 @@ def memoized_assumed_provider(
     cached = _PROVIDER_CACHE.get(key)
     if cached is not None:
         return cached
-    builder = resolve_assumed_provider(name)
+    builder = ASSUMED_PROVIDERS.get(name)
     provider = builder(
         topology=topology, query=query, data_source=data_source, spec=spec,
         **(thaw(frozen_kwargs) or {}),

@@ -33,7 +33,7 @@ Two multi-query effects are modeled on top of plain interleaving:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import Selectivities
 from repro.core.group_opt import Group, GroupDecision, GroupOptimizer, Pair
@@ -46,8 +46,7 @@ from repro.joins.base import (
 )
 from repro.metrics.latency import LatencySink
 from repro.network.failures import FailureInjector
-from repro.network.links import LinkModel
-from repro.network.message import MessageKind, MessageSizes
+from repro.network.message import MessageKind
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.network.traffic import TrafficAccounting
@@ -134,35 +133,28 @@ class SharedShipmentPlane:
 
 
 class SharedSubstrateEngine:
-    """Steps one shared substrate under a churning population of queries."""
+    """Steps one shared substrate under a churning population of queries.
+
+    The substrate has perfect links, unbounded queues, default message sizes
+    and no instrumentation sinks; node failures are scheduled on
+    :attr:`failure_injector`.
+    """
 
     def __init__(
         self,
         topology: Topology,
         data_source: DataSource,
         assumed_selectivities: SelectivityProvider,
-        link_model: Optional[LinkModel] = None,
         accounting: TrafficAccounting = TrafficAccounting.BYTES,
-        sizes: Optional[MessageSizes] = None,
-        queue_capacity: Optional[int] = None,
-        failure_injector: Optional[FailureInjector] = None,
         seed: int = 0,
         share_shipments: bool = True,
-        sinks: Optional[Sequence] = None,
     ) -> None:
         self.topology = topology
         self.data_source = data_source
         self.assumed_selectivities = assumed_selectivities
-        self.failure_injector = failure_injector or FailureInjector()
+        self.failure_injector = FailureInjector()
         self.seed = seed
-        self.simulator = NetworkSimulator(
-            topology,
-            link_model=link_model,
-            accounting=accounting,
-            sizes=sizes,
-            queue_capacity=queue_capacity,
-            sinks=sinks,
-        )
+        self.simulator = NetworkSimulator(topology, accounting=accounting)
         self.cycle = 0
         #: every session ever admitted, and the attached ones; both in
         #: admission order, which is query-id order

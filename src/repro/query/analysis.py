@@ -11,6 +11,7 @@ join predicates are evaluated after the routing stage (Appendix B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,8 +53,12 @@ class EqualityRouting:
     indexed_attribute: str
     required_value_expr: Expression
 
+    @cached_property
+    def _required_value(self) -> Callable[[Dict[str, Any]], Any]:
+        return self.required_value_expr.compile_single(self.search_alias)
+
     def required_value(self, search_attrs: Dict[str, Any]) -> Any:
-        return self.required_value_expr.evaluate({self.search_alias: search_attrs})
+        return self._required_value(search_attrs)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,16 @@ small and explicit: expressions evaluate against a *binding* mapping relation
 aliases (``"S"``, ``"T"``) to attribute dictionaries, and predicates report
 which (relation, attribute) pairs they reference so the analyzer can separate
 static from dynamic clauses.
+
+Each node has two walkers.  :meth:`Expression.closure` is the scalar one:
+given ``read(ref)``, the accessor of an attribute in one kind of environment,
+it folds the tree into nested closures over that environment.
+:meth:`~Expression.compile` runs it over a bindings dict,
+:meth:`~Expression.compile_single` over one relation's attribute dict, and
+:meth:`~Expression.evaluate` is the compiled closure applied once.
+:meth:`~Expression.compile_array` is the array walker: numpy kernels over
+attribute columns, refusing (:class:`NotVectorizable`) every shape numpy
+would not evaluate exactly like Python.
 """
 
 from __future__ import annotations
@@ -21,6 +31,8 @@ import numpy as np
 Bindings = Dict[str, Dict[str, Any]]
 AttrRef = Tuple[str, str]
 CompiledExpression = Callable[[Bindings], Any]
+#: ``read(ref)``: the accessor of one attribute reference in an environment.
+Reader = Callable[["AttributeRef"], Callable[[Any], Any]]
 #: Relation alias -> attribute -> numeric column; columns of the two
 #: relations only need to broadcast against each other.
 ArrayBindings = Dict[str, Dict[str, np.ndarray]]
@@ -135,27 +147,42 @@ _ARRAY_FUNCTIONS = {
 }
 
 
+def _read_bindings(ref: "AttributeRef") -> CompiledExpression:
+    relation, attribute = ref.relation, ref.attribute
+    return lambda bindings: bindings[relation][attribute]
+
+
+def _read_attrs(ref: "AttributeRef") -> Callable[[Dict[str, Any]], Any]:
+    attribute = ref.attribute
+    return lambda attrs: attrs[attribute]
+
+
 class Expression(ABC):
     """A scalar-valued expression."""
 
     @abstractmethod
-    def evaluate(self, bindings: Bindings) -> Any:
-        """Evaluate against relation-alias -> attribute-dict bindings."""
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
+        """This node's scalar semantics as a closure over one environment.
+
+        ``read(ref)`` returns the accessor of attribute *ref* in that
+        environment; every other node folds its children's closures.
+        Folding the tree once lets hot evaluation loops (per-cycle
+        selections, windowed-join probes) skip the per-call dispatch and
+        attribute lookups.  A missing binding or attribute raises
+        ``KeyError``.
+        """
 
     @abstractmethod
     def referenced_attributes(self) -> FrozenSet[AttrRef]:
         """Every (relation alias, attribute name) pair the expression reads."""
 
-    def compile(self) -> CompiledExpression:
-        """A closure equivalent to :meth:`evaluate`.
+    def evaluate(self, bindings: Bindings) -> Any:
+        """Evaluate against relation-alias -> attribute-dict bindings."""
+        return self.compile()(bindings)
 
-        Compiling folds the tree walk into nested closures once, so hot
-        evaluation loops (per-cycle selections, windowed-join probes) skip
-        the per-call dispatch and attribute lookups.  Results are identical
-        to interpreting the tree; missing bindings/attributes still raise
-        ``KeyError``.
-        """
-        return self.evaluate
+    def compile(self) -> CompiledExpression:
+        """The closure over relation-alias -> attribute-dict bindings."""
+        return self.closure(_read_bindings)
 
     def compile_single(self, alias: str) -> "Callable[[Dict[str, Any]], Any]":
         """Compile against a single relation's attribute dict directly.
@@ -165,11 +192,7 @@ class Expression(ABC):
         other relations fall back to wrapping :meth:`compile`.
         """
         if self.relations() <= {alias}:
-            return self._compile_single(alias)
-        compiled = self.compile()
-        return lambda attrs: compiled({alias: attrs})
-
-    def _compile_single(self, alias: str) -> "Callable[[Dict[str, Any]], Any]":
+            return self.closure(_read_attrs)
         compiled = self.compile()
         return lambda attrs: compiled({alias: attrs})
 
@@ -197,16 +220,9 @@ class Predicate(Expression):
 class Literal(Expression):
     value: Any
 
-    def evaluate(self, bindings: Bindings) -> Any:
-        return self.value
-
-    def compile(self) -> CompiledExpression:
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
         value = self.value
-        return lambda bindings: value
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        value = self.value
-        return lambda attrs: value
+        return lambda env: value
 
     def compile_array(self) -> CompiledArray:
         value = self.value
@@ -226,25 +242,8 @@ class AttributeRef(Expression):
     relation: str
     attribute: str
 
-    def evaluate(self, bindings: Bindings) -> Any:
-        try:
-            relation_binding = bindings[self.relation]
-        except KeyError:
-            raise KeyError(f"no binding for relation {self.relation!r}") from None
-        try:
-            return relation_binding[self.attribute]
-        except KeyError:
-            raise KeyError(
-                f"relation {self.relation!r} binding has no attribute {self.attribute!r}"
-            ) from None
-
-    def compile(self) -> CompiledExpression:
-        relation, attribute = self.relation, self.attribute
-        return lambda bindings: bindings[relation][attribute]
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        attribute = self.attribute
-        return lambda attrs: attrs[attribute]
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
+        return read(self)
 
     def compile_array(self) -> CompiledArray:
         return self.compile()  # the same lookups, over columns
@@ -275,21 +274,10 @@ class BinaryOp(Expression):
         if self.op not in _ARITHMETIC:
             raise ValueError(f"unsupported arithmetic operator {self.op!r}")
 
-    def evaluate(self, bindings: Bindings) -> Any:
-        return _ARITHMETIC[self.op](
-            self.left.evaluate(bindings), self.right.evaluate(bindings)
-        )
-
-    def compile(self) -> CompiledExpression:
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
         operator = _ARITHMETIC[self.op]
-        left, right = self.left.compile(), self.right.compile()
-        return lambda bindings: operator(left(bindings), right(bindings))
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        operator = _ARITHMETIC[self.op]
-        left = self.left._compile_single(alias)
-        right = self.right._compile_single(alias)
-        return lambda attrs: operator(left(attrs), right(attrs))
+        left, right = self.left.closure(read), self.right.closure(read)
+        return lambda env: operator(left(env), right(env))
 
     def compile_array(self) -> CompiledArray:
         if self.op in "/%" and not (
@@ -319,18 +307,10 @@ class FunctionCall(Expression):
         if self.name not in _FUNCTIONS:
             raise ValueError(f"unsupported function {self.name!r}")
 
-    def evaluate(self, bindings: Bindings) -> Any:
-        return _FUNCTIONS[self.name]([arg.evaluate(bindings) for arg in self.args])
-
-    def compile(self) -> CompiledExpression:
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
         function = _FUNCTIONS[self.name]
-        args = tuple(arg.compile() for arg in self.args)
-        return lambda bindings: function([arg(bindings) for arg in args])
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        function = _FUNCTIONS[self.name]
-        args = tuple(arg._compile_single(alias) for arg in self.args)
-        return lambda attrs: function([arg(attrs) for arg in args])
+        args = tuple(arg.closure(read) for arg in self.args)
+        return lambda env: function([arg(env) for arg in args])
 
     def compile_array(self) -> CompiledArray:
         function = _ARRAY_FUNCTIONS.get(self.name)
@@ -369,23 +349,10 @@ class Comparison(Predicate):
         if self.op not in _COMPARISONS:
             raise ValueError(f"unsupported comparison operator {self.op!r}")
 
-    def evaluate(self, bindings: Bindings) -> bool:
-        return bool(
-            _COMPARISONS[self.op](
-                self.left.evaluate(bindings), self.right.evaluate(bindings)
-            )
-        )
-
-    def compile(self) -> CompiledExpression:
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
         operator = _COMPARISONS[self.op]
-        left, right = self.left.compile(), self.right.compile()
-        return lambda bindings: bool(operator(left(bindings), right(bindings)))
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        operator = _COMPARISONS[self.op]
-        left = self.left._compile_single(alias)
-        right = self.right._compile_single(alias)
-        return lambda attrs: bool(operator(left(attrs), right(attrs)))
+        left, right = self.left.closure(read), self.right.closure(read)
+        return lambda env: bool(operator(left(env), right(env)))
 
     def compile_array(self) -> CompiledArray:
         operator = _COMPARISONS[self.op]
@@ -416,20 +383,11 @@ class And(Predicate):
                 flattened.append(operand)
         object.__setattr__(self, "operands", tuple(flattened))
 
-    def evaluate(self, bindings: Bindings) -> bool:
-        return all(op.evaluate(bindings) for op in self.operands)
-
-    def compile(self) -> CompiledExpression:
-        operands = tuple(op.compile() for op in self.operands)
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
+        operands = tuple(op.closure(read) for op in self.operands)
         if len(operands) == 1:
             return operands[0]
-        return lambda bindings: all(op(bindings) for op in operands)
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        operands = tuple(op._compile_single(alias) for op in self.operands)
-        if len(operands) == 1:
-            return operands[0]
-        return lambda attrs: all(op(attrs) for op in operands)
+        return lambda env: all(op(env) for op in operands)
 
     def compile_array(self) -> CompiledArray:
         return conjunction([op.compile_array() for op in self.operands])
@@ -457,20 +415,11 @@ class Or(Predicate):
                 flattened.append(operand)
         object.__setattr__(self, "operands", tuple(flattened))
 
-    def evaluate(self, bindings: Bindings) -> bool:
-        return any(op.evaluate(bindings) for op in self.operands)
-
-    def compile(self) -> CompiledExpression:
-        operands = tuple(op.compile() for op in self.operands)
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
+        operands = tuple(op.closure(read) for op in self.operands)
         if len(operands) == 1:
             return operands[0]
-        return lambda bindings: any(op(bindings) for op in operands)
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        operands = tuple(op._compile_single(alias) for op in self.operands)
-        if len(operands) == 1:
-            return operands[0]
-        return lambda attrs: any(op(attrs) for op in operands)
+        return lambda env: any(op(env) for op in operands)
 
     def compile_array(self) -> CompiledArray:
         operands = tuple(op.compile_array() for op in self.operands)
@@ -491,16 +440,9 @@ class Or(Predicate):
 class Not(Predicate):
     operand: Predicate
 
-    def evaluate(self, bindings: Bindings) -> bool:
-        return not self.operand.evaluate(bindings)
-
-    def compile(self) -> CompiledExpression:
-        operand = self.operand.compile()
-        return lambda bindings: not operand(bindings)
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        operand = self.operand._compile_single(alias)
-        return lambda attrs: not operand(attrs)
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
+        operand = self.operand.closure(read)
+        return lambda env: not operand(env)
 
     def compile_array(self) -> CompiledArray:
         operand = self.operand.compile_array()
@@ -517,16 +459,9 @@ class Not(Predicate):
 class BoolLiteral(Predicate):
     value: bool
 
-    def evaluate(self, bindings: Bindings) -> bool:
-        return self.value
-
-    def compile(self) -> CompiledExpression:
+    def closure(self, read: Reader) -> Callable[[Any], Any]:
         value = self.value
-        return lambda bindings: value
-
-    def _compile_single(self, alias: str) -> Callable[[Dict[str, Any]], Any]:
-        value = self.value
-        return lambda attrs: value
+        return lambda env: value
 
     def compile_array(self) -> CompiledArray:
         return self.compile()

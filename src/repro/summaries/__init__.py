@@ -13,8 +13,6 @@ uses different structures depending on the attribute type:
   (``pos``), used by region-based queries (Query 3).
 * :class:`RectSummary` -- one bounding rectangle, what a semantic routing
   table keeps per subtree for ``pos``.
-* :class:`HistogramSummary` -- equi-width histograms for approximate
-  selectivity estimation.
 
 All summaries follow the small :class:`Summary` protocol: they can absorb
 values, merge with peers (as information flows up a routing tree), answer
@@ -24,7 +22,6 @@ encoded size in bytes so routing-table maintenance traffic can be accounted.
 
 from repro.summaries.base import Summary
 from repro.summaries.bloom import BloomFilterSummary
-from repro.summaries.histogram import HistogramSummary
 from repro.summaries.interval import IntervalSummary
 from repro.summaries.rtree import Rect, RectSummary, RTreeSummary
 
@@ -35,5 +32,4 @@ __all__ = [
     "RTreeSummary",
     "RectSummary",
     "Rect",
-    "HistogramSummary",
 ]

@@ -158,17 +158,6 @@ class TestWorkloadCaches:
             "topologies": 0, "queries": 0, "data_sources": 0, "providers": 0,
         }
 
-    def test_inline_query_registrations_are_bounded(self):
-        from repro.engine.registry import _INLINE_MAX, QUERIES, resolve_query_name
-        from repro.workloads.queries import build_query1
-
-        for _ in range(_INLINE_MAX + 10):
-            resolve_query_name(lambda: build_query1())
-        inline = [name for name in QUERIES.builders if name.startswith("_inline/")]
-        assert len(inline) <= _INLINE_MAX
-        reset_workload_caches()
-        assert not any(name.startswith("_inline/") for name in QUERIES.builders)
-
     def test_topology_cache_is_bounded(self):
         reset_workload_caches()
         for seed in range(TOPOLOGY_CACHE_MAX + 5):

@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 from repro.engine import SCALES
-from repro.engine.registry import query_builder_for
+from repro.engine.registry import QUERIES
 from repro.experiments.figures_crossover import (
     CROSSOVER_RUNGS,
     crossover_rows,
@@ -67,7 +67,7 @@ class TestScenarioSpecs:
 class TestQuery0Near:
     def test_endpoints_are_deep_neighbors_and_deterministic(self):
         topology = random_topology(num_nodes=120, average_degree=7, seed=11)
-        builder = query_builder_for("query0-near")
+        builder = QUERIES.get("query0-near")
         query = builder(topology, seed=1)
         analysis = analyze_query(query)
         endpoints = {
@@ -88,7 +88,7 @@ class TestQuery0Near:
 
     def test_seed_rotates_endpoint_choice(self):
         topology = random_topology(num_nodes=120, average_degree=7, seed=11)
-        builder = query_builder_for("query0-near")
+        builder = QUERIES.get("query0-near")
         wheres = {str(builder(topology, seed=s).where) for s in range(8)}
         assert len(wheres) > 1
 

@@ -18,7 +18,6 @@ from repro.engine import (
     run_single,
     scale_from_env,
 )
-from repro.engine.registry import resolve_query_name
 from repro.experiments.report import format_table, sweep_to_rows
 from repro.joins import InnetJoin, NaiveJoin
 from repro.workloads.queries import build_query1
@@ -96,13 +95,6 @@ class TestRunners:
             assert aggregate.confidence_95("total_traffic") >= 0.0
         summary = results["naive"].summary()
         assert "total_traffic" in summary
-
-    def test_scenario_with_adhoc_query_builder(self):
-        # Unregistered callables still work: the engine registers them
-        # process-locally and runs them serially.
-        query = resolve_query_name(lambda: build_query1(window_size=1))
-        results = comparison(algorithms=["naive"], query=query).only()
-        assert results["naive"].mean("total_traffic") > 0
 
     def test_confidence_interval_with_multiple_runs(self):
         two_run_scale = SCALES["smoke"].__class__(

@@ -22,7 +22,7 @@ from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.semantic import bloom_masks
 from repro.summaries import (
-    BloomFilterSummary, HistogramSummary, IntervalSummary, RTreeSummary,
+    BloomFilterSummary, IntervalSummary, RTreeSummary, Summary,
 )
 from repro.summaries.bloom import _mask_for
 from tests.routing.semantic_oracle import ObjectSemanticRoutingTable
@@ -270,11 +270,29 @@ def test_indexing_with_a_simulator_builds_and_charges_each_table_once():
     assert sim.stats.total() == reference.stats.total()
 
 
+class _OtherSummary(Summary):
+    """A summary type the array table has no layout for."""
+
+    def add(self, value):
+        pass
+
+    def might_contain(self, value):
+        return True
+
+    def merge(self, other):
+        return self
+
+    def size_bytes(self):
+        return 0
+
+    def copy(self):
+        return self
+
+
 def test_unsupported_summary_types_are_refused_by_name():
     topology = grid_topology(num_nodes=9)
     with pytest.raises(TypeError, match="BloomFilterSummary, IntervalSummary, RTreeSummary"):
-        SemanticRoutingTable(RoutingTree(topology),
-                             {"id": lambda: HistogramSummary(0, 100)},
+        SemanticRoutingTable(RoutingTree(topology), {"id": _OtherSummary},
                              {"id": lambda n: n})
 
 

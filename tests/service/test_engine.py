@@ -152,3 +152,23 @@ class TestDetachedSessions:
             assert session.describe()["results_produced"] == session.strategy.results.produced
         live = shared.session(1).strategy
         assert live.windows is not None and live.plan.assignments
+
+
+class TestShipmentSharing:
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the shipment plane keys a DATA shipment on (path, size), "
+        "so two producers' readings crossing one multicast tree edge in a cycle "
+        "count as one transmission; ROADMAP item 8 keys tree edges by origin "
+        "producer"))
+    def test_lone_session_dedupes_nothing(self):
+        from repro.service.churn import churn_query
+
+        engine = ServiceEngine(ServiceConfig(
+            num_nodes=100, topology_seed=0, seed=0, default_algorithm="innet-cmg"))
+        name, sql = churn_query(0, seed=0, num_nodes=100)
+        engine.submit(sql=sql, name=name)
+        engine.step(10)
+        stats = engine.stats()
+        # one query has no other query to share a transmission with
+        assert stats["deduped_shipments"] == 0
+        assert stats["shared_savings_units"] == 0.0
