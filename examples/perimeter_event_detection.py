@@ -22,7 +22,7 @@ Run it with::
 
 from repro.core import Selectivities
 from repro.core.adaptive import AdaptivePolicy
-from repro.engine import SCALES, build_topology, build_workload, make_strategy
+from repro.engine import SCALES, build_phased_workload, build_topology, make_strategy
 from repro.experiments import format_table
 from repro.joins import JoinExecutor
 from repro.workloads.queries import build_query2
@@ -39,9 +39,8 @@ def main() -> None:
 
     # The workload follows the morning regime for the first half of the run
     # and switches to the afternoon regime for the second half.
-    data_source = build_workload(
-        topology, query, MORNING, seed=21,
-        switch_cycle=CYCLES // 2, switched_to=AFTERNOON,
+    data_source = build_phased_workload(
+        topology, query, [(0, MORNING), (CYCLES // 2, AFTERNOON)], seed=21,
     )
 
     policy = AdaptivePolicy(check_interval=10, min_cycles=10)

@@ -39,7 +39,7 @@ def main() -> None:
     # 1. Parse.
     query = parse_query(QUERY_TEXT, name="query1")
     print(f"Parsed {query.name}: window={query.window_size}, "
-          f"sample interval={query.sample_interval}, relations={query.aliases}")
+          f"relations={query.aliases}")
 
     # 2. Analyze.
     analysis = analyze_query(query)

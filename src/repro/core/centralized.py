@@ -13,7 +13,7 @@ knowledge; this module provides both baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.cost_model import Selectivities, innet_pair_cost
 from repro.network.message import MessageKind, MessageSizes
@@ -154,20 +154,3 @@ def optimal_pair_placements(
         pair: optimizer.optimal_join_node(pair[0], pair[1], selectivities, window_size)
         for pair in pairs
     }
-
-
-def placement_cost_with_global_distances(
-    topology: Topology,
-    source: int,
-    target: int,
-    join_node: int,
-    selectivities: Selectivities,
-    window_size: int,
-) -> float:
-    """Evaluate a placement using true shortest-path distances."""
-    d_sj = topology.hops_between(source, join_node)
-    d_tj = topology.hops_between(target, join_node)
-    d_jr = topology.hops_between(join_node, topology.base_id)
-    if d_sj is None or d_tj is None or d_jr is None:
-        return float("inf")
-    return innet_pair_cost(selectivities, window_size, d_sj, d_tj, d_jr)

@@ -20,7 +20,7 @@ the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,6 @@ class PairwiseOptimizer:
         candidate_paths: Mapping[Pair, Sequence[PairPath]],
         selectivities: Mapping[Pair, Selectivities],
         simulator: Optional[NetworkSimulator] = None,
-        charge_nominations: bool = True,
     ) -> JoinPlan:
         """Pairwise placement for every pair with discovered paths."""
         plan = JoinPlan()
@@ -104,7 +103,7 @@ class PairwiseOptimizer:
             decision = best_placement(
                 list(paths), assumed, self.window_size, self._base_path_of, self.base_id
             )
-            if simulator is not None and charge_nominations:
+            if simulator is not None:
                 nomination_traffic(simulator, decision, self.sizes)
             plan.assignments[pair] = PairAssignment(
                 decision=decision, assumed=assumed, candidate_paths=list(paths)

@@ -57,7 +57,6 @@ def run_single(
     failure_injector: Optional[FailureInjector] = None,
     queue_capacity: Optional[int] = None,
     strategy_kwargs: Optional[Dict] = None,
-    copy_topology: Optional[bool] = None,
     link_model: Optional[LinkModel] = None,
     sinks: Optional[List] = None,
     node_series_cap: Optional[int] = None,
@@ -66,13 +65,12 @@ def run_single(
 
     The topology (and its warmed PathCache) is shared across seeded runs:
     a copy is only taken when the run will mutate it, i.e. when a failure
-    injector is present (``copy_topology`` overrides the auto-detection).
+    injector with events is present.
     Instrumentation *sinks* (see :mod:`repro.metrics`) observe the run's
     accounting events; their summaries land in the report's ``extra`` and
     their per-node series in ``report.node_series``.
     """
-    if copy_topology is None:
-        copy_topology = failure_injector is not None and not failure_injector.is_empty()
+    copy_topology = failure_injector is not None and not failure_injector.is_empty()
     strategy = make_strategy(algorithm, **(strategy_kwargs or {}))
     executor = JoinExecutor(
         query=query,

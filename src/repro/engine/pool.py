@@ -26,7 +26,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional
 
 from repro.engine.execution import initialize_worker
 from repro.engine.registry import registry_generation
@@ -189,15 +189,14 @@ class WorkerPool:
                 f"starts={self.starts}, dispatched={self.dispatched})")
 
 
-_SHARED: Dict[Tuple[int, Optional[str]], WorkerPool] = {}
+_SHARED: Dict[int, WorkerPool] = {}
 
 
-def shared_pool(jobs: int, start_method: Optional[str] = None) -> WorkerPool:
+def shared_pool(jobs: int) -> WorkerPool:
     """The process-wide persistent pool for *jobs* workers (created once)."""
-    key = (jobs, start_method)
-    pool = _SHARED.get(key)
+    pool = _SHARED.get(jobs)
     if pool is None:
-        pool = _SHARED[key] = WorkerPool(jobs, start_method=start_method)
+        pool = _SHARED[jobs] = WorkerPool(jobs)
     return pool
 
 

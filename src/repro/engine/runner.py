@@ -73,12 +73,11 @@ class SweepResult:
             )
         return self.groups[0].aggregates
 
-    def rows(self, metrics: Optional[Sequence[str]] = None,
-             to_kb: bool = True) -> List[Dict[str, object]]:
+    def rows(self, metrics: Optional[Sequence[str]] = None) -> List[Dict[str, object]]:
         """Flatten into table rows: one per (grid point, algorithm).
 
-        ``to_kb`` scales byte-denominated metrics (``*_traffic``,
-        ``*_load``) into KB columns with a ``_kb`` suffix; counters and
+        Byte-denominated metrics (``*_traffic``, ``*_load``) become KB
+        columns with a ``_kb`` suffix; counters and
         instrumentation metrics (reoptimizations, energy, Gini, latency)
         keep their natural unit and name.
         """
@@ -89,8 +88,7 @@ class SweepResult:
                 row: Dict[str, object] = dict(group.setting)
                 row["algorithm"] = algorithm
                 for metric in metrics:
-                    scale = to_kb and (metric.endswith("_traffic")
-                                       or metric.endswith("_load"))
+                    scale = metric.endswith("_traffic") or metric.endswith("_load")
                     divisor = 1000.0 if scale else 1.0
                     suffix = "_kb" if scale else ""
                     row[f"{metric}{suffix}"] = aggregate.mean(metric) / divisor

@@ -53,10 +53,6 @@ class ExperimentScale:
     num_nodes: int
     long_cycles: int
 
-    def scaled_cycles(self, requested: Optional[int] = None) -> int:
-        return requested if requested is not None else self.cycles
-
-
 SCALES: Dict[str, ExperimentScale] = {
     "smoke": ExperimentScale(name="smoke", runs=1, cycles=10, num_nodes=60, long_cycles=30),
     "default": ExperimentScale(name="default", runs=2, cycles=40, num_nodes=100, long_cycles=120),
@@ -81,11 +77,12 @@ def scale_from_env(default: str = "default") -> ExperimentScale:
     silent fallback); an unset or empty variable means *default*.
     """
     name = os.environ.get("REPRO_SCALE", "").strip() or default
-    if name.lower() not in SCALES:
+    try:
+        return resolve_scale(name)
+    except KeyError:
         raise KeyError(
             f"unknown REPRO_SCALE {name!r}; expected one of {sorted(SCALES)}"
-        )
-    return SCALES[name.lower()]
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -142,54 +142,6 @@ def build_query(name: str, frozen_kwargs: Tuple = (),
     return query
 
 
-def build_workload(
-    topology: Topology,
-    query: JoinQuery,
-    data_selectivities: Selectivities,
-    seed: int = 0,
-    per_node_send_probability: Optional[Dict[int, float]] = None,
-    per_node_u_range: Optional[Dict[int, int]] = None,
-    switch_cycle: Optional[int] = None,
-    switched_to: Optional[Selectivities] = None,
-) -> SyntheticDataSource:
-    """A data source whose realized selectivities match ``data_selectivities``."""
-    analysis = analyze_query(query)
-    eligible_s = [
-        n for n in topology.node_ids
-        if analysis.node_eligible("S", topology.nodes[n].static_attributes)
-    ]
-    eligible_t = [
-        n for n in topology.node_ids
-        if analysis.node_eligible("T", topology.nodes[n].static_attributes)
-    ]
-    send_map = build_send_probability_map(
-        eligible_s, eligible_t,
-        data_selectivities.sigma_s, data_selectivities.sigma_t,
-    )
-    if per_node_send_probability:
-        send_map.update(per_node_send_probability)
-    switched_source = None
-    if switch_cycle is not None and switched_to is not None:
-        switched_map = build_send_probability_map(
-            eligible_s, eligible_t, switched_to.sigma_s, switched_to.sigma_t
-        )
-        switched_source = SyntheticDataSource(
-            sigma_st=switched_to.sigma_st,
-            send_probability=0.0,
-            seed=seed + 1,
-            per_node_send_probability=switched_map,
-        )
-    return SyntheticDataSource(
-        sigma_st=data_selectivities.sigma_st,
-        send_probability=0.0,
-        seed=seed,
-        per_node_send_probability=send_map,
-        per_node_u_range=per_node_u_range or {},
-        switch_cycle=switch_cycle,
-        switched=switched_source,
-    )
-
-
 def build_phased_workload(
     topology: Topology,
     query: JoinQuery,
@@ -200,9 +152,8 @@ def build_phased_workload(
 
     *schedule* is ``[(start_cycle, selectivities), ...]`` with the first
     entry starting at cycle 0.  Each later regime becomes a chained
-    ``switched`` source seeded ``seed + k`` -- for a single switch this is
-    exactly what ``build_workload(..., switch_cycle=, switched_to=)`` builds
-    for the paper's temporal-drift experiment (Figure 12b).
+    ``switched`` source seeded ``seed + k``; the paper's temporal-drift
+    experiment (Figure 12b) is a two-entry schedule.
     """
     if not schedule or schedule[0][0] != 0:
         raise ValueError("the first schedule entry must start at cycle 0")
@@ -230,6 +181,17 @@ def build_phased_workload(
             switched=source,
         )
     return source
+
+
+def build_workload(
+    topology: Topology,
+    query: JoinQuery,
+    data_selectivities: Selectivities,
+    seed: int = 0,
+) -> SyntheticDataSource:
+    """A data source whose realized selectivities match ``data_selectivities``
+    (:func:`build_phased_workload`'s one-entry schedule)."""
+    return build_phased_workload(topology, query, [(0, data_selectivities)], seed=seed)
 
 
 def memoized_workload(

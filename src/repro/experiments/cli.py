@@ -253,16 +253,17 @@ def build_run_campaign_parser() -> argparse.ArgumentParser:
 class _CampaignProgress:
     """Throttled per-scenario progress/ETA lines on stderr."""
 
-    def __init__(self, scenario: str, index: int, count: int,
-                 min_interval: float = 0.5) -> None:
+    #: Seconds between two progress lines (the last one always prints).
+    MIN_INTERVAL = 0.5
+
+    def __init__(self, scenario: str, index: int, count: int) -> None:
         self.prefix = f"[{index}/{count}] {scenario}"
         self.started = time.monotonic()
-        self.min_interval = min_interval
         self._last_printed = 0.0
 
     def __call__(self, done: int, total: int, spec) -> None:
         now = time.monotonic()
-        if done < total and now - self._last_printed < self.min_interval:
+        if done < total and now - self._last_printed < self.MIN_INTERVAL:
             return
         self._last_printed = now
         elapsed = now - self.started

@@ -427,12 +427,11 @@ def intel_rows(sweep) -> List[Dict[str, object]]:
 # Figure 14: join-node failure (a two-phase run)
 # ---------------------------------------------------------------------------
 
-def fig14_scenario(join_selectivities: Sequence[float] = (0.10, 0.20),
-                   failure_fraction: float = 0.5) -> ScenarioSpec:
+def fig14_scenario(join_selectivities: Sequence[float] = (0.10, 0.20)) -> ScenarioSpec:
     """The declarative Figure 14 comparison: fail the join node mid-run.
 
     The ``with_failure`` variant is a two-phase run whose second phase starts
-    ``failure_fraction`` into the run and kills the symbolic ``"join"`` node
+    halfway into the run and kills the symbolic ``"join"`` node
     -- resolved at execution time by scouting where the run's own strategy
     places the pair's join node (no failure is scheduled when that is the
     base station, which cannot die).
@@ -448,7 +447,7 @@ def fig14_scenario(join_selectivities: Sequence[float] = (0.10, 0.20),
             {"label": "no_failure", "algorithm": "innet"},
             {"label": "with_failure", "algorithm": "innet",
              "phases": (
-                 {"name": "pre_failure", "fraction": failure_fraction},
+                 {"name": "pre_failure", "fraction": 0.5},
                  {"name": "after_failure", "failures": ({"node": "join"},)},
              )},
         ),

@@ -7,13 +7,12 @@ needs to compare against the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 def format_table(
     rows: Sequence[Mapping[str, object]],
     columns: Optional[Sequence[str]] = None,
-    float_format: Optional[str] = None,
     title: Optional[str] = None,
 ) -> str:
     """Render rows of dictionaries as an aligned text table.
@@ -28,8 +27,6 @@ def format_table(
 
     def render(value: object) -> str:
         if isinstance(value, float):
-            if float_format is not None:
-                return float_format.format(value)
             return f"{value:.2f}" if abs(value) < 10 else f"{value:.1f}"
         return str(value)
 
@@ -53,12 +50,11 @@ def format_table(
 def sweep_to_rows(
     sweep: "SweepResult",
     metrics: Optional[Sequence[str]] = None,
-    to_kb: bool = True,
 ) -> List[Dict[str, object]]:
     """Flatten an engine :class:`~repro.engine.runner.SweepResult` into table
     rows: one per (grid point, algorithm), with means and CI95 columns for
-    the scenario's metrics."""
-    return sweep.rows(metrics=metrics, to_kb=to_kb)
+    the scenario's metrics (byte metrics in KB)."""
+    return sweep.rows(metrics=metrics)
 
 
 def sweep_summary(sweep: "SweepResult") -> str:

@@ -401,20 +401,19 @@ def match_scenarios(patterns: Sequence[str],
     return selected
 
 
-def resolve_scenario(name_or_path: str,
-                     directory: Union[str, Path, None] = None) -> ScenarioSpec:
-    """A ScenarioSpec from a built-in name or a JSON/TOML file path."""
+def resolve_scenario(name_or_path: str) -> ScenarioSpec:
+    """A ScenarioSpec from a built-in name, a JSON/TOML file path, or a file
+    in the examples scenario directory."""
     if name_or_path in BUILTIN_SCENARIOS:
         return BUILTIN_SCENARIOS[name_or_path]()
     path = Path(name_or_path)
     if path.exists():
         return load_scenario_file(path)
-    directory = Path(directory) if directory is not None else DEFAULT_SCENARIO_DIR
     for suffix in (".json", ".toml"):
-        candidate = directory / f"{name_or_path}{suffix}"
+        candidate = DEFAULT_SCENARIO_DIR / f"{name_or_path}{suffix}"
         if candidate.exists():
             return load_scenario_file(candidate)
-    known = [name for name, _ in available_scenarios(directory)]
+    known = [name for name, _ in available_scenarios()]
     raise KeyError(
         f"unknown scenario {name_or_path!r}; expected a file path or one of {known}"
     )

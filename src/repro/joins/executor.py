@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.cost_model import Selectivities
 from repro.joins.base import (
     DataSource,
     ExecutionContext,
@@ -52,7 +51,6 @@ class JoinExecutor:
         sizes: Optional[MessageSizes] = None,
         queue_capacity: Optional[int] = None,
         failure_injector: Optional[FailureInjector] = None,
-        charge_tree_construction: bool = False,
         seed: int = 0,
         sinks: Optional[Sequence] = None,
         node_series_cap: Optional[int] = None,
@@ -61,7 +59,6 @@ class JoinExecutor:
         self.topology = topology
         self.strategy = strategy
         self.failure_injector = failure_injector or FailureInjector()
-        self.charge_tree_construction = charge_tree_construction
         self.simulator = NetworkSimulator(
             topology,
             link_model=link_model,
@@ -91,10 +88,6 @@ class JoinExecutor:
         if self._initiated:
             return self._initiation_traffic
         before = self.simulator.stats.total()
-        if self.charge_tree_construction:
-            # The initial routing-tree flood; usually excluded, as every
-            # strategy needs it (Section 2.2).
-            self.simulator.flood(self.topology.base_id, self.simulator.sizes.control())
         self.strategy.initiate(self.context)
         self._initiation_traffic = self.simulator.stats.total() - before
         self._initiated = True

@@ -12,7 +12,7 @@ producers, which is why the strategy routes over long, unpredictable paths
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 

@@ -43,7 +43,7 @@ from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
 from repro.query.window import row_dicts
 from repro.routing.multitree import MultiTreeSubstrate, PairPath
-from repro.summaries import BloomFilterSummary, RTreeSummary
+from repro.summaries import BloomFilterSummary, RectSummary
 
 ProducerKey = Tuple[str, int]
 #: A reading held back while its pair recovers: (alias, join attribute
@@ -53,6 +53,9 @@ HeldTuple = Tuple[str, Dict[str, Any], int]
 #: ``None``) and, for each of its pairs whose join node the tree does not
 #: reach, ``(offset among the producer's rows, join node, path)``.
 ProducerRoute = Tuple[Optional[MulticastTree], List[Tuple[int, int, List[int]]]]
+#: Cycles a pair's limited-exploration repair takes after a failure touches
+#: its join node or paths; after it the pair joins at the base (Section 7).
+FAILOVER_CYCLES = 5
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,12 @@ class InnetJoin(JoinStrategy):
         variant: Optional[InnetVariant] = None,
         num_trees: int = 3,
         adaptive_policy: Optional[AdaptivePolicy] = None,
-        failover_cycles: int = 5,
     ) -> None:
         super().__init__()
         self.variant = variant or InnetVariant.basic()
         self.name = self.variant.label
         self.num_trees = num_trees
         self.adaptive_policy = adaptive_policy or AdaptivePolicy()
-        self.failover_cycles = failover_cycles
 
         self.substrate: Optional[MultiTreeSubstrate] = None
         self.optimizer: Optional[PairwiseOptimizer] = None
@@ -219,13 +220,12 @@ class InnetJoin(JoinStrategy):
                 .static_attributes.get(_attr)
             )
         elif isinstance(routing, RegionRouting):
-            indexed["pos"] = lambda: RTreeSummary(max_entries=8)
+            indexed["pos"] = RectSummary
             extractors["pos"] = lambda node_id: ctx.topology.nodes[node_id].position
         # Summary structures are built during routing-tree construction
         # (Appendix C), which -- like the tree flood itself -- is substrate
         # setup shared by all queries, so it is not charged to this query's
-        # initiation.  Pass ``charge_tree_construction=True`` to the executor
-        # to include the substrate setup flood explicitly.
+        # initiation.
         substrate = MultiTreeSubstrate(
             ctx.topology,
             num_trees=self.num_trees,
@@ -741,7 +741,7 @@ class InnetJoin(JoinStrategy):
             ) or failed_set.intersection(decision.target_to_join):
                 # Limited-exploration repair takes a couple of cycles; after it
                 # the pair joins at the base station (Section 7).
-                self._recovering[pair] = cycle + self.failover_cycles
+                self._recovering[pair] = cycle + FAILOVER_CYCLES
                 self._held[self.windows.row_of[pair]] = True
 
     def _finish_recoveries(self, ctx: ExecutionContext, cycle: int,

@@ -12,7 +12,7 @@ set cover (Theorem 1), so both constructions are lightweight heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -85,16 +85,10 @@ class MulticastTree:
         path.reverse()
         return path
 
-    def internal_state_nodes(self) -> List[int]:
-        """Internal nodes with >1 child: these keep cached subtree state."""
-        children: Dict[int, int] = {}
-        for child, parent in self.parent.items():
-            children[parent] = children.get(parent, 0) + 1
-        return sorted(node for node, count in children.items() if count > 1)
-
-    def maintenance_bytes(self, per_node_entry: int = 2) -> int:
-        """Bytes to push the tree description into the network when it changes."""
-        return per_node_entry * len(self.nodes)
+    def maintenance_bytes(self) -> int:
+        """Bytes to push the tree description into the network when it changes:
+        a two-byte entry per node."""
+        return 2 * len(self.nodes)
 
 
 def build_multicast_tree(
@@ -127,20 +121,17 @@ def tree_cost(tree: MulticastTree) -> int:
     return tree.edge_count
 
 
-def unicast_cost(paths: Iterable[Sequence[int]]) -> int:
-    """Transmissions per tuple if each join node is reached independently."""
-    return sum(max(0, len(path) - 1) for path in paths)
-
-
 # ---------------------------------------------------------------------------
 # Path collapsing (Algorithms 2-3, simplified to its effect on the tree)
 # ---------------------------------------------------------------------------
+
+#: A collapsed tree is adopted only when this many times cheaper (10 %).
+COLLAPSE_IMPROVEMENT = 1.1
 
 def collapse_paths(
     topology: Topology,
     root: int,
     paths: Sequence[Sequence[int]],
-    improvement_threshold: float = 1.1,
 ) -> List[List[int]]:
     """Collapse node-disjoint paths that pass within one radio hop.
 
@@ -148,7 +139,7 @@ def collapse_paths(
     for a link between some ``n1`` on ``P1`` and ``n2`` on ``P2``; if
     re-routing the tail of ``P1`` through ``n2`` shortens the combined tree,
     the collapse is applied.  Mirroring PathCollapseApply, a new tree is only
-    adopted when it is at least ``improvement_threshold`` times cheaper than
+    adopted when it is at least ``COLLAPSE_IMPROVEMENT`` times cheaper than
     the current one (the paper uses 10 %), because pushing an updated
     multicast tree into the network has its own cost.
     """
@@ -163,8 +154,7 @@ def collapse_paths(
     if len(cache) > 4096:  # bound memory on long-lived shared topologies
         cache.clear()
     cache_key = (
-        topology.routing_epoch, root, improvement_threshold,
-        tuple(tuple(path) for path in paths),
+        topology.routing_epoch, root, tuple(tuple(path) for path in paths),
     )
     cached = cache.get(cache_key)
     if cached is not None:
@@ -184,7 +174,7 @@ def collapse_paths(
                 trial = list(collapsed)
                 trial[i] = candidate
                 trial_cost = tree_cost(build_multicast_tree(root, trial))
-                if trial_cost * improvement_threshold <= current_cost:
+                if trial_cost * COLLAPSE_IMPROVEMENT <= current_cost:
                     collapsed = trial
                     improved = True
                     break

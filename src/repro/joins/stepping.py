@@ -32,7 +32,7 @@ Two multi-query effects are modeled on top of plain interleaving:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost_model import Selectivities
@@ -70,7 +70,6 @@ class QuerySession:
     attached_cycle: int
     detached_cycle: Optional[int] = None
     initiation_traffic: float = 0.0
-    traffic_at_attach: float = 0.0
 
     @property
     def name(self) -> str:
@@ -191,13 +190,7 @@ class SharedSubstrateEngine:
         return list(path)
 
     # -- admission ------------------------------------------------------------
-    def attach(
-        self,
-        query: JoinQuery,
-        strategy: JoinStrategy,
-        data_source: Optional[DataSource] = None,
-        assumed_selectivities: Optional[SelectivityProvider] = None,
-    ) -> QuerySession:
+    def attach(self, query: JoinQuery, strategy: JoinStrategy) -> QuerySession:
         """Admit a query at the current cycle boundary and initiate it."""
         query_id = self._next_query_id
         self._next_query_id += 1
@@ -206,10 +199,8 @@ class SharedSubstrateEngine:
             analysis=analyze_query(query),
             topology=self.topology,
             simulator=self.simulator,
-            data_source=data_source or self.data_source,
-            assumed_selectivities=(
-                assumed_selectivities or self.assumed_selectivities
-            ),
+            data_source=self.data_source,
+            assumed_selectivities=self.assumed_selectivities,
             sizes=self.simulator.sizes,
             seed=self.seed,
         )
@@ -222,7 +213,6 @@ class SharedSubstrateEngine:
             context=context,
             attached_cycle=self.cycle,
             initiation_traffic=self.simulator.stats.total() - before,
-            traffic_at_attach=before,
         )
         self._sessions[query_id] = session
         self._live[query_id] = session

@@ -94,8 +94,8 @@ class StreamingQuantile:
         return ordered[int(index)]
 
 
-#: Percentiles the sink tracks by default, with their summary-key suffixes.
-DEFAULT_PERCENTILES: Tuple[Tuple[str, float], ...] = (
+#: Percentiles the sink tracks, with their summary-key suffixes.
+PERCENTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.50), ("p95", 0.95), ("p99", 0.99),
 )
 
@@ -103,12 +103,7 @@ DEFAULT_PERCENTILES: Tuple[Tuple[str, float], ...] = (
 class LatencySink:
     """Streaming per-kind latency statistics."""
 
-    def __init__(
-        self,
-        percentiles: Tuple[Tuple[str, float], ...] = DEFAULT_PERCENTILES,
-        key_prefix: str = "latency",
-    ) -> None:
-        self._percentile_spec = tuple(percentiles)
+    def __init__(self, key_prefix: str = "latency") -> None:
         self.key_prefix = key_prefix
         self.reset()
 
@@ -116,7 +111,7 @@ class LatencySink:
         #: kind -> [count, sum] exact accumulators
         self._by_kind: Dict[object, List[float]] = {}
         self._estimators = {
-            label: StreamingQuantile(q) for label, q in self._percentile_spec
+            label: StreamingQuantile(q) for label, q in PERCENTILES
         }
         self.count = 0
         self.total = 0.0
@@ -160,6 +155,6 @@ class LatencySink:
             f"{prefix}_mean": self.mean(),
             f"{prefix}_max": self.max_latency,
         }
-        for label, _ in self._percentile_spec:
+        for label, _ in PERCENTILES:
             out[f"{prefix}_{label}"] = self._estimators[label].value()
         return out

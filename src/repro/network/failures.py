@@ -9,7 +9,7 @@ the topology, after which routing and the executor's repair logic take over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from repro.network.topology import Topology
 
@@ -63,14 +63,5 @@ class FailureInjector:
             topology.invalidate_routing_caches()
         return failed
 
-    def all_failed_by(self, sampling_cycle: int) -> List[int]:
-        return sorted(
-            {e.node_id for e in self.events if e.sampling_cycle <= sampling_cycle}
-        )
-
     def is_empty(self) -> bool:
         return not self.events
-
-
-def no_failures() -> FailureInjector:
-    return FailureInjector()

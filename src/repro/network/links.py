@@ -40,11 +40,6 @@ class LinkModel:
             raise ValueError("max_retransmissions must be non-negative")
         self._rng = np.random.default_rng(self.seed)
 
-    def reseed(self, seed: int) -> None:
-        """Reset the generator (used when averaging across runs)."""
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
     def attempt_hop(self) -> tuple:
         """Simulate one hop.
 

@@ -39,20 +39,19 @@ def is_leaf(topology: Topology, node_id: int) -> bool:
 
 
 def move_leaf_node(
-    topology: Topology, node_id: int, new_position: Position,
-    require_leaf: bool = True,
+    topology: Topology, node_id: int, new_position: Position
 ) -> MobilityEvent:
     """Move *node_id* to *new_position*, rewiring its radio links.
 
     Raises ``ValueError`` if the move would disconnect the node from the rest
-    of the network, or if ``require_leaf`` is set and the node is not a leaf
-    (the paper explicitly restricts mobility to leaf nodes).
+    of the network, or if the node is not a leaf (the paper explicitly
+    restricts mobility to leaf nodes).
     """
     if node_id not in topology.nodes:
         raise KeyError(f"unknown node {node_id}")
     if node_id == topology.base_id:
         raise ValueError("the base station cannot move")
-    if require_leaf and not is_leaf(topology, node_id):
+    if not is_leaf(topology, node_id):
         raise ValueError(
             f"node {node_id} is not a leaf; the paper restricts mobility to leaves"
         )

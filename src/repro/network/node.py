@@ -9,7 +9,7 @@ what makes pre-evaluation of static predicates possible (Section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 Position = Tuple[float, float]
 
@@ -69,9 +69,6 @@ class SensorNode:
     def set_static(self, name: str, value: Any) -> None:
         self.static_attributes[name] = value
 
-    def set_dynamic(self, name: str, value: Any) -> None:
-        self.dynamic_attributes[name] = value
-
     def attributes(self) -> Dict[str, Any]:
         """A merged view (static values shadow dynamic ones)."""
         merged = dict(self.dynamic_attributes)
@@ -108,8 +105,3 @@ class SensorNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "base" if self.is_base else "node"
         return f"SensorNode({role} {self.node_id} @ {self.position})"
-
-
-def base_station(node_id: int = 0, position: Optional[Position] = None) -> SensorNode:
-    """Convenience constructor for a base-station node."""
-    return SensorNode(node_id=node_id, position=position or (0.0, 0.0), is_base=True)

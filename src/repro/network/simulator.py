@@ -186,30 +186,6 @@ class NetworkSimulator:
         self.pipeline.charge_broadcast(node_id, size_bytes, kind, neighbours)
         return list(neighbours)
 
-    def flood(
-        self, origin: int, size_bytes: int, kind: MessageKind = MessageKind.CONTROL
-    ) -> int:
-        """Network-wide flood (query dissemination): every node broadcasts once."""
-        visited = set()
-        frontier = [origin]
-        transmissions = 0
-        alive_adjacency = self.topology.routing_cache.alive_adjacency
-        while frontier:
-            next_frontier: List[int] = []
-            queued = set()  # dedupe: large topologies otherwise rescan nodes
-            for node_id in frontier:
-                if node_id in visited or not self.topology.nodes[node_id].alive:
-                    continue
-                visited.add(node_id)
-                self.broadcast(node_id, size_bytes, kind)
-                transmissions += 1
-                for neighbour in alive_adjacency.get(node_id, ()):
-                    if neighbour not in visited and neighbour not in queued:
-                        queued.add(neighbour)
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return transmissions
-
     # ------------------------------------------------------------------
     # sampling-cycle bookkeeping
     # ------------------------------------------------------------------

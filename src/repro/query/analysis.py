@@ -21,7 +21,6 @@ from repro.query.expressions import (
     _COMPARISONS as _COMPARISON_OPS,
     AttributeRef,
     BinaryOp,
-    Bindings,
     Comparison,
     Expression,
     FunctionCall,
@@ -47,7 +46,6 @@ class EqualityRouting:
     ``indexed_attribute`` equals that value.
     """
 
-    clause: Comparison
     search_alias: str
     indexed_alias: str
     indexed_attribute: str
@@ -65,7 +63,6 @@ class EqualityRouting:
 class RegionRouting:
     """A static region clause: targets within *radius* of the searcher."""
 
-    clause: Comparison
     search_alias: str
     indexed_alias: str
     radius: float
@@ -297,10 +294,6 @@ class QueryAnalysis:
         """
         return self._compiled_pair("_c_dynamic_join", self.dynamic_join_clauses)
 
-    def has_dynamic_join(self) -> bool:
-        return bool(self.dynamic_join_clauses)
-
-
 # ---------------------------------------------------------------------------
 # clause classification
 # ---------------------------------------------------------------------------
@@ -382,7 +375,6 @@ def _match_equality_routing(
             else BinaryOp("+", search_side, offset)
         )
         return EqualityRouting(
-            clause=clause,
             search_alias=search_alias,
             indexed_alias=indexed_alias,
             indexed_attribute=attribute,
@@ -405,7 +397,6 @@ def _match_region_routing(
     if relations != {source_alias, target_alias}:
         return None
     return RegionRouting(
-        clause=clause,
         search_alias=source_alias,
         indexed_alias=target_alias,
         radius=float(clause.right.value),

@@ -76,7 +76,3 @@ def to_cnf(predicate: Predicate) -> List[Predicate]:
                 clauses.append(operand)
         return clauses
     return [normalized]
-
-
-def clause_is_disjunction(clause: Predicate) -> bool:
-    return isinstance(clause, Or)

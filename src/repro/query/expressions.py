@@ -491,14 +491,3 @@ def conjunction(kernels: Sequence[CompiledArray]) -> CompiledArray:
 def evaluate(expression: Expression, bindings: Bindings) -> Any:
     """Functional entry point mirroring ``expression.evaluate(bindings)``."""
     return expression.evaluate(bindings)
-
-
-def references_only_relation(predicate: Expression, relation: str) -> bool:
-    """True if the predicate reads attributes of a single given relation."""
-    relations = predicate.relations()
-    return relations <= {relation}
-
-
-def is_join_predicate(predicate: Expression) -> bool:
-    """True if the predicate reads attributes from two or more relations."""
-    return len(predicate.relations()) >= 2

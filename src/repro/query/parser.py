@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.query.expressions import (
     And,
@@ -121,7 +121,7 @@ class _Parser:
         aliases = self._parse_relation_list()
         if len(aliases) != 2:
             raise QueryParseError("exactly two relations are supported")
-        window_size, sample_interval = self._parse_window_spec()
+        window_size = self._parse_window_spec()
         where: Predicate = TRUE
         if self.accept("keyword", "where"):
             where = self._parse_or()
@@ -133,7 +133,6 @@ class _Parser:
             target=RelationSpec(alias=aliases[1]),
             where=where,
             window_size=window_size,
-            sample_interval=sample_interval,
             projection=projection,
         )
 
@@ -155,8 +154,10 @@ class _Parser:
             aliases.append(self.expect("ident").text)
         return aliases
 
-    def _parse_window_spec(self) -> Tuple[int, int]:
-        window_size, sample_interval = 1, 100
+    def _parse_window_spec(self) -> int:
+        """The window size.  ``sampleinterval`` is checked and dropped: one
+        sampling cycle is the simulator's unit of time."""
+        window_size = 1
         if self.accept("punct", "["):
             while not self.accept("punct", "]"):
                 key = self.expect("ident").text.lower()
@@ -165,10 +166,11 @@ class _Parser:
                 if key == "windowsize":
                     window_size = value
                 elif key == "sampleinterval":
-                    sample_interval = value
+                    if value < 1:
+                        raise QueryParseError("sampleinterval must be at least 1")
                 else:
                     raise QueryParseError(f"unknown window parameter {key!r}")
-        return window_size, sample_interval
+        return window_size
 
     # Boolean precedence: OR < AND < NOT < comparison
     def _parse_or(self) -> Predicate:

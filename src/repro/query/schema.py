@@ -11,7 +11,7 @@ what enables pre-evaluation of static clauses and content routing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,8 @@ class RelationSchema:
     def dynamic_attributes(self) -> List[str]:
         return [a.name for a in self.attributes if not a.static]
 
-    def attribute_names(self) -> List[str]:
-        return [a.name for a in self.attributes]
-
     def __len__(self) -> int:
         return len(self.attributes)
-
-    def extended_with(self, extra: Iterable[Attribute]) -> "RelationSchema":
-        """Schema with extra (static) attributes flooded from the base station."""
-        return RelationSchema(name=self.name, attributes=self.attributes + list(extra))
-
 
 def _dynamic(name: str, kind: str = "int16", description: str = "") -> Attribute:
     return Attribute(name=name, static=False, kind=kind, description=description)
@@ -113,17 +105,3 @@ SENSOR_SCHEMA = RelationSchema(
         _static("zone", description="administrative zone"),
     ],
 )
-
-
-def split_static_dynamic(
-    schema: RelationSchema, names: Iterable[str]
-) -> Tuple[List[str], List[str]]:
-    """Partition attribute names into (static, dynamic) per the schema."""
-    static: List[str] = []
-    dynamic: List[str] = []
-    for name in names:
-        if schema.is_static(name):
-            static.append(name)
-        else:
-            dynamic.append(name)
-    return static, dynamic

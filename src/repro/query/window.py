@@ -144,11 +144,6 @@ class JoinState:
     def buffered_tuple_count(self) -> int:
         return len(self.source_window) + len(self.target_window)
 
-    def storage_bytes(self, bytes_per_tuple: int = 4) -> int:
-        """Approximate RAM used by the pair's windows (storage cost, Table 3)."""
-        return self.buffered_tuple_count() * bytes_per_tuple
-
-
 # ---------------------------------------------------------------------------
 # the columnar store
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from repro.routing.paths import concatenate_paths, strip_cycles
 _ID_SPACE = 1 << 32
 
 
-def _stable_hash(value: Any, salt: int = 0) -> int:
+def _stable_hash(value: Any) -> int:
     data = repr(value).encode("utf-8")
-    acc = 2166136261 ^ (salt * 0x85EBCA6B & (_ID_SPACE - 1))
+    acc = 2166136261
     for byte in data:
         acc ^= byte
         acc = (acc * 16777619) % _ID_SPACE
@@ -35,13 +35,11 @@ def _stable_hash(value: Any, salt: int = 0) -> int:
 class DHTSubstrate:
     """Hash-space routing over the physical mesh topology."""
 
-    def __init__(self, topology: Topology, sizes: Optional[MessageSizes] = None,
-                 salt: int = 0) -> None:
+    def __init__(self, topology: Topology, sizes: Optional[MessageSizes] = None) -> None:
         self.topology = topology
         self.sizes = sizes or MessageSizes()
-        self.salt = salt
         self._node_hashes: Dict[int, int] = {
-            node_id: _stable_hash(("node", node_id), salt)
+            node_id: _stable_hash(("node", node_id))
             for node_id in topology.node_ids
         }
         #: key -> (routing epoch, home node); invalidated by failures/mobility.
@@ -50,7 +48,7 @@ class DHTSubstrate:
 
     # ------------------------------------------------------------------
     def key_hash(self, key: Any) -> int:
-        return _stable_hash(("key", key), self.salt)
+        return _stable_hash(("key", key))
 
     def home_node(self, key: Any) -> int:
         """Alive node whose hashed id is nearest the hashed key on the ring.

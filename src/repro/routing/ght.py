@@ -24,10 +24,10 @@ from repro.routing.paths import concatenate_paths, strip_cycles
 _HASH_MASK = (1 << 32) - 1
 
 
-def _hash_key(key: Any, salt: int = 0) -> int:
+def _hash_key(key: Any) -> int:
     """Deterministic 32-bit hash (Python's ``hash`` is salted per process)."""
     data = repr(key).encode("utf-8")
-    value = 2166136261 ^ (salt * 0x9E3779B1 & _HASH_MASK)
+    value = 2166136261
     for byte in data:
         value ^= byte
         value = (value * 16777619) & _HASH_MASK
@@ -37,11 +37,9 @@ def _hash_key(key: Any, salt: int = 0) -> int:
 class GHTSubstrate:
     """Geographic hashing with greedy (GPSR-style) forwarding."""
 
-    def __init__(self, topology: Topology, sizes: Optional[MessageSizes] = None,
-                 salt: int = 0) -> None:
+    def __init__(self, topology: Topology, sizes: Optional[MessageSizes] = None) -> None:
         self.topology = topology
         self.sizes = sizes or MessageSizes()
-        self.salt = salt
         xs = [node.position[0] for node in topology.nodes.values()]
         ys = [node.position[1] for node in topology.nodes.values()]
         self._bounds = (min(xs), min(ys), max(xs), max(ys))
@@ -54,7 +52,7 @@ class GHTSubstrate:
     def hash_location(self, key: Any) -> Tuple[float, float]:
         """Map a key to a location inside the deployment's bounding box."""
         xmin, ymin, xmax, ymax = self._bounds
-        h = _hash_key(key, self.salt)
+        h = _hash_key(key)
         fx = (h & 0xFFFF) / 0xFFFF
         fy = ((h >> 16) & 0xFFFF) / 0xFFFF
         return (xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin))

@@ -18,7 +18,7 @@ cost model of Section 3.1 needs to place join nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class MultiTreeSubstrate:
         num_trees: int = 3,
         indexed_attributes: Optional[Dict[str, SummaryFactory]] = None,
         value_extractors: Optional[Dict[str, ValueExtractor]] = None,
-        simulator: Optional[NetworkSimulator] = None,
         sizes: Optional[MessageSizes] = None,
     ) -> None:
         if num_trees < 1:
@@ -92,9 +91,7 @@ class MultiTreeSubstrate:
         self._indexed_attributes = indexed_attributes or {}
         self._value_extractors = value_extractors or {}
         if self._indexed_attributes:
-            self.index_attributes(
-                self._indexed_attributes, self._value_extractors, simulator
-            )
+            self.index_attributes(self._indexed_attributes, self._value_extractors)
         else:
             self.tables = [None] * len(self.trees)
 
@@ -191,9 +188,6 @@ class MultiTreeSubstrate:
         self._best_routes[key] = tuple(best)
         return best
 
-    def route_length(self, source: int, target: int) -> int:
-        return len(self.best_route(source, target)) - 1
-
     # ------------------------------------------------------------------
     # content-routing search
     # ------------------------------------------------------------------
@@ -205,7 +199,6 @@ class MultiTreeSubstrate:
         node_matches: Callable[[int], bool],
         simulator: Optional[NetworkSimulator] = None,
         max_trees: Optional[int] = None,
-        charge_replies: bool = False,
         cache_token: Optional[Tuple] = None,
     ) -> ExplorationResult:
         """Search every tree for nodes whose *attr* matches.
@@ -215,8 +208,7 @@ class MultiTreeSubstrate:
         If *simulator* is given, one exploration message is charged per tree
         edge traversed.  The exploration message already carries the path
         vector, so the discovered target can nominate a join node without a
-        separate reply (Section 3.2); set ``charge_replies`` to also charge an
-        explicit reversed-path reply per discovered target.
+        separate reply (Section 3.2).
 
         ``cache_token`` (optional) asserts that the probe/match closures are a
         pure function of the token, the query identity and the deployment.
@@ -237,12 +229,11 @@ class MultiTreeSubstrate:
                 cache.clear()
                 self.topology.__dict__.get("_exploration_pins", {}).clear()
             key = (
-                self.topology.routing_epoch, self.num_trees, tree_count,
-                charge_replies, cache_token,
+                self.topology.routing_epoch, self.num_trees, tree_count, cache_token,
             )
             entry = cache.get(key)
             if entry is not None:
-                return self._replay_exploration(source, entry, simulator, charge_replies)
+                return self._replay_exploration(source, entry, simulator)
         result = ExplorationResult(source=source)
         recording: Optional[List[Tuple[int, int, int]]] = (
             [] if cache is not None else None
@@ -258,7 +249,7 @@ class MultiTreeSubstrate:
                 continue
             self._explore_tree(
                 tree, table, tree_index, source, attr, summary_probe, node_matches,
-                result, simulator, charge_replies, recording,
+                result, simulator, recording,
             )
         if cache is not None:
             cache[key] = {
@@ -275,7 +266,6 @@ class MultiTreeSubstrate:
         source: int,
         entry: Dict,
         simulator: Optional[NetworkSimulator],
-        charge_replies: bool,
     ) -> ExplorationResult:
         """Rebuild a memoized exploration, re-charging its traffic."""
         result = ExplorationResult(source=source)
@@ -288,42 +278,17 @@ class MultiTreeSubstrate:
             result.messages_sent += len(edges)
         hops_map = self.primary_tree.depth
         for target, paths in entry["paths"].items():
-            rebuilt = []
-            for path, tree_index in paths:
-                clean = list(path)
-                rebuilt.append(PairPath(
+            result.paths[target] = [
+                PairPath(
                     source=source,
                     target=target,
-                    path=clean,
-                    hops_to_base=[hops_map.get(n, 0) for n in clean],
+                    path=list(path),
+                    hops_to_base=[hops_map.get(n, 0) for n in path],
                     tree_index=tree_index,
-                ))
-                if simulator is not None and charge_replies:
-                    simulator.transfer(
-                        list(reversed(clean)),
-                        self.sizes.explore(len(clean)),
-                        MessageKind.EXPLORE_REPLY,
-                    )
-                    result.messages_sent += 1
-            result.paths[target] = rebuilt
+                )
+                for path, tree_index in paths
+            ]
         return result
-
-    def find_equality_matches(
-        self,
-        source: int,
-        attr: str,
-        value: Any,
-        node_value: Callable[[int], Any],
-        simulator: Optional[NetworkSimulator] = None,
-    ) -> ExplorationResult:
-        """Convenience wrapper for equality (join-key) searches."""
-        return self.find_matches(
-            source,
-            attr,
-            summary_probe=lambda summary: summary.might_contain(value),
-            node_matches=lambda node: node != source and node_value(node) == value,
-            simulator=simulator,
-        )
 
     # -- internals ---------------------------------------------------------
     def _explore_tree(
@@ -337,29 +302,19 @@ class MultiTreeSubstrate:
         node_matches: Callable[[int], bool],
         result: ExplorationResult,
         simulator: Optional[NetworkSimulator],
-        charge_replies: bool = False,
         recording: Optional[List[Tuple[int, int, int]]] = None,
     ) -> None:
         hops_map = self.primary_tree.depth
 
         def record(target: int, path: List[int]) -> None:
             clean = strip_cycles(path)
-            pair = PairPath(
+            result.paths.setdefault(target, []).append(PairPath(
                 source=source,
                 target=target,
                 path=clean,
                 hops_to_base=[hops_map.get(n, 0) for n in clean],
                 tree_index=tree_index,
-            )
-            result.paths.setdefault(target, []).append(pair)
-            if simulator is not None and charge_replies:
-                # Reply travels the reversed path vector back to the source.
-                simulator.transfer(
-                    list(reversed(clean)),
-                    self.sizes.explore(len(clean)),
-                    MessageKind.EXPLORE_REPLY,
-                )
-                result.messages_sent += 1
+            ))
 
         def traverse_edge(a: int, b: int, path_len: int) -> None:
             result.edges_traversed += 1

@@ -62,18 +62,6 @@ def compress_path(path: Sequence[int]) -> Tuple[int, List[int]]:
     return (path[0], deltas)
 
 
-def compressed_size_bytes(path: Sequence[int]) -> int:
-    """Bytes needed for a delta-encoded path vector (2-byte head, 1-byte deltas
-    when they fit in a signed byte, otherwise 2 bytes)."""
-    if not path:
-        return 0
-    first, deltas = compress_path(path)
-    size = 2
-    for delta in deltas:
-        size += 1 if -128 <= delta <= 127 else 2
-    return size
-
-
 @dataclass(frozen=True)
 class PathQuality:
     """Aggregate path-quality metrics over a set of source/target pairs."""

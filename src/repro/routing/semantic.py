@@ -19,8 +19,8 @@ first, with numpy:
 * Bloom filters (:class:`BloomFilterSummary`) are packed ``uint64`` words
   OR-ed together, plus an item count;
 * intervals (:class:`IntervalSummary`) are ``lo`` / ``hi`` columns;
-* positions (an :class:`RTreeSummary` factory) are one bounding rectangle
-  per subtree, handed out as a :class:`RectSummary`.
+* positions (:class:`RectSummary`) are one bounding rectangle (MBR) per
+  subtree.
 
 Lookups build a summary from the row; a probe gets one summary per table and
 attribute, re-pointed at each row it reads.
@@ -40,7 +40,7 @@ from repro.summaries.bloom import (
     _FNV_OFFSET, _FNV_PRIME, _MASK64, BloomFilterSummary, _mask_for,
 )
 from repro.summaries.interval import IntervalSummary
-from repro.summaries.rtree import Rect, RectSummary, RTreeSummary
+from repro.summaries.rect import Rect, RectSummary, as_point
 
 SummaryFactory = Callable[[], Summary]
 #: Extracts the indexed value(s) of one attribute from a node; may return a
@@ -295,7 +295,7 @@ class _RectRows(_BoxRows):
 
     axes = 2
     report_bytes = RectSummary().size_bytes()
-    _coords = staticmethod(RTreeSummary._as_point)
+    _coords = staticmethod(as_point)
 
     def _new(self) -> RectSummary:
         return RectSummary()
@@ -308,7 +308,7 @@ class _RectRows(_BoxRows):
 _ROWS_FOR = (
     (BloomFilterSummary, _BloomRows),
     (IntervalSummary, _IntervalRows),
-    (RTreeSummary, _RectRows),
+    (RectSummary, _RectRows),
 )
 
 
@@ -432,11 +432,6 @@ class SemanticRoutingTable:
             if child in covered and probe(view(child)):
                 matching.append(child)
         return matching
-
-    def children_that_might_contain(self, node: int, attr: str, value: Any) -> List[int]:
-        return self.children_that_might_match(
-            node, attr, lambda summary: summary.might_contain(value)
-        )
 
     def subtree_might_match(
         self, node: int, attr: str, probe: Callable[[Summary], bool]

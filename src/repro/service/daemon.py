@@ -153,17 +153,19 @@ def serve(
     config: Optional[ServiceConfig] = None,
     cycle_interval: float = 0.0,
     max_cycles: Optional[int] = None,
-    ready_line: bool = True,
 ) -> int:
-    """Run the daemon until a shutdown request; returns 0 on clean exit."""
+    """Run the daemon until a shutdown request; returns 0 on clean exit.
+
+    Prints one ``SERVICE READY host=... port=... nodes=...`` line once the
+    socket is bound, so a caller that asked for port 0 learns the port.
+    """
     daemon = ServiceDaemon(
         config, cycle_interval=cycle_interval, max_cycles=max_cycles
     )
     with ServiceServer((host, port), daemon) as server:
         actual_port = server.server_address[1]
-        if ready_line:
-            print(f"SERVICE READY host={host} port={actual_port} "
-                  f"nodes={len(daemon.engine.topology.nodes)}", flush=True)
+        print(f"SERVICE READY host={host} port={actual_port} "
+              f"nodes={len(daemon.engine.topology.nodes)}", flush=True)
         daemon.start_ticker()
         server.serve_forever(poll_interval=0.1)
     daemon.stop()

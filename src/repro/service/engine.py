@@ -12,12 +12,12 @@ exactly the machinery of the batch phase runner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.cost_model import Selectivities
 from repro.engine.registry import make_query, make_strategy
 from repro.engine.spec import PhaseSpec
-from repro.joins.stepping import QuerySession, SharedSubstrateEngine
+from repro.joins.stepping import SharedSubstrateEngine
 from repro.network.topology import Topology
 from repro.network.traffic import TrafficAccounting
 from repro.query.parser import QueryParseError, parse_query

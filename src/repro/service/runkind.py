@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.cost_model import Selectivities
 from repro.engine.registry import make_strategy, register_run_kind
 from repro.engine.results import measurement_report
 from repro.engine.spec import RunSpec

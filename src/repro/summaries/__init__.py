@@ -9,10 +9,8 @@ uses different structures depending on the attribute type:
   ``cid``, ``rid``, ``x``, ``y``).
 * :class:`IntervalSummary` -- 1-D numeric ranges, a generalization of
   TinyDB's semantic routing trees.
-* :class:`RTreeSummary` -- multidimensional rectangles for positions
+* :class:`RectSummary` -- one bounding rectangle (MBR) for positions
   (``pos``), used by region-based queries (Query 3).
-* :class:`RectSummary` -- one bounding rectangle, what a semantic routing
-  table keeps per subtree for ``pos``.
 
 All summaries follow the small :class:`Summary` protocol: they can absorb
 values, merge with peers (as information flows up a routing tree), answer
@@ -23,13 +21,12 @@ encoded size in bytes so routing-table maintenance traffic can be accounted.
 from repro.summaries.base import Summary
 from repro.summaries.bloom import BloomFilterSummary
 from repro.summaries.interval import IntervalSummary
-from repro.summaries.rtree import Rect, RectSummary, RTreeSummary
+from repro.summaries.rect import Rect, RectSummary
 
 __all__ = [
     "Summary",
     "BloomFilterSummary",
     "IntervalSummary",
-    "RTreeSummary",
     "RectSummary",
     "Rect",
 ]

@@ -12,7 +12,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -56,12 +56,3 @@ def assign_table1_attributes(topology: Topology, seed: int = 0) -> None:
         node.set_static("cid", cid)
         node.set_static("rid", rid)
         # pos is maintained by SensorNode itself; id likewise.
-
-
-def attribute_histogram(topology: Topology, attribute: str) -> Dict[int, int]:
-    """Value -> count of nodes holding it (used by tests and sanity checks)."""
-    counts: Dict[int, int] = {}
-    for node in topology.nodes.values():
-        value = node.static_attributes.get(attribute)
-        counts[value] = counts.get(value, 0) + 1
-    return counts

@@ -209,41 +209,3 @@ def build_send_probability_map(
     for node_id in target_nodes:
         mapping[node_id] = max(mapping.get(node_id, 0.0), sigma_t)
     return mapping
-
-
-def skewed_data_source(
-    regime_of_node,
-    source_nodes,
-    target_nodes,
-    seed: int = 0,
-) -> SyntheticDataSource:
-    """Per-node regimes: half the nodes follow Sel1, the other half Sel2
-    (Figure 12a).
-
-    ``regime_of_node`` maps a node id to its
-    :class:`~repro.core.cost_model.Selectivities`; a node's producer rate is
-    the regime's sigma_s if it belongs to the source relation and sigma_t if
-    it belongs to the target relation, and its ``u`` range follows the
-    regime's sigma_st.
-    """
-    per_node_send: Dict[int, float] = {}
-    per_node_u_range: Dict[int, int] = {}
-    source_set = set(source_nodes)
-    target_set = set(target_nodes)
-    default_sigma_st = 0.2
-    for node_id, regime in regime_of_node.items():
-        if node_id in source_set:
-            per_node_send[node_id] = regime.sigma_s
-        elif node_id in target_set:
-            per_node_send[node_id] = regime.sigma_t
-        else:
-            per_node_send[node_id] = 0.0
-        per_node_u_range[node_id] = max(1, math.ceil(1.0 / max(regime.sigma_st, 1e-9)))
-        default_sigma_st = regime.sigma_st
-    return SyntheticDataSource(
-        sigma_st=default_sigma_st,
-        send_probability=1.0,
-        seed=seed,
-        per_node_send_probability=per_node_send,
-        per_node_u_range=per_node_u_range,
-    )

@@ -19,8 +19,8 @@ station into the network as estimates become available).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 import numpy as np
 

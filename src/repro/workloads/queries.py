@@ -20,7 +20,7 @@ are kept in :data:`PAPER_QUERY_SQL` for reference and parser coverage.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -147,17 +147,3 @@ def build_query3(
         f"AND abs(S.v - T.v) > {difference_threshold}"
     )
     return parse_query(text, name="query3")
-
-
-def query_for_name(name: str, **kwargs) -> JoinQuery:
-    """Dispatch helper used by the experiment harness."""
-    builders = {
-        "query0": build_query0,
-        "query0-keyed": build_query0_keyed,
-        "query1": build_query1,
-        "query2": build_query2,
-        "query3": build_query3,
-    }
-    if name not in builders:
-        raise KeyError(f"unknown query {name!r}; expected one of {sorted(builders)}")
-    return builders[name](**kwargs)

@@ -9,7 +9,7 @@ Sel1 and Sel2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.cost_model import Selectivities
 
@@ -49,24 +49,3 @@ def selectivities_for_ratio(label: str, sigma_st: float) -> Selectivities:
             return Selectivities(sigma_s=sigma_s, sigma_t=sigma_t, sigma_st=sigma_st)
     raise KeyError(f"unknown ratio label {label!r}; expected one of "
                    f"{[name for name, _ in RATIO_LADDER]}")
-
-
-def all_ratio_points(
-    join_selectivities: List[float] = None,
-) -> List[Tuple[str, Selectivities]]:
-    """Every (ratio label, selectivities) point of the Figure 2/3 sweep."""
-    sweep = join_selectivities if join_selectivities is not None else JOIN_SELECTIVITIES
-    points: List[Tuple[str, Selectivities]] = []
-    for label, (sigma_s, sigma_t) in RATIO_LADDER:
-        for sigma_st in sweep:
-            points.append((label, Selectivities(sigma_s, sigma_t, sigma_st)))
-    return points
-
-
-def estimate_grid(true: Selectivities) -> Dict[str, Selectivities]:
-    """The 5 estimates used when validating the cost model (Figures 4, 8, 10):
-    the optimizer is fed each ladder point while the data follows ``true``."""
-    return {
-        label: Selectivities(sigma_s, sigma_t, true.sigma_st)
-        for label, (sigma_s, sigma_t) in RATIO_LADDER
-    }

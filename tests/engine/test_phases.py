@@ -13,8 +13,8 @@ from repro.engine import (
     RunSpec,
     ScenarioSpec,
     SweepRunner,
+    build_phased_workload,
     build_topology,
-    build_workload,
     execute_run,
     run_single,
 )
@@ -124,16 +124,16 @@ class TestPhasedExecutionEquivalence:
                 == phased.report.computation_traffic)
 
     def test_drift_phases_match_switched_data_source(self):
-        """A phase data override == the classic switch_cycle workload."""
+        """A phase data override == a two-regime workload run in one piece."""
         spec = phased_scenario().expand(SMOKE)[0]
         phased = execute_run(spec)
 
         topology = build_topology(SMOKE, preset="moderate", seed=0)
         query = build_query1()
-        source = build_workload(
-            topology, query, Selectivities(0.5, 0.5, 0.2),
+        source = build_phased_workload(
+            topology, query,
+            [(0, Selectivities(0.5, 0.5, 0.2)), (5, Selectivities(0.1, 1.0, 0.2))],
             seed=spec.workload_seed,
-            switch_cycle=5, switched_to=Selectivities(0.1, 1.0, 0.2),
         )
         reference = run_single(query, topology, source, "innet",
                                Selectivities(0.5, 0.5, 0.2),

@@ -51,10 +51,6 @@ class TestScales:
         monkeypatch.delenv("REPRO_SCALE")
         assert scale_from_env("default").name == "default"
 
-    def test_scaled_cycles(self):
-        assert SMOKE.scaled_cycles() == SMOKE.cycles
-        assert SMOKE.scaled_cycles(77) == 77
-
 
 class TestStrategyFactory:
     def test_all_figure_algorithms_available(self):

@@ -94,18 +94,6 @@ class TestExecutor:
         ).run(10)
         assert retransmitting.total_traffic > lossless.total_traffic
 
-    def test_charge_tree_construction_adds_initiation(
-        self, topo_small, query1, default_selectivities
-    ):
-        data_source = make_workload(topo_small, query1, default_selectivities)
-        without = JoinExecutor(query1, topo_small.copy(), data_source, NaiveJoin(),
-                               default_selectivities).run(1)
-        with_flood = JoinExecutor(
-            query1, topo_small.copy(), data_source, NaiveJoin(), default_selectivities,
-            charge_tree_construction=True,
-        ).run(1)
-        assert with_flood.initiation_traffic > without.initiation_traffic
-
     def test_selectivity_provider_callable(self, topo_small, query1, default_selectivities):
         data_source = make_workload(topo_small, query1, default_selectivities)
         calls = []

@@ -110,7 +110,8 @@ class TestSimulatorIntegration:
         sim.transfer([0, 1, 2, 3], 10, MessageKind.DATA)
         sim.transfer([2, 1], 7, MessageKind.RESULT)
         sim.broadcast(1, 8, MessageKind.CONTROL)
-        sim.flood(0, 5, MessageKind.CONTROL)
+        for node in sim.topology.node_ids:
+            sim.broadcast(node, 5, MessageKind.CONTROL)
         sim.advance_sampling_cycle()
         sim.transfer([3, 2, 1, 0], 12, MessageKind.DATA)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.network import FailureInjector, MobilityEvent, move_leaf_node
-from repro.network.failures import FailureEvent, no_failures
+from repro.network.failures import FailureEvent
 from repro.network.mobility import candidate_positions_near, is_leaf, max_supported_speed
 from repro.network.topology import (
     grid_topology,
@@ -37,16 +37,6 @@ class TestFailureInjector:
     def test_negative_cycle_rejected(self):
         with pytest.raises(ValueError):
             FailureEvent(node_id=1, sampling_cycle=-1)
-
-    def test_all_failed_by(self):
-        injector = FailureInjector()
-        injector.schedule(1, 5)
-        injector.schedule(2, 10)
-        assert injector.all_failed_by(7) == [1]
-        assert injector.all_failed_by(10) == [1, 2]
-
-    def test_no_failures_helper(self):
-        assert no_failures().is_empty()
 
 
 class TestMobility:

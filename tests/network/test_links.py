@@ -39,13 +39,6 @@ class TestLinkModel:
         simulated = sum(a for _, a in outcomes) / len(outcomes)
         assert simulated == pytest.approx(links.expected_attempts(), rel=0.05)
 
-    def test_reseed_reproduces_sequence(self):
-        links = lossy_links(0.4, seed=3)
-        first = [links.attempt_hop() for _ in range(50)]
-        links.reseed(3)
-        second = [links.attempt_hop() for _ in range(50)]
-        assert first == second
-
     def test_zero_retransmissions(self):
         links = LinkModel(loss_probability=0.5, max_retransmissions=0, seed=1)
         delivered, attempts = links.attempt_hop()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network import SensorNode
-from repro.network.node import base_station
 
 
 class TestSensorNode:
@@ -19,7 +18,7 @@ class TestSensorNode:
 
     def test_static_shadows_dynamic(self):
         node = SensorNode(node_id=1, position=(0, 0))
-        node.set_dynamic("u", 10)
+        node.dynamic_attributes["u"] = 10
         node.set_static("u", 99)
         assert node.get_attribute("u") == 99
         assert node.attributes()["u"] == 99
@@ -32,7 +31,7 @@ class TestSensorNode:
 
     def test_dynamic_attribute_roundtrip(self):
         node = SensorNode(node_id=1, position=(0, 0))
-        node.set_dynamic("temp", 21.5)
+        node.dynamic_attributes["temp"] = 21.5
         assert node.has_attribute("temp")
         assert node.get_attribute("temp") == 21.5
 
@@ -53,8 +52,3 @@ class TestSensorNode:
         node.move_to((5.0, 5.0))
         assert node.position == (5.0, 5.0)
         assert node.get_attribute("pos") == (5.0, 5.0)
-
-    def test_base_station_constructor(self):
-        base = base_station(node_id=7, position=(1.0, 1.0))
-        assert base.is_base
-        assert base.node_id == 7

@@ -141,7 +141,8 @@ class TestTransportEquivalence:
             path = topo.shortest_path(node, base)
             transfer(path, 24, MessageKind.DATA)
             transfer(list(reversed(path)), 13, MessageKind.CONTROL)
-        simulator.flood(base, 13)
+        for node in topo.node_ids:
+            simulator.broadcast(node, 13, MessageKind.CONTROL)
         for node in topo.node_ids[::5]:
             simulator.broadcast(node, 11, MessageKind.TREE_MAINT)
         # A path through a dead node must charge identically in both modes.
@@ -170,17 +171,6 @@ class TestTransportEquivalence:
         assert victim not in heard
         assert simulator.stats.received.get(victim, 0.0) == 0.0
         assert simulator.stats.at_node(victim) == 0.0
-
-    def test_flood_counts_each_alive_node_once(self):
-        topo = grid_topology(num_nodes=49)
-        dead = [n for n in topo.node_ids if n != topo.base_id][:3]
-        for node in dead:
-            topo.nodes[node].fail()
-        simulator = NetworkSimulator(topo)
-        transmissions = simulator.flood(topo.base_id, 13)
-        alive = sum(1 for n in topo.nodes.values() if n.alive)
-        assert transmissions == alive
-        assert simulator.stats.messages_sent == alive
 
     def test_batched_lossy_sampling_matches_analytic_mean(self):
         model = lossy_links(0.3, seed=11, max_retransmissions=3)

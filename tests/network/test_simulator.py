@@ -88,12 +88,6 @@ class TestBroadcastAndFlood:
         sim = NetworkSimulator(topo)
         assert sim.broadcast(1, size_bytes=8) == []
 
-    def test_flood_reaches_every_node_once(self):
-        sim = NetworkSimulator(chain_topology(length=6))
-        transmissions = sim.flood(0, size_bytes=5)
-        assert transmissions == 6
-        assert sim.stats.total() == 30.0
-
 
 class TestClock:
     def test_advance_sampling_counts_cycles(self):

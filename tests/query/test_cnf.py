@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query import And, AttributeRef, Comparison, Literal, Not, Or, to_cnf
-from repro.query.cnf import clause_is_disjunction, push_negations
+from repro.query.cnf import push_negations
 from repro.query.expressions import BoolLiteral
 
 
@@ -54,13 +54,13 @@ class TestToCnf:
     def test_disjunction_is_single_clause(self):
         clauses = to_cnf(Or(A, B))
         assert len(clauses) == 1
-        assert clause_is_disjunction(clauses[0])
+        assert isinstance(clauses[0], Or)
 
     def test_distribution(self):
         # A OR (B AND C)  ->  (A OR B) AND (A OR C)
         clauses = to_cnf(Or(A, And(B, C)))
         assert len(clauses) == 2
-        assert all(clause_is_disjunction(clause) for clause in clauses)
+        assert all(isinstance(clause, Or) for clause in clauses)
 
     def test_nested_structure(self):
         predicate = And(Or(A, And(B, C)), Not(Or(A, B)))

@@ -19,8 +19,6 @@ from repro.query import (
 from repro.query.expressions import (
     TRUE,
     FALSE,
-    is_join_predicate,
-    references_only_relation,
 )
 
 
@@ -120,10 +118,8 @@ class TestPredicates:
     def test_relation_helpers(self):
         selection = Comparison("<", AttributeRef("S", "id"), Literal(25))
         join = Comparison("=", AttributeRef("S", "u"), AttributeRef("T", "u"))
-        assert references_only_relation(selection, "S")
-        assert not references_only_relation(join, "S")
-        assert is_join_predicate(join)
-        assert not is_join_predicate(selection)
+        assert selection.relations() == frozenset({"S"})
+        assert join.relations() == frozenset({"S", "T"})
 
     def test_str_representations(self):
         predicate = And(

@@ -28,7 +28,6 @@ class TestParser:
         query = parse_query(QUERY1_SQL, name="query1")
         assert isinstance(query, JoinQuery)
         assert query.window_size == 3
-        assert query.sample_interval == 100
         assert query.aliases == ("S", "T")
         assert query.projection[0] == AttributeRef("S", "id")
         assert len(query.projection) == 3
@@ -36,7 +35,6 @@ class TestParser:
     def test_parse_defaults_without_window_spec(self):
         query = parse_query("SELECT S.id, T.id FROM S, T WHERE S.u = T.u")
         assert query.window_size == 1
-        assert query.sample_interval == 100
 
     def test_parse_no_where(self):
         query = parse_query("SELECT S.id, T.id FROM S, T")
@@ -132,7 +130,7 @@ class TestAnalyzer:
         analysis = analyze_query(parse_query(QUERY1_SQL, name="query1"))
         assert analysis.tuples_join({"u": 3}, {"u": 3})
         assert not analysis.tuples_join({"u": 3}, {"u": 4})
-        assert analysis.has_dynamic_join()
+        assert analysis.dynamic_join_clauses
 
     def test_secondary_static_join_clause(self):
         # Query 2 style: two static join clauses; one is picked for routing.
@@ -212,9 +210,10 @@ class TestJoinQueryValidation:
         with pytest.raises(ValueError):
             JoinQuery(name="q", source=RelationSpec("S"), target=RelationSpec("T"),
                       window_size=0)
-        with pytest.raises(ValueError):
-            JoinQuery(name="q", source=RelationSpec("S"), target=RelationSpec("T"),
-                      sample_interval=0)
+        # sampleinterval is the paper's StreamSQL syntax: checked, not modelled
+        assert parse_query("SELECT S.id FROM S, T [sampleinterval=1]").window_size == 1
+        with pytest.raises(QueryParseError, match="sampleinterval"):
+            parse_query("SELECT S.id FROM S, T [windowsize=2 sampleinterval=0]")
 
     def test_alias_clash_rejected(self):
         with pytest.raises(ValueError):
@@ -222,13 +221,7 @@ class TestJoinQueryValidation:
 
     def test_alias_helpers(self):
         query = JoinQuery(name="q", source=RelationSpec("S"), target=RelationSpec("T"))
-        assert query.opposite_alias("S") == "T"
-        assert query.opposite_alias("T") == "S"
-        with pytest.raises(KeyError):
-            query.opposite_alias("Z")
-        assert query.alias_for("S").alias == "S"
-        with pytest.raises(KeyError):
-            query.alias_for("Z")
+        assert query.aliases == ("S", "T")
         assert query.result_width() == 2
 
     def test_empty_alias_rejected(self):

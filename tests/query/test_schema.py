@@ -3,7 +3,6 @@
 import pytest
 
 from repro.query import SENSOR_SCHEMA, Attribute, RelationSchema
-from repro.query.schema import split_static_dynamic
 
 
 class TestAttribute:
@@ -48,21 +47,7 @@ class TestRelationSchema:
                 ],
             )
 
-    def test_extended_with(self):
-        extended = SENSOR_SCHEMA.extended_with(
-            [Attribute("building", static=True)]
-        )
-        assert extended.has_attribute("building")
-        assert len(extended) == 29
-        # The original is untouched.
-        assert not SENSOR_SCHEMA.has_attribute("building")
-
-    def test_split_static_dynamic_helper(self):
-        static, dynamic = split_static_dynamic(SENSOR_SCHEMA, ["id", "u", "cid", "v"])
-        assert static == ["id", "cid"]
-        assert dynamic == ["u", "v"]
-
     def test_attribute_names_order(self):
-        names = SENSOR_SCHEMA.attribute_names()
+        names = [attribute.name for attribute in SENSOR_SCHEMA.attributes]
         assert len(names) == 28
         assert names[0] == "temperature"

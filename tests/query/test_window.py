@@ -88,11 +88,6 @@ class TestJoinState:
         # The transferred window still joins correctly.
         assert fresh.probe(True, _wt(1, 1, u=1), self.join_on_u)
 
-    def test_storage_bytes(self):
-        state = JoinState(window_size=2, source_id=1, target_id=2)
-        state.probe(True, _wt(1, 0, u=1), self.join_on_u)
-        assert state.storage_bytes(bytes_per_tuple=4) == 4
-
 
 class TestWindowProperties:
     @given(st.integers(1, 6), st.lists(st.integers(0, 100), max_size=40))

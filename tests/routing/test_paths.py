@@ -11,7 +11,7 @@ from repro.routing import (
     path_quality_for_pairs,
     reverse_path,
 )
-from repro.routing.paths import compressed_size_bytes, strip_cycles
+from repro.routing.paths import strip_cycles
 
 
 class TestPathOps:
@@ -38,13 +38,6 @@ class TestPathOps:
         assert first == 10
         assert deltas == [2, -1, 9]
         assert compress_path([]) == (0, [])
-
-    def test_compressed_size(self):
-        assert compressed_size_bytes([]) == 0
-        assert compressed_size_bytes([5]) == 2
-        assert compressed_size_bytes([5, 6, 7]) == 4
-        # A jump larger than a signed byte costs two bytes.
-        assert compressed_size_bytes([5, 500]) == 4
 
 
 class TestPathQuality:

@@ -21,9 +21,7 @@ from repro.network.links import lossy_links
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.semantic import bloom_masks
-from repro.summaries import (
-    BloomFilterSummary, IntervalSummary, RTreeSummary, Summary,
-)
+from repro.summaries import BloomFilterSummary, IntervalSummary, RectSummary, Summary
 from repro.summaries.bloom import _mask_for
 from tests.routing.semantic_oracle import ObjectSemanticRoutingTable
 
@@ -153,20 +151,20 @@ def test_interval_tables_agree_with_the_object_build(data):
 
 @SETTINGS
 @given(st.data())
-def test_pos_tables_keep_the_r_tree_bounding_rectangles(data):
+def test_pos_tables_keep_the_bounding_rectangles(data):
     topology, tree = data.draw(trees())
     if data.draw(st.booleans()):
         extractor = lambda node: topology.nodes[node].position   # noqa: E731
     else:
         extractor = node_values(data.draw, topology, pos_values).__getitem__
-    max_entries = data.draw(st.integers(2, 8))
-    factories = {"pos": lambda: RTreeSummary(max_entries=max_entries)}
+    factories = {"pos": RectSummary}
     array, oracle = both(tree, factories, {"pos": extractor})
     assert_same_rows(array, oracle, tree, ["pos"])
     probes = data.draw(st.lists(st.tuples(points, st.floats(0, 200)), max_size=4))
     assert_same_choices(array, oracle, tree, "pos", [
         lambda summary, c=c, r=r: summary.intersects_radius(c, r) for c, r in probes])
     # a pos report is one rectangle per tree edge
+    assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
     assert array.total_maintenance_bytes() == 8 * (len(tree.covered_nodes()) - 1)
 
 
@@ -225,7 +223,7 @@ def test_substrate_tables_after_repair_agree_and_read_live_values(num_trees):
         node.set_static("group", node_id % 4)
     factories = {"group": lambda: BloomFilterSummary(num_bits=100),
                  "id": IntervalSummary,
-                 "pos": lambda: RTreeSummary(max_entries=4)}
+                 "pos": RectSummary}
     extractors = {"group": lambda n: topology.nodes[n].get_attribute("group"),
                   "id": lambda n: n,
                   "pos": lambda n: topology.nodes[n].position}
@@ -291,7 +289,7 @@ class _OtherSummary(Summary):
 
 def test_unsupported_summary_types_are_refused_by_name():
     topology = grid_topology(num_nodes=9)
-    with pytest.raises(TypeError, match="BloomFilterSummary, IntervalSummary, RTreeSummary"):
+    with pytest.raises(TypeError, match="BloomFilterSummary, IntervalSummary, RectSummary"):
         SemanticRoutingTable(RoutingTree(topology), {"id": _OtherSummary},
                              {"id": lambda n: n})
 

@@ -55,7 +55,8 @@ class TestSemanticRoutingTable:
         # Every holder must be reachable through children flagged as matching.
         for node in topo.node_ids:
             matching_children = set(
-                table.children_that_might_contain(node, "group", target_value)
+                table.children_that_might_match(
+                    node, "group", lambda summary: summary.might_contain(target_value))
             )
             for child in tree.children_of(node):
                 subtree = set(tree.subtree_nodes(child))
@@ -129,11 +130,11 @@ class TestMultiTreeSubstrate:
         )
         source = topo.node_ids[5]
         wanted = topo.nodes[source].get_attribute("group")
-        result = substrate.find_equality_matches(
+        result = substrate.find_matches(
             source,
             "group",
-            wanted,
-            node_value=lambda nid: topo.nodes[nid].get_attribute("group"),
+            summary_probe=lambda summary: summary.might_contain(wanted),
+            node_matches=lambda nid: topo.nodes[nid].get_attribute("group") == wanted,
         )
         expected = {
             nid for nid in topo.node_ids
@@ -151,8 +152,9 @@ class TestMultiTreeSubstrate:
     def test_content_search_requires_index(self, topo):
         substrate = MultiTreeSubstrate(topo, num_trees=1)
         with pytest.raises(RuntimeError):
-            substrate.find_equality_matches(
-                topo.node_ids[0], "group", 1, node_value=lambda nid: 1
+            substrate.find_matches(
+                topo.node_ids[0], "group",
+                summary_probe=lambda summary: True, node_matches=lambda nid: True,
             )
 
     def test_content_search_charges_simulator(self, topo):
@@ -164,11 +166,12 @@ class TestMultiTreeSubstrate:
             value_extractors={"group": lambda nid: topo.nodes[nid].get_attribute("group")},
         )
         source = topo.node_ids[5]
-        substrate.find_equality_matches(
+        wanted = topo.nodes[source].get_attribute("group")
+        substrate.find_matches(
             source,
             "group",
-            topo.nodes[source].get_attribute("group"),
-            node_value=lambda nid: topo.nodes[nid].get_attribute("group"),
+            summary_probe=lambda summary: summary.might_contain(wanted),
+            node_matches=lambda nid: topo.nodes[nid].get_attribute("group") == wanted,
             simulator=sim,
         )
         assert sim.stats.total() > 0

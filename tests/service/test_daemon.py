@@ -2,12 +2,13 @@
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.service.cli import main as cli_main
 from repro.service.client import ServiceClient
-from repro.service.daemon import ServiceDaemon, ServiceServer, request
+from repro.service.daemon import ServiceDaemon, ServiceServer, request, serve
 from repro.service.engine import ServiceConfig
 
 SQL = (
@@ -102,3 +103,42 @@ class TestTCPFrontEnd:
         assert cli_main(
             ["cancel", *endpoint, "--query-id", "99"]
         ) == 1  # daemon error -> nonzero exit
+
+
+def _wait_for(condition, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
+def test_serve_announces_itself_ticks_and_exits_cleanly(capsys):
+    """``serve`` in-process: the ready line names the bound port, the
+    ticker advances on its own, and a ``shutdown`` request ends it with 0."""
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.update(code=serve(
+            port=0, config=ServiceConfig(num_nodes=40),
+            cycle_interval=0.001, max_cycles=50)),
+        daemon=True,
+    )
+    thread.start()
+    printed = []
+
+    def ready_line():
+        printed.append(capsys.readouterr().out)
+        return "SERVICE READY" in "".join(printed)
+
+    _wait_for(ready_line, "the SERVICE READY line")
+    line = next(l for l in "".join(printed).splitlines() if l.startswith("SERVICE READY"))
+    fields = dict(part.split("=", 1) for part in line.split()[2:])
+    assert fields["nodes"] == "40"
+    client = ServiceClient(fields["host"], int(fields["port"]))
+    assert client.ping()["op"] == "pong"
+    assert client.submit(sql=SQL)["ok"] is True
+    _wait_for(lambda: client.status()["cycle"] >= 1, "the ticker's first cycle")
+    assert client.shutdown()["shutting_down"] is True
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert outcome["code"] == 0

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Selectivities
 from repro.network.topology import grid_topology, random_topology
 from repro.query.analysis import EqualityRouting, RegionRouting, analyze_query
 from repro.query.parser import parse_query
@@ -26,10 +25,8 @@ from repro.workloads import (
     ratio_label,
     selectivities_for_ratio,
 )
-from repro.workloads.attributes import X_RANGE, Y_RANGE, attribute_histogram
-from repro.workloads.datasource import SEND_THRESHOLD, skewed_data_source
-from repro.workloads.queries import query_for_name
-from repro.workloads.selectivity import all_ratio_points, estimate_grid
+from repro.workloads.attributes import X_RANGE, Y_RANGE
+from repro.workloads.datasource import SEND_THRESHOLD
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +66,7 @@ class TestTable1Attributes:
         for node in topo.nodes.values():
             assert 0 <= node.static_attributes["cid"] <= 3
             assert 0 <= node.static_attributes["rid"] <= 3
-        histogram = attribute_histogram(topo, "rid")
-        assert len(histogram) == 4
+        assert len({node.static_attributes["rid"] for node in topo.nodes.values()}) == 4
 
     def test_deterministic(self):
         a = random_topology(num_nodes=30, average_degree=6, seed=9)
@@ -134,7 +130,10 @@ class TestQueries:
             build_query0_keyed(source_id=3, target_id=3)
 
     def test_query0_keyed_registered_by_name(self):
-        query = query_for_name("query0-keyed", num_nodes=50, seed=3)
+        from repro.engine.registry import make_query
+
+        query = make_query("query0-keyed", topology=random_topology(num_nodes=50, seed=3),
+                           seed=3)
         assert query.name == "query0-keyed"
         analysis = analyze_query(query)
         assert isinstance(analysis.routing_predicate, EqualityRouting)
@@ -163,17 +162,11 @@ class TestQueries:
         assert analysis.tuples_join({"v": 5000}, {"v": 100})
         assert not analysis.tuples_join({"v": 500}, {"v": 100})
 
-    def test_query_for_name(self):
-        assert query_for_name("query1").name == "query1"
-        with pytest.raises(KeyError):
-            query_for_name("query9")
-
 
 class TestSelectivityRegimes:
     def test_ladder_shape(self):
         assert len(RATIO_LADDER) == 5
         assert JOIN_SELECTIVITIES == [0.20, 0.10, 0.05]
-        assert len(all_ratio_points()) == 15
 
     def test_sel1_sel2(self):
         assert SEL1.sigma_s == pytest.approx(0.10)
@@ -187,11 +180,6 @@ class TestSelectivityRegimes:
             assert sel.sigma_t == pytest.approx(t)
         with pytest.raises(KeyError):
             selectivities_for_ratio("7:3", 0.1)
-
-    def test_estimate_grid(self):
-        grid = estimate_grid(Selectivities(0.5, 0.5, 0.2))
-        assert len(grid) == 5
-        assert all(sel.sigma_st == 0.2 for sel in grid.values())
 
 
 class TestSyntheticDataSource:
@@ -256,14 +244,6 @@ class TestSyntheticDataSource:
         assert mapping[1] == 0.1
         assert mapping[3] == 1.0
         assert mapping[2] == 1.0  # overlapping node gets the larger rate
-
-    def test_skewed_data_source(self):
-        regimes = {1: SEL1, 2: SEL2, 3: SEL1}
-        source = skewed_data_source(regimes, source_nodes=[1, 2], target_nodes=[3])
-        assert source.per_node_send_probability[1] == pytest.approx(SEL1.sigma_s)
-        assert source.per_node_send_probability[2] == pytest.approx(SEL2.sigma_s)
-        assert source.per_node_send_probability[3] == pytest.approx(SEL1.sigma_t)
-        assert source.per_node_u_range[1] == math.ceil(1 / SEL1.sigma_st)
 
     @given(st.integers(0, 200), st.integers(0, 500))
     @settings(max_examples=60)
