@@ -182,9 +182,9 @@ def innet_rung():
     """Innet-shaped cycle traffic at the ladder's 10k rung.
 
     A roster of producers, each with a multicast tree spanning two join
-    nodes plus a SEND_TO_JOIN fan-in path -- the exact traffic shape
-    ``InnetJoin.execute_cycle_batch`` ships through ``ship_edges`` /
-    ``ship_many``, isolated from the probe/window work so the benchmark
+    nodes plus a SEND_TO_JOIN fan-in path -- the traffic shape of an innet
+    cycle, shipped through the batcher's ``ship_edges`` / ``ship_many``
+    entry points and isolated from the probe/window work so the benchmark
     times the transport layer alone.
     """
     from repro.engine.workload import build_topology

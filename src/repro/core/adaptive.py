@@ -68,8 +68,11 @@ class PairObservation:
             raise ValueError("observation_cap must be at least 2")
 
     # -- recording -----------------------------------------------------------
-    def record_cycle(self) -> None:
-        self.cycles += 1
+    def record_cycle(self, count: int = 1) -> None:
+        """Count *count* observed cycles.  A caller counting several at once
+        stops them where the cap is reached (the rollover halves what the
+        cycles up to it recorded)."""
+        self.cycles += count
         if self.cycles >= self.observation_cap:
             self._rollover()
 

@@ -4,9 +4,10 @@ A :class:`JoinStrategy` is given an :class:`ExecutionContext` (query analysis,
 topology, simulator, data source, assumed selectivities) and implements two
 phases: ``initiate`` (pre-computation, exploration, join-node placement --
 Section 2.1 tasks 1-3) and ``execute_cycle`` (task 4: per-sampling-cycle
-sampling, shipping, joining and result forwarding).  The
-:class:`~repro.joins.executor.JoinExecutor` drives the strategy and collects
-an :class:`ExecutionReport`.
+sampling, shipping, joining and result forwarding) -- with
+``execute_cycle_batch`` the same task on the batch-cycle kernel, a block of
+cycles at a time.  The :class:`~repro.joins.executor.JoinExecutor` drives
+the strategy and collects an :class:`ExecutionReport`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.network.topology import Topology
 from repro.query.analysis import QueryAnalysis
 from repro.query.expressions import as_column
 from repro.query.query import JoinQuery
-from repro.query.window import Columns, WindowStore, row_dicts
+from repro.query.window import BlockArrivals, Columns, WindowStore, row_dicts
 
 Pair = Tuple[int, int]
 
@@ -38,8 +39,10 @@ class DataSource(Protocol):
 
     ``sample`` is all a source has to offer; it must answer every node with
     the same attribute names.  A source may add ``sample_columns(node_ids,
-    cycle)`` -- one ``[node]`` array per attribute -- which sampling then
-    calls instead, once per node set and cycle.
+    cycles)`` -- for an int cycle one ``[node]`` array per attribute, for a
+    ``range`` of cycles one ``[cycle, node]`` array -- which sampling then
+    calls instead, once per node set and block of cycles.  A source without
+    it is sampled node by node and cycle by cycle.
     """
 
     def sample(self, node_id: int, cycle: int) -> Dict[str, Any]:
@@ -55,15 +58,21 @@ _SAMPLE_MEMO_MAX = 8192
 
 
 def _sample_columns(data_source: DataSource, node_ids: Tuple[int, ...],
-                    cycle: int) -> Columns:
-    """One ``[node]`` column per dynamic attribute."""
+                    cycles: range) -> Columns:
+    """One ``[cycle, node]`` column per dynamic attribute."""
     sampler = getattr(data_source, "sample_columns", None)
     if sampler is not None:
-        raw = sampler(node_ids, cycle)
-    else:
+        raw = sampler(node_ids, cycles.start if len(cycles) == 1 else cycles)
+        return {a: as_column(values).reshape(len(cycles), len(node_ids))
+                for a, values in raw.items()}
+    if not node_ids:
+        return {}
+    per_cycle = []
+    for cycle in cycles:
         rows = [data_source.sample(node_id, cycle) for node_id in node_ids]
-        raw = {a: [row[a] for row in rows] for a in rows[0]} if rows else {}
-    return {a: as_column(values) for a, values in raw.items()}
+        per_cycle.append({a: as_column([row[a] for row in rows]) for a in rows[0]})
+    return {a: np.stack([columns[a] for columns in per_cycle])
+            for a in per_cycle[0]}
 
 
 class ProducerSet:
@@ -138,6 +147,32 @@ class ProducerBatch:
 
 
 @dataclass
+class ProducerBlock:
+    """One relation's readings over a block of sampling cycles: ``[cycle,
+    producer]`` arrays over its whole :class:`ProducerSet`."""
+
+    alias: str
+    #: which producers send in which cycle
+    sends: np.ndarray
+    #: the set's node ids
+    ids: np.ndarray
+    #: per join attribute of this side, every producer's value every cycle:
+    #: ``[cycle, producer]``, or ``[producer]`` for a static attribute
+    values: Columns
+
+    def cycle(self, step: int) -> ProducerBatch:
+        """The block's *step*-th cycle as a :class:`ProducerBatch`."""
+        sends = self.sends[step]
+        senders = sends.nonzero()[0]
+        return ProducerBatch(
+            alias=self.alias, sends=sends, senders=senders,
+            node_ids=self.ids[senders],
+            values={a: column[step] if column.ndim == 2 else column
+                    for a, column in self.values.items()},
+        )
+
+
+@dataclass
 class ExecutionContext:
     """Everything a join strategy needs to run."""
 
@@ -198,38 +233,44 @@ class ExecutionContext:
         return memo
 
     def sample_producers(
-        self, cycle: int, producers: Mapping[str, ProducerSet]
-    ) -> List[ProducerBatch]:
-        """Per relation, the alive producers that send this cycle.
+        self, cycles: range, producers: Mapping[str, ProducerSet]
+    ) -> List[ProducerBlock]:
+        """Per relation, which alive producers send in each of *cycles*.
 
         A bare context samples each relation's own producers and memoizes
-        the finished batch, so the strategies of a sweep -- same query, same
+        the finished block, so the strategies of a sweep -- same query, same
         deployment, one after the other -- sample and select once.  Under a
         service engine's :attr:`universe` only the universe's columns are
-        shared: each session's batch is its own view of them, used once.
+        shared: each session's block is its own view of them, used once.
         """
         memo = self._sample_memo()
         topology = self.topology
-        batches: List[ProducerBatch] = []
+        blocks: List[ProducerBlock] = []
         for alias, members in producers.items():
             key = None
             if memo is not None and self.universe is None:
                 # the entry pins the objects its key names by id
-                key = (id(self.query), alias, members.key, cycle,
-                       id(topology), topology.routing_epoch)
+                key = (id(self.query), alias, members.key, cycles.start,
+                       cycles.stop, id(topology), topology.routing_epoch)
                 hit = memo.get(key)
                 if hit is not None:
-                    batches.append(hit[0])
+                    blocks.append(hit[0])
                     continue
-            batch = self._sample_relation(alias, members, cycle, memo)
+            block = self._sample_relation(alias, members, cycles, memo)
             if key is not None:
-                memo[key] = (batch, self.query, topology)
-            batches.append(batch)
-        return batches
+                memo[key] = (block, self.query, topology)
+            blocks.append(block)
+        return blocks
 
-    def _sample_relation(self, alias: str, members: ProducerSet, cycle: int,
-                         memo: Optional[Dict[tuple, Any]]) -> ProducerBatch:
-        """One relation's batch, from the data source's columns.
+    def sample_cycle(self, cycle: int, producers: Mapping[str, ProducerSet]
+                     ) -> List[ProducerBatch]:
+        """:meth:`sample_producers` for the one cycle *cycle*."""
+        return [block.cycle(0) for block in
+                self.sample_producers(range(cycle, cycle + 1), producers)]
+
+    def _sample_relation(self, alias: str, members: ProducerSet, cycles: range,
+                         memo: Optional[Dict[tuple, Any]]) -> ProducerBlock:
+        """One relation's block, from the data source's columns.
 
         A producer's tuple is its static attributes overlaid with the data
         source's dynamic ones; it sends when the relation's dynamic
@@ -242,23 +283,25 @@ class ExecutionContext:
         """
         topology = self.topology
         sampled = members if self.universe is None else self.universe
-        key = (sampled.key, cycle)
+        key = (sampled.key, cycles.start, cycles.stop)
         dynamic = memo.get(key) if memo is not None else None
         if dynamic is None:
-            dynamic = _sample_columns(self.data_source, sampled.key, cycle)
+            dynamic = _sample_columns(self.data_source, sampled.key, cycles)
             if memo is not None:
                 memo[key] = dynamic
         positions = None if sampled is members else members.positions_in(sampled)
+        shape = (len(cycles), len(members))
         merged: Columns = {}
 
         def column(attribute: str) -> np.ndarray:
+            """``[cycle, producer]`` (dynamic) or ``[producer]`` (static)."""
             found = merged.get(attribute)
             if found is None:
                 found = dynamic.get(attribute)
                 if found is None:
                     found = members.static_column(topology, attribute)
                 elif positions is not None:
-                    found = found[positions]
+                    found = found[:, positions]
                 merged[attribute] = found
             return found
 
@@ -268,26 +311,25 @@ class ExecutionContext:
             c.dtype != object for c in selected.values()
         ):
             sends = np.asarray(selection.array(selected), dtype=bool)
-            if not sends.ndim:  # the clauses read no attribute
-                sends = np.full(len(members), bool(sends))
+            if sends.shape != shape:  # the clauses read no dynamic attribute
+                sends = np.broadcast_to(sends, shape)
         else:
+            rows = {a: np.broadcast_to(c, shape).ravel() for a, c in selected.items()}
             sends = np.fromiter(
                 (bool(selection.scalar(row))
-                 for row in row_dicts(selected, len(members))),
-                dtype=bool, count=len(members),
-            )
+                 for row in row_dicts(rows, shape[0] * shape[1])),
+                dtype=bool, count=shape[0] * shape[1],
+            ).reshape(shape)
         alive = topology.routing_cache.alive_set
         if len(alive) != len(topology.nodes):
             sends = sends & members.alive_mask(topology, alive)
-        senders = sends.nonzero()[0]
         join = self.analysis.join_kernel()
         attributes = (join.source_attributes if alias == self.query.source.alias
                       else join.target_attributes)
-        return ProducerBatch(
+        return ProducerBlock(
             alias=alias,
             sends=sends,
-            senders=senders,
-            node_ids=members.ids[senders],
+            ids=members.ids,
             values={a: column(a) for a in attributes},
         )
 
@@ -401,6 +443,15 @@ class ResultAccounting:
             self.total_delay_cycles += delay_cycles
             self.total_path_hops += path_hops * count
 
+    def record_block(self, produced: int, delivered: int,
+                     path_hops: int) -> None:
+        """A block of cycles' results at once: the sums the block's
+        :meth:`record_many` calls would have added (delivered results carry
+        no delay and *path_hops* hops in total)."""
+        self.produced += produced
+        self.delivered += delivered
+        self.total_path_hops += path_hops
+
     @property
     def average_delay(self) -> float:
         return self.total_delay_cycles / self.delivered if self.delivered else 0.0
@@ -465,16 +516,30 @@ class JoinStrategy(ABC):
         """Run one sampling cycle: sample, ship, join, forward results."""
 
     @abstractmethod
-    def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
-        """Run one sampling cycle with charges batched through *batcher*.
+    def execute_cycle_batch(self, ctx: ExecutionContext, cycles: range,
+                            batcher) -> None:
+        """Run a block of sampling cycles with charges batched through
+        *batcher*.
 
-        Delivery verdicts equal :meth:`execute_cycle`'s (same RNG draw
-        order), but every metric charge is deferred to the one array-level
-        pipeline event the executor's ``batcher.flush()`` emits.  Strategies
-        ship their wide same-shape fan-outs with ``batcher.ship_many`` /
-        ``ship_edges`` and route the rest of :meth:`execute_cycle` through
-        it with :meth:`ExecutionContext.captured_shipping`.
+        Every metric charge is deferred to the one array-level pipeline
+        event the executor's ``batcher.flush()`` emits for the block.  On
+        perfect links the block -- one cycle or many, as the executor's
+        block rule decides -- is one array pass: sample a ``[cycle,
+        producer]`` block, band-join it over the cycle axis
+        (:meth:`~repro.query.window.WindowStore.join_block`), and charge
+        each precomputed route (:class:`~repro.network.batch.RouteHops`) by
+        how many messages it carried.  On lossy links the block is one
+        cycle, and delivery verdicts equal :meth:`execute_cycle`'s (same RNG
+        draw order): strategies ship their wide same-shape fan-outs with
+        ``batcher.ship_many`` / ``ship_edges`` and route the rest through it
+        with :meth:`ExecutionContext.captured_shipping`.
         """
+
+    def block_end(self, cycle: int, end: int) -> int:
+        """Where a block starting at *cycle* must end at the latest (at most
+        *end*): the first cycle the strategy needs to start afresh, because
+        what it does there depends on what the cycles before it did."""
+        return end
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
         """React to permanent node failures (default: nothing to do)."""
@@ -513,9 +578,30 @@ class JoinStrategy(ABC):
         counts = self.windows.match(from_source, rows, values).sum(axis=1)
         return Arrivals(rows, owner, values, counts)
 
+    def _block_arrivals(self, block: ProducerBlock, index: RowIndex,
+                        delivered: Optional[np.ndarray]
+                        ) -> Tuple[BlockArrivals, np.ndarray]:
+        """Fan a relation's block out to its window rows, cycle by cycle:
+        its :class:`~repro.query.window.BlockArrivals` and, per arrival, its
+        *index* entry.  *delivered* says per entry whether its tuples reach
+        the row's join (``None``: all do)."""
+        steps, entries = block.sends[:, index.owner].nonzero()
+        owner = index.owner[entries]
+        return BlockArrivals(
+            steps=steps,
+            rows=index.rows[entries],
+            values={a: column[steps, owner] if column.ndim == 2 else column[owner]
+                    for a, column in block.values.items()},
+            inserted=None if delivered is None else delivered[entries],
+        ), entries
+
     def _track_storage(self) -> None:
         if self.windows is not None and self.windows.total > self.storage_peak:
             self.storage_peak = self.windows.total
+
+    def _track_block_storage(self, totals: np.ndarray) -> None:
+        """Fold a block's per-cycle ``total`` trajectory into the peak."""
+        self.storage_peak = max(self.storage_peak, int(totals.max()))
 
     def release(self) -> None:
         """Drop everything a finished query held -- windows, plan, routing

@@ -34,6 +34,9 @@ from repro.query.query import JoinQuery
 AUTO_SERIES_CAP_NODES = 10_000
 #: Entries each series keeps when auto-bounded.
 AUTO_SERIES_CAP = 1024
+#: Bound on a block's cells -- cycles times the larger of the strategy's
+#: window rows and producers -- so a block's arrays stay small at any scale.
+BLOCK_CELLS = 1 << 16
 
 
 class JoinExecutor:
@@ -106,19 +109,29 @@ class JoinExecutor:
         The incremental entry point behind multi-phase runs: calling this
         for consecutive ranges is identical to one :meth:`run` over the
         whole span (there is no per-call state beyond the simulated one), so
-        phased executions can snapshot traffic between ranges.
+        phased executions can snapshot traffic between ranges.  The range is
+        stepped in blocks, each as long as :meth:`_block_length` allows.
         """
         self.initiate()
-        for cycle in range(start_cycle, start_cycle + cycles):
-            self.step_cycle(cycle)
+        cycle, end = start_cycle, start_cycle + cycles
+        while cycle < end:
+            length = self._block_length(cycle, end)
+            self.step_cycle(cycle, length)
+            cycle += length
 
-    def step_cycle(self, cycle: int) -> None:
-        """Execute exactly one sampling cycle (the stepping-engine core).
+    def step_cycle(self, cycle: int, cycles: int = 1) -> None:
+        """Execute the block of *cycles* sampling cycles from *cycle* (the
+        stepping-engine core).
 
-        ``run``/``run_cycles`` are thin loops over this method; callers that
-        interleave several executors (or a service loop that admits and
-        cancels queries between cycles) drive it directly.  Initiation is
-        idempotent, so stepping is safe from any entry point.
+        ``run``/``run_cycles`` are thin loops over this method, one call per
+        block; callers that interleave several executors (or a service loop
+        that admits and cancels queries between cycles) drive it one cycle
+        at a time.  Failures scheduled for *cycle* apply first.  On the
+        batch-cycle kernel the whole block is one
+        :meth:`~repro.joins.base.JoinStrategy.execute_cycle_batch` and one
+        ``flush``; the simulator then ticks once per cycle.  A block longer
+        than one cycle must satisfy the block rule of :meth:`_block_length`.
+        Initiation is idempotent, so stepping is safe from any entry point.
         """
         self.initiate()
         failed = self.failure_injector.apply(self.topology, cycle)
@@ -128,9 +141,42 @@ class JoinExecutor:
         if batcher is None:
             self.strategy.execute_cycle(self.context, cycle)
         else:
-            self.strategy.execute_cycle_batch(self.context, cycle, batcher)
+            self.strategy.execute_cycle_batch(
+                self.context, range(cycle, cycle + cycles), batcher)
             batcher.flush()
-        self.simulator.advance_sampling_cycle()
+        for _ in range(cycles):
+            self.simulator.advance_sampling_cycle()
+
+    def _block_length(self, cycle: int, end: int) -> int:
+        """How many cycles from *cycle* (up to *end*) run as one block.
+
+        A block is a stretch in which nothing can change routes, placement
+        or delivery verdicts, so its cycles sample, join and charge in one
+        array pass.  One cycle when the cycle is off the kernel (a dead node
+        or a queue bound), on lossy links (verdicts are drawn per ship, in
+        ship order), or when a sink besides the traffic stats listens (the
+        energy sink checks lifetimes at every cycle tick).  Otherwise the
+        block runs to the first boundary: *end* (a phase end or a move), the
+        next failure event, the data source's switch cycle, a cycle the
+        strategy must start afresh (:meth:`~repro.joins.base.JoinStrategy.
+        block_end`), or the :data:`BLOCK_CELLS` bound.
+        """
+        batcher = self._cycle_batcher()
+        if (batcher is None or not batcher.lossless
+                or len(self.simulator.pipeline.sinks) > 1
+                or self.failure_injector.failures_at(cycle)):
+            return 1
+        for event in self.failure_injector.events:
+            if cycle < event.sampling_cycle < end:
+                end = event.sampling_cycle
+        switch = getattr(self.context.data_source, "switch_cycle", None)
+        if switch is not None and cycle < switch < end:
+            end = switch
+        strategy = self.strategy
+        end = strategy.block_end(cycle, end)
+        cells = max(len(strategy.windows or ()),
+                    sum(len(members) for members in strategy.producers.values()), 1)
+        return max(1, min(end - cycle, BLOCK_CELLS // cells))
 
     def _cycle_batcher(self) -> Optional[CycleBatcher]:
         """The batch-cycle kernel for this cycle, or ``None`` for per-tuple.

@@ -12,7 +12,7 @@ producers, which is why the strategy routes over long, unpredictable paths
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.joins.base import (
     ProducerSet,
     RowIndex,
 )
+from repro.network.batch import RouteHops
 from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
 from repro.routing.dht import DHTSubstrate
@@ -30,6 +31,17 @@ from repro.routing.ght import GHTSubstrate
 from repro.routing.tree import RoutingTree
 
 Key = Tuple
+
+
+class _StopRoutes(NamedTuple):
+    """One relation's stops -- a producer's tuple at one of its keys' home
+    nodes -- for charging a block of cycles."""
+
+    data: RouteHops         # per stop, producer -> home
+    results: RouteHops      # per stop, home -> base
+    owner: np.ndarray       # per stop, its producer's set position
+    of_entry: np.ndarray    # per RowIndex entry, its stop
+    hops: np.ndarray        # per stop, the hops each of its results travels
 
 
 class GHTJoin(JoinStrategy):
@@ -61,6 +73,8 @@ class GHTJoin(JoinStrategy):
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
         #: home -> cached route to base
         self._result_path: Dict[int, List[int]] = {}
+        #: per relation, :meth:`_stop_routes` (``None``: to be rebuilt)
+        self._stop_tables: Optional[Dict[str, _StopRoutes]] = None
 
     # ------------------------------------------------------------------
     def initiate(self, ctx: ExecutionContext) -> None:
@@ -217,42 +231,55 @@ class GHTJoin(JoinStrategy):
 
     # ------------------------------------------------------------------
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
-        self._cycle(ctx, cycle, batcher=None)
+        self._cycle(ctx, cycle)
 
-    def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int,
+    def execute_cycle_batch(self, ctx: ExecutionContext, cycles: range,
                             batcher) -> None:
-        """One cycle with the home-node routes shipped in two batched draws.
+        """A block of cycles over the cached producer->home and home->base
+        routes.
 
         Data ships are interleaved with verdict-conditioned result ships in
         the reference, so on lossy links the cycle streams through the
         captured-shipping wrapper (scalar draws in ship order, bit-identical
-        by construction).  On perfect links every ship delivers and the
-        cycle vectorizes over the cached producer->home and home->base
-        routes: one ``ship_many`` for all DATA paths, one for all RESULT
-        paths.
+        by construction).  On perfect links every ship delivers: the block
+        is one band join, each (producer, key) route charged once per send
+        and each home->base route once per cycle its stop produced.
         """
         if not batcher.lossless:
             with ctx.captured_shipping(batcher):
-                self._cycle(ctx, cycle, batcher=None)
+                self._cycle(ctx, cycles.start)
             return
-        self._cycle(ctx, cycle, batcher)
+        tables = self._stop_routes(ctx)
+        blocks = ctx.sample_producers(cycles, self.producers)
+        sides = [self._block_arrivals(block, self._index[block.alias], None)
+                 for block in blocks]
+        (s_arrivals, _), (t_arrivals, _) = sides
+        *found, totals = self.windows.join_block(cycles, s_arrivals, t_arrivals,
+                                                 source_first=True)
+        produced = path_hops = 0
+        for block, (arrivals, entries), counts in zip(blocks, sides, found):
+            stops = tables[block.alias]
+            batcher.ship_routes(stops.data, block.sends.sum(axis=0)[stops.owner],
+                                ctx.data_tuple_size(), MessageKind.DATA)
+            width = stops.hops.size
+            per_stop = np.bincount(
+                arrivals.steps * width + stops.of_entry[entries], weights=counts,
+                minlength=len(cycles) * width,
+            ).reshape(len(cycles), width).astype(np.int64)
+            batcher.ship_routes(stops.results, np.count_nonzero(per_stop, axis=0),
+                                ctx.result_tuple_size(), MessageKind.RESULT)
+            produced += int(counts.sum())
+            path_hops += int(per_stop.sum(axis=0) @ stops.hops)
+        self.results.record_block(produced, produced, path_hops)
+        self._track_block_storage(totals)
 
-    def _cycle(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
+    def _cycle(self, ctx: ExecutionContext, cycle: int) -> None:
         """Ship each reading to its keys' home nodes, join there, forward
-        results.  With a (lossless) *batcher* every ship delivers, so the
-        paths are collected and shipped once per message kind at the end."""
+        results."""
         source_alias, _ = ctx.query.aliases
         data_size = ctx.data_tuple_size()
         result_size = ctx.result_tuple_size()
-        data_paths: List[List[int]] = []
-        result_paths: List[List[int]] = []
-        if batcher is None:
-            def ship_data(path): return ctx.ship(path, data_size, MessageKind.DATA)
-            def ship_result(path): return ctx.ship(path, result_size, MessageKind.RESULT)
-        else:
-            def ship_data(path): return data_paths.append(path) or True
-            def ship_result(path): return result_paths.append(path) or True
-        for batch in ctx.sample_producers(cycle, self.producers):
+        for batch in ctx.sample_cycle(cycle, self.producers):
             from_source = batch.alias == source_alias
             arrivals = self._arrivals(batch, self._index[batch.alias], from_source)
             stops = self._stops[batch.alias]
@@ -265,7 +292,7 @@ class GHTJoin(JoinStrategy):
                 for key, row_count in stops[position]:
                     home = self._home_of[key]
                     path = self._route_to(ctx, node_id, home)
-                    delivered = ship_data(path)
+                    delivered = ctx.ship(path, data_size, MessageKind.DATA)
                     end = start + row_count
                     if not delivered:
                         reached[start:end] = False
@@ -275,15 +302,40 @@ class GHTJoin(JoinStrategy):
                         continue
                     result_path = self._result_path.get(home, [home])
                     self.results.record_many(
-                        produced, ship_result(result_path),
+                        produced,
+                        ctx.ship(result_path, result_size, MessageKind.RESULT),
                         path_hops=len(path) - 1 + len(result_path) - 1,
                     )
             self.windows.insert(from_source, arrivals.rows, arrivals.values,
                                 cycle, mask=reached)
-        if batcher is not None:
-            batcher.ship_many(data_paths, data_size, MessageKind.DATA)
-            batcher.ship_many(result_paths, result_size, MessageKind.RESULT)
         self._track_storage()
+
+    def _stop_routes(self, ctx: ExecutionContext) -> Dict[str, "_StopRoutes"]:
+        """Per relation, the routes of its stops -- one per (producer,
+        key), producer after producer in set order; built with the routes
+        and dropped when a failure re-homes keys or re-routes producers."""
+        if self._stop_tables is None:
+            self._stop_tables = {}
+            for alias, members in self.producers.items():
+                data, results, owner, hops, of_entry = [], [], [], [], []
+                for position, (node_id, node_stops) in enumerate(
+                        zip(members.key, self._stops[alias])):
+                    for key, row_count in node_stops:
+                        home = self._home_of[key]
+                        path = self._route_to(ctx, node_id, home)
+                        result_path = self._result_path.get(home, [home])
+                        of_entry.extend([len(data)] * row_count)
+                        data.append((path,))
+                        results.append((result_path,))
+                        owner.append(position)
+                        hops.append(len(path) - 1 + len(result_path) - 1)
+                self._stop_tables[alias] = _StopRoutes(
+                    RouteHops(data), RouteHops(results),
+                    np.array(owner, dtype=np.int64),
+                    np.array(of_entry, dtype=np.int64),
+                    np.array(hops, dtype=np.int64),
+                )
+        return self._stop_tables
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
         if not failed:
@@ -291,6 +343,7 @@ class GHTJoin(JoinStrategy):
         for node_id in failed:
             self.tree.repair_after_failure(node_id, simulator=ctx.simulator)
         failed_set = set(failed)
+        self._stop_tables = None
         # Re-home keys whose home node died, and drop stale cached routes.
         for key, home in list(self._home_of.items()):
             if home in failed_set:

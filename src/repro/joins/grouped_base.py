@@ -12,7 +12,7 @@ trading a costlier initiation for a cheaper computation phase (Section 2.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.joins.base import (
     ProducerSet,
     RowIndex,
 )
+from repro.network.batch import RouteHops
 from repro.network.message import MessageKind
 from repro.routing.tree import RoutingTree
 
@@ -40,6 +41,8 @@ class NaiveJoin(JoinStrategy):
         self._pairs_of: Dict[Tuple[str, int], List[Pair]] = {}
         self._index: Dict[str, RowIndex] = {}
         self._paths_to_base: Dict[int, List[int]] = {}
+        #: per relation, :meth:`_base_routes` (``None``: to be rebuilt)
+        self._route_tables: Optional[Dict[str, Tuple[RouteHops, np.ndarray]]] = None
 
     # ------------------------------------------------------------------
     def initiate(self, ctx: ExecutionContext) -> None:
@@ -99,7 +102,7 @@ class NaiveJoin(JoinStrategy):
         source_alias, _ = ctx.query.aliases
         data_size = ctx.data_tuple_size()
         paths_to_base = self._paths_to_base
-        for batch in ctx.sample_producers(cycle, self.producers):
+        for batch in ctx.sample_cycle(cycle, self.producers):
             delivered = [
                 (path := paths_to_base.get(node_id)) is not None
                 and ctx.ship(path, data_size, MessageKind.DATA)
@@ -108,16 +111,23 @@ class NaiveJoin(JoinStrategy):
             self._join_at_base(batch, delivered, batch.alias == source_alias, cycle)
         self._track_storage()
 
-    def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
-        """Vectorized cycle: one ``ship_many`` per relation's sample fan-in.
+    def execute_cycle_batch(self, ctx: ExecutionContext, cycles: range,
+                            batcher) -> None:
+        """Every producer ships the same-size tuple to the base.
 
-        Every producer ships the same-size tuple to the base, so a relation
-        collapses to a single batched link draw and one deferred charge.
+        On perfect links the block's fan-in is each producer's path to the
+        base times how often it sent, and the join at the base is one band
+        join.  On lossy links (one cycle) a relation collapses to a single
+        batched link draw: one ``ship_many`` per relation.
         """
+        if batcher.lossless:
+            self._block(ctx, cycles, batcher)
+            return
+        cycle = cycles.start
         source_alias, _ = ctx.query.aliases
         data_size = ctx.data_tuple_size()
         paths_to_base = self._paths_to_base
-        for batch in ctx.sample_producers(cycle, self.producers):
+        for batch in ctx.sample_cycle(cycle, self.producers):
             paths = [paths_to_base.get(n) for n in batch.node_ids.tolist()]
             delivered = np.array([path is not None for path in paths], dtype=bool)
             routed = [path for path in paths if path is not None]
@@ -127,6 +137,40 @@ class NaiveJoin(JoinStrategy):
                 )
             self._join_at_base(batch, delivered, batch.alias == source_alias, cycle)
         self._track_storage()
+
+    def _block(self, ctx: ExecutionContext, cycles: range, batcher) -> None:
+        """A lossless block: a tuple reaches the base iff its producer has
+        a path there; results are produced at the base, with no hops."""
+        source, target = ctx.sample_producers(cycles, self.producers)
+        tables = self._base_routes()
+        sides = []
+        for block in (source, target):
+            routes, routed = tables[block.alias]
+            index = self._index[block.alias]
+            sides.append(self._block_arrivals(block, index, routed[index.owner]))
+            batcher.ship_routes(routes, block.sends.sum(axis=0),
+                                ctx.data_tuple_size(), MessageKind.DATA)
+        (s_arrivals, _), (t_arrivals, _) = sides
+        s_counts, t_counts, totals = self.windows.join_block(
+            cycles, s_arrivals, t_arrivals, source_first=True)
+        produced = int(s_counts[s_arrivals.inserted].sum()
+                       + t_counts[t_arrivals.inserted].sum())
+        self.results.record_block(produced, produced, 0)
+        self._track_block_storage(totals)
+
+    def _base_routes(self) -> Dict[str, Tuple[RouteHops, np.ndarray]]:
+        """Per relation, its producers' paths to the base as
+        :class:`RouteHops` (route = set position) and which have one; built
+        with the paths and dropped when a failure re-routes them."""
+        if self._route_tables is None:
+            self._route_tables = {}
+            for alias, members in self.producers.items():
+                paths = [self._paths_to_base.get(n) for n in members.key]
+                self._route_tables[alias] = (
+                    RouteHops([() if path is None else (path,) for path in paths]),
+                    np.array([path is not None for path in paths], dtype=bool),
+                )
+        return self._route_tables
 
     def _join_at_base(self, batch: ProducerBatch, delivered,
                       from_source: bool, cycle: int) -> None:
@@ -145,6 +189,7 @@ class NaiveJoin(JoinStrategy):
         for node_id in failed:
             self.tree.repair_after_failure(node_id, simulator=ctx.simulator)
         # Recompute cached paths for producers whose old path died.
+        self._route_tables = None
         for node_id in list(self._paths_to_base):
             if any(f in self._paths_to_base[node_id] for f in failed):
                 if ctx.topology.nodes[node_id].alive and self.tree.covers(node_id):

@@ -20,7 +20,7 @@ Innet-cmpg, and "In-net learn".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.joins.base import (
     RowIndex,
 )
 from repro.joins.multicast import MulticastTree, build_multicast_tree, collapse_paths
+from repro.network.batch import RouteHops
 from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
 from repro.query.window import row_dicts
@@ -119,6 +120,19 @@ class InnetVariant:
         )
 
 
+class _BlockRoutes(NamedTuple):
+    """What a lossless block of cycles charges, derived from the delivery
+    routes: per relation, each producer's DATA route (set position), and
+    per join node of the plan its results' route to the base."""
+
+    data: Dict[str, RouteHops]
+    join_nodes: np.ndarray      # the plan's join nodes, ascending
+    join_of_row: np.ndarray     # per window row, its join node's index
+    results: RouteHops          # per join node, its path to the base
+    result_hops: np.ndarray     # per join node, that path's hops
+    delivered: np.ndarray       # per join node, whether results get there
+
+
 class InnetJoin(JoinStrategy):
     """Pairwise in-network join with cost-based join-node placement."""
 
@@ -155,6 +169,8 @@ class InnetJoin(JoinStrategy):
         #: its :data:`ProducerRoute`, and per window row its join node.
         self._routes: Optional[Dict[str, List[Optional[ProducerRoute]]]] = None
         self._join_node_of_row = np.zeros(0, dtype=np.int64)
+        #: (the ``_routes`` it was built from, :meth:`_block_routes`)
+        self._block_tables: Optional[Tuple[Any, _BlockRoutes]] = None
         self._group_decision_cache: Dict[int, bool] = {}
         self.reoptimizations = 0
 
@@ -398,85 +414,171 @@ class InnetJoin(JoinStrategy):
     # execution
     # ------------------------------------------------------------------
     def execute_cycle(self, ctx: ExecutionContext, cycle: int) -> None:
-        self._cycle(ctx, cycle, batcher=None)
+        self._cycle(ctx, cycle)
 
-    def execute_cycle_batch(self, ctx: ExecutionContext, cycle: int,
+    def execute_cycle_batch(self, ctx: ExecutionContext, cycles: range,
                             batcher) -> None:
-        """One sampling cycle with tree- and path-shipping batched.
+        """A block of sampling cycles with tree- and path-shipping batched.
 
-        On lossy links control flow depends on per-ship verdicts, so the
-        cycle streams through the captured-shipping wrapper (scalar draws in
-        ship order -- bit-identical by construction; multicast trees still
-        ship as per-sample edge blocks via :meth:`_ship_tree_edges`).  On
-        perfect links every ship delivers, so the cycle's shipping plan is
-        collected while the relations are joined and shipped at the end:
-        one edge block for all multicast trees, one ``ship_many`` for the
-        SEND_TO_JOIN fan-in.
+        On lossy links, and while a pair recovers, control flow depends on
+        per-ship verdicts, so the cycle streams through the captured-shipping
+        wrapper (scalar draws in ship order -- bit-identical by
+        construction; multicast trees still ship as per-sample edge blocks
+        via :meth:`_ship_tree_edges`).  On perfect links every ship
+        delivers, so the block is one band join: each producer's route (its
+        multicast tree and direct join paths) is charged once per send, and
+        each join node's results once per cycle it produced any.
         """
         if not batcher.lossless or self._recovering:
             with ctx.captured_shipping(batcher):
-                self._cycle(ctx, cycle, batcher=None)
+                self._cycle(ctx, cycles.start)
             return
-        self._cycle(ctx, cycle, batcher)
+        tables = self._block_routes(ctx)
+        blocks = ctx.sample_producers(cycles, self.producers)
+        sides = [self._block_arrivals(block, self._index[block.alias], None)[0]
+                 for block in blocks]
+        *found, totals = self.windows.join_block(cycles, *sides, source_first=True)
+        for block in blocks:
+            batcher.ship_routes(tables.data[block.alias], block.sends.sum(axis=0),
+                                ctx.data_tuple_size(), MessageKind.DATA)
+        if self._learning:
+            self._observe_block(sides, found)
+        # per cycle and join node, the results produced there
+        steps = np.concatenate([side.steps for side in sides])
+        at = tables.join_of_row[np.concatenate([side.rows for side in sides])]
+        width = tables.join_nodes.size
+        produced = np.bincount(
+            steps * width + at, weights=np.concatenate(found),
+            minlength=len(cycles) * width,
+        ).reshape(len(cycles), width).astype(np.int64)
+        self._forward_block(ctx, batcher, tables, produced)
+        if self.variant.learning:
+            with ctx.captured_shipping(batcher):
+                self._learn(ctx, cycles)
+        self._track_block_storage(totals)
 
-    def _cycle(self, ctx: ExecutionContext, cycle: int, batcher) -> None:
+    def block_end(self, cycle: int, end: int) -> int:
+        """A recovering pair replays its backlog cycle by cycle; a learning
+        variant's block ends with its next check or reset cycle, and before
+        any pair's observation counters would roll over."""
+        if self._recovering:
+            return cycle + 1
+        if self._learning:
+            policy = self.adaptive_policy
+            for interval in (policy.check_interval, policy.reset_interval):
+                end = min(end, max(interval, -(-cycle // interval) * interval) + 1)
+            room = min(learning.observation.observation_cap - learning.observation.cycles
+                       for learning in self._learning.values())
+            end = min(end, cycle + room)
+        return end
+
+    def _cycle(self, ctx: ExecutionContext, cycle: int) -> None:
         """Sample, ship to the join nodes, join, forward results, learn.
 
         Per relation, source first: probe every arriving tuple against the
         opposite windows, ship, then buffer what got through -- so the
         target relation joins against exactly the source tuples delivered
-        this cycle.  With a (lossless) *batcher* every ship delivers.
+        this cycle.
         """
         source_alias, _ = ctx.query.aliases
-        batches = ctx.sample_producers(cycle, self.producers)
+        batches = ctx.sample_cycle(cycle, self.producers)
         data_size = ctx.data_tuple_size()
         #: join node -> [results produced there, their summed delays]
         produced_at: Dict[int, List[int]] = {}
         self._finish_recoveries(ctx, cycle, produced_at)
         routes = self._delivery_routes(ctx)
-        edge_parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        join_paths: List[List[int]] = []
         for batch in batches:
             from_source = batch.alias == source_alias
             arrivals = self._arrivals(batch, self._index[batch.alias], from_source)
-            if batcher is None:
-                delivered = self._ship_to_join_nodes(
-                    ctx, batch, arrivals, routes[batch.alias], data_size, cycle
-                )
-            else:
-                delivered = None
-                for position in batch.senders.tolist():
-                    route = routes[batch.alias][position]
-                    if route is None:
-                        continue
-                    tree, unreached = route
-                    if tree is not None:
-                        edge_parts.append(tree.edge_arrays())
-                    shipped_join_nodes = set()
-                    for _, join_node, path in unreached:
-                        if join_node not in shipped_join_nodes:
-                            shipped_join_nodes.add(join_node)
-                            join_paths.append(path)
+            delivered = self._ship_to_join_nodes(
+                ctx, batch, arrivals, routes[batch.alias], data_size, cycle
+            )
             self.windows.insert(from_source, arrivals.rows, arrivals.values,
                                 cycle, mask=delivered)
             self._record_arrivals(arrivals, delivered, from_source, produced_at)
-        if batcher is not None:
-            if edge_parts:
-                batcher.ship_edges(
-                    np.concatenate([senders for senders, _ in edge_parts]),
-                    np.concatenate([receivers for _, receivers in edge_parts]),
-                    data_size, MessageKind.DATA,
-                )
-            batcher.ship_many(join_paths, data_size, MessageKind.DATA)
-            with ctx.captured_shipping(batcher):
-                self._forward_results(ctx, produced_at)
-                if self.variant.learning:
-                    self._learn(ctx, cycle)
-        else:
-            self._forward_results(ctx, produced_at)
-            if self.variant.learning:
-                self._learn(ctx, cycle)
+        self._forward_results(ctx, produced_at)
+        if self.variant.learning:
+            self._learn(ctx, range(cycle, cycle + 1))
         self._track_storage()
+
+    def _block_routes(self, ctx: ExecutionContext) -> "_BlockRoutes":
+        """The routes a lossless block charges, derived from
+        :meth:`_delivery_routes` and rebuilt whenever those are."""
+        routes = self._delivery_routes(ctx)
+        cached = self._block_tables
+        if cached is not None and cached[0] is routes:
+            return cached[1]
+        data = {}
+        for alias, per_producer in routes.items():
+            producer_routes = []
+            for route in per_producer:
+                if route is None:
+                    producer_routes.append(())
+                    continue
+                tree, unreached = route
+                paths = [] if tree is None else list(zip(*(
+                    side.tolist() for side in tree.edge_arrays())))
+                shipped = set()
+                for _, join_node, path in unreached:
+                    if join_node not in shipped:
+                        shipped.add(join_node)
+                        paths.append(path)
+                producer_routes.append(paths)
+            data[alias] = RouteHops(producer_routes)
+        join_nodes = np.unique(self._join_node_of_row)
+        results, hops, delivered = [], [], []
+        for join_node in join_nodes.tolist():
+            at_base = join_node == ctx.base_id
+            covered = at_base or self.substrate.primary_tree.covers(join_node)
+            path = (self.substrate.path_to_base(join_node)
+                    if covered and not at_base else [join_node])
+            results.append((path,))
+            hops.append(len(path) - 1)
+            delivered.append(covered)
+        tables = _BlockRoutes(
+            data=data, join_nodes=join_nodes,
+            join_of_row=np.searchsorted(join_nodes, self._join_node_of_row),
+            results=RouteHops(results), result_hops=np.array(hops, dtype=np.int64),
+            delivered=np.array(delivered, dtype=bool),
+        )
+        self._block_tables = (routes, tables)
+        return tables
+
+    def _observe_block(self, sides, found) -> None:
+        """A block's tuples and results, summed per learning pair."""
+        rows = len(self._pairs)
+        observations = self._observations
+        for from_source, side, counts in zip((True, False), sides, found):
+            tuples = np.bincount(side.rows, minlength=rows)
+            results = np.bincount(side.rows, weights=counts, minlength=rows)
+            for row in np.flatnonzero(tuples).tolist():
+                observation = observations[row]
+                if from_source:
+                    observation.record_source_tuple(int(tuples[row]))
+                else:
+                    observation.record_target_tuple(int(tuples[row]))
+                observation.record_results(int(results[row]))
+
+    def _forward_block(self, ctx: ExecutionContext, batcher,
+                       tables: "_BlockRoutes", produced: np.ndarray) -> None:
+        """:meth:`_forward_results` for every cycle of a block: *produced*
+        holds per cycle and join node how many results it produced."""
+        per_node = produced.sum(axis=0)
+        delivered = per_node * tables.delivered
+        self.results.record_block(int(per_node.sum()), int(delivered.sum()),
+                                  int(delivered @ tables.result_hops))
+        result_size = ctx.result_tuple_size()
+        if not self.variant.merging:
+            batcher.ship_routes(tables.results, delivered, result_size,
+                                MessageKind.RESULT)
+            return
+        # one merged message per cycle and join node, sized by its count
+        payload = result_size - ctx.sizes.header
+        shipped = produced * tables.delivered
+        for count in np.unique(shipped[shipped > 0]).tolist():
+            batcher.ship_routes(tables.results, (shipped == count).sum(axis=0),
+                                ctx.sizes.header + payload * count,
+                                MessageKind.RESULT)
 
     def _ship_to_join_nodes(
         self,
@@ -613,15 +715,19 @@ class InnetJoin(JoinStrategy):
     # ------------------------------------------------------------------
     # adaptive learning (Section 6)
     # ------------------------------------------------------------------
-    def _learn(self, ctx: ExecutionContext, cycle: int) -> None:
+    def _learn(self, ctx: ExecutionContext, cycles: range) -> None:
+        """Count *cycles* as observed, then check and reset as the policy
+        says at the last of them (the block rule makes it the only one that
+        can be a check or reset cycle)."""
         policy = self.adaptive_policy
         changed_producers: List[ProducerKey] = []
         updated_pairs: List[Pair] = []
         source_alias, target_alias = ctx.query.aliases
+        cycle = cycles.stop - 1
         checking = policy.is_check_cycle(cycle) or policy.is_reset_cycle(cycle)
         old_join_nodes: Dict[Pair, int] = {}
         for pair, learning in self._learning.items():
-            learning.observation.record_cycle()
+            learning.observation.record_cycle(len(cycles))
             if not checking:
                 continue
             updated = learning.maybe_update(policy, cycle)
@@ -729,6 +835,7 @@ class InnetJoin(JoinStrategy):
         if not failed:
             return
         failed_set = set(failed)
+        self._block_tables = None
         for node_id in failed:
             self.substrate.repair_after_failure(node_id, simulator=ctx.simulator)
         for pair in self.plan.pairs():

@@ -130,12 +130,13 @@ class EnergySink(MetricsSink):
         model = self.model
         if batch.senders.size == 0:
             return
-        tx_weights = batch.sizes * model.tx_uj_per_byte
+        sizes = batch.sizes if batch.counts is None else batch.sizes * batch.counts
+        tx_weights = sizes * model.tx_uj_per_byte
         if batch.attempts is not None:
             tx_weights = tx_weights * batch.attempts
         tx_counts = np.bincount(batch.senders, weights=tx_weights)
         rx_counts = np.bincount(
-            batch.receivers, weights=batch.sizes * model.rx_uj_per_byte
+            batch.receivers, weights=sizes * model.rx_uj_per_byte
         )
         delta = np.zeros(
             max(tx_counts.shape[0], rx_counts.shape[0]), dtype=np.float64

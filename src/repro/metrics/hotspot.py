@@ -116,16 +116,19 @@ class HotspotSink(MetricsSink):
         """
         if batch.senders.size == 0:
             return
-        attempts = batch.attempts
+        counts, attempts = batch.counts, batch.attempts
+        sends = counts if attempts is None else (
+            attempts if counts is None else attempts * counts)
         if self.bytes_per_unit:
-            rx_weights: Optional[np.ndarray] = batch.sizes
+            rx_weights: Optional[np.ndarray] = (
+                batch.sizes if counts is None else batch.sizes * counts)
             tx_weights = (
-                batch.sizes if attempts is None else batch.sizes * attempts
+                batch.sizes if sends is None else batch.sizes * sends
             )
         else:
-            rx_weights = None
+            rx_weights = None if counts is None else counts.astype(np.float64)
             tx_weights = (
-                None if attempts is None else attempts.astype(np.float64)
+                None if sends is None else sends.astype(np.float64)
             )
         tx_counts = np.bincount(batch.senders, weights=tx_weights)
         rx_counts = np.bincount(batch.receivers, weights=rx_weights)

@@ -1,25 +1,37 @@
-"""Batch-cycle transport kernel: one array-level charge per sampling cycle.
+"""Batch-cycle transport kernel: one array-level charge per block of cycles.
 
 The per-tuple path (:meth:`NetworkSimulator.transfer`) executes one Python
 call chain per shipped tuple; at figure scale that caps the whole engine at
 a few hundred transfers per second.  This module is the only array
-transport: it materializes an entire sampling cycle's shipping as flat numpy
-arrays instead.
+transport: it materializes a block's shipping as flat numpy arrays instead.
+A block is one sampling cycle, or -- on perfect links with every node alive
+and no sink besides the traffic stats -- the longest run of cycles in which
+nothing can change routes, placement or verdicts (the executor's block
+rule, :meth:`~repro.joins.executor.JoinExecutor._block_length`).
 
-* :class:`CycleBatcher` -- the per-cycle collector join strategies ship
+* :class:`CycleBatcher` -- the per-block collector join strategies ship
   through on the kernel (``ctx.ship`` routes here, and the strategies'
   ``execute_cycle_batch`` calls :meth:`~CycleBatcher.ship_many` /
-  :meth:`~CycleBatcher.ship_edges` directly); delivery outcomes are
-  computed immediately, charging is deferred to one
-  :meth:`CycleBatcher.flush`,
+  :meth:`~CycleBatcher.ship_edges` / :meth:`~CycleBatcher.ship_routes`
+  directly); delivery outcomes are computed immediately, charging is
+  deferred to one :meth:`CycleBatcher.flush`,
+* :class:`RouteHops` -- a strategy's routes as flat hop arrays, built when
+  its routes are: a block charges each route by how many messages crossed
+  it, however many cycles the block spans,
 * :class:`PathBatch` -- the payload of the pipeline's ``charge_paths_batch``
-  event that flush emits: one event carries every hop charged in a cycle.
+  event that flush emits: one event carries every hop charged in a block,
+  with a per-hop message count.
+
+Lossy links keep blocks at one cycle: verdicts are drawn per ship, in ship
+order, and later ships depend on them.  Dead nodes and queue bounds keep a
+cycle off the kernel altogether (the per-hop ``transfer`` walk models them).
 
 Bit-identity with the per-tuple reference path rests on two facts:
 
 1. Traffic units are integer-valued floats far below 2**53, so float sums
-   are exact and order-independent -- aggregating hop charges with
-   ``np.bincount`` produces the same numbers as per-hop dictionary adds.
+   and products are exact and order-independent -- aggregating hop charges
+   with ``np.bincount``, weighted by message counts, produces the same
+   numbers as per-hop dictionary adds.
 2. numpy's ``Generator`` draws variates sequentially, so one batched
    ``LinkModel.attempt_hops_batch`` call consumes the seeded RNG stream
    exactly like the per-path ``attempt_hops`` calls it replaces (and the
@@ -34,7 +46,7 @@ import numpy as np
 
 from repro.network.message import MessageKind
 
-__all__ = ["PathBatch", "CycleBatcher"]
+__all__ = ["PathBatch", "CycleBatcher", "RouteHops"]
 
 
 def _segment_outcomes(
@@ -75,15 +87,18 @@ def _segment_outcomes(
 
 
 class PathBatch:
-    """One ``charge_paths_batch`` event: every hop charged this cycle.
+    """One ``charge_paths_batch`` event: every hop charged in a block.
 
     ``senders`` / ``receivers`` / ``sizes`` / ``kind_codes`` are aligned
     per-charged-hop arrays (``kinds[kind_codes[i]]`` is hop *i*'s message
-    kind); ``attempts`` is the per-hop transmission count or ``None`` when
-    every hop is a single transmission (perfect links).  ``drops`` counts
-    link-loss message drops.  :meth:`CycleBatcher.flush` is the only
-    producer: sinks charge from the hop arrays with one ``np.bincount``
-    body.
+    kind); ``counts`` is how many messages crossed each hop, or ``None`` when
+    every hop carried one -- it multiplies transmitted and received units,
+    the per-kind units and the messages sent; ``attempts`` is the per-hop
+    transmission count of a message or ``None`` when every hop is a single
+    transmission (perfect links), and multiplies transmitted units only.
+    ``drops`` counts link-loss message drops.  :meth:`CycleBatcher.flush` is
+    the only producer: sinks charge from the hop arrays with one
+    ``np.bincount`` body.
 
     :meth:`iter_records` exposes the per-path view -- the exact
     ``charge_path`` / ``charge_drop`` call sequence the per-tuple reference
@@ -91,14 +106,15 @@ class PathBatch:
     replayed losslessly by the pipeline's unroll adapter.
     """
 
-    __slots__ = ("senders", "receivers", "sizes", "attempts", "kind_codes",
-                 "kinds", "drops", "_record_groups")
+    __slots__ = ("senders", "receivers", "sizes", "counts", "attempts",
+                 "kind_codes", "kinds", "drops", "_record_groups")
 
-    def __init__(self, senders, receivers, sizes, attempts, kind_codes,
+    def __init__(self, senders, receivers, sizes, counts, attempts, kind_codes,
                  kinds, drops, record_groups) -> None:
         self.senders = senders
         self.receivers = receivers
         self.sizes = sizes
+        self.counts = counts
         self.attempts = attempts
         self.kind_codes = kind_codes
         self.kinds = kinds
@@ -117,7 +133,7 @@ class PathBatch:
         """
         for kind, size_bytes, records in self._record_groups:
             for entry in records:
-                if type(entry) is _EdgeBlock:
+                if type(entry) is _EdgeBlock or type(entry) is _RouteBlock:
                     yield from entry.iter_records(size_bytes, kind)
                     continue
                 path, attempts, num_hops, dropped = entry
@@ -136,6 +152,9 @@ class _EdgeBlock:
     """
 
     __slots__ = ("senders", "receivers", "attempts", "failed")
+
+    #: one message per edge
+    counts = None
 
     def __init__(self, senders: np.ndarray, receivers: np.ndarray,
                  attempts: Optional[np.ndarray],
@@ -166,8 +185,68 @@ class _EdgeBlock:
                 yield path, size_bytes, kind, attempts[i:i + 1], None, False
 
 
+class RouteHops:
+    """The hops of a fixed list of routes as flat arrays, so a block of
+    cycles charges them by per-route message counts
+    (:meth:`CycleBatcher.ship_routes`).
+
+    Route ``r`` is the paths one message of the route crosses in full --
+    a producer's path to the base, or its multicast tree edges and direct
+    join paths; a route may be empty.  Strategies build one per route
+    family when they (re)build their routes.
+    """
+
+    __slots__ = ("routes", "senders", "receivers", "route_of_hop")
+
+    def __init__(self, routes: Sequence[Sequence[Sequence[int]]]) -> None:
+        self.routes = routes
+        senders: List[int] = []
+        receivers: List[int] = []
+        owners: List[int] = []
+        for route, paths in enumerate(routes):
+            for path in paths:
+                hops = len(path) - 1
+                if hops > 0:
+                    senders.extend(path[:hops])
+                    receivers.extend(path[1:])
+                    owners.extend([route] * hops)
+        self.senders = np.array(senders, dtype=np.int64)
+        self.receivers = np.array(receivers, dtype=np.int64)
+        self.route_of_hop = np.array(owners, dtype=np.int64)
+
+
+class _RouteBlock:
+    """The hops of :class:`RouteHops` routes some messages crossed: the
+    flat arrays of the routes with a nonzero count, and per hop how many
+    messages crossed it."""
+
+    __slots__ = ("senders", "receivers", "counts", "_routes", "_route_counts")
+
+    #: perfect links only
+    attempts = None
+
+    def __init__(self, table: RouteHops, route_counts: np.ndarray) -> None:
+        counts = route_counts[table.route_of_hop]
+        used = counts > 0
+        self.senders = table.senders[used]
+        self.receivers = table.receivers[used]
+        self.counts = counts[used]
+        self._routes = table.routes
+        self._route_counts = route_counts
+
+    def iter_records(self, size_bytes: int, kind: MessageKind) -> Iterator[
+            Tuple[Any, int, MessageKind, Optional[np.ndarray],
+                  Optional[int], bool]]:
+        """Each route's paths, once per message, route by route."""
+        for route in np.flatnonzero(self._route_counts).tolist():
+            paths = [path for path in self._routes[route] if len(path) > 1]
+            for _ in range(int(self._route_counts[route])):
+                for path in paths:
+                    yield path, size_bytes, kind, None, None, False
+
+
 class _BatchGroup:
-    """Accumulated hops for one (kind, size) combination within a cycle."""
+    """Accumulated hops for one (kind, size) combination within a block."""
 
     __slots__ = ("senders", "receivers", "attempts", "records", "drops",
                  "edge_parts")
@@ -178,19 +257,21 @@ class _BatchGroup:
         self.attempts: List[int] = []
         self.records: List[Any] = []
         self.drops = 0
-        #: _EdgeBlock instances folded into the flat arrays at flush time
-        self.edge_parts: List[_EdgeBlock] = []
+        #: _EdgeBlock / _RouteBlock instances folded into the flat arrays
+        #: at flush time
+        self.edge_parts: List[Any] = []
 
 
 class CycleBatcher:
-    """Collects one sampling cycle's ships into a single pipeline event.
+    """Collects one block's ships into a single pipeline event.
 
     Strategies ship through :meth:`ship` (drop-in for ``ctx.ship``: the
     delivery outcome is returned immediately, so conditional control flow is
-    unchanged) or :meth:`ship_many` (one batched link-model draw for a whole
-    path list).  :meth:`flush` emits everything accumulated as one
+    unchanged), :meth:`ship_many` (one batched link-model draw for a whole
+    path list) or :meth:`ship_routes` (a block's messages, counted per
+    precomputed route).  :meth:`flush` emits everything accumulated as one
     ``charge_paths_batch`` event -- the flyweight invariant of the batch
-    kernel: one event per cycle, no matter how many tuples shipped.
+    kernel: one event per block, no matter how many tuples shipped.
 
     Exactness: on lossy links :meth:`ship` draws ``attempt_hops`` at ship
     time (the same call, on the same stream, the reference ``transfer``
@@ -332,11 +413,30 @@ class CycleBatcher:
         group.drops += int(np.count_nonzero(failed))
         return delivered
 
+    def ship_routes(self, table: RouteHops, counts: np.ndarray,
+                    size_bytes: int, kind: MessageKind) -> None:
+        """Defer ``counts[r]`` messages over each route ``r`` of *table*
+        (perfect links only: every message delivers).
+
+        Equivalent to shipping each route's paths ``counts[r]`` times; the
+        charge is the route's hop arrays weighted by its count, so a block
+        of cycles costs one gather however many messages it sent.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if not table.senders.size or not counts.any():
+            return
+        block = _RouteBlock(table, counts)
+        if not block.senders.size:
+            return
+        group = self._group(kind, size_bytes)
+        group.edge_parts.append(block)
+        group.records.append(block)
+
     # -- flushing -----------------------------------------------------------
     def flush(self) -> None:
         """Emit everything accumulated as one ``charge_paths_batch`` event.
 
-        A cycle in which nothing shipped (or in which every shipped path was
+        A block in which nothing shipped (or in which every shipped path was
         zero-hop) emits no event at all -- sinks observe exactly the charge
         activity the per-tuple reference would have produced, including its
         absence.
@@ -348,6 +448,10 @@ class CycleBatcher:
         sender_parts: List[np.ndarray] = []
         receiver_parts: List[np.ndarray] = []
         size_parts: List[np.ndarray] = []
+        #: per part its per-hop message counts, or its hop count when every
+        #: hop carried one message
+        count_parts: List[Any] = []
+        counted = False
         attempt_parts: List[np.ndarray] = []
         code_parts: List[np.ndarray] = []
         kinds: List[MessageKind] = []
@@ -369,6 +473,7 @@ class CycleBatcher:
                 receiver_parts.append(
                     np.asarray(group.receivers, dtype=np.int64)
                 )
+                count_parts.append(scalar_count)
                 if not self.lossless:
                     attempt_parts.append(
                         np.asarray(group.attempts, dtype=np.int64)
@@ -376,6 +481,11 @@ class CycleBatcher:
             for block in group.edge_parts:
                 sender_parts.append(block.senders)
                 receiver_parts.append(block.receivers)
+                if block.counts is None:
+                    count_parts.append(block.senders.size)
+                else:
+                    count_parts.append(block.counts)
+                    counted = True
                 if not self.lossless:
                     attempt_parts.append(block.attempts)
             size_parts.append(np.full(count, float(size_bytes)))
@@ -384,10 +494,16 @@ class CycleBatcher:
             drops += group.drops
         if not kinds:
             return
+        if counted:
+            count_parts = [
+                np.ones(part, dtype=np.int64) if type(part) is int else part
+                for part in count_parts
+            ]
         if len(kinds) == 1 and len(sender_parts) == 1:
             batch = PathBatch(
                 senders=sender_parts[0], receivers=receiver_parts[0],
                 sizes=size_parts[0],
+                counts=count_parts[0] if counted else None,
                 attempts=attempt_parts[0] if attempt_parts else None,
                 kind_codes=code_parts[0], kinds=tuple(kinds), drops=drops,
                 record_groups=record_groups,
@@ -397,6 +513,7 @@ class CycleBatcher:
                 senders=np.concatenate(sender_parts),
                 receivers=np.concatenate(receiver_parts),
                 sizes=np.concatenate(size_parts),
+                counts=np.concatenate(count_parts) if counted else None,
                 attempts=(np.concatenate(attempt_parts)
                           if attempt_parts else None),
                 kind_codes=np.concatenate(code_parts),

@@ -1,9 +1,10 @@
 """Sensor node model.
 
 A node carries *static* attributes (identifiers, coordinates, user-assigned
-roles -- Appendix B) that can be pre-indexed in routing tables, and *dynamic*
-attributes (physical readings) that change every sampling cycle.  The split is
-what makes pre-evaluation of static predicates possible (Section 2).
+roles -- Appendix B) that can be pre-indexed in routing tables.  Its *dynamic*
+attributes (physical readings) change every sampling cycle and come from the
+run's data source, not from the node.  The split is what makes pre-evaluation
+of static predicates possible (Section 2).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class SensorNode:
     position: Position
     is_base: bool = False
     static_attributes: Dict[str, Any] = field(default_factory=dict)
-    dynamic_attributes: Dict[str, Any] = field(default_factory=dict)
     alive: bool = True
 
     #: Set by the owning :class:`~repro.network.topology.Topology` so that
@@ -52,28 +52,20 @@ class SensorNode:
 
     # -- attribute access ----------------------------------------------------
     def get_attribute(self, name: str) -> Any:
-        """Return a static or dynamic attribute value.
-
-        Static attributes win on a name clash because they are pre-indexed and
-        routing relies on them being stable.
-        """
+        """Return a static attribute value."""
         if name in self.static_attributes:
             return self.static_attributes[name]
-        if name in self.dynamic_attributes:
-            return self.dynamic_attributes[name]
         raise KeyError(f"node {self.node_id} has no attribute {name!r}")
 
     def has_attribute(self, name: str) -> bool:
-        return name in self.static_attributes or name in self.dynamic_attributes
+        return name in self.static_attributes
 
     def set_static(self, name: str, value: Any) -> None:
         self.static_attributes[name] = value
 
     def attributes(self) -> Dict[str, Any]:
-        """A merged view (static values shadow dynamic ones)."""
-        merged = dict(self.dynamic_attributes)
-        merged.update(self.static_attributes)
-        return merged
+        """A copy of the static attributes."""
+        return dict(self.static_attributes)
 
     # -- lifecycle -------------------------------------------------------------
     def _notify_state_change(self) -> None:

@@ -5,8 +5,9 @@ mote networks, messages on mesh networks.  The simulator has one transport
 model, **instant accounting**: :meth:`NetworkSimulator.transfer` charges a
 message's whole path in one call (every sender on the path transmits, plus
 the retransmissions its link model draws).  The join executor charges a
-cycle through :class:`~repro.network.batch.CycleBatcher` instead -- the same
-link-model draws, one array-level pipeline event for the whole cycle --
+cycle -- or a block of lossless cycles -- through
+:class:`~repro.network.batch.CycleBatcher` instead: the same link-model
+draws, one array-level pipeline event for the whole block --
 unless a node is dead or a queue bound is set.  Result delay is not
 simulated hop by hop; strategies account it in
 :class:`~repro.joins.base.ResultAccounting`.

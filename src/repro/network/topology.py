@@ -630,7 +630,6 @@ class Topology:
                 position=n.position,
                 is_base=n.is_base,
                 static_attributes=dict(n.static_attributes),
-                dynamic_attributes=dict(n.dynamic_attributes),
                 alive=n.alive,
             )
             for nid, n in self.nodes.items()

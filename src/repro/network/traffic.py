@@ -177,7 +177,7 @@ class TrafficStats:
             self.messages_sent += total_attempts
 
     def charge_paths_batch(self, batch) -> None:
-        """Array-level charge of a whole cycle's paths (batch kernel).
+        """Array-level charge of a whole block's paths (batch kernel).
 
         Equivalent to the per-path :meth:`charge_path` / :meth:`charge_drop`
         sequence the batch's records describe: per-node counts accumulate via
@@ -187,18 +187,21 @@ class TrafficStats:
         """
         senders = batch.senders
         if senders.size:
-            attempts = batch.attempts
+            counts, attempts = batch.counts, batch.attempts
+            # transmissions per hop: messages times link attempts
+            sends = counts if attempts is None else (
+                attempts if counts is None else attempts * counts)
             if self.accounting is TrafficAccounting.BYTES:
-                rx_weights: Optional[np.ndarray] = batch.sizes
+                rx_weights: Optional[np.ndarray] = (
+                    batch.sizes if counts is None else batch.sizes * counts)
                 tx_weights = (
-                    batch.sizes if attempts is None
-                    else batch.sizes * attempts
+                    batch.sizes if sends is None else batch.sizes * sends
                 )
             else:
-                rx_weights = None
+                rx_weights = (None if counts is None
+                              else counts.astype(np.float64))
                 tx_weights = (
-                    None if attempts is None
-                    else attempts.astype(np.float64)
+                    None if sends is None else sends.astype(np.float64)
                 )
             self._accumulate(
                 np.bincount(senders, weights=tx_weights).astype(
@@ -213,8 +216,7 @@ class TrafficStats:
             for code, kind in enumerate(batch.kinds):
                 self.by_kind[kind] += float(per_kind[code])
             self.messages_sent += (
-                int(attempts.sum()) if attempts is not None
-                else int(senders.size)
+                int(sends.sum()) if sends is not None else int(senders.size)
             )
         if batch.drops:
             self.messages_dropped += batch.drops

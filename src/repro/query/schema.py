@@ -58,9 +58,6 @@ class RelationSchema:
     def static_attributes(self) -> List[str]:
         return [a.name for a in self.attributes if a.static]
 
-    def dynamic_attributes(self) -> List[str]:
-        return [a.name for a in self.attributes if not a.static]
-
     def __len__(self) -> int:
         return len(self.attributes)
 

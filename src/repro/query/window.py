@@ -15,14 +15,16 @@ Two implementations of the same semantics live here.  :class:`JoinState` is
 the per-pair object form, one tuple at a time: it is the scalar reference the
 tests compare against.  :class:`WindowStore` is what the join strategies run:
 the windows of every pair of one strategy as ring-buffer columns, probed and
-filled a whole sampling cycle at a time.
+filled a whole sampling cycle -- or a whole block of cycles -- at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -155,6 +157,25 @@ Pair = Tuple[int, int]
 BufferedTuple = Tuple[Dict[str, Any], int]
 
 
+class BlockArrivals(NamedTuple):
+    """One relation's tuples over a block of cycles, at most one per row and
+    cycle (:meth:`WindowStore.join_block`)."""
+
+    steps: np.ndarray                 # the tuple's cycle, as an offset in the block
+    rows: np.ndarray                  # the window row it probes
+    values: Columns                   # its join attributes, aligned with rows
+    inserted: Optional[np.ndarray]    # which are buffered after probing (None: all)
+
+    def buffered(self) -> "BlockArrivals":
+        """The tuples that are buffered after probing."""
+        mask = self.inserted
+        if mask is None:
+            return self
+        return BlockArrivals(self.steps[mask], self.rows[mask],
+                             {a: column[mask] for a, column in self.values.items()},
+                             None)
+
+
 def _is_numeric(columns: Columns) -> bool:
     return all(column.dtype != object for column in columns.values())
 
@@ -182,7 +203,33 @@ class _Rings:
         """Buffer one tuple per row (rows distinct); returns how many rows
         grew, i.e. did not evict."""
         count = self.count[rows]
-        slots = count % self.size
+        self._write(rows, count % self.size, values, cycle)
+        self.count[rows] = count + 1
+        return int(np.count_nonzero(count < self.size))
+
+    def append(self, rows: np.ndarray, steps: np.ndarray, values: Columns,
+               first_cycle: int) -> np.ndarray:
+        """Buffer a block's tuples, any number per row, in ``(row, step)``
+        order (*steps* are cycle offsets from *first_cycle*, distinct within
+        a row).  Only each row's last ``size`` tuples are written.  Returns
+        which tuples grew their row, in the order given."""
+        order = np.lexsort((steps, rows))
+        rows, steps = rows[order], steps[order]
+        firsts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        lengths = np.diff(np.r_[firsts, rows.size])
+        within = np.arange(rows.size) - np.repeat(firsts, lengths)
+        number = self.count[rows] + within
+        kept = within >= np.repeat(lengths, lengths) - self.size
+        self._write(rows[kept], number[kept] % self.size,
+                    {a: column[order][kept] for a, column in values.items()},
+                    first_cycle + steps[kept])
+        self.count[rows[firsts]] += lengths
+        grew = np.empty(rows.size, dtype=bool)
+        grew[order] = number < self.size
+        return grew
+
+    def _write(self, rows: np.ndarray, slots: np.ndarray, values: Columns,
+               cycles) -> None:
         for attribute, ring in self.columns.items():
             column = values[attribute]
             if ring is None:
@@ -193,9 +240,16 @@ class _Rings:
                 if widened != ring.dtype:
                     ring = self.columns[attribute] = ring.astype(widened)
             ring[rows, slots] = column
-        self.cycles[rows, slots] = cycle
-        self.count[rows] = count + 1
-        return int(np.count_nonzero(count < self.size))
+        self.cycles[rows, slots] = cycles
+
+    def oldest_first(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every buffered tuple of *rows* (distinct) as ``(row, slot)``
+        arrays: row after row, each row's tuples oldest first."""
+        held = np.minimum(self.count[rows], self.size)
+        owners = np.repeat(rows, held)
+        starts = np.repeat(self.count[rows] - held, held)
+        offsets = np.arange(owners.size) - np.repeat(np.cumsum(held) - held, held)
+        return owners, (starts + offsets) % self.size
 
     def contents(self, row: int) -> List[BufferedTuple]:
         """The row's buffered tuples, oldest first."""
@@ -227,7 +281,8 @@ class WindowStore:
     read on that side, plus the tuple's cycle.  A sampling cycle is, per
     relation, one :meth:`match` of the arriving tuples against the opposite
     side followed by one :meth:`insert` of those that were delivered -- the
-    push-based windowed join of :class:`JoinState` for all pairs at once.
+    push-based windowed join of :class:`JoinState` for all pairs at once;
+    :meth:`join_block` does the same for a block of cycles in one pass.
 
     :meth:`match` runs the join clauses as an array kernel over the rings
     when the clauses compile to one and every column involved is numeric
@@ -273,13 +328,21 @@ class WindowStore:
         if not hits.any():
             return hits
         buffered = {a: ring[rows] for a, ring in other.columns.items()}
+        return self._join(from_source, values, buffered, hits)
+
+    def _join(self, from_source: bool, values: Columns, buffered: Columns,
+              hits: np.ndarray) -> np.ndarray:
+        """Narrow *hits* (``[arrival, slot]``: which buffered tuples are
+        there) to those the join clauses accept: the array kernel when the
+        clauses compile to one and every column is numeric, the scalar
+        closure slot by slot otherwise."""
         kernel = self.kernel
         if kernel.array is not None and _is_numeric(values) and _is_numeric(buffered):
             arriving = {a: column[:, None] for a, column in values.items()}
             joined = (kernel.array(arriving, buffered) if from_source
                       else kernel.array(buffered, arriving))
             return np.logical_and(hits, joined, out=hits)
-        arriving_rows = row_dicts(values, len(rows))
+        arriving_rows = row_dicts(values, hits.shape[0])
         slot_values = {a: column.tolist() for a, column in buffered.items()}
         scalar = kernel.scalar
         for index, slot in zip(*(axis.tolist() for axis in np.nonzero(hits))):
@@ -302,6 +365,75 @@ class WindowStore:
         self.total += self._window[side].insert(rows, values, cycle)
         if self._recent is not None:
             self._recent[side].insert(rows, values, cycle)
+
+    # -- a block of cycles at once ---------------------------------------------
+    def join_block(self, cycles: range, source: "BlockArrivals",
+                   target: "BlockArrivals", source_first: bool
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`match` then :meth:`insert`, per relation and cycle, for a
+        whole block of cycles in one band join over the cycle axis.
+
+        Equal to the sequential calls cycle by cycle, *source_first*
+        deciding which relation goes first within a cycle: a tuple of
+        cycle ``c`` of the first relation sees the last ``window_size``
+        buffered tuples of the other relation from cycles before ``c``, a
+        tuple of the second relation those up to and including ``c``.  Each
+        arrival is joined against a ``[arrival, window_size]`` gather of its
+        row's sequence -- the ring's tuples, then the block's buffered ones
+        -- and the rings end holding each row's last tuples.  Returns the
+        per-arrival result counts of both relations and ``total`` after
+        each cycle of the block.
+        """
+        width = len(cycles) + 1
+        kept = tuple(side.buffered() for side in (source, target))
+        counts = [
+            self._band(side, arrivals, kept[1 - side], width,
+                       first=(side == 0) == source_first)
+            for side, arrivals in enumerate((source, target))
+        ]
+        growth = np.zeros(len(cycles), dtype=np.int64)
+        for side, arrivals in enumerate(kept):
+            if not arrivals.rows.size:
+                continue
+            grew = self._window[side].append(arrivals.rows, arrivals.steps,
+                                             arrivals.values, cycles.start)
+            growth += np.bincount(arrivals.steps[grew], minlength=len(cycles))
+            if self._recent is not None:
+                self._recent[side].append(arrivals.rows, arrivals.steps,
+                                          arrivals.values, cycles.start)
+        totals = self.total + np.cumsum(growth)
+        self.total = int(totals[-1])
+        return counts[0], counts[1], totals
+
+    def _band(self, side: int, arrivals: "BlockArrivals",
+              opposite: "BlockArrivals", width: int, first: bool) -> np.ndarray:
+        """Result counts of one relation's block arrivals against the other
+        side: its rings as they stand, then *opposite* (its buffered block
+        tuples), up to the arrival's cycle."""
+        if not arrivals.rows.size:
+            return np.zeros(0, dtype=np.int64)
+        rings = self._window[1 - side]
+        ring_rows, slots = rings.oldest_first(np.unique(arrivals.rows))
+        rows = np.concatenate([ring_rows, opposite.rows])
+        steps = np.concatenate([np.full(ring_rows.size, -1), opposite.steps])
+        keys = rows * width + steps + 1
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        probe = arrivals.rows * width
+        ends = np.searchsorted(keys, probe + arrivals.steps + (1 if first else 2))
+        at = ends[:, None] - self.window_size + self._slot_ids
+        hits = at >= np.searchsorted(keys, probe)[:, None]
+        if not hits.any():
+            return np.zeros(arrivals.rows.size, dtype=np.int64)
+        np.maximum(at, 0, out=at)
+        buffered = {}
+        for attribute, ring in rings.columns.items():
+            parts = [column for column in (
+                None if ring is None else ring[ring_rows, slots],
+                opposite.values[attribute],
+            ) if column is not None and column.size]
+            buffered[attribute] = np.concatenate(parts)[order][at]
+        return self._join(side == 0, arrivals.values, buffered, hits).sum(axis=1)
 
     # -- one row at a time: recovery and window hand-off -----------------------
     def probe_row(self, row: int, from_source: bool, values: Dict[str, Any],

@@ -60,8 +60,6 @@ class ExplorationResult:
 
     source: int
     paths: Dict[int, List[PairPath]] = field(default_factory=dict)
-    edges_traversed: int = 0
-    messages_sent: int = 0
 
     def targets(self) -> List[int]:
         return sorted(self.paths)
@@ -269,13 +267,10 @@ class MultiTreeSubstrate:
     ) -> ExplorationResult:
         """Rebuild a memoized exploration, re-charging its traffic."""
         result = ExplorationResult(source=source)
-        edges = entry["edges"]
-        result.edges_traversed = len(edges)
         if simulator is not None:
             explore_size = self.sizes.explore
-            for a, b, path_len in edges:
+            for a, b, path_len in entry["edges"]:
                 simulator.transfer([a, b], explore_size(path_len), MessageKind.EXPLORE)
-            result.messages_sent += len(edges)
         hops_map = self.primary_tree.depth
         for target, paths in entry["paths"].items():
             result.paths[target] = [
@@ -317,14 +312,12 @@ class MultiTreeSubstrate:
             ))
 
         def traverse_edge(a: int, b: int, path_len: int) -> None:
-            result.edges_traversed += 1
             if recording is not None:
                 recording.append((a, b, path_len))
             if simulator is not None:
                 simulator.transfer(
                     [a, b], self.sizes.explore(path_len), MessageKind.EXPLORE
                 )
-                result.messages_sent += 1
 
         def descend(node: int, path: List[int]) -> None:
             if node != source and node_matches(node):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,13 +75,14 @@ def _mix_prefix(seed: int, nodes: np.ndarray) -> np.ndarray:
     return _mix_step(value, nodes.astype(np.uint64))
 
 
-_STREAMS = np.array([[1], [2]], dtype=np.uint64)  # send draw, u draw
+_STREAMS = np.array([[[1]], [[2]]], dtype=np.uint64)  # send draw, u draw
 
 
-def _mix_streams(prefix: np.ndarray, cycle: int) -> np.ndarray:
-    """Finish :func:`_mix` for streams 1 and 2 at once: ``[stream, node]``,
-    identical to ``_mix(seed, node, cycle, stream)`` element by element."""
-    return _mix_step(_mix_step(prefix, np.uint64(cycle & _MASK64)), _STREAMS)
+def _mix_streams(prefix: np.ndarray, cycles: np.ndarray) -> np.ndarray:
+    """Finish :func:`_mix` for streams 1 and 2 at once over a ``[cycle, 1]``
+    column: ``[stream, cycle, node]``, identical to ``_mix(seed, node, cycle,
+    stream)`` element by element."""
+    return _mix_step(_mix_step(prefix, cycles), _STREAMS)
 
 
 @dataclass
@@ -146,38 +147,56 @@ class SyntheticDataSource:
         u_value = _uniform(source.seed, node_id, cycle, 2, source.u_range_for(node_id))
         return {"u": u_value, "adc0": adc0, "v": 0}
 
-    def sample_columns(
-        self, node_ids: Sequence[int], cycle: int
-    ) -> Dict[str, np.ndarray]:
-        """Vectorized :meth:`sample` for one cycle over many nodes.
+    def sample_columns(self, node_ids: Sequence[int],
+                       cycles: Union[int, range]) -> Dict[str, np.ndarray]:
+        """Vectorized :meth:`sample` over many nodes, for one cycle or a block.
 
-        One int64 ``[node]`` array per attribute, holding exactly the values
-        :meth:`sample` would return for each entry of *node_ids* (the
-        SplitMix64 draws are computed batched with 64-bit wrapping
-        arithmetic).  Callers must not mutate the arrays.
+        An int *cycles* gives one int64 ``[node]`` array per attribute, a
+        range one ``[cycle, node]`` array, holding exactly the values
+        :meth:`sample` would return for each cycle and entry of *node_ids*
+        (the SplitMix64 draws are computed batched with 64-bit wrapping
+        arithmetic, a block in one pass; a block that crosses
+        ``switch_cycle`` is drawn in two).  Callers must not mutate the
+        arrays.
         """
-        source = self._effective(cycle)
+        if isinstance(cycles, int):
+            column = np.array([[cycles & _MASK64]], dtype=np.uint64)
+            return {a: values[0] for a, values in
+                    self._effective(cycles)._columns(node_ids, column).items()}
+        switch = self.switch_cycle
+        if (self.switched is not None and switch is not None
+                and cycles.start < switch < cycles.stop):
+            early = self.sample_columns(node_ids, range(cycles.start, switch))
+            late = self.sample_columns(node_ids, range(switch, cycles.stop))
+            return {a: np.concatenate([early[a], late[a]]) for a in early}
+        column = np.array([c & _MASK64 for c in cycles], dtype=np.uint64)[:, None]
+        return self._effective(cycles.start)._columns(node_ids, column)
+
+    def _columns(self, node_ids: Sequence[int],
+                 cycles: np.ndarray) -> Dict[str, np.ndarray]:
+        """This source's ``[cycle, node]`` columns for a ``[cycle, 1]``
+        column of cycles."""
         key = tuple(node_ids)
-        arrays_cache = source.__dict__.setdefault("_node_arrays", {})
+        arrays_cache = self.__dict__.setdefault("_node_arrays", {})
         arrays = arrays_cache.get(key)
         if arrays is None:
-            u_ranges = [source.u_range_for(int(n)) for n in node_ids]
+            u_ranges = [self.u_range_for(int(n)) for n in node_ids]
             if any(r <= 0 for r in u_ranges):
                 raise ValueError("modulo must be positive")  # match sample()
             arrays = (
-                _mix_prefix(source.seed, np.array(key, dtype=np.int64)),
+                _mix_prefix(self.seed, np.array(key, dtype=np.int64)),
                 np.array(
-                    [source.send_probability_for(int(n)) for n in node_ids],
+                    [self.send_probability_for(int(n)) for n in node_ids],
                     dtype=float,
                 ) * _SEND_RANGE,
                 np.array(u_ranges, dtype=np.uint64),
-                np.zeros(len(key), dtype=np.int64),
             )
             arrays_cache[key] = arrays
-        prefix, send_threshold, u_range, zeros = arrays
+        prefix, send_threshold, u_range = arrays
+        zeros = np.zeros((cycles.shape[0], len(key)), dtype=np.int64)
         if prefix.size == 0:
             return {"u": zeros, "adc0": zeros, "v": zeros}
-        send_mix, u_mix = _mix_streams(prefix, cycle)
+        send_mix, u_mix = _mix_streams(prefix, cycles)
         send_draw = (send_mix % np.uint64(_SEND_RANGE)).astype(np.int64)
         half = send_draw % SEND_THRESHOLD
         adc0 = np.where(send_draw < send_threshold, half, SEND_THRESHOLD + half)

@@ -18,3 +18,16 @@ def per_tuple_cycles(monkeypatch):
             patch.setattr(JoinExecutor, "_cycle_batcher", lambda self: None)
             yield
     return per_tuple
+
+
+@pytest.fixture
+def per_cycle_kernel(monkeypatch):
+    """A context manager under which every :class:`JoinExecutor` steps the
+    batch-cycle kernel one cycle at a time: the block rule held to one
+    cycle, the reference a block is held to."""
+    @contextmanager
+    def per_cycle():
+        with monkeypatch.context() as patch:
+            patch.setattr(JoinExecutor, "_block_length", lambda self, cycle, end: 1)
+            yield
+    return per_cycle

@@ -41,8 +41,9 @@ def _compare(per_tuple, scenario: ScenarioSpec, limit=None):
 
 
 def _record_kernel_cycles(monkeypatch):
-    """Per executor, one ``(flush calls, every node alive)`` pair for each
-    cycle it steps: the executor's kernel rule, observed with exact counts."""
+    """Per executor, one ``(flush calls, every node alive, cycles)`` triple
+    for each block it steps: the executor's kernel and block rules, observed
+    with exact counts."""
     runs = {}
     flushes = []
     flush = CycleBatcher.flush
@@ -52,11 +53,11 @@ def _record_kernel_cycles(monkeypatch):
         flushes.append(self)
         flush(self)
 
-    def recorded(self, cycle):
+    def recorded(self, cycle, cycles=1):
         before = len(flushes)
-        step(self, cycle)
+        step(self, cycle, cycles)
         alive = all(node.alive for node in self.topology.nodes.values())
-        runs.setdefault(self, []).append((len(flushes) - before, alive))
+        runs.setdefault(self, []).append((len(flushes) - before, alive, cycles))
     monkeypatch.setattr(CycleBatcher, "flush", counted)
     monkeypatch.setattr(JoinExecutor, "step_cycle", recorded)
     return runs
@@ -97,8 +98,11 @@ class TestBatchParity:
         specs = scenario.expand(SMOKE)
         batched = [execute_run(spec).report for spec in specs]
         assert len(runs) == len(specs)
-        for spec, cycles in zip(specs, runs.values()):
-            assert [count for count, _ in cycles] == [1] * spec.cycles
+        for spec, blocks in zip(specs, runs.values()):
+            # one flush per block, the move a block boundary
+            assert [count for count, _, _ in blocks] == [1] * len(blocks)
+            assert sum(length for _, _, length in blocks) == spec.cycles
+            assert len(blocks) >= 2
         with per_tuple_cycles():
             reference = [execute_run(spec).report for spec in specs]
         for report_on, report_off in zip(batched, reference):
@@ -136,18 +140,20 @@ class TestKernelRule:
     dead or a forwarding-queue bound is set."""
 
     def test_fig14_smoke_leaves_kernel_from_failure_cycle(self, monkeypatch):
-        """Failures are permanent: every cycle before the first failure
-        flushes one batch, no cycle from the failure cycle on flushes."""
+        """Failures are permanent: every block before the first failure
+        flushes one batch, no cycle from the failure cycle on flushes, and
+        each of those cycles is stepped on its own."""
         runs = _record_kernel_cycles(monkeypatch)
         for spec in BUILTIN_SCENARIOS["fig14-smoke"]().expand(SMOKE):
             execute_run(spec)
         failed_runs = 0
         for cycles in runs.values():
-            alive = [every_alive for _, every_alive in cycles]
+            alive = [every_alive for _, every_alive, _ in cycles]
             first_failure = alive.index(False) if False in alive else len(cycles)
-            assert [count for count, _ in cycles] == (
+            assert [count for count, _, _ in cycles] == (
                 [1] * first_failure + [0] * (len(cycles) - first_failure)
             )
+            assert all(length == 1 for _, _, length in cycles[first_failure:])
             if first_failure < len(cycles):
                 assert first_failure > 0
                 failed_runs += 1
@@ -160,8 +166,8 @@ class TestKernelRule:
                 queue_capacity=8).expand(SMOKE):
             execute_run(spec)
         assert runs
-        assert all(count == 0 for cycles in runs.values()
-                   for count, _ in cycles)
+        assert all(count == 0 and length == 1 for cycles in runs.values()
+                   for count, _, length in cycles)
 
 
 class TestRosterParity:
@@ -208,9 +214,11 @@ class TestRosterParity:
                  }))
 
     def test_fixture_keeps_every_cycle_off_the_kernel(self, per_tuple_cycles,
+                                                      per_cycle_kernel,
                                                       monkeypatch):
         """The reference really is per-tuple: under the fixture no cycle
-        flushes a batch, where the default executor flushes every cycle."""
+        flushes a batch, where the kernel flushes every cycle under the
+        one-cycle fixture and once per block by default."""
         flushes = []
         flush = CycleBatcher.flush
 
@@ -221,6 +229,10 @@ class TestRosterParity:
         spec = next(spec for spec in BUILTIN_SCENARIOS["fig05"]().expand(SMOKE)
                     if spec.algorithm.startswith("innet"))
         execute_run(spec)
+        assert 0 < len(flushes) < spec.cycles
+        flushes.clear()
+        with per_cycle_kernel():
+            execute_run(spec)
         assert len(flushes) == spec.cycles
         flushes.clear()
         with per_tuple_cycles():

@@ -16,12 +16,11 @@ class TestSensorNode:
         with pytest.raises(ValueError):
             SensorNode(node_id=-1, position=(0, 0))
 
-    def test_static_shadows_dynamic(self):
-        node = SensorNode(node_id=1, position=(0, 0))
-        node.dynamic_attributes["u"] = 10
+    def test_set_static_overwrites_and_shows_in_attributes(self):
+        node = SensorNode(node_id=1, position=(0, 0), static_attributes={"u": 10})
         node.set_static("u", 99)
         assert node.get_attribute("u") == 99
-        assert node.attributes()["u"] == 99
+        assert node.attributes() == {"u": 99, "id": 1, "pos": (0, 0)}
 
     def test_missing_attribute_raises(self):
         node = SensorNode(node_id=1, position=(0, 0))
@@ -29,9 +28,10 @@ class TestSensorNode:
             node.get_attribute("nope")
         assert not node.has_attribute("nope")
 
-    def test_dynamic_attribute_roundtrip(self):
+    def test_static_attribute_roundtrip(self):
         node = SensorNode(node_id=1, position=(0, 0))
-        node.dynamic_attributes["temp"] = 21.5
+        assert not node.has_attribute("temp")
+        node.set_static("temp", 21.5)
         assert node.has_attribute("temp")
         assert node.get_attribute("temp") == 21.5
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query import JoinState, WindowStore, WindowedTuple, parse_query
+from repro.query.window import BlockArrivals
 from repro.query.analysis import analyze_query
 from repro.query.expressions import ARRAY_INT_LIMIT, as_column
 
@@ -173,3 +174,90 @@ def test_recent_tuples_survive_a_reset_and_replays_do_not_enter_them():
 def test_window_size_is_validated():
     with pytest.raises(ValueError):
         WindowStore([(0, 1)], 0, join_kernel("S.u = T.u"))
+
+
+@st.composite
+def blocks(draw):
+    """A window store's pre-filled rings and one block of cycles to join:
+    per relation, ``[cycle, row]`` arrival masks, values and delivery."""
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    values = st.sampled_from(KINDS[kind][1])
+    rows = draw(st.integers(1, 4))
+    cycles = draw(st.integers(1, 5))
+    arrival = st.one_of(st.none(), st.tuples(values, st.booleans()))
+    grid = st.lists(st.lists(arrival, min_size=rows, max_size=rows),
+                    min_size=cycles, max_size=cycles)
+    prefill = st.lists(st.tuples(st.booleans(), st.integers(0, rows - 1), values),
+                       max_size=8)
+    return (kind, rows, draw(st.integers(1, 3)), draw(prefill),
+            draw(grid), draw(grid), draw(st.booleans()))
+
+
+def _block_side(grid):
+    """One relation's arrivals of a block, cycle-major, as array columns."""
+    cells = [(step, row, cell) for step, cycle in enumerate(grid)
+             for row, cell in enumerate(cycle) if cell is not None]
+    return BlockArrivals(
+        steps=np.array([step for step, _, _ in cells], dtype=np.int64),
+        rows=np.array([row for _, row, _ in cells], dtype=np.int64),
+        values={"u": as_column([value for _, _, (value, _) in cells])},
+        inserted=np.array([ok for _, _, (_, ok) in cells], dtype=bool),
+    )
+
+
+@given(blocks())
+@settings(max_examples=300, deadline=None)
+def test_one_block_join_equals_its_cycles_one_by_one(block):
+    """``join_block`` over K cycles agrees with K rounds of ``match`` /
+    ``insert`` and with ``JoinState``: per-arrival counts, the rings each row
+    ends with, and ``total`` after every cycle."""
+    kind, rows, window_size, prefill, source_grid, target_grid, source_first = block
+    kernel = join_kernel(KINDS[kind][0])
+    pairs = [(row, -1) for row in range(rows)]
+    stores = [WindowStore(pairs, window_size, kernel, keep_recent=True)
+              for _ in range(2)]
+    reference = Reference(rows, window_size, kernel.scalar)
+    for cycle, (from_source, row, value) in enumerate(prefill):
+        for store in stores:
+            store.insert(from_source, np.array([row]), {"u": as_column([value])}, cycle)
+        reference.insert(row, from_source, value, cycle)
+    first = len(prefill)
+    cycles = range(first, first + len(source_grid))
+    blocked, stepped = stores
+    source, target = _block_side(source_grid), _block_side(target_grid)
+    source_counts, target_counts, totals = blocked.join_block(
+        cycles, source, target, source_first)
+
+    order = ((True, source_grid), (False, target_grid))
+    if not source_first:
+        order = order[::-1]
+    expected = {True: [], False: []}
+    totals_stepped = []
+    for step, cycle in enumerate(cycles):
+        for from_source, grid in order:
+            cells = [(row, cell) for row, cell in enumerate(grid[step])
+                     if cell is not None]
+            if not cells:
+                continue
+            at = np.array([row for row, _ in cells])
+            values = {"u": as_column([value for _, (value, _) in cells])}
+            delivered = np.array([ok for _, (_, ok) in cells])
+            counts = stepped.match(from_source, at, values).sum(axis=1)
+            expected[from_source].extend(counts.tolist())
+            for (row, (value, ok)), count in zip(cells, counts.tolist()):
+                assert count == len(reference.matches(row, from_source, value))
+                if ok:
+                    reference.insert(row, from_source, value, cycle)
+            stepped.insert(from_source, at, values, cycle, mask=delivered)
+        totals_stepped.append(stepped.total)
+    # arrivals are cycle-major in both, so the per-arrival orders agree
+    assert source_counts.tolist() == expected[True]
+    assert target_counts.tolist() == expected[False]
+    assert totals.tolist() == totals_stepped
+    for row in range(rows):
+        for from_source in (True, False):
+            assert (blocked.window(row, from_source)
+                    == stepped.window(row, from_source))
+            assert (blocked.recent(row, from_source)
+                    == stepped.recent(row, from_source))
+    assert_same_state(blocked, reference, rows)

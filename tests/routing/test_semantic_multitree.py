@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import NetworkSimulator
+from repro.network.message import MessageKind
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.paths import path_quality_for_pairs
@@ -130,18 +131,20 @@ class TestMultiTreeSubstrate:
         )
         source = topo.node_ids[5]
         wanted = topo.nodes[source].get_attribute("group")
+        simulator = NetworkSimulator(topo)
         result = substrate.find_matches(
             source,
             "group",
             summary_probe=lambda summary: summary.might_contain(wanted),
             node_matches=lambda nid: topo.nodes[nid].get_attribute("group") == wanted,
+            simulator=simulator,
         )
         expected = {
             nid for nid in topo.node_ids
             if nid != source and topo.nodes[nid].get_attribute("group") == wanted
         }
         assert set(result.targets()) == expected
-        assert result.edges_traversed > 0
+        assert simulator.stats.traffic_by_kind()[MessageKind.EXPLORE] > 0
         # Each discovered path must start at the source and end at the target.
         for target, candidates in result.paths.items():
             for pair_path in candidates:

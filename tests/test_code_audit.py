@@ -190,8 +190,6 @@ ALLOWED_FIELDS: Dict[str, str] = {
     "repro.query.window.WindowedTuple.producer_id": "tests/query/test_window.py",
     "repro.query.window.JoinState.source_id": "tests/query/test_window.py",
     "repro.query.window.JoinState.target_id": "tests/query/test_window.py",
-    "repro.routing.multitree.ExplorationResult.edges_traversed":
-        "tests/routing/test_semantic_multitree.py",
 }
 
 

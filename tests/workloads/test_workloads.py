@@ -273,6 +273,32 @@ class TestSyntheticDataSource:
         assert [dict(zip(columns, row)) for row in
                 zip(*(columns[a].tolist() for a in columns))] == expected
 
+    @given(st.lists(st.integers(0, 2 ** 40), max_size=12), st.integers(0, 2 ** 33),
+           st.integers(1, 6), st.integers(0, 8), st.integers(0, 2 ** 62))
+    @settings(max_examples=60)
+    def test_a_block_of_columns_is_its_cycles_one_by_one(
+        self, nodes, first, length, switch_after, seed
+    ):
+        """``sample_columns`` over a cycle range is the per-cycle columns
+        stacked, per-node overrides and a switch inside the block included."""
+        switched = SyntheticDataSource(sigma_st=0.5, send_probability=0.9, seed=seed + 1)
+        source = SyntheticDataSource(
+            sigma_st=0.05, send_probability=0.4, seed=seed,
+            per_node_send_probability={n: 0.8 for n in nodes[::3]},
+            per_node_u_range={n: 7 for n in nodes[1::3]},
+            switch_cycle=first + switch_after, switched=switched,
+        )
+        block = source.sample_columns(nodes, range(first, first + length))
+        assert sorted(block) == ["adc0", "u", "v"]
+        for step in range(length):
+            cycle = first + step
+            one = source.sample_columns(nodes, cycle)
+            for attribute, column in block.items():
+                assert column.shape == (length, len(nodes))
+                assert column[step].tolist() == one[attribute].tolist()
+            assert [{a: int(block[a][step][i]) for a in block}
+                    for i in range(len(nodes))] == [source.sample(n, cycle) for n in nodes]
+
 
 class TestIntelWorkload:
     def test_workload_components(self):
