@@ -161,20 +161,24 @@ def test_perf_batch_work_count_guard(mesh, monkeypatch):
     """One ``ship_many`` + ``flush`` does a round's work in one piece.
 
     Over the mesh's paths it emits exactly one ``charge_paths_batch``
-    event, makes one link-model draw on lossy links (none on perfect
-    links) and no per-path ``transfer`` call.  A per-path Python loop
-    re-introduced into the kernel breaks these counts on any machine.
+    event, makes one link-model call (on perfect links it returns
+    all-delivered arrays and draws nothing) and no per-path ``transfer``
+    call.  A per-path Python loop re-introduced into the kernel breaks
+    these counts on any machine.
     """
     _record_speedup("transfer_heavy_perfect", "transfer_heavy_batch_perfect")
     _record_speedup("transfer_heavy_lossy", "transfer_heavy_batch_lossy")
     base = mesh.base_id
     paths = [mesh.shortest_path(node, base) for node in mesh.node_ids if node != base]
-    for link_model, draws in ((None, 0), (lossy_links(0.2, seed=9), 1)):
+    for link_model in (None, lossy_links(0.2, seed=9)):
         simulator = NetworkSimulator(mesh, link_model=link_model)
+        rng_state = simulator.links._rng.bit_generator.state
         counts = _count_work(monkeypatch, simulator)
         _batch_rounds(simulator, paths, rounds=1)()
-        assert counts == {"charge_paths_batch": 1, "link_draw": draws,
+        assert counts == {"charge_paths_batch": 1, "link_draw": 1,
                           "transfer": 0}
+        if link_model is None:
+            assert simulator.links._rng.bit_generator.state == rng_state
 
 
 @pytest.fixture(scope="module")
@@ -246,16 +250,17 @@ def test_perf_transfer_batch_innet(benchmark, innet_rung):
 def test_perf_batch_innet_work_count_guard(innet_rung, monkeypatch):
     """The batched innet cycle does its shipping in one piece per call.
 
-    Each flush emits exactly one ``charge_paths_batch`` event; on lossy
-    links each ``ship_edges`` and each ``ship_many`` call makes one
-    link-model draw (none on perfect links); no per-path ``transfer`` call
-    is made.
+    Each flush emits exactly one ``charge_paths_batch`` event; each
+    ``ship_edges`` and each ``ship_many`` call makes one link-model call
+    (on perfect links it draws nothing); no per-path ``transfer`` call is
+    made.
     """
     _record_speedup("transfer_heavy_innet_reference", "transfer_heavy_batch_innet")
     topology, _, join_paths, senders, receivers = innet_rung
     cycles = 3
-    for link_model, draws in ((None, 0), (lossy_links(0.2, seed=9), 2)):
+    for link_model in (None, lossy_links(0.2, seed=9)):
         simulator = NetworkSimulator(topology, link_model=link_model)
+        rng_state = simulator.links._rng.bit_generator.state
         batcher = CycleBatcher(simulator)
         counts = _count_work(monkeypatch, simulator)
         for _ in range(cycles):
@@ -263,7 +268,9 @@ def test_perf_batch_innet_work_count_guard(innet_rung, monkeypatch):
             batcher.ship_many(join_paths, 24, MessageKind.DATA)
             batcher.flush()
         assert counts == {"charge_paths_batch": cycles,
-                          "link_draw": draws * cycles, "transfer": 0}
+                          "link_draw": 2 * cycles, "transfer": 0}
+        if link_model is None:
+            assert simulator.links._rng.bit_generator.state == rng_state
 
 
 def test_perf_pipeline_overhead_guard(mesh):

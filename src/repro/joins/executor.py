@@ -157,9 +157,10 @@ class JoinExecutor:
         ship order), or when a sink besides the traffic stats listens (the
         energy sink checks lifetimes at every cycle tick).  Otherwise the
         block runs to the first boundary: *end* (a phase end or a move), the
-        next failure event, the data source's switch cycle, a cycle the
-        strategy must start afresh (:meth:`~repro.joins.base.JoinStrategy.
-        block_end`), or the :data:`BLOCK_CELLS` bound.
+        next failure event, the data source's next switch of regime (at any
+        depth of a phase schedule's chain), a cycle the strategy must start
+        afresh (:meth:`~repro.joins.base.JoinStrategy.block_end`), or the
+        :data:`BLOCK_CELLS` bound.
         """
         batcher = self._cycle_batcher()
         if (batcher is None or not batcher.lossless
@@ -169,8 +170,9 @@ class JoinExecutor:
         for event in self.failure_injector.events:
             if cycle < event.sampling_cycle < end:
                 end = event.sampling_cycle
-        switch = getattr(self.context.data_source, "switch_cycle", None)
-        if switch is not None and cycle < switch < end:
+        next_switch = getattr(self.context.data_source, "next_switch", None)
+        switch = next_switch(cycle) if next_switch is not None else None
+        if switch is not None and switch < end:
             end = switch
         strategy = self.strategy
         end = strategy.block_end(cycle, end)

@@ -420,16 +420,18 @@ class InnetJoin(JoinStrategy):
                             batcher) -> None:
         """A block of sampling cycles with tree- and path-shipping batched.
 
-        On lossy links, and while a pair recovers, control flow depends on
-        per-ship verdicts, so the cycle streams through the captured-shipping
-        wrapper (scalar draws in ship order -- bit-identical by
-        construction; multicast trees still ship as per-sample edge blocks
-        via :meth:`_ship_tree_edges`).  On perfect links every ship
-        delivers, so the block is one band join: each producer's route (its
-        multicast tree and direct join paths) is charged once per send, and
-        each join node's results once per cycle it produced any.
+        On lossy links control flow depends on per-ship verdicts, so the
+        cycle streams through the captured-shipping wrapper (scalar draws in
+        ship order -- bit-identical by construction; multicast trees still
+        ship as per-sample edge blocks via :meth:`_ship_tree_edges`).  On
+        perfect links every ship delivers, so the block is one band join:
+        each producer's route (its multicast tree and direct join paths) is
+        charged once per send, and each join node's results once per cycle
+        it produced any.  No pair recovers here: recovery follows a node
+        failure, and the executor runs no cycle with a dead node on the
+        kernel.
         """
-        if not batcher.lossless or self._recovering:
+        if not batcher.lossless:
             with ctx.captured_shipping(batcher):
                 self._cycle(ctx, cycles.start)
             return
@@ -458,11 +460,8 @@ class InnetJoin(JoinStrategy):
         self._track_block_storage(totals)
 
     def block_end(self, cycle: int, end: int) -> int:
-        """A recovering pair replays its backlog cycle by cycle; a learning
-        variant's block ends with its next check or reset cycle, and before
-        any pair's observation counters would roll over."""
-        if self._recovering:
-            return cycle + 1
+        """A learning variant's block ends with its next check or reset
+        cycle, and before any pair's observation counters would roll over."""
         if self._learning:
             policy = self.adaptive_policy
             for interval in (policy.check_interval, policy.reset_interval):

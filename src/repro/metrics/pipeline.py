@@ -58,14 +58,14 @@ class MetricsSink:
         """A message crossed consecutive hops of *path* (flyweight charge)."""
 
     def charge_paths_batch(self, batch) -> None:
-        """A whole sampling cycle's paths, as one array-level
+        """A whole block's charged hops, as one array-level
         :class:`~repro.network.batch.PathBatch` (batch-cycle kernel).
 
-        Sinks that leave this at the default but implement ``charge_path`` /
-        ``charge_drop`` still observe batched charges: the pipeline replays
-        the batch's per-path records through those events (see
-        ``_batch_unroll``), so the batch kernel never silently bypasses a
-        per-tuple sink.
+        The kernel's only charge event: a batch carries hop arrays with
+        per-hop message counts and attempts, not the per-path calls it
+        replaces, so a sink that implements ``charge_path`` or
+        ``charge_drop`` must implement this too --
+        :meth:`MetricsPipeline.add_sink` rejects one that does not.
         """
 
     def charge_broadcast(self, node_id, size_bytes, kind, receivers) -> None:
@@ -97,6 +97,12 @@ class MetricsSink:
 
 def _noop(*args, **kwargs) -> None:
     return None
+
+
+def _implements(sink: Any, event: str) -> bool:
+    """Whether *sink*'s class defines *event* beyond the no-op default."""
+    impl = getattr(type(sink), event, None)
+    return impl is not None and impl is not getattr(MetricsSink, event)
 
 
 def _fanout(handlers: Tuple[Callable, ...]) -> Callable:
@@ -151,26 +157,6 @@ def _fanout_charge_path(handlers: Tuple[Callable, ...]) -> Callable:
     return emit
 
 
-def _batch_unroll(charge_path: Optional[Callable],
-                  charge_drop: Optional[Callable]) -> Callable:
-    """Replay a :class:`~repro.network.batch.PathBatch` through the
-    per-tuple charge events, for sinks without a native batch handler.
-
-    The record sequence reproduces the per-tuple reference calls exactly
-    (same paths, sizes, attempts arrays, ``num_hops`` truncation and drops),
-    so such a sink accumulates bit-identical state in batch mode.
-    """
-    def emit(batch):
-        for path, size_bytes, kind, attempts, num_hops, dropped \
-                in batch.iter_records():
-            if charge_path is not None:
-                charge_path(path, size_bytes, kind,
-                            attempts=attempts, num_hops=num_hops)
-            if dropped and charge_drop is not None:
-                charge_drop()
-    return emit
-
-
 class MetricsPipeline:
     """Fans accounting events out to registered sinks.
 
@@ -190,7 +176,20 @@ class MetricsPipeline:
     def add_sink(self, sink: Any, reporting: bool = True) -> Any:
         """Register *sink*; non-``reporting`` sinks are excluded from
         :meth:`summaries` / :meth:`node_series` (the simulator's built-in
-        traffic accounting, which the execution report already covers)."""
+        traffic accounting, which the execution report already covers).
+
+        Raises ``TypeError`` for a sink that takes per-path charges
+        (``charge_path`` / ``charge_drop``) but not the batch kernel's
+        ``charge_paths_batch``: it would silently miss every kernel charge.
+        """
+        if (not _implements(sink, "charge_paths_batch")
+                and (_implements(sink, "charge_path")
+                     or _implements(sink, "charge_drop"))):
+            raise TypeError(
+                f"sink {type(sink).__name__} implements charge_path / "
+                "charge_drop but not charge_paths_batch, so it would miss "
+                "every batch-kernel charge"
+            )
         self._entries.append((sink, reporting))
         self._rebuild()
         return sink
@@ -205,17 +204,8 @@ class MetricsPipeline:
 
     def _rebuild(self) -> None:
         for event in EVENTS:
-            default = getattr(MetricsSink, event)
-            handlers = []
-            for sink, _ in self._entries:
-                impl = getattr(type(sink), event, None)
-                if impl is None or impl is default:
-                    if event == "charge_paths_batch":
-                        adapter = self._unroll_adapter(sink)
-                        if adapter is not None:
-                            handlers.append(adapter)
-                    continue
-                handlers.append(getattr(sink, event))
+            handlers = [getattr(sink, event) for sink, _ in self._entries
+                        if _implements(sink, event)]
             if not handlers:
                 dispatcher: Callable = _noop
             elif len(handlers) == 1:
@@ -225,24 +215,6 @@ class MetricsPipeline:
             else:
                 dispatcher = _fanout(tuple(handlers))
             setattr(self, event, dispatcher)
-
-    @staticmethod
-    def _unroll_adapter(sink: Any) -> Optional[Callable]:
-        """A per-tuple replay handler for a sink without a batch event.
-
-        ``None`` when the sink observes neither ``charge_path`` nor
-        ``charge_drop`` (nothing to replay).
-        """
-        handlers = {}
-        for event in ("charge_path", "charge_drop"):
-            impl = getattr(type(sink), event, None)
-            if impl is None or impl is getattr(MetricsSink, event):
-                handlers[event] = None
-            else:
-                handlers[event] = getattr(sink, event)
-        if handlers["charge_path"] is None and handlers["charge_drop"] is None:
-            return None
-        return _batch_unroll(handlers["charge_path"], handlers["charge_drop"])
 
     # -- lifecycle ----------------------------------------------------------
     def reset(self) -> None:

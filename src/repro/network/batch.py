@@ -20,7 +20,10 @@ rule, :meth:`~repro.joins.executor.JoinExecutor._block_length`).
   it, however many cycles the block spans,
 * :class:`PathBatch` -- the payload of the pipeline's ``charge_paths_batch``
   event that flush emits: one event carries every hop charged in a block,
-  with a per-hop message count.
+  with a per-hop message count and, on lossy links, per-hop attempts.  It
+  is the kernel's only charge representation: there is no per-path replay,
+  so every sink that takes charges handles this event (the pipeline
+  rejects one that does not).
 
 Lossy links keep blocks at one cycle: verdicts are drawn per ship, in ship
 order, and later ships depend on them.  Dead nodes and queue bounds keep a
@@ -40,7 +43,7 @@ Bit-identity with the per-tuple reference path rests on two facts:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,19 +101,15 @@ class PathBatch:
     transmission (perfect links), and multiplies transmitted units only.
     ``drops`` counts link-loss message drops.  :meth:`CycleBatcher.flush` is
     the only producer: sinks charge from the hop arrays with one
-    ``np.bincount`` body.
-
-    :meth:`iter_records` exposes the per-path view -- the exact
-    ``charge_path`` / ``charge_drop`` call sequence the per-tuple reference
-    would have made -- so sinks that never implemented the batch event are
-    replayed losslessly by the pipeline's unroll adapter.
+    ``np.bincount`` body, which sums to exactly what the per-path
+    ``charge_path`` / ``charge_drop`` calls of the per-tuple reference would.
     """
 
     __slots__ = ("senders", "receivers", "sizes", "counts", "attempts",
-                 "kind_codes", "kinds", "drops", "_record_groups")
+                 "kind_codes", "kinds", "drops")
 
     def __init__(self, senders, receivers, sizes, counts, attempts, kind_codes,
-                 kinds, drops, record_groups) -> None:
+                 kinds, drops) -> None:
         self.senders = senders
         self.receivers = receivers
         self.sizes = sizes
@@ -119,70 +118,28 @@ class PathBatch:
         self.kind_codes = kind_codes
         self.kinds = kinds
         self.drops = drops
-        self._record_groups = record_groups
-
-    def iter_records(self) -> Iterator[Tuple[Any, int, MessageKind,
-                                             Optional[np.ndarray],
-                                             Optional[int], bool]]:
-        """Per-path ``(path, size_bytes, kind, attempts, num_hops, dropped)``.
-
-        Mirrors the reference call sequence exactly: a delivered path is
-        ``charge_path(path, size, kind, attempts=attempts)`` (``attempts``
-        ``None`` on perfect links), a dropped one is ``charge_path(...,
-        num_hops=first_failed_hop + 1)`` followed by ``charge_drop()``.
-        """
-        for kind, size_bytes, records in self._record_groups:
-            for entry in records:
-                if type(entry) is _EdgeBlock or type(entry) is _RouteBlock:
-                    yield from entry.iter_records(size_bytes, kind)
-                    continue
-                path, attempts, num_hops, dropped = entry
-                yield path, size_bytes, kind, attempts, num_hops, dropped
 
 
-class _EdgeBlock:
-    """A block of single-hop tree edges shipped in one batched draw.
+class _HopBlock:
+    """Hops shipped as arrays rather than path by path: one multicast
+    tree's single-hop edges (:meth:`CycleBatcher.ship_edges`), or the routes
+    of a :class:`RouteHops` table some messages crossed
+    (:meth:`CycleBatcher.ship_routes`).
 
-    Multicast trees ship every (parent, child) edge as its own one-hop path;
-    a block keeps the whole tree's edges as flat arrays instead of one
-    record per edge.  ``attempts`` / ``failed`` are ``None`` on perfect
-    links; on lossy links every edge still charges its single hop (the
-    charged prefix of a one-hop path is always that hop), so no masking is
-    needed -- only the drop count and per-edge verdicts differ.
+    ``counts`` is how many messages crossed each hop (``None``: one each);
+    ``attempts`` is the per-hop transmission count, ignored on perfect
+    links.
     """
 
-    __slots__ = ("senders", "receivers", "attempts", "failed")
-
-    #: one message per edge
-    counts = None
+    __slots__ = ("senders", "receivers", "counts", "attempts")
 
     def __init__(self, senders: np.ndarray, receivers: np.ndarray,
-                 attempts: Optional[np.ndarray],
-                 failed: Optional[np.ndarray]) -> None:
+                 counts: Optional[np.ndarray],
+                 attempts: Optional[np.ndarray]) -> None:
         self.senders = senders
         self.receivers = receivers
+        self.counts = counts
         self.attempts = attempts
-        self.failed = failed
-
-    def iter_records(self, size_bytes: int, kind: MessageKind) -> Iterator[
-            Tuple[Any, int, MessageKind, Optional[np.ndarray],
-                  Optional[int], bool]]:
-        """Expand into the per-edge reference call sequence (edge order)."""
-        senders = self.senders
-        receivers = self.receivers
-        attempts = self.attempts
-        if attempts is None:
-            for i in range(senders.size):
-                yield ((int(senders[i]), int(receivers[i])), size_bytes, kind,
-                       None, None, False)
-            return
-        failed = self.failed
-        for i in range(senders.size):
-            path = (int(senders[i]), int(receivers[i]))
-            if failed[i]:
-                yield path, size_bytes, kind, attempts[i:i + 1], 1, True
-            else:
-                yield path, size_bytes, kind, attempts[i:i + 1], None, False
 
 
 class RouteHops:
@@ -196,10 +153,9 @@ class RouteHops:
     family when they (re)build their routes.
     """
 
-    __slots__ = ("routes", "senders", "receivers", "route_of_hop")
+    __slots__ = ("senders", "receivers", "route_of_hop")
 
     def __init__(self, routes: Sequence[Sequence[Sequence[int]]]) -> None:
-        self.routes = routes
         senders: List[int] = []
         receivers: List[int] = []
         owners: List[int] = []
@@ -215,51 +171,18 @@ class RouteHops:
         self.route_of_hop = np.array(owners, dtype=np.int64)
 
 
-class _RouteBlock:
-    """The hops of :class:`RouteHops` routes some messages crossed: the
-    flat arrays of the routes with a nonzero count, and per hop how many
-    messages crossed it."""
-
-    __slots__ = ("senders", "receivers", "counts", "_routes", "_route_counts")
-
-    #: perfect links only
-    attempts = None
-
-    def __init__(self, table: RouteHops, route_counts: np.ndarray) -> None:
-        counts = route_counts[table.route_of_hop]
-        used = counts > 0
-        self.senders = table.senders[used]
-        self.receivers = table.receivers[used]
-        self.counts = counts[used]
-        self._routes = table.routes
-        self._route_counts = route_counts
-
-    def iter_records(self, size_bytes: int, kind: MessageKind) -> Iterator[
-            Tuple[Any, int, MessageKind, Optional[np.ndarray],
-                  Optional[int], bool]]:
-        """Each route's paths, once per message, route by route."""
-        for route in np.flatnonzero(self._route_counts).tolist():
-            paths = [path for path in self._routes[route] if len(path) > 1]
-            for _ in range(int(self._route_counts[route])):
-                for path in paths:
-                    yield path, size_bytes, kind, None, None, False
-
-
 class _BatchGroup:
     """Accumulated hops for one (kind, size) combination within a block."""
 
-    __slots__ = ("senders", "receivers", "attempts", "records", "drops",
-                 "edge_parts")
+    __slots__ = ("senders", "receivers", "attempts", "drops", "blocks")
 
     def __init__(self) -> None:
         self.senders: List[int] = []
         self.receivers: List[int] = []
         self.attempts: List[int] = []
-        self.records: List[Any] = []
         self.drops = 0
-        #: _EdgeBlock / _RouteBlock instances folded into the flat arrays
-        #: at flush time
-        self.edge_parts: List[Any] = []
+        #: _HopBlock instances folded into the flat arrays at flush time
+        self.blocks: List[_HopBlock] = []
 
 
 class CycleBatcher:
@@ -304,20 +227,17 @@ class CycleBatcher:
         if self.lossless:
             group.senders.extend(path[:hops])
             group.receivers.extend(path[1:])
-            group.records.append((path, None, None, False))
             return True
         delivered, attempts = self.links.attempt_hops(hops)
         if delivered.all():
             group.senders.extend(path[:hops])
             group.receivers.extend(path[1:])
             group.attempts.extend(attempts.tolist())
-            group.records.append((path, attempts, None, False))
             return True
         charged = int(np.argmax(~delivered)) + 1
         group.senders.extend(path[:charged])
         group.receivers.extend(path[1:charged + 1])
         group.attempts.extend(attempts[:charged].tolist())
-        group.records.append((path, attempts, charged, True))
         group.drops += 1
         return False
 
@@ -331,20 +251,6 @@ class CycleBatcher:
         n = len(paths)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        if self.lossless:
-            group = None
-            for path in paths:
-                hops = len(path) - 1
-                if hops <= 0:
-                    continue
-                if group is None:
-                    # Created lazily so an all-zero-hop call leaves no empty
-                    # group behind (a shipless cycle must emit no event).
-                    group = self._group(kind, size_bytes)
-                group.senders.extend(path[:hops])
-                group.receivers.extend(path[1:])
-                group.records.append((path, None, None, False))
-            return np.ones(n, dtype=bool)
         lens = np.fromiter(
             (len(path) - 1 for path in paths), count=n, dtype=np.int64
         )
@@ -355,27 +261,17 @@ class CycleBatcher:
         group = self._group(kind, size_bytes)
         senders = group.senders
         receivers = group.receivers
-        records = group.records
+        att_list = group.attempts
         delivered_hops, attempts = self.links.attempt_hops_batch(lens)
         delivered, charged, starts = _segment_outcomes(lens, delivered_hops)
-        att_list = group.attempts
-        drops = 0
         for index, path in enumerate(paths):
-            hops = int(lens[index])
-            if hops == 0:
-                continue
-            start = int(starts[index])
-            per_path = attempts[start:start + hops]
             span = int(charged[index])
-            senders.extend(path[:span])
-            receivers.extend(path[1:span + 1])
-            att_list.extend(per_path[:span].tolist())
-            if delivered[index]:
-                records.append((path, per_path, None, False))
-            else:
-                records.append((path, per_path, span, True))
-                drops += 1
-        group.drops += drops
+            if span:
+                start = int(starts[index])
+                senders.extend(path[:span])
+                receivers.extend(path[1:span + 1])
+                att_list.extend(attempts[start:start + span].tolist())
+        group.drops += n - int(np.count_nonzero(delivered))
         return delivered
 
     def ship_edges(self, senders: np.ndarray, receivers: np.ndarray,
@@ -397,20 +293,12 @@ class CycleBatcher:
         n = int(senders.size)
         if n == 0:
             return np.zeros(0, dtype=bool)
-        group = self._group(kind, size_bytes)
-        if self.lossless:
-            block = _EdgeBlock(senders, receivers, None, None)
-            group.edge_parts.append(block)
-            group.records.append(block)
-            return np.ones(n, dtype=bool)
         delivered, attempts = self.links.attempt_hops_batch(
             np.ones(n, dtype=np.int64)
         )
-        failed = ~delivered
-        block = _EdgeBlock(senders, receivers, attempts, failed)
-        group.edge_parts.append(block)
-        group.records.append(block)
-        group.drops += int(np.count_nonzero(failed))
+        group = self._group(kind, size_bytes)
+        group.blocks.append(_HopBlock(senders, receivers, None, attempts))
+        group.drops += n - int(np.count_nonzero(delivered))
         return delivered
 
     def ship_routes(self, table: RouteHops, counts: np.ndarray,
@@ -425,12 +313,12 @@ class CycleBatcher:
         counts = np.asarray(counts, dtype=np.int64)
         if not table.senders.size or not counts.any():
             return
-        block = _RouteBlock(table, counts)
-        if not block.senders.size:
+        per_hop = counts[table.route_of_hop]
+        used = per_hop > 0
+        if not used.any():
             return
-        group = self._group(kind, size_bytes)
-        group.edge_parts.append(block)
-        group.records.append(block)
+        self._group(kind, size_bytes).blocks.append(_HopBlock(
+            table.senders[used], table.receivers[used], per_hop[used], None))
 
     # -- flushing -----------------------------------------------------------
     def flush(self) -> None:
@@ -455,19 +343,18 @@ class CycleBatcher:
         attempt_parts: List[np.ndarray] = []
         code_parts: List[np.ndarray] = []
         kinds: List[MessageKind] = []
-        record_groups: List[Tuple] = []
         drops = 0
+        # Every group holds at least one hop: each ship method creates its
+        # group only once it has a hop to charge.
         for (kind, size_bytes), group in groups.items():
             scalar_count = len(group.senders)
             count = scalar_count + sum(
-                block.senders.size for block in group.edge_parts
+                block.senders.size for block in group.blocks
             )
-            if count == 0:
-                continue
             code = len(kinds)
             kinds.append(kind)
-            # Within a group the flat hop order is free (hop charges are
-            # aggregated order-independently); replay order lives in records.
+            # Within a group the flat hop order is free: hop charges are
+            # aggregated order-independently.
             if scalar_count:
                 sender_parts.append(np.asarray(group.senders, dtype=np.int64))
                 receiver_parts.append(
@@ -478,7 +365,7 @@ class CycleBatcher:
                     attempt_parts.append(
                         np.asarray(group.attempts, dtype=np.int64)
                     )
-            for block in group.edge_parts:
+            for block in group.blocks:
                 sender_parts.append(block.senders)
                 receiver_parts.append(block.receivers)
                 if block.counts is None:
@@ -490,10 +377,7 @@ class CycleBatcher:
                     attempt_parts.append(block.attempts)
             size_parts.append(np.full(count, float(size_bytes)))
             code_parts.append(np.full(count, code, dtype=np.int64))
-            record_groups.append((kind, size_bytes, group.records))
             drops += group.drops
-        if not kinds:
-            return
         if counted:
             count_parts = [
                 np.ones(part, dtype=np.int64) if type(part) is int else part
@@ -506,7 +390,6 @@ class CycleBatcher:
                 counts=count_parts[0] if counted else None,
                 attempts=attempt_parts[0] if attempt_parts else None,
                 kind_codes=code_parts[0], kinds=tuple(kinds), drops=drops,
-                record_groups=record_groups,
             )
         else:
             batch = PathBatch(
@@ -518,6 +401,5 @@ class CycleBatcher:
                           if attempt_parts else None),
                 kind_codes=np.concatenate(code_parts),
                 kinds=tuple(kinds), drops=drops,
-                record_groups=record_groups,
             )
         self.simulator.pipeline.charge_paths_batch(batch)

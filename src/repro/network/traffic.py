@@ -180,10 +180,13 @@ class TrafficStats:
         """Array-level charge of a whole block's paths (batch kernel).
 
         Equivalent to the per-path :meth:`charge_path` / :meth:`charge_drop`
-        sequence the batch's records describe: per-node counts accumulate via
-        ``np.bincount`` into the pending arrays, per-kind and message
-        counters update from the same weights.  Bit-identical because every
-        addend is an integer-valued float.
+        calls the per-tuple reference makes for the same ships: each charged
+        hop is weighted by its message count (``batch.counts``) and, for
+        transmissions, its link attempts (``batch.attempts``); per-node
+        counts accumulate via ``np.bincount`` into the pending arrays, and
+        per-kind and message counters update from the same weights.
+        ``batch.drops`` adds to the dropped messages.  Bit-identical because
+        every addend is an integer-valued float.
         """
         senders = batch.senders
         if senders.size:

@@ -101,7 +101,8 @@ class SyntheticDataSource:
         Per-node overrides for the spatial-skew experiment (Section 6.1).
     switch_cycle / switched:
         If set, from ``switch_cycle`` onwards the ``switched`` data source's
-        parameters take over (temporal-drift experiment).
+        parameters take over (temporal-drift experiment).  ``switched`` may
+        switch again: a phase schedule chains its regimes this way.
     """
 
     sigma_st: float = 0.2
@@ -121,13 +122,26 @@ class SyntheticDataSource:
 
     # ------------------------------------------------------------------
     def _effective(self, cycle: int) -> "SyntheticDataSource":
-        if (
-            self.switch_cycle is not None
-            and self.switched is not None
-            and cycle >= self.switch_cycle
-        ):
-            return self.switched
-        return self
+        """The source whose regime *cycle* falls in: the chain of
+        ``switched`` sources followed past every switch at or before it."""
+        source = self
+        while (source.switched is not None and source.switch_cycle is not None
+               and cycle >= source.switch_cycle):
+            source = source.switched
+        return source
+
+    def next_switch(self, cycle: int) -> Optional[int]:
+        """The first cycle after *cycle* at which :meth:`_effective` changes
+        source, anywhere along the chain; ``None`` when none follows."""
+        source, boundary = self, None
+        while source.switched is not None and source.switch_cycle is not None:
+            # a later regime cannot start before the one it follows
+            if boundary is None or source.switch_cycle > boundary:
+                boundary = source.switch_cycle
+            if boundary > cycle:
+                return boundary
+            source = source.switched
+        return None
 
     def send_probability_for(self, node_id: int) -> float:
         return self.per_node_send_probability.get(node_id, self.send_probability)
@@ -155,17 +169,15 @@ class SyntheticDataSource:
         range one ``[cycle, node]`` array, holding exactly the values
         :meth:`sample` would return for each cycle and entry of *node_ids*
         (the SplitMix64 draws are computed batched with 64-bit wrapping
-        arithmetic, a block in one pass; a block that crosses
-        ``switch_cycle`` is drawn in two).  Callers must not mutate the
-        arrays.
+        arithmetic, a block in one pass; a block that crosses switches is
+        drawn in one part per regime).  Callers must not mutate the arrays.
         """
         if isinstance(cycles, int):
             column = np.array([[cycles & _MASK64]], dtype=np.uint64)
             return {a: values[0] for a, values in
                     self._effective(cycles)._columns(node_ids, column).items()}
-        switch = self.switch_cycle
-        if (self.switched is not None and switch is not None
-                and cycles.start < switch < cycles.stop):
+        switch = self.next_switch(cycles.start)
+        if switch is not None and switch < cycles.stop:
             early = self.sample_columns(node_ids, range(cycles.start, switch))
             late = self.sample_columns(node_ids, range(switch, cycles.stop))
             return {a: np.concatenate([early[a], late[a]]) for a in early}

@@ -6,7 +6,8 @@ run's report must not depend on it -- the same ``run(N)`` is compared three
 ways: blocks (the default), the kernel one cycle at a time (the
 ``per_cycle_kernel`` fixture) and per-tuple cycles (``per_tuple_cycles``).
 The runs cover several learning check and reset cycles and a switch of
-the data source mid-run, both block boundaries.
+the data source mid-run, both block boundaries, and a schedule of three
+regimes, whose second switch sits one level down the chain of sources.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from tests.joins.conftest import make_workload
 
 CYCLES = 30
 SWITCH_CYCLE = 13
+THIRD_REGIME_CYCLE = 21
 ALGORITHMS = ("naive", "base", "ght", "innet", "innet-cmg", "innet-cmpg",
               "yang07", "innet-learn")
 ASSUMED = Selectivities(0.5, 0.5, 0.2)
@@ -38,12 +40,16 @@ def topology(request):
     return topo
 
 
-def _run(topology, algorithm, accounting):
+def _run(topology, algorithm, accounting, third_regime=False):
     query = build_query1()
     source = make_workload(topology, query, ASSUMED, seed=5)
     source.switch_cycle = SWITCH_CYCLE
     source.switched = make_workload(topology, query, Selectivities(0.8, 0.3, 0.5),
                                     seed=6)
+    if third_regime:
+        source.switched.switch_cycle = THIRD_REGIME_CYCLE
+        source.switched.switched = make_workload(
+            topology, query, Selectivities(1.0, 1.0, 0.1), seed=7)
     kwargs = ({"adaptive_policy": AdaptivePolicy(check_interval=4, reset_interval=10,
                                                  min_cycles=4)}
               if algorithm.endswith("learn") else {})
@@ -82,3 +88,31 @@ def test_blocks_one_cycle_and_per_tuple_reports_are_equal(
         starts |= {cycle + 1 for cycle in range(1, CYCLES - 1)
                    if cycle % 4 == 0 or cycle % 10 == 0}
     assert blocked_flushes == len(starts)
+
+
+@pytest.mark.parametrize("algorithm", ("naive", "ght", "innet-cmg", "yang07"))
+def test_every_regime_of_a_chained_schedule_starts_a_block(
+    topology, algorithm, per_cycle_kernel, per_tuple_cycles, monkeypatch
+):
+    """A block ends at each switch of a three-regime data source, the
+    nested one included, and the blocked run equals one-cycle kernel steps
+    and per-tuple cycles."""
+    starts = []
+    step_cycle = JoinExecutor.step_cycle
+
+    def recorded(self, cycle, cycles=1):
+        starts.append(cycle)
+        step_cycle(self, cycle, cycles)
+    monkeypatch.setattr(JoinExecutor, "step_cycle", recorded)
+
+    blocks = _run(topology, algorithm, TrafficAccounting.BYTES, third_regime=True)
+    assert starts == [0, SWITCH_CYCLE, THIRD_REGIME_CYCLE]
+    with per_cycle_kernel():
+        one_cycle = _run(topology, algorithm, TrafficAccounting.BYTES,
+                         third_regime=True)
+    with per_tuple_cycles():
+        per_tuple = _run(topology, algorithm, TrafficAccounting.BYTES,
+                         third_regime=True)
+    assert blocks.results_produced > 0
+    assert blocks == one_cycle == per_tuple
+    assert blocks != _run(topology, algorithm, TrafficAccounting.BYTES)

@@ -4,11 +4,16 @@ import pytest
 
 from repro.core import Selectivities
 from repro.core.adaptive import AdaptivePolicy
+from repro.engine.registry import make_strategy
 from repro.joins import InnetJoin, InnetVariant, JoinExecutor, NaiveJoin
 from repro.network.failures import FailureInjector
+from repro.network.traffic import TrafficAccounting
 from repro.workloads import build_query0
 
 from tests.joins.conftest import make_workload, run_strategy
+
+#: the failure cycle of the kernel-premise runs
+FAIL_AT = 17
 
 
 class TestVariantLabels:
@@ -182,6 +187,48 @@ class TestFailureHandling:
         assert report.results_produced >= 0
         assert not executor.topology.nodes[victim].alive
 
+
+    @pytest.mark.parametrize("topo_name", ["topo_small", "topo100"])
+    @pytest.mark.parametrize("algorithm", ["innet", "innet-cmg"])
+    def test_no_kernel_cycle_at_or_after_the_first_failure(
+        self, request, topo_name, algorithm, monkeypatch
+    ):
+        """A pair recovers only after a node fails, and the executor runs no
+        cycle on the batch kernel from the first failure cycle on -- so
+        ``execute_cycle_batch`` never sees a recovering pair."""
+        topo = request.getfixturevalue(topo_name)
+        sel = Selectivities(1.0, 1.0, 0.2)
+        # the node farthest from the base and one two hops from it: a pair
+        # that joins in-network
+        base = topo.base_id
+        ids = sorted(n for n in topo.node_ids if n != base)
+        far = max(ids, key=lambda n: (len(topo.shortest_path(n, base)), -n))
+        near = next(n for n in ids if len(topo.shortest_path(far, n)) == 3)
+        query = build_query0(source_id=far, target_id=near)
+        data_source = make_workload(topo, query, sel)
+        scout = make_strategy(algorithm)
+        JoinExecutor(query, topo.copy(), data_source, scout, sel).initiate()
+        pair = scout.plan.pairs()[0]
+        join_node = scout.plan.decision_for(pair).join_node
+        assert join_node != base
+        injector = FailureInjector()
+        injector.schedule(join_node, sampling_cycle=FAIL_AT)
+
+        blocks = []
+        batch = InnetJoin.execute_cycle_batch
+
+        def recorded(self, ctx, cycles, batcher):
+            blocks.append((cycles, bool(self._recovering)))
+            batch(self, ctx, cycles, batcher)
+        monkeypatch.setattr(InnetJoin, "execute_cycle_batch", recorded)
+        strategy = make_strategy(algorithm)
+        JoinExecutor(query, topo.copy(), data_source, strategy, sel,
+                     accounting=TrafficAccounting.BYTES,
+                     failure_injector=injector).run(40)
+        assert blocks and blocks[-1][0].stop == FAIL_AT
+        assert not any(recovering for _, recovering in blocks)
+        # the failure did put the pair through recovery
+        assert strategy.plan.decision_for(pair).at_base
 
 class TestLearningBookkeeping:
     def test_plan_is_scanned_only_on_cycles_that_re_place_a_pair(

@@ -43,6 +43,9 @@ class RecordingSink(MetricsSink):
     def charge_path(self, path, size_bytes, kind, attempts=None, num_hops=None):
         self.events.append(("path", tuple(path), size_bytes))
 
+    def charge_paths_batch(self, batch):
+        self.events.append(("batch", batch.senders.size, batch.drops))
+
     def charge_drop(self, queue_drop=False):
         self.events.append(("drop", queue_drop))
 

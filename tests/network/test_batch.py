@@ -9,7 +9,8 @@ compares a batched execution against a freshly-seeded per-tuple run.
 import numpy as np
 import pytest
 
-from repro.metrics.pipeline import MetricsSink
+from repro.metrics import EnergySink, HotspotSink
+from repro.metrics.pipeline import MetricsPipeline, MetricsSink
 from repro.network.batch import CycleBatcher, _segment_outcomes
 from repro.network.links import lossy_links, perfect_links
 from repro.network.message import MessageKind
@@ -220,21 +221,6 @@ class TestShipEdges:
         assert edge_out.tolist() == edge_expected
         assert _traffic_view(batched) == _traffic_view(reference)
 
-    def test_replay_reproduces_reference_calls_for_edge_blocks(self):
-        """Sinks without a batch handler see per-edge charges in order."""
-        batched_sink = TestUnrollAdapter.Recorder()
-        reference_sink = TestUnrollAdapter.Recorder()
-        batched = _sim(loss=0.35, seed=23, sinks=[batched_sink])
-        reference = _sim(loss=0.35, seed=23, sinks=[reference_sink])
-        senders, receivers = self._edges(batched, count=8)
-        batcher = CycleBatcher(batched)
-        batcher.ship_edges(senders, receivers, 18, MessageKind.DATA)
-        batcher.flush()
-        for s, r in zip(senders, receivers):
-            reference.transfer((int(s), int(r)), 18, MessageKind.DATA)
-        assert batched_sink.calls == reference_sink.calls
-        assert _traffic_view(batched) == _traffic_view(reference)
-
     def test_empty_edge_call_ships_nothing(self):
         simulator = _sim(loss=0.4, seed=6)
         batcher = CycleBatcher(simulator)
@@ -287,38 +273,47 @@ class TestShiplessCycle:
             assert simulator.links.attempt_hop() == fresh.attempt_hop()
 
 
-class TestUnrollAdapter:
-    """Sinks without a native batch handler observe replayed charges."""
+class TestOneChargeEvent:
+    """The batch event is the kernel's only charge: there is no per-path
+    replay, so a sink must take it to see kernel charges at all."""
 
-    class Recorder(MetricsSink):
-        name = "recorder"
-
-        def __init__(self):
-            self.calls = []
-
-        def charge_path(self, path, size_bytes, kind,
-                        attempts=None, num_hops=None):
-            self.calls.append((
-                tuple(path), size_bytes, kind,
-                tuple(attempts.tolist()) if attempts is not None else None,
-                num_hops,
-            ))
-
-        def charge_drop(self, queue_drop=False):
-            self.calls.append(("drop", queue_drop))
+    @pytest.mark.parametrize("event", ["charge_path", "charge_drop"])
+    def test_add_sink_rejects_a_per_path_only_sink(self, event):
+        per_path_only = type("PerPathOnly", (MetricsSink,), {
+            event: lambda self, *args, **kwargs: None,
+        })
+        with pytest.raises(TypeError, match="PerPathOnly"):
+            MetricsPipeline([per_path_only()])
+        simulator = _sim()
+        with pytest.raises(TypeError, match="charge_paths_batch"):
+            simulator.add_sink(per_path_only())
+        assert simulator.pipeline.sinks == [simulator.stats]
 
     @pytest.mark.parametrize("loss", [0.0, 0.35])
-    def test_replay_reproduces_reference_call_sequence(self, loss):
-        batched_sink = self.Recorder()
-        reference_sink = self.Recorder()
-        batched = _sim(loss=loss, seed=21, sinks=[batched_sink])
-        reference = _sim(loss=loss, seed=21, sinks=[reference_sink])
+    def test_batched_ships_charge_what_transfer_charges(self, loss):
+        """Paths and multicast edges shipped through the batcher charge the
+        traffic stats and the observational sinks exactly as the per-path
+        ``transfer`` calls they stand for."""
+        batched = _sim(loss=loss, seed=21, sinks=[EnergySink(), HotspotSink()])
+        reference = _sim(loss=loss, seed=21,
+                         sinks=[EnergySink(), HotspotSink()])
         paths = _paths(batched)
+        senders, receivers = TestShipEdges._edges(batched, count=8)
         batcher = CycleBatcher(batched)
-        for path in paths:
-            batcher.ship(path, 18, MessageKind.DATA)
+        verdicts = [batcher.ship(path, 18, MessageKind.DATA)
+                    for path in paths[:12]]
+        verdicts += batcher.ship_edges(senders, receivers, 18,
+                                       MessageKind.DATA).tolist()
+        verdicts += [batcher.ship(path, 9, MessageKind.RESULT)
+                     for path in paths[12:]]
         batcher.flush()
-        for path in paths:
-            reference.transfer(path, 18, MessageKind.DATA)
-        assert batched_sink.calls == reference_sink.calls
+        expected = [reference.transfer(path, 18, MessageKind.DATA)
+                    for path in paths[:12]]
+        expected += [reference.transfer((int(s), int(r)), 18, MessageKind.DATA)
+                     for s, r in zip(senders, receivers)]
+        expected += [reference.transfer(path, 9, MessageKind.RESULT)
+                     for path in paths[12:]]
+        assert verdicts == expected
         assert _traffic_view(batched) == _traffic_view(reference)
+        assert batched.pipeline.summaries() == reference.pipeline.summaries()
+        assert batched.pipeline.node_series() == reference.pipeline.node_series()

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Selectivities
+from repro.engine.workload import build_phased_workload
 from repro.network.topology import grid_topology, random_topology
 from repro.query.analysis import EqualityRouting, RegionRouting, analyze_query
 from repro.query.parser import parse_query
@@ -299,6 +301,38 @@ class TestSyntheticDataSource:
             assert [{a: int(block[a][step][i]) for a in block}
                     for i in range(len(nodes))] == [source.sample(n, cycle) for n in nodes]
 
+
+    def test_a_three_regime_schedule_samples_every_regime(self, topo):
+        """A phase schedule chains its regimes as nested ``switched``
+        sources.  Every cycle samples its own regime -- one cycle at a
+        time, and in a block of columns that crosses both switches -- and
+        ``next_switch`` names each regime's first cycle."""
+        query = build_query1()
+        schedule = [(0, Selectivities(0.5, 0.5, 0.2)),
+                    (10, Selectivities(0.05, 0.05, 0.5)),
+                    (20, Selectivities(1.0, 1.0, 0.1))]
+        source = build_phased_workload(topo, query, schedule, seed=4)
+        alone = [build_phased_workload(topo, query, [(0, sel)], seed=4 + k)
+                 for k, (_, sel) in enumerate(schedule)]
+
+        def regime(cycle):
+            return alone[sum(cycle >= start for start, _ in schedule) - 1]
+
+        nodes = topo.node_ids
+        assert [source.next_switch(c) for c in (0, 9, 10, 19, 20, 40)] == [
+            10, 10, 20, 20, None, None]
+        block = source.sample_columns(nodes, range(5, 30))
+        for cycle in range(5, 30):
+            expected = [regime(cycle).sample(n, cycle) for n in nodes]
+            assert [source.sample(n, cycle) for n in nodes] == expected
+            one = source.sample_columns(nodes, cycle)
+            for attribute, column in regime(cycle).sample_columns(nodes, cycle).items():
+                assert one[attribute].tolist() == column.tolist()
+                assert block[attribute][cycle - 5].tolist() == column.tolist()
+        # the third regime sends on every eligible node
+        senders = [n for n in nodes if alone[2].send_probability_for(n) == 1.0]
+        assert senders
+        assert all(source.sample(n, 25)["adc0"] < SEND_THRESHOLD for n in senders)
 
 class TestIntelWorkload:
     def test_workload_components(self):
