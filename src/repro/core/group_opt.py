@@ -30,8 +30,7 @@ from typing import (
 
 from repro.core.cost_model import Selectivities, group_cost_difference
 from repro.core.placement import PlacementDecision
-from repro.network.message import MessageKind, MessageSizes
-from repro.network.simulator import NetworkSimulator
+from repro.network.message import MessageKind, MessageSizes, Ship
 
 Pair = Tuple[int, int]
 
@@ -305,11 +304,12 @@ class GroupOptimizer:
         placements: Mapping[Pair, PlacementDecision],
         selectivities: Selectivities,
         window_size: int,
-        simulator: Optional[NetworkSimulator] = None,
+        ship: Optional[Ship] = None,
         report_from: Optional[Set[int]] = None,
         previous_decision: Optional[bool] = None,
     ) -> GroupDecision:
-        """Run Algorithm 1 for one group, optionally charging its traffic.
+        """Run Algorithm 1 for one group; with *ship*, its cost reports and
+        decision messages are sent through it.
 
         ``report_from`` limits the producers that send an (updated) cost
         difference to the coordinator -- Algorithm 1 only sends ``Delta C_p``
@@ -329,7 +329,7 @@ class GroupOptimizer:
             # A node may appear on both sides of an m:n self-join; accumulate.
             per_producer[producer] = per_producer.get(producer, 0.0) + delta
 
-        if simulator is not None:
+        if ship is not None:
             report_size = self.sizes.control(num_fields=2)
             reporters = per_producer if report_from is None else (
                 set(per_producer) & set(report_from)
@@ -337,11 +337,8 @@ class GroupOptimizer:
             for producer in sorted(reporters):
                 if producer == coordinator:
                     continue
-                simulator.transfer(
-                    self.route_between(producer, coordinator),
-                    report_size,
-                    MessageKind.COST_REPORT,
-                )
+                ship(self.route_between(producer, coordinator), report_size,
+                     MessageKind.COST_REPORT)
 
         total_delta = sum(per_producer.values())
         use_innet = total_delta < 0.0
@@ -354,18 +351,15 @@ class GroupOptimizer:
             sequence=self._sequence,
         )
 
-        if simulator is not None and (
+        if ship is not None and (
             previous_decision is None or previous_decision != use_innet
         ):
             decision_size = self.sizes.control(num_fields=3)
             for producer in per_producer:
                 if producer == coordinator:
                     continue
-                simulator.transfer(
-                    self.route_between(coordinator, producer),
-                    decision_size,
-                    MessageKind.DECISION,
-                )
+                ship(self.route_between(coordinator, producer), decision_size,
+                     MessageKind.DECISION)
         return decision
 
     def apply_decision(

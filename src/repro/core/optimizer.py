@@ -16,8 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.cost_model import Selectivities
 from repro.core.group_opt import GroupDecision, GroupOptimizer, build_groups
 from repro.core.placement import PlacementDecision, best_placement, nomination_traffic
-from repro.network.message import MessageSizes
-from repro.network.simulator import NetworkSimulator
+from repro.network.message import MessageSizes, Ship
 from repro.routing.multitree import MultiTreeSubstrate, PairPath
 
 Pair = Tuple[int, int]
@@ -92,9 +91,10 @@ class PairwiseOptimizer:
         self,
         candidate_paths: Mapping[Pair, Sequence[PairPath]],
         selectivities: Mapping[Pair, Selectivities],
-        simulator: Optional[NetworkSimulator] = None,
+        ship: Optional[Ship] = None,
     ) -> JoinPlan:
-        """Pairwise placement for every pair with discovered paths."""
+        """Pairwise placement for every pair with discovered paths; with
+        *ship*, each pair's nominations are sent through it."""
         plan = JoinPlan()
         for pair, paths in candidate_paths.items():
             if not paths:
@@ -103,8 +103,8 @@ class PairwiseOptimizer:
             decision = best_placement(
                 list(paths), assumed, self.window_size, self._base_path_of, self.base_id
             )
-            if simulator is not None:
-                nomination_traffic(simulator, decision, self.sizes)
+            if ship is not None:
+                nomination_traffic(ship, decision, self.sizes)
             plan.assignments[pair] = PairAssignment(
                 decision=decision, assumed=assumed, candidate_paths=list(paths)
             )
@@ -114,9 +114,10 @@ class PairwiseOptimizer:
         self,
         plan: JoinPlan,
         selectivities: Mapping[Pair, Selectivities],
-        simulator: Optional[NetworkSimulator] = None,
+        ship: Optional[Ship] = None,
     ) -> JoinPlan:
-        """Run GROUPOPT over the plan, rewriting grouped pairs if needed."""
+        """Run GROUPOPT over the plan, rewriting grouped pairs if needed;
+        with *ship*, cost reports and decisions are sent through it."""
         pairs = plan.pairs()
         if not pairs:
             return plan
@@ -130,7 +131,7 @@ class PairwiseOptimizer:
         for group in groups:
             group_sel = _representative_selectivities(group.pairs, selectivities)
             decision = optimizer.decide_group(
-                group, placements, group_sel, self.window_size, simulator=simulator
+                group, placements, group_sel, self.window_size, ship=ship
             )
             plan.group_decisions.append(decision)
             optimizer.apply_decision(
@@ -145,13 +146,12 @@ class PairwiseOptimizer:
         plan: JoinPlan,
         pair: Pair,
         new_selectivities: Selectivities,
-        simulator: Optional[NetworkSimulator] = None,
-        charge_nomination: bool = True,
     ) -> PlacementDecision:
         """Re-place one pair's join node using fresh selectivity estimates.
 
         Used by the adaptive executor (Section 6) when the learned estimates
-        diverge from the assumed ones.
+        diverge from the assumed ones.  It sends nothing: the caller
+        nominates the pairs whose join node actually moved.
         """
         assignment = plan.assignments[pair]
         if not assignment.candidate_paths:
@@ -163,8 +163,6 @@ class PairwiseOptimizer:
             self._base_path_of,
             self.base_id,
         )
-        if simulator is not None and charge_nomination:
-            nomination_traffic(simulator, decision, self.sizes)
         assignment.decision = decision
         assignment.assumed = new_selectivities
         return decision

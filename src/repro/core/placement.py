@@ -18,8 +18,7 @@ from repro.core.cost_model import (
     innet_pair_cost,
     pair_at_base_cost,
 )
-from repro.network.message import MessageKind, MessageSizes
-from repro.network.simulator import NetworkSimulator
+from repro.network.message import MessageKind, MessageSizes, Ship
 from repro.routing.multitree import PairPath
 
 
@@ -152,11 +151,11 @@ def best_placement(
 
 
 def nomination_traffic(
-    simulator: NetworkSimulator,
+    ship: Ship,
     decision: PlacementDecision,
     sizes: Optional[MessageSizes] = None,
 ) -> None:
-    """Charge the nomination protocol of Section 3.2.
+    """Ship the nomination protocol of Section 3.2 through *ship*.
 
     ``t`` sends a nomination message (sourceID, targetID, sequence) to the
     chosen join node ``j``, and ``j`` notifies ``s`` that it will perform the
@@ -165,12 +164,7 @@ def nomination_traffic(
     sizes = sizes or MessageSizes()
     nomination_size = sizes.control(num_fields=3)
     if decision.target_to_join and len(decision.target_to_join) > 1:
-        simulator.transfer(
-            decision.target_to_join, nomination_size, MessageKind.NOMINATE
-        )
+        ship(decision.target_to_join, nomination_size, MessageKind.NOMINATE)
     if decision.source_to_join and len(decision.source_to_join) > 1:
-        simulator.transfer(
-            list(reversed(decision.source_to_join)),
-            nomination_size,
-            MessageKind.NOMINATE,
-        )
+        ship(list(reversed(decision.source_to_join)), nomination_size,
+             MessageKind.NOMINATE)

@@ -216,6 +216,32 @@ class ExecutionContext:
                 eligible.append(node_id)
         return eligible
 
+    def eligible(self) -> Dict[str, List[int]]:
+        """Per alias, source first, its :meth:`eligible_producers`."""
+        return {alias: self.eligible_producers(alias) for alias in self.query.aliases}
+
+    def static_pairs(self, sources: Sequence[int], targets: Sequence[int]):
+        """The statically joining (source, target) pairs of distinct nodes,
+        source-major in the given orders, as a read-only ordered set;
+        built once per deployment memo for these two producer lists."""
+        analysis = self.analysis
+        nodes = self.topology.nodes
+
+        def build():
+            joins = analysis.pair_joins_statically
+            pairs = {}
+            for source in sources:
+                source_attrs = nodes[source].static_attributes
+                for target in targets:
+                    if source != target and joins(
+                            source_attrs, nodes[target].static_attributes):
+                        pairs[(source, target)] = None
+            return pairs.keys()
+
+        key = (self.query.aliases, tuple(analysis.static_join_clauses),
+               tuple(sources), tuple(targets))
+        return self.topology.routing_cache.memo.get("static_pairs", key, build)
+
     def _sample_memo(self) -> Optional[Dict[tuple, Any]]:
         """The memo sampling keeps on the data source.
 
@@ -354,6 +380,19 @@ class ExecutionContext:
         # transfer() never stores or mutates the path, so shipping avoids a
         # defensive copy per call.
         return self.simulator.transfer(path, size_bytes, kind)
+
+    def ship_edges(self, senders: np.ndarray, receivers: np.ndarray,
+                   sizes: np.ndarray, kind: MessageKind) -> None:
+        """Send one single-hop message per (sender, receiver) edge, in array
+        order, *sizes* bytes each: one ``ship_edges`` call on a captured
+        batcher, otherwise edge by edge through :meth:`ship`."""
+        batcher = self._batcher
+        if batcher is not None and hasattr(batcher, "ship_edges"):
+            batcher.ship_edges(senders, receivers, sizes, kind)
+            return
+        for sender, receiver, size in zip(
+                senders.tolist(), receivers.tolist(), sizes.tolist()):
+            self.ship((sender, receiver), size, kind)
 
     @contextmanager
     def captured_shipping(self, batcher):

@@ -87,11 +87,22 @@ class JoinExecutor:
 
     # ------------------------------------------------------------------
     def initiate(self) -> float:
-        """Run the strategy's initiation phase; returns its traffic."""
+        """Run the strategy's initiation phase; returns its traffic.
+
+        On the kernel every control message ships through the batcher in
+        ship order (lossy verdicts draw as per-path transfers would) and the
+        phase is charged by one flush; off it, one ``transfer`` each.
+        """
         if self._initiated:
             return self._initiation_traffic
         before = self.simulator.stats.total()
-        self.strategy.initiate(self.context)
+        batcher = self._cycle_batcher()
+        if batcher is None:
+            self.strategy.initiate(self.context)
+        else:
+            with self.context.captured_shipping(batcher):
+                self.strategy.initiate(self.context)
+            batcher.flush()
         self._initiation_traffic = self.simulator.stats.total() - before
         self._initiated = True
         return self._initiation_traffic

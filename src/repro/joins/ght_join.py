@@ -28,7 +28,7 @@ from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
 from repro.routing.dht import DHTSubstrate
 from repro.routing.ght import GHTSubstrate
-from repro.routing.tree import RoutingTree
+from repro.routing.tree import RoutingTree, shared_tree
 
 Key = Tuple
 
@@ -78,15 +78,12 @@ class GHTJoin(JoinStrategy):
 
     # ------------------------------------------------------------------
     def initiate(self, ctx: ExecutionContext) -> None:
-        self.tree = RoutingTree(ctx.topology)
+        self.tree = shared_tree(ctx.topology)
         self.hash_substrate = (
             DHTSubstrate(ctx.topology) if self.use_dht else GHTSubstrate(ctx.topology)
         )
-        source_alias, target_alias = ctx.query.aliases
-        self._eligible = {
-            source_alias: ctx.eligible_producers(source_alias),
-            target_alias: ctx.eligible_producers(target_alias),
-        }
+        source_alias, _ = ctx.query.aliases
+        self._eligible = ctx.eligible()
         routing = ctx.analysis.routing_predicate
         if routing is None:
             raise ValueError(
@@ -180,20 +177,16 @@ class GHTJoin(JoinStrategy):
             node: set(self._keys_of.get((target_alias, node), []))
             for node in self._eligible[target_alias]
         }
-        for source in self._eligible[source_alias]:
-            source_attrs = ctx.topology.nodes[source].static_attributes
-            source_keys = set(self._keys_of.get((source_alias, source), []))
-            for target in self._eligible[target_alias]:
-                if source == target:
-                    continue
-                shared = source_keys & target_keys[target]
-                if not shared:
-                    continue
-                target_attrs = ctx.topology.nodes[target].static_attributes
-                if not ctx.analysis.pair_joins_statically(source_attrs, target_attrs):
-                    continue
+        source_keys = {
+            node: set(self._keys_of.get((source_alias, node), []))
+            for node in self._eligible[source_alias]
+        }
+        for pair in ctx.static_pairs(self._eligible[source_alias],
+                                     self._eligible[target_alias]):
+            source, target = pair
+            shared = source_keys[source] & target_keys[target]
+            if shared:
                 meeting_key = sorted(shared)[0]
-                pair = (source, target)
                 self._pairs_at_key.setdefault(
                     (meeting_key, source_alias, source), []
                 ).append(pair)
@@ -340,6 +333,8 @@ class GHTJoin(JoinStrategy):
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
         if not failed:
             return
+        # The tree may be the deployment's shared one: repair a copy.
+        self.tree = self.tree.copy()
         for node_id in failed:
             self.tree.repair_after_failure(node_id, simulator=ctx.simulator)
         failed_set = set(failed)

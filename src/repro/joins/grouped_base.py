@@ -26,7 +26,7 @@ from repro.joins.base import (
 )
 from repro.network.batch import RouteHops
 from repro.network.message import MessageKind
-from repro.routing.tree import RoutingTree
+from repro.routing.tree import RoutingTree, shared_tree
 
 
 class NaiveJoin(JoinStrategy):
@@ -46,12 +46,8 @@ class NaiveJoin(JoinStrategy):
 
     # ------------------------------------------------------------------
     def initiate(self, ctx: ExecutionContext) -> None:
-        self.tree = RoutingTree(ctx.topology)
-        source_alias, target_alias = ctx.query.aliases
-        self._eligible = {
-            source_alias: ctx.eligible_producers(source_alias),
-            target_alias: ctx.eligible_producers(target_alias),
-        }
+        self.tree = shared_tree(ctx.topology)
+        self._eligible = ctx.eligible()
         self._paths_to_base = {
             node_id: self.tree.path_to_root(node_id)
             for alias in self._eligible
@@ -81,17 +77,11 @@ class NaiveJoin(JoinStrategy):
         """Pairs that can join statically; known for free at the base station."""
         source_alias, target_alias = ctx.query.aliases
         self._pairs_of = {}
-        for source in self._eligible[source_alias]:
-            source_attrs = ctx.topology.nodes[source].static_attributes
-            for target in self._eligible[target_alias]:
-                if source == target:
-                    continue
-                target_attrs = ctx.topology.nodes[target].static_attributes
-                if not ctx.analysis.pair_joins_statically(source_attrs, target_attrs):
-                    continue
-                pair = (source, target)
-                self._pairs_of.setdefault((source_alias, source), []).append(pair)
-                self._pairs_of.setdefault((target_alias, target), []).append(pair)
+        for pair in ctx.static_pairs(self._eligible[source_alias],
+                                     self._eligible[target_alias]):
+            source, target = pair
+            self._pairs_of.setdefault((source_alias, source), []).append(pair)
+            self._pairs_of.setdefault((target_alias, target), []).append(pair)
 
     def participating_producers(self, alias: str) -> List[int]:
         """Producers that send data during the computation phase."""
@@ -186,6 +176,8 @@ class NaiveJoin(JoinStrategy):
         self.results.record_many(int(arrivals.counts[reached].sum()), delivered=True)
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
+        # The tree may be the deployment's shared one: repair a copy.
+        self.tree = self.tree.copy()
         for node_id in failed:
             self.tree.repair_after_failure(node_id, simulator=ctx.simulator)
         # Recompute cached paths for producers whose old path died.

@@ -133,6 +133,53 @@ class _BlockRoutes(NamedTuple):
     delivered: np.ndarray       # per join node, whether results get there
 
 
+class _Exploration(NamedTuple):
+    """One query's content-routing searches on a shared substrate: the
+    candidate paths of each statically joining pair found, and every
+    exploration message, in search order, as one-hop arrays."""
+
+    paths: Dict[Pair, List[PairPath]]
+    senders: np.ndarray
+    receivers: np.ndarray
+    sizes: np.ndarray
+
+
+def _explore(topology, substrate: MultiTreeSubstrate, routing,
+             sources: List[int], static_pairs) -> _Exploration:
+    """Search from every eligible source for its statically joining targets
+    (Section 2.2), over the first two trees of *substrate*."""
+    nodes = topology.nodes
+    paths: Dict[Pair, List[PairPath]] = {}
+    edges: List[Tuple[int, int, int]] = []
+    for source in sources:
+        if isinstance(routing, EqualityRouting):
+            attr = routing.indexed_attribute
+            value = routing.required_value(nodes[source].static_attributes)
+
+            def probe(summary, v=value):
+                return summary.might_contain(v)
+
+            def near(node, v=value):
+                return nodes[node].static_attributes.get(attr) == v
+        else:
+            attr, radius, position = "pos", routing.radius, nodes[source].position
+
+            def probe(summary, p=position):
+                return summary.intersects_radius(p, radius)
+
+            def near(node, src=source):
+                return topology.distance(src, node) <= radius
+        result = substrate.find_matches(
+            source, attr, probe,
+            lambda node, src=source, near=near: (src, node) in static_pairs and near(node),
+            max_trees=2,
+        )
+        paths.update(((source, target), found) for target, found in result.paths.items())
+        edges.extend(result.edges)
+    senders, receivers, lengths = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return _Exploration(paths, senders, receivers, substrate.sizes.explore(lengths))
+
+
 class InnetJoin(JoinStrategy):
     """Pairwise in-network join with cost-based join-node placement."""
 
@@ -178,11 +225,7 @@ class InnetJoin(JoinStrategy):
     # initiation
     # ------------------------------------------------------------------
     def initiate(self, ctx: ExecutionContext) -> None:
-        source_alias, target_alias = ctx.query.aliases
-        self._eligible = {
-            source_alias: ctx.eligible_producers(source_alias),
-            target_alias: ctx.eligible_producers(target_alias),
-        }
+        self._eligible = ctx.eligible()
         self.substrate = self._build_substrate(ctx)
         self.optimizer = PairwiseOptimizer(
             self.substrate, window_size=ctx.query.window_size, sizes=ctx.sizes
@@ -192,11 +235,11 @@ class InnetJoin(JoinStrategy):
             pair: ctx.selectivities_for(pair) for pair in candidate_paths
         }
         self.plan = self.optimizer.optimize_pairs(
-            candidate_paths, selectivity_map, simulator=ctx.simulator
+            candidate_paths, selectivity_map, ship=ctx.ship
         )
         if self.variant.group_optimization:
             self.plan = self.optimizer.apply_group_optimization(
-                self.plan, selectivity_map, simulator=ctx.simulator
+                self.plan, selectivity_map, ship=ctx.ship
             )
             self._group_decision_cache = {
                 decision.group.coordinator: decision.use_innet
@@ -225,110 +268,67 @@ class InnetJoin(JoinStrategy):
             ]
 
     def _build_substrate(self, ctx: ExecutionContext) -> MultiTreeSubstrate:
+        """The deployment's shared substrate for this tree count, indexed
+        attribute and message sizes, built once per routing epoch.
+
+        Its value extractors close over the topology, not the run's
+        context, so the memo keeps no run alive.  Summary structures are
+        built during routing-tree construction (Appendix C), which -- like
+        the tree flood itself -- is substrate setup shared by all queries,
+        so it is not charged to this query's initiation.
+        """
         routing = ctx.analysis.routing_predicate
-        indexed: Dict[str, Any] = {}
-        extractors: Dict[str, Any] = {}
+        topology, sizes, num_trees = ctx.topology, ctx.sizes, self.num_trees
+        attr, indexed, extractors = None, {}, {}
         if isinstance(routing, EqualityRouting):
             attr = routing.indexed_attribute
             indexed[attr] = lambda: BloomFilterSummary(num_bits=256)
-            extractors[attr] = (
-                lambda node_id, _attr=attr: ctx.topology.nodes[node_id]
-                .static_attributes.get(_attr)
-            )
+            extractors[attr] = lambda n: topology.nodes[n].static_attributes.get(attr)
         elif isinstance(routing, RegionRouting):
-            indexed["pos"] = RectSummary
-            extractors["pos"] = lambda node_id: ctx.topology.nodes[node_id].position
-        # Summary structures are built during routing-tree construction
-        # (Appendix C), which -- like the tree flood itself -- is substrate
-        # setup shared by all queries, so it is not charged to this query's
-        # initiation.
-        substrate = MultiTreeSubstrate(
-            ctx.topology,
-            num_trees=self.num_trees,
-            indexed_attributes=indexed or None,
-            value_extractors=extractors or None,
-            sizes=ctx.sizes,
-        )
-        return substrate
+            attr = "pos"
+            indexed[attr] = RectSummary
+            extractors[attr] = lambda n: topology.nodes[n].position
+        return topology.routing_cache.memo.get(
+            "substrate", (num_trees, attr, sizes),
+            lambda: MultiTreeSubstrate(
+                topology, num_trees=num_trees, indexed_attributes=indexed or None,
+                value_extractors=extractors or None, sizes=sizes,
+            ))
 
     def _discover_pairs(self, ctx: ExecutionContext) -> Dict[Pair, List[PairPath]]:
         """Exploration: find matching (s, t) pairs and candidate paths."""
         source_alias, target_alias = ctx.query.aliases
         routing = ctx.analysis.routing_predicate
-        eligible_targets = set(self._eligible[target_alias])
-        candidate_paths: Dict[Pair, List[PairPath]] = {}
-
-        def statically_joins(source: int, target: int) -> bool:
-            return ctx.analysis.pair_joins_statically(
-                ctx.topology.nodes[source].static_attributes,
-                ctx.topology.nodes[target].static_attributes,
-            )
-
-        # The probe/match closures below are pure functions of the query and
-        # the deployment, so the traversals are memoized on the topology and
-        # replayed for repeat runs.  The token keys on id(query); pinning the
-        # query object on the topology keeps that id from being reused.
-        pins = ctx.topology.__dict__.setdefault("_exploration_pins", {})
-        pins.setdefault(id(ctx.query), ctx.query)
-        if isinstance(routing, EqualityRouting):
-            attr = routing.indexed_attribute
-            for source in self._eligible[source_alias]:
-                s_attrs = ctx.topology.nodes[source].static_attributes
-                required = routing.required_value(s_attrs)
-                result = self.substrate.find_matches(
-                    source,
-                    attr,
-                    summary_probe=lambda summary, v=required: summary.might_contain(v),
-                    node_matches=lambda node, v=required, src=source: (
-                        node != src
-                        and node in eligible_targets
-                        and ctx.topology.nodes[node].static_attributes.get(attr) == v
-                        and statically_joins(src, node)
-                    ),
-                    simulator=ctx.simulator,
-                    max_trees=2,
-                    cache_token=("eq", id(ctx.query), source, attr, required),
-                )
-                for target, paths in result.paths.items():
-                    candidate_paths[(source, target)] = paths
-        elif isinstance(routing, RegionRouting):
-            radius = routing.radius
-            for source in self._eligible[source_alias]:
-                position = ctx.topology.nodes[source].position
-                result = self.substrate.find_matches(
-                    source,
-                    "pos",
-                    summary_probe=lambda summary, p=position: summary.intersects_radius(p, radius),
-                    node_matches=lambda node, src=source, p=position: (
-                        node != src
-                        and node in eligible_targets
-                        and ctx.topology.distance(src, node) <= radius
-                        and statically_joins(src, node)
-                    ),
-                    simulator=ctx.simulator,
-                    max_trees=2,
-                    cache_token=("region", id(ctx.query), source, radius),
-                )
-                for target, paths in result.paths.items():
-                    candidate_paths[(source, target)] = paths
-        else:
-            # No routable static join clause: every eligible pair is a
-            # candidate; exploration routes once along the best tree path.
-            for source in self._eligible[source_alias]:
-                for target in self._eligible[target_alias]:
-                    if source == target or not statically_joins(source, target):
-                        continue
-                    path = self.substrate.best_route(source, target)
-                    ctx.ship(path, ctx.sizes.explore(len(path)), MessageKind.EXPLORE)
-                    ctx.ship(list(reversed(path)), ctx.sizes.explore(len(path)),
-                             MessageKind.EXPLORE_REPLY)
-                    candidate_paths[(source, target)] = [
-                        PairPath(
-                            source=source, target=target, path=path,
-                            hops_to_base=[self.substrate.hops_to_base(n) for n in path],
-                        )
-                    ]
-        return candidate_paths
+        sources, targets = self._eligible[source_alias], self._eligible[target_alias]
+        static_pairs = ctx.static_pairs(sources, targets)
+        if routing is None:
+            # No routable static join clause: every statically joining pair
+            # is a candidate; exploration routes once along the best tree
+            # path.
+            candidate_paths: Dict[Pair, List[PairPath]] = {}
+            for source, target in static_pairs:
+                path = self.substrate.best_route(source, target)
+                ctx.ship(path, ctx.sizes.explore(len(path)), MessageKind.EXPLORE)
+                ctx.ship(list(reversed(path)), ctx.sizes.explore(len(path)),
+                         MessageKind.EXPLORE_REPLY)
+                candidate_paths[(source, target)] = [
+                    PairPath(
+                        source=source, target=target, path=path,
+                        hops_to_base=[self.substrate.hops_to_base(n) for n in path],
+                    )
+                ]
+            return candidate_paths
+        # The searches are a pure function of the substrate, the routing
+        # predicate, the sources and the statically joining pairs, so they
+        # run once per deployment; every run ships the recorded messages.
+        key = (self.substrate, routing, tuple(sources), tuple(static_pairs))
+        exploration = ctx.topology.routing_cache.memo.get(
+            "exploration", key,
+            lambda: _explore(ctx.topology, self.substrate, routing, sources,
+                             static_pairs))
+        ctx.ship_edges(exploration.senders, exploration.receivers,
+                       exploration.sizes, MessageKind.EXPLORE)
+        return dict(exploration.paths)
 
     # ------------------------------------------------------------------
     # delivery structures
@@ -741,9 +741,7 @@ class InnetJoin(JoinStrategy):
                 }
             # Re-place the pair with the learned estimates; nominations are
             # charged below, and only for pairs whose join node actually moved.
-            self.optimizer.reoptimize_pair(
-                self.plan, pair, updated, simulator=None, charge_nomination=False
-            )
+            self.optimizer.reoptimize_pair(self.plan, pair, updated)
             self.reoptimizations += 1
             updated_pairs.append(pair)
         if not updated_pairs:
@@ -756,7 +754,7 @@ class InnetJoin(JoinStrategy):
         for pair, old_join in old_join_nodes.items():
             new_join = self.plan.decision_for(pair).join_node
             if new_join != old_join:
-                nomination_traffic(ctx.simulator, self.plan.decision_for(pair), ctx.sizes)
+                nomination_traffic(ctx.ship, self.plan.decision_for(pair), ctx.sizes)
                 self._transfer_window(ctx, pair, old_join, new_join)
                 changed_producers.append((source_alias, pair[0]))
                 changed_producers.append((target_alias, pair[1]))
@@ -800,7 +798,7 @@ class InnetJoin(JoinStrategy):
             previous = self._group_decision_cache.get(group.coordinator)
             decision = group_optimizer.decide_group(
                 group, placements, group_selectivities, ctx.query.window_size,
-                simulator=ctx.simulator,
+                ship=ctx.ship,
                 report_from=changed_producers,
                 previous_decision=previous,
             )
@@ -835,6 +833,8 @@ class InnetJoin(JoinStrategy):
             return
         failed_set = set(failed)
         self._block_tables = None
+        # The substrate may be the deployment's shared one: repair a copy.
+        self.substrate = self.optimizer.substrate = self.substrate.copy()
         for node_id in failed:
             self.substrate.repair_after_failure(node_id, simulator=ctx.simulator)
         for pair in self.plan.pairs():

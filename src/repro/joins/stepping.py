@@ -365,7 +365,7 @@ class SharedSubstrateEngine:
                 placements,
                 group_selectivities,
                 window,
-                simulator=self.simulator,
+                ship=self.simulator.transfer,
                 report_from=delta_endpoints & group.members,
                 previous_decision=self.group_optimizer.previous_use_innet(group),
             )

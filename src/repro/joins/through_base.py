@@ -23,7 +23,7 @@ from repro.joins.base import (
 )
 from repro.network.batch import RouteHops
 from repro.network.message import MessageKind
-from repro.routing.tree import RoutingTree
+from repro.routing.tree import RoutingTree, shared_tree
 
 
 class _BlockRoutes(NamedTuple):
@@ -58,28 +58,20 @@ class ThroughBaseJoin(JoinStrategy):
 
     # ------------------------------------------------------------------
     def initiate(self, ctx: ExecutionContext) -> None:
-        self.tree = RoutingTree(ctx.topology)
+        self.tree = shared_tree(ctx.topology)
         source_alias, target_alias = ctx.query.aliases
-        self._eligible = {
-            source_alias: ctx.eligible_producers(source_alias),
-            target_alias: ctx.eligible_producers(target_alias),
-        }
+        self._eligible = ctx.eligible()
         for alias, nodes in self._eligible.items():
             for node_id in nodes:
                 self._paths_to_base[node_id] = self.tree.path_to_root(node_id)
                 self._paths_from_base[node_id] = self.tree.path_from_root(node_id)
         # The base knows the static attributes (it disseminated the query), so
         # it forwards each source tuple only to statically matching targets.
-        for source in self._eligible[source_alias]:
-            source_attrs = ctx.topology.nodes[source].static_attributes
-            targets = []
-            for target in self._eligible[target_alias]:
-                if target == source:
-                    continue
-                target_attrs = ctx.topology.nodes[target].static_attributes
-                if ctx.analysis.pair_joins_statically(source_attrs, target_attrs):
-                    targets.append(target)
-            self._targets_of_source[source] = targets
+        self._targets_of_source = {
+            source: [] for source in self._eligible[source_alias]}
+        for source, target in ctx.static_pairs(self._eligible[source_alias],
+                                               self._eligible[target_alias]):
+            self._targets_of_source[source].append(target)
         # One window row per (source, target) the base forwards between; a
         # target meets its sources in the order the base lists them.
         pairs_of_source = {
@@ -231,6 +223,8 @@ class ThroughBaseJoin(JoinStrategy):
         return self._routes
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
+        # The tree may be the deployment's shared one: repair a copy.
+        self.tree = self.tree.copy()
         for node_id in failed:
             self.tree.repair_after_failure(node_id, simulator=ctx.simulator)
         self._routes = None

@@ -275,18 +275,19 @@ class CycleBatcher:
         return delivered
 
     def ship_edges(self, senders: np.ndarray, receivers: np.ndarray,
-                   size_bytes: int,
-                   kind: MessageKind = MessageKind.DATA) -> np.ndarray:
-        """Defer a block of single-hop edges (one multicast tree's traffic).
+                   size_bytes, kind: MessageKind = MessageKind.DATA) -> np.ndarray:
+        """Defer a block of single-hop edges (one multicast tree's traffic,
+        or a query's exploration messages).
 
         *senders* / *receivers* are aligned int arrays, one entry per
-        (parent, child) transmission edge.  Equivalent to calling
-        :meth:`ship` per two-node edge path in array order: on lossy links
-        one ``attempt_hops_batch`` draw over ``n`` one-hop paths consumes the
-        seeded RNG stream exactly like ``n`` sequential per-edge draws, and
-        every edge charges its single hop whether or not it delivers (the
-        charged prefix of a one-hop path is always that hop).  Returns the
-        per-edge delivered flags.
+        (sender, receiver) transmission edge; *size_bytes* is one size for
+        all of them or an aligned array of per-edge sizes.  Equivalent to
+        calling :meth:`ship` per two-node edge path in array order: on lossy
+        links one ``attempt_hops_batch`` draw over ``n`` one-hop paths
+        consumes the seeded RNG stream exactly like ``n`` sequential
+        per-edge draws, and every edge charges its single hop whether or not
+        it delivers (the charged prefix of a one-hop path is always that
+        hop).  Returns the per-edge delivered flags.
         """
         senders = np.asarray(senders, dtype=np.int64)
         receivers = np.asarray(receivers, dtype=np.int64)
@@ -296,10 +297,24 @@ class CycleBatcher:
         delivered, attempts = self.links.attempt_hops_batch(
             np.ones(n, dtype=np.int64)
         )
+        if isinstance(size_bytes, np.ndarray):
+            # Within a (kind, size) group the hop order is free, so edges of
+            # several sizes split by size after the one draw in ship order.
+            for size in np.unique(size_bytes).tolist():
+                at = size_bytes == size
+                self._add_edges(kind, size, senders[at], receivers[at],
+                                delivered[at], attempts[at])
+        else:
+            self._add_edges(kind, size_bytes, senders, receivers, delivered, attempts)
+        return delivered
+
+    def _add_edges(self, kind: MessageKind, size_bytes: int, senders: np.ndarray,
+                   receivers: np.ndarray, delivered: np.ndarray,
+                   attempts: np.ndarray) -> None:
+        """Defer one size's single-hop edges (the body of :meth:`ship_edges`)."""
         group = self._group(kind, size_bytes)
         group.blocks.append(_HopBlock(senders, receivers, None, attempts))
-        group.drops += n - int(np.count_nonzero(delivered))
-        return delivered
+        group.drops += delivered.size - int(np.count_nonzero(delivered))
 
     def ship_routes(self, table: RouteHops, counts: np.ndarray,
                     size_bytes: int, kind: MessageKind) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Sequence
 
 
 class MessageKind(Enum):
@@ -31,6 +32,11 @@ class MessageKind(Enum):
     WINDOW_TRANSFER = "window_xfer"  # adaptive join-node hand-off (Section 6)
     SNOOP_HINT = "snoop_hint"        # path-collapse optimization tuples (App. E)
     TREE_MAINT = "tree_maint"        # routing tree / summary maintenance
+
+
+#: ``ship(path, size_bytes, kind) -> delivered``: a run's ``ctx.ship`` or a
+#: simulator's ``transfer``, handed to protocol code that sends messages.
+Ship = Callable[[Sequence[int], int, MessageKind], bool]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,6 +182,37 @@ class _AliveAdjacencyView(dict):
         return default
 
 
+class DeploymentMemo:
+    """What is a pure function of one topology at one routing epoch (trees,
+    substrates, explorations, static pair sets), built once and shared by
+    every run on it, each kind keyed by what else it depends on.
+
+    Holders treat values as read-only and copy before a repair; runs still
+    charge their own messages.  Static attributes count as deployment: a
+    change to them must bump the routing epoch.  Each kind keeps at most
+    :attr:`MAX_ENTRIES` entries, oldest dropped first, so a long-lived
+    process cannot grow one epoch's memo without bound.
+    """
+
+    MAX_ENTRIES = 256
+
+    __slots__ = ("_kinds",)
+
+    def __init__(self) -> None:
+        self._kinds: Dict[str, Dict[Any, Any]] = {}
+
+    def get(self, kind: str, key: Any, build: Callable[[], Any]) -> Any:
+        """The memoised value of (*kind*, *key*), built by *build* on a miss."""
+        entries = self._kinds.setdefault(kind, {})
+        value = entries.get(key)
+        if value is None:
+            value = build()
+            if len(entries) >= self.MAX_ENTRIES:
+                entries.pop(next(iter(entries)))
+            entries[key] = value
+        return value
+
+
 class PathCache:
     """Epoch-guarded routing cache for one :class:`Topology`.
 
@@ -204,6 +235,9 @@ class PathCache:
     tables; the dict-shaped :meth:`bfs_tables` keeps that discovery order as
     its insertion order.  Landmark-based approximate hop estimates serve the
     largest deployments, where even one exact table per source is too much.
+
+    It also owns the topology's :class:`DeploymentMemo` (:attr:`memo`);
+    an epoch bump drops it with the BFS tables.
     """
 
     #: Always true: every topology is CSR-backed (kept for callers that
@@ -213,7 +247,7 @@ class PathCache:
     __slots__ = (
         "_topology", "epoch", "alive_set", "alive_adjacency", "alive_mask",
         "indptr", "indices", "_array_kernel", "_results", "_tables", "_paths",
-        "_landmarks",
+        "_landmarks", "memo",
     )
 
     def __init__(self, topology: "Topology") -> None:
@@ -232,10 +266,12 @@ class PathCache:
         self._paths: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
         #: landmark count -> (landmark ids int64[k], hop matrix int32[k, n])
         self._landmarks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.memo = DeploymentMemo()
 
     # ------------------------------------------------------------------
     def validate(self) -> "PathCache":
-        """Rebuild the alive structures and drop BFS tables if stale."""
+        """Rebuild the alive structures and drop BFS tables and the
+        deployment memo if stale."""
         topology = self._topology
         epoch = topology.routing_epoch
         if epoch != self.epoch:
@@ -259,6 +295,7 @@ class PathCache:
             self._tables.clear()
             self._paths.clear()
             self._landmarks.clear()
+            self.memo = DeploymentMemo()
             self.epoch = epoch
         return self
 

@@ -17,19 +17,20 @@ cost model of Section 3.1 needs to place join nodes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.message import MessageKind, MessageSizes
+from repro.network.message import MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.routing.paths import strip_cycles
 from repro.routing.semantic import (
     SemanticRoutingTable, SummaryFactory, ValueExtractor, extract_values,
 )
-from repro.routing.tree import RoutingTree
+from repro.routing.tree import RoutingTree, shared_tree
 from repro.summaries.base import Summary
 
 
@@ -41,7 +42,6 @@ class PairPath:
     target: int
     path: List[int]
     hops_to_base: List[int] = field(default_factory=list)
-    tree_index: int = 0
 
     @property
     def length(self) -> int:
@@ -60,9 +60,21 @@ class ExplorationResult:
 
     source: int
     paths: Dict[int, List[PairPath]] = field(default_factory=dict)
+    #: every tree edge the search crossed, in search order: (sender,
+    #: receiver, length of the path vector the message carries)
+    edges: List[Tuple[int, int, int]] = field(default_factory=list)
 
     def targets(self) -> List[int]:
         return sorted(self.paths)
+
+
+def _shortest_route(trees: Sequence[RoutingTree], source: int,
+                    target: int) -> Optional[List[int]]:
+    """The shortest cycle-free tree route between two nodes (the first tree
+    wins ties), or ``None`` if no tree covers both."""
+    routes = [strip_cycles(tree.route(source, target)) for tree in trees
+              if tree.covers(source) and tree.covers(target)]
+    return min(routes, key=len, default=None)
 
 
 class MultiTreeSubstrate:
@@ -97,12 +109,11 @@ class MultiTreeSubstrate:
     # construction
     # ------------------------------------------------------------------
     def _build_trees(self) -> None:
-        self.trees = [RoutingTree(self.topology, root=self.topology.base_id)]
+        """Tree *i* is the deployment's shared tree of (root, seed *i*)."""
+        self.trees = [shared_tree(self.topology)]
         for index in range(1, self.num_trees):
             root = self._furthest_from_existing_roots()
-            self.trees.append(
-                RoutingTree(self.topology, root=root, tie_break_seed=index)
-            )
+            self.trees.append(shared_tree(self.topology, root, tie_break_seed=index))
 
     def _furthest_from_existing_roots(self) -> int:
         """Pick the node maximizing its minimum hop distance to existing roots."""
@@ -155,13 +166,6 @@ class MultiTreeSubstrate:
     def path_to_base(self, node_id: int) -> List[int]:
         return self.primary_tree.path_to_root(node_id)
 
-    def construction_traffic(self, simulator: NetworkSimulator) -> int:
-        """Charge the construction flood of every tree."""
-        transmissions = 0
-        for tree in self.trees:
-            transmissions += tree.construction_traffic(simulator)
-        return transmissions
-
     # ------------------------------------------------------------------
     # point-to-point routing
     # ------------------------------------------------------------------
@@ -172,19 +176,12 @@ class MultiTreeSubstrate:
         """
         key = (source, target)
         cached = self._best_routes.get(key)
-        if cached is not None:
-            return list(cached)
-        best: Optional[List[int]] = None
-        for tree in self.trees:
-            if not (tree.covers(source) and tree.covers(target)):
-                continue
-            route = strip_cycles(tree.route(source, target))
-            if best is None or len(route) < len(best):
-                best = route
-        if best is None:
-            raise ValueError(f"no route between {source} and {target}")
-        self._best_routes[key] = tuple(best)
-        return best
+        if cached is None:
+            best = _shortest_route(self.trees, source, target)
+            if best is None:
+                raise ValueError(f"no route between {source} and {target}")
+            cached = self._best_routes[key] = tuple(best)
+        return list(cached)
 
     # ------------------------------------------------------------------
     # content-routing search
@@ -195,50 +192,24 @@ class MultiTreeSubstrate:
         attr: str,
         summary_probe: Callable[[Summary], bool],
         node_matches: Callable[[int], bool],
-        simulator: Optional[NetworkSimulator] = None,
         max_trees: Optional[int] = None,
-        cache_token: Optional[Tuple] = None,
     ) -> ExplorationResult:
         """Search every tree for nodes whose *attr* matches.
 
         ``summary_probe`` prunes subtrees (given the child-link summary),
         ``node_matches`` is the exact test evaluated at each visited node.
-        If *simulator* is given, one exploration message is charged per tree
-        edge traversed.  The exploration message already carries the path
+        The search charges nothing: it records, in search order, every tree
+        edge it crosses (one exploration message each, sized by the path
+        vector it carries) in :attr:`ExplorationResult.edges`, and the
+        caller ships them.  The exploration message already carries the path
         vector, so the discovered target can nominate a join node without a
-        separate reply (Section 3.2).
-
-        ``cache_token`` (optional) asserts that the probe/match closures are a
-        pure function of the token, the query identity and the deployment.
-        The traversal (edges visited and paths found) is then memoized on the
-        topology, keyed on its routing epoch, and repeat searches replay the
-        recorded traffic charges instead of re-walking the trees.  The trees
-        themselves are rebuilt deterministically from the topology, so
-        replayed results are identical across substrate instances.
+        separate reply (Section 3.2).  A search is a pure function of the
+        substrate and the two closures, so callers that can name what the
+        closures depend on memoise its result on the deployment and replay
+        the edges for every later run.
         """
-        tree_count = len(self.trees) if max_trees is None else min(max_trees, len(self.trees))
-        cache = None
-        key = None
-        if cache_token is not None:
-            cache = self.topology.__dict__.setdefault("_exploration_cache", {})
-            if len(cache) > 4096:
-                # Long-lived (memoized) topologies must not accumulate
-                # traversal recordings without bound across figure sweeps.
-                cache.clear()
-                self.topology.__dict__.get("_exploration_pins", {}).clear()
-            key = (
-                self.topology.routing_epoch, self.num_trees, tree_count, cache_token,
-            )
-            entry = cache.get(key)
-            if entry is not None:
-                return self._replay_exploration(source, entry, simulator)
         result = ExplorationResult(source=source)
-        recording: Optional[List[Tuple[int, int, int]]] = (
-            [] if cache is not None else None
-        )
-        for tree_index in range(tree_count):
-            tree = self.trees[tree_index]
-            table = self.tables[tree_index]
+        for tree, table in zip(self.trees[:max_trees], self.tables):
             if table is None:
                 raise RuntimeError(
                     "content search requires indexed attributes; call index_attributes()"
@@ -246,43 +217,7 @@ class MultiTreeSubstrate:
             if not tree.covers(source):
                 continue
             self._explore_tree(
-                tree, table, tree_index, source, attr, summary_probe, node_matches,
-                result, simulator, recording,
-            )
-        if cache is not None:
-            cache[key] = {
-                "edges": recording,
-                "paths": {
-                    target: [(tuple(p.path), p.tree_index) for p in paths]
-                    for target, paths in result.paths.items()
-                },
-            }
-        return result
-
-    def _replay_exploration(
-        self,
-        source: int,
-        entry: Dict,
-        simulator: Optional[NetworkSimulator],
-    ) -> ExplorationResult:
-        """Rebuild a memoized exploration, re-charging its traffic."""
-        result = ExplorationResult(source=source)
-        if simulator is not None:
-            explore_size = self.sizes.explore
-            for a, b, path_len in entry["edges"]:
-                simulator.transfer([a, b], explore_size(path_len), MessageKind.EXPLORE)
-        hops_map = self.primary_tree.depth
-        for target, paths in entry["paths"].items():
-            result.paths[target] = [
-                PairPath(
-                    source=source,
-                    target=target,
-                    path=list(path),
-                    hops_to_base=[hops_map.get(n, 0) for n in path],
-                    tree_index=tree_index,
-                )
-                for path, tree_index in paths
-            ]
+                tree, table, source, attr, summary_probe, node_matches, result)
         return result
 
     # -- internals ---------------------------------------------------------
@@ -290,16 +225,14 @@ class MultiTreeSubstrate:
         self,
         tree: RoutingTree,
         table: SemanticRoutingTable,
-        tree_index: int,
         source: int,
         attr: str,
         summary_probe: Callable[[Summary], bool],
         node_matches: Callable[[int], bool],
         result: ExplorationResult,
-        simulator: Optional[NetworkSimulator],
-        recording: Optional[List[Tuple[int, int, int]]] = None,
     ) -> None:
         hops_map = self.primary_tree.depth
+        edges = result.edges
 
         def record(target: int, path: List[int]) -> None:
             clean = strip_cycles(path)
@@ -308,16 +241,7 @@ class MultiTreeSubstrate:
                 target=target,
                 path=clean,
                 hops_to_base=[hops_map.get(n, 0) for n in clean],
-                tree_index=tree_index,
             ))
-
-        def traverse_edge(a: int, b: int, path_len: int) -> None:
-            if recording is not None:
-                recording.append((a, b, path_len))
-            if simulator is not None:
-                simulator.transfer(
-                    [a, b], self.sizes.explore(path_len), MessageKind.EXPLORE
-                )
 
         def descend(node: int, path: List[int]) -> None:
             if node != source and node_matches(node):
@@ -325,7 +249,7 @@ class MultiTreeSubstrate:
             for child in table.children_that_might_match(node, attr, summary_probe):
                 if child in path:
                     continue
-                traverse_edge(node, child, len(path))
+                edges.append((node, child, len(path)))
                 descend(child, path + [child])
 
         # Downwards from the source itself.
@@ -336,14 +260,14 @@ class MultiTreeSubstrate:
         node = source
         while tree.parent_of(node) is not None:
             parent = tree.parent_of(node)
-            traverse_edge(node, parent, len(path))
+            edges.append((node, parent, len(path)))
             path = path + [parent]
             if node_matches(parent):
                 record(parent, path)
             for sibling in table.children_that_might_match(parent, attr, summary_probe):
                 if sibling == node or sibling in path:
                     continue
-                traverse_edge(parent, sibling, len(path))
+                edges.append((parent, sibling, len(path)))
                 descend(sibling, path + [sibling])
             node = parent
 
@@ -354,16 +278,9 @@ class MultiTreeSubstrate:
         self, pairs: Sequence[Tuple[int, int]], num_trees: Optional[int] = None
     ) -> Dict[Tuple[int, int], List[int]]:
         """Best per-pair route using only the first *num_trees* trees."""
-        count = len(self.trees) if num_trees is None else min(num_trees, len(self.trees))
         out: Dict[Tuple[int, int], List[int]] = {}
         for source, target in pairs:
-            best: Optional[List[int]] = None
-            for tree in self.trees[:count]:
-                if not (tree.covers(source) and tree.covers(target)):
-                    continue
-                route = strip_cycles(tree.route(source, target))
-                if best is None or len(route) < len(best):
-                    best = route
+            best = _shortest_route(self.trees[:num_trees], source, target)
             if best is not None:
                 out[(source, target)] = best
         return out
@@ -371,15 +288,27 @@ class MultiTreeSubstrate:
     # ------------------------------------------------------------------
     # failure repair
     # ------------------------------------------------------------------
+    def copy(self) -> "MultiTreeSubstrate":
+        """A private copy for a holder of a shared substrate that is about
+        to repair it: its own tree list, tables and route memo."""
+        twin = copy.copy(self)
+        twin.trees = list(self.trees)
+        twin.tables = list(self.tables)
+        twin._best_routes = {}
+        return twin
+
     def repair_after_failure(
         self, failed: int, simulator: Optional[NetworkSimulator] = None
     ) -> Dict[int, List[int]]:
         """Repair every tree after a permanent node failure.
 
-        Returns a mapping tree-index -> nodes that could not be re-attached.
+        The trees may be the deployment's shared ones, so each is repaired
+        on a private copy.  Returns a mapping tree-index -> nodes that could
+        not be re-attached.
         """
         stranded: Dict[int, List[int]] = {}
         self._best_routes = {}
+        self.trees = [tree.copy() for tree in self.trees]
         for index, tree in enumerate(self.trees):
             lost = tree.repair_after_failure(failed, simulator=simulator)
             if lost:

@@ -10,6 +10,7 @@ lowest common ancestor and descend.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Set
 
 import numpy as np
@@ -108,17 +109,15 @@ class RoutingTree:
         for node, chosen_parent in zip(nodes, parents):
             children[chosen_parent].append(node)
 
-    def construction_traffic(self, simulator: NetworkSimulator,
-                             beacon_bytes: int = 13) -> int:
-        """Charge the tree-construction flood to the simulator.
-
-        Every covered node broadcasts the beacon exactly once.
-        """
-        transmissions = 0
-        for node_id in self.covered_nodes():
-            simulator.broadcast(node_id, beacon_bytes, MessageKind.TREE_MAINT)
-            transmissions += 1
-        return transmissions
+    def copy(self) -> "RoutingTree":
+        """A private copy to repair (:meth:`repair_after_failure` mutates)."""
+        twin = copy.copy(self)
+        twin.parent = dict(self.parent)
+        twin.depth = dict(self.depth)
+        twin.children = {node: list(kids) for node, kids in self.children.items()}
+        twin._paths_to_root = {}
+        twin._routes = {}
+        return twin
 
     # ------------------------------------------------------------------
     # queries
@@ -259,3 +258,14 @@ class RoutingTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoutingTree(root={self.root}, nodes={len(self.parent)})"
+
+
+def shared_tree(topology: Topology, root: Optional[int] = None,
+                tie_break_seed: int = 0) -> RoutingTree:
+    """The (*root*, *tie_break_seed*) tree of *topology*'s current epoch,
+    shared through its deployment memo: read-only, copy before repairing."""
+    root = topology.base_id if root is None else root
+    return topology.routing_cache.memo.get(
+        "tree", (root, tie_break_seed),
+        lambda: RoutingTree(topology, root=root, tie_break_seed=tie_break_seed),
+    )

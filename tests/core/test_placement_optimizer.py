@@ -120,7 +120,7 @@ class TestPlacement:
         pair = _pair_path(substrate, topo.node_ids[3], topo.node_ids[-4])
         decision = place_join_node(pair, Selectivities(0.5, 0.5, 0.1), 3,
                                    substrate.path_to_base, topo.base_id)
-        nomination_traffic(sim, decision)
+        nomination_traffic(sim.transfer, decision)
         assert sim.stats.total() > 0
 
 
@@ -192,9 +192,9 @@ class TestGroups:
         sel = {p: Selectivities(0.5, 0.5, 0.2) for p in pairs}
         optimizer = PairwiseOptimizer(substrate, window_size=1)
         candidate_paths = {p: [_pair_path(substrate, *p)] for p in pairs}
-        plan = optimizer.optimize_pairs(candidate_paths, sel, simulator=sim)
+        plan = optimizer.optimize_pairs(candidate_paths, sel, ship=sim.transfer)
         traffic_after_pairs = sim.stats.total()
-        optimizer.apply_group_optimization(plan, sel, simulator=sim)
+        optimizer.apply_group_optimization(plan, sel, ship=sim.transfer)
         assert sim.stats.total() > traffic_after_pairs
 
     def test_reconcile_decisions(self):

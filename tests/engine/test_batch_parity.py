@@ -216,9 +216,10 @@ class TestRosterParity:
     def test_fixture_keeps_every_cycle_off_the_kernel(self, per_tuple_cycles,
                                                       per_cycle_kernel,
                                                       monkeypatch):
-        """The reference really is per-tuple: under the fixture no cycle
-        flushes a batch, where the kernel flushes every cycle under the
-        one-cycle fixture and once per block by default."""
+        """The reference really is per-tuple: under the fixture neither the
+        initiation nor any cycle flushes a batch, where the kernel flushes
+        the initiation once and every cycle under the one-cycle fixture, and
+        once per block by default."""
         flushes = []
         flush = CycleBatcher.flush
 
@@ -233,7 +234,8 @@ class TestRosterParity:
         flushes.clear()
         with per_cycle_kernel():
             execute_run(spec)
-        assert len(flushes) == spec.cycles
+        # one flush per cycle, plus the initiation's
+        assert len(flushes) == spec.cycles + 1
         flushes.clear()
         with per_tuple_cycles():
             execute_run(spec)

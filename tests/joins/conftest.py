@@ -29,6 +29,16 @@ def topo_small():
     return topo
 
 
+def in_network_pair(topo):
+    """The node farthest from the base and a node two hops from it: a
+    query-0 pair that joins in-network."""
+    base = topo.base_id
+    ids = sorted(n for n in topo.node_ids if n != base)
+    far = max(ids, key=lambda n: (len(topo.shortest_path(n, base)), -n))
+    near = next(n for n in ids if len(topo.shortest_path(far, n)) == 3)
+    return far, near
+
+
 def make_workload(topo, query, selectivities, seed=3):
     """Build the data source realizing the requested selectivities."""
     analysis = analyze_query(query)

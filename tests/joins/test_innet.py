@@ -10,7 +10,7 @@ from repro.network.failures import FailureInjector
 from repro.network.traffic import TrafficAccounting
 from repro.workloads import build_query0
 
-from tests.joins.conftest import make_workload, run_strategy
+from tests.joins.conftest import in_network_pair, make_workload, run_strategy
 
 #: the failure cycle of the kernel-premise runs
 FAIL_AT = 17
@@ -137,21 +137,27 @@ class TestAdaptiveLearning:
 
 
 class TestFailureHandling:
-    def _query0_with_plan(self, topo, selectivities):
-        ids = sorted(n for n in topo.node_ids if n != topo.base_id)
-        query = build_query0(source_id=ids[2], target_id=ids[-3])
-        data_source = make_workload(topo, query, selectivities)
-        scout = InnetJoin(InnetVariant.basic())
-        JoinExecutor(query, topo.copy(), data_source, scout, selectivities).initiate()
-        return query, data_source, scout.plan
+    def _relay_joined_pair(self, topo, selectivities):
+        """From the node farthest from the base, the first node (by id) three
+        hops away whose pair joins at a relay: in-network, at neither
+        producer (failing a producer stops its results instead)."""
+        far, _ = in_network_pair(topo)
+        for target in sorted(topo.node_ids):
+            if len(topo.shortest_path(far, target)) != 4:
+                continue
+            query = build_query0(source_id=far, target_id=target)
+            data_source = make_workload(topo, query, selectivities)
+            scout = InnetJoin(InnetVariant.basic())
+            JoinExecutor(query, topo.copy(), data_source, scout, selectivities).initiate()
+            pair = scout.plan.pairs()[0]
+            join_node = scout.plan.decision_for(pair).join_node
+            if join_node not in (far, target, topo.base_id):
+                return query, data_source, pair, join_node
+        raise AssertionError("no pair three hops from the farthest node joins at a relay")
 
     def test_join_node_failure_recovers_at_base(self, topo_small):
         sel = Selectivities(1.0, 1.0, 0.2)
-        query, data_source, plan = self._query0_with_plan(topo_small, sel)
-        pair = plan.pairs()[0]
-        join_node = plan.decision_for(pair).join_node
-        if join_node == topo_small.base_id:
-            pytest.skip("join node placed at the base; nothing to fail")
+        query, data_source, pair, join_node = self._relay_joined_pair(topo_small, sel)
         injector = FailureInjector()
         injector.schedule(join_node, sampling_cycle=10)
         strategy = InnetJoin(InnetVariant.basic())
@@ -198,19 +204,13 @@ class TestFailureHandling:
         ``execute_cycle_batch`` never sees a recovering pair."""
         topo = request.getfixturevalue(topo_name)
         sel = Selectivities(1.0, 1.0, 0.2)
-        # the node farthest from the base and one two hops from it: a pair
-        # that joins in-network
-        base = topo.base_id
-        ids = sorted(n for n in topo.node_ids if n != base)
-        far = max(ids, key=lambda n: (len(topo.shortest_path(n, base)), -n))
-        near = next(n for n in ids if len(topo.shortest_path(far, n)) == 3)
-        query = build_query0(source_id=far, target_id=near)
+        query = build_query0(*in_network_pair(topo))
         data_source = make_workload(topo, query, sel)
         scout = make_strategy(algorithm)
         JoinExecutor(query, topo.copy(), data_source, scout, sel).initiate()
         pair = scout.plan.pairs()[0]
         join_node = scout.plan.decision_for(pair).join_node
-        assert join_node != base
+        assert join_node != topo.base_id
         injector = FailureInjector()
         injector.schedule(join_node, sampling_cycle=FAIL_AT)
 
