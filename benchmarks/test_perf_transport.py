@@ -216,11 +216,13 @@ def test_perf_transfer_innet_reference(benchmark, innet_rung):
     """The per-tuple reference: one transfer per tree edge and join path."""
     topology, trees, join_paths, _, _ = innet_rung
     simulator = NetworkSimulator(topology)
+    tree_edges = [list(zip(*(a.tolist() for a in tree.edge_arrays())))
+                  for tree in trees]
 
     def run():
         for _ in range(5):
-            for tree in trees:
-                for parent, child in tree.edges():
+            for edges in tree_edges:
+                for parent, child in edges:
                     simulator.transfer((parent, child), 24, MessageKind.DATA)
             for path in join_paths:
                 simulator.transfer(path, 24, MessageKind.DATA)

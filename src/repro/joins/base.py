@@ -382,16 +382,18 @@ class ExecutionContext:
         return self.simulator.transfer(path, size_bytes, kind)
 
     def ship_edges(self, senders: np.ndarray, receivers: np.ndarray,
-                   sizes: np.ndarray, kind: MessageKind) -> None:
+                   sizes, kind: MessageKind) -> None:
         """Send one single-hop message per (sender, receiver) edge, in array
-        order, *sizes* bytes each: one ``ship_edges`` call on a captured
-        batcher, otherwise edge by edge through :meth:`ship`."""
+        order, *sizes* bytes each (one size, or an array aligned with the
+        edges): one ``ship_edges`` call on a captured batcher, otherwise
+        edge by edge through :meth:`ship`."""
         batcher = self._batcher
         if batcher is not None and hasattr(batcher, "ship_edges"):
             batcher.ship_edges(senders, receivers, sizes, kind)
             return
-        for sender, receiver, size in zip(
-                senders.tolist(), receivers.tolist(), sizes.tolist()):
+        sizes = (sizes.tolist() if isinstance(sizes, np.ndarray)
+                 else [sizes] * senders.size)
+        for sender, receiver, size in zip(senders.tolist(), receivers.tolist(), sizes):
             self.ship((sender, receiver), size, kind)
 
     @contextmanager

@@ -176,7 +176,8 @@ def _explore(topology, substrate: MultiTreeSubstrate, routing,
         )
         paths.update(((source, target), found) for target, found in result.paths.items())
         edges.extend(result.edges)
-    senders, receivers, lengths = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    # int32 columns, copied out: the memo keeps this for the deployment's life
+    senders, receivers, lengths = np.array(edges, dtype=np.int32).reshape(-1, 3).T.copy()
     return _Exploration(paths, senders, receivers, substrate.sizes.explore(lengths))
 
 
@@ -674,17 +675,12 @@ class InnetJoin(JoinStrategy):
         lossy-link verdicts stay bit-identical to the sequential loop).
         Capturers without an edge-block API (the service mode's shared
         shipment plane, which dedupes per edge across queries) get the
-        sequential loop through :meth:`ExecutionContext.ship` instead.
+        sequential loop (:meth:`ExecutionContext.ship_edges`).
         Edge delivery verdicts are intentionally ignored either way: cached
         tree state at branching nodes retransmits locally (Appendix E).
         """
-        batcher = ctx._batcher
-        if batcher is not None and hasattr(batcher, "ship_edges"):
-            senders, receivers = tree.edge_arrays()
-            batcher.ship_edges(senders, receivers, data_size, MessageKind.DATA)
-            return
-        for parent, child in tree.edges():
-            ctx.ship((parent, child), data_size, MessageKind.DATA)
+        senders, receivers = tree.edge_arrays()
+        ctx.ship_edges(senders, receivers, data_size, MessageKind.DATA)
 
     def _forward_results(self, ctx: ExecutionContext,
                          produced_at: Dict[int, List[int]]) -> None:

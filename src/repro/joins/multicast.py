@@ -36,23 +36,12 @@ class MulticastTree:
         """Transmissions needed to push one tuple to every destination."""
         return len(self.parent)
 
-    def edges(self) -> List[Tuple[int, int]]:
-        """(parent, child) transmission edges; cached once the tree is built.
-
-        The cache refreshes if edges are added after the first call (guarded
-        by the edge count); callers must not mutate the returned list.
-        """
-        cached = self.__dict__.get("_edges_cache")
-        if cached is None or len(cached) != len(self.parent):
-            cached = [(parent, child) for child, parent in self.parent.items()]
-            self.__dict__["_edges_cache"] = cached
-        return cached
-
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The transmission edges as flat ``(senders, receivers)`` arrays.
+        """The (parent, child) transmission edges as flat ``(senders,
+        receivers)`` arrays, in :attr:`parent` order.
 
-        The batched edge-expansion view of :meth:`edges` (same order, same
-        cache-refresh guard), pre-flattened once per tree so
+        Cached once the tree is built (the cache refreshes if edges are
+        added after the first call, guarded by the edge count), so
         :meth:`~repro.network.batch.CycleBatcher.ship_edges` can ship a whole
         tree without per-edge Python calls.  Callers must not mutate the
         returned arrays.

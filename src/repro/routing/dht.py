@@ -15,6 +15,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.network.message import MessageKind, MessageSizes
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.routing.paths import concatenate_paths, strip_cycles
 
@@ -33,8 +35,9 @@ def _stable_hash(value: Any) -> int:
 class DHTSubstrate:
     """Hash-space routing over the physical mesh topology."""
 
-    def __init__(self, topology: Topology) -> None:
+    def __init__(self, topology: Topology, sizes: Optional[MessageSizes] = None) -> None:
         self.topology = topology
+        self.sizes = sizes or MessageSizes()
         self._node_hashes: Dict[int, int] = {
             node_id: _stable_hash(("node", node_id))
             for node_id in topology.node_ids
@@ -91,6 +94,17 @@ class DHTSubstrate:
         return strip_cycles(concatenate_paths(to_home, from_home))
 
     # ------------------------------------------------------------------
+    def charge_route(
+        self,
+        simulator: NetworkSimulator,
+        path: List[int],
+        size_bytes: Optional[int] = None,
+        kind: MessageKind = MessageKind.DATA,
+    ) -> bool:
+        return simulator.transfer(
+            path, size_bytes or self.sizes.data_tuple(), kind
+        )
+
     def paths_for_pairs(
         self, pairs, key_of=None
     ) -> Dict[Tuple[int, int], List[int]]:

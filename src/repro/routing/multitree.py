@@ -166,6 +166,13 @@ class MultiTreeSubstrate:
     def path_to_base(self, node_id: int) -> List[int]:
         return self.primary_tree.path_to_root(node_id)
 
+    def construction_traffic(self, simulator: NetworkSimulator) -> int:
+        """Charge the construction flood of every tree."""
+        transmissions = 0
+        for tree in self.trees:
+            transmissions += tree.construction_traffic(simulator)
+        return transmissions
+
     # ------------------------------------------------------------------
     # point-to-point routing
     # ------------------------------------------------------------------
@@ -289,26 +296,22 @@ class MultiTreeSubstrate:
     # failure repair
     # ------------------------------------------------------------------
     def copy(self) -> "MultiTreeSubstrate":
-        """A private copy for a holder of a shared substrate that is about
-        to repair it: its own tree list, tables and route memo."""
+        """A private copy to repair (:meth:`repair_after_failure` mutates
+        the trees, which may be the deployment's shared ones)."""
         twin = copy.copy(self)
-        twin.trees = list(self.trees)
-        twin.tables = list(self.tables)
+        twin.trees = [tree.copy() for tree in self.trees]
         twin._best_routes = {}
         return twin
 
     def repair_after_failure(
         self, failed: int, simulator: Optional[NetworkSimulator] = None
     ) -> Dict[int, List[int]]:
-        """Repair every tree after a permanent node failure.
+        """Repair every tree after a permanent node failure, in place.
 
-        The trees may be the deployment's shared ones, so each is repaired
-        on a private copy.  Returns a mapping tree-index -> nodes that could
-        not be re-attached.
+        Returns a mapping tree-index -> nodes that could not be re-attached.
         """
         stranded: Dict[int, List[int]] = {}
         self._best_routes = {}
-        self.trees = [tree.copy() for tree in self.trees]
         for index, tree in enumerate(self.trees):
             lost = tree.repair_after_failure(failed, simulator=simulator)
             if lost:

@@ -36,7 +36,6 @@ class RoutingTree:
         # Memoized parent climbs; cleared whenever the tree structure
         # changes (build / repair_after_failure).
         self._paths_to_root: Dict[int, tuple] = {}
-        self._routes: Dict[tuple, tuple] = {}
         self.build()
 
     # ------------------------------------------------------------------
@@ -57,7 +56,6 @@ class RoutingTree:
         self.children = {self.root: []}
         self.depth = {self.root: 0}
         self._paths_to_root = {}
-        self._routes = {}
         cache = self.topology.routing_cache
         indptr, indices, mask = cache.indptr, cache.indices, cache.alive_mask
         seed = self.tie_break_seed
@@ -109,6 +107,18 @@ class RoutingTree:
         for node, chosen_parent in zip(nodes, parents):
             children[chosen_parent].append(node)
 
+    def construction_traffic(self, simulator: NetworkSimulator,
+                             beacon_bytes: int = 13) -> int:
+        """Charge the tree-construction flood to the simulator.
+
+        Every covered node broadcasts the beacon exactly once.
+        """
+        transmissions = 0
+        for node_id in self.covered_nodes():
+            simulator.broadcast(node_id, beacon_bytes, MessageKind.TREE_MAINT)
+            transmissions += 1
+        return transmissions
+
     def copy(self) -> "RoutingTree":
         """A private copy to repair (:meth:`repair_after_failure` mutates)."""
         twin = copy.copy(self)
@@ -116,7 +126,6 @@ class RoutingTree:
         twin.depth = dict(self.depth)
         twin.children = {node: list(kids) for node, kids in self.children.items()}
         twin._paths_to_root = {}
-        twin._routes = {}
         return twin
 
     # ------------------------------------------------------------------
@@ -173,17 +182,10 @@ class RoutingTree:
     def route(self, source: int, target: int) -> List[int]:
         """Tree route: climb to the lowest common ancestor, then descend.
 
-        Memoized per (source, target) until the tree structure changes.
+        Not memoised: :meth:`MultiTreeSubstrate.best_route
+        <repro.routing.multitree.MultiTreeSubstrate.best_route>` keeps the
+        winning route per pair, on a substrate shared by the deployment.
         """
-        key = (source, target)
-        cached = self._routes.get(key)
-        if cached is not None:
-            return list(cached)
-        route = self._compute_route(source, target)
-        self._routes[key] = tuple(route)
-        return route
-
-    def _compute_route(self, source: int, target: int) -> List[int]:
         up = self.path_to_root(source)
         down = self.path_to_root(target)
         up_set = {node: index for index, node in enumerate(up)}
@@ -216,7 +218,6 @@ class RoutingTree:
         if failed not in self.parent:
             return []
         self._paths_to_root = {}
-        self._routes = {}
         orphans = set(self.subtree_nodes(failed))
         # Remove the failed subtree from the structure.
         failed_parent = self.parent.get(failed)

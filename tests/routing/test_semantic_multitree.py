@@ -186,6 +186,12 @@ class TestMultiTreeSubstrate:
                          MessageKind.EXPLORE)
         assert sim.stats.traffic_by_kind()[MessageKind.EXPLORE] > 0
 
+    def test_construction_traffic(self, topo):
+        sim = NetworkSimulator(topo)
+        substrate = MultiTreeSubstrate(topo, num_trees=3)
+        transmissions = substrate.construction_traffic(sim)
+        assert transmissions == 3 * topo.num_nodes
+
     def test_repair_after_failure(self):
         topo = grid_topology(num_nodes=49)
         for node_id, node in topo.nodes.items():
@@ -207,6 +213,24 @@ class TestMultiTreeSubstrate:
         assert stranded == {}
         for tree in substrate.trees:
             assert victim not in tree.covered_nodes()
+
+    def test_repairing_a_copy_leaves_the_original(self):
+        """Repair mutates the trees, which a substrate may share with the
+        deployment memo: a copy repairs its own."""
+        topo = grid_topology(num_nodes=49)
+        substrate = MultiTreeSubstrate(topo, num_trees=2)
+        before = [dict(tree.parent) for tree in substrate.trees]
+        victim = next(
+            n for n in topo.node_ids
+            if n != topo.base_id
+            and n not in {t.root for t in substrate.trees}
+            and substrate.primary_tree.children_of(n)
+        )
+        twin = substrate.copy()
+        topo.nodes[victim].fail()
+        twin.repair_after_failure(victim)
+        assert all(victim not in tree.covered_nodes() for tree in twin.trees)
+        assert [dict(tree.parent) for tree in substrate.trees] == before
 
 
 class TestPathQualityTrend:

@@ -36,6 +36,13 @@ class TestConstruction:
                 assert tree.parent_of(child) == node
                 assert tree.depth_of(child) == tree.depth_of(node) + 1
 
+    def test_construction_traffic_one_broadcast_per_node(self, topo):
+        tree = RoutingTree(topo)
+        sim = NetworkSimulator(topo)
+        count = tree.construction_traffic(sim, beacon_bytes=13)
+        assert count == topo.num_nodes
+        assert sim.stats.total() == 13.0 * topo.num_nodes
+
     def test_alternate_root(self, topo):
         other_root = [n for n in topo.node_ids if n != topo.base_id][0]
         tree = RoutingTree(topo, root=other_root)

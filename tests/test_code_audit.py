@@ -115,8 +115,10 @@ ALLOWED_DEFS: Dict[str, str] = {
     "repro.query.window.JoinState.buffered_tuple_count": "tests/query/test_window.py",
     "repro.query.window.JoinState.export_state": "tests/query/test_window.py",
     "repro.query.window.JoinState.import_state": "tests/query/test_window.py",
-    "repro.routing.tree.RoutingTree.covered_nodes":
-        "tests/routing/test_tree.py, tests/routing/test_semantic_array.py",
+    "repro.routing.dht.DHTSubstrate.charge_route": "tests/routing/test_ght_dht.py",
+    "repro.routing.ght.GHTSubstrate.charge_route": "tests/routing/test_ght_dht.py",
+    "repro.routing.multitree.MultiTreeSubstrate.construction_traffic":
+        "tests/routing/test_semantic_multitree.py",
     "repro.routing.paths.compress_path": "tests/routing/test_paths.py",
     "repro.routing.paths.reverse_path": "tests/routing/test_paths.py",
     "repro.workloads.intel.intel_query3_workload": "tests/joins/test_strategies.py",
@@ -167,7 +169,11 @@ ALLOWED_PARAMS: Dict[str, str] = {
     "repro.network.mobility.max_supported_speed(seconds_per_cycle)":
         "benchmarks/test_appg_mobility.py",
     "repro.routing.tree.RoutingTree.repair_after_failure(beacon_bytes)":
-        "failure repair: the routing beacon's size",
+        "failure repair; shares its beacon size with construction_traffic",
+    "repro.routing.dht.DHTSubstrate.charge_route(size_bytes)": "tests/routing/test_ght_dht.py",
+    "repro.routing.dht.DHTSubstrate.charge_route(kind)": "tests/routing/test_ght_dht.py",
+    "repro.routing.ght.GHTSubstrate.charge_route(size_bytes)": "tests/routing/test_ght_dht.py",
+    "repro.routing.ght.GHTSubstrate.charge_route(kind)": "tests/routing/test_ght_dht.py",
     "repro.engine.spec.ScenarioSpec.to_json(indent)": "tests/engine/test_spec.py",
     "repro.engine.store.ResultStore.node_metrics(sink)": ".github/workflows/ci.yml",
 }
