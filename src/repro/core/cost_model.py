@@ -47,9 +47,6 @@ class Selectivities:
         """Selectivities with the roles of S and T exchanged."""
         return Selectivities(self.sigma_t, self.sigma_s, self.sigma_st)
 
-    @staticmethod
-    def uniform(value: float, sigma_st: float) -> "Selectivities":
-        return Selectivities(value, value, sigma_st)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ class PairAssignment:
     assumed: Selectivities
     candidate_paths: List[PairPath] = field(default_factory=list)
 
-    @property
-    def pair(self) -> Pair:
-        return self.decision.pair
-
 
 @dataclass
 class JoinPlan:

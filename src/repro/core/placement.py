@@ -38,10 +38,6 @@ class PlacementDecision:
     candidate_path: Optional[PairPath] = None
 
     @property
-    def pair(self) -> tuple:
-        return (self.source, self.target)
-
-    @property
     def d_sj(self) -> int:
         return max(0, len(self.source_to_join) - 1)
 

@@ -55,7 +55,6 @@ def run_single(
     seed: int = 0,
     accounting: TrafficAccounting = TrafficAccounting.BYTES,
     failure_injector: Optional[FailureInjector] = None,
-    queue_capacity: Optional[int] = None,
     strategy_kwargs: Optional[Dict] = None,
     link_model: Optional[LinkModel] = None,
     sinks: Optional[List] = None,
@@ -81,7 +80,6 @@ def run_single(
         link_model=link_model,
         accounting=accounting,
         failure_injector=failure_injector,
-        queue_capacity=queue_capacity,
         seed=seed,
         sinks=sinks,
         node_series_cap=node_series_cap,
@@ -292,7 +290,6 @@ def _execute_join_run(spec: RunSpec) -> RunResult:
             seed=spec.seed,
             accounting=TrafficAccounting(spec.accounting),
             failure_injector=injector,
-            queue_capacity=spec.queue_capacity,
             strategy_kwargs=_strategy_kwargs_from_spec(spec),
             link_model=link_model,
             sinks=sinks,
@@ -335,7 +332,6 @@ def _run_phased(spec: RunSpec, query: JoinQuery, topology: Topology,
         link_model=link_model,
         accounting=TrafficAccounting(spec.accounting),
         failure_injector=injector,
-        queue_capacity=spec.queue_capacity,
         seed=spec.seed,
         sinks=sinks,
         node_series_cap=spec.node_series_cap,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List
 
 from repro.joins.base import ExecutionReport
 
@@ -69,7 +69,6 @@ def measurement_report(
         average_result_delay_cycles=0.0,
         average_result_path_hops=0.0,
         messages_dropped=0,
-        queue_drops=0,
         extra={key: float(value) for key, value in extra.items()},
     )
 
@@ -94,10 +93,3 @@ class AggregateResult:
         variance = sum((v - mean) ** 2 for v in values) / (n - 1)
         t_value = _T_975.get(n - 1, 1.96)
         return t_value * math.sqrt(variance / n)
-
-    def summary(self, metrics: Sequence[str] = ("total_traffic", "base_traffic")) -> Dict[str, float]:
-        out: Dict[str, float] = {"algorithm_runs": float(len(self.runs))}
-        for metric in metrics:
-            out[metric] = self.mean(metric)
-            out[f"{metric}_ci95"] = self.confidence_95(metric)
-        return out

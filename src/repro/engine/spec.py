@@ -28,7 +28,8 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.cost_model import Selectivities
 from repro.workloads.selectivity import selectivities_for_ratio
@@ -311,7 +312,6 @@ class RunSpec:
     assumed_sigma_t: float
     assumed_sigma_st: float
     accounting: str = "bytes"
-    queue_capacity: Optional[int] = None
     link_loss: Optional[float] = None
     link_seed: int = 0
     failures: Tuple[Tuple[int, int], ...] = ()   # (node_id, sampling_cycle)
@@ -374,6 +374,9 @@ class RunSpec:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunSpec":
         data = dict(payload)
+        # a spec stored before a field was retired carries it at its default
+        _reject_retired([name for name in RETIRED_FIELDS
+                         if data.pop(name, None) is not None], "run field")
         for key in ("setting", "query_kwargs", "strategy_kwargs", "params",
                     "workload_kwargs", "assumed_kwargs"):
             data[key] = freeze(data.get(key) or {})
@@ -400,6 +403,9 @@ class RunSpec:
             # reporting knob only (traffic metrics are unaffected); leaving
             # the default out keeps every pre-cap stored result addressable
             del payload["node_series_cap"]
+        # retired fields hash at their old default, so results stored
+        # before their removal stay addressable
+        payload.update(dict.fromkeys(RETIRED_FIELDS))
         payload["engine_version"] = ENGINE_VERSION
         return content_hash(payload)
 
@@ -416,7 +422,7 @@ class RunSpec:
 #: Grid axes that override a ScenarioSpec field directly.
 _FIELD_AXES = {
     "query", "query_kwargs", "cycles", "cycles_factor", "num_nodes",
-    "topology_preset", "topology_seed", "queue_capacity", "link_loss",
+    "topology_preset", "topology_seed", "link_loss",
     "accounting", "sinks", "node_series_cap",
 }
 #: Grid axes with workload-specific handling.  ``ratio`` applies to both the
@@ -429,6 +435,20 @@ _WORKLOAD_AXES = {"ratio", "true_ratio", "assumed_ratio",
 #: Keys a variant mapping may carry.
 _VARIANT_KEYS = {"label", "algorithm", "assumed", "strategy_kwargs", "phases",
                  "data", "workload_seed_offset", "cycles_span"}
+
+#: Settings the engine no longer models, with why.  Setting one, as a
+#: scenario field or a grid axis, fails at load; :meth:`RunSpec.run_key`
+#: still hashes each at its old default (``None``).
+RETIRED_FIELDS: Dict[str, str] = {
+    "queue_capacity": "the per-node forwarding-queue bound was removed; "
+                      "routing-queue overflow is not modelled",
+}
+
+
+def _reject_retired(names: Iterable[str], where: str) -> None:
+    for name in names:
+        if name in RETIRED_FIELDS:
+            raise ValueError(f"{where} {name!r}: {RETIRED_FIELDS[name]}")
 
 
 def _normalize_sink_entries(entries: Sequence[Any]) -> Tuple[Any, ...]:
@@ -551,7 +571,6 @@ class ScenarioSpec:
     #: a mid-run failure to have observable aftermath even at smoke scale).
     min_cycles: Optional[int] = None
     accounting: str = "bytes"
-    queue_capacity: Optional[int] = None
     link_loss: Optional[float] = None
     link_seed: int = 0
     failures: Tuple[Mapping[str, Any], ...] = ()
@@ -603,12 +622,14 @@ class ScenarioSpec:
             raise ValueError("accounting must be 'bytes' or 'messages'")
 
     def _validate_axis(self, axis: str, values: Sequence[Any]) -> None:
+        _reject_retired([axis], "grid axis")
         known = _FIELD_AXES | _WORKLOAD_AXES
         composite = [v for v in values if isinstance(v, Mapping)]
         if composite:
             # a composite axis: each value is a mapping of joint overrides
             # (e.g. query + its sigma_st), flattened into the grid point
             for value in composite:
+                _reject_retired(value, f"composite grid axis {axis!r} key")
                 bad = set(value) - known
                 if bad and self.kind == "join":
                     raise ValueError(
@@ -645,6 +666,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
+        _reject_retired(payload, "scenario field")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -817,7 +839,6 @@ class ScenarioSpec:
             assumed_sigma_t=assumed["sigma_t"],
             assumed_sigma_st=assumed["sigma_st"],
             accounting=str(field_overrides.get("accounting", self.accounting)),
-            queue_capacity=field_overrides.get("queue_capacity", self.queue_capacity),
             link_loss=field_overrides.get("link_loss", self.link_loss),
             link_seed=self.link_seed,
             failures=failures,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Union
 
@@ -57,6 +58,9 @@ CREATE INDEX IF NOT EXISTS run_node_metrics_scenario
 """
 
 
+_REPORT_FIELDS = frozenset(field.name for field in fields(ExecutionReport))
+
+
 def report_to_dict(report: ExecutionReport) -> Dict:
     payload = dict(report.__dict__)
     payload["top_loaded_nodes"] = [list(item) for item in report.top_loaded_nodes]
@@ -64,7 +68,8 @@ def report_to_dict(report: ExecutionReport) -> Dict:
 
 
 def report_from_dict(payload: Dict) -> ExecutionReport:
-    data = dict(payload)
+    # a report stored before one of its fields was retired still loads
+    data = {key: value for key, value in payload.items() if key in _REPORT_FIELDS}
     data["top_loaded_nodes"] = [
         (int(node), float(load)) for node, load in data.get("top_loaded_nodes", [])
     ]

@@ -255,7 +255,7 @@ def _run_costmodel_validation(spec: RunSpec):
     )
     result = run_single(query, topology, data_source, spec.algorithm,
                         spec.assumed_selectivities, cycles=spec.cycles,
-                        seed=spec.seed, queue_capacity=spec.queue_capacity,
+                        seed=spec.seed,
                         link_model=(None if spec.link_loss is None else
                                     lossy_links(spec.link_loss,
                                                 seed=spec.link_seed)))

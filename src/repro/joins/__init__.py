@@ -9,7 +9,7 @@ The evaluation compares six strategies (Section 2.2, Figure 1):
 * :class:`~repro.joins.ght_join.GHTJoin` -- grouped join at each key's
   geographic-hash home node.
 * :class:`~repro.joins.through_base.ThroughBaseJoin` -- the Yang+07
-  through-the-base strategy with bounded routing queues.
+  through-the-base strategy.
 * :class:`~repro.joins.innet.InnetJoin` -- pairwise in-network join with
   cost-model placement; compositional flags add multicast trees (``cm``),
   group optimization (``g``), path collapsing (``p``) and adaptive

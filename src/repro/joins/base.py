@@ -429,7 +429,6 @@ class ExecutionReport:
     average_result_delay_cycles: float
     average_result_path_hops: float
     messages_dropped: int
-    queue_drops: int
     top_loaded_nodes: List[Tuple[int, float]] = field(default_factory=list)
     traffic_by_kind: Dict[str, float] = field(default_factory=dict)
     reoptimizations: int = 0
@@ -457,7 +456,6 @@ class ExecutionReport:
             "average_result_delay_cycles": self.average_result_delay_cycles,
             "average_result_path_hops": self.average_result_path_hops,
             "messages_dropped": self.messages_dropped,
-            "queue_drops": self.queue_drops,
             "reoptimizations": self.reoptimizations,
             "join_nodes_used": self.join_nodes_used,
             "storage_tuples_peak": self.storage_tuples_peak,

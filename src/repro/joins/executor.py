@@ -52,7 +52,6 @@ class JoinExecutor:
         link_model: Optional[LinkModel] = None,
         accounting: TrafficAccounting = TrafficAccounting.BYTES,
         sizes: Optional[MessageSizes] = None,
-        queue_capacity: Optional[int] = None,
         failure_injector: Optional[FailureInjector] = None,
         seed: int = 0,
         sinks: Optional[Sequence] = None,
@@ -67,7 +66,6 @@ class JoinExecutor:
             link_model=link_model,
             accounting=accounting,
             sizes=sizes,
-            queue_capacity=queue_capacity,
             sinks=sinks,
         )
         self.context = ExecutionContext(
@@ -163,10 +161,10 @@ class JoinExecutor:
 
         A block is a stretch in which nothing can change routes, placement
         or delivery verdicts, so its cycles sample, join and charge in one
-        array pass.  One cycle when the cycle is off the kernel (a dead node
-        or a queue bound), on lossy links (verdicts are drawn per ship, in
-        ship order), or when a sink besides the traffic stats listens (the
-        energy sink checks lifetimes at every cycle tick).  Otherwise the
+        array pass.  One cycle when the cycle is off the kernel (a dead
+        node), on lossy links (verdicts are drawn per ship, in ship order),
+        or when a sink besides the traffic stats listens (the energy sink
+        checks lifetimes at every cycle tick).  Otherwise the
         block runs to the first boundary: *end* (a phase end or a move), the
         next failure event, the data source's next switch of regime (at any
         depth of a phase schedule's chain), a cycle the strategy must start
@@ -194,15 +192,13 @@ class JoinExecutor:
     def _cycle_batcher(self) -> Optional[CycleBatcher]:
         """The batch-cycle kernel for this cycle, or ``None`` for per-tuple.
 
-        Decided afresh every cycle: the kernel runs unless a forwarding-queue
-        bound is set or a node is dead, the two cases only the per-hop
+        Decided afresh every cycle: the kernel runs unless a node is dead,
+        the case only the per-hop
         :meth:`~repro.network.simulator.NetworkSimulator.transfer` walk
         models.  Failures are permanent, so a run leaves the kernel from its
         first failure cycle on; a move with every node alive stays on it.
         """
-        simulator = self.simulator
-        if (simulator.queue_capacity is not None
-                or len(simulator._current_alive_set()) != len(self.topology.nodes)):
+        if len(self.simulator._current_alive_set()) != len(self.topology.nodes):
             return None
         return self._batcher
 
@@ -244,7 +240,6 @@ class JoinExecutor:
             average_result_delay_cycles=results.average_delay,
             average_result_path_hops=results.average_path_hops,
             messages_dropped=stats.messages_dropped,
-            queue_drops=stats.queue_drops,
             top_loaded_nodes=stats.top_loaded_nodes(k=15),
             traffic_by_kind={
                 kind.value: units for kind, units in stats.traffic_by_kind().items()

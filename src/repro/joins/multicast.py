@@ -62,18 +62,6 @@ class MulticastTree:
             self.__dict__["_edge_arrays_cache"] = cached
         return cached
 
-    def path_from_root(self, destination: int) -> List[int]:
-        """The tree path from the root down to *destination*."""
-        if destination == self.root:
-            return [self.root]
-        if destination not in self.parent:
-            raise KeyError(f"{destination} is not in the multicast tree")
-        path = [destination]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
-
     def maintenance_bytes(self) -> int:
         """Bytes to push the tree description into the network when it changes:
         a two-byte entry per node."""

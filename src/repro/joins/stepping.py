@@ -442,10 +442,6 @@ class SharedSubstrateEngine:
         self.cycle += 1
         return cycle
 
-    def run_cycles(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step_cycle()
-
     # -- reporting ------------------------------------------------------------
     @property
     def shared_savings_units(self) -> float:

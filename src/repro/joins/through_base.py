@@ -4,9 +4,10 @@ Source tuples travel up the routing tree to the base station, which forwards
 them back down to the target nodes holding matching join keys; the target
 nodes perform the join against their locally buffered readings and return
 answers to the base.  This keeps storage at the base low (Table 3: ``|S|``
-values) but often costs more computation traffic than joining at the base,
-and its routing queues overflow under the paper's synthetic workloads when
-per-node queues are bounded (Section 4.2).
+values) but often costs more computation traffic than joining at the base.
+The paper reports (Section 4.2) that its routing queues overflow under the
+synthetic workloads; this simulator's forwarding queues are unbounded, so
+that overflow is not modelled and only the traffic is compared.
 """
 
 from __future__ import annotations

@@ -71,8 +71,8 @@ class MetricsSink:
     def charge_broadcast(self, node_id, size_bytes, kind, receivers) -> None:
         """One local broadcast heard by *receivers*."""
 
-    def charge_drop(self, queue_drop: bool = False) -> None:
-        """A message was dropped (link loss, death, or queue overflow)."""
+    def charge_drop(self) -> None:
+        """A message was dropped (link loss or a dead node)."""
 
     # -- pipeline-only events ----------------------------------------------
     def on_sampling_cycle(self, cycle: int) -> None:

@@ -13,7 +13,7 @@ and its Java 802.11 mesh simulator (see DESIGN.md).  It provides:
 * :mod:`repro.network.traffic` -- per-node and aggregate traffic statistics
   (bytes for mote networks, messages for mesh networks).
 * :mod:`repro.network.simulator` -- the sampling-cycle simulator: instant
-  per-path traffic accounting, bounded per-cycle forwarding queues.
+  per-path traffic accounting; a per-hop walk for paths through dead nodes.
 * :mod:`repro.network.failures` -- permanent node-failure injection.
 * :mod:`repro.network.mobility` -- leaf-node movement support.
 """

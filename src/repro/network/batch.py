@@ -26,8 +26,8 @@ rule, :meth:`~repro.joins.executor.JoinExecutor._block_length`).
   rejects one that does not).
 
 Lossy links keep blocks at one cycle: verdicts are drawn per ship, in ship
-order, and later ships depend on them.  Dead nodes and queue bounds keep a
-cycle off the kernel altogether (the per-hop ``transfer`` walk models them).
+order, and later ships depend on them.  A dead node keeps a cycle off the
+kernel altogether (the per-hop ``transfer`` walk models it).
 
 Bit-identity with the per-tuple reference path rests on two facts:
 

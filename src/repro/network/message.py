@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 
 class MessageKind(Enum):
-    """Role of a message; used for traffic breakdowns and queue policies."""
+    """Role of a message; used for traffic breakdowns."""
 
     # Enum.__hash__ is a Python-level function; members are singletons, so
     # identity hashing is equivalent and keeps the per-hop traffic

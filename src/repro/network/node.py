@@ -57,15 +57,8 @@ class SensorNode:
             return self.static_attributes[name]
         raise KeyError(f"node {self.node_id} has no attribute {name!r}")
 
-    def has_attribute(self, name: str) -> bool:
-        return name in self.static_attributes
-
     def set_static(self, name: str, value: Any) -> None:
         self.static_attributes[name] = value
-
-    def attributes(self) -> Dict[str, Any]:
-        """A copy of the static attributes."""
-        return dict(self.static_attributes)
 
     # -- lifecycle -------------------------------------------------------------
     def _notify_state_change(self) -> None:

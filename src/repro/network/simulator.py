@@ -8,20 +8,18 @@ the retransmissions its link model draws).  The join executor charges a
 cycle -- or a block of lossless cycles -- through
 :class:`~repro.network.batch.CycleBatcher` instead: the same link-model
 draws, one array-level pipeline event for the whole block --
-unless a node is dead or a queue bound is set.  Result delay is not
-simulated hop by hop; strategies account it in
-:class:`~repro.joins.base.ResultAccounting`.
+unless a node is dead.  Result delay is not simulated hop by hop;
+strategies account it in :class:`~repro.joins.base.ResultAccounting`.
 
-With a per-node forwarding-queue bound (``queue_capacity``, messages per
-sampling cycle), or on a path through a dead node, :meth:`transfer` walks
-the path hop by hop instead, and the first full queue or dead node drops
-the message.
+On a path through a dead node, :meth:`transfer` walks the path hop by hop
+instead, and the first dead node (or a lossy hop that exhausts its
+retransmissions) drops the message.  Forwarding queues are unbounded: the
+routing-queue overflow of Yang+07 is not modelled.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +43,6 @@ class NetworkSimulator:
         ``BYTES`` for mote networks, ``MESSAGES`` for 802.11 mesh networks.
     sizes:
         Byte-size model for the different message kinds.
-    queue_capacity:
-        Optional per-node forwarding-queue bound (messages per sampling
-        cycle).  Used to reproduce the routing-queue overflow of Yang+07
-        reported in Section 4.2.  ``None`` means unbounded.
     sinks:
         Additional :class:`~repro.metrics.pipeline.MetricsSink` instances
         registered on the metrics pipeline (energy, hotspot, ...).  The
@@ -62,7 +56,6 @@ class NetworkSimulator:
         link_model: Optional[LinkModel] = None,
         accounting: TrafficAccounting = TrafficAccounting.BYTES,
         sizes: Optional[MessageSizes] = None,
-        queue_capacity: Optional[int] = None,
         sinks: Optional[Sequence[MetricsSink]] = None,
     ) -> None:
         self.topology = topology
@@ -76,9 +69,6 @@ class NetworkSimulator:
         self.pipeline.add_sink(self.stats, reporting=False)
         #: Simulation time: sampling cycles completed so far.
         self.sampling_cycle = 0
-        self.queue_capacity = queue_capacity
-        # Per-sampling-cycle forwarding counters for queue enforcement.
-        self._cycle_forwarded: Dict[int, int] = defaultdict(int)
         # Local mirror of the topology's alive set, refreshed per epoch, so
         # the transfer fast path skips the cache-property indirection.
         self._alive_epoch = -1
@@ -126,42 +116,37 @@ class NetworkSimulator:
 
         Every node except the last transmits once (plus retransmissions drawn
         from the link model).  Returns ``True`` if the message reached the end
-        of the path, ``False`` if a hop failed or a queue overflowed.
+        of the path, ``False`` if a hop failed.
 
-        When no queue bookkeeping is needed and every node on the path is
-        alive, the whole path is charged with one vectorized accounting call
-        (and, on lossy links, one batched draw from the link model);
-        otherwise each hop is charged in turn.
+        When every node on the path is alive, the whole path is charged with
+        one vectorized accounting call (and, on lossy links, one batched draw
+        from the link model); otherwise each hop is charged in turn.
         """
         num_hops = len(path) - 1
         if num_hops < 0:
             raise ValueError("path must contain at least one node")
         if num_hops == 0:
             return True
-        if self.queue_capacity is None:
-            if self._current_alive_set().issuperset(path):
-                if self.links.loss_probability == 0.0:
-                    self.pipeline.charge_path(path, size_bytes, kind)
-                else:
-                    delivered, attempts = self.links.attempt_hops(num_hops)
-                    if not delivered.all():
-                        failed_at = int(np.argmax(~delivered))
-                        self.pipeline.charge_path(
-                            path, size_bytes, kind,
-                            attempts=attempts, num_hops=failed_at + 1,
-                        )
-                        self.pipeline.charge_drop()
-                        return False
-                    self.pipeline.charge_path(path, size_bytes, kind, attempts=attempts)
-                return True
+        if self._current_alive_set().issuperset(path):
+            if self.links.loss_probability == 0.0:
+                self.pipeline.charge_path(path, size_bytes, kind)
+            else:
+                delivered, attempts = self.links.attempt_hops(num_hops)
+                if not delivered.all():
+                    failed_at = int(np.argmax(~delivered))
+                    self.pipeline.charge_path(
+                        path, size_bytes, kind,
+                        attempts=attempts, num_hops=failed_at + 1,
+                    )
+                    self.pipeline.charge_drop()
+                    return False
+                self.pipeline.charge_path(path, size_bytes, kind, attempts=attempts)
+            return True
         for index in range(num_hops):
             sender = path[index]
             receiver = path[index + 1]
             if not self.topology.nodes[sender].alive or not self.topology.nodes[receiver].alive:
                 self.pipeline.charge_drop()
-                return False
-            if index > 0 and not self._admit_to_queue(sender):
-                self.pipeline.charge_drop(queue_drop=True)
                 return False
             delivered_hop, attempts = self.links.attempt_hop()
             self.pipeline.charge_transmission(
@@ -191,18 +176,6 @@ class NetworkSimulator:
     # sampling-cycle bookkeeping
     # ------------------------------------------------------------------
     def advance_sampling_cycle(self) -> None:
-        """Move to the next sampling cycle and reset per-cycle queue counters."""
+        """Move to the next sampling cycle and tell the sinks."""
         self.sampling_cycle += 1
-        self._cycle_forwarded.clear()
         self.pipeline.on_sampling_cycle(self.sampling_cycle)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _admit_to_queue(self, node_id: int) -> bool:
-        if self.queue_capacity is None:
-            return True
-        if self._cycle_forwarded[node_id] >= self.queue_capacity:
-            return False
-        self._cycle_forwarded[node_id] += 1
-        return True

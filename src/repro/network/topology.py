@@ -489,8 +489,6 @@ class Topology:
         self._routing_epoch = 0
         self._path_cache = PathCache(self)
         self._node_ids_cache: Optional[List[int]] = None
-        self._positions_cache: Optional[Dict[int, Position]] = None
-        self._positions_epoch = -1
         # Node death/recovery/moves must invalidate the routing caches even
         # when triggered directly on the node (e.g. by a FailureInjector).
         for node in self.nodes.values():
@@ -535,9 +533,6 @@ class Topology:
     def base(self) -> SensorNode:
         return self.nodes[self.base_id]
 
-    def node(self, node_id: int) -> SensorNode:
-        return self.nodes[node_id]
-
     def neighbors(self, node_id: int, only_alive: bool = True) -> List[int]:
         """Neighbours of a node, optionally filtering out failed nodes.
 
@@ -554,19 +549,6 @@ class Topology:
         if not self.nodes:
             return 0.0
         return self.adjacency.total_degree() / len(self.nodes)
-
-    def positions(self) -> Dict[int, Position]:
-        """Node positions (memoized per routing epoch -- treat as read-only).
-
-        Mobility moves bump the routing epoch via the node state listener, so
-        the memo is refreshed exactly when a position can have changed.
-        """
-        cached = self._positions_cache
-        if cached is None or self._positions_epoch != self._routing_epoch:
-            cached = {node_id: node.position for node_id, node in self.nodes.items()}
-            self._positions_cache = cached
-            self._positions_epoch = self._routing_epoch
-        return cached
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance in metres between two nodes."""

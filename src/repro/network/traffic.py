@@ -59,7 +59,6 @@ class TrafficStats:
         self.by_kind: Dict[MessageKind, float] = defaultdict(float)
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.queue_drops = 0
         self._pending_tx: Optional[np.ndarray] = None
         self._pending_rx: Optional[np.ndarray] = None
         self._pending_dirty = False
@@ -240,10 +239,8 @@ class TrafficStats:
         for receiver in receivers:
             received[receiver] += units
 
-    def charge_drop(self, queue_drop: bool = False) -> None:
+    def charge_drop(self) -> None:
         self.messages_dropped += 1
-        if queue_drop:
-            self.queue_drops += 1
 
     def _units(self, size_bytes: int) -> float:
         if self.accounting is TrafficAccounting.MESSAGES:
@@ -284,30 +281,12 @@ class TrafficStats:
     def traffic_by_kind(self) -> Dict[MessageKind, float]:
         return dict(self.by_kind)
 
-    def merge(self, other: "TrafficStats") -> "TrafficStats":
-        """Combine two stats objects (e.g. initiation + computation phases)."""
-        if other.accounting is not self.accounting:
-            raise ValueError("cannot merge stats with different accounting units")
-        merged = TrafficStats(accounting=self.accounting)
-        for source in (self, other):
-            for node_id, units in source.transmitted.items():
-                merged._transmitted[node_id] += units
-            for node_id, units in source.received.items():
-                merged._received[node_id] += units
-            for kind, units in source.by_kind.items():
-                merged.by_kind[kind] += units
-            merged.messages_sent += source.messages_sent
-            merged.messages_dropped += source.messages_dropped
-            merged.queue_drops += source.queue_drops
-        return merged
-
     def reset(self) -> None:
         self._transmitted.clear()
         self._received.clear()
         self.by_kind.clear()
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.queue_drops = 0
         if self._pending_tx is not None:
             self._pending_tx[:] = 0.0
             self._pending_rx[:] = 0.0
@@ -324,7 +303,6 @@ class TrafficStats:
             "total": self.total(),
             "messages_sent": float(self.messages_sent),
             "messages_dropped": float(self.messages_dropped),
-            "queue_drops": float(self.queue_drops),
             "max_node_load": self.max_node_load(),
             "by_kind": {kind.value: units for kind, units in self.by_kind.items()},
         }

@@ -55,9 +55,6 @@ class RelationSchema:
     def is_static(self, name: str) -> bool:
         return self.attribute(name).static
 
-    def static_attributes(self) -> List[str]:
-        return [a.name for a in self.attributes if a.static]
-
     def __len__(self) -> int:
         return len(self.attributes)
 

@@ -23,11 +23,9 @@ from repro.routing.ght import GHTSubstrate
 from repro.routing.multitree import MultiTreeSubstrate, PairPath
 from repro.routing.paths import (
     PathQuality,
-    compress_path,
     concatenate_paths,
     path_load_profile,
     path_quality_for_pairs,
-    reverse_path,
 )
 from repro.routing.semantic import SemanticRoutingTable
 from repro.routing.tree import RoutingTree
@@ -40,8 +38,6 @@ __all__ = [
     "GHTSubstrate",
     "DHTSubstrate",
     "PathQuality",
-    "compress_path",
-    "reverse_path",
     "concatenate_paths",
     "path_load_profile",
     "path_quality_for_pairs",

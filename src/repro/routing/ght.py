@@ -16,8 +16,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.message import MessageKind, MessageSizes
-from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.routing.paths import concatenate_paths, strip_cycles
 
@@ -37,9 +35,8 @@ def _hash_key(key: Any) -> int:
 class GHTSubstrate:
     """Geographic hashing with greedy (GPSR-style) forwarding."""
 
-    def __init__(self, topology: Topology, sizes: Optional[MessageSizes] = None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.sizes = sizes or MessageSizes()
         xs = [node.position[0] for node in topology.nodes.values()]
         ys = [node.position[1] for node in topology.nodes.values()]
         self._bounds = (min(xs), min(ys), max(xs), max(ys))
@@ -148,17 +145,6 @@ class GHTSubstrate:
         return strip_cycles(concatenate_paths(to_home, from_home))
 
     # ------------------------------------------------------------------
-    def charge_route(
-        self,
-        simulator: NetworkSimulator,
-        path: List[int],
-        size_bytes: Optional[int] = None,
-        kind: MessageKind = MessageKind.DATA,
-    ) -> bool:
-        return simulator.transfer(
-            path, size_bytes or self.sizes.data_tuple(), kind
-        )
-
     def paths_for_pairs(
         self, pairs, key_of=None
     ) -> Dict[Tuple[int, int], List[int]]:

@@ -43,10 +43,6 @@ class PairPath:
     path: List[int]
     hops_to_base: List[int] = field(default_factory=list)
 
-    @property
-    def length(self) -> int:
-        return len(self.path) - 1
-
     def __post_init__(self) -> None:
         if not self.path or self.path[0] != self.source or self.path[-1] != self.target:
             raise ValueError("path must run from source to target")
@@ -63,9 +59,6 @@ class ExplorationResult:
     #: every tree edge the search crossed, in search order: (sender,
     #: receiver, length of the path vector the message carries)
     edges: List[Tuple[int, int, int]] = field(default_factory=list)
-
-    def targets(self) -> List[int]:
-        return sorted(self.paths)
 
 
 def _shortest_route(trees: Sequence[RoutingTree], source: int,
@@ -165,13 +158,6 @@ class MultiTreeSubstrate:
 
     def path_to_base(self, node_id: int) -> List[int]:
         return self.primary_tree.path_to_root(node_id)
-
-    def construction_traffic(self, simulator: NetworkSimulator) -> int:
-        """Charge the construction flood of every tree."""
-        transmissions = 0
-        for tree in self.trees:
-            transmissions += tree.construction_traffic(simulator)
-        return transmissions
 
     # ------------------------------------------------------------------
     # point-to-point routing

@@ -2,10 +2,9 @@
 
 Exploration messages carry path vectors that record visited nodes; when the
 target is reached the vector is reversed and used to route the reply and all
-subsequent data messages (Section 3).  Path vectors are delta-encoded for
-compression (Section 3.1).  This module also computes the path-quality
-metrics of Appendix C (Figures 16-18): average path length and the maximum
-number of paths loaded onto any single node.
+subsequent data messages (Section 3).  This module also computes the
+path-quality metrics of Appendix C (Figures 16-18): average path length and
+the maximum number of paths loaded onto any single node.
 """
 
 from __future__ import annotations
@@ -13,11 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-
-def reverse_path(path: Sequence[int]) -> List[int]:
-    """Reverse a path vector (assumes symmetric links, as the paper does)."""
-    return list(reversed(path))
 
 
 def concatenate_paths(first: Sequence[int], second: Sequence[int]) -> List[int]:
@@ -50,34 +44,12 @@ def strip_cycles(path: Sequence[int]) -> List[int]:
     return out
 
 
-def compress_path(path: Sequence[int]) -> Tuple[int, List[int]]:
-    """Delta-encode a path vector.
-
-    Returns ``(first, deltas)`` where ``deltas[i] = path[i+1] - path[i]``.
-    Used only for size accounting: small deltas fit in one byte each.
-    """
-    if not path:
-        return (0, [])
-    deltas = [path[i + 1] - path[i] for i in range(len(path) - 1)]
-    return (path[0], deltas)
-
-
 @dataclass(frozen=True)
 class PathQuality:
     """Aggregate path-quality metrics over a set of source/target pairs."""
 
     average_path_length: float
     max_node_load: int
-    num_pairs: int
-    unreachable_pairs: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "average_path_length": self.average_path_length,
-            "max_node_load": float(self.max_node_load),
-            "num_pairs": float(self.num_pairs),
-            "unreachable_pairs": float(self.unreachable_pairs),
-        }
 
 
 def path_load_profile(paths: Iterable[Sequence[int]]) -> Dict[int, int]:
@@ -91,7 +63,6 @@ def path_load_profile(paths: Iterable[Sequence[int]]) -> Dict[int, int]:
 
 def path_quality_for_pairs(
     paths_by_pair: Dict[Tuple[int, int], Sequence[int]],
-    total_pairs: int = 0,
 ) -> PathQuality:
     """Compute Figure 16/17-style metrics from a pair -> path mapping."""
     paths = list(paths_by_pair.values())
@@ -99,11 +70,4 @@ def path_quality_for_pairs(
     average = sum(lengths) / len(lengths) if lengths else 0.0
     load = path_load_profile(p for p in paths if p)
     max_load = max(load.values(), default=0)
-    found = len(lengths)
-    total = total_pairs if total_pairs else len(paths_by_pair)
-    return PathQuality(
-        average_path_length=average,
-        max_node_load=max_load,
-        num_pairs=total,
-        unreachable_pairs=max(0, total - found),
-    )
+    return PathQuality(average_path_length=average, max_node_load=max_load)

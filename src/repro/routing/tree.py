@@ -107,18 +107,6 @@ class RoutingTree:
         for node, chosen_parent in zip(nodes, parents):
             children[chosen_parent].append(node)
 
-    def construction_traffic(self, simulator: NetworkSimulator,
-                             beacon_bytes: int = 13) -> int:
-        """Charge the tree-construction flood to the simulator.
-
-        Every covered node broadcasts the beacon exactly once.
-        """
-        transmissions = 0
-        for node_id in self.covered_nodes():
-            simulator.broadcast(node_id, beacon_bytes, MessageKind.TREE_MAINT)
-            transmissions += 1
-        return transmissions
-
     def copy(self) -> "RoutingTree":
         """A private copy to repair (:meth:`repair_after_failure` mutates)."""
         twin = copy.copy(self)
@@ -131,9 +119,6 @@ class RoutingTree:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def covered_nodes(self) -> List[int]:
-        return sorted(self.parent)
-
     def covers(self, node_id: int) -> bool:
         return node_id in self.parent
 
@@ -155,9 +140,6 @@ class RoutingTree:
             out.append(current)
             stack.extend(self.children.get(current, []))
         return out
-
-    def is_leaf(self, node_id: int) -> bool:
-        return not self.children.get(node_id)
 
     def path_to_root(self, node_id: int) -> List[int]:
         """Path from a node up to the root (inclusive of both).
@@ -199,9 +181,6 @@ class RoutingTree:
         ascent = up[: up_set[lca] + 1]
         descent = list(reversed(down[: down.index(lca)]))
         return ascent + descent
-
-    def hops_between(self, source: int, target: int) -> int:
-        return len(self.route(source, target)) - 1
 
     # ------------------------------------------------------------------
     # repair (limited-exploration repair of [11], Section 7)

@@ -60,12 +60,6 @@ class IntervalSummary(Summary):
     def is_empty(self) -> bool:
         return self.lo is None
 
-    @property
-    def width(self) -> float:
-        if self.lo is None:
-            return 0.0
-        return self.hi - self.lo
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.lo is None:
             return "IntervalSummary(empty)"

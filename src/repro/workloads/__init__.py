@@ -31,7 +31,6 @@ from repro.workloads.selectivity import (
     RATIO_LADDER,
     SEL1,
     SEL2,
-    ratio_label,
     selectivities_for_ratio,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "JOIN_SELECTIVITIES",
     "SEL1",
     "SEL2",
-    "ratio_label",
     "selectivities_for_ratio",
 ]

@@ -30,18 +30,6 @@ SEL1 = Selectivities(sigma_s=0.10, sigma_t=1.00, sigma_st=0.05)
 SEL2 = Selectivities(sigma_s=1.00, sigma_t=0.10, sigma_st=0.20)
 
 
-def ratio_label(sigma_s: float, sigma_t: float) -> str:
-    """The figure label for a sigma_s:sigma_t pair (nearest ladder entry)."""
-    best_label = RATIO_LADDER[0][0]
-    best_error = float("inf")
-    for label, (s, t) in RATIO_LADDER:
-        error = abs(s - sigma_s) + abs(t - sigma_t)
-        if error < best_error:
-            best_error = error
-            best_label = label
-    return best_label
-
-
 def selectivities_for_ratio(label: str, sigma_st: float) -> Selectivities:
     """Build a :class:`Selectivities` from a ladder label and sigma_st."""
     for candidate, (sigma_s, sigma_t) in RATIO_LADDER:

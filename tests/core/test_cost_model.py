@@ -36,7 +36,6 @@ class TestSelectivities:
         assert s.sigma_for(True) == 0.1
         assert s.sigma_for(False) == 0.9
         assert s.swapped() == Selectivities(0.9, 0.1, 0.2)
-        assert Selectivities.uniform(0.5, 0.2).sigma_s == 0.5
 
 
 class TestPairwiseExpressions:

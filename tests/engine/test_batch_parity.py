@@ -1,8 +1,8 @@
 """Batch-cycle kernel parity: batched runs are bit-identical to per-tuple.
 
 The acceptance bar of the batch-cycle kernel: on the figure smoke
-workloads -- including lossy links, instrumentation sinks, bounded queues,
-failure phases and mobility phases -- every traffic figure produced by the
+workloads -- including lossy links, instrumentation sinks, failure phases
+and mobility phases -- every traffic figure produced by the
 default executor equals the per-tuple reference exactly.  The reference is
 the ``per_tuple_cycles`` fixture, which keeps every executor off the kernel.
 """
@@ -17,7 +17,7 @@ SMOKE = SCALES["smoke"]
 
 TRAFFIC_FIELDS = ("total_traffic", "initiation_traffic", "computation_traffic",
                   "base_traffic", "max_node_load", "messages_dropped",
-                  "queue_drops", "results_produced", "results_delivered")
+                  "results_produced", "results_delivered")
 
 
 def _traffic_view(report):
@@ -127,17 +127,10 @@ class TestBatchParity:
             sinks=({"sink": "energy", "capacity_uj": 20_000.0}, "hotspots"),
         ))
 
-    def test_bounded_queues(self, per_tuple_cycles):
-        """Per-node queue bounds (``queue_capacity=8``, as in the Yang+07
-        overflow test) keep the executor on the per-tuple path."""
-        _compare(per_tuple_cycles, BUILTIN_SCENARIOS["table3"]().with_overrides(
-            queue_capacity=8,
-        ))
-
 
 class TestKernelRule:
     """The executor decides the kernel each cycle: on it unless a node is
-    dead or a forwarding-queue bound is set."""
+    dead."""
 
     def test_fig14_smoke_leaves_kernel_from_failure_cycle(self, monkeypatch):
         """Failures are permanent: every block before the first failure
@@ -159,15 +152,15 @@ class TestKernelRule:
                 failed_runs += 1
         assert failed_runs > 0
 
-    def test_queue_bound_keeps_every_cycle_off_the_kernel(self, monkeypatch):
-        """With ``queue_capacity=8`` no cycle flushes a batch."""
+    def test_table3_smoke_stays_on_the_kernel(self, monkeypatch):
+        """With every node alive nothing keeps a run off the kernel: each
+        block of a table3 run flushes one batch."""
         runs = _record_kernel_cycles(monkeypatch)
-        for spec in BUILTIN_SCENARIOS["table3"]().with_overrides(
-                queue_capacity=8).expand(SMOKE):
+        for spec in BUILTIN_SCENARIOS["table3"]().expand(SMOKE):
             execute_run(spec)
         assert runs
-        assert all(count == 0 and length == 1 for cycles in runs.values()
-                   for count, _, length in cycles)
+        assert all(count == 1 and alive for cycles in runs.values()
+                   for count, alive, _ in cycles)
 
 
 class TestRosterParity:

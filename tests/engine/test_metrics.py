@@ -24,7 +24,7 @@ SMOKE = SCALES["smoke"]
 
 TRAFFIC_FIELDS = ("total_traffic", "initiation_traffic", "computation_traffic",
                   "base_traffic", "max_node_load", "messages_dropped",
-                  "queue_drops", "results_produced", "results_delivered")
+                  "results_produced", "results_delivered")
 
 
 def _instrumented(scenario: ScenarioSpec) -> ScenarioSpec:
@@ -102,7 +102,8 @@ class TestSpecSinks:
         Pre-metrics payloads carry neither the ``sinks`` nor the
         ``node_series_cap`` knob; both are excluded from the run key at
         their defaults, so the historical content hashes remain
-        addressable.
+        addressable.  They do carry the retired forwarding-queue bound at
+        its default, which the run key keeps hashing.
         """
         scenario = ScenarioSpec(name="plain", query="query1",
                                 algorithms=("naive",), cycles=3)
@@ -110,6 +111,7 @@ class TestSpecSinks:
         legacy_payload = spec.to_dict()
         del legacy_payload["sinks"]
         del legacy_payload["node_series_cap"]
+        legacy_payload["queue_capacity"] = None
         legacy_payload["engine_version"] = ENGINE_VERSION
         assert spec.run_key() == content_hash(legacy_payload)
 

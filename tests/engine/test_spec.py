@@ -1,11 +1,13 @@
 """Tests for ScenarioSpec / RunSpec: expansion, round-tripping, hashing."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.engine import SCALES, RunSpec, ScenarioSpec, load_scenario_file
 from repro.engine.spec import freeze, thaw
+from repro.experiments.scenarios import BUILTIN_SCENARIOS
 
 SMOKE = SCALES["smoke"]
 
@@ -122,6 +124,17 @@ class TestRoundTrip:
         assert scenario.name == "s"  # defaults to the file stem
         assert scenario.algorithms == ("naive",)
 
+    @pytest.mark.parametrize("payload", [
+        {"queue_capacity": 8},
+        {"grid": {"queue_capacity": [4, 8]}},
+        {"grid": {"point": [{"queue_capacity": 8, "sigma_st": 0.2}]}},
+    ], ids=["field", "grid-axis", "composite-axis"])
+    def test_the_retired_queue_bound_fails_at_load(self, tmp_path, payload):
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps(dict(name="bounded", query="query1", **payload)))
+        with pytest.raises(ValueError, match="forwarding-queue bound was removed"):
+            load_scenario_file(path)
+
     def test_unsupported_suffix(self, tmp_path):
         path = tmp_path / "s.yaml"
         path.write_text("{}")
@@ -136,6 +149,13 @@ class TestHashing:
         assert clone == spec
         assert clone.run_key() == spec.run_key()
 
+    def test_spec_stored_with_the_retired_queue_bound_loads(self):
+        spec = fig2_smoke_scenario().expand(SMOKE)[0]
+        stored = dict(spec.to_dict(), queue_capacity=None)
+        assert RunSpec.from_dict(stored) == spec
+        with pytest.raises(ValueError, match="forwarding-queue bound was removed"):
+            RunSpec.from_dict(dict(stored, queue_capacity=8))
+
     def test_run_key_differs_per_run(self):
         specs = fig2_smoke_scenario().expand(SMOKE)
         assert len({spec.run_key() for spec in specs}) == len(specs)
@@ -144,6 +164,16 @@ class TestHashing:
         a = fig2_smoke_scenario().expand(SMOKE)[0]
         b = fig2_smoke_scenario(topology_seed=1).expand(SMOKE)[0]
         assert a.run_key() != b.run_key()
+
+    def test_builtin_run_keys_match_the_stored_results(self):
+        """Every built-in scenario's smoke-scale run keys, digested in
+        scenario-name order as the parent of the forwarding-queue bound's
+        removal computed them: results stored before it stay addressable."""
+        keys = [spec.run_key() for name in sorted(BUILTIN_SCENARIOS)
+                for spec in BUILTIN_SCENARIOS[name]().expand(SMOKE)]
+        assert len(keys) == 860
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "bdcf9222502096c18fae695d898fb0bd2b21cc1199549fb3feeb73498b9ecc03")
 
     def test_scenario_spec_hash_is_content_hash(self):
         assert fig2_smoke_scenario().spec_hash() == fig2_smoke_scenario().spec_hash()

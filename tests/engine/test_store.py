@@ -1,5 +1,7 @@
 """Tests for the SQLite result store and the streaming batch writer."""
 
+import json
+
 import pytest
 
 from repro.engine import SCALES, ResultStore, ScenarioSpec, StreamingWriter, execute_run
@@ -61,6 +63,18 @@ class TestResultStore:
     def test_report_dict_round_trip(self):
         report = execute_run(_one_spec()).report
         assert report_from_dict(report_to_dict(report)) == report
+
+    def test_report_stored_with_a_retired_field_loads(self):
+        """Stores written while reports counted forwarding-queue drops carry
+        a ``queue_drops`` key; such a report still loads."""
+        report = execute_run(_one_spec()).report
+        payload = json.loads(json.dumps(dict(report_to_dict(report), queue_drops=0)))
+        assert report_from_dict(payload) == report
+
+    def test_report_is_stored_without_the_retired_field(self):
+        report = execute_run(_one_spec()).report
+        assert "queue_drops" not in report_to_dict(report)
+        assert "queue_drops" not in report.as_dict()
 
     def test_close_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path / "results.sqlite")

@@ -1,5 +1,7 @@
 """Tests for the command-line figure runner."""
 
+import json
+
 import pytest
 
 from repro.engine import SCALES
@@ -112,6 +114,14 @@ class TestScenarioCommands:
         assert main(["run-scenario", str(path), "--scale", "smoke",
                      "--no-store"]) == 0
         assert "custom" in capsys.readouterr().out
+
+    def test_run_scenario_file_with_the_retired_queue_bound(self, capsys, tmp_path):
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps({"name": "bounded", "query": "query1",
+                                    "algorithms": ["naive"], "queue_capacity": 8}))
+        assert main(["run-scenario", str(path), "--scale", "smoke",
+                     "--no-store"]) == 2
+        assert "forwarding-queue bound was removed" in capsys.readouterr().err
 
     def test_run_scenario_unknown(self, capsys):
         assert main(["run-scenario", "fig99", "--scale", "smoke",

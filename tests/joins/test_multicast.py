@@ -19,13 +19,6 @@ class TestMulticastTree:
         with pytest.raises(ValueError):
             build_multicast_tree(1, [[2, 3]])
 
-    def test_path_from_root(self):
-        tree = build_multicast_tree(1, [[1, 2, 3], [1, 4]])
-        assert tree.path_from_root(3) == [1, 2, 3]
-        assert tree.path_from_root(1) == [1]
-        with pytest.raises(KeyError):
-            tree.path_from_root(99)
-
     def test_empty_paths_ignored(self):
         tree = build_multicast_tree(1, [[], [1, 2]])
         assert tree.edge_count == 1

@@ -21,6 +21,10 @@ single CSR adjacency: an Appendix G leaf-mobility sweep plus a Query 1 run
 with a leaf move between its phases (``is_leaf`` and the row mutators behind
 ``remove_links_of`` / ``rebuild_links_of`` at paper scale), and a run of the
 Figure 5 shape on the ``grid`` deployment.
+
+Every digest was re-pinned once when the report lost its retired
+``queue_drops`` field: at that parent commit, each digest recomputed with
+the field (0 in every run here) popped equals its pin below.
 """
 
 import dataclasses
@@ -48,13 +52,13 @@ DYNAMIC = ScenarioSpec(
     phases=PHASES,
 )
 DYNAMIC_DIGESTS = {
-    "naive": "11176d158b191148e078c035333b2890a8266f0d7c14508cfedd25bc4cccceda",
-    "base": "bee2242b691d50eb9b7db2398635e1c7df984c4b3cceec4c5f6f8d395b04d850",
-    "ght": "d4d4bcc8a659403d9fd030f4779cea0cf4fb31419612fe2a2088b3c7d0cf7879",
-    "innet": "0cee47defd834f6dec65febe345e5ef4c32446033e145a4cffcd517321ffa1ab",
-    "innet-cmg": "ad9c12175a29bd2eed2792ef1ee7c9c0181823f05d178110cb8371b3b398ba2d",
-    "innet-cmpg": "555c182d38e829fde415a4aa7b5917e49c026e6c07894f3a92d57fa523a42b3c",
-    "innet-learn": "6b692f6a41d7ba87548e6a4cd3223e63ea4f662ddf3b467981e25bad63b72123",
+    "naive": "bf9f851d7252ef8b5f8631c959a285698faf87abc0d2aa4bdb3f8586bba9cdcd",
+    "base": "07a4559077c46dcbfac0ef729862950b8475844cd9ce83993d0a3a4974d04c4c",
+    "ght": "54cf1be00e61456769046a7b18396747604346f64cc30135f345b2b5c7af9a2d",
+    "innet": "3ae1141b1550c762ae244746a3d9b25ce6919c85f9b43d652026f7dc8f9e279c",
+    "innet-cmg": "e7e4ec7b6ec126c0c3802d6a4cf3bac78114941d6924e2e3e915bc0f492d1ad5",
+    "innet-cmpg": "f859ea96a929d43e5db863573560118db6ed67c4c9e820fdd68cd315c047b6f7",
+    "innet-learn": "0c5f97dd7ba57859a77697fe667891c70c5b839211edbf79800ece8573376c80",
 }
 
 _POLICY = {"adaptive_policy": {"check_interval": 10, "min_cycles": 10}}
@@ -73,8 +77,8 @@ LEARNING = ScenarioSpec(
                                           {"node": 41, "at": 5})}),
 )
 LEARNING_DIGESTS = {
-    "innet-learn": "892bbb1656d7f25cc8b2bfd1808bed7af67dba9ebbcdf5b36e429489266592b6",
-    "innet-basic-learn": "50a3f9af8fffc98877310310abebdb103159b2c3e7073b5ae2dd2e8e7c32cb62",
+    "innet-learn": "d6f743b3870616cf75413227e9d13a24da059582c46ada2ba60fd59ebc15b316",
+    "innet-basic-learn": "afc75adf09a34730ebdcaff3dcdf57b49047cfdd896d3e269c02a5b91be63dc5",
 }
 
 
@@ -88,7 +92,7 @@ KEYED_SCALE = ScenarioSpec(
     topology_seed=0, seed_base=5, workload_seed_base=105,
 )
 KEYED_SCALE_DIGESTS = {
-    "innet-cmg": "cc838b97cfb4a427b0ac6ead25913deadcd6e1b180ea85b98606a3d02a5320d9",
+    "innet-cmg": "c6974a0698c34de3daeefcccfd87123a3b5baf0e887937b59489f5b1eb1376a1",
 }
 
 REGION = ScenarioSpec(
@@ -101,20 +105,20 @@ REGION = ScenarioSpec(
     topology_seed=0, seed_base=6, workload_seed_base=2,
 )
 REGION_DIGESTS = {
-    "innet": "68ade4aa0a292ebfd843d3207816390ff20e8aed3571183707e6ef026a4b7962",
+    "innet": "6d5f8147f8a52b5650497d7da6e25b4a18a3342c5d135f17699932ede36f8012",
 }
 
 
 MOBILITY = appg_scenario(num_moves=2).with_overrides(name="digest/appg")
 MOBILITY_DIGESTS = {
-    "1": "a0fe5c07002bf675e15b97335f1bbd1f5bd7f0de7f3932422306e057e9723385",
-    "2": "bb1a346a18496a2af6c06aaae7fc06b3d76515f3e00ccd0ed83742f1f96b03cb",
-    "3": "3d591d4d361aff7993df74075560e1078cc6f7a227dd93f4cf96a4ce5a88fed9",
-    "4": "1a12888f3fc2f40525561933677e4c919149a4f9c998d88611ecbc8ae7308c51",
-    "5": "13fbd259885f2e29d6f7f900da0c3d4c8539a49e81338384e15fd2f34cda6e77",
-    "6": "1d7509d09bcb96771a2843d8945e4afff7b254d9596dd5d2fdbba72985bbaa09",
-    "7": "7c1bcab4c3bfaed7b4e6f916f57060bf632f229f8ff05cc140d826aa769b0d52",
-    "8": "f31337153999347cf50e71642c96744fa522a1d89f6920ce665a8063aec58f86",
+    "1": "724b1fdd5713c5d87670976504cb937c59927834bfe293490ee69fed41b3d07e",
+    "2": "8bcb82158315b645524d4191c61f7f868e0d31e3e99b5dee6e85e4c0297629e3",
+    "3": "dc7dcf5bc7b0e585682f667ea79d2cb7522c248bed34e2017beda3a63d513ea4",
+    "4": "c2f28364ef969322b1bcda2bc45dccab731edfcf12e5fcd2806adf91b886f78c",
+    "5": "f559ac26c7541a6e5e3525efbb8a993fafa15166dc5234eaccaa6a5b21040e15",
+    "6": "90883364ac5aec08ee24bea48b68fe5b88b23b9d7badbbaa3bc14b516634605c",
+    "7": "97d164563eae1114915c370eae74f5fee0492c752043979340ece96c0df4529f",
+    "8": "bc63c9c73e079f1a1f72d82cc6e1dd4a87e80a6c3adb77c647a635c3af1c328b",
 }
 
 MOVING_JOIN = ScenarioSpec(
@@ -128,23 +132,23 @@ MOVING_JOIN = ScenarioSpec(
             {"name": "post", "moves": ({"node": "leaf"},)}),
 )
 MOVING_JOIN_DIGESTS = {
-    "base": "2f52b62359879c56361a2f8386ebcfb94091777cc46e9f53b63faf06d7b26256",
-    "ght": "5a75f3de6e327e0461c6f05381a3d35f901bfb1b503783d18c3cf5088ca0eb75",
-    "innet": "a23f899d6d9a8bbd975100286fe61c6d21f753e6646f9a6aba04f048f8c7e8af",
-    "innet-cmg": "23a6f932eac44f0dc050b2688da010f503772a5c29f248e2cc494aec6f7d0351",
+    "base": "35f560c470526f97fd4b9634b988d17370501dac46e80c621c2b7b06d5ec6a74",
+    "ght": "e2a77c4030a639de33ebb61353dbebbcc3fce6e3a7df71a206175a14a9f02ecf",
+    "innet": "da2576d6bd1041122d3eb185d645d4f1f7118c4eb3479a933c8d4f28c9bac942",
+    "innet-cmg": "3adb1e942916415a8dd6bd5712cd63982a397954b225593f43884e5794ab1439",
 }
 
 GRID_LOAD = fig05_scenario().with_overrides(
     name="digest/grid-load", topology_preset="grid", seed_base=8,
 )
 GRID_LOAD_DIGESTS = {
-    "naive": "2a57127bc4bf12558ee75fb4ef623679f905d580e8ec61157ac10e72988afa70",
-    "base": "4cc6ab2ccfb2a6d2d35b4df55e35bf69f2d708bd2779630ea2caccfcb59cdf1c",
-    "innet": "359dfb16e697adb31e536eb486189b7bfdd7342c54803ec7dc7b6e28fa55a56e",
-    "innet-cm": "2391adcd6ebc2ef04c7e34adc2bb4519ff0d2fb1ca8ad2d19a4d228f92a84c98",
-    "innet-cmg": "8b4a9c42e12c07add714f10f6c67812405c08cf2dfe8ac2408767a5e22e7b198",
-    "innet-cmp": "c8a7f6bb4ffaa86efd0dc057a33a7034d5e1cae423974f1a1f0cb56088c3b491",
-    "innet-cmpg": "c8245c561426280bed5e08207b03c5ea4898bd74e3b141b00748db8e989dd133",
+    "naive": "6d6d7d621b42722da421af824f26ba5bdf147356c4e802c1469bd5bf706faab7",
+    "base": "52eee72269210da5226ec0270a99700fa12afd1d2bee9f2f88cdfd88730e24f6",
+    "innet": "b49f3e1d3f4635e163fdc53dab1b15daa1a44b7536c5c7263f2b3360b300422b",
+    "innet-cm": "943ed252787b15bec8af920c1100ba793e0420729deb74cb032a901906137b3b",
+    "innet-cmg": "bd8bbb8e2a3c49e4e5dd9f114ce0dff3ddbde0f0b94d932448970a372a109c1f",
+    "innet-cmp": "0675a091a44726b2749461a6f1455547b6786528ced554a408ce151539af232e",
+    "innet-cmpg": "60836f3f39b0f6b3c577e2d437a4bd57741040c838221dffb21abf04cae99cb7",
 }
 
 

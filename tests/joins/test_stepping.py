@@ -19,6 +19,11 @@ def _overlap_query(name, s_limit, t_floor, window=2):
     )
 
 
+def _step(engine, cycles):
+    for _ in range(cycles):
+        engine.step_cycle()
+
+
 class TestRunIdempotentInitiation:
     def test_run_twice_charges_initiation_once(
         self, topo_small, query1, default_selectivities
@@ -96,7 +101,7 @@ class TestSharedSubstrateEngine:
             share_shipments=False,
         )
         session = engine.attach(query1, InnetJoin(InnetVariant.cmg()))
-        engine.run_cycles(15)
+        _step(engine, 15)
         assert engine.simulator.stats.total() == expected.total_traffic
         assert session.initiation_traffic == expected.initiation_traffic
         assert engine.reoptimizations == 0  # initiate-time decisions adopted
@@ -112,7 +117,7 @@ class TestSharedSubstrateEngine:
         )
         engine.attach(query_a, BaseJoin())
         engine.attach(query_b, BaseJoin())
-        engine.run_cycles(10)
+        _step(engine, 10)
         stats = engine.stats()
         assert stats["shared_savings_units"] > 0
         assert stats["deduped_shipments"] > 0
@@ -152,14 +157,14 @@ class TestSharedSubstrateEngine:
         )
         session_a = engine.attach(query_a, InnetJoin(InnetVariant.cmg()))
         engine.attach(query_b, InnetJoin(InnetVariant.cmg()))
-        engine.run_cycles(5)
+        _step(engine, 5)
         reopts_before = engine.reoptimizations
         engine.detach(session_a.query_id)
         assert not session_a.active
         assert engine.active_count == 1
         assert engine.reoptimizations > reopts_before  # groups split back
         produced_at_detach = session_a.strategy.results.produced
-        engine.run_cycles(5)
+        _step(engine, 5)
         assert session_a.strategy.results.produced == produced_at_detach
         with pytest.raises(KeyError):
             engine.detach(session_a.query_id)
@@ -203,7 +208,7 @@ class TestSharedSampling:
         source = CountingSource(make_workload(topo_small, queries[0], default_selectivities))
         engine = SharedSubstrateEngine(topo_small.copy(), source, default_selectivities)
         sessions = [engine.attach(q, InnetJoin(InnetVariant.cmg())) for q in queries]
-        engine.run_cycles(4)
+        _step(engine, 4)
         assert [cycle for _, cycle in source.calls] == [0, 1, 2, 3]
         union = sorted({n for s in sessions
                         for members in s.strategy.producers.values()
@@ -211,7 +216,7 @@ class TestSharedSampling:
         assert all(nodes == tuple(union) for nodes, _ in source.calls)
         # a departure shrinks what is sampled, from the next cycle on
         engine.detach(sessions[0].query_id)   # the widest producer ranges
-        engine.run_cycles(1)
+        _step(engine, 1)
         nodes, cycle = source.calls[-1]
         assert cycle == 4 and len(source.calls) == 5 and set(nodes) < set(union)
 
@@ -225,7 +230,7 @@ class TestSharedSampling:
             share_shipments=False,
         )
         sessions = [engine.attach(q, BaseJoin()) for q in queries]
-        engine.run_cycles(8)
+        _step(engine, 8)
         for query, session in zip(queries, sessions):
             alone = JoinExecutor(query, topo_small.copy(), data_source, BaseJoin(),
                                  default_selectivities).run(8)

@@ -20,19 +20,19 @@ class TestSensorNode:
         node = SensorNode(node_id=1, position=(0, 0), static_attributes={"u": 10})
         node.set_static("u", 99)
         assert node.get_attribute("u") == 99
-        assert node.attributes() == {"u": 99, "id": 1, "pos": (0, 0)}
+        assert node.static_attributes == {"u": 99, "id": 1, "pos": (0, 0)}
 
     def test_missing_attribute_raises(self):
         node = SensorNode(node_id=1, position=(0, 0))
         with pytest.raises(KeyError):
             node.get_attribute("nope")
-        assert not node.has_attribute("nope")
+        assert "nope" not in node.static_attributes
 
     def test_static_attribute_roundtrip(self):
         node = SensorNode(node_id=1, position=(0, 0))
-        assert not node.has_attribute("temp")
+        assert "temp" not in node.static_attributes
         node.set_static("temp", 21.5)
-        assert node.has_attribute("temp")
+        assert "temp" in node.static_attributes
         assert node.get_attribute("temp") == 21.5
 
     def test_fail_and_recover(self):

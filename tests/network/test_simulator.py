@@ -51,21 +51,30 @@ class TestInstantTransfer:
         assert not ok
         assert sim.stats.messages_dropped == 1
 
+    def test_dead_hop_charges_only_the_hops_before_it(self):
+        topo = chain_topology()
+        topo.nodes[3].fail()
+        sim = NetworkSimulator(topo)
+        assert not sim.transfer([0, 1, 2, 3, 4], size_bytes=10)
+        assert [sim.stats.transmitted[n] for n in range(5)] == [10.0, 10.0, 0.0, 0.0, 0.0]
+        assert sim.stats.received[2] == 10.0
+        assert sim.stats.received[3] == 0.0
+        assert sim.stats.messages_dropped == 1
+
+    def test_forwarding_is_not_bounded_per_cycle(self):
+        """Queue overflow is not modelled: any number of messages crosses
+        an intermediate node within one sampling cycle."""
+        sim = NetworkSimulator(chain_topology())
+        assert all(sim.transfer([0, 1, 2], size_bytes=10) for _ in range(20))
+        assert sim.stats.transmitted[1] == 200.0
+        assert sim.stats.messages_dropped == 0
+
     def test_message_accounting_mode(self):
         sim = NetworkSimulator(
             chain_topology(), accounting=TrafficAccounting.MESSAGES
         )
         sim.transfer([0, 1, 2], size_bytes=999)
         assert sim.stats.total() == 2.0
-
-    def test_queue_capacity_enforced_per_sampling_cycle(self):
-        sim = NetworkSimulator(chain_topology(), queue_capacity=2)
-        # Node 1 forwards (it is an intermediate hop); only 2 messages admitted.
-        results = [sim.transfer([0, 1, 2], size_bytes=10) for _ in range(4)]
-        assert results == [True, True, False, False]
-        assert sim.stats.queue_drops == 2
-        sim.advance_sampling_cycle()
-        assert sim.transfer([0, 1, 2], size_bytes=10)
 
     def test_lossy_transfer_drops(self):
         links = LinkModel(loss_probability=0.9, max_retransmissions=0, seed=1)

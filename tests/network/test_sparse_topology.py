@@ -35,6 +35,10 @@ SEEDS = [0, 1, 2, 5]
 KEYS = ["alpha", "beta", ("pair", 3), 42, "zz"]
 
 
+def _positions(topology):
+    return {node_id: node.position for node_id, node in topology.nodes.items()}
+
+
 def degree_for(num_nodes):
     """Degree 7 connects paper-scale deployments; larger ones need more."""
     return 7.0 if num_nodes < 1000 else scale_preset_degree(num_nodes)
@@ -85,7 +89,7 @@ class TestGenerationParity:
         assert topo.radio_range == radius
         assert topo.base_id == base_id
         assert topo.metadata["attempt"] == attempt
-        assert topo.positions() == positions
+        assert _positions(topo) == positions
         assert oracle.dict_adjacency(topo) == adjacency
         for node in topo.node_ids:
             assert topo.adjacency.row_list(node) == sorted(adjacency[node])
@@ -100,7 +104,7 @@ class TestGenerationParity:
     def test_fixed_radius_deployment_identical(self, build):
         topo = build()
         assert oracle.dict_adjacency(topo) == \
-            oracle.adjacency_for_range(topo.positions(), topo.radio_range)
+            oracle.adjacency_for_range(_positions(topo), topo.radio_range)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_hop_tables_and_paths_identical(self, seed, monkeypatch):

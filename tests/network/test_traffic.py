@@ -1,7 +1,5 @@
 """Tests for traffic statistics."""
 
-import pytest
-
 from repro.network import MessageKind, TrafficAccounting, TrafficStats
 
 
@@ -54,26 +52,8 @@ class TestTrafficStats:
     def test_drops(self):
         stats = TrafficStats()
         stats.charge_drop()
-        stats.charge_drop(queue_drop=True)
+        stats.charge_drop()
         assert stats.messages_dropped == 2
-        assert stats.queue_drops == 1
-
-    def test_merge(self):
-        left = TrafficStats()
-        right = TrafficStats()
-        left.charge_transmission(1, 10, MessageKind.DATA, receiver=2)
-        right.charge_transmission(1, 5, MessageKind.CONTROL)
-        right.charge_drop()
-        merged = left.merge(right)
-        assert merged.total() == 15.0
-        assert merged.transmitted[1] == 15.0
-        assert merged.messages_dropped == 1
-        # Originals untouched.
-        assert left.total() == 10.0
-
-    def test_merge_accounting_mismatch(self):
-        with pytest.raises(ValueError):
-            TrafficStats().merge(TrafficStats(accounting=TrafficAccounting.MESSAGES))
 
     def test_reset_and_snapshot(self):
         stats = TrafficStats()
@@ -84,6 +64,14 @@ class TestTrafficStats:
         assert stats.total() == 0.0
         assert stats.messages_sent == 0
 
+    def test_reset_clears_drops(self):
+        stats = TrafficStats()
+        stats.charge_drop()
+        assert stats.snapshot()["messages_dropped"] == 1
+        stats.reset()
+        assert stats.messages_dropped == 0
+        assert stats.snapshot()["messages_dropped"] == 0
+
     def test_snapshot_carries_by_kind_and_max_node_load(self):
         """Harness rows read these directly instead of re-deriving them."""
         stats = TrafficStats()
@@ -91,7 +79,6 @@ class TestTrafficStats:
         stats.charge_transmission(2, 5, MessageKind.CONTROL)
         snap = stats.snapshot()
         # original keys kept for compatibility
-        assert {"total", "messages_sent", "messages_dropped",
-                "queue_drops"} <= set(snap)
+        assert {"total", "messages_sent", "messages_dropped"} <= set(snap)
         assert snap["max_node_load"] == stats.max_node_load() == 15.0
         assert snap["by_kind"] == {"data": 10.0, "control": 5.0}

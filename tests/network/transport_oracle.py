@@ -1,10 +1,9 @@
 """Per-hop reference rule for ``NetworkSimulator.transfer`` (test oracle).
 
-Production charges a path whose nodes are all alive, with no forwarding
-queue bound, in one vectorized ``charge_path`` call.  This module keeps the
-plain rule that call stands for -- each hop checked, admitted and charged
-in turn, with one ``attempt_hop`` draw per hop -- so parity tests can hold
-the vectorized charge to it.
+Production charges a path whose nodes are all alive in one vectorized
+``charge_path`` call.  This module keeps the plain rule that call stands
+for -- each hop checked and charged in turn, with one ``attempt_hop`` draw
+per hop -- so parity tests can hold the vectorized charge to it.
 
 Nothing under ``src/`` imports this module, and no switch selects it.
 """
@@ -23,9 +22,6 @@ def per_hop_transfer(simulator, path, size_bytes: int,
         sender, receiver = path[index], path[index + 1]
         if not nodes[sender].alive or not nodes[receiver].alive:
             pipeline.charge_drop()
-            return False
-        if index > 0 and not simulator._admit_to_queue(sender):
-            pipeline.charge_drop(queue_drop=True)
             return False
         delivered, attempts = simulator.links.attempt_hop()
         pipeline.charge_transmission(sender, size_bytes, kind,

@@ -41,11 +41,11 @@ class ObjectSemanticRoutingTable:
 
     def build(self, simulator: Optional[NetworkSimulator] = None) -> None:
         """Aggregate summaries bottom-up over the tree."""
-        self._child_summaries = {node: {} for node in self.tree.covered_nodes()}
+        self._child_summaries = {node: {} for node in sorted(self.tree.parent)}
         self._subtree_summaries = {}
         self.maintenance_bytes = 0
         order = sorted(
-            self.tree.covered_nodes(), key=self.tree.depth_of, reverse=True
+            sorted(self.tree.parent), key=self.tree.depth_of, reverse=True
         )
         for node in order:
             own: Dict[str, Summary] = {}

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.network import NetworkSimulator
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import DHTSubstrate, GHTSubstrate, MultiTreeSubstrate
 from repro.routing.paths import path_quality_for_pairs
@@ -70,13 +69,6 @@ class TestGHT:
         )
         tree_quality = path_quality_for_pairs(substrate.paths_for_pairs(pairs))
         assert ght_quality.average_path_length > tree_quality.average_path_length
-
-    def test_charge_route(self, topo):
-        ght = GHTSubstrate(topo)
-        sim = NetworkSimulator(topo)
-        path = ght.greedy_route(topo.node_ids[3], key=4)
-        assert ght.charge_route(sim, path)
-        assert sim.stats.total() > 0
 
 
 class TestDHT:

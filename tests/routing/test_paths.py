@@ -5,19 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.routing import (
-    compress_path,
     concatenate_paths,
     path_load_profile,
     path_quality_for_pairs,
-    reverse_path,
 )
 from repro.routing.paths import strip_cycles
 
 
 class TestPathOps:
-    def test_reverse(self):
-        assert reverse_path([1, 2, 3]) == [3, 2, 1]
-
     def test_concatenate(self):
         assert concatenate_paths([1, 2, 3], [3, 4]) == [1, 2, 3, 4]
         assert concatenate_paths([], [3, 4]) == [3, 4]
@@ -33,12 +28,6 @@ class TestPathOps:
         assert strip_cycles([]) == []
         assert strip_cycles([5, 5, 5]) == [5]
 
-    def test_compress_path(self):
-        first, deltas = compress_path([10, 12, 11, 20])
-        assert first == 10
-        assert deltas == [2, -1, 9]
-        assert compress_path([]) == (0, [])
-
 
 class TestPathQuality:
     def test_load_profile(self):
@@ -49,13 +38,6 @@ class TestPathQuality:
         quality = path_quality_for_pairs({(1, 3): [1, 2, 3], (4, 5): [4, 5]})
         assert quality.average_path_length == pytest.approx(1.5)
         assert quality.max_node_load == 1
-        assert quality.num_pairs == 2
-        assert quality.unreachable_pairs == 0
-
-    def test_quality_with_unreachable(self):
-        quality = path_quality_for_pairs({(1, 3): [1, 2, 3]}, total_pairs=4)
-        assert quality.unreachable_pairs == 3
-        assert quality.as_dict()["num_pairs"] == 4.0
 
     def test_quality_empty(self):
         quality = path_quality_for_pairs({})
@@ -89,12 +71,3 @@ class TestProperties:
             return out
 
         assert strip_cycles(path) == reference(path)
-
-    @given(st.lists(st.integers(0, 65535), min_size=1, max_size=30))
-    @settings(max_examples=50)
-    def test_compress_roundtrip(self, path):
-        first, deltas = compress_path(path)
-        rebuilt = [first]
-        for delta in deltas:
-            rebuilt.append(rebuilt[-1] + delta)
-        assert rebuilt == path

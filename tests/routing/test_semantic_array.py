@@ -78,7 +78,7 @@ def assert_same_summary(array, oracle):
 
 def assert_same_rows(array, oracle, tree, attrs):
     for attr in attrs:
-        for node in tree.covered_nodes():
+        for node in sorted(tree.parent):
             assert_same_summary(array.subtree_summary(node, attr),
                                 oracle.subtree_summary(node, attr))
             for child in tree.children_of(node):
@@ -88,7 +88,7 @@ def assert_same_rows(array, oracle, tree, attrs):
 
 def assert_same_choices(array, oracle, tree, attr, probes):
     for probe in probes:
-        for node in tree.covered_nodes():
+        for node in sorted(tree.parent):
             assert (array.children_that_might_match(node, attr, probe)
                     == oracle.children_that_might_match(node, attr, probe))
 
@@ -165,7 +165,7 @@ def test_pos_tables_keep_the_bounding_rectangles(data):
         lambda summary, c=c, r=r: summary.intersects_radius(c, r) for c, r in probes])
     # a pos report is one rectangle per tree edge
     assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
-    assert array.total_maintenance_bytes() == 8 * (len(tree.covered_nodes()) - 1)
+    assert array.total_maintenance_bytes() == 8 * (len(tree.parent) - 1)
 
 
 def recorded_build(build, topology, seed):
@@ -243,7 +243,7 @@ def test_substrate_tables_after_repair_agree_and_read_live_values(num_trees):
     topology.nodes[0].set_static("group", 99)   # repair re-extracts values
     assert substrate.repair_after_failure(victim) == {}
     for tree, table in zip(substrate.trees, substrate.tables):
-        assert victim not in tree.covered_nodes()
+        assert victim not in tree.parent
         assert_same_rows(table, ObjectSemanticRoutingTable(tree, factories, extractors),
                          tree, factories)
         assert table.subtree_summary(tree.root, "group").might_contain(99)

@@ -141,7 +141,7 @@ class TestMultiTreeSubstrate:
             nid for nid in topo.node_ids
             if nid != source and topo.nodes[nid].get_attribute("group") == wanted
         }
-        assert set(result.targets()) == expected
+        assert set(result.paths) == expected
         # every recorded message crosses one tree edge
         assert result.edges
         for sender, receiver, path_len in result.edges:
@@ -186,12 +186,6 @@ class TestMultiTreeSubstrate:
                          MessageKind.EXPLORE)
         assert sim.stats.traffic_by_kind()[MessageKind.EXPLORE] > 0
 
-    def test_construction_traffic(self, topo):
-        sim = NetworkSimulator(topo)
-        substrate = MultiTreeSubstrate(topo, num_trees=3)
-        transmissions = substrate.construction_traffic(sim)
-        assert transmissions == 3 * topo.num_nodes
-
     def test_repair_after_failure(self):
         topo = grid_topology(num_nodes=49)
         for node_id, node in topo.nodes.items():
@@ -212,7 +206,7 @@ class TestMultiTreeSubstrate:
         stranded = substrate.repair_after_failure(victim)
         assert stranded == {}
         for tree in substrate.trees:
-            assert victim not in tree.covered_nodes()
+            assert victim not in tree.parent
 
     def test_repairing_a_copy_leaves_the_original(self):
         """Repair mutates the trees, which a substrate may share with the
@@ -229,7 +223,7 @@ class TestMultiTreeSubstrate:
         twin = substrate.copy()
         topo.nodes[victim].fail()
         twin.repair_after_failure(victim)
-        assert all(victim not in tree.covered_nodes() for tree in twin.trees)
+        assert all(victim not in tree.parent for tree in twin.trees)
         assert [dict(tree.parent) for tree in substrate.trees] == before
 
 

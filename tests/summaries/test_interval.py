@@ -12,7 +12,6 @@ class TestBasics:
         interval = IntervalSummary()
         assert interval.is_empty()
         assert not interval.might_contain(0)
-        assert interval.width == 0.0
 
     def test_single_value(self):
         interval = IntervalSummary()

@@ -108,21 +108,13 @@ ALLOWED_DEFS: Dict[str, str] = {
     "repro.network.node.SensorNode.recover": "tests/network/test_path_cache.py",
     "repro.network.topology.CSRAdjacency.from_mapping": "tests/network/test_topology.py",
     "repro.network.topology.Topology.shortest_hops": "tests/network/test_topology.py",
-    "repro.network.traffic.TrafficStats.merge": "tests/network/test_traffic.py",
     "repro.network.traffic.TrafficStats.snapshot": "benchmarks/test_perf_transport.py",
     "repro.query.analysis.QueryAnalysis.producer_sends": "tests/joins/test_result_oracle.py",
     "repro.query.analysis.QueryAnalysis.tuples_join": "tests/joins/test_result_oracle.py",
     "repro.query.window.JoinState.buffered_tuple_count": "tests/query/test_window.py",
     "repro.query.window.JoinState.export_state": "tests/query/test_window.py",
     "repro.query.window.JoinState.import_state": "tests/query/test_window.py",
-    "repro.routing.dht.DHTSubstrate.charge_route": "tests/routing/test_ght_dht.py",
-    "repro.routing.ght.GHTSubstrate.charge_route": "tests/routing/test_ght_dht.py",
-    "repro.routing.multitree.MultiTreeSubstrate.construction_traffic":
-        "tests/routing/test_semantic_multitree.py",
-    "repro.routing.paths.compress_path": "tests/routing/test_paths.py",
-    "repro.routing.paths.reverse_path": "tests/routing/test_paths.py",
     "repro.workloads.intel.intel_query3_workload": "tests/joins/test_strategies.py",
-    "repro.workloads.selectivity.ratio_label": "tests/workloads/test_workloads.py",
 }
 
 #: Defaulted parameters no call site passes, each with its reader.
@@ -169,11 +161,7 @@ ALLOWED_PARAMS: Dict[str, str] = {
     "repro.network.mobility.max_supported_speed(seconds_per_cycle)":
         "benchmarks/test_appg_mobility.py",
     "repro.routing.tree.RoutingTree.repair_after_failure(beacon_bytes)":
-        "failure repair; shares its beacon size with construction_traffic",
-    "repro.routing.dht.DHTSubstrate.charge_route(size_bytes)": "tests/routing/test_ght_dht.py",
-    "repro.routing.dht.DHTSubstrate.charge_route(kind)": "tests/routing/test_ght_dht.py",
-    "repro.routing.ght.GHTSubstrate.charge_route(size_bytes)": "tests/routing/test_ght_dht.py",
-    "repro.routing.ght.GHTSubstrate.charge_route(kind)": "tests/routing/test_ght_dht.py",
+        "failure repair (the tree beacon's size)",
     "repro.engine.spec.ScenarioSpec.to_json(indent)": "tests/engine/test_spec.py",
     "repro.engine.store.ResultStore.node_metrics(sink)": ".github/workflows/ci.yml",
 }

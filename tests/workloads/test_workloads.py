@@ -24,7 +24,6 @@ from repro.workloads import (
     build_query2,
     build_query3,
     build_send_probability_map,
-    ratio_label,
     selectivities_for_ratio,
 )
 from repro.workloads.attributes import X_RANGE, Y_RANGE
@@ -174,9 +173,8 @@ class TestSelectivityRegimes:
         assert SEL1.sigma_s == pytest.approx(0.10)
         assert SEL2.sigma_st == pytest.approx(0.20)
 
-    def test_ratio_label_roundtrip(self):
+    def test_selectivities_for_ratio(self):
         for label, (s, t) in RATIO_LADDER:
-            assert ratio_label(s, t) == label
             sel = selectivities_for_ratio(label, 0.1)
             assert sel.sigma_s == pytest.approx(s)
             assert sel.sigma_t == pytest.approx(t)
