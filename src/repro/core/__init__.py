@@ -3,7 +3,8 @@
 * :mod:`repro.core.cost_model` -- the detailed cost model of Appendix D
   (Table 3) plus the pairwise placement cost expression of Section 3.1.
 * :mod:`repro.core.placement` -- cost-based placement of a join node along a
-  discovered path, and the nomination protocol of Section 3.2.
+  discovered path, for every pair of a query at once (its pair table), and
+  the nomination protocol of Section 3.2.
 * :mod:`repro.core.group_opt` -- multi-join-pair optimization (GROUPOPT,
   Algorithm 1): per-group choice between pairwise in-network joins and a
   grouped join at the base station (Section 5.2).
@@ -33,7 +34,7 @@ from repro.core.cost_model import (
 )
 from repro.core.group_opt import Group, GroupDecision, GroupOptimizer, build_groups
 from repro.core.optimizer import JoinPlan, PairAssignment, PairwiseOptimizer
-from repro.core.placement import PlacementDecision, place_join_node
+from repro.core.placement import CandidateRoutes, PairTable, PlacementDecision
 
 __all__ = [
     "Selectivities",
@@ -45,7 +46,8 @@ __all__ = [
     "grouped_base_cost",
     "ght_cost",
     "PlacementDecision",
-    "place_join_node",
+    "CandidateRoutes",
+    "PairTable",
     "Group",
     "GroupDecision",
     "GroupOptimizer",

@@ -40,9 +40,6 @@ class Selectivities:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
-    def sigma_for(self, is_source: bool) -> float:
-        return self.sigma_s if is_source else self.sigma_t
-
     def swapped(self) -> "Selectivities":
         """Selectivities with the roles of S and T exchanged."""
         return Selectivities(self.sigma_t, self.sigma_s, self.sigma_st)

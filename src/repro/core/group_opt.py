@@ -21,15 +21,17 @@ from typing import (
     Dict,
     Hashable,
     List,
-    Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
-from repro.core.cost_model import Selectivities, group_cost_difference
-from repro.core.placement import PlacementDecision
+import numpy as np
+
+from repro.core.cost_model import Selectivities
+from repro.core.placement import PairTable
 from repro.network.message import MessageKind, MessageSizes, Ship
 
 Pair = Tuple[int, int]
@@ -110,7 +112,7 @@ def build_groups(pairs: Sequence[Pair]) -> List[Group]:
 
 
 class GroupOptimizer:
-    """Runs GROUPOPT over a set of pairwise placement decisions."""
+    """Runs GROUPOPT over the pairwise placements of a plan's pair table."""
 
     def __init__(
         self,
@@ -260,48 +262,41 @@ class GroupOptimizer:
         return changed
 
     # ------------------------------------------------------------------
-    def producer_delta(
-        self,
-        producer: int,
-        is_source: bool,
-        group: Group,
-        placements: Mapping[Pair, PlacementDecision],
-        selectivities: Selectivities,
-        window_size: int,
-    ) -> float:
-        """Compute ``Delta C_p`` for one producer of a group."""
-        join_node_distances: Dict[int, float] = {}
-        pairs_per_join_node: Dict[int, int] = {}
-        join_node_base_distances: Dict[int, float] = {}
-        for pair in group.pairs:
-            source, target = pair
-            if (is_source and source != producer) or (not is_source and target != producer):
-                continue
-            decision = placements.get(pair)
-            if decision is None:
-                continue
-            join_node = decision.join_node
-            distance = decision.d_sj if is_source else decision.d_tj
-            # A producer reaches each join node once; if several of its pairs
-            # share a join node, data is sent once and joined N_pj times.
-            join_node_distances.setdefault(join_node, float(distance))
-            pairs_per_join_node[join_node] = pairs_per_join_node.get(join_node, 0) + 1
-            join_node_base_distances.setdefault(join_node, float(decision.d_jr))
-        sigma_p = selectivities.sigma_for(is_source)
-        return group_cost_difference(
-            sigma_p=sigma_p,
-            sigma_st=selectivities.sigma_st,
-            w=window_size,
-            join_node_distances=join_node_distances,
-            pairs_per_join_node=pairs_per_join_node,
-            join_node_base_distances=join_node_base_distances,
-            d_pr=float(self.hops_to_base(producer)),
-        )
+    def _side_deltas(self, members: List[int], producers: np.ndarray,
+                     distances: np.ndarray, placements: "GroupPlacements",
+                     sigma_p: float, sigma_st: float, window_size: int) -> List[float]:
+        """``Delta C_p`` of every producer in *members* on one side of a
+        group: *producers* and *distances* say per placed pair which member
+        it belongs to and how far that member is from the pair's join node.
+
+        A producer reaches each of its join nodes once; if several of its
+        pairs share a join node, data is sent once and joined ``N_pj``
+        times.  One pass over the group's pairs groups them by (producer,
+        join node); each producer then sums its join nodes in the order its
+        pairs first reach them, one after the other, as
+        :func:`~repro.core.cost_model.group_cost_difference` does.
+        """
+        reached: Dict[Tuple[int, int], List[int]] = {}
+        for producer, join_node, d_pj, d_jr in zip(
+                producers.tolist(), placements.join.tolist(), distances.tolist(),
+                placements.d_jr.tolist()):
+            entry = reached.get((producer, join_node))
+            if entry is None:
+                reached[(producer, join_node)] = [d_pj, 1, d_jr]
+            else:
+                entry[1] += 1
+        in_network = dict.fromkeys(members, 0.0)
+        scale = window_size * sigma_st
+        for (producer, _), (d_pj, n_pj, d_jr) in reached.items():
+            in_network[producer] += float(d_pj) + scale * n_pj * float(d_jr)
+        hops_to_base = self.hops_to_base
+        return [sigma_p * in_network[p] - sigma_p * float(hops_to_base(p))
+                for p in members]
 
     def decide_group(
         self,
         group: Group,
-        placements: Mapping[Pair, PlacementDecision],
+        placements: "GroupPlacements",
         selectivities: Selectivities,
         window_size: int,
         ship: Optional[Ship] = None,
@@ -311,21 +306,23 @@ class GroupOptimizer:
         """Run Algorithm 1 for one group; with *ship*, its cost reports and
         decision messages are sent through it.
 
-        ``report_from`` limits the producers that send an (updated) cost
-        difference to the coordinator -- Algorithm 1 only sends ``Delta C_p``
-        when it has changed.  ``previous_decision`` suppresses the decision
-        broadcast when the coordinator's choice did not change.
+        *placements* holds the current placement of the group's placed
+        pairs, in group-pair order.  ``report_from`` limits the producers
+        that send an (updated) cost difference to the coordinator --
+        Algorithm 1 only sends ``Delta C_p`` when it has changed.
+        ``previous_decision`` suppresses the decision broadcast when the
+        coordinator's choice did not change.
         """
         coordinator = group.coordinator
-        per_producer: Dict[int, float] = {}
-        for producer in sorted(group.source_members):
-            per_producer[producer] = self.producer_delta(
-                producer, True, group, placements, selectivities, window_size
-            )
-        for producer in sorted(group.target_members):
-            delta = self.producer_delta(
-                producer, False, group, placements, selectivities, window_size
-            )
+        sigma_st = selectivities.sigma_st
+        sources = sorted(group.source_members)
+        targets = sorted(group.target_members)
+        per_producer: Dict[int, float] = dict(zip(sources, self._side_deltas(
+            sources, placements.sources, placements.d_sj, placements,
+            selectivities.sigma_s, sigma_st, window_size)))
+        for producer, delta in zip(targets, self._side_deltas(
+                targets, placements.targets, placements.d_tj, placements,
+                selectivities.sigma_t, sigma_st, window_size)):
             # A node may appear on both sides of an m:n self-join; accumulate.
             per_producer[producer] = per_producer.get(producer, 0.0) + delta
 
@@ -362,34 +359,31 @@ class GroupOptimizer:
                      MessageKind.DECISION)
         return decision
 
-    def apply_decision(
-        self,
-        decision: GroupDecision,
-        placements: Dict[Pair, PlacementDecision],
-        base_id: int,
-        base_path_of: Callable[[int], List[int]],
-    ) -> Dict[Pair, PlacementDecision]:
-        """Rewrite a group's placements to join at the base if so decided."""
-        if decision.use_innet:
-            return placements
-        for pair in decision.group.pairs:
-            current = placements.get(pair)
-            if current is None:
-                continue
-            source, target = pair
-            placements[pair] = PlacementDecision(
-                source=source,
-                target=target,
-                join_node=base_id,
-                at_base=True,
-                expected_cost=current.base_cost,
-                base_cost=current.base_cost,
-                source_to_join=list(base_path_of(source)),
-                target_to_join=list(base_path_of(target)),
-                join_to_base=[base_id],
-                candidate_path=current.candidate_path,
-            )
-        return placements
+    def apply_decision(self, decision: GroupDecision, table: "PairTable",
+                       rows: np.ndarray, base_cost=None) -> None:
+        """Rewrite a group's *rows* of *table* to join at the base station if
+        so decided (*base_cost*: the at-base costs to keep, when the
+        decision's placements came from another table)."""
+        if not decision.use_innet:
+            table.rewrite_to_base(rows, base_cost)
+
+
+class GroupPlacements(NamedTuple):
+    """The current placement of a group's placed pairs, aligned per pair in
+    group-pair order."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    join: np.ndarray
+    d_sj: np.ndarray
+    d_tj: np.ndarray
+    d_jr: np.ndarray
+
+    @classmethod
+    def of(cls, table: "PairTable", rows: np.ndarray) -> "GroupPlacements":
+        rows = np.asarray(rows, dtype=np.int64)
+        return cls(table.routes.sources[rows], table.routes.targets[rows],
+                   table.join[rows], *table.distances(rows))
 
 
 def reconcile_decisions(current: GroupDecision, incoming: GroupDecision) -> GroupDecision:

@@ -11,56 +11,67 @@ at the base station under the same initiation strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.cost_model import Selectivities
-from repro.core.group_opt import GroupDecision, GroupOptimizer, build_groups
-from repro.core.placement import PlacementDecision, best_placement, nomination_traffic
+from repro.core.group_opt import (
+    GroupDecision, GroupOptimizer, GroupPlacements, build_groups,
+)
+from repro.core.placement import CandidateRoutes, PairTable, PlacementDecision
+from repro.network.batch import PathMessages
 from repro.network.message import MessageSizes, Ship
-from repro.routing.multitree import MultiTreeSubstrate, PairPath
+from repro.routing.multitree import MultiTreeSubstrate
 
 Pair = Tuple[int, int]
+#: ``ship_paths(messages)``: a run's ``ctx.ship_paths``
+ShipPaths = Callable[[PathMessages], None]
 
 
-@dataclass
-class PairAssignment:
-    """One pair's join-node assignment plus the selectivities it was based on."""
+class PairAssignment(NamedTuple):
+    """One pair's join-node placement plus the selectivities it was based on."""
 
     decision: PlacementDecision
     assumed: Selectivities
-    candidate_paths: List[PairPath] = field(default_factory=list)
 
 
 @dataclass
 class JoinPlan:
-    """The complete join-node assignment for a query."""
+    """The complete join-node assignment for a query: its pair table."""
 
-    assignments: Dict[Pair, PairAssignment] = field(default_factory=dict)
+    table: PairTable
     group_decisions: List[GroupDecision] = field(default_factory=list)
 
     def pairs(self) -> List[Pair]:
-        return sorted(self.assignments)
+        pairs = self.table.pairs
+        return [pairs[row] for row in self.table.sorted_rows.tolist()]
+
+    @property
+    def assignments(self) -> Dict[Pair, PairAssignment]:
+        """Every pair's :class:`PairAssignment`, built on demand."""
+        table = self.table
+        return {pair: PairAssignment(table.decision(row), table.assumed[row])
+                for row, pair in enumerate(table.pairs)}
 
     def decision_for(self, pair: Pair) -> PlacementDecision:
-        return self.assignments[pair].decision
+        return self.table.decision(self.table.row_of[pair])
 
     def join_nodes(self) -> List[int]:
-        return sorted({a.decision.join_node for a in self.assignments.values()})
+        return sorted(set(self.table.join.tolist()))
 
     def pairs_at(self, join_node: int) -> List[Pair]:
-        return [
-            pair for pair, assignment in self.assignments.items()
-            if assignment.decision.join_node == join_node
-        ]
+        return [pair for pair, node in zip(self.table.pairs, self.table.join.tolist())
+                if node == join_node]
 
     def expected_cost_per_cycle(self) -> float:
-        return sum(a.decision.expected_cost for a in self.assignments.values())
+        return sum(self.table.expected_cost.tolist())
 
     def fraction_at_base(self) -> float:
-        if not self.assignments:
+        if not len(self.table):
             return 0.0
-        at_base = sum(1 for a in self.assignments.values() if a.decision.at_base)
-        return at_base / len(self.assignments)
+        table = self.table
+        return int((table.join == table.base_id).sum()) / len(table)
 
 
 class PairwiseOptimizer:
@@ -80,61 +91,45 @@ class PairwiseOptimizer:
         self.base_id = substrate.topology.base_id
 
     # ------------------------------------------------------------------
-    def _base_path_of(self, node_id: int) -> List[int]:
-        return self.substrate.path_to_base(node_id)
-
     def optimize_pairs(
         self,
-        candidate_paths: Mapping[Pair, Sequence[PairPath]],
-        selectivities: Mapping[Pair, Selectivities],
-        ship: Optional[Ship] = None,
+        routes: CandidateRoutes,
+        selectivities: Sequence[Selectivities],
+        ship: Optional[ShipPaths] = None,
     ) -> JoinPlan:
-        """Pairwise placement for every pair with discovered paths; with
-        *ship*, each pair's nominations are sent through it."""
-        plan = JoinPlan()
-        for pair, paths in candidate_paths.items():
-            if not paths:
-                continue
-            assumed = selectivities[pair]
-            decision = best_placement(
-                list(paths), assumed, self.window_size, self._base_path_of, self.base_id
-            )
-            if ship is not None:
-                nomination_traffic(ship, decision, self.sizes)
-            plan.assignments[pair] = PairAssignment(
-                decision=decision, assumed=assumed, candidate_paths=list(paths)
-            )
-        return plan
+        """Pairwise placement for every pair of *routes* under its
+        selectivities (aligned with the pairs); with *ship*, every pair's
+        nominations are sent through it, pair after pair."""
+        table = PairTable(routes, selectivities, self.substrate.base_path,
+                          self.base_id)
+        rows = np.arange(len(table))
+        table.place(rows, self.window_size)
+        if ship is not None:
+            ship(table.nomination_messages(rows, self.sizes.control(num_fields=3)))
+        return JoinPlan(table)
 
-    def apply_group_optimization(
-        self,
-        plan: JoinPlan,
-        selectivities: Mapping[Pair, Selectivities],
-        ship: Optional[Ship] = None,
-    ) -> JoinPlan:
+    def apply_group_optimization(self, plan: JoinPlan,
+                                 ship: Optional[Ship] = None) -> JoinPlan:
         """Run GROUPOPT over the plan, rewriting grouped pairs if needed;
         with *ship*, cost reports and decisions are sent through it."""
         pairs = plan.pairs()
         if not pairs:
             return plan
-        groups = build_groups(pairs)
+        table = plan.table
         optimizer = GroupOptimizer(
             hops_to_base=self.substrate.hops_to_base,
             route_between=self.substrate.best_route,
             sizes=self.sizes,
         )
-        placements = {pair: plan.assignments[pair].decision for pair in pairs}
-        for group in groups:
-            group_sel = _representative_selectivities(group.pairs, selectivities)
+        for group in build_groups(pairs):
+            rows = np.array([table.row_of[pair] for pair in group.pairs], dtype=np.int64)
             decision = optimizer.decide_group(
-                group, placements, group_sel, self.window_size, ship=ship
+                group, GroupPlacements.of(table, rows),
+                representative_selectivities([table.assumed[row] for row in rows.tolist()]),
+                self.window_size, ship=ship,
             )
             plan.group_decisions.append(decision)
-            optimizer.apply_decision(
-                decision, placements, self.base_id, self._base_path_of
-            )
-        for pair in pairs:
-            plan.assignments[pair].decision = placements[pair]
+            optimizer.apply_decision(decision, table, rows)
         return plan
 
     def reoptimize_pair(
@@ -149,31 +144,21 @@ class PairwiseOptimizer:
         diverge from the assumed ones.  It sends nothing: the caller
         nominates the pairs whose join node actually moved.
         """
-        assignment = plan.assignments[pair]
-        if not assignment.candidate_paths:
-            return assignment.decision
-        decision = best_placement(
-            assignment.candidate_paths,
-            new_selectivities,
-            self.window_size,
-            self._base_path_of,
-            self.base_id,
-        )
-        assignment.decision = decision
-        assignment.assumed = new_selectivities
-        return decision
+        table = plan.table
+        row = table.row_of[pair]
+        table.assumed[row] = new_selectivities
+        table.place(np.array([row]), self.window_size)
+        return table.decision(row)
 
 
-def _representative_selectivities(
-    pairs: Sequence[Pair], selectivities: Mapping[Pair, Selectivities]
-) -> Selectivities:
-    """Average the per-pair selectivities of a group (they are usually equal)."""
-    relevant = [selectivities[pair] for pair in pairs if pair in selectivities]
-    if not relevant:
+def representative_selectivities(selectivities: Sequence[Selectivities]) -> Selectivities:
+    """Average the per-pair selectivities of a group (they are usually equal),
+    summed in the given order."""
+    if not selectivities:
         raise KeyError("no selectivities known for any pair of the group")
-    n = len(relevant)
+    n = len(selectivities)
     return Selectivities(
-        sigma_s=sum(s.sigma_s for s in relevant) / n,
-        sigma_t=sum(s.sigma_t for s in relevant) / n,
-        sigma_st=sum(s.sigma_st for s in relevant) / n,
+        sigma_s=sum(s.sigma_s for s in selectivities) / n,
+        sigma_t=sum(s.sigma_t for s in selectivities) / n,
+        sigma_st=sum(s.sigma_st for s in selectivities) / n,
     )

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.centralized import (
     centralized_initiation,
     distributed_initiation_latency,
     optimal_pair_placements,
 )
 from repro.core.cost_model import Selectivities
-from repro.core.placement import place_join_node
+from repro.core.placement import CandidateRoutes, PairTable
 from repro.engine import (
     FIGURE2_ALGORITHMS,
     RunSpec,
@@ -29,7 +31,7 @@ from repro.engine import (
 )
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
-from repro.routing.multitree import MultiTreeSubstrate, PairPath
+from repro.routing.multitree import MultiTreeSubstrate
 from repro.workloads.queries import build_query0, build_query0_keyed
 from repro.workloads.selectivity import JOIN_SELECTIVITIES, RATIO_LADDER
 
@@ -259,8 +261,6 @@ def load_distribution_rows(sweep) -> List[Dict[str, object]]:
 # ---------------------------------------------------------------------------
 
 def _random_pairs(topology, count: int, seed: int = 0):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     candidates = [n for n in topology.node_ids if n != topology.base_id]
     pairs = []
@@ -363,17 +363,15 @@ def _run_placement_quality(spec: RunSpec):
     selectivities = Selectivities(sigma_s, sigma_t, sigma_st)
     optimal = optimal_pair_placements(topology, pairs, selectivities, window_size=1)
     optimal_cost = sum(cost for _, cost in optimal.values())
+    routes = CandidateRoutes.build(
+        pairs, [(route,) for route in substrate.best_routes(pairs)],
+        substrate.hops_to_base_array())
+    table = PairTable(routes, [selectivities] * len(pairs), substrate.base_path,
+                      topology.base_id)
+    table.place(np.arange(len(pairs)), 1)
     distributed_cost = 0.0
-    for source, target in pairs:
-        route = substrate.best_route(source, target)
-        pair_path = PairPath(
-            source=source, target=target, path=route,
-            hops_to_base=[substrate.hops_to_base(n) for n in route],
-        )
-        decision = place_join_node(
-            pair_path, selectivities, 1, substrate.path_to_base, topology.base_id
-        )
-        distributed_cost += decision.expected_cost
+    for cost in table.expected_cost.tolist():
+        distributed_cost += cost
     return measurement_report(
         "placement", spec.algorithm,
         optimal_cost=optimal_cost,

@@ -23,6 +23,7 @@ from typing import (
 import numpy as np
 
 from repro.core.cost_model import Selectivities
+from repro.network.batch import PathMessages
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
@@ -395,6 +396,17 @@ class ExecutionContext:
                  else [sizes] * senders.size)
         for sender, receiver, size in zip(senders.tolist(), receivers.tolist(), sizes):
             self.ship((sender, receiver), size, kind)
+
+    def ship_paths(self, messages: PathMessages) -> None:
+        """Send every message of *messages*, in order: one ``ship_paths``
+        call on a captured batcher, otherwise message by message through
+        :meth:`ship`."""
+        batcher = self._batcher
+        if batcher is not None and hasattr(batcher, "ship_paths"):
+            batcher.ship_paths(messages)
+            return
+        for path, size, kind in messages.each():
+            self.ship(path, size, kind)
 
     @contextmanager
     def captured_shipping(self, batcher):

@@ -20,15 +20,14 @@ Innet-cmpg, and "In-net learn".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, LearningState, PairObservation
-from repro.core.cost_model import Selectivities
-from repro.core.group_opt import GroupOptimizer, build_groups
-from repro.core.optimizer import JoinPlan, PairwiseOptimizer
-from repro.core.placement import nomination_traffic
+from repro.core.group_opt import GroupOptimizer, GroupPlacements, build_groups
+from repro.core.optimizer import JoinPlan, PairwiseOptimizer, representative_selectivities
+from repro.core.placement import CandidateRoutes
 from repro.joins.base import (
     Arrivals,
     ExecutionContext,
@@ -43,7 +42,7 @@ from repro.network.batch import RouteHops
 from repro.network.message import MessageKind
 from repro.query.analysis import EqualityRouting, RegionRouting
 from repro.query.window import row_dicts
-from repro.routing.multitree import MultiTreeSubstrate, PairPath
+from repro.routing.multitree import MultiTreeSubstrate
 from repro.summaries import BloomFilterSummary, RectSummary
 
 ProducerKey = Tuple[str, int]
@@ -134,14 +133,28 @@ class _BlockRoutes(NamedTuple):
 
 
 class _Exploration(NamedTuple):
-    """One query's content-routing searches on a shared substrate: the
-    candidate paths of each statically joining pair found, and every
-    exploration message, in search order, as one-hop arrays."""
+    """One query's exploration on a shared substrate: the candidate routes
+    of each statically joining pair it found and, for a content search, its
+    messages as one-hop edges (senders, receivers, sizes) in search order
+    (``None``: per pair an EXPLORE along its route and the reply back)."""
 
-    paths: Dict[Pair, List[PairPath]]
-    senders: np.ndarray
-    receivers: np.ndarray
-    sizes: np.ndarray
+    routes: CandidateRoutes
+    edges: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def ship(self, ctx: ExecutionContext) -> None:
+        if self.edges is None:
+            ctx.ship_paths(self.routes.path_messages(ctx.sizes.explore(self.routes.lengths)))
+        else:
+            ctx.ship_edges(*self.edges, MessageKind.EXPLORE)
+
+
+def _route_pairs(substrate: MultiTreeSubstrate, static_pairs) -> _Exploration:
+    """Route every statically joining pair once along its best tree route,
+    out and back (no routable static join clause to search on)."""
+    pairs = list(static_pairs)
+    return _Exploration(CandidateRoutes.build(
+        pairs, [(route,) for route in substrate.best_routes(pairs)],
+        substrate.hops_to_base_array()), None)
 
 
 def _explore(topology, substrate: MultiTreeSubstrate, routing,
@@ -149,7 +162,7 @@ def _explore(topology, substrate: MultiTreeSubstrate, routing,
     """Search from every eligible source for its statically joining targets
     (Section 2.2), over the first two trees of *substrate*."""
     nodes = topology.nodes
-    paths: Dict[Pair, List[PairPath]] = {}
+    paths: Dict[Pair, List[List[int]]] = {}
     edges: List[Tuple[int, int, int]] = []
     for source in sources:
         if isinstance(routing, EqualityRouting):
@@ -174,11 +187,14 @@ def _explore(topology, substrate: MultiTreeSubstrate, routing,
             lambda node, src=source, near=near: (src, node) in static_pairs and near(node),
             max_trees=2,
         )
-        paths.update(((source, target), found) for target, found in result.paths.items())
+        paths.update(((source, target), [found.path for found in candidates])
+                     for target, candidates in result.paths.items())
         edges.extend(result.edges)
     # int32 columns, copied out: the memo keeps this for the deployment's life
     senders, receivers, lengths = np.array(edges, dtype=np.int32).reshape(-1, 3).T.copy()
-    return _Exploration(paths, senders, receivers, substrate.sizes.explore(lengths))
+    routes = CandidateRoutes.build(list(paths), list(paths.values()),
+                                   substrate.hops_to_base_array())
+    return _Exploration(routes, (senders, receivers, substrate.sizes.explore(lengths)))
 
 
 class InnetJoin(JoinStrategy):
@@ -198,9 +214,13 @@ class InnetJoin(JoinStrategy):
 
         self.substrate: Optional[MultiTreeSubstrate] = None
         self.optimizer: Optional[PairwiseOptimizer] = None
-        self.plan: JoinPlan = JoinPlan()
+        self.plan: Optional[JoinPlan] = None
         self._eligible: Dict[str, List[int]] = {}
+        #: per producer its pairs, and their rows in the plan's pair table
         self._pairs_of: Dict[ProducerKey, List[Pair]] = {}
+        self._rows_of: Dict[ProducerKey, np.ndarray] = {}
+        #: per producer what its multicast tree was built from
+        self._tree_inputs: Dict[ProducerKey, Tuple[int, bytes]] = {}
         self._multicast: Dict[ProducerKey, MulticastTree] = {}
         self._learning: Dict[Pair, LearningState] = {}
         self._observations: List[PairObservation] = []  # by window row
@@ -209,8 +229,9 @@ class InnetJoin(JoinStrategy):
         self._recovering: Dict[Pair, int] = {}
         self._held = np.zeros(0, dtype=bool)
         self._backlog: Dict[Pair, List[HeldTuple]] = {}
-        #: window row -> pair (the store's row order)
+        #: window row -> pair (the store's row order), and its table row
         self._pairs: List[Pair] = []
+        self._plan_rows = np.zeros(0, dtype=np.int64)
         self._index: Dict[str, RowIndex] = {}
         #: Derived from the plan's current decisions on first use after
         #: :meth:`_rebuild_delivery`: per alias and producer (set position)
@@ -231,25 +252,30 @@ class InnetJoin(JoinStrategy):
         self.optimizer = PairwiseOptimizer(
             self.substrate, window_size=ctx.query.window_size, sizes=ctx.sizes
         )
-        candidate_paths = self._discover_pairs(ctx)
-        selectivity_map = {
-            pair: ctx.selectivities_for(pair) for pair in candidate_paths
-        }
-        self.plan = self.optimizer.optimize_pairs(
-            candidate_paths, selectivity_map, ship=ctx.ship
-        )
+        routes = self._discover_pairs(ctx)
+        assumed = [ctx.selectivities_for(pair) for pair in
+                   zip(routes.sources.tolist(), routes.targets.tolist())]
+        self.plan = self.optimizer.optimize_pairs(routes, assumed, ship=ctx.ship_paths)
         if self.variant.group_optimization:
-            self.plan = self.optimizer.apply_group_optimization(
-                self.plan, selectivity_map, ship=ctx.ship
-            )
+            self.optimizer.apply_group_optimization(self.plan, ship=ctx.ship)
             self._group_decision_cache = {
                 decision.group.coordinator: decision.use_innet
                 for decision in self.plan.group_decisions
             }
-        self._rebuild_delivery(ctx)
         # The plan's pair set is fixed from here on (re-optimization only
-        # moves join nodes), so the window rows are too.
+        # moves join nodes), so the window rows and each producer's pairs
+        # are too.
         self._pairs = self.plan.pairs()
+        self._plan_rows = self.plan.table.sorted_rows
+        source_alias, target_alias = ctx.query.aliases
+        rows_of: Dict[ProducerKey, List[int]] = {}
+        for pair, row in zip(self._pairs, self._plan_rows.tolist()):
+            for key in ((source_alias, pair[0]), (target_alias, pair[1])):
+                self._pairs_of.setdefault(key, []).append(pair)
+                rows_of.setdefault(key, []).append(row)
+        self._rows_of = {key: np.array(rows, dtype=np.int64)
+                         for key, rows in rows_of.items()}
+        self._rebuild_delivery(ctx)
         self._open_windows(ctx, self._pairs, keep_recent=True)
         self._held = np.zeros(len(self._pairs), dtype=bool)
         for alias in ctx.query.aliases:
@@ -296,80 +322,82 @@ class InnetJoin(JoinStrategy):
                 value_extractors=extractors or None, sizes=sizes,
             ))
 
-    def _discover_pairs(self, ctx: ExecutionContext) -> Dict[Pair, List[PairPath]]:
-        """Exploration: find matching (s, t) pairs and candidate paths."""
+    def _discover_pairs(self, ctx: ExecutionContext) -> CandidateRoutes:
+        """Exploration: find matching (s, t) pairs and candidate paths.
+
+        Without a routable static join clause every statically joining pair
+        is a candidate, and exploration routes once along its best tree
+        route and back.  Either way exploration is a pure function of the
+        substrate, the routing predicate, the sources and the statically
+        joining pairs, so it runs once per deployment; every run ships the
+        recorded messages.
+        """
         source_alias, target_alias = ctx.query.aliases
         routing = ctx.analysis.routing_predicate
         sources, targets = self._eligible[source_alias], self._eligible[target_alias]
         static_pairs = ctx.static_pairs(sources, targets)
+        substrate = self.substrate
         if routing is None:
-            # No routable static join clause: every statically joining pair
-            # is a candidate; exploration routes once along the best tree
-            # path.
-            candidate_paths: Dict[Pair, List[PairPath]] = {}
-            for source, target in static_pairs:
-                path = self.substrate.best_route(source, target)
-                ctx.ship(path, ctx.sizes.explore(len(path)), MessageKind.EXPLORE)
-                ctx.ship(list(reversed(path)), ctx.sizes.explore(len(path)),
-                         MessageKind.EXPLORE_REPLY)
-                candidate_paths[(source, target)] = [
-                    PairPath(
-                        source=source, target=target, path=path,
-                        hops_to_base=[self.substrate.hops_to_base(n) for n in path],
-                    )
-                ]
-            return candidate_paths
-        # The searches are a pure function of the substrate, the routing
-        # predicate, the sources and the statically joining pairs, so they
-        # run once per deployment; every run ships the recorded messages.
-        key = (self.substrate, routing, tuple(sources), tuple(static_pairs))
-        exploration = ctx.topology.routing_cache.memo.get(
-            "exploration", key,
-            lambda: _explore(ctx.topology, self.substrate, routing, sources,
-                             static_pairs))
-        ctx.ship_edges(exploration.senders, exploration.receivers,
-                       exploration.sizes, MessageKind.EXPLORE)
-        return dict(exploration.paths)
+            key = (substrate, None, tuple(static_pairs))
+            build = lambda: _route_pairs(substrate, static_pairs)  # noqa: E731
+        else:
+            key = (substrate, routing, tuple(sources), tuple(static_pairs))
+            build = lambda: _explore(ctx.topology, substrate, routing,  # noqa: E731
+                                     sources, static_pairs)
+        exploration = ctx.topology.routing_cache.memo.get("exploration", key, build)
+        exploration.ship(ctx)
+        return exploration.routes
 
     # ------------------------------------------------------------------
     # delivery structures
     # ------------------------------------------------------------------
     def _rebuild_delivery(self, ctx: ExecutionContext,
                           producers: Optional[List[ProducerKey]] = None) -> None:
-        """(Re)build per-producer shipping structures from the current plan."""
-        source_alias, target_alias = ctx.query.aliases
+        """(Re)build per-producer shipping structures from the current plan.
+
+        A producer's multicast tree is rebuilt only when the paths its pairs
+        ship along changed (or the topology did, for path collapsing); with
+        *producers*, only theirs and producers that have none yet.
+        """
         self._routes = None
-        self._pairs_of = {}
-        for pair in self.plan.pairs():
-            source, target = pair
-            self._pairs_of.setdefault((source_alias, source), []).append(pair)
-            self._pairs_of.setdefault((target_alias, target), []).append(pair)
         if not self.variant.multicast:
             self._multicast = {}
             return
+        source_alias = ctx.query.aliases[0]
+        table = self.plan.table
+        path_keys = {True: table.path_keys(True), False: table.path_keys(False)}
+        epoch = ctx.topology.routing_epoch
         rebuilt: Dict[ProducerKey, MulticastTree] = {}
         wanted = set(producers) if producers is not None else None
-        for producer_key, pairs in self._pairs_of.items():
-            if wanted is not None and producer_key not in wanted:
-                existing = self._multicast.get(producer_key)
-                if existing is not None:
-                    rebuilt[producer_key] = existing
-                    continue
+        for producer_key, rows in self._rows_of.items():
+            previous = self._multicast.get(producer_key)
+            if previous is not None and wanted is not None and producer_key not in wanted:
+                rebuilt[producer_key] = previous
+                continue
             alias, node_id = producer_key
-            paths = []
-            for pair in pairs:
-                decision = self.plan.decision_for(pair)
-                path = (decision.source_to_join if alias == source_alias
-                        else decision.target_to_join)
-                if len(path) > 1:
-                    paths.append(path)
+            source_side = alias == source_alias
+            keys = path_keys[source_side][rows]
+            inputs = (epoch, keys.tobytes())
+            if self._tree_inputs.get(producer_key) == inputs:
+                if previous is not None:
+                    rebuilt[producer_key] = previous
+                continue
+            self._tree_inputs[producer_key] = inputs
+            distinct = rows.tolist()
+            if not self.variant.path_collapse:
+                # a path shipped twice adds nothing to the tree
+                first_row: Dict[int, int] = {}
+                for key, row in zip(keys.tolist(), distinct):
+                    first_row.setdefault(key, row)
+                distinct = list(first_row.values())
+            paths = [path for path in (table.path_to_join(row, source_side)
+                                       for row in distinct) if len(path) > 1]
             if not paths:
                 continue
             if self.variant.path_collapse:
                 paths = collapse_paths(ctx.topology, node_id, paths)
             tree = build_multicast_tree(node_id, paths)
             rebuilt[producer_key] = tree
-            previous = self._multicast.get(producer_key)
             if tree.parent and (previous is None or previous.parent != tree.parent):
                 # Push the (updated) multicast tree state to the branching
                 # nodes so path vectors can be compressed (Appendix E).
@@ -378,35 +406,29 @@ class InnetJoin(JoinStrategy):
                 )
         self._multicast = rebuilt
 
-    def _path_to_join(self, ctx: ExecutionContext, alias: str, pair: Pair) -> List[int]:
-        decision = self.plan.decision_for(pair)
-        source_alias, _ = ctx.query.aliases
-        return decision.source_to_join if alias == source_alias else decision.target_to_join
-
     def _delivery_routes(self, ctx: ExecutionContext
                          ) -> Dict[str, List[Optional[ProducerRoute]]]:
         """Per-producer shipping routes under the plan's current decisions."""
         if self._routes is None:
-            assignments = self.plan.assignments
-            self._join_node_of_row = np.array(
-                [assignments[pair].decision.join_node for pair in self._pairs],
-                dtype=np.int64,
-            )
+            table = self.plan.table
+            self._join_node_of_row = table.join[self._plan_rows]
+            source_alias = ctx.query.aliases[0]
             routes: Dict[str, List[Optional[ProducerRoute]]] = {}
             for alias, members in self.producers.items():
+                source_side = alias == source_alias
                 routes[alias] = per_producer = []
                 for node_id in members.key:
-                    pairs = self._pairs_of.get((alias, node_id))
-                    if not pairs:
+                    rows = self._rows_of.get((alias, node_id))
+                    if rows is None:
                         per_producer.append(None)
                         continue
                     tree = self._multicast.get((alias, node_id))
                     reached = tree.destinations if tree is not None else ()
                     per_producer.append((tree, [
-                        (offset, join_node, self._path_to_join(ctx, alias, pair))
-                        for offset, pair in enumerate(pairs)
-                        if (join_node := assignments[pair].decision.join_node)
-                        not in reached
+                        (offset, join_node, table.path_to_join(row, source_side))
+                        for offset, (row, join_node) in enumerate(zip(
+                            rows.tolist(), table.join[rows].tolist()))
+                        if join_node not in reached
                     ]))
             self._routes = routes
         return self._routes
@@ -720,7 +742,8 @@ class InnetJoin(JoinStrategy):
         source_alias, target_alias = ctx.query.aliases
         cycle = cycles.stop - 1
         checking = policy.is_check_cycle(cycle) or policy.is_reset_cycle(cycle)
-        old_join_nodes: Dict[Pair, int] = {}
+        table = self.plan.table
+        old_join_nodes: Optional[np.ndarray] = None
         for pair, learning in self._learning.items():
             learning.observation.record_cycle(len(cycles))
             if not checking:
@@ -728,13 +751,10 @@ class InnetJoin(JoinStrategy):
             updated = learning.maybe_update(policy, cycle)
             if updated is None:
                 continue
-            if not old_join_nodes:
+            if old_join_nodes is None:
                 # Where every pair joins before the first re-placement of
                 # this cycle: what the moves below are measured against.
-                old_join_nodes = {
-                    pair: self.plan.decision_for(pair).join_node
-                    for pair in self.plan.pairs()
-                }
+                old_join_nodes = table.join.copy()
             # Re-place the pair with the learned estimates; nominations are
             # charged below, and only for pairs whose join node actually moved.
             self.optimizer.reoptimize_pair(self.plan, pair, updated)
@@ -747,10 +767,11 @@ class InnetJoin(JoinStrategy):
         # only the groups containing re-estimated pairs exchange messages.
         if self.variant.group_optimization:
             self._redecide_groups(ctx, updated_pairs)
-        for pair, old_join in old_join_nodes.items():
-            new_join = self.plan.decision_for(pair).join_node
+        nomination_size = ctx.sizes.control(num_fields=3)
+        for pair, row in zip(self._pairs, self._plan_rows.tolist()):
+            old_join, new_join = int(old_join_nodes[row]), int(table.join[row])
             if new_join != old_join:
-                nomination_traffic(ctx.ship, self.plan.decision_for(pair), ctx.sizes)
+                ctx.ship_paths(table.nomination_messages([row], nomination_size))
                 self._transfer_window(ctx, pair, old_join, new_join)
                 changed_producers.append((source_alias, pair[0]))
                 changed_producers.append((target_alias, pair[1]))
@@ -770,19 +791,14 @@ class InnetJoin(JoinStrategy):
             route_between=self.substrate.best_route,
             sizes=ctx.sizes,
         )
-        placements = {pair: self.plan.assignments[pair].decision for pair in all_pairs}
+        table = self.plan.table
         for group in affected:
+            rows = np.array([table.row_of[pair] for pair in group.pairs], dtype=np.int64)
             learned = [
                 self._learning[pair].current
                 for pair in group.pairs
                 if pair in self._learning
-            ] or [self.plan.assignments[pair].assumed for pair in group.pairs]
-            count = len(learned)
-            group_selectivities = Selectivities(
-                sigma_s=sum(s.sigma_s for s in learned) / count,
-                sigma_t=sum(s.sigma_t for s in learned) / count,
-                sigma_st=sum(s.sigma_st for s in learned) / count,
-            )
+            ] or [table.assumed[row] for row in rows.tolist()]
             # Only producers whose estimates changed re-send Delta C_p, and
             # the coordinator only broadcasts when its decision flips.
             changed_producers = {
@@ -793,18 +809,15 @@ class InnetJoin(JoinStrategy):
             }
             previous = self._group_decision_cache.get(group.coordinator)
             decision = group_optimizer.decide_group(
-                group, placements, group_selectivities, ctx.query.window_size,
+                group, GroupPlacements.of(table, rows),
+                representative_selectivities(learned), ctx.query.window_size,
                 ship=ctx.ship,
                 report_from=changed_producers,
                 previous_decision=previous,
             )
             self._group_decision_cache[group.coordinator] = decision.use_innet
             self.plan.group_decisions.append(decision)
-            group_optimizer.apply_decision(
-                decision, placements, ctx.base_id, self.substrate.path_to_base
-            )
-        for pair in all_pairs:
-            self.plan.assignments[pair].decision = placements[pair]
+            group_optimizer.apply_decision(decision, table, rows)
 
     def _transfer_window(self, ctx: ExecutionContext, pair: Pair,
                          old_join: int, new_join: int) -> None:
@@ -833,14 +846,15 @@ class InnetJoin(JoinStrategy):
         self.substrate = self.optimizer.substrate = self.substrate.copy()
         for node_id in failed:
             self.substrate.repair_after_failure(node_id, simulator=ctx.simulator)
-        for pair in self.plan.pairs():
-            decision = self.plan.decision_for(pair)
+        table = self.plan.table
+        table.rebase(self._path_to_base)
+        for pair, row in zip(self._pairs, self._plan_rows.tolist()):
             # A dead producer simply stops contributing, but the pair's join
             # node and paths must still be repaired if the failure touched
             # them, so the surviving producer keeps a working join location.
-            if decision.join_node in failed_set or failed_set.intersection(
-                decision.source_to_join
-            ) or failed_set.intersection(decision.target_to_join):
+            if int(table.join[row]) in failed_set or failed_set.intersection(
+                table.path_to_join(row, True)
+            ) or failed_set.intersection(table.path_to_join(row, False)):
                 # Limited-exploration repair takes a couple of cycles; after it
                 # the pair joins at the base station (Section 7).
                 self._recovering[pair] = cycle + FAILOVER_CYCLES
@@ -851,16 +865,15 @@ class InnetJoin(JoinStrategy):
         source_alias, target_alias = ctx.query.aliases
         finished = [p for p, until in self._recovering.items() if until <= cycle]
         store = self.windows
+        table = self.plan.table
         for pair in finished:
             del self._recovering[pair]
             row = store.row_of[pair]
             self._held[row] = False
-            assignment = self.plan.assignments.get(pair)
-            if assignment is None:
-                continue
             # Switch the pair to joining at the base station.
-            base_decision = self._base_decision(ctx, pair, assignment.assumed)
-            assignment.decision = base_decision
+            plan_row = table.row_of[pair]
+            table.rewrite_to_base([plan_row], base_cost=0.0)
+            base = table.decision(plan_row)
             # Forward the last w tuples from each producer so the base can
             # rebuild the join window, then replay the backlog.
             replays: List[HeldTuple] = [
@@ -877,43 +890,26 @@ class InnetJoin(JoinStrategy):
                 producer = pair[0] if from_source else pair[1]
                 if not ctx.topology.nodes[producer].alive:
                     continue
-                path = (base_decision.source_to_join if from_source
-                        else base_decision.target_to_join)
+                path = base.source_to_join if from_source else base.target_to_join
                 if not ctx.ship(path, data_size, MessageKind.DATA):
                     continue
                 matched = store.probe_row(row, from_source, values, sampled)
                 if matched:
-                    entry = produced_at.setdefault(base_decision.join_node, [0, 0])
+                    entry = produced_at.setdefault(base.join_node, [0, 0])
                     entry[0] += len(matched)
                     entry[1] += sum(
                         max(0, cycle - max(sampled, other)) for other in matched
                     )
             self._rebuild_delivery(ctx)
 
-    def _base_decision(self, ctx: ExecutionContext, pair: Pair,
-                       assumed: Selectivities):
-        from repro.core.placement import PlacementDecision
-
-        source, target = pair
+    def _path_to_base(self, node_id: int) -> Sequence[int]:
+        """A node's path to the base station on the repaired substrate, or a
+        shortest path where the repaired tree no longer reaches it."""
         try:
-            source_path = self.substrate.path_to_base(source)
+            return self.substrate.base_path(node_id)
         except KeyError:
-            source_path = ctx.topology.shortest_path(source, ctx.base_id) or [source]
-        try:
-            target_path = self.substrate.path_to_base(target)
-        except KeyError:
-            target_path = ctx.topology.shortest_path(target, ctx.base_id) or [target]
-        return PlacementDecision(
-            source=source,
-            target=target,
-            join_node=ctx.base_id,
-            at_base=True,
-            expected_cost=0.0,
-            base_cost=0.0,
-            source_to_join=source_path,
-            target_to_join=target_path,
-            join_to_base=[ctx.base_id],
-        )
+            topology = self.substrate.topology
+            return topology.shortest_path(node_id, topology.base_id) or [node_id]
 
     # ------------------------------------------------------------------
     def join_nodes_used(self) -> int:

@@ -17,9 +17,11 @@ Two multi-query effects are modeled on top of plain interleaving:
   into one engine-wide incremental :class:`~repro.core.group_opt.GroupOptimizer`.
   Attaching or detaching such a query re-derives only the affected groups
   (Algorithm 1 over the delta), charges the cost-report/decision control
-  traffic on the shared simulator, rewrites the owning plans in place, and
-  records the control-plane propagation delay of every re-decision in a
-  :class:`~repro.metrics.latency.LatencySink`.
+  traffic on the shared simulator, rewrites the owning plans' pair tables in
+  place, and records the control-plane propagation delay of every
+  re-decision in a :class:`~repro.metrics.latency.LatencySink`.  An
+  admission's control traffic -- the query's initiation, then the
+  re-decisions it causes -- is charged in one batch each.
 
 * **Cross-query shipment sharing.**  Producers are physical sensors: when two
   queries ship the same reading over the same path in the same cycle, the
@@ -35,8 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.cost_model import Selectivities
-from repro.core.group_opt import Group, GroupDecision, GroupOptimizer, Pair
+from repro.core.group_opt import (
+    Group, GroupDecision, GroupOptimizer, GroupPlacements, Pair,
+)
+from repro.core.optimizer import representative_selectivities
+from repro.core.placement import PairTable
 from repro.joins.base import (
     DataSource,
     ExecutionContext,
@@ -45,6 +53,7 @@ from repro.joins.base import (
     SelectivityProvider,
 )
 from repro.metrics.latency import LatencySink
+from repro.network.batch import CycleBatcher
 from repro.network.failures import FailureInjector
 from repro.network.message import MessageKind
 from repro.network.simulator import NetworkSimulator
@@ -205,7 +214,13 @@ class SharedSubstrateEngine:
             seed=self.seed,
         )
         before = self.simulator.stats.total()
-        strategy.initiate(context)
+        batcher = self._control_batcher()
+        if batcher is None:
+            strategy.initiate(context)
+        else:
+            with context.captured_shipping(batcher):
+                strategy.initiate(context)
+            batcher.flush()
         session = QuerySession(
             query_id=query_id,
             query=query,
@@ -229,6 +244,14 @@ class SharedSubstrateEngine:
             )
         return session
 
+    def _control_batcher(self) -> Optional[CycleBatcher]:
+        """A batcher to charge admission-plane control traffic in one flush,
+        or ``None`` (one ``transfer`` per message) while a node is dead: only
+        the per-hop ``transfer`` walk models a dead hop."""
+        if len(self.simulator._current_alive_set()) != len(self.topology.nodes):
+            return None
+        return CycleBatcher(self.simulator)
+
     @staticmethod
     def _group_optimizes(strategy: JoinStrategy) -> bool:
         """True for strategies that run GROUPOPT over a pairwise plan."""
@@ -236,7 +259,7 @@ class SharedSubstrateEngine:
         variant = getattr(strategy, "variant", None)
         return (
             plan is not None
-            and bool(plan.assignments)
+            and bool(plan.table.pairs)
             and variant is not None
             and getattr(variant, "group_optimization", False)
         )
@@ -312,60 +335,66 @@ class SharedSubstrateEngine:
         return len(self._live)
 
     # -- cross-query group reoptimization -------------------------------------
-    def _owners_of(self, group: Group) -> List[QuerySession]:
-        owner_ids: List[int] = []
-        for pair in group.pairs:
-            for qid in self._pair_owners.get(pair, ()):
-                if qid not in owner_ids:
-                    owner_ids.append(qid)
-        return [self._sessions[qid] for qid in sorted(owner_ids)]
-
     def _pair_selectivities(self, session: QuerySession, pair: Pair) -> Selectivities:
         learning = getattr(session.strategy, "_learning", {})
         state = learning.get(pair)
         if state is not None:
             return state.current
-        return session.strategy.plan.assignments[pair].assumed
+        table = session.strategy.plan.table
+        return table.assumed[table.row_of[pair]]
 
     def _redecide(self, changed: List[Group], delta_pairs: Sequence[Pair]) -> None:
         """Run Algorithm 1 for re-derived groups and rewrite owning plans.
 
+        Each pair's placement is read from its lowest-id owner, and every
+        owner's plan takes that placement (or, when the group joins at the
+        base, the rewrite to the base with that owner's at-base cost).
         Only producers touched by the churn delta re-report their cost
         difference; the coordinator's broadcast is suppressed when its
-        decision did not flip.  Every re-decision's control-plane delay
-        (report hop distance plus broadcast hop distance) lands in
-        :attr:`reopt_latency`.
+        decision did not flip.  The reports and decisions are charged in one
+        batch.  Every re-decision's control-plane delay (report hop distance
+        plus broadcast hop distance) lands in :attr:`reopt_latency`.
         """
         if not changed:
             return
+        batcher = self._control_batcher()
+        ship = self.simulator.transfer if batcher is None else batcher.ship
         delta_endpoints = {endpoint for pair in delta_pairs for endpoint in pair}
         for group in changed:
-            owners = self._owners_of(group)
-            if not owners:
+            # per owner its pairs, as positions in group order; each pair is
+            # placed by its lowest-id owner
+            owned: Dict[int, List[int]] = {}
+            placing: Dict[int, List[int]] = {}
+            for position, pair in enumerate(group.pairs):
+                owner_ids = self._pair_owners.get(pair, ())
+                if owner_ids:
+                    placing.setdefault(owner_ids[0], []).append(position)
+                for qid in owner_ids:
+                    owned.setdefault(qid, []).append(position)
+            if not owned:
                 continue
-            placements = {}
-            learned: List[Selectivities] = []
-            for owner in owners:
-                plan = owner.strategy.plan
-                for pair in group.pairs:
-                    if pair in plan.assignments and pair not in placements:
-                        placements[pair] = plan.assignments[pair].decision
-                        learned.append(self._pair_selectivities(owner, pair))
-            if not placements:
-                continue
-            count = len(learned)
-            group_selectivities = Selectivities(
-                sigma_s=sum(s.sigma_s for s in learned) / count,
-                sigma_t=sum(s.sigma_t for s in learned) / count,
-                sigma_st=sum(s.sigma_st for s in learned) / count,
-            )
+            owners = [self._sessions[qid] for qid in sorted(owned)]
+            placed_at: Dict[int, Tuple[PairTable, int]] = {}
+            parts, learned = [], []
+            for qid in sorted(placing):
+                owner = self._sessions[qid]
+                table = owner.strategy.plan.table
+                rows = [table.row_of[group.pairs[p]] for p in placing[qid]]
+                parts.append(GroupPlacements.of(table, rows))
+                for position, row in zip(placing[qid], rows):
+                    placed_at[position] = (table, row)
+                    learned.append(self._pair_selectivities(owner, group.pairs[position]))
+            order = np.argsort(np.concatenate([placing[qid] for qid in sorted(placing)]),
+                               kind="stable")
+            placements = GroupPlacements(*(np.concatenate(column)[order]
+                                           for column in zip(*parts)))
             window = max(owner.query.window_size for owner in owners)
             decision = self.group_optimizer.decide_group(
                 group,
                 placements,
-                group_selectivities,
+                representative_selectivities(learned),
                 window,
-                ship=self.simulator.transfer,
+                ship=ship,
                 report_from=delta_endpoints & group.members,
                 previous_decision=self.group_optimizer.previous_use_innet(group),
             )
@@ -373,28 +402,26 @@ class SharedSubstrateEngine:
             self.reoptimizations += 1
             self._record_reopt_latency(group, decision.use_innet)
             for owner in owners:
-                plan = owner.strategy.plan
-                owned = {
-                    pair: placements[pair]
-                    for pair in group.pairs
-                    if pair in plan.assignments
-                }
-                substrate = getattr(owner.strategy, "substrate", None)
-                base_path_of = (
-                    substrate.path_to_base if substrate is not None
-                    else lambda node: self._route_between(
-                        node, self.topology.base_id
-                    )
-                )
-                self.group_optimizer.apply_decision(
-                    decision, owned, self.topology.base_id, base_path_of
-                )
-                for pair, placement in owned.items():
-                    plan.assignments[pair].decision = placement
-                plan.group_decisions.append(decision)
+                table = owner.strategy.plan.table
+                mine = owned.get(owner.query_id, ())
+                rows = np.array([table.row_of[group.pairs[p]] for p in mine],
+                                dtype=np.int64)
+                if not decision.use_innet:
+                    self.group_optimizer.apply_decision(
+                        decision, table, rows,
+                        base_cost=[placed_at[p][0].base_cost[placed_at[p][1]]
+                                   for p in mine])
+                else:
+                    for position, row in zip(mine, rows.tolist()):
+                        source, source_row = placed_at[position]
+                        if source is not table:
+                            table.copy_row(row, source, source_row)
+                owner.strategy.plan.group_decisions.append(decision)
                 rebuild = getattr(owner.strategy, "_rebuild_delivery", None)
                 if rebuild is not None and owner.active:
                     rebuild(owner.context)
+        if batcher is not None:
+            batcher.flush()
 
     def _record_reopt_latency(self, group: Group, use_innet: bool) -> None:
         coordinator = group.coordinator

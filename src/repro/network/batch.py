@@ -18,6 +18,10 @@ rule, :meth:`~repro.joins.executor.JoinExecutor._block_length`).
 * :class:`RouteHops` -- a strategy's routes as flat hop arrays, built when
   its routes are: a block charges each route by how many messages crossed
   it, however many cycles the block spans,
+* :class:`PathMessages` -- a sequence of messages (one path, size and kind
+  each) as flat node arrays: a protocol phase that sends one message per
+  pair (exploration, nominations) ships it with one
+  :meth:`CycleBatcher.ship_paths` call,
 * :class:`PathBatch` -- the payload of the pipeline's ``charge_paths_batch``
   event that flush emits: one event carries every hop charged in a block,
   with a per-hop message count and, on lossy links, per-hop attempts.  It
@@ -49,7 +53,7 @@ import numpy as np
 
 from repro.network.message import MessageKind
 
-__all__ = ["PathBatch", "CycleBatcher", "RouteHops"]
+__all__ = ["PathBatch", "CycleBatcher", "PathMessages", "RouteHops"]
 
 
 def _segment_outcomes(
@@ -169,6 +173,56 @@ class RouteHops:
         self.senders = np.array(senders, dtype=np.int64)
         self.receivers = np.array(receivers, dtype=np.int64)
         self.route_of_hop = np.array(owners, dtype=np.int64)
+
+
+class PathMessages:
+    """Messages in ship order as flat arrays: message ``m`` crosses the
+    ``lengths[m]`` nodes that follow the previous messages' nodes in
+    :attr:`nodes`, is ``sizes[m]`` bytes and of kind ``kinds[codes[m]]``.
+
+    Every message has at least two nodes (a zero-hop message ships
+    nothing).  :meth:`gather` builds one from segments of a node pool.
+    """
+
+    __slots__ = ("nodes", "lengths", "sizes", "codes", "kinds")
+
+    def __init__(self, nodes: np.ndarray, lengths: np.ndarray, sizes: np.ndarray,
+                 codes: np.ndarray, kinds: Tuple[MessageKind, ...]) -> None:
+        self.nodes = nodes
+        self.lengths = lengths
+        self.sizes = sizes
+        self.codes = codes
+        self.kinds = kinds
+
+    @classmethod
+    def gather(cls, pool: np.ndarray, firsts: np.ndarray, lengths: np.ndarray,
+               steps: np.ndarray, sizes, codes, kinds: Tuple[MessageKind, ...]
+               ) -> "PathMessages":
+        """Message ``m`` visits ``pool[firsts[m] + steps[m] * i]`` for ``i``
+        in ``range(lengths[m])`` (a step of -1 walks a pool segment
+        backwards); messages of fewer than two nodes are dropped.  *sizes*
+        and *codes* are one value or one per message."""
+        count = lengths.size
+        sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (count,))
+        codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), (count,))
+        keep = lengths > 1
+        firsts, lengths, steps = firsts[keep], lengths[keep], steps[keep]
+        offsets = np.cumsum(lengths) - lengths
+        within = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(offsets, lengths)
+        index = np.repeat(firsts, lengths) + np.repeat(steps, lengths) * within
+        return cls(pool[index], lengths, sizes[keep], codes[keep], kinds)
+
+    def __len__(self) -> int:
+        return int(self.lengths.size)
+
+    def each(self):
+        """``(path, size, kind)`` per message, in ship order."""
+        nodes = self.nodes.tolist()
+        start = 0
+        for length, size, code in zip(self.lengths.tolist(), self.sizes.tolist(),
+                                      self.codes.tolist()):
+            yield nodes[start:start + length], size, self.kinds[code]
+            start += length
 
 
 class _BatchGroup:
@@ -315,6 +369,48 @@ class CycleBatcher:
         group = self._group(kind, size_bytes)
         group.blocks.append(_HopBlock(senders, receivers, None, attempts))
         group.drops += delivered.size - int(np.count_nonzero(delivered))
+
+    def ship_paths(self, messages: PathMessages) -> None:
+        """Defer every message of *messages*, in order.
+
+        Equivalent to calling :meth:`ship` per message: on lossy links one
+        ``attempt_hops_batch`` draw over the messages' hop counts consumes
+        the RNG stream like the per-message draws, each message charges its
+        hops up to its first failed one, and (kind, size) groups are opened
+        in the order their first message ships.
+        """
+        count = len(messages)
+        if not count:
+            return
+        hops = messages.lengths - 1
+        nodes = np.asarray(messages.nodes, dtype=np.int64)
+        # a hop leaves every node but the last of its message
+        leaves = np.ones(nodes.size, dtype=bool)
+        leaves[np.cumsum(messages.lengths) - 1] = False
+        senders = nodes[leaves]
+        receivers = nodes[1:][leaves[:-1]]
+        message_of_hop = np.repeat(np.arange(count), hops)
+        attempts = None
+        if self.lossless:
+            delivered = np.ones(count, dtype=bool)
+            charged_hop = np.ones(senders.size, dtype=bool)
+        else:
+            delivered_hops, attempts = self.links.attempt_hops_batch(hops)
+            delivered, charged, starts = _segment_outcomes(hops, delivered_hops)
+            charged_hop = (np.arange(senders.size) - starts[message_of_hop]
+                           < charged[message_of_hop])
+        keys = messages.codes * (1 << 32) + messages.sizes
+        _, first, group_of = np.unique(keys, return_index=True, return_inverse=True)
+        for group in np.argsort(first).tolist():
+            message = int(first[group])
+            in_group = group_of == group
+            hop_mask = in_group[message_of_hop] & charged_hop
+            target = self._group(messages.kinds[int(messages.codes[message])],
+                                 int(messages.sizes[message]))
+            target.blocks.append(_HopBlock(
+                senders[hop_mask], receivers[hop_mask], None,
+                None if attempts is None else attempts[hop_mask]))
+            target.drops += int(np.count_nonzero(in_group & ~delivered))
 
     def ship_routes(self, table: RouteHops, counts: np.ndarray,
                     size_bytes: int, kind: MessageKind) -> None:

@@ -90,6 +90,8 @@ class MultiTreeSubstrate:
         self.tables: List[Optional[SemanticRoutingTable]] = []
         #: (source, target) -> best stripped route; cleared on tree repair.
         self._best_routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: :meth:`hops_to_base_array`, once built; cleared on tree repair
+        self._hops_array: Optional[np.ndarray] = None
         self._build_trees()
         self._indexed_attributes = indexed_attributes or {}
         self._value_extractors = value_extractors or {}
@@ -156,8 +158,23 @@ class MultiTreeSubstrate:
         """Hop count to the base station along the primary routing tree."""
         return self.primary_tree.depth_of(node_id)
 
+    def hops_to_base_array(self) -> np.ndarray:
+        """:meth:`hops_to_base` of every node, indexed by node id (0 where
+        the primary tree does not reach)."""
+        if self._hops_array is None:
+            depth = self.primary_tree.depth
+            hops = np.zeros(max(self.topology.nodes) + 1, dtype=np.int64)
+            hops[np.fromiter(depth.keys(), dtype=np.int64, count=len(depth))] = (
+                np.fromiter(depth.values(), dtype=np.int64, count=len(depth)))
+            self._hops_array = hops
+        return self._hops_array
+
     def path_to_base(self, node_id: int) -> List[int]:
         return self.primary_tree.path_to_root(node_id)
+
+    def base_path(self, node_id: int) -> Tuple[int, ...]:
+        """:meth:`path_to_base` as the primary tree's read-only tuple."""
+        return self.primary_tree.root_path(node_id)
 
     # ------------------------------------------------------------------
     # point-to-point routing
@@ -167,14 +184,21 @@ class MultiTreeSubstrate:
 
         Memoized per pair until a failure repair changes the trees.
         """
-        key = (source, target)
+        return list(self._best_route((source, target)))
+
+    def best_routes(self, pairs: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+        """:meth:`best_route` of every pair, as the memo's read-only tuples."""
+        memo = self._best_routes
+        return [memo.get(pair) or self._best_route(pair) for pair in pairs]
+
+    def _best_route(self, key: Tuple[int, int]) -> Tuple[int, ...]:
         cached = self._best_routes.get(key)
         if cached is None:
-            best = _shortest_route(self.trees, source, target)
+            best = _shortest_route(self.trees, *key)
             if best is None:
-                raise ValueError(f"no route between {source} and {target}")
+                raise ValueError(f"no route between {key[0]} and {key[1]}")
             cached = self._best_routes[key] = tuple(best)
-        return list(cached)
+        return cached
 
     # ------------------------------------------------------------------
     # content-routing search
@@ -287,6 +311,7 @@ class MultiTreeSubstrate:
         twin = copy.copy(self)
         twin.trees = [tree.copy() for tree in self.trees]
         twin._best_routes = {}
+        twin._hops_array = None
         return twin
 
     def repair_after_failure(
@@ -298,6 +323,7 @@ class MultiTreeSubstrate:
         """
         stranded: Dict[int, List[int]] = {}
         self._best_routes = {}
+        self._hops_array = None
         for index, tree in enumerate(self.trees):
             lost = tree.repair_after_failure(failed, simulator=simulator)
             if lost:

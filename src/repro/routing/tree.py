@@ -11,7 +11,7 @@ lowest common ancestor and descend.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -142,11 +142,13 @@ class RoutingTree:
         return out
 
     def path_to_root(self, node_id: int) -> List[int]:
-        """Path from a node up to the root (inclusive of both).
+        """Path from a node up to the root (inclusive of both), as a fresh
+        list the caller may mutate."""
+        return list(self.root_path(node_id))
 
-        The climb is memoized per node (invalidated on build/repair); the
-        caller gets a fresh list it may mutate.
-        """
+    def root_path(self, node_id: int) -> Tuple[int, ...]:
+        """:meth:`path_to_root` as the memo's read-only tuple (the climb is
+        memoized per node and invalidated on build/repair)."""
         cached = self._paths_to_root.get(node_id)
         if cached is None:
             if node_id not in self.parent:
@@ -156,7 +158,7 @@ class RoutingTree:
                 path.append(self.parent[path[-1]])
             cached = tuple(path)
             self._paths_to_root[node_id] = cached
-        return list(cached)
+        return cached
 
     def path_from_root(self, node_id: int) -> List[int]:
         return list(reversed(self.path_to_root(node_id)))

@@ -134,8 +134,11 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
 
 class ServiceServer(socketserver.ThreadingTCPServer):
+    """One handler thread per connection; closing the server joins them, so
+    :func:`serve` returns only once every handler has finished."""
+
     allow_reuse_address = True
-    daemon_threads = True
+    daemon_threads = False
 
     def __init__(self, address, daemon: ServiceDaemon) -> None:
         super().__init__(address, _RequestHandler)

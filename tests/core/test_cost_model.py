@@ -33,8 +33,6 @@ class TestSelectivities:
 
     def test_helpers(self):
         s = Selectivities(0.1, 0.9, 0.2)
-        assert s.sigma_for(True) == 0.1
-        assert s.sigma_for(False) == 0.9
         assert s.swapped() == Selectivities(0.9, 0.1, 0.2)
 
 

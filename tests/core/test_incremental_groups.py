@@ -12,6 +12,7 @@ import pytest
 from repro.core.cost_model import Selectivities
 from repro.core.group_opt import GroupOptimizer, build_groups
 from repro.core.placement import PlacementDecision
+from tests.core.placement_oracle import group_placements
 
 
 def _optimizer() -> GroupOptimizer:
@@ -107,7 +108,7 @@ class TestIncrementalGrouping:
         selectivities = Selectivities(0.5, 0.5, 0.2)
         decision = optimizer.decide_group(
             stable_group,
-            {(5, 15): _placement_for((5, 15))},
+            group_placements(stable_group, {(5, 15): _placement_for((5, 15))}),
             selectivities,
             window_size=2,
         )
@@ -151,13 +152,15 @@ class TestIncrementalGrouping:
         scratch = _optimizer()
         expected = {
             frozenset(group.pairs): scratch.decide_group(
-                group, placements, selectivities, window_size=2
+                group, group_placements(group, placements), selectivities,
+                window_size=2,
             )
             for group in build_groups(distinct)
         }
         for group in optimizer.groups():
             decision = optimizer.decide_group(
-                group, placements, selectivities, window_size=2
+                group, group_placements(group, placements), selectivities,
+                window_size=2,
             )
             reference = expected[frozenset(group.pairs)]
             assert decision.use_innet == reference.use_innet

@@ -3,19 +3,18 @@
 import pytest
 
 from repro.core import (
-    GroupOptimizer,
+    CandidateRoutes,
     PairwiseOptimizer,
     Selectivities,
     build_groups,
     optimal_pair_placements,
-    place_join_node,
 )
 from repro.core.group_opt import reconcile_decisions
-from repro.core.placement import best_placement, nomination_traffic
 from repro.network import NetworkSimulator
 from repro.network.topology import random_topology
 from repro.routing import MultiTreeSubstrate
 from repro.routing.multitree import PairPath
+from tests.core.placement_oracle import best_placement, place_join_node
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +33,33 @@ def _pair_path(substrate, source, target):
     return PairPath(source=source, target=target, path=path, hops_to_base=hops)
 
 
+def _routes(substrate, candidates):
+    """CandidateRoutes of ``{pair: [PairPath, ...]}``."""
+    return CandidateRoutes.build(
+        list(candidates), [[c.path for c in found] for found in candidates.values()],
+        substrate.hops_to_base_array())
+
+
+def _plan(substrate, pairs, sel, window_size, ship=None):
+    """The plan of *pairs* on their best routes, under *sel* (one for all, or
+    per pair)."""
+    optimizer = PairwiseOptimizer(substrate, window_size=window_size)
+    sels = [sel[p] for p in pairs] if isinstance(sel, dict) else [sel] * len(pairs)
+    plan = optimizer.optimize_pairs(
+        _routes(substrate, {p: [_pair_path(substrate, *p)] for p in pairs}), sels,
+        ship=ship)
+    return optimizer, plan
+
+
+def _place(substrate, topo, pair, sel, window_size):
+    _, plan = _plan(substrate, [(pair.source, pair.target)], sel, window_size)
+    return plan.decision_for((pair.source, pair.target))
+
+
 class TestPlacement:
     def test_join_node_on_path_or_base(self, topo, substrate):
         pair = _pair_path(substrate, topo.node_ids[3], topo.node_ids[-4])
-        decision = place_join_node(
-            pair, Selectivities(0.5, 0.5, 0.1), 3,
-            substrate.path_to_base, topo.base_id,
-        )
+        decision = _place(substrate, topo, pair, Selectivities(0.5, 0.5, 0.1), 3)
         assert decision.join_node in pair.path or decision.at_base
         assert decision.source_to_join[0] == pair.source
         assert decision.target_to_join[0] == pair.target
@@ -60,25 +79,19 @@ class TestPlacement:
         for sel in selectivity_grid:
             for offset in range(5):
                 pair = _pair_path(substrate, ids[2 + offset], ids[-3 - offset])
-                decision = place_join_node(
-                    pair, sel, 3, substrate.path_to_base, topo.base_id
-                )
+                decision = _place(substrate, topo, pair, sel, 3)
                 assert decision.expected_cost <= decision.base_cost + 1e-9
 
     def test_asymmetric_selectivities_pull_join_node(self, topo, substrate):
         """The join node sits nearer the chattier producer's partner:
         with sigma_s tiny and sigma_t high, t's data should travel few hops."""
         pair = _pair_path(substrate, topo.node_ids[4], topo.node_ids[-5])
-        skewed_s = place_join_node(
-            pair, Selectivities(0.05, 1.0, 0.0), 1, substrate.path_to_base, topo.base_id
-        )
-        skewed_t = place_join_node(
-            pair, Selectivities(1.0, 0.05, 0.0), 1, substrate.path_to_base, topo.base_id
-        )
+        skewed_s = _place(substrate, topo, pair, Selectivities(0.05, 1.0, 0.0), 1)
+        skewed_t = _place(substrate, topo, pair, Selectivities(1.0, 0.05, 0.0), 1)
         if not skewed_s.at_base and not skewed_t.at_base:
-            assert skewed_s.d_tj <= skewed_t.d_tj
+            assert len(skewed_s.target_to_join) <= len(skewed_t.target_to_join)
 
-    def test_missing_annotation_rejected(self, topo, substrate):
+    def test_the_oracle_rejects_a_missing_annotation(self, topo, substrate):
         path = substrate.best_route(topo.node_ids[1], topo.node_ids[-2])
         bare = PairPath(
             source=path[0], target=path[-1], path=path, hops_to_base=[]
@@ -101,26 +114,26 @@ class TestPlacement:
             source=source, target=target, path=long_path,
             hops_to_base=[substrate.hops_to_base(n) for n in long_path],
         ))
-        best = best_placement(candidates, Selectivities(0.5, 0.5, 0.1), 1,
-                              substrate.path_to_base, topo.base_id)
+        plan = PairwiseOptimizer(substrate, window_size=1).optimize_pairs(
+            _routes(substrate, {(source, target): candidates}),
+            [Selectivities(0.5, 0.5, 0.1)])
         individual = [
             place_join_node(c, Selectivities(0.5, 0.5, 0.1), 1,
                             substrate.path_to_base, topo.base_id).expected_cost
             for c in candidates
         ]
-        assert best.expected_cost == pytest.approx(min(individual))
+        assert plan.decision_for((source, target)).expected_cost == min(individual)
 
-    def test_best_placement_requires_candidates(self, topo, substrate):
+    def test_the_oracle_requires_candidates(self, topo, substrate):
         with pytest.raises(ValueError):
             best_placement([], Selectivities(1, 1, 0), 1,
                            substrate.path_to_base, topo.base_id)
 
     def test_nomination_traffic_charged(self, topo, substrate):
         sim = NetworkSimulator(topo)
-        pair = _pair_path(substrate, topo.node_ids[3], topo.node_ids[-4])
-        decision = place_join_node(pair, Selectivities(0.5, 0.5, 0.1), 3,
-                                   substrate.path_to_base, topo.base_id)
-        nomination_traffic(sim.transfer, decision)
+        _plan(substrate, [(topo.node_ids[3], topo.node_ids[-4])],
+              Selectivities(0.5, 0.5, 0.1), 3,
+              ship=lambda messages: [sim.transfer(*m) for m in messages.each()])
         assert sim.stats.total() > 0
 
 
@@ -134,11 +147,8 @@ class TestAgainstGlobalOptimum:
         pairs = [(ids[3 + i], ids[-4 - i]) for i in range(10)]
         optimal = optimal_pair_placements(topo, pairs, sel, window_size=1)
         total_optimal = sum(cost for _, cost in optimal.values())
-        total_distributed = 0.0
-        for source, target in pairs:
-            pair = _pair_path(substrate, source, target)
-            decision = place_join_node(pair, sel, 1, substrate.path_to_base, topo.base_id)
-            total_distributed += decision.expected_cost
+        _, plan = _plan(substrate, pairs, sel, 1)
+        total_distributed = plan.expected_cost_per_cycle()
         assert total_distributed >= total_optimal - 1e-9
         # The multi-tree paths are close to shortest paths, so the gap is small.
         assert total_distributed <= total_optimal * 1.25 + 1e-9
@@ -162,11 +172,8 @@ class TestGroups:
         source = max(ids, key=substrate.hops_to_base)
         targets = sorted(ids, key=substrate.hops_to_base, reverse=True)[1:5]
         pairs = [(source, t) for t in targets]
-        sel = {p: Selectivities(1.0, 1.0, 1.0) for p in pairs}
-        optimizer = PairwiseOptimizer(substrate, window_size=3)
-        candidate_paths = {p: [_pair_path(substrate, *p)] for p in pairs}
-        plan = optimizer.optimize_pairs(candidate_paths, sel)
-        plan = optimizer.apply_group_optimization(plan, sel)
+        optimizer, plan = _plan(substrate, pairs, Selectivities(1.0, 1.0, 1.0), 3)
+        plan = optimizer.apply_group_optimization(plan)
         assert plan.group_decisions
         decision = plan.group_decisions[0]
         if decision.join_at_base:
@@ -177,11 +184,8 @@ class TestGroups:
         ids = [n for n in topo.node_ids if n != topo.base_id]
         far = sorted(ids, key=substrate.hops_to_base, reverse=True)
         pairs = [(far[0], far[1]), (far[0], far[2])]
-        sel = {p: Selectivities(1.0, 1.0, 0.0) for p in pairs}
-        optimizer = PairwiseOptimizer(substrate, window_size=1)
-        candidate_paths = {p: [_pair_path(substrate, *p)] for p in pairs}
-        plan = optimizer.optimize_pairs(candidate_paths, sel)
-        plan = optimizer.apply_group_optimization(plan, sel)
+        optimizer, plan = _plan(substrate, pairs, Selectivities(1.0, 1.0, 0.0), 1)
+        plan = optimizer.apply_group_optimization(plan)
         assert plan.group_decisions[0].use_innet
         assert not all(plan.decision_for(p).at_base for p in pairs)
 
@@ -189,12 +193,11 @@ class TestGroups:
         sim = NetworkSimulator(topo)
         ids = [n for n in topo.node_ids if n != topo.base_id]
         pairs = [(ids[0], ids[10]), (ids[0], ids[11])]
-        sel = {p: Selectivities(0.5, 0.5, 0.2) for p in pairs}
-        optimizer = PairwiseOptimizer(substrate, window_size=1)
-        candidate_paths = {p: [_pair_path(substrate, *p)] for p in pairs}
-        plan = optimizer.optimize_pairs(candidate_paths, sel, ship=sim.transfer)
+        optimizer, plan = _plan(
+            substrate, pairs, Selectivities(0.5, 0.5, 0.2), 1,
+            ship=lambda messages: [sim.transfer(*m) for m in messages.each()])
         traffic_after_pairs = sim.stats.total()
-        optimizer.apply_group_optimization(plan, sel, ship=sim.transfer)
+        optimizer.apply_group_optimization(plan, ship=sim.transfer)
         assert sim.stats.total() > traffic_after_pairs
 
     def test_reconcile_decisions(self):
@@ -214,10 +217,7 @@ class TestJoinPlan:
     def test_plan_bookkeeping(self, topo, substrate):
         ids = [n for n in topo.node_ids if n != topo.base_id]
         pairs = [(ids[0], ids[10]), (ids[1], ids[11])]
-        sel = {p: Selectivities(0.5, 0.5, 0.1) for p in pairs}
-        optimizer = PairwiseOptimizer(substrate, window_size=2)
-        candidate_paths = {p: [_pair_path(substrate, *p)] for p in pairs}
-        plan = optimizer.optimize_pairs(candidate_paths, sel)
+        _, plan = _plan(substrate, pairs, Selectivities(0.5, 0.5, 0.1), 2)
         assert plan.pairs() == sorted(pairs)
         assert plan.expected_cost_per_cycle() > 0
         join_nodes = plan.join_nodes()
@@ -229,18 +229,15 @@ class TestJoinPlan:
     def test_reoptimize_pair_updates_assignment(self, topo, substrate):
         ids = [n for n in topo.node_ids if n != topo.base_id]
         pair = (ids[0], ids[10])
-        sel = {pair: Selectivities(0.1, 1.0, 0.05)}
-        optimizer = PairwiseOptimizer(substrate, window_size=3)
-        candidate_paths = {pair: [_pair_path(substrate, *pair)]}
-        plan = optimizer.optimize_pairs(candidate_paths, sel)
-        before = plan.decision_for(pair)
+        optimizer, plan = _plan(substrate, [pair], Selectivities(0.1, 1.0, 0.05), 3)
         after = optimizer.reoptimize_pair(
             plan, pair, Selectivities(1.0, 0.1, 0.05)
         )
-        assert plan.decision_for(pair) is after
+        assert plan.decision_for(pair) == after
+        assert plan.assignments[pair].assumed == Selectivities(1.0, 0.1, 0.05)
         assert after.expected_cost <= after.base_cost + 1e-9
         # The decision may or may not move, but it must stay on the path/base.
-        assert after.join_node in candidate_paths[pair][0].path or after.at_base
+        assert after.join_node in _pair_path(substrate, *pair).path or after.at_base
 
     def test_optimizer_window_validation(self, substrate):
         with pytest.raises(ValueError):

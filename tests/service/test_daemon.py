@@ -8,7 +8,9 @@ import pytest
 
 from repro.service.cli import main as cli_main
 from repro.service.client import ServiceClient
-from repro.service.daemon import ServiceDaemon, ServiceServer, request, serve
+from repro.service.daemon import (
+    ServiceDaemon, ServiceServer, _RequestHandler, request, serve,
+)
 from repro.service.engine import ServiceConfig
 
 SQL = (
@@ -142,3 +144,37 @@ def test_serve_announces_itself_ticks_and_exits_cleanly(capsys):
     thread.join(timeout=30.0)
     assert not thread.is_alive()
     assert outcome["code"] == 0
+
+
+def test_serve_returns_after_its_handlers_finish(monkeypatch):
+    """A handler still working after the ``shutdown`` reply keeps ``serve``
+    from returning until it is done."""
+    handlers = []
+    handle = _RequestHandler.handle
+
+    def slow_handle(self):
+        handlers.append(threading.current_thread())
+        handle(self)
+        time.sleep(0.2)  # work after the reply, such as a slow close
+
+    monkeypatch.setattr(_RequestHandler, "handle", slow_handle)
+    outcome = {}
+
+    def run():
+        outcome["code"] = serve(port=0, config=ServiceConfig(num_nodes=40))
+        outcome["alive"] = [thread.name for thread in handlers if thread.is_alive()]
+
+    ready = threading.Event()
+    printed = []
+    monkeypatch.setattr("builtins.print", lambda *a, **k: (printed.append(" ".join(
+        map(str, a))), ready.set()))
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert ready.wait(30.0)
+    fields = dict(part.split("=", 1) for part in printed[0].split()[2:])
+    client = ServiceClient(fields["host"], int(fields["port"]))
+    assert client.shutdown()["shutting_down"] is True
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert outcome == {"code": 0, "alive": []}
+    assert handlers

@@ -172,3 +172,33 @@ class TestShipmentSharing:
         # one query has no other query to share a transmission with
         assert stats["deduped_shipments"] == 0
         assert stats["shared_savings_units"] == 0.0
+
+
+class TestAdmissionCharges:
+    """Admission and re-decision charge through one batch each, never one
+    ``transfer`` per message (all nodes alive)."""
+
+    @pytest.mark.parametrize("algorithm", [
+        "innet-cmg", "innet-cmpg", "innet", "innet-learn", "base",
+    ])
+    def test_no_admission_path_calls_transfer(self, algorithm, monkeypatch):
+        from repro.service.churn import churn_query
+
+        engine = ServiceEngine(ServiceConfig(num_nodes=60))
+        simulator = engine.shared.simulator
+        calls = []
+        transfer = simulator.transfer
+        monkeypatch.setattr(simulator, "transfer",
+                            lambda *args, **kwargs: calls.append(args) or transfer(
+                                *args, **kwargs))
+        ids = []
+        for slot in range(4):
+            name, sql = churn_query(slot, 0, 60)
+            before = simulator.stats.total()
+            ids.append(engine.submit(sql=sql, name=name, algorithm=algorithm)["query_id"])
+            assert simulator.stats.total() > before
+        engine.cancel(ids[1])
+        engine.cancel(ids[0])
+        assert calls == []
+        if algorithm == "innet-cmg":
+            assert engine.stats()["reoptimizations"] > 0

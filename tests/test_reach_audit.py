@@ -63,6 +63,7 @@ NEVER_ENTERED: Dict[str, str] = {
     "repro.core.cost_model.Selectivities.swapped": ORACLE,
     "repro.core.cost_model.best_join_point_index": ORACLE,
     "repro.core.cost_model.ght_cost": ORACLE,
+    "repro.core.cost_model.group_cost_difference": ORACLE,
     "repro.core.cost_model.innet_cost": ORACLE,
     "repro.core.cost_model.through_base_pair_cost": ORACLE,
     "repro.core.group_opt.Group.__len__": HOOK,
@@ -72,6 +73,7 @@ NEVER_ENTERED: Dict[str, str] = {
     "repro.core.optimizer.JoinPlan.expected_cost_per_cycle": ORACLE,
     "repro.core.optimizer.JoinPlan.fraction_at_base": ORACLE,
     "repro.core.optimizer.JoinPlan.pairs_at": ORACLE,
+    "repro.core.placement.PairTable.copy_row": EDGE,
     "repro.engine.execution.execute_run_entry": CLI,
     "repro.engine.execution.initialize_worker": CLI,
     "repro.engine.pool.WorkerPool.__enter__": CLI,
@@ -178,6 +180,7 @@ NEVER_ENTERED: Dict[str, str] = {
     "repro.metrics.pipeline.MetricsSink.summary": HOOK,
     "repro.metrics.pipeline._fanout_charge_path.<locals>.emit": LOSSY,
     "repro.network.batch.CycleBatcher.ship_many": LOSSY,
+    "repro.network.batch.PathMessages.each": LOSSY,
     "repro.network.batch._segment_outcomes": LOSSY,
     "repro.network.failures.FailureInjector.schedule_fraction_of_run": EXAMPLE,
     "repro.network.links.LinkModel.attempt_hop": LOSSY,
@@ -310,10 +313,10 @@ NEVER_ENTERED: Dict[str, str] = {
 UNREACHED_CEILING: Dict[str, Tuple[int, str]] = {
     "repro.core.adaptive": (13, ERROR),
     "repro.core.centralized": (3, ERROR),
-    "repro.core.cost_model": (36, ORACLE),
-    "repro.core.group_opt": (16, ERROR),
-    "repro.core.optimizer": (13, ORACLE),
-    "repro.core.placement": (2, ERROR),
+    "repro.core.cost_model": (42, ORACLE),
+    "repro.core.group_opt": (15, ERROR),
+    "repro.core.optimizer": (10, ORACLE),
+    "repro.core.placement": (7, EDGE),
     "repro.engine.execution": (19, CLI),
     "repro.engine.pool": (62, CLI),
     "repro.engine.registry": (17, CLI),
@@ -330,20 +333,20 @@ UNREACHED_CEILING: Dict[str, Tuple[int, str]] = {
     "repro.experiments.report": (45, CLI),
     "repro.experiments.scale_bench": (175, BENCH),
     "repro.experiments.scenarios": (52, CLI),
-    "repro.joins.base": (20, ERROR),
+    "repro.joins.base": (22, ERROR),
     "repro.joins.executor": (4, ERROR),
     "repro.joins.ght_join": (56, LOSSY),
     "repro.joins.grouped_base": (21, LOSSY),
-    "repro.joins.innet": (41, LOSSY),
+    "repro.joins.innet": (38, LOSSY),
     "repro.joins.multicast": (6, ERROR),
-    "repro.joins.stepping": (13, ERROR),
+    "repro.joins.stepping": (16, EDGE),
     "repro.joins.through_base": (55, LOSSY),
     "repro.metrics": (15, ERROR),
     "repro.metrics.energy": (44, LOSSY),
     "repro.metrics.hotspot": (36, LOSSY),
     "repro.metrics.latency": (40, SESSION),
     "repro.metrics.pipeline": (27, HOOK),
-    "repro.network.batch": (60, LOSSY),
+    "repro.network.batch": (71, LOSSY),
     "repro.network.failures": (4, ERROR),
     "repro.network.links": (39, LOSSY),
     "repro.network.mobility": (12, ERROR),
