@@ -197,6 +197,22 @@ def _explore(topology, substrate: MultiTreeSubstrate, routing,
     return _Exploration(routes, (senders, receivers, substrate.sizes.explore(lengths)))
 
 
+def _repaired_path_to_base(substrate: MultiTreeSubstrate):
+    """A node's path to the base station on a repaired *substrate*, or a
+    shortest path where the repaired tree no longer reaches it.  (A closure
+    over the substrate, not a strategy method: the plan's table keeps it,
+    and a bound method would tie the strategy into a reference cycle.)"""
+    topology = substrate.topology
+
+    def path_to_base(node_id: int) -> Sequence[int]:
+        try:
+            return substrate.base_path(node_id)
+        except KeyError:
+            return topology.shortest_path(node_id, topology.base_id) or [node_id]
+
+    return path_to_base
+
+
 class InnetJoin(JoinStrategy):
     """Pairwise in-network join with cost-based join-node placement."""
 
@@ -847,7 +863,7 @@ class InnetJoin(JoinStrategy):
         for node_id in failed:
             self.substrate.repair_after_failure(node_id, simulator=ctx.simulator)
         table = self.plan.table
-        table.rebase(self._path_to_base)
+        table.rebase(_repaired_path_to_base(self.substrate))
         for pair, row in zip(self._pairs, self._plan_rows.tolist()):
             # A dead producer simply stops contributing, but the pair's join
             # node and paths must still be repaired if the failure touched
@@ -901,15 +917,6 @@ class InnetJoin(JoinStrategy):
                         max(0, cycle - max(sampled, other)) for other in matched
                     )
             self._rebuild_delivery(ctx)
-
-    def _path_to_base(self, node_id: int) -> Sequence[int]:
-        """A node's path to the base station on the repaired substrate, or a
-        shortest path where the repaired tree no longer reaches it."""
-        try:
-            return self.substrate.base_path(node_id)
-        except KeyError:
-            topology = self.substrate.topology
-            return topology.shortest_path(node_id, topology.base_id) or [node_id]
 
     # ------------------------------------------------------------------
     def join_nodes_used(self) -> int:
