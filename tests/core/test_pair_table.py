@@ -14,11 +14,9 @@ from the one-after-the-other sum.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -106,7 +104,7 @@ def build(substrate, topology, pairs, assumed, window_size):
 
 
 def charges(topology, messages):
-    """Per (kind, size, sender, receiver) the hops charged."""
+    """The traffic stats after shipping *messages* through one batch."""
     simulator = NetworkSimulator(topology)
     batcher = CycleBatcher(simulator)
     batcher.ship_paths(messages)
@@ -115,6 +113,7 @@ def charges(topology, messages):
 
 
 def oracle_charges(topology, sent):
+    """The traffic stats after one ``transfer`` per message."""
     simulator = NetworkSimulator(topology)
     for path, size, kind in sent:
         simulator.transfer(path, size, kind)
