@@ -20,7 +20,7 @@ the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -98,30 +98,6 @@ def through_base_pair_cost(
     return s.sigma_s * d_sr + (
         s.sigma_s + (s.sigma_s + s.sigma_t) * w * s.sigma_st
     ) * d_tr
-
-
-def group_cost_difference(
-    sigma_p: float,
-    sigma_st: float,
-    w: int,
-    join_node_distances: Mapping[int, float],
-    pairs_per_join_node: Mapping[int, int],
-    join_node_base_distances: Mapping[int, float],
-    d_pr: float,
-) -> float:
-    """The GROUPOPT per-producer cost difference (Section 5.2).
-
-    ``Delta C_p = sigma_p * sum_j (D_pj + w * sigma_st * N_pj * D_jr) - sigma_p * D_pr``
-
-    A negative value means the fully in-network computation is cheaper for
-    this producer than shipping its data to the base station.
-    """
-    in_network = 0.0
-    for join_node, d_pj in join_node_distances.items():
-        n_pj = pairs_per_join_node.get(join_node, 0)
-        d_jr = join_node_base_distances.get(join_node, 0.0)
-        in_network += d_pj + w * sigma_st * n_pj * d_jr
-    return sigma_p * in_network - sigma_p * d_pr
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,9 @@ class GroupOptimizer:
         pairs share a join node, data is sent once and joined ``N_pj``
         times.  One pass over the group's pairs groups them by (producer,
         join node); each producer then sums its join nodes in the order its
-        pairs first reach them, one after the other, as
-        :func:`~repro.core.cost_model.group_cost_difference` does.
+        pairs first reach them, one after the other:
+        ``Delta C_p = sigma_p * sum_j (D_pj + w * sigma_st * N_pj * D_jr) -
+        sigma_p * D_pr``.
         """
         reached: Dict[Tuple[int, int], List[int]] = {}
         for producer, join_node, d_pj, d_jr in zip(

@@ -23,7 +23,7 @@ from typing import (
 import numpy as np
 
 from repro.core.cost_model import Selectivities
-from repro.network.batch import PathMessages
+from repro.network.batch import CycleBatcher, PathMessages
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
@@ -399,10 +399,11 @@ class ExecutionContext:
 
     def ship_paths(self, messages: PathMessages) -> None:
         """Send every message of *messages*, in order: one ``ship_paths``
-        call on a captured batcher, otherwise message by message through
-        :meth:`ship`."""
+        call on a captured batcher over perfect links, otherwise message by
+        message through :meth:`ship` (whose delivery draws follow ship
+        order)."""
         batcher = self._batcher
-        if batcher is not None and hasattr(batcher, "ship_paths"):
+        if isinstance(batcher, CycleBatcher) and batcher.lossless:
             batcher.ship_paths(messages)
             return
         for path, size, kind in messages.each():

@@ -198,9 +198,7 @@ class JoinExecutor:
         models.  Failures are permanent, so a run leaves the kernel from its
         first failure cycle on; a move with every node alive stays on it.
         """
-        if len(self.simulator._current_alive_set()) != len(self.topology.nodes):
-            return None
-        return self._batcher
+        return self._batcher if self.simulator.all_alive() else None
 
     # ------------------------------------------------------------------
     def report(self, cycles: int) -> ExecutionReport:

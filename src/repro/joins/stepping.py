@@ -246,11 +246,8 @@ class SharedSubstrateEngine:
 
     def _control_batcher(self) -> Optional[CycleBatcher]:
         """A batcher to charge admission-plane control traffic in one flush,
-        or ``None`` (one ``transfer`` per message) while a node is dead: only
-        the per-hop ``transfer`` walk models a dead hop."""
-        if len(self.simulator._current_alive_set()) != len(self.topology.nodes):
-            return None
-        return CycleBatcher(self.simulator)
+        or ``None`` (one ``transfer`` per message) while a node is dead."""
+        return CycleBatcher(self.simulator) if self.simulator.all_alive() else None
 
     @staticmethod
     def _group_optimizes(strategy: JoinStrategy) -> bool:

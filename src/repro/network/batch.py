@@ -371,46 +371,27 @@ class CycleBatcher:
         group.drops += delivered.size - int(np.count_nonzero(delivered))
 
     def ship_paths(self, messages: PathMessages) -> None:
-        """Defer every message of *messages*, in order.
+        """Defer every message of *messages* (perfect links only: every
+        message delivers).
 
-        Equivalent to calling :meth:`ship` per message: on lossy links one
-        ``attempt_hops_batch`` draw over the messages' hop counts consumes
-        the RNG stream like the per-message draws, each message charges its
-        hops up to its first failed one, and (kind, size) groups are opened
-        in the order their first message ships.
+        Equivalent to calling :meth:`ship` per message in order: (kind,
+        size) groups are opened in the order their first message ships.
         """
-        count = len(messages)
-        if not count:
-            return
-        hops = messages.lengths - 1
         nodes = np.asarray(messages.nodes, dtype=np.int64)
         # a hop leaves every node but the last of its message
         leaves = np.ones(nodes.size, dtype=bool)
         leaves[np.cumsum(messages.lengths) - 1] = False
         senders = nodes[leaves]
         receivers = nodes[1:][leaves[:-1]]
-        message_of_hop = np.repeat(np.arange(count), hops)
-        attempts = None
-        if self.lossless:
-            delivered = np.ones(count, dtype=bool)
-            charged_hop = np.ones(senders.size, dtype=bool)
-        else:
-            delivered_hops, attempts = self.links.attempt_hops_batch(hops)
-            delivered, charged, starts = _segment_outcomes(hops, delivered_hops)
-            charged_hop = (np.arange(senders.size) - starts[message_of_hop]
-                           < charged[message_of_hop])
+        message_of_hop = np.repeat(np.arange(len(messages)), messages.lengths - 1)
         keys = messages.codes * (1 << 32) + messages.sizes
         _, first, group_of = np.unique(keys, return_index=True, return_inverse=True)
         for group in np.argsort(first).tolist():
             message = int(first[group])
-            in_group = group_of == group
-            hop_mask = in_group[message_of_hop] & charged_hop
-            target = self._group(messages.kinds[int(messages.codes[message])],
-                                 int(messages.sizes[message]))
-            target.blocks.append(_HopBlock(
-                senders[hop_mask], receivers[hop_mask], None,
-                None if attempts is None else attempts[hop_mask]))
-            target.drops += int(np.count_nonzero(in_group & ~delivered))
+            hop_mask = (group_of == group)[message_of_hop]
+            self._group(messages.kinds[int(messages.codes[message])],
+                        int(messages.sizes[message])).blocks.append(
+                _HopBlock(senders[hop_mask], receivers[hop_mask], None, None))
 
     def ship_routes(self, table: RouteHops, counts: np.ndarray,
                     size_bytes: int, kind: MessageKind) -> None:

@@ -103,6 +103,12 @@ class NetworkSimulator:
             self._alive_epoch = cache.epoch
         return self._alive_set
 
+    def all_alive(self) -> bool:
+        """Whether every node is alive: the condition for charging through a
+        batcher, since only the per-hop :meth:`transfer` walk models a dead
+        hop."""
+        return len(self._current_alive_set()) == len(self.topology.nodes)
+
     # ------------------------------------------------------------------
     # instant accounting transport
     # ------------------------------------------------------------------

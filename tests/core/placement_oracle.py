@@ -15,9 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.cost_model import (
-    Selectivities, group_cost_difference, innet_pair_cost, pair_at_base_cost,
-)
+from repro.core.cost_model import Selectivities, innet_pair_cost, pair_at_base_cost
 from repro.core.group_opt import Group, GroupPlacements
 from repro.core.placement import PlacementDecision
 from repro.network.message import MessageKind, MessageSizes
@@ -28,6 +26,30 @@ Pair = Tuple[int, int]
 
 def hops(path: Sequence[int]) -> int:
     return max(0, len(path) - 1)
+
+
+def group_cost_difference(
+    sigma_p: float,
+    sigma_st: float,
+    w: int,
+    join_node_distances: Mapping[int, float],
+    pairs_per_join_node: Mapping[int, int],
+    join_node_base_distances: Mapping[int, float],
+    d_pr: float,
+) -> float:
+    """The GROUPOPT per-producer cost difference (Section 5.2).
+
+    ``Delta C_p = sigma_p * sum_j (D_pj + w * sigma_st * N_pj * D_jr) - sigma_p * D_pr``
+
+    A negative value means the fully in-network computation is cheaper for
+    this producer than shipping its data to the base station.
+    """
+    in_network = 0.0
+    for join_node, d_pj in join_node_distances.items():
+        n_pj = pairs_per_join_node.get(join_node, 0)
+        d_jr = join_node_base_distances.get(join_node, 0.0)
+        in_network += d_pj + w * sigma_st * n_pj * d_jr
+    return sigma_p * in_network - sigma_p * d_pr
 
 
 def place_join_node(pair_path: PairPath, selectivities: Selectivities,

@@ -15,11 +15,11 @@ from repro.core import (
 )
 from repro.core.cost_model import (
     best_join_point_index,
-    group_cost_difference,
     innet_cost,
     relative_error,
     through_base_pair_cost,
 )
+from tests.core.placement_oracle import group_cost_difference
 
 sel = st.floats(0.0, 1.0)
 

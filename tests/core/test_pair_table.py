@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.cost_model import Selectivities
 from repro.core.group_opt import GroupOptimizer, GroupPlacements, build_groups
 from repro.core.placement import CandidateRoutes, PairTable, PlacementDecision
+from repro.joins.base import ExecutionContext
 from repro.network.batch import CycleBatcher, PathMessages
 from repro.network.links import LinkModel
 from repro.network.message import MessageKind, MessageSizes
@@ -178,8 +179,9 @@ def test_group_decisions_equal_the_scalar_oracle(case):
                 max_size=30),
        st.sampled_from([0.0, 0.3, 0.6]), st.integers(0, 1000))
 def test_ship_paths_equals_ship_per_message(messages, loss, seed):
-    """On lossy links too: the same RNG draws, charges and drops as one
-    ``ship`` per message, in order."""
+    """A run's ``ship_paths`` through a captured batcher, on lossy links too:
+    the same RNG draws, charges and drops as one ``ship`` per message, in
+    order."""
     topology, _ = deployment("sparse")
     kinds = (MessageKind.EXPLORE, MessageKind.EXPLORE_REPLY, MessageKind.NOMINATE)
     nodes = np.array([n for path, _, _ in messages for n in path], dtype=np.int64)
@@ -193,7 +195,11 @@ def test_ship_paths_equals_ship_per_message(messages, loss, seed):
         simulator = NetworkSimulator(topology, link_model=LinkModel(loss, seed=seed))
         batcher = CycleBatcher(simulator)
         if one_call:
-            batcher.ship_paths(table)
+            context = ExecutionContext(query=None, analysis=None, topology=topology,
+                                       simulator=simulator, data_source=None,
+                                       assumed_selectivities=None)
+            with context.captured_shipping(batcher):
+                context.ship_paths(table)
         else:
             for path, size, kind in messages:
                 batcher.ship(path, size, kind)

@@ -45,8 +45,6 @@ ALLOWED_DEFS: Dict[str, str] = {
         "cost-model oracle: tests/core/test_cost_model.py",
     "repro.core.cost_model.best_join_point_index":
         "cost-model oracle: tests/core/test_cost_model.py",
-    "repro.core.cost_model.group_cost_difference":
-        "the scalar GROUPOPT oracle: tests/core/placement_oracle.py",
     "repro.core.cost_model.Selectivities.swapped":
         "tests/core/test_cost_model.py, tests/workloads/test_workloads.py",
     "repro.core.optimizer.JoinPlan.expected_cost_per_cycle":
