@@ -33,7 +33,7 @@ from repro.core.cost_model import (
     ght_cost,
 )
 from repro.core.group_opt import Group, GroupDecision, GroupOptimizer, build_groups
-from repro.core.optimizer import JoinPlan, PairAssignment, PairwiseOptimizer
+from repro.core.optimizer import JoinPlan, PairwiseOptimizer
 from repro.core.placement import CandidateRoutes, PairTable, PlacementDecision
 
 __all__ = [
@@ -60,5 +60,4 @@ __all__ = [
     "optimal_pair_placements",
     "PairwiseOptimizer",
     "JoinPlan",
-    "PairAssignment",
 ]

@@ -11,7 +11,7 @@ at the base station under the same initiation strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,13 +29,6 @@ Pair = Tuple[int, int]
 ShipPaths = Callable[[PathMessages], None]
 
 
-class PairAssignment(NamedTuple):
-    """One pair's join-node placement plus the selectivities it was based on."""
-
-    decision: PlacementDecision
-    assumed: Selectivities
-
-
 @dataclass
 class JoinPlan:
     """The complete join-node assignment for a query: its pair table."""
@@ -46,13 +39,6 @@ class JoinPlan:
     def pairs(self) -> List[Pair]:
         pairs = self.table.pairs
         return [pairs[row] for row in self.table.sorted_rows.tolist()]
-
-    @property
-    def assignments(self) -> Dict[Pair, PairAssignment]:
-        """Every pair's :class:`PairAssignment`, built on demand."""
-        table = self.table
-        return {pair: PairAssignment(table.decision(row), table.assumed[row])
-                for row, pair in enumerate(table.pairs)}
 
     def decision_for(self, pair: Pair) -> PlacementDecision:
         return self.table.decision(self.table.row_of[pair])
@@ -132,23 +118,20 @@ class PairwiseOptimizer:
             optimizer.apply_decision(decision, table, rows)
         return plan
 
-    def reoptimize_pair(
-        self,
-        plan: JoinPlan,
-        pair: Pair,
-        new_selectivities: Selectivities,
-    ) -> PlacementDecision:
-        """Re-place one pair's join node using fresh selectivity estimates.
+    def reoptimize_pairs(self, plan: JoinPlan, pairs: Sequence[Pair],
+                         selectivities: Sequence[Selectivities]) -> None:
+        """Re-place *pairs*' join nodes under fresh selectivity estimates
+        (aligned with the pairs).
 
         Used by the adaptive executor (Section 6) when the learned estimates
         diverge from the assumed ones.  It sends nothing: the caller
         nominates the pairs whose join node actually moved.
         """
         table = plan.table
-        row = table.row_of[pair]
-        table.assumed[row] = new_selectivities
-        table.place(np.array([row]), self.window_size)
-        return table.decision(row)
+        rows = np.array([table.row_of[pair] for pair in pairs], dtype=np.int64)
+        for row, estimate in zip(rows.tolist(), selectivities):
+            table.assumed[row] = estimate
+        table.place(rows, self.window_size)
 
 
 def representative_selectivities(selectivities: Sequence[Selectivities]) -> Selectivities:

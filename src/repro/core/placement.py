@@ -154,7 +154,8 @@ class PairTable:
         self.join_path = np.full(count, -1, dtype=np.int64)
         self._pool: List[Tuple[int, ...]] = []
         self._pool_ids: Dict[Tuple[int, ...], int] = {}
-        self._pool_arrays: Tuple[int, np.ndarray, np.ndarray, np.ndarray] = (-1,) * 4
+        #: per pool path its node count (capacity grows by doubling)
+        self._pool_lengths = np.zeros(16, dtype=np.int64)
         self._base_path_of = base_path_of
         self._base_ids: Dict[int, int] = {}
         self._at_base_path = self._intern((base_id,))
@@ -168,19 +169,11 @@ class PairTable:
         if found is None:
             found = self._pool_ids[path] = len(self._pool)
             self._pool.append(path)
+            if found == self._pool_lengths.size:
+                self._pool_lengths = np.concatenate((self._pool_lengths,
+                                                     self._pool_lengths))
+            self._pool_lengths[found] = len(path)
         return found
-
-    def _pool_flat(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pool as (flat nodes, per-path start, per-path length)."""
-        size, *arrays = self._pool_arrays
-        if size != len(self._pool):
-            lengths = np.fromiter(map(len, self._pool), dtype=np.int64,
-                                  count=len(self._pool))
-            nodes = np.fromiter((n for path in self._pool for n in path),
-                                dtype=np.int64, count=int(lengths.sum()))
-            arrays = [nodes, _offsets(lengths), lengths]
-            self._pool_arrays = (len(self._pool), *arrays)
-        return tuple(arrays)
 
     def _base_paths(self, nodes: np.ndarray) -> np.ndarray:
         """Pool ids of the nodes' paths to the base station (one lookup per
@@ -323,7 +316,7 @@ class PairTable:
 
     def distances(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row ``(D_sj, D_tj, D_jr)``: the hops of its three paths."""
-        _, _, pool_lengths = self._pool_flat()
+        pool_lengths = self._pool_lengths
         index = self.index[rows]
         on_route = index >= 0
         length = self.routes.lengths[self.route[rows]]
@@ -338,25 +331,32 @@ class PairTable:
         notifies ``s`` along the source's path reversed."""
         rows = np.asarray(rows, dtype=np.int64)
         routes = self.routes
-        pool_nodes, pool_starts, pool_lengths = self._pool_flat()
-        shift = routes.nodes.size
         index = self.index[rows]
-        on_route = index >= 0
         start = routes.starts[self.route[rows]]
         length = routes.lengths[self.route[rows]]
-        target_path, source_path = self.target_path[rows], self.source_path[rows]
-        target_first = np.where(on_route, start + length - 1,
-                                shift + pool_starts[target_path])
-        target_length = np.where(on_route, length - index, pool_lengths[target_path])
-        source_first = np.where(on_route, start + index,
-                                shift + pool_starts[source_path]
-                                + pool_lengths[source_path] - 1)
-        source_length = np.where(on_route, index + 1, pool_lengths[source_path])
+        target_first, target_length = start + length - 1, length - index
+        source_first, source_length = start + index, index + 1
+        target_step = np.full(rows.size, -1)
+        # the explicit paths of the rows off their routes, after the route nodes
+        off = index < 0
+        ids, at = np.unique(np.concatenate((self.target_path[rows[off]],
+                                            self.source_path[rows[off]])),
+                            return_inverse=True)
+        paths = [self._pool[i] for i in ids.tolist()]
+        lengths = self._pool_lengths[ids]
+        firsts = routes.nodes.size + _offsets(lengths)
+        target_at, source_at = np.split(at.reshape(-1), 2)
+        target_first[off], target_length[off] = firsts[target_at], lengths[target_at]
+        source_first[off] = firsts[source_at] + lengths[source_at] - 1
+        source_length[off] = lengths[source_at]
+        target_step[off] = 1
+        nodes = routes.nodes if not paths else np.concatenate((routes.nodes, np.fromiter(
+            (node for path in paths for node in path), dtype=np.int64,
+            count=int(lengths.sum()))))
         return PathMessages.gather(
-            np.concatenate((routes.nodes, pool_nodes)),
+            nodes,
             np.column_stack((target_first, source_first)).ravel(),
             np.column_stack((target_length, source_length)).ravel(),
-            np.column_stack((np.where(on_route, -1, 1),
-                             np.full(rows.size, -1))).ravel(),
+            np.column_stack((target_step, np.full(rows.size, -1))).ravel(),
             size, 0, (MessageKind.NOMINATE,),
         )

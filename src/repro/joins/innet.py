@@ -25,6 +25,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, LearningState, PairObservation
+from repro.core.cost_model import Selectivities
 from repro.core.group_opt import GroupOptimizer, GroupPlacements, build_groups
 from repro.core.optimizer import JoinPlan, PairwiseOptimizer, representative_selectivities
 from repro.core.placement import CandidateRoutes
@@ -302,9 +303,10 @@ class InnetJoin(JoinStrategy):
                 if producer_alias == alias
             })
         if self.variant.learning:
-            for pair, assignment in self.plan.assignments.items():
+            table = self.plan.table
+            for pair, assumed in zip(table.pairs, table.assumed):
                 self._learning[pair] = LearningState(
-                    current=assignment.assumed, window_size=ctx.query.window_size
+                    current=assumed, window_size=ctx.query.window_size
                 )
             self._observations = [
                 self._learning[pair].observation for pair in self._pairs
@@ -759,25 +761,22 @@ class InnetJoin(JoinStrategy):
         cycle = cycles.stop - 1
         checking = policy.is_check_cycle(cycle) or policy.is_reset_cycle(cycle)
         table = self.plan.table
-        old_join_nodes: Optional[np.ndarray] = None
+        updates: List[Selectivities] = []
         for pair, learning in self._learning.items():
             learning.observation.record_cycle(len(cycles))
             if not checking:
                 continue
             updated = learning.maybe_update(policy, cycle)
-            if updated is None:
-                continue
-            if old_join_nodes is None:
-                # Where every pair joins before the first re-placement of
-                # this cycle: what the moves below are measured against.
-                old_join_nodes = table.join.copy()
-            # Re-place the pair with the learned estimates; nominations are
-            # charged below, and only for pairs whose join node actually moved.
-            self.optimizer.reoptimize_pair(self.plan, pair, updated)
-            self.reoptimizations += 1
-            updated_pairs.append(pair)
+            if updated is not None:
+                updated_pairs.append(pair)
+                updates.append(updated)
         if not updated_pairs:
             return
+        # Re-place the pairs with the learned estimates; nominations are
+        # charged below, and only for pairs whose join node actually moved.
+        old_join_nodes = table.join.copy()
+        self.optimizer.reoptimize_pairs(self.plan, updated_pairs, updates)
+        self.reoptimizations += len(updated_pairs)
         self._routes = None  # re-placed pairs ship along new paths
         # Section 6: learning also re-triggers the multi-pair optimization, but
         # only the groups containing re-estimated pairs exchange messages.

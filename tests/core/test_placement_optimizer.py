@@ -230,11 +230,9 @@ class TestJoinPlan:
         ids = [n for n in topo.node_ids if n != topo.base_id]
         pair = (ids[0], ids[10])
         optimizer, plan = _plan(substrate, [pair], Selectivities(0.1, 1.0, 0.05), 3)
-        after = optimizer.reoptimize_pair(
-            plan, pair, Selectivities(1.0, 0.1, 0.05)
-        )
-        assert plan.decision_for(pair) == after
-        assert plan.assignments[pair].assumed == Selectivities(1.0, 0.1, 0.05)
+        optimizer.reoptimize_pairs(plan, [pair], [Selectivities(1.0, 0.1, 0.05)])
+        after = plan.decision_for(pair)
+        assert plan.table.assumed[plan.table.row_of[pair]] == Selectivities(1.0, 0.1, 0.05)
         assert after.expected_cost <= after.base_cost + 1e-9
         # The decision may or may not move, but it must stay on the path/base.
         assert after.join_node in _pair_path(substrate, *pair).path or after.at_base
