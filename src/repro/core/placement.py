@@ -176,17 +176,16 @@ class PairTable:
         return found
 
     def _base_paths(self, nodes: np.ndarray) -> np.ndarray:
-        """Pool ids of the nodes' paths to the base station (one lookup per
-        distinct node)."""
-        distinct, inverse = np.unique(nodes, return_inverse=True)
+        """Pool ids of the nodes' paths to the base station (each node's
+        path is looked up once per routing generation)."""
         known = self._base_ids
         ids = []
-        for node in distinct.tolist():
+        for node in nodes.tolist():
             found = known.get(node)
             if found is None:
                 found = known[node] = self._intern(tuple(self._base_path_of(node)))
             ids.append(found)
-        return np.array(ids, dtype=np.int64)[inverse.reshape(-1)]
+        return np.array(ids, dtype=np.int64)
 
     def rebase(self, base_path_of: Callable[[int], Sequence[int]]) -> None:
         """Take later decisions' paths to the base from *base_path_of* (after
@@ -337,21 +336,20 @@ class PairTable:
         target_first, target_length = start + length - 1, length - index
         source_first, source_length = start + index, index + 1
         target_step = np.full(rows.size, -1)
-        # the explicit paths of the rows off their routes, after the route nodes
+        # the explicit paths of the rows off their routes (targets', then
+        # sources'), copied after the route nodes
         off = index < 0
-        ids, at = np.unique(np.concatenate((self.target_path[rows[off]],
-                                            self.source_path[rows[off]])),
-                            return_inverse=True)
-        paths = [self._pool[i] for i in ids.tolist()]
-        lengths = self._pool_lengths[ids]
+        explicit = np.concatenate((self.target_path[rows[off]], self.source_path[rows[off]]))
+        lengths = self._pool_lengths[explicit]
         firsts = routes.nodes.size + _offsets(lengths)
-        target_at, source_at = np.split(at.reshape(-1), 2)
-        target_first[off], target_length[off] = firsts[target_at], lengths[target_at]
-        source_first[off] = firsts[source_at] + lengths[source_at] - 1
-        source_length[off] = lengths[source_at]
+        count = int(off.sum())
+        target_first[off], target_length[off] = firsts[:count], lengths[:count]
+        source_first[off] = firsts[count:] + lengths[count:] - 1
+        source_length[off] = lengths[count:]
         target_step[off] = 1
-        nodes = routes.nodes if not paths else np.concatenate((routes.nodes, np.fromiter(
-            (node for path in paths for node in path), dtype=np.int64,
+        pool = self._pool
+        nodes = routes.nodes if not count else np.concatenate((routes.nodes, np.fromiter(
+            (node for path in explicit.tolist() for node in pool[path]), dtype=np.int64,
             count=int(lengths.sum()))))
         return PathMessages.gather(
             nodes,

@@ -202,9 +202,8 @@ class PathMessages:
         in ``range(lengths[m])`` (a step of -1 walks a pool segment
         backwards); messages of fewer than two nodes are dropped.  *sizes*
         and *codes* are one value or one per message."""
-        count = lengths.size
-        sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), (count,))
-        codes = np.broadcast_to(np.asarray(codes, dtype=np.int64), (count,))
+        sizes = np.zeros(lengths.size, dtype=np.int64) + sizes
+        codes = np.zeros(lengths.size, dtype=np.int64) + codes
         keep = lengths > 1
         firsts, lengths, steps = firsts[keep], lengths[keep], steps[keep]
         offsets = np.cumsum(lengths) - lengths
@@ -385,12 +384,10 @@ class CycleBatcher:
         receivers = nodes[1:][leaves[:-1]]
         message_of_hop = np.repeat(np.arange(len(messages)), messages.lengths - 1)
         keys = messages.codes * (1 << 32) + messages.sizes
-        _, first, group_of = np.unique(keys, return_index=True, return_inverse=True)
-        for group in np.argsort(first).tolist():
-            message = int(first[group])
-            hop_mask = (group_of == group)[message_of_hop]
-            self._group(messages.kinds[int(messages.codes[message])],
-                        int(messages.sizes[message])).blocks.append(
+        for key in dict.fromkeys(keys.tolist()):   # distinct, in ship order
+            hop_mask = (keys == key)[message_of_hop]
+            code, size = divmod(key, 1 << 32)
+            self._group(messages.kinds[code], size).blocks.append(
                 _HopBlock(senders[hop_mask], receivers[hop_mask], None, None))
 
     def ship_routes(self, table: RouteHops, counts: np.ndarray,
