@@ -8,9 +8,13 @@ pairwise in-network joins or a single grouped join at the base station:
 1. every producer ``p`` computes its cost difference ``Delta C_p`` between
    the fully in-network computation and joining at the base,
 2. sends it to the group coordinator ``Gc`` (the member with the smallest id),
-3. ``Gc`` sums the differences and broadcasts the group decision,
-4. coordinator/decision consistency is maintained with (coordinator id,
-   sequence number) ordering.
+3. ``Gc`` sums the differences and broadcasts the group decision.
+
+Algorithm 1's (coordinator id, sequence number) rule, which reconciles two
+decisions for one group, is not modelled: every decided group is a fresh
+one.  :class:`GroupOptimizer` keeps one decision state, each coordinator's
+last decision, which suppresses a re-decision's broadcast when the choice
+did not flip.
 """
 
 from __future__ import annotations
@@ -55,23 +59,24 @@ class Group:
         """The group coordinator: the member with the smallest node id."""
         return min(self.members)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 @dataclass
 class GroupDecision:
     """The coordinator's decision for one group."""
 
     group: Group
-    use_innet: bool
-    total_delta: float
-    per_producer_delta: Dict[int, float] = field(default_factory=dict)
-    sequence: int = 0
+    #: per producer its ``Delta C_p``
+    per_producer_delta: Dict[int, float]
 
     @property
-    def join_at_base(self) -> bool:
-        return not self.use_innet
+    def total_delta(self) -> float:
+        return sum(self.per_producer_delta.values())
+
+    @property
+    def use_innet(self) -> bool:
+        """Pairwise in-network joins when they are cheaper in sum than
+        joining the group at the base."""
+        return self.total_delta < 0.0
 
 
 def build_groups(pairs: Sequence[Pair]) -> List[Group]:
@@ -123,13 +128,12 @@ class GroupOptimizer:
         self.hops_to_base = hops_to_base
         self.route_between = route_between
         self.sizes = sizes or MessageSizes()
-        self._sequence = 0
+        #: the decision state: each coordinator's last decision
+        self._last_use_innet: Dict[int, bool] = {}
         # -- incremental multi-query state (service mode) ------------------
         self._query_pairs: Dict[Hashable, Tuple[Pair, ...]] = {}
         self._pair_refs: Dict[Pair, int] = {}
         self._live_groups: Dict[int, Group] = {}
-        self._decisions: Dict[int, GroupDecision] = {}
-        self._last_use_innet: Dict[int, bool] = {}  # by coordinator id
         self._next_group_id = 0
 
     # ------------------------------------------------------------------
@@ -142,38 +146,25 @@ class GroupOptimizer:
     def registered_queries(self) -> List[Hashable]:
         return list(self._query_pairs)
 
-    def decision_for(self, group_id: int) -> Optional[GroupDecision]:
-        """The in-flight decision for a live group, if one was recorded."""
-        return self._decisions.get(group_id)
-
-    def record_decision(self, decision: GroupDecision) -> GroupDecision:
-        """Store (and reconcile) a decision for one live group.
-
-        An already-recorded decision for the same group is kept or replaced
-        per the (coordinator id, sequence) ordering of Algorithm 1.
-        """
-        group_id = decision.group.group_id
-        current = self._decisions.get(group_id)
-        if current is not None:
-            decision = reconcile_decisions(current, decision)
-        self._decisions[group_id] = decision
-        self._last_use_innet[decision.group.coordinator] = decision.use_innet
-        return decision
-
     def previous_use_innet(self, group: Group) -> Optional[bool]:
-        """The last broadcast decision of this group's coordinator, if any.
+        """The last decision of this group's coordinator, if any.
 
-        Used as ``previous_decision`` when re-deciding after churn, so the
-        coordinator's broadcast is suppressed when its choice did not flip.
+        Used as ``previous_decision`` when re-deciding, so the coordinator's
+        broadcast is suppressed when its choice did not flip.
         """
         return self._last_use_innet.get(group.coordinator)
+
+    def adopt(self, group: Group, use_innet: bool) -> None:
+        """Take *use_innet*, decided and broadcast elsewhere, as the last
+        decision of *group*'s coordinator."""
+        self._last_use_innet[group.coordinator] = use_innet
 
     def add_query(self, query_id: Hashable, pairs: Sequence[Pair]) -> List[Group]:
         """Register a query's joining pairs; re-derive only affected groups.
 
         Existing groups that share a producer endpoint with the new pairs
         are merged with them through :func:`build_groups` over just that
-        delta; every other group (and its in-flight decision) is untouched.
+        delta; every other group is untouched.
         Returns the re-derived groups, which need a fresh
         :meth:`decide_group` pass.
         """
@@ -237,9 +228,9 @@ class GroupOptimizer:
     def _rebuild(self, affected: List[int], delta: List[Pair]) -> List[Group]:
         """Replace *affected* groups with ``build_groups`` over *delta*.
 
-        Structurally unchanged groups (same pair set) keep their identity and
-        in-flight decision; genuinely new or reshaped groups get fresh ids
-        and are returned for re-decision.
+        Structurally unchanged groups (same pair set) keep their identity;
+        genuinely new or reshaped groups get fresh ids and are returned for
+        re-decision.
         """
         old_by_pairs: Dict[frozenset, int] = {
             frozenset(self._live_groups[gid].pairs): gid for gid in affected
@@ -249,7 +240,7 @@ class GroupOptimizer:
         for rebuilt in build_groups(delta):
             old_gid = old_by_pairs.get(frozenset(rebuilt.pairs))
             if old_gid is not None and old_gid not in surviving:
-                surviving.add(old_gid)  # unchanged: keep group and decision
+                surviving.add(old_gid)  # unchanged: keep the group
                 continue
             rebuilt.group_id = self._next_group_id
             self._next_group_id += 1
@@ -258,7 +249,6 @@ class GroupOptimizer:
         for gid in affected:
             if gid not in surviving:
                 self._live_groups.pop(gid, None)
-                self._decisions.pop(gid, None)
         return changed
 
     # ------------------------------------------------------------------
@@ -312,7 +302,8 @@ class GroupOptimizer:
         that send an (updated) cost difference to the coordinator --
         Algorithm 1 only sends ``Delta C_p`` when it has changed.
         ``previous_decision`` suppresses the decision broadcast when the
-        coordinator's choice did not change.
+        coordinator's choice did not change.  The decision becomes the
+        coordinator's last one.
         """
         coordinator = group.coordinator
         sigma_st = selectivities.sigma_st
@@ -338,17 +329,8 @@ class GroupOptimizer:
                 ship(self.route_between(producer, coordinator), report_size,
                      MessageKind.COST_REPORT)
 
-        total_delta = sum(per_producer.values())
-        use_innet = total_delta < 0.0
-        self._sequence += 1
-        decision = GroupDecision(
-            group=group,
-            use_innet=use_innet,
-            total_delta=total_delta,
-            per_producer_delta=per_producer,
-            sequence=self._sequence,
-        )
-
+        decision = GroupDecision(group=group, per_producer_delta=per_producer)
+        use_innet = self._last_use_innet[coordinator] = decision.use_innet
         if ship is not None and (
             previous_decision is None or previous_decision != use_innet
         ):
@@ -386,18 +368,3 @@ class GroupPlacements(NamedTuple):
         return cls(table.routes.sources[rows], table.routes.targets[rows],
                    table.join[rows], *table.distances(rows))
 
-
-def reconcile_decisions(current: GroupDecision, incoming: GroupDecision) -> GroupDecision:
-    """Coordinator-consistency rule from Algorithm 1 (lines 7-8).
-
-    A producer accepts an incoming decision if it comes from a coordinator
-    with a smaller id, or from the same coordinator with a newer sequence
-    number.
-    """
-    current_coord = current.group.coordinator
-    incoming_coord = incoming.group.coordinator
-    if incoming_coord < current_coord:
-        return incoming
-    if incoming_coord == current_coord and incoming.sequence > current.sequence:
-        return incoming
-    return current

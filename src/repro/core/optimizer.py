@@ -11,7 +11,7 @@ at the base station under the same initiation strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class JoinPlan:
     """The complete join-node assignment for a query: its pair table."""
 
     table: PairTable
+    #: GROUPOPT's decisions at initiation, one per group: the groups every
+    #: later re-decision of this plan works over
     group_decisions: List[GroupDecision] = field(default_factory=list)
 
     def pairs(self) -> List[Pair]:
@@ -45,19 +47,6 @@ class JoinPlan:
 
     def join_nodes(self) -> List[int]:
         return sorted(set(self.table.join.tolist()))
-
-    def pairs_at(self, join_node: int) -> List[Pair]:
-        return [pair for pair, node in zip(self.table.pairs, self.table.join.tolist())
-                if node == join_node]
-
-    def expected_cost_per_cycle(self) -> float:
-        return sum(self.table.expected_cost.tolist())
-
-    def fraction_at_base(self) -> float:
-        if not len(self.table):
-            return 0.0
-        table = self.table
-        return int((table.join == table.base_id).sum()) / len(table)
 
 
 class PairwiseOptimizer:
@@ -71,10 +60,20 @@ class PairwiseOptimizer:
     ) -> None:
         if window_size < 1:
             raise ValueError("window_size must be at least 1")
-        self.substrate = substrate
         self.window_size = window_size
         self.sizes = sizes or MessageSizes()
         self.base_id = substrate.topology.base_id
+        #: GROUPOPT, with its coordinators' last decisions
+        self.group_optimizer = GroupOptimizer(substrate.hops_to_base,
+                                              substrate.best_route, self.sizes)
+        self.use_substrate(substrate)
+
+    def use_substrate(self, substrate: MultiTreeSubstrate) -> None:
+        """Place, and route GROUPOPT's messages, on *substrate* from now on
+        (a repaired copy, after a failure)."""
+        self.substrate = substrate
+        self.group_optimizer.hops_to_base = substrate.hops_to_base
+        self.group_optimizer.route_between = substrate.best_route
 
     # ------------------------------------------------------------------
     def optimize_pairs(
@@ -94,27 +93,42 @@ class PairwiseOptimizer:
             ship(table.nomination_messages(rows, self.sizes.control(num_fields=3)))
         return JoinPlan(table)
 
-    def apply_group_optimization(self, plan: JoinPlan,
-                                 ship: Optional[Ship] = None) -> JoinPlan:
-        """Run GROUPOPT over the plan, rewriting grouped pairs if needed;
-        with *ship*, cost reports and decisions are sent through it."""
-        pairs = plan.pairs()
-        if not pairs:
-            return plan
+    def apply_group_optimization(self, plan: JoinPlan, ship: Optional[Ship] = None,
+                                 updated: Optional[AbstractSet[Pair]] = None) -> JoinPlan:
+        """Run GROUPOPT over the plan under its pairs' assumed selectivities,
+        rewriting grouped pairs if needed; with *ship*, cost reports and
+        decisions are sent through it.
+
+        The first run groups the plan's pairs, every producer reports and
+        every coordinator broadcasts; its decisions are the plan's
+        :attr:`~JoinPlan.group_decisions`.  With *updated* (pairs whose
+        estimates were re-learned, Section 6) only the groups holding one
+        of them are re-decided: only those pairs' producers re-send
+        ``Delta C_p``, and a coordinator broadcasts only when its decision
+        flips.
+        """
         table = plan.table
-        optimizer = GroupOptimizer(
-            hops_to_base=self.substrate.hops_to_base,
-            route_between=self.substrate.best_route,
-            sizes=self.sizes,
-        )
-        for group in build_groups(pairs):
+        optimizer = self.group_optimizer
+        if updated is None:
+            groups = build_groups(plan.pairs())
+        else:
+            groups = [decision.group for decision in plan.group_decisions
+                      if not updated.isdisjoint(decision.group.pairs)]
+        for group in groups:
             rows = np.array([table.row_of[pair] for pair in group.pairs], dtype=np.int64)
+            report_from = previous = None
+            if updated is not None:
+                report_from = {endpoint for pair in group.pairs if pair in updated
+                               for endpoint in pair}
+                previous = optimizer.previous_use_innet(group)
             decision = optimizer.decide_group(
                 group, GroupPlacements.of(table, rows),
                 representative_selectivities([table.assumed[row] for row in rows.tolist()]),
-                self.window_size, ship=ship,
+                self.window_size, ship=ship, report_from=report_from,
+                previous_decision=previous,
             )
-            plan.group_decisions.append(decision)
+            if updated is None:
+                plan.group_decisions.append(decision)
             optimizer.apply_decision(decision, table, rows)
         return plan
 

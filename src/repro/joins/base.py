@@ -12,6 +12,7 @@ the strategy and collects an :class:`ExecutionReport`.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -276,16 +277,18 @@ class ExecutionContext:
         for alias, members in producers.items():
             key = None
             if memo is not None and self.universe is None:
-                # the entry pins the objects its key names by id
+                # the entry pins the query its key names by id; it holds the
+                # topology weakly (a failure run's copy dies with the run),
+                # and a dead or different referent is a miss
                 key = (id(self.query), alias, members.key, cycles.start,
                        cycles.stop, id(topology), topology.routing_epoch)
                 hit = memo.get(key)
-                if hit is not None:
+                if hit is not None and hit[2]() is topology:
                     blocks.append(hit[0])
                     continue
             block = self._sample_relation(alias, members, cycles, memo)
             if key is not None:
-                memo[key] = (block, self.query, topology)
+                memo[key] = (block, self.query, weakref.ref(topology))
             blocks.append(block)
         return blocks
 

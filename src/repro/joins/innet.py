@@ -26,8 +26,7 @@ import numpy as np
 
 from repro.core.adaptive import AdaptivePolicy, LearningState, PairObservation
 from repro.core.cost_model import Selectivities
-from repro.core.group_opt import GroupOptimizer, GroupPlacements, build_groups
-from repro.core.optimizer import JoinPlan, PairwiseOptimizer, representative_selectivities
+from repro.core.optimizer import JoinPlan, PairwiseOptimizer
 from repro.core.placement import CandidateRoutes
 from repro.joins.base import (
     Arrivals,
@@ -257,7 +256,6 @@ class InnetJoin(JoinStrategy):
         self._join_node_of_row = np.zeros(0, dtype=np.int64)
         #: (the ``_routes`` it was built from, :meth:`_block_routes`)
         self._block_tables: Optional[Tuple[Any, _BlockRoutes]] = None
-        self._group_decision_cache: Dict[int, bool] = {}
         self.reoptimizations = 0
 
     # ------------------------------------------------------------------
@@ -275,10 +273,6 @@ class InnetJoin(JoinStrategy):
         self.plan = self.optimizer.optimize_pairs(routes, assumed, ship=ctx.ship_paths)
         if self.variant.group_optimization:
             self.optimizer.apply_group_optimization(self.plan, ship=ctx.ship)
-            self._group_decision_cache = {
-                decision.group.coordinator: decision.use_innet
-                for decision in self.plan.group_decisions
-            }
         # The plan's pair set is fixed from here on (re-optimization only
         # moves join nodes), so the window rows and each producer's pairs
         # are too.
@@ -781,7 +775,8 @@ class InnetJoin(JoinStrategy):
         # Section 6: learning also re-triggers the multi-pair optimization, but
         # only the groups containing re-estimated pairs exchange messages.
         if self.variant.group_optimization:
-            self._redecide_groups(ctx, updated_pairs)
+            self.optimizer.apply_group_optimization(self.plan, ship=ctx.ship,
+                                                    updated=set(updated_pairs))
         nomination_size = ctx.sizes.control(num_fields=3)
         for pair, row in zip(self._pairs, self._plan_rows.tolist()):
             old_join, new_join = int(old_join_nodes[row]), int(table.join[row])
@@ -792,47 +787,6 @@ class InnetJoin(JoinStrategy):
                 changed_producers.append((target_alias, pair[1]))
         if changed_producers:
             self._rebuild_delivery(ctx, producers=changed_producers)
-
-    def _redecide_groups(self, ctx: ExecutionContext, updated_pairs: List[Pair]) -> None:
-        """Recompute the GROUPOPT decision for groups with fresh estimates."""
-        all_pairs = self.plan.pairs()
-        groups = build_groups(all_pairs)
-        updated_set = set(updated_pairs)
-        affected = [g for g in groups if updated_set.intersection(g.pairs)]
-        if not affected:
-            return
-        group_optimizer = GroupOptimizer(
-            hops_to_base=self.substrate.hops_to_base,
-            route_between=self.substrate.best_route,
-            sizes=ctx.sizes,
-        )
-        table = self.plan.table
-        for group in affected:
-            rows = np.array([table.row_of[pair] for pair in group.pairs], dtype=np.int64)
-            learned = [
-                self._learning[pair].current
-                for pair in group.pairs
-                if pair in self._learning
-            ] or [table.assumed[row] for row in rows.tolist()]
-            # Only producers whose estimates changed re-send Delta C_p, and
-            # the coordinator only broadcasts when its decision flips.
-            changed_producers = {
-                endpoint
-                for pair in group.pairs
-                if pair in updated_set
-                for endpoint in pair
-            }
-            previous = self._group_decision_cache.get(group.coordinator)
-            decision = group_optimizer.decide_group(
-                group, GroupPlacements.of(table, rows),
-                representative_selectivities(learned), ctx.query.window_size,
-                ship=ctx.ship,
-                report_from=changed_producers,
-                previous_decision=previous,
-            )
-            self._group_decision_cache[group.coordinator] = decision.use_innet
-            self.plan.group_decisions.append(decision)
-            group_optimizer.apply_decision(decision, table, rows)
 
     def _transfer_window(self, ctx: ExecutionContext, pair: Pair,
                          old_join: int, new_join: int) -> None:
@@ -858,7 +812,8 @@ class InnetJoin(JoinStrategy):
         failed_set = set(failed)
         self._block_tables = None
         # The substrate may be the deployment's shared one: repair a copy.
-        self.substrate = self.optimizer.substrate = self.substrate.copy()
+        self.substrate = self.substrate.copy()
+        self.optimizer.use_substrate(self.substrate)
         for node_id in failed:
             self.substrate.repair_after_failure(node_id, simulator=ctx.simulator)
         table = self.plan.table

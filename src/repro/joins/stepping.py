@@ -39,10 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cost_model import Selectivities
-from repro.core.group_opt import (
-    Group, GroupDecision, GroupOptimizer, GroupPlacements, Pair,
-)
+from repro.core.group_opt import Group, GroupOptimizer, GroupPlacements, Pair
 from repro.core.optimizer import representative_selectivities
 from repro.core.placement import PairTable
 from repro.joins.base import (
@@ -287,15 +284,7 @@ class SharedSubstrateEngine:
             decision = by_pairs.get(frozenset(group.pairs))
             if decision is None:
                 continue
-            self.group_optimizer.record_decision(
-                GroupDecision(
-                    group=group,
-                    use_innet=decision.use_innet,
-                    total_delta=decision.total_delta,
-                    per_producer_delta=dict(decision.per_producer_delta),
-                    sequence=decision.sequence,
-                )
-            )
+            self.group_optimizer.adopt(group, decision.use_innet)
             adopted.add(group.group_id)
         return adopted
 
@@ -332,18 +321,11 @@ class SharedSubstrateEngine:
         return len(self._live)
 
     # -- cross-query group reoptimization -------------------------------------
-    def _pair_selectivities(self, session: QuerySession, pair: Pair) -> Selectivities:
-        learning = getattr(session.strategy, "_learning", {})
-        state = learning.get(pair)
-        if state is not None:
-            return state.current
-        table = session.strategy.plan.table
-        return table.assumed[table.row_of[pair]]
-
     def _redecide(self, changed: List[Group], delta_pairs: Sequence[Pair]) -> None:
         """Run Algorithm 1 for re-derived groups and rewrite owning plans.
 
-        Each pair's placement is read from its lowest-id owner, and every
+        Each pair's placement and selectivities (its current estimate in
+        the owner's pair table) are read from its lowest-id owner, and every
         owner's plan takes that placement (or, when the group joins at the
         base, the rewrite to the base with that owner's at-base cost).
         Only producers touched by the churn delta re-report their cost
@@ -372,15 +354,14 @@ class SharedSubstrateEngine:
                 continue
             owners = [self._sessions[qid] for qid in sorted(owned)]
             placed_at: Dict[int, Tuple[PairTable, int]] = {}
-            parts, learned = [], []
+            parts, selectivities = [], []
             for qid in sorted(placing):
-                owner = self._sessions[qid]
-                table = owner.strategy.plan.table
+                table = self._sessions[qid].strategy.plan.table
                 rows = [table.row_of[group.pairs[p]] for p in placing[qid]]
                 parts.append(GroupPlacements.of(table, rows))
                 for position, row in zip(placing[qid], rows):
                     placed_at[position] = (table, row)
-                    learned.append(self._pair_selectivities(owner, group.pairs[position]))
+                    selectivities.append(table.assumed[row])
             order = np.argsort(np.concatenate([placing[qid] for qid in sorted(placing)]),
                                kind="stable")
             placements = GroupPlacements(*(np.concatenate(column)[order]
@@ -389,13 +370,12 @@ class SharedSubstrateEngine:
             decision = self.group_optimizer.decide_group(
                 group,
                 placements,
-                representative_selectivities(learned),
+                representative_selectivities(selectivities),
                 window,
                 ship=ship,
                 report_from=delta_endpoints & group.members,
                 previous_decision=self.group_optimizer.previous_use_innet(group),
             )
-            self.group_optimizer.record_decision(decision)
             self.reoptimizations += 1
             self._record_reopt_latency(group, decision.use_innet)
             for owner in owners:
@@ -413,7 +393,6 @@ class SharedSubstrateEngine:
                         source, source_row = placed_at[position]
                         if source is not table:
                             table.copy_row(row, source, source_row)
-                owner.strategy.plan.group_decisions.append(decision)
                 rebuild = getattr(owner.strategy, "_rebuild_delivery", None)
                 if rebuild is not None and owner.active:
                     rebuild(owner.context)

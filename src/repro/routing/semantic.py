@@ -18,7 +18,6 @@ first, with numpy:
 
 * Bloom filters (:class:`BloomFilterSummary`) are packed ``uint64`` words
   OR-ed together, plus an item count;
-* intervals (:class:`IntervalSummary`) are ``lo`` / ``hi`` columns;
 * positions (:class:`RectSummary`) are one bounding rectangle (MBR) per
   subtree.
 
@@ -39,7 +38,6 @@ from repro.summaries.base import Summary
 from repro.summaries.bloom import (
     _FNV_OFFSET, _FNV_PRIME, _MASK64, BloomFilterSummary, _mask_for,
 )
-from repro.summaries.interval import IntervalSummary
 from repro.summaries.rect import Rect, RectSummary, as_point
 
 SummaryFactory = Callable[[], Summary]
@@ -228,27 +226,27 @@ class _BloomRows:
         return summary
 
 
-class _BoxRows:
-    """Axis-aligned boxes as min / max corner columns; ``min > max`` is empty.
+class _RectRows:
+    """Positions: one bounding rectangle (MBR) per subtree, as min / max
+    corner columns (``min > max`` is empty).
 
     ``summary`` and ``view`` as for :class:`_BloomRows`.
     """
 
-    axes: int
-    report_bytes: int
+    report_bytes = RectSummary().size_bytes()
 
     def __init__(self, prototype: Summary, values: AttributeValues, size: int) -> None:
         low, high = values.own_rows((type(self), size), lambda: self._own(values, size))
         self.low = low.copy()     # [node, axis]
         self.high = high.copy()
         self._corners: Optional[tuple] = None
-        self._view = self._new()
+        self._view = RectSummary()
 
     def _own(self, values: AttributeValues, size: int) -> tuple:
-        coords = np.asarray([self._coords(v) for v in values.items],
-                            dtype=np.float64).reshape(-1, self.axes)
-        low = np.full((size, self.axes), np.inf)
-        high = np.full((size, self.axes), -np.inf)
+        coords = np.asarray([as_point(v) for v in values.items],
+                            dtype=np.float64).reshape(-1, 2)
+        low = np.full((size, 2), np.inf)
+        high = np.full((size, 2), -np.inf)
         np.minimum.at(low, values.owners, coords)
         np.maximum.at(high, values.owners, coords)
         return low, high
@@ -257,57 +255,24 @@ class _BoxRows:
         np.minimum.at(self.low, parents, self.low[children])
         np.maximum.at(self.high, parents, self.high[children])
 
-    def _box(self, node: int) -> Optional[tuple]:
+    def _fill(self, summary: RectSummary, node: int) -> None:
         if self._corners is None:
             self._corners = (self.low.tolist(), self.high.tolist())
         low, high = self._corners[0][node], self._corners[1][node]
-        return None if low[0] > high[0] else (*low, *high)
+        summary.rect = None if low[0] > high[0] else Rect(*low, *high)
 
-    def view(self, node: int) -> Summary:
+    def view(self, node: int) -> RectSummary:
         self._fill(self._view, node)
         return self._view
 
-    def summary(self, node: int) -> Summary:
-        summary = self._new()
+    def summary(self, node: int) -> RectSummary:
+        summary = RectSummary()
         self._fill(summary, node)
         return summary
 
 
-class _IntervalRows(_BoxRows):
-    """Intervals: one axis."""
-
-    axes = 1
-    report_bytes = IntervalSummary().size_bytes()
-
-    @staticmethod
-    def _coords(value: Any) -> tuple:
-        return (float(value),)
-
-    def _new(self) -> IntervalSummary:
-        return IntervalSummary()
-
-    def _fill(self, summary: IntervalSummary, node: int) -> None:
-        summary.lo, summary.hi = self._box(node) or (None, None)
-
-
-class _RectRows(_BoxRows):
-    """Positions: one bounding rectangle (MBR) per subtree."""
-
-    axes = 2
-    report_bytes = RectSummary().size_bytes()
-    _coords = staticmethod(as_point)
-
-    def _new(self) -> RectSummary:
-        return RectSummary()
-
-    def _fill(self, summary: RectSummary, node: int) -> None:
-        box = self._box(node)   # (xmin, ymin, xmax, ymax)
-        summary.rect = None if box is None else Rect(*box)
-
-
 _ROWS_FOR = (
     (BloomFilterSummary, _BloomRows),
-    (IntervalSummary, _IntervalRows),
     (RectSummary, _RectRows),
 )
 

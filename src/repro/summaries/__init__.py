@@ -7,8 +7,6 @@ uses different structures depending on the attribute type:
 
 * :class:`BloomFilterSummary` -- categorical / discrete values (``id``,
   ``cid``, ``rid``, ``x``, ``y``).
-* :class:`IntervalSummary` -- 1-D numeric ranges, a generalization of
-  TinyDB's semantic routing trees.
 * :class:`RectSummary` -- one bounding rectangle (MBR) for positions
   (``pos``), used by region-based queries (Query 3).
 
@@ -20,13 +18,11 @@ encoded size in bytes so routing-table maintenance traffic can be accounted.
 
 from repro.summaries.base import Summary
 from repro.summaries.bloom import BloomFilterSummary
-from repro.summaries.interval import IntervalSummary
 from repro.summaries.rect import Rect, RectSummary
 
 __all__ = [
     "Summary",
     "BloomFilterSummary",
-    "IntervalSummary",
     "RectSummary",
     "Rect",
 ]

@@ -31,10 +31,6 @@ class TestSelectivities:
         with pytest.raises(ValueError):
             Selectivities(0.5, -0.1, 0.1)
 
-    def test_helpers(self):
-        s = Selectivities(0.1, 0.9, 0.2)
-        assert s.swapped() == Selectivities(0.9, 0.1, 0.2)
-
 
 class TestPairwiseExpressions:
     def test_innet_pair_cost_formula(self):

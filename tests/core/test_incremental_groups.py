@@ -112,12 +112,11 @@ class TestIncrementalGrouping:
             selectivities,
             window_size=2,
         )
-        optimizer.record_decision(decision)
         # Disjoint churn must not touch the stable group or its decision.
         optimizer.add_query("other", [(1, 10), (2, 10)])
         optimizer.remove_query("other")
         assert optimizer.groups()[0] is stable_group
-        assert optimizer.decision_for(stable_group.group_id) is decision
+        assert optimizer.previous_use_innet(stable_group) is decision.use_innet
 
     def test_shared_pair_keeps_group_alive(self):
         optimizer = _optimizer()

@@ -9,7 +9,6 @@ from repro.core import (
     build_groups,
     optimal_pair_placements,
 )
-from repro.core.group_opt import reconcile_decisions
 from repro.network import NetworkSimulator
 from repro.network.topology import random_topology
 from repro.routing import MultiTreeSubstrate
@@ -148,7 +147,7 @@ class TestAgainstGlobalOptimum:
         optimal = optimal_pair_placements(topo, pairs, sel, window_size=1)
         total_optimal = sum(cost for _, cost in optimal.values())
         _, plan = _plan(substrate, pairs, sel, 1)
-        total_distributed = plan.expected_cost_per_cycle()
+        total_distributed = sum(plan.table.expected_cost.tolist())
         assert total_distributed >= total_optimal - 1e-9
         # The multi-tree paths are close to shortest paths, so the gap is small.
         assert total_distributed <= total_optimal * 1.25 + 1e-9
@@ -176,7 +175,7 @@ class TestGroups:
         plan = optimizer.apply_group_optimization(plan)
         assert plan.group_decisions
         decision = plan.group_decisions[0]
-        if decision.join_at_base:
+        if not decision.use_innet:
             assert all(plan.decision_for(p).at_base for p in pairs)
 
     def test_group_optimizer_keeps_innet_for_rare_joins(self, topo, substrate):
@@ -200,31 +199,21 @@ class TestGroups:
         optimizer.apply_group_optimization(plan, ship=sim.transfer)
         assert sim.stats.total() > traffic_after_pairs
 
-    def test_reconcile_decisions(self):
-        groups = build_groups([(1, 10), (2, 10)])
-        group = groups[0]
-        older = __import__("repro.core.group_opt", fromlist=["GroupDecision"]).GroupDecision(
-            group=group, use_innet=True, total_delta=-1.0, sequence=1
-        )
-        newer = __import__("repro.core.group_opt", fromlist=["GroupDecision"]).GroupDecision(
-            group=group, use_innet=False, total_delta=2.0, sequence=2
-        )
-        assert reconcile_decisions(older, newer) is newer
-        assert reconcile_decisions(newer, older) is newer
-
 
 class TestJoinPlan:
     def test_plan_bookkeeping(self, topo, substrate):
         ids = [n for n in topo.node_ids if n != topo.base_id]
         pairs = [(ids[0], ids[10]), (ids[1], ids[11])]
         _, plan = _plan(substrate, pairs, Selectivities(0.5, 0.5, 0.1), 2)
+        table = plan.table
         assert plan.pairs() == sorted(pairs)
-        assert plan.expected_cost_per_cycle() > 0
+        assert table.expected_cost.sum() > 0
         join_nodes = plan.join_nodes()
         assert join_nodes
-        listed = [p for j in join_nodes for p in plan.pairs_at(j)]
+        listed = [p for j in join_nodes
+                  for p, node in zip(table.pairs, table.join.tolist()) if node == j]
         assert sorted(listed) == sorted(pairs)
-        assert 0.0 <= plan.fraction_at_base() <= 1.0
+        assert 0.0 <= (table.join == table.base_id).mean() <= 1.0
 
     def test_reoptimize_pair_updates_assignment(self, topo, substrate):
         ids = [n for n in topo.node_ids if n != topo.base_id]

@@ -18,14 +18,17 @@ import pytest
 
 from repro.core import Selectivities
 from repro.engine import SCALES, build_topology, execute_run, reset_workload_caches
+from repro.engine.execution import run_single
 from repro.engine.registry import make_strategy
 from repro.experiments.scenarios import BUILTIN_SCENARIOS
 from repro.joins import JoinExecutor
 from repro.metrics.energy import EnergySink
 from repro.metrics.hotspot import HotspotSink
 from repro.network.batch import CycleBatcher
+from repro.network.failures import FailureInjector
 from repro.network.links import lossy_links
 from repro.network.simulator import NetworkSimulator
+from repro.network.topology import Topology
 from repro.routing.multitree import MultiTreeSubstrate
 from repro.routing.tree import RoutingTree
 from repro.service.engine import ServiceConfig, ServiceEngine
@@ -242,3 +245,28 @@ class TestNoRunKeptAlive:
         assert len(simulators) == 1
         assert simulators[0]() is None
         reset_workload_caches()
+
+    def test_the_sample_memo_keeps_no_failure_run_topology(self, topo100, monkeypatch):
+        """Two failure runs on one data source each run on a topology copy;
+        the data source's sample memo must not keep either copy alive."""
+        copies = []
+        copy = Topology.copy
+
+        def recorded(self):
+            duplicate = copy(self)
+            copies.append(weakref.ref(duplicate))
+            return duplicate
+        monkeypatch.setattr(Topology, "copy", recorded)
+        query = build_query1()
+        source = make_workload(topo100, query, SEL)
+        reports = []
+        for _ in range(2):
+            injector = FailureInjector()
+            injector.schedule(30, 3)
+            reports.append(run_single(query, topo100, source, "innet-cmg", SEL,
+                                      cycles=8, failure_injector=injector).report)
+        assert source._sample_memo   # the runs sampled through the memo
+        assert reports[0] == reports[1]
+        gc.collect()
+        assert len(copies) == 2
+        assert all(ref() is None for ref in copies)

@@ -30,6 +30,7 @@ the field (0 in every run here) popped equals its pin below.
 import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.engine import FIGURE2_ALGORITHMS, ExperimentScale, SweepRunner
 from repro.engine.spec import ScenarioSpec
 from repro.experiments.figures_joins import fig05_scenario
 from repro.experiments.figures_substrate import appg_scenario
+from repro.joins.innet import InnetJoin
 
 FAILURES = ({"node": 7, "at": 0}, {"node": 30, "at": 5})
 PHASES = ({"name": "pre", "fraction": 0.5}, {"name": "post", "failures": FAILURES})
@@ -198,6 +200,42 @@ def test_learning_under_loss_and_failures_matches_the_parent_commit():
     assert all(r.reoptimizations > 0 for r in reports.values())
     assert all(r.average_result_delay_cycles > 0 for r in reports.values())
     assert reports["innet-basic-learn"].traffic_by_kind.get("window_xfer", 0) > 0
+
+
+def test_learning_re_decides_the_groups_built_at_initiation(monkeypatch):
+    """Over the learning scenario: each run groups its plan's pairs once,
+    at initiation; after every learning check each pair's ``table.assumed``
+    entry is its learned estimate (what GROUPOPT re-decides under); and the
+    plan's decision list keeps its initiation length."""
+    grouped = []
+    for name, module in list(sys.modules.items()):
+        build = getattr(module, "build_groups", None)
+        if name.startswith("repro.") and build is not None:
+            def counted(pairs, build=build):
+                grouped.append(len(pairs))
+                return build(pairs)
+            monkeypatch.setattr(module, "build_groups", counted)
+    initiated = []
+    initiate, learn = InnetJoin.initiate, InnetJoin._learn
+
+    def initiate_and_note(self, ctx):
+        initiate(self, ctx)
+        initiated.append((self, len(self.plan.group_decisions)))
+
+    def learn_and_check(self, ctx, cycles):
+        learn(self, ctx, cycles)
+        table = self.plan.table
+        for pair, state in self._learning.items():
+            assert table.assumed[table.row_of[pair]] is state.current
+    monkeypatch.setattr(InnetJoin, "initiate", initiate_and_note)
+    monkeypatch.setattr(InnetJoin, "_learn", learn_and_check)
+    reports, _ = report_digests(LEARNING, cycles=80)
+    grouping = [strategy for strategy, _ in initiated
+                if strategy.variant.group_optimization]
+    assert len(grouping) == 1 and reports["innet-learn"].reoptimizations > 0
+    assert len(grouped) == 1
+    for strategy, decisions in initiated:
+        assert len(strategy.plan.group_decisions) == decisions
 
 
 def test_keyed_content_search_on_a_scale_deployment_matches_the_parent_commit():

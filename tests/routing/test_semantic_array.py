@@ -4,7 +4,7 @@
 (``semantic_oracle.ObjectSemanticRoutingTable``) merges one summary object
 per node and edge.  Over random and grid topologies, roots, tie-break seeds
 and value types, every subtree and child-link summary must agree (Bloom bits
-and item counts, interval bounds, bounding rectangles), as must the children
+and item counts, bounding rectangles), as must the children
 a probe selects, the maintenance bytes and the ``TREE_MAINT`` transfers,
 including the link model's RNG state after a lossy build.
 """
@@ -21,7 +21,7 @@ from repro.network.links import lossy_links
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.semantic import bloom_masks
-from repro.summaries import BloomFilterSummary, IntervalSummary, RectSummary, Summary
+from repro.summaries import BloomFilterSummary, RectSummary, Summary
 from repro.summaries.bloom import _mask_for
 from tests.routing.semantic_oracle import ObjectSemanticRoutingTable
 
@@ -39,9 +39,6 @@ bloom_values = st.one_of(
     st.lists(bloom_scalars, max_size=3),
     st.tuples(bloom_scalars, bloom_scalars, bloom_scalars),
 )
-interval_scalars = st.one_of(
-    st.integers(-10**6, 10**6), st.floats(-1e6, 1e6, allow_nan=False), st.booleans())
-interval_values = st.one_of(interval_scalars, st.lists(interval_scalars, max_size=3))
 coordinates = st.one_of(st.integers(-300, 300), st.floats(-300, 300, allow_nan=False))
 points = st.tuples(coordinates, coordinates)
 pos_values = st.one_of(points, st.lists(points, min_size=1, max_size=3))
@@ -70,8 +67,6 @@ def assert_same_summary(array, oracle):
         assert (array.num_bits, array.num_hashes) == (oracle.num_bits, oracle.num_hashes)
         assert array._bits == oracle._bits
         assert array.approximate_items == oracle.approximate_items
-    elif isinstance(oracle, IntervalSummary):
-        assert (array.lo, array.hi) == (oracle.lo, oracle.hi)
     else:
         assert array.bounding_rect() == oracle.bounding_rect()
 
@@ -137,20 +132,6 @@ def test_bloom_tables_agree_with_the_object_build(data):
 
 @SETTINGS
 @given(st.data())
-def test_interval_tables_agree_with_the_object_build(data):
-    topology, tree = data.draw(trees())
-    values = node_values(data.draw, topology, interval_values)
-    array, oracle = both(tree, {"level": IntervalSummary}, {"level": values.__getitem__})
-    assert_same_rows(array, oracle, tree, ["level"])
-    bounds = data.draw(st.lists(st.tuples(interval_scalars, interval_scalars), max_size=4))
-    assert_same_choices(array, oracle, tree, "level", [
-        lambda summary, lo=min(b), hi=max(b): summary.overlaps(lo, hi) for b in bounds
-    ] + [lambda summary, v=b[0]: summary.might_contain(v) for b in bounds])
-    assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
-
-
-@SETTINGS
-@given(st.data())
 def test_pos_tables_keep_the_bounding_rectangles(data):
     topology, tree = data.draw(trees())
     if data.draw(st.booleans()):
@@ -188,10 +169,10 @@ def test_tree_maint_charges_match_the_object_build(data):
     topology, tree = data.draw(trees())
     num_bits = data.draw(st.sampled_from(NUM_BITS))
     factories = {"key": lambda: BloomFilterSummary(num_bits=num_bits),
-                 "level": IntervalSummary}
+                 "pos": RectSummary}
     keys = node_values(data.draw, topology, bloom_values)
-    levels = node_values(data.draw, topology, interval_values)
-    extractors = {"key": keys.__getitem__, "level": levels.__getitem__}
+    positions = node_values(data.draw, topology, pos_values)
+    extractors = {"key": keys.__getitem__, "pos": positions.__getitem__}
     seed = data.draw(st.integers(0, 100))
 
     def oracle_build(simulator):
@@ -209,7 +190,7 @@ def test_tree_maint_charges_match_the_object_build(data):
     assert (array_sim.links._rng.bit_generator.state
             == oracle_sim.links._rng.bit_generator.state)
     assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
-    assert_same_rows(array, oracle, tree, ["key", "level"])
+    assert_same_rows(array, oracle, tree, ["key", "pos"])
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +203,7 @@ def test_substrate_tables_after_repair_agree_and_read_live_values(num_trees):
     for node_id, node in topology.nodes.items():
         node.set_static("group", node_id % 4)
     factories = {"group": lambda: BloomFilterSummary(num_bits=100),
-                 "id": IntervalSummary,
+                 "id": lambda: BloomFilterSummary(num_bits=128),
                  "pos": RectSummary}
     extractors = {"group": lambda n: topology.nodes[n].get_attribute("group"),
                   "id": lambda n: n,
@@ -289,7 +270,7 @@ class _OtherSummary(Summary):
 
 def test_unsupported_summary_types_are_refused_by_name():
     topology = grid_topology(num_nodes=9)
-    with pytest.raises(TypeError, match="BloomFilterSummary, IntervalSummary, RectSummary"):
+    with pytest.raises(TypeError, match="BloomFilterSummary, RectSummary"):
         SemanticRoutingTable(RoutingTree(topology), {"id": _OtherSummary},
                              {"id": lambda n: n})
 
@@ -297,7 +278,8 @@ def test_unsupported_summary_types_are_refused_by_name():
 def test_lookups_of_uncovered_nodes_and_unindexed_attributes():
     topology = grid_topology(num_nodes=16)
     tree = RoutingTree(topology)
-    table = SemanticRoutingTable(tree, {"id": IntervalSummary}, {"id": lambda n: n})
+    table = SemanticRoutingTable(tree, {"id": lambda: BloomFilterSummary(num_bits=128)},
+                                 {"id": lambda n: n})
     with pytest.raises(KeyError):
         table.subtree_summary(999, "id")
     with pytest.raises(KeyError):

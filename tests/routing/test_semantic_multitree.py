@@ -7,7 +7,7 @@ from repro.network.message import MessageKind
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.paths import path_quality_for_pairs
-from repro.summaries import BloomFilterSummary, IntervalSummary
+from repro.summaries import BloomFilterSummary
 
 
 @pytest.fixture
@@ -63,17 +63,6 @@ class TestSemanticRoutingTable:
                 subtree = set(tree.subtree_nodes(child))
                 if subtree & holders:
                     assert child in matching_children
-
-    def test_interval_summaries(self, topo):
-        tree = RoutingTree(topo)
-        table = SemanticRoutingTable(
-            tree,
-            {"id": IntervalSummary},
-            {"id": lambda nid: nid},
-        )
-        root_summary = table.subtree_summary(tree.root, "id")
-        assert root_summary.lo == 0
-        assert root_summary.hi == max(topo.node_ids)
 
     def test_maintenance_traffic_charged(self, topo):
         tree = RoutingTree(topo)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
 
 from repro.core.cost_model import Selectivities
+from repro.core.group_opt import build_groups
 from repro.service.churn import build_churn_trace, churn_query, events_by_cycle
 from repro.service.engine import ServiceConfig, ServiceEngine
 
@@ -94,8 +95,10 @@ def _digest(engine: ServiceEngine) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def replay(pool: str) -> List[str]:
-    """The digests of one replay, one per submit or cancel."""
+def replay(pool: str, check: Optional[Callable[[ServiceEngine], None]] = None
+           ) -> List[str]:
+    """The digests of one replay, one per submit or cancel (after each,
+    *check* sees the engine)."""
     engine = _engine(pool)
     query = POOLS[pool][0]
     trace = events_by_cycle(build_churn_trace(
@@ -109,6 +112,8 @@ def replay(pool: str) -> List[str]:
             else:
                 name, sql = query(event.slot, SEED, NODES)
                 ids[event.slot] = engine.submit(sql=sql, name=name)["query_id"]
+            if check is not None:
+                check(engine)
             digests.append(_digest(engine))
         engine.step(1)
     return digests
@@ -129,9 +134,22 @@ def test_the_pools_decide_groups_as_stated(pool, outcomes):
         name, sql = POOLS[pool][0](slot, SEED, NODES)
         engine.submit(sql=sql, name=name)
     groups = engine.shared.group_optimizer
-    assert {groups.decision_for(group.group_id).use_innet
-            for group in groups.groups()} == outcomes
+    assert {groups.previous_use_innet(group) for group in groups.groups()} == outcomes
 
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_re_decisions_leave_the_plans_decision_lists_alone(pool):
+    """The engine's re-decisions update its optimizer's state: every live
+    plan keeps its initiation decisions, one per group of its pairs."""
+    reoptimizations = []
+
+    def check(engine):
+        for session in engine.shared.sessions(active_only=True):
+            plan = session.strategy.plan
+            assert len(plan.group_decisions) == len(build_groups(plan.pairs()))
+        reoptimizations.append(engine.shared.reoptimizations)
+    replay(pool, check)
+    assert reoptimizations[-1] > 0   # the engine did re-decide groups
 
 if __name__ == "__main__":
     print(json.dumps({pool: replay(pool) for pool in sys.argv[1:] or sorted(POOLS)},

@@ -77,10 +77,10 @@ class TestMerge:
             left.merge(right)
 
     def test_merge_type_mismatch_rejected(self):
-        from repro.summaries import IntervalSummary
+        from repro.summaries import RectSummary
 
         with pytest.raises(TypeError):
-            BloomFilterSummary(num_bits=64).merge(IntervalSummary())
+            BloomFilterSummary(num_bits=64).merge(RectSummary())
 
 
 class TestValidation:

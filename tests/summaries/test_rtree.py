@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.summaries import IntervalSummary, Rect, RectSummary
+from repro.summaries import BloomFilterSummary, Rect, RectSummary
 
 coords = st.floats(min_value=-1000, max_value=1000, allow_nan=False)
 points = st.tuples(coords, coords)
@@ -57,7 +57,7 @@ class TestRectSummary:
 
     def test_merge_refuses_other_summaries(self):
         with pytest.raises(TypeError):
-            RectSummary().merge(IntervalSummary())
+            RectSummary().merge(BloomFilterSummary())
 
     def test_empty(self):
         summary = RectSummary()

@@ -45,15 +45,6 @@ ALLOWED_DEFS: Dict[str, str] = {
         "cost-model oracle: tests/core/test_cost_model.py",
     "repro.core.cost_model.best_join_point_index":
         "cost-model oracle: tests/core/test_cost_model.py",
-    "repro.core.cost_model.Selectivities.swapped":
-        "tests/core/test_cost_model.py, tests/workloads/test_workloads.py",
-    "repro.core.optimizer.JoinPlan.expected_cost_per_cycle":
-        "the plan's model estimate: tests/core/test_placement_optimizer.py",
-    "repro.core.optimizer.JoinPlan.fraction_at_base":
-        "tests/core/test_placement_optimizer.py, tests/joins/test_mesh_and_integration.py",
-    "repro.core.optimizer.JoinPlan.pairs_at": "tests/core/test_placement_optimizer.py",
-    "repro.core.group_opt.GroupDecision.join_at_base":
-        "tests/core/test_placement_optimizer.py",
     # read by the benchmark, the CI workflow or the examples
     "repro.engine.store.ResultStore.closed": "bench/run.py, bench/workloads.py",
     "repro.engine.store.ResultStore.put": "bench/trace.py (store write span)",
@@ -77,12 +68,10 @@ ALLOWED_DEFS: Dict[str, str] = {
     # the Summary protocol: the object oracle merges, the array tests compare
     "repro.summaries.base.Summary.merge": "tests/routing/semantic_oracle.py",
     "repro.summaries.bloom.BloomFilterSummary.merge": "tests/routing/semantic_oracle.py",
-    "repro.summaries.interval.IntervalSummary.merge": "tests/routing/semantic_oracle.py",
     "repro.summaries.rect.RectSummary.merge": "tests/routing/semantic_oracle.py",
     "repro.summaries.rect.RectSummary.bounding_rect": "tests/routing/test_semantic_array.py",
     "repro.summaries.bloom.BloomFilterSummary.approximate_items":
         "tests/routing/test_semantic_array.py",
-    "repro.summaries.interval.IntervalSummary.overlaps": "tests/routing/test_semantic_array.py",
     "repro.routing.semantic.SemanticRoutingTable.child_summary":
         "tests/routing/test_semantic_array.py",
     "repro.routing.semantic.SemanticRoutingTable.subtree_summary":

@@ -62,18 +62,10 @@ HOOK = "protocol, base-class or debugging method"
 NEVER_ENTERED: Dict[str, str] = {
     "repro.core.adaptive.PairObservation._rollover": EDGE,
     "repro.core.cost_model.AlgorithmCosts.total": ORACLE,
-    "repro.core.cost_model.Selectivities.swapped": ORACLE,
     "repro.core.cost_model.best_join_point_index": ORACLE,
     "repro.core.cost_model.ght_cost": ORACLE,
     "repro.core.cost_model.innet_cost": ORACLE,
     "repro.core.cost_model.through_base_pair_cost": ORACLE,
-    "repro.core.group_opt.Group.__len__": HOOK,
-    "repro.core.group_opt.GroupDecision.join_at_base": ORACLE,
-    "repro.core.group_opt.GroupOptimizer.decision_for": ORACLE,
-    "repro.core.group_opt.reconcile_decisions": EDGE,
-    "repro.core.optimizer.JoinPlan.expected_cost_per_cycle": ORACLE,
-    "repro.core.optimizer.JoinPlan.fraction_at_base": ORACLE,
-    "repro.core.optimizer.JoinPlan.pairs_at": ORACLE,
     "repro.engine.execution.execute_run_entry": CLI,
     "repro.engine.execution.initialize_worker": CLI,
     "repro.engine.pool.WorkerPool.__enter__": CLI,
@@ -256,10 +248,7 @@ NEVER_ENTERED: Dict[str, str] = {
     "repro.routing.semantic.SemanticRoutingTable.subtree_summary": ORACLE,
     "repro.routing.semantic.SemanticRoutingTable.total_maintenance_bytes": ORACLE,
     "repro.routing.semantic._BloomRows.summary": ORACLE,
-    "repro.routing.semantic._BoxRows.summary": ORACLE,
-    "repro.routing.semantic._IntervalRows._coords": EDGE,
-    "repro.routing.semantic._IntervalRows._fill": EDGE,
-    "repro.routing.semantic._IntervalRows._new": EDGE,
+    "repro.routing.semantic._RectRows.summary": ORACLE,
     "repro.routing.tree.RoutingTree.__repr__": HOOK,
     "repro.routing.tree.RoutingTree.children_of": ORACLE,
     "repro.service.cli._add_endpoint": CLI,
@@ -284,13 +273,6 @@ NEVER_ENTERED: Dict[str, str] = {
     "repro.summaries.bloom.BloomFilterSummary.fill_ratio": ORACLE,
     "repro.summaries.bloom.BloomFilterSummary.is_empty": ORACLE,
     "repro.summaries.bloom.BloomFilterSummary.merge": ORACLE,
-    "repro.summaries.interval.IntervalSummary.__repr__": HOOK,
-    "repro.summaries.interval.IntervalSummary.add": ORACLE,
-    "repro.summaries.interval.IntervalSummary.copy": ORACLE,
-    "repro.summaries.interval.IntervalSummary.is_empty": ORACLE,
-    "repro.summaries.interval.IntervalSummary.merge": ORACLE,
-    "repro.summaries.interval.IntervalSummary.might_contain": ORACLE,
-    "repro.summaries.interval.IntervalSummary.overlaps": ORACLE,
     "repro.summaries.rect.Rect.contains": ORACLE,
     "repro.summaries.rect.Rect.expand": ORACLE,
     "repro.summaries.rect.Rect.from_point": ORACLE,
@@ -312,9 +294,9 @@ NEVER_ENTERED: Dict[str, str] = {
 UNREACHED_CEILING: Dict[str, Tuple[int, str]] = {
     "repro.core.adaptive": (13, ERROR),
     "repro.core.centralized": (3, ERROR),
-    "repro.core.cost_model": (36, ORACLE),
-    "repro.core.group_opt": (15, ERROR),
-    "repro.core.optimizer": (10, ORACLE),
+    "repro.core.cost_model": (35, ORACLE),
+    "repro.core.group_opt": (4, ERROR),
+    "repro.core.optimizer": (2, ORACLE),
     "repro.engine.execution": (19, CLI),
     "repro.engine.pool": (62, CLI),
     "repro.engine.registry": (17, CLI),
@@ -335,9 +317,9 @@ UNREACHED_CEILING: Dict[str, Tuple[int, str]] = {
     "repro.joins.executor": (4, ERROR),
     "repro.joins.ght_join": (56, LOSSY),
     "repro.joins.grouped_base": (21, LOSSY),
-    "repro.joins.innet": (38, LOSSY),
+    "repro.joins.innet": (36, LOSSY),
     "repro.joins.multicast": (6, ERROR),
-    "repro.joins.stepping": (10, ERROR),
+    "repro.joins.stepping": (9, ERROR),
     "repro.joins.through_base": (55, LOSSY),
     "repro.metrics": (15, ERROR),
     "repro.metrics.energy": (44, LOSSY),
@@ -363,7 +345,7 @@ UNREACHED_CEILING: Dict[str, Tuple[int, str]] = {
     "repro.routing.ght": (4, ERROR),
     "repro.routing.multitree": (11, ERROR),
     "repro.routing.paths": (4, ERROR),
-    "repro.routing.semantic": (47, ORACLE),
+    "repro.routing.semantic": (44, ORACLE),
     "repro.routing.tree": (10, ERROR),
     "repro.service.__main__": (4, CLI),
     "repro.service.churn": (3, ERROR),
@@ -373,7 +355,6 @@ UNREACHED_CEILING: Dict[str, Tuple[int, str]] = {
     "repro.service.engine": (11, ERROR),
     "repro.summaries.base": (2, HOOK),
     "repro.summaries.bloom": (41, ORACLE),
-    "repro.summaries.interval": (25, ORACLE),
     "repro.summaries.rect": (23, ORACLE),
     "repro.workloads.datasource": (30, ORACLE),
     "repro.workloads.intel": (9, ORACLE),
