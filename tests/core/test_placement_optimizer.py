@@ -1,5 +1,8 @@
 """Tests for join-node placement, the pairwise optimizer and GROUPOPT."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import (
@@ -9,7 +12,9 @@ from repro.core import (
     build_groups,
     optimal_pair_placements,
 )
+from repro.core.group_opt import GroupDecision
 from repro.network import NetworkSimulator
+from repro.network.message import MessageKind
 from repro.network.topology import random_topology
 from repro.routing import MultiTreeSubstrate
 from repro.routing.multitree import PairPath
@@ -198,6 +203,112 @@ class TestGroups:
         traffic_after_pairs = sim.stats.total()
         optimizer.apply_group_optimization(plan, ship=sim.transfer)
         assert sim.stats.total() > traffic_after_pairs
+
+
+class _Sent:
+    """A ``ship`` that records each message's (source, destination, kind)."""
+
+    def __init__(self):
+        self.messages = []
+
+    def __call__(self, path, size, kind):
+        self.messages.append((path[0], path[-1], kind))
+        return True
+
+    def of(self, kind):
+        return [(src, dst) for src, dst, k in self.messages if k is kind]
+
+
+class TestDecisionState:
+    """GROUPOPT's one decision state: each coordinator's last decision."""
+
+    def test_decision_derives_total_and_choice_from_producer_deltas(self):
+        group = build_groups([(1, 10), (2, 10)])[0]
+        innet = GroupDecision(group, {1: -2.0, 2: 0.25, 10: 1.5})
+        assert innet.total_delta == pytest.approx(-0.25)
+        assert innet.use_innet
+        assert not GroupDecision(group, {1: 1.0, 2: 0.0, 10: -0.5}).use_innet
+        # a tie joins the group at the base
+        assert not GroupDecision(group, {1: 1.0, 2: -1.0, 10: 0.0}).use_innet
+
+    def test_decide_group_keeps_each_coordinators_last_decision(self, topo, substrate):
+        ids = [n for n in topo.node_ids if n != topo.base_id]
+        pairs = [(ids[0], ids[10]), (ids[0], ids[11]), (ids[3], ids[20])]
+        optimizer, plan = _plan(substrate, pairs, Selectivities(0.5, 0.5, 0.2), 2)
+        groups = optimizer.group_optimizer
+        assert all(groups.previous_use_innet(g) is None for g in build_groups(pairs))
+        optimizer.apply_group_optimization(plan)
+        assert len(plan.group_decisions) == 2
+        for decision in plan.group_decisions:
+            assert groups.previous_use_innet(decision.group) is decision.use_innet
+
+    def test_initiation_broadcasts_every_groups_decision(self, topo, substrate):
+        """A node that is a source in one group and a target in another
+        coordinates both; at initiation each group still broadcasts."""
+        ids = sorted(n for n in topo.node_ids if n != topo.base_id)
+        hub, x, y = ids[0], ids[15], ids[30]
+        pairs = [(hub, x), (y, hub)]
+        groups = build_groups(pairs)
+        assert len(groups) == 2 and {g.coordinator for g in groups} == {hub}
+        optimizer, plan = _plan(substrate, pairs, Selectivities(0.5, 0.5, 0.2), 1)
+        sent = _Sent()
+        optimizer.apply_group_optimization(plan, ship=sent)
+        assert sorted(sent.of(MessageKind.DECISION)) == sorted([(hub, x), (hub, y)])
+        assert sorted(sent.of(MessageKind.COST_REPORT)) == sorted([(x, hub), (y, hub)])
+
+    def test_redecision_reports_only_from_the_updated_pairs_producers(
+            self, topo, substrate):
+        ids = sorted(n for n in topo.node_ids if n != topo.base_id)
+        source, targets = ids[0], ids[20:24]
+        pairs = [(source, t) for t in targets] + [(ids[5], ids[40])]
+        optimizer, plan = _plan(substrate, pairs, Selectivities(0.5, 0.5, 0.2), 1)
+        optimizer.apply_group_optimization(plan)
+        initiation = list(plan.group_decisions)
+        sent = _Sent()
+        optimizer.apply_group_optimization(plan, ship=sent, updated={(source, targets[2])})
+        # the coordinator (the source) does not report to itself, and an
+        # unchanged decision is not broadcast
+        assert sent.of(MessageKind.COST_REPORT) == [(targets[2], source)]
+        assert sent.of(MessageKind.DECISION) == []
+        assert plan.group_decisions == initiation
+
+    def test_redecision_broadcasts_only_when_the_choice_flips(self, topo, substrate):
+        ids = sorted(n for n in topo.node_ids if n != topo.base_id)
+        pairs = [(ids[0], ids[20]), (ids[0], ids[21])]
+        optimizer, plan = _plan(substrate, pairs, Selectivities(0.5, 0.5, 0.2), 1)
+        optimizer.apply_group_optimization(plan)
+        group = plan.group_decisions[0].group
+        decided = plan.group_decisions[0].use_innet
+        groups = optimizer.group_optimizer
+        sent = _Sent()
+        optimizer.apply_group_optimization(plan, ship=sent, updated={pairs[0]})
+        assert sent.of(MessageKind.DECISION) == []
+        # the coordinator last decided otherwise: the re-decision is a flip
+        groups.adopt(group, not decided)
+        sent = _Sent()
+        optimizer.apply_group_optimization(plan, ship=sent, updated={pairs[0]})
+        assert sorted(sent.of(MessageKind.DECISION)) == [(ids[0], ids[20]), (ids[0], ids[21])]
+        assert groups.previous_use_innet(group) is decided
+
+    def test_a_repaired_substrate_carries_groupopts_messages(self, topo, substrate):
+        """After a failure the optimizer places and routes GROUPOPT on the
+        repaired copy, and keeping it ties no reference cycle."""
+        ids = [n for n in topo.node_ids if n != topo.base_id]
+        optimizer, plan = _plan(substrate, [(ids[0], ids[10])],
+                                Selectivities(0.5, 0.5, 0.2), 1)
+        repaired = substrate.copy()
+        optimizer.use_substrate(repaired)
+        groups = optimizer.group_optimizer
+        assert optimizer.substrate is repaired
+        assert groups.route_between == repaired.best_route
+        assert groups.hops_to_base == repaired.hops_to_base
+        alive = [weakref.ref(optimizer), weakref.ref(groups), weakref.ref(plan)]
+        gc.disable()
+        try:
+            del optimizer, groups, plan
+            assert all(ref() is None for ref in alive)
+        finally:
+            gc.enable()
 
 
 class TestJoinPlan:

@@ -22,6 +22,7 @@ from repro.engine.execution import run_single
 from repro.engine.registry import make_strategy
 from repro.experiments.scenarios import BUILTIN_SCENARIOS
 from repro.joins import JoinExecutor
+from repro.joins.base import ExecutionContext, ProducerSet
 from repro.metrics.energy import EnergySink
 from repro.metrics.hotspot import HotspotSink
 from repro.network.batch import CycleBatcher
@@ -29,6 +30,7 @@ from repro.network.failures import FailureInjector
 from repro.network.links import lossy_links
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
+from repro.query.analysis import analyze_query
 from repro.routing.multitree import MultiTreeSubstrate
 from repro.routing.tree import RoutingTree
 from repro.service.engine import ServiceConfig, ServiceEngine
@@ -270,3 +272,34 @@ class TestNoRunKeptAlive:
         gc.collect()
         assert len(copies) == 2
         assert all(ref() is None for ref in copies)
+
+    def test_a_dead_or_different_topology_is_a_sample_memo_miss(self, topo100):
+        """An entry whose weakly held topology is not the context's -- dead,
+        or another object that took its id -- is sampled afresh."""
+        query = build_query1()
+        source = make_workload(topo100, query, SEL)
+        ctx = ExecutionContext(query, analyze_query(query), topo100,
+                               NetworkSimulator(topo100), source, SEL)
+        producers = {alias: ProducerSet(members)
+                     for alias, members in ctx.eligible().items()}
+        cycles = range(0, 4)
+        first = ctx.sample_producers(cycles, producers)
+        memo = source._sample_memo
+        blocks = [key for key, entry in memo.items()
+                  if isinstance(entry, tuple) and isinstance(entry[-1], weakref.ref)]
+        assert len(blocks) == len(producers)
+        assert ctx.sample_producers(cycles, producers) == first
+        assert all(a is b for a, b in zip(ctx.sample_producers(cycles, producers), first))
+        other = topo100.copy()
+        for key in blocks:
+            memo[key] = (*memo[key][:2], weakref.ref(other))
+        second = ctx.sample_producers(cycles, producers)
+        assert not any(a is b for a, b in zip(second, first))
+        assert all(memo[key][2]() is topo100 for key in blocks)
+        for key in blocks:
+            memo[key] = (*memo[key][:2], weakref.ref(other))
+        del other
+        gc.collect()
+        third = ctx.sample_producers(cycles, producers)
+        assert not any(a is b for a, b in zip(third, second))
+        assert all(memo[key][2]() is topo100 for key in blocks)

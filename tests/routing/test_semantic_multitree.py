@@ -7,7 +7,7 @@ from repro.network.message import MessageKind
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.paths import path_quality_for_pairs
-from repro.summaries import BloomFilterSummary
+from repro.summaries import BloomFilterSummary, Rect, RectSummary
 
 
 @pytest.fixture
@@ -63,6 +63,17 @@ class TestSemanticRoutingTable:
                 subtree = set(tree.subtree_nodes(child))
                 if subtree & holders:
                     assert child in matching_children
+
+    def test_rect_summaries(self, topo):
+        tree = RoutingTree(topo)
+        table = SemanticRoutingTable(
+            tree,
+            {"pos": RectSummary},
+            {"pos": lambda nid: topo.nodes[nid].position},
+        )
+        xs, ys = zip(*(topo.nodes[nid].position for nid in topo.node_ids))
+        root_summary = table.subtree_summary(tree.root, "pos")
+        assert root_summary.bounding_rect() == Rect(min(xs), min(ys), max(xs), max(ys))
 
     def test_maintenance_traffic_charged(self, topo):
         tree = RoutingTree(topo)

@@ -76,3 +76,36 @@ class TestRectSummary:
     def test_invalid_point(self):
         with pytest.raises(TypeError):
             RectSummary().add(7)
+        with pytest.raises(TypeError):
+            RectSummary().add((1.0, 2.0, 3.0))
+
+    def test_single_point(self):
+        summary = RectSummary()
+        summary.add([3, 4])
+        assert summary.bounding_rect() == Rect(3.0, 4.0, 3.0, 4.0)
+        assert summary.might_contain((3.0, 4.0))
+        assert not summary.might_contain((3.0, 4.01))
+        assert summary.intersects_radius((0.0, 0.0), 5.0)
+        assert not summary.intersects_radius((0.0, 0.0), 4.99)
+
+    def test_copy_is_independent(self):
+        summary = RectSummary()
+        summary.add((0.0, 0.0))
+        clone = summary.copy()
+        clone.add((10.0, -5.0))
+        assert summary.bounding_rect() == Rect(0.0, 0.0, 0.0, 0.0)
+        assert clone.bounding_rect() == Rect(0.0, -5.0, 10.0, 0.0)
+
+    def test_merge_with_empty(self):
+        summary = RectSummary(Rect(0.0, 0.0, 2.0, 1.0))
+        assert summary.merge(RectSummary()).bounding_rect() == summary.bounding_rect()
+        assert RectSummary().merge(summary).bounding_rect() == summary.bounding_rect()
+        assert RectSummary().merge(RectSummary()).is_empty()
+
+    def test_merge_leaves_both_inputs_unchanged(self):
+        left = RectSummary(Rect(0.0, 0.0, 1.0, 1.0))
+        right = RectSummary(Rect(5.0, 5.0, 9.0, 6.0))
+        merged = left.merge(right)
+        assert merged.bounding_rect() == Rect(0.0, 0.0, 9.0, 6.0)
+        assert left.bounding_rect() == Rect(0.0, 0.0, 1.0, 1.0)
+        assert right.bounding_rect() == Rect(5.0, 5.0, 9.0, 6.0)
