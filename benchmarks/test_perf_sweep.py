@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import SCALES, SweepRunner, WorkerPool, reset_workload_caches
-from repro.engine.pool import reset_run_costs, usable_cpus
+from repro.engine.pool import usable_cpus
 from repro.experiments.scenarios import BUILTIN_SCENARIOS
 
 from conftest import run_once
@@ -95,7 +95,6 @@ def test_sweep_fig02_smoke_pool_reuse():
     """A second sweep on a warm persistent pool reuses its workers: one pool
     start and 72 dispatches across both sweeps.  Both timings are recorded
     for the trajectory; no assert reads the clock."""
-    reset_run_costs()
     with WorkerPool(2) as pool:
         started = time.perf_counter()
         _run_sweep(2, pool=pool, adaptive=False)

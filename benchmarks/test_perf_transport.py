@@ -4,7 +4,7 @@ Times the Python-level hot paths every figure benchmark leans on — the
 per-tuple ``NetworkSimulator.transfer``, the batch-cycle kernel's
 ``CycleBatcher.ship_many`` / ``ship_edges`` + ``flush`` (the calls the
 strategies make on the kernel) and the PathCache-backed
-``Topology.shortest_path``/``shortest_hops`` — on perfect and lossy links,
+``Topology.shortest_path``/``shortest_hops_view`` — on perfect and lossy links,
 and records the results in ``BENCH_transport.json`` at the repo
 root so future PRs have a perf trajectory to compare against.
 """
@@ -347,7 +347,7 @@ def test_perf_shortest_hops_invalidation(benchmark, mote):
         mote.invalidate_routing_caches()
         total = 0
         for source in nodes[::10]:
-            total += len(mote.shortest_hops(source))
+            total += len(mote.shortest_hops_view(source))
         return total
 
     assert benchmark(run) > 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.cost_model import Selectivities, innet_pair_cost
+from repro.network.batch import CycleBatcher
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
@@ -59,6 +60,8 @@ def centralized_initiation(
     sizes = sizes or MessageSizes()
     tree = RoutingTree(topology)
     own_simulator = simulator or NetworkSimulator(topology)
+    batcher = CycleBatcher(own_simulator)
+    ship = batcher.ship
 
     collection = 0.0
     for node_id in topology.node_ids:
@@ -67,7 +70,7 @@ def centralized_initiation(
         neighbours = topology.neighbors(node_id)
         report_size = sizes.header + neighbor_entry_bytes * len(neighbours) + attribute_bytes
         path = tree.path_to_root(node_id)
-        own_simulator.transfer(path, report_size, MessageKind.CONTROL)
+        ship(path, report_size, MessageKind.CONTROL)
         collection += report_size * (len(path) - 1)
 
     distribution = 0.0
@@ -76,9 +79,10 @@ def centralized_initiation(
         if node_id == topology.base_id:
             continue
         path = tree.path_from_root(node_id)
-        own_simulator.transfer(path, plan_size, MessageKind.CONTROL)
+        ship(path, plan_size, MessageKind.CONTROL)
         distribution += plan_size * (len(path) - 1)
 
+    batcher.flush()
     traffic_at_base = own_simulator.stats.at_base(topology.base_id)
     # Reports arrive one at a time at the base station; the last one also had
     # to travel its full path.  Plan distribution then takes one tree depth.

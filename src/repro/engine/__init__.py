@@ -46,7 +46,6 @@ from repro.engine.registry import (
     RUN_KINDS,
     STRATEGIES,
     WORKLOAD_SOURCES,
-    available_algorithms,
     make_query,
     make_strategy,
     register_assumed_provider,
@@ -73,7 +72,6 @@ from repro.engine.workload import (
     build_topology,
     build_workload,
     reset_workload_caches,
-    workload_cache_stats,
 )
 
 __all__ = [
@@ -96,7 +94,6 @@ __all__ = [
     "SweepRunner",
     "WORKLOAD_SOURCES",
     "WorkerPool",
-    "available_algorithms",
     "effective_jobs",
     "build_phased_workload",
     "build_topology",
@@ -119,5 +116,4 @@ __all__ = [
     "shared_pool",
     "shutdown_shared_pools",
     "usable_cpus",
-    "workload_cache_stats",
 ]

@@ -157,7 +157,7 @@ def _resolve_join_node(spec: RunSpec, query: JoinQuery, topology: Topology,
         accounting=TrafficAccounting(spec.accounting),
         seed=spec.seed,
     ).initiate()
-    plan = getattr(scout, "plan", None)
+    plan = scout.plan
     if plan is None:
         raise ValueError(
             f"algorithm {spec.algorithm!r} exposes no placement plan; the "

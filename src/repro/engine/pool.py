@@ -26,7 +26,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import Dict, Hashable, Iterable, Iterator, Optional
 
 from repro.engine.execution import initialize_worker
 from repro.engine.registry import registry_generation
@@ -79,10 +79,6 @@ def estimated_run_cost(scenario: Optional[Hashable]) -> Optional[float]:
     if scenario is None:
         return None
     return _COST_EMA.get(scenario)
-
-
-def reset_run_costs() -> None:
-    _COST_EMA.clear()
 
 
 def effective_jobs(jobs: int, pending: int,
@@ -157,12 +153,6 @@ class WorkerPool:
             )
             self.starts += 1
         return self._pool
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of the live worker processes (empty before the first start)."""
-        if self._pool is None:
-            return []
-        return [worker.pid for worker in self._pool._pool]
 
     def imap_unordered(self, func, items: Iterable,
                        chunksize: int = 1) -> Iterator:

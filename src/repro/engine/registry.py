@@ -92,11 +92,6 @@ class Registry:
     def names(self) -> List[str]:
         return sorted(self._builders)
 
-    @property
-    def builders(self) -> Dict[str, Callable]:
-        """The live name -> builder mapping (mutate via :meth:`register`)."""
-        return self._builders
-
 
 # ---------------------------------------------------------------------------
 # join strategies (the figure labels of the paper's evaluation)
@@ -147,10 +142,6 @@ def load_experiment_registrations() -> None:
 def make_strategy(name: str, **kwargs) -> JoinStrategy:
     """Instantiate a join strategy by its figure label."""
     return STRATEGIES.create(name, **kwargs)
-
-
-def available_algorithms() -> List[str]:
-    return STRATEGIES.names()
 
 
 #: The six algorithms shown in Figures 2 and 3.

@@ -111,10 +111,6 @@ class ResultStore:
     def closed(self) -> bool:
         return self._closed
 
-    def flush(self) -> None:
-        """Commit any open transaction (put_many already commits per batch)."""
-        self._connection.commit()
-
     def close(self) -> None:
         """Commit and release the SQLite connection (idempotent)."""
         if self._closed:
@@ -259,9 +255,6 @@ class ResultStore:
                 count += 1
         return count
 
-    def journal_mode(self) -> str:
-        return self._connection.execute("PRAGMA journal_mode").fetchone()[0]
-
 
 class StreamingWriter:
     """Batches streamed ``(RunSpec, report)`` pairs into bounded store flushes.
@@ -287,11 +280,6 @@ class StreamingWriter:
         self.flushes = 0
         self._buffer: List = []
         self._last_flush = time.monotonic()
-
-    @property
-    def pending(self) -> int:
-        """Buffered results not yet committed to the store."""
-        return len(self._buffer)
 
     def add(self, spec: RunSpec, report: ExecutionReport) -> None:
         self._buffer.append((spec, report))

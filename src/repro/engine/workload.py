@@ -61,16 +61,6 @@ def reset_workload_caches() -> None:
     _PROVIDER_CACHE.clear()
 
 
-def workload_cache_stats() -> Dict[str, int]:
-    """Current cache occupancy (for tests and monitoring)."""
-    return {
-        "topologies": len(_TOPOLOGY_CACHE),
-        "queries": len(_QUERY_CACHE),
-        "data_sources": len(_DATA_SOURCE_CACHE),
-        "providers": len(_PROVIDER_CACHE),
-    }
-
-
 def build_topology(scale, preset: str = "moderate", seed: int = 0,
                    num_nodes: Optional[int] = None,
                    fresh: bool = False) -> Topology:

@@ -31,7 +31,6 @@ from repro.engine import (
     ScenarioSpec,
     SweepResult,
     SweepRunner,
-    available_algorithms,
     build_workload,
     load_scenario_file,
     make_strategy,
@@ -49,7 +48,6 @@ __all__ = [
     "ScenarioSpec",
     "SweepResult",
     "SweepRunner",
-    "available_algorithms",
     "build_workload",
     "format_table",
     "load_scenario_file",

@@ -29,6 +29,7 @@ from repro.engine import (
     register_query_builder,
     register_run_kind,
 )
+from repro.network.batch import CycleBatcher
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
 from repro.routing.multitree import MultiTreeSubstrate
@@ -296,11 +297,14 @@ def _run_initiation(spec: RunSpec):
             topology, num_trees=int(params.get("num_trees", 3))
         )
         sizes = MessageSizes()
+        batcher = CycleBatcher(simulator)
+        ship = batcher.ship
         for source, target in pairs:
             route = substrate.best_route(source, target)
-            simulator.transfer(route, sizes.explore(len(route)), MessageKind.EXPLORE)
-            simulator.transfer(list(reversed(route)), sizes.explore(len(route)),
-                               MessageKind.EXPLORE_REPLY)
+            ship(route, sizes.explore(len(route)), MessageKind.EXPLORE)
+            ship(list(reversed(route)), sizes.explore(len(route)),
+                 MessageKind.EXPLORE_REPLY)
+        batcher.flush()
         return measurement_report(
             "initiation", "distributed",
             total_traffic=simulator.stats.total(),

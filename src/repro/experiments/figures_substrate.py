@@ -320,7 +320,6 @@ def _run_mobility(spec: RunSpec):
     no movable leaf or no in-range destination report ``moved = 0``.
     """
     from repro.network.mobility import candidate_positions_near, is_leaf, move_leaf_node
-    from repro.network.simulator import NetworkSimulator
     from repro.summaries import BloomFilterSummary
 
     params = spec.params_dict()
@@ -340,7 +339,6 @@ def _run_mobility(spec: RunSpec):
     if mobile is None:
         return measurement_report("mobility", spec.algorithm, moved=0.0)
     candidates = candidate_positions_near(topology, mobile, radius=topology.radio_range)
-    simulator = NetworkSimulator(topology)
     event = None
     for position in candidates:
         try:
@@ -360,7 +358,6 @@ def _run_mobility(spec: RunSpec):
             if not tree.covers(anchor):
                 continue
             path = tree.path_to_root(anchor)
-            simulator.transfer(path, summary_bytes)
             update_traffic += summary_bytes * (len(path) - 1)
             max_depth = max(max_depth, len(path) - 1)
     return measurement_report(

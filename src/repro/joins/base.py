@@ -24,6 +24,7 @@ from typing import (
 import numpy as np
 
 from repro.core.cost_model import Selectivities
+from repro.core.optimizer import JoinPlan
 from repro.network.batch import CycleBatcher, PathMessages
 from repro.network.message import MessageKind, MessageSizes
 from repro.network.simulator import NetworkSimulator
@@ -37,18 +38,19 @@ Pair = Tuple[int, int]
 
 
 class DataSource(Protocol):
-    """Supplies dynamic attribute values for every node and sampling cycle.
+    """Supplies dynamic attribute values for every node and sampling cycle."""
 
-    ``sample`` is all a source has to offer; it must answer every node with
-    the same attribute names.  A source may add ``sample_columns(node_ids,
-    cycles)`` -- for an int cycle one ``[node]`` array per attribute, for a
-    ``range`` of cycles one ``[cycle, node]`` array -- which sampling then
-    calls instead, once per node set and block of cycles.  A source without
-    it is sampled node by node and cycle by cycle.
-    """
+    def sample_columns(self, node_ids: Sequence[int],
+                       cycles: Union[int, range]) -> Dict[str, np.ndarray]:
+        """Every node's dynamic attributes, the same names for every node:
+        for an int cycle one ``[node]`` array per attribute, for a ``range``
+        of cycles one ``[cycle, node]`` array."""
+        ...
 
-    def sample(self, node_id: int, cycle: int) -> Dict[str, Any]:
-        """Dynamic attribute values of *node_id* at sampling cycle *cycle*."""
+    def next_switch(self, cycle: int) -> Optional[int]:
+        """The first cycle after *cycle* from which the source draws from a
+        new regime (a block of cycles never spans one); ``None`` when no
+        switch follows."""
         ...
 
 
@@ -62,19 +64,9 @@ _SAMPLE_MEMO_MAX = 8192
 def _sample_columns(data_source: DataSource, node_ids: Tuple[int, ...],
                     cycles: range) -> Columns:
     """One ``[cycle, node]`` column per dynamic attribute."""
-    sampler = getattr(data_source, "sample_columns", None)
-    if sampler is not None:
-        raw = sampler(node_ids, cycles.start if len(cycles) == 1 else cycles)
-        return {a: as_column(values).reshape(len(cycles), len(node_ids))
-                for a, values in raw.items()}
-    if not node_ids:
-        return {}
-    per_cycle = []
-    for cycle in cycles:
-        rows = [data_source.sample(node_id, cycle) for node_id in node_ids]
-        per_cycle.append({a: as_column([row[a] for row in rows]) for a in rows[0]})
-    return {a: np.stack([columns[a] for columns in per_cycle])
-            for a in per_cycle[0]}
+    raw = data_source.sample_columns(node_ids, cycles.start if len(cycles) == 1 else cycles)
+    return {a: as_column(values).reshape(len(cycles), len(node_ids))
+            for a, values in raw.items()}
 
 
 class ProducerSet:
@@ -552,6 +544,10 @@ class JoinStrategy(ABC):
     """Base class for all join algorithms."""
 
     name: str = "abstract"
+    #: the pairwise placement plan of a strategy that places each pair's join
+    plan: Optional[JoinPlan] = None
+    #: pair placements adaptive learning changed
+    reoptimizations: int = 0
 
     def __init__(self) -> None:
         self.results = ResultAccounting()
@@ -598,6 +594,15 @@ class JoinStrategy(ABC):
 
     def handle_failures(self, ctx: ExecutionContext, failed: List[int], cycle: int) -> None:
         """React to permanent node failures (default: nothing to do)."""
+
+    @property
+    def group_optimizes(self) -> bool:
+        """True for a strategy that runs GROUPOPT over a pairwise plan."""
+        return False
+
+    def rebuild_delivery(self, ctx: ExecutionContext) -> None:
+        """Rebuild what ships producers' tuples from :attr:`plan` after its
+        decisions changed from outside (default: nothing to rebuild)."""
 
     # -- shared helpers ---------------------------------------------------------
     def _open_windows(self, ctx: ExecutionContext, pairs: Sequence[Pair],

@@ -179,8 +179,7 @@ class JoinExecutor:
         for event in self.failure_injector.events:
             if cycle < event.sampling_cycle < end:
                 end = event.sampling_cycle
-        next_switch = getattr(self.context.data_source, "next_switch", None)
-        switch = next_switch(cycle) if next_switch is not None else None
+        switch = self.context.data_source.next_switch(cycle)
         if switch is not None and switch < end:
             end = switch
         strategy = self.strategy
@@ -205,7 +204,7 @@ class JoinExecutor:
         stats = self.simulator.stats
         total = stats.total()
         results = self.strategy.results
-        reoptimizations = getattr(self.strategy, "reoptimizations", 0)
+        reoptimizations = self.strategy.reoptimizations
         # Instrumentation-sink results: scalar summaries land in ``extra``
         # and per-node series in ``node_series``; both are empty (preserving
         # the historical report exactly) unless extra sinks were registered.

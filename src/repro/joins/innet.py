@@ -250,7 +250,7 @@ class InnetJoin(JoinStrategy):
         self._plan_rows = np.zeros(0, dtype=np.int64)
         self._index: Dict[str, RowIndex] = {}
         #: Derived from the plan's current decisions on first use after
-        #: :meth:`_rebuild_delivery`: per alias and producer (set position)
+        #: :meth:`rebuild_delivery`: per alias and producer (set position)
         #: its :data:`ProducerRoute`, and per window row its join node.
         self._routes: Optional[Dict[str, List[Optional[ProducerRoute]]]] = None
         self._join_node_of_row = np.zeros(0, dtype=np.int64)
@@ -286,7 +286,7 @@ class InnetJoin(JoinStrategy):
                 rows_of.setdefault(key, []).append(row)
         self._rows_of = {key: np.array(rows, dtype=np.int64)
                          for key, rows in rows_of.items()}
-        self._rebuild_delivery(ctx)
+        self.rebuild_delivery(ctx)
         self._open_windows(ctx, self._pairs, keep_recent=True)
         self._held = np.zeros(len(self._pairs), dtype=bool)
         for alias in ctx.query.aliases:
@@ -363,8 +363,14 @@ class InnetJoin(JoinStrategy):
     # ------------------------------------------------------------------
     # delivery structures
     # ------------------------------------------------------------------
-    def _rebuild_delivery(self, ctx: ExecutionContext,
-                          producers: Optional[List[ProducerKey]] = None) -> None:
+    @property
+    def group_optimizes(self) -> bool:
+        plan = self.plan
+        return (plan is not None and bool(plan.table.pairs)
+                and self.variant.group_optimization)
+
+    def rebuild_delivery(self, ctx: ExecutionContext,
+                         producers: Optional[List[ProducerKey]] = None) -> None:
         """(Re)build per-producer shipping structures from the current plan.
 
         A producer's multicast tree is rebuilt only when the paths its pairs
@@ -786,7 +792,7 @@ class InnetJoin(JoinStrategy):
                 changed_producers.append((source_alias, pair[0]))
                 changed_producers.append((target_alias, pair[1]))
         if changed_producers:
-            self._rebuild_delivery(ctx, producers=changed_producers)
+            self.rebuild_delivery(ctx, producers=changed_producers)
 
     def _transfer_window(self, ctx: ExecutionContext, pair: Pair,
                          old_join: int, new_join: int) -> None:
@@ -845,17 +851,19 @@ class InnetJoin(JoinStrategy):
             table.rewrite_to_base([plan_row], base_cost=0.0)
             base = table.decision(plan_row)
             # Forward the last w tuples from each producer so the base can
-            # rebuild the join window, then replay the backlog.
-            replays: List[HeldTuple] = [
-                (alias, values, sampled)
+            # rebuild the join window, then replay the backlog.  The dead
+            # join node already joined the forwarded tuples with one
+            # another, so only the backlog probes.
+            replays: List[Tuple[HeldTuple, bool]] = [
+                ((alias, values, sampled), False)
                 for alias in (source_alias, target_alias)
                 for values, sampled in store.recent(row, alias == source_alias)
             ]
-            replays.extend(self._backlog.pop(pair, []))
+            replays.extend((held, True) for held in self._backlog.pop(pair, []))
             # Start a fresh window at the base.
             store.reset_row(row)
             data_size = ctx.data_tuple_size()
-            for alias, values, sampled in replays:
+            for (alias, values, sampled), probe in replays:
                 from_source = alias == source_alias
                 producer = pair[0] if from_source else pair[1]
                 if not ctx.topology.nodes[producer].alive:
@@ -863,14 +871,14 @@ class InnetJoin(JoinStrategy):
                 path = base.source_to_join if from_source else base.target_to_join
                 if not ctx.ship(path, data_size, MessageKind.DATA):
                     continue
-                matched = store.probe_row(row, from_source, values, sampled)
+                matched = store.probe_row(row, from_source, values, sampled, probe)
                 if matched:
                     entry = produced_at.setdefault(base.join_node, [0, 0])
                     entry[0] += len(matched)
                     entry[1] += sum(
                         max(0, cycle - max(sampled, other)) for other in matched
                     )
-            self._rebuild_delivery(ctx)
+            self.rebuild_delivery(ctx)
 
     # ------------------------------------------------------------------
     def join_nodes_used(self) -> int:

@@ -229,7 +229,7 @@ class SharedSubstrateEngine:
         self._sessions[query_id] = session
         self._live[query_id] = session
         self._universe = None
-        if self._group_optimizes(strategy):
+        if strategy.group_optimizes:
             pairs = strategy.plan.pairs()
             for pair in pairs:
                 self._pair_owners.setdefault(pair, []).append(query_id)
@@ -245,18 +245,6 @@ class SharedSubstrateEngine:
         """A batcher to charge admission-plane control traffic in one flush,
         or ``None`` (one ``transfer`` per message) while a node is dead."""
         return CycleBatcher(self.simulator) if self.simulator.all_alive() else None
-
-    @staticmethod
-    def _group_optimizes(strategy: JoinStrategy) -> bool:
-        """True for strategies that run GROUPOPT over a pairwise plan."""
-        plan = getattr(strategy, "plan", None)
-        variant = getattr(strategy, "variant", None)
-        return (
-            plan is not None
-            and bool(plan.table.pairs)
-            and variant is not None
-            and getattr(variant, "group_optimization", False)
-        )
 
     def _adopt_session_decisions(
         self, session: QuerySession, changed: List[Group]
@@ -393,25 +381,21 @@ class SharedSubstrateEngine:
                         source, source_row = placed_at[position]
                         if source is not table:
                             table.copy_row(row, source, source_row)
-                rebuild = getattr(owner.strategy, "_rebuild_delivery", None)
-                if rebuild is not None and owner.active:
-                    rebuild(owner.context)
+                if owner.active:
+                    owner.strategy.rebuild_delivery(owner.context)
         if batcher is not None:
             batcher.flush()
 
     def _record_reopt_latency(self, group: Group, use_innet: bool) -> None:
         coordinator = group.coordinator
-        report_hops = 0
-        broadcast_hops = 0
+        farthest = 0   # members report to the coordinator, which broadcasts back
         for member in group.members:
             if member == coordinator:
                 continue
             hops = self.topology.hops_between(member, coordinator)
-            if hops is None:
-                continue
-            report_hops = max(report_hops, hops)
-            broadcast_hops = max(broadcast_hops, hops)
-        latency = report_hops + broadcast_hops
+            if hops is not None:
+                farthest = max(farthest, hops)
+        latency = 2 * farthest
         self.reopt_latency.on_delivery("reopt", float(latency), hops=latency)
 
     # -- stepping -------------------------------------------------------------

@@ -76,14 +76,6 @@ class EnergySink(MetricsSink):
         for node_id in self._nodes:
             self.energy.setdefault(node_id, 0.0)
 
-    def reset(self) -> None:
-        self.energy.clear()
-        for node_id in self._nodes:
-            self.energy[node_id] = 0.0
-        self._dead.clear()
-        self.first_death_node = None
-        self.first_death_cycle = None
-
     # -- charge events ------------------------------------------------------
     def charge_transmission(self, node_id, size_bytes, kind,
                             attempts=1, receiver=None) -> None:

@@ -65,11 +65,6 @@ class HotspotSink(MetricsSink):
         for node_id in self._nodes:
             self.load.setdefault(node_id, 0.0)
 
-    def reset(self) -> None:
-        self.load.clear()
-        for node_id in self._nodes:
-            self.load[node_id] = 0.0
-
     def _units(self, size_bytes) -> float:
         return float(size_bytes) if self.bytes_per_unit else 1.0
 

@@ -82,9 +82,6 @@ class MetricsSink:
     def attach(self, simulator) -> None:
         """Bind to the owning simulator (topology, accounting mode)."""
 
-    def reset(self) -> None:
-        """Drop accumulated state."""
-
     # -- results ------------------------------------------------------------
     def summary(self) -> Dict[str, float]:
         """Flat scalar metrics, keys prefixed with the sink name."""
@@ -215,14 +212,6 @@ class MetricsPipeline:
             else:
                 dispatcher = _fanout(tuple(handlers))
             setattr(self, event, dispatcher)
-
-    # -- lifecycle ----------------------------------------------------------
-    def reset(self) -> None:
-        """Reset every sink that supports it."""
-        for sink, _ in self._entries:
-            reset = getattr(sink, "reset", None)
-            if reset is not None:
-                reset()
 
     # -- results ------------------------------------------------------------
     def summaries(self) -> Dict[str, float]:

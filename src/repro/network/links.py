@@ -106,20 +106,6 @@ class LinkModel:
         trials = self._rng.geometric(1.0 - self.loss_probability, size=total)
         return trials <= limit, np.minimum(trials, limit)
 
-    def expected_attempts(self) -> float:
-        """Expected transmissions per successful hop (for analytic checks)."""
-        if self.loss_probability == 0.0:
-            return 1.0
-        p_success = 1.0 - self.loss_probability
-        # Truncated geometric expectation over max_retransmissions + 1 tries.
-        total_attempts = 0.0
-        prob_reaching = 1.0
-        for attempt in range(1, self.max_retransmissions + 2):
-            total_attempts += prob_reaching * p_success * attempt
-            prob_reaching *= self.loss_probability
-        total_attempts += prob_reaching * (self.max_retransmissions + 1)
-        return total_attempts
-
 
 def perfect_links() -> LinkModel:
     """A loss-free link model (used for analytic cost-model validation)."""

@@ -51,12 +51,6 @@ class SensorNode:
         self.static_attributes.setdefault("pos", self.position)
 
     # -- attribute access ----------------------------------------------------
-    def get_attribute(self, name: str) -> Any:
-        """Return a static attribute value."""
-        if name in self.static_attributes:
-            return self.static_attributes[name]
-        raise KeyError(f"node {self.node_id} has no attribute {name!r}")
-
     def set_static(self, name: str, value: Any) -> None:
         self.static_attributes[name] = value
 
@@ -69,10 +63,6 @@ class SensorNode:
     def fail(self) -> None:
         """Permanently fail the node (battery depletion, crash, obstruction)."""
         self.alive = False
-        self._notify_state_change()
-
-    def recover(self) -> None:
-        self.alive = True
         self._notify_state_change()
 
     def distance_to(self, other: "SensorNode") -> float:

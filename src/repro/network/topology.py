@@ -59,22 +59,6 @@ class CSRAdjacency:
         self.indices = indices
         self.num_nodes = int(num_nodes)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, Iterable[int]],
-                     num_nodes: int) -> "CSRAdjacency":
-        """Build from ``{node: neighbours}``; the mapping must be symmetric."""
-        rows = {node_id: set(neighbours) for node_id, neighbours in mapping.items()}
-        for node_id, neighbours in rows.items():
-            for other in (node_id, *neighbours):
-                if not (isinstance(other, (int, np.integer)) and 0 <= other < num_nodes):
-                    raise ValueError(f"adjacency references unknown node {other}")
-            for other in neighbours:
-                if node_id not in rows.get(other, ()):
-                    raise ValueError("adjacency must be symmetric")
-        edges = [(a, b) for a, neighbours in rows.items() for b in neighbours if a < b]
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        return _csr_from_pairs(pairs[:, 0], pairs[:, 1], num_nodes)
-
     def row_list(self, node_id: int) -> List[int]:
         """Sorted neighbour ids of one node as plain Python ints."""
         return self.indices[self.indptr[node_id]:self.indptr[node_id + 1]].tolist()
@@ -463,8 +447,7 @@ class PathCache:
 class Topology:
     """An immutable-ish deployment: node set plus symmetric adjacency.
 
-    Nodes are ids ``0..n-1``; their links are one :class:`CSRAdjacency`
-    (hand-built graphs go through :meth:`CSRAdjacency.from_mapping`).
+    Nodes are ids ``0..n-1``; their links are one :class:`CSRAdjacency`.
     The base station is always present and is, by convention, the node whose
     id equals :attr:`base_id`.
     """
@@ -481,8 +464,7 @@ class Topology:
         if self.base_id not in self.nodes:
             raise ValueError("base_id must refer to an existing node")
         # Symmetry holds by construction (generators insert every pair both
-        # ways; from_mapping checks hand-built graphs), so only the size is
-        # checked here.
+        # ways), so only the size is checked here.
         if self.adjacency.num_nodes != len(self.nodes):
             raise ValueError("adjacency size does not match node count")
         self.nodes[self.base_id].is_base = True
@@ -528,10 +510,6 @@ class Topology:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def base(self) -> SensorNode:
-        return self.nodes[self.base_id]
 
     def neighbors(self, node_id: int, only_alive: bool = True) -> List[int]:
         """Neighbours of a node, optionally filtering out failed nodes.
@@ -588,21 +566,11 @@ class Topology:
             frontier = candidates.astype(np.int32, copy=False)
         return num_seen == total
 
-    def shortest_hops(self, source: int) -> Dict[int, int]:
+    def shortest_hops_view(self, source: int) -> Dict[int, int]:
         """Hop counts from *source* to every reachable alive node (BFS).
 
-        Served from the epoch-guarded :class:`PathCache`; the returned
-        dictionary is a copy the caller may mutate.
-        """
-        if source not in self.nodes:
-            raise KeyError(f"unknown node {source}")
-        return dict(self._path_cache.validate().bfs_tables(source)[0])
-
-    def shortest_hops_view(self, source: int) -> Dict[int, int]:
-        """The cached alive-subgraph hop table itself (treat as read-only).
-
-        Hot callers (centralized optimizer, multi-tree root selection) use
-        this to avoid the defensive copy :meth:`shortest_hops` makes.
+        Served from the epoch-guarded :class:`PathCache`: the dictionary is
+        the cache's own table, so callers treat it as read-only.
         """
         if source not in self.nodes:
             raise KeyError(f"unknown node {source}")

@@ -281,17 +281,6 @@ class TrafficStats:
     def traffic_by_kind(self) -> Dict[MessageKind, float]:
         return dict(self.by_kind)
 
-    def reset(self) -> None:
-        self._transmitted.clear()
-        self._received.clear()
-        self.by_kind.clear()
-        self.messages_sent = 0
-        self.messages_dropped = 0
-        if self._pending_tx is not None:
-            self._pending_tx[:] = 0.0
-            self._pending_rx[:] = 0.0
-        self._pending_dirty = False
-
     def snapshot(self) -> Dict[str, object]:
         """A flat summary used by the experiment harness.
 

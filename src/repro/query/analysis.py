@@ -264,13 +264,6 @@ class QueryAnalysis:
         except KeyError:
             return False
 
-    def producer_sends(self, alias: str, attrs: Dict[str, Any]) -> bool:
-        """Evaluate dynamic selections for one sampling cycle."""
-        fn = self._compiled_selection(
-            "_c_dynamic_sel", alias, self.dynamic_selections.get(alias, [])
-        )
-        return bool(fn(attrs))
-
     def pair_joins_statically(
         self, source_attrs: Dict[str, Any], target_attrs: Dict[str, Any]
     ) -> bool:
@@ -278,19 +271,12 @@ class QueryAnalysis:
         fn = self._compiled_pair("_c_static_join", self.static_join_clauses)
         return fn(source_attrs, target_attrs)
 
-    def tuples_join(
-        self, source_attrs: Dict[str, Any], target_attrs: Dict[str, Any]
-    ) -> bool:
-        """Evaluate the dynamic join clauses for a pair of tuples."""
-        fn = self._compiled_pair("_c_dynamic_join", self.dynamic_join_clauses)
-        return fn(source_attrs, target_attrs)
-
     def compiled_tuples_join(self):
-        """The fused ``fn(source_attrs, target_attrs)`` closure itself.
+        """The dynamic join clauses as one fused ``fn(source_attrs,
+        target_attrs)`` closure: does a pair of tuples join?
 
-        Join probes run this hundreds of thousands of times per experiment;
-        binding the closure skips the method-call indirection of
-        :meth:`tuples_join`.
+        Join probes run this hundreds of thousands of times per experiment,
+        so callers bind the closure once.
         """
         return self._compiled_pair("_c_dynamic_join", self.dynamic_join_clauses)
 

@@ -39,9 +39,6 @@ class WindowedTuple:
     cycle: int
     values: Dict[str, Any]
 
-    def value(self, name: str) -> Any:
-        return self.values[name]
-
 
 class TupleWindow:
     """A bounded FIFO window of :class:`WindowedTuple`."""
@@ -437,20 +434,27 @@ class WindowStore:
 
     # -- one row at a time: recovery and window hand-off -----------------------
     def probe_row(self, row: int, from_source: bool, values: Dict[str, Any],
-                  cycle: int) -> List[int]:
-        """:meth:`JoinState.probe` for one row and one tuple: join against
-        the opposite side, buffer, and return the matched tuples' cycles
-        (oldest first).  A replay: the sent-tuple memory is left alone."""
+                  cycle: int, probe: bool = True) -> List[int]:
+        """:meth:`JoinState.probe` for one row and one replayed tuple: join
+        against the opposite side, buffer, and return the matched tuples'
+        cycles (oldest first).  A tuple that probes reaches the row for the
+        first time, so it also enters the sent-tuple memory.  Without
+        *probe* the tuple was joined, and remembered, before: it is only
+        buffered."""
         scalar = self.kernel.scalar
-        other = self._window[1 if from_source else 0]
-        matched = [
-            old_cycle for old, old_cycle in other.contents(row)
-            if (scalar(values, old) if from_source else scalar(old, values))
-        ]
+        side = 0 if from_source else 1
+        if not probe:
+            matched = []
+        else:
+            matched = [
+                old_cycle for old, old_cycle in self._window[1 - side].contents(row)
+                if (scalar(values, old) if from_source else scalar(old, values))
+            ]
+        rows = np.array([row])
         columns = {a: as_column([value]) for a, value in values.items()}
-        self.total += self._window[0 if from_source else 1].insert(
-            np.array([row]), columns, cycle
-        )
+        self.total += self._window[side].insert(rows, columns, cycle)
+        if probe and self._recent is not None:
+            self._recent[side].insert(rows, columns, cycle)
         return matched
 
     def reset_row(self, row: int) -> None:
@@ -461,10 +465,6 @@ class WindowStore:
     def buffered(self, row: int) -> int:
         size = self.window_size
         return sum(min(int(rings.count[row]), size) for rings in self._window)
-
-    def window(self, row: int, from_source: bool) -> List[BufferedTuple]:
-        """One side of the row's window, oldest first."""
-        return self._window[0 if from_source else 1].contents(row)
 
     def recent(self, row: int, from_source: bool) -> List[BufferedTuple]:
         """The last ``window_size`` tuples that side's producer got through

@@ -127,25 +127,19 @@ class MultiTreeSubstrate:
         self,
         attribute_factories: Dict[str, SummaryFactory],
         value_extractors: Dict[str, ValueExtractor],
-        simulator: Optional[NetworkSimulator] = None,
     ) -> None:
-        """Build semantic routing tables for the given attributes in every tree.
-
-        With a *simulator*, each table charges its per-edge reports as it
-        builds.
-        """
+        """Build semantic routing tables for the given attributes in every tree."""
         self._indexed_attributes = dict(attribute_factories)
         self._value_extractors = dict(value_extractors)
-        self._build_tables(simulator)
+        self._build_tables()
 
-    def _build_tables(self, simulator: Optional[NetworkSimulator] = None) -> None:
+    def _build_tables(self) -> None:
         """One table per tree over values extracted once, for all trees."""
         covered = sorted(set().union(*(tree.parent for tree in self.trees)))
         values = extract_values(self._indexed_attributes, self._value_extractors, covered)
         self.tables = [
             SemanticRoutingTable(
-                tree, self._indexed_attributes, self._value_extractors,
-                simulator=simulator, values=values,
+                tree, self._indexed_attributes, self._value_extractors, values=values,
             )
             for tree in self.trees
         ]

@@ -8,8 +8,8 @@ subtrees may hold a matching value and prunes the rest.
 
 Summaries are built bottom-up: leaves report their own values, and every
 interior node merges its children's reports before forwarding its own to its
-parent.  The aggregation traffic (one report per tree edge) can be charged to
-a simulator so routing-table maintenance shows up in initiation costs.
+parent.  A table records the bytes of that aggregation (one report per tree
+edge) as ``maintenance_bytes``.
 
 A table holds one row per node per attribute -- the summary of the subtree
 rooted at that node, which is also what the node's parent keeps for that
@@ -21,8 +21,8 @@ first, with numpy:
 * positions (:class:`RectSummary`) are one bounding rectangle (MBR) per
   subtree.
 
-Lookups build a summary from the row; a probe gets one summary per table and
-attribute, re-pointed at each row it reads.
+A probe gets one summary per table and attribute, re-pointed at each row it
+reads.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.network.message import MessageKind
-from repro.network.simulator import NetworkSimulator
 from repro.routing.tree import RoutingTree
 from repro.summaries.base import Summary
 from repro.summaries.bloom import (
@@ -170,12 +168,12 @@ def bloom_masks(items: List[Any], num_bits: int, num_hashes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _BloomRows:
-    """Bloom filters as packed words plus an ``add`` count per node.
+    """Bloom filters as packed words plus an item count per node.
 
-    ``summary(node)`` builds a new summary from a row.  ``view(node)``
-    re-points the table's prototype summary at a row, so a probe over many
-    rows builds no objects; it is valid until the next ``view`` call.  Both
-    read a per-row memo of the Python-int bitset, filled on first use.
+    ``view(node)`` re-points the table's prototype summary at a row, so a
+    probe over many rows builds no objects; it is valid until the next
+    ``view`` call.  It reads a per-row memo of the Python-int bitset, filled
+    on first use.
     """
 
     def __init__(self, prototype: BloomFilterSummary, values: AttributeValues,
@@ -219,18 +217,12 @@ class _BloomRows:
         view._count = self._counts[node]   # filled with the first bitset
         return view
 
-    def summary(self, node: int) -> BloomFilterSummary:
-        view = self.view(node)
-        summary = BloomFilterSummary(self.num_bits, self.num_hashes)
-        summary._bits, summary._count = view._bits, view._count
-        return summary
-
 
 class _RectRows:
     """Positions: one bounding rectangle (MBR) per subtree, as min / max
     corner columns (``min > max`` is empty).
 
-    ``summary`` and ``view`` as for :class:`_BloomRows`.
+    ``view`` as for :class:`_BloomRows`.
     """
 
     report_bytes = RectSummary().size_bytes()
@@ -255,20 +247,12 @@ class _RectRows:
         np.minimum.at(self.low, parents, self.low[children])
         np.maximum.at(self.high, parents, self.high[children])
 
-    def _fill(self, summary: RectSummary, node: int) -> None:
+    def view(self, node: int) -> RectSummary:
         if self._corners is None:
             self._corners = (self.low.tolist(), self.high.tolist())
         low, high = self._corners[0][node], self._corners[1][node]
-        summary.rect = None if low[0] > high[0] else Rect(*low, *high)
-
-    def view(self, node: int) -> RectSummary:
-        self._fill(self._view, node)
+        self._view.rect = None if low[0] > high[0] else Rect(*low, *high)
         return self._view
-
-    def summary(self, node: int) -> RectSummary:
-        summary = RectSummary()
-        self._fill(summary, node)
-        return summary
 
 
 _ROWS_FOR = (
@@ -296,7 +280,6 @@ class SemanticRoutingTable:
         tree: RoutingTree,
         attribute_factories: Dict[str, SummaryFactory],
         value_extractors: Dict[str, ValueExtractor],
-        simulator: Optional[NetworkSimulator] = None,
         values: Optional[Dict[str, AttributeValues]] = None,
     ) -> None:
         missing = set(attribute_factories) - set(value_extractors)
@@ -311,21 +294,16 @@ class SemanticRoutingTable:
         self._row_types = {
             attr: _rows_type(prototype) for attr, prototype in self._prototypes.items()
         }
-        self.build(simulator, values)
+        self.build(values)
 
     # ------------------------------------------------------------------
-    def build(
-        self,
-        simulator: Optional[NetworkSimulator] = None,
-        values: Optional[Dict[str, AttributeValues]] = None,
-    ) -> None:
+    def build(self, values: Optional[Dict[str, AttributeValues]] = None) -> None:
         """Aggregate summaries bottom-up over the tree.
 
         *values* are the attributes' extracted values (``extract_values``),
         which must cover the tree's nodes; by default they are extracted
-        here.  With a *simulator*, every child's report to its parent is
-        charged as one ``TREE_MAINT`` transfer: nodes by depth descending,
-        ties in ascending id, each node's children in ``children_of`` order.
+        here.  ``maintenance_bytes`` is what every child's report to its
+        parent would cost: one report per tree edge.
         """
         tree = self.tree
         if values is None:
@@ -356,27 +334,8 @@ class SemanticRoutingTable:
                     rows.absorb(parents[level], nodes[level])
         report_bytes = sum(rows.report_bytes for rows in self._rows.values())
         self.maintenance_bytes = report_bytes * int(np.count_nonzero(parents >= 0))
-        if simulator is not None:
-            for node in sorted(tree.parent, key=lambda n: (-tree.depth[n], n)):
-                for child in tree.children.get(node, ()):
-                    simulator.transfer(
-                        [child, node], report_bytes or 1, MessageKind.TREE_MAINT
-                    )
 
     # ------------------------------------------------------------------
-    def _summary(self, node: int, attr: str) -> Summary:
-        if node not in self._covered:
-            raise KeyError(node)
-        return self._rows[attr].summary(node)
-
-    def child_summary(self, node: int, child: int, attr: str) -> Summary:
-        if child not in self.tree.children.get(node, ()):
-            raise KeyError((node, child))
-        return self._summary(child, attr)
-
-    def subtree_summary(self, node: int, attr: str) -> Summary:
-        return self._summary(node, attr)
-
     def children_that_might_match(
         self,
         node: int,
@@ -397,12 +356,3 @@ class SemanticRoutingTable:
             if child in covered and probe(view(child)):
                 matching.append(child)
         return matching
-
-    def subtree_might_match(
-        self, node: int, attr: str, probe: Callable[[Summary], bool]
-    ) -> bool:
-        rows = self._rows.get(attr)
-        return rows is not None and node in self._covered and probe(rows.view(node))
-
-    def total_maintenance_bytes(self) -> int:
-        return self.maintenance_bytes

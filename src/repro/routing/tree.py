@@ -128,9 +128,6 @@ class RoutingTree:
     def parent_of(self, node_id: int) -> Optional[int]:
         return self.parent[node_id]
 
-    def children_of(self, node_id: int) -> List[int]:
-        return list(self.children.get(node_id, []))
-
     def subtree_nodes(self, node_id: int) -> List[int]:
         """Every node in the subtree rooted at *node_id* (inclusive)."""
         out: List[int] = []

@@ -200,7 +200,7 @@ def _run_independent(spec: RunSpec, knobs: Dict[str, object]) -> ExecutionReport
         "shared_savings_units": 0.0,
         "independent_traffic_estimate": float(total),
         "reoptimizations": float(
-            sum(getattr(e.strategy, "reoptimizations", 0) for e in everyone)
+            sum(e.strategy.reoptimizations for e in everyone)
         ),
         # No engine-level reoptimization plane on the independent path;
         # zeros keep the metric columns resolvable across both rows.

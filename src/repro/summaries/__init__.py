@@ -10,10 +10,12 @@ uses different structures depending on the attribute type:
 * :class:`RectSummary` -- one bounding rectangle (MBR) for positions
   (``pos``), used by region-based queries (Query 3).
 
-All summaries follow the small :class:`Summary` protocol: they can absorb
-values, merge with peers (as information flows up a routing tree), answer
-"might this subtree contain a matching value?" queries, and report their
-encoded size in bytes so routing-table maintenance traffic can be accounted.
+All summaries follow the small :class:`Summary` protocol: they answer
+"might this subtree contain a matching value?" probes with no false
+negatives, and report their encoded size in bytes so routing-table
+maintenance traffic can be accounted.  The tables build them as arrays
+(:mod:`repro.routing.semantic`): a summary object is the view a probe reads
+one row through.
 """
 
 from repro.summaries.base import Summary

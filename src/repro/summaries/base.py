@@ -3,39 +3,18 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
 
 
 class Summary(ABC):
-    """A mergeable, probabilistic summary of a set of attribute values.
+    """A probabilistic summary of a set of attribute values.
 
-    A summary answers containment queries with *no false negatives*: if
-    :meth:`might_contain` returns ``False`` the value is definitely absent
-    from the summarized set, so a routing search can prune the corresponding
-    subtree.  False positives merely cost extra exploration messages.
+    A summary answers containment queries with *no false negatives*: if its
+    probe (``might_contain`` for a Bloom filter, ``intersects_radius`` for a
+    rectangle) returns ``False`` the value is definitely absent from the
+    summarized set, so a routing search can prune the corresponding subtree.
+    False positives merely cost extra exploration messages.
     """
-
-    @abstractmethod
-    def add(self, value: Any) -> None:
-        """Absorb a single value into the summary."""
-
-    @abstractmethod
-    def might_contain(self, value: Any) -> bool:
-        """Return ``True`` unless *value* is certainly not summarized."""
-
-    @abstractmethod
-    def merge(self, other: "Summary") -> "Summary":
-        """Return a new summary covering the union of both inputs."""
 
     @abstractmethod
     def size_bytes(self) -> int:
         """Encoded size, used to account routing-table maintenance traffic."""
-
-    def add_all(self, values) -> None:
-        """Absorb every value from an iterable."""
-        for value in values:
-            self.add(value)
-
-    @abstractmethod
-    def copy(self) -> "Summary":
-        """Return an independent deep copy."""

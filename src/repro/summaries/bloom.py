@@ -8,7 +8,7 @@ join-key search descends only into subtrees that might hold a matching value.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.summaries.base import Summary
 
@@ -88,7 +88,6 @@ class BloomFilterSummary(Summary):
         num_bits: int = 64,
         num_hashes: Optional[int] = None,
         expected_items: int = 16,
-        values: Optional[Iterable[Any]] = None,
     ) -> None:
         if num_bits <= 0:
             raise ValueError("num_bits must be positive")
@@ -102,58 +101,14 @@ class BloomFilterSummary(Summary):
         self.num_hashes = num_hashes
         self._bits = 0
         self._count = 0
-        if values is not None:
-            self.add_all(values)
-
-    def _positions(self, value: Any):
-        mask = _mask_for(value, self.num_bits, self.num_hashes)
-        position = 0
-        while mask:
-            if mask & 1:
-                yield position
-            mask >>= 1
-            position += 1
-
-    def add(self, value: Any) -> None:
-        self._bits |= _mask_for(value, self.num_bits, self.num_hashes)
-        self._count += 1
 
     def might_contain(self, value: Any) -> bool:
         # One AND against the value's precomputed (memoized) bit mask.
         mask = _mask_for(value, self.num_bits, self.num_hashes)
         return self._bits & mask == mask
 
-    def merge(self, other: Summary) -> "BloomFilterSummary":
-        if not isinstance(other, BloomFilterSummary):
-            raise TypeError("can only merge with another BloomFilterSummary")
-        if other.num_bits != self.num_bits or other.num_hashes != self.num_hashes:
-            raise ValueError("cannot merge Bloom filters with different geometry")
-        merged = BloomFilterSummary(self.num_bits, self.num_hashes)
-        merged._bits = self._bits | other._bits
-        merged._count = self._count + other._count
-        return merged
-
     def size_bytes(self) -> int:
         return (self.num_bits + 7) // 8
-
-    def copy(self) -> "BloomFilterSummary":
-        clone = BloomFilterSummary(self.num_bits, self.num_hashes)
-        clone._bits = self._bits
-        clone._count = self._count
-        return clone
-
-    @property
-    def approximate_items(self) -> int:
-        """Number of ``add`` calls absorbed (including duplicates)."""
-        return self._count
-
-    @property
-    def fill_ratio(self) -> float:
-        """Fraction of bits set; a proxy for the false-positive rate."""
-        return bin(self._bits).count("1") / self.num_bits
-
-    def is_empty(self) -> bool:
-        return self._bits == 0
 
     def __contains__(self, value: Any) -> bool:
         return self.might_contain(value)
@@ -161,5 +116,5 @@ class BloomFilterSummary(Summary):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BloomFilterSummary(bits={self.num_bits}, hashes={self.num_hashes}, "
-            f"fill={self.fill_ratio:.2f})"
+            f"fill={bin(self._bits).count('1') / self.num_bits:.2f})"
         )

@@ -18,7 +18,7 @@ This package reproduces the paper's workload (Section 4.1):
 
 from repro.workloads.attributes import assign_table1_attributes
 from repro.workloads.datasource import SyntheticDataSource, build_send_probability_map
-from repro.workloads.intel import IntelDataSource, intel_query3_workload
+from repro.workloads.intel import IntelDataSource
 from repro.workloads.queries import (
     PAPER_QUERY_SQL,
     build_query0,
@@ -39,7 +39,6 @@ __all__ = [
     "SyntheticDataSource",
     "build_send_probability_map",
     "IntelDataSource",
-    "intel_query3_workload",
     "build_query0",
     "build_query1",
     "build_query2",

@@ -35,23 +35,6 @@ _SEND_RANGE = 1000
 _MASK64 = (1 << 64) - 1
 
 
-def _mix(*parts: int) -> int:
-    """SplitMix64-style deterministic mixing of integer coordinates."""
-    value = 0x9E3779B97F4A7C15
-    for part in parts:
-        value = (value ^ (part & _MASK64)) * 0xBF58476D1CE4E5B9 & _MASK64
-        value ^= value >> 27
-        value = (value * 0x94D049BB133111EB) & _MASK64
-        value ^= value >> 31
-    return value
-
-
-def _uniform(seed: int, node: int, cycle: int, stream: int, modulo: int) -> int:
-    if modulo <= 0:
-        raise ValueError("modulo must be positive")
-    return _mix(seed, node, cycle, stream) % modulo
-
-
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _S27 = np.uint64(27)
@@ -59,7 +42,9 @@ _S31 = np.uint64(31)
 
 
 def _mix_step(value: np.ndarray, part) -> np.ndarray:
-    """One round of :func:`_mix` over arrays (64-bit wrapping arithmetic)."""
+    """One round of SplitMix64-style mixing of one integer coordinate into
+    *value*, over arrays (64-bit wrapping arithmetic).  A draw mixes
+    (seed, node, cycle, stream) in that order into ``0x9E3779B97F4A7C15``."""
     value = (value ^ part) * _M1
     value ^= value >> _S27
     value *= _M2
@@ -68,7 +53,7 @@ def _mix_step(value: np.ndarray, part) -> np.ndarray:
 
 
 def _mix_prefix(seed: int, nodes: np.ndarray) -> np.ndarray:
-    """The state of :func:`_mix` after the (seed, node) coordinates: the
+    """The mixing state after the (seed, node) coordinates: the
     cycle-independent half of every draw for a node set."""
     value = np.full(nodes.shape, 0x9E3779B97F4A7C15, dtype=np.uint64)
     value = _mix_step(value, np.uint64(seed & _MASK64))
@@ -79,9 +64,8 @@ _STREAMS = np.array([[[1]], [[2]]], dtype=np.uint64)  # send draw, u draw
 
 
 def _mix_streams(prefix: np.ndarray, cycles: np.ndarray) -> np.ndarray:
-    """Finish :func:`_mix` for streams 1 and 2 at once over a ``[cycle, 1]``
-    column: ``[stream, cycle, node]``, identical to ``_mix(seed, node, cycle,
-    stream)`` element by element."""
+    """Finish the draws of streams 1 and 2 at once over a ``[cycle, 1]``
+    column: ``[stream, cycle, node]``."""
     return _mix_step(_mix_step(prefix, cycles), _STREAMS)
 
 
@@ -149,28 +133,17 @@ class SyntheticDataSource:
     def u_range_for(self, node_id: int) -> int:
         return self.per_node_u_range.get(node_id, self.u_range)
 
-    def sample(self, node_id: int, cycle: int) -> Dict[str, Any]:
-        source = self._effective(cycle)
-        send_prob = source.send_probability_for(node_id)
-        send_draw = _uniform(source.seed, node_id, cycle, 1, _SEND_RANGE)
-        sends = send_draw < send_prob * _SEND_RANGE
-        if sends:
-            adc0 = send_draw % SEND_THRESHOLD
-        else:
-            adc0 = SEND_THRESHOLD + (send_draw % SEND_THRESHOLD)
-        u_value = _uniform(source.seed, node_id, cycle, 2, source.u_range_for(node_id))
-        return {"u": u_value, "adc0": adc0, "v": 0}
-
     def sample_columns(self, node_ids: Sequence[int],
                        cycles: Union[int, range]) -> Dict[str, np.ndarray]:
-        """Vectorized :meth:`sample` over many nodes, for one cycle or a block.
+        """Every node's readings for one cycle or a block of cycles.
 
         An int *cycles* gives one int64 ``[node]`` array per attribute, a
-        range one ``[cycle, node]`` array, holding exactly the values
-        :meth:`sample` would return for each cycle and entry of *node_ids*
-        (the SplitMix64 draws are computed batched with 64-bit wrapping
-        arithmetic, a block in one pass; a block that crosses switches is
-        drawn in one part per regime).  Callers must not mutate the arrays.
+        range one ``[cycle, node]`` array.  A node draws ``adc0`` (below
+        ``SEND_THRESHOLD`` with its send probability) and ``u`` (uniform over
+        its ``u`` range) from SplitMix64 draws of (seed, node, cycle,
+        stream), computed batched with 64-bit wrapping arithmetic, a block
+        in one pass; a block that crosses switches is drawn in one part per
+        regime.  ``v`` is 0.  Callers must not mutate the arrays.
         """
         if isinstance(cycles, int):
             column = np.array([[cycles & _MASK64]], dtype=np.uint64)
@@ -194,7 +167,7 @@ class SyntheticDataSource:
         if arrays is None:
             u_ranges = [self.u_range_for(int(n)) for n in node_ids]
             if any(r <= 0 for r in u_ranges):
-                raise ValueError("modulo must be positive")  # match sample()
+                raise ValueError("modulo must be positive")
             arrays = (
                 _mix_prefix(self.seed, np.array(key, dtype=np.int64)),
                 np.array(
@@ -217,8 +190,8 @@ class SyntheticDataSource:
     def sample_many(
         self, node_ids: Sequence[int], cycle: int
     ) -> List[Dict[str, Any]]:
-        """:meth:`sample_columns` as the per-node dictionaries :meth:`sample`
-        would produce, one list entry per entry of *node_ids*."""
+        """:meth:`sample_columns` for one cycle as per-node dictionaries, one
+        list entry per entry of *node_ids*."""
         columns = self.sample_columns(node_ids, cycle)
         return [
             {"u": u, "adc0": adc0, "v": 0}

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.network.topology import Topology, intel_lab_topology
-from repro.query.query import JoinQuery
+from repro.network.topology import Topology
 from repro.workloads.datasource import SEND_THRESHOLD
-from repro.workloads.queries import build_query3
 
 #: Scale of the synthetic raw humidity values (16-bit style, like the paper's
 #: 65535-sample traces).
@@ -94,33 +92,45 @@ class IntelDataSource:
         value = self._baseline(cycle) + self._offset[node_id] + self._noise(node_id, cycle)
         return int(min(V_SCALE, max(0.0, value)))
 
-    def sample(self, node_id: int, cycle: int) -> Dict[str, Any]:
-        send_hash = (node_id * 2654435761 + cycle * 40503 + self._send_rng_seed) % 1000
-        sends = send_hash < self.send_probability * 1000
-        adc0 = send_hash % SEND_THRESHOLD if sends else SEND_THRESHOLD + send_hash % SEND_THRESHOLD
-        return {
-            "v": self.humidity(node_id, cycle),
-            "humidity": self.humidity(node_id, cycle),
-            "u": 0,
-            "adc0": adc0,
-        }
+    def next_switch(self, cycle: int) -> Optional[int]:
+        """The trace has one regime: no switch follows *cycle*."""
+        return None
 
+    def sample_columns(self, node_ids: Sequence[int],
+                       cycles: Union[int, range]) -> Dict[str, np.ndarray]:
+        """Every node's readings for one cycle or a block of cycles.
 
-def intel_query3_workload(
-    seed: int = 0,
-    radius_m: float = 5.0,
-    difference_threshold: int = 1000,
-    window_size: int = 1,
-) -> Tuple[Topology, IntelDataSource, JoinQuery]:
-    """The full Query 3 workload: topology, humidity trace and query."""
-    topology = intel_lab_topology()
-    data_source = IntelDataSource(topology=topology, seed=seed)
-    query = build_query3(
-        radius_m=radius_m,
-        difference_threshold=difference_threshold,
-        window_size=window_size,
-    )
-    return topology, data_source, query
+        An int *cycles* gives one int64 ``[node]`` array per attribute, a
+        range one ``[cycle, node]`` array.  ``v`` and ``humidity`` are
+        :meth:`humidity` (baseline + offset + noise, in that order, then
+        clipped); ``adc0`` is a hash of (node, cycle) that puts it below
+        ``SEND_THRESHOLD`` with probability ``send_probability``.
+        """
+        block = range(cycles, cycles + 1) if isinstance(cycles, int) else cycles
+        nodes = [int(n) for n in node_ids]
+        for node_id in nodes:
+            self._noise(node_id, block.stop - 1)   # extend the AR(1) caches
+        noise = np.array(
+            [self._noise_cache[n][block.start:block.stop] for n in nodes], dtype=float
+        ).reshape(len(nodes), len(block)).T
+        baseline = np.array([self._baseline(c) for c in block], dtype=float)
+        offset = np.array([self._offset[n] for n in nodes], dtype=float)
+        value = baseline[:, None] + offset[None, :] + noise
+        humidity = np.minimum(V_SCALE, np.maximum(0.0, value)).astype(np.int64)
+        # (a + b) % m == (a % m + b % m) % m keeps the hash in small ints.
+        node_hash = np.array(
+            [(n * 2654435761 + self._send_rng_seed) % 1000 for n in nodes], dtype=np.int64
+        )
+        cycle_hash = np.array([c * 40503 % 1000 for c in block], dtype=np.int64)
+        send_hash = (cycle_hash[:, None] + node_hash[None, :]) % 1000
+        half = send_hash % SEND_THRESHOLD
+        adc0 = np.where(send_hash < self.send_probability * 1000,
+                        half, SEND_THRESHOLD + half)
+        columns = {"v": humidity, "humidity": humidity,
+                   "u": np.zeros_like(humidity), "adc0": adc0}
+        if isinstance(cycles, int):
+            return {a: values[0] for a, values in columns.items()}
+        return columns
 
 
 def measure_dynamic_join_selectivity(

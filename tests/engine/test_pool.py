@@ -16,6 +16,11 @@ from repro.engine import pool as pool_module
 SMOKE = SCALES["smoke"]
 
 
+def worker_pids(pool):
+    """PIDs of the pool's live worker processes (empty before the first start)."""
+    return [] if pool._pool is None else [worker.pid for worker in pool._pool._pool]
+
+
 def tiny_scenario(name="pool-test", **overrides):
     base = dict(
         name=name,
@@ -41,18 +46,18 @@ class TestEffectiveJobs:
 
     def test_cheap_runs_fall_back_to_serial(self, monkeypatch):
         monkeypatch.setattr(pool_module, "usable_cpus", lambda: 8)
-        pool_module.reset_run_costs()
+        pool_module._COST_EMA.clear()
         try:
             pool_module.record_run_cost("cheap", pool_module.MIN_PARALLEL_RUN_S / 10)
             assert effective_jobs(4, 100, scenario="cheap") == 1
             pool_module.record_run_cost("costly", 1.0)
             assert effective_jobs(4, 100, scenario="costly") == 4
         finally:
-            pool_module.reset_run_costs()
+            pool_module._COST_EMA.clear()
 
     def test_unknown_cost_is_optimistic(self, monkeypatch):
         monkeypatch.setattr(pool_module, "usable_cpus", lambda: 8)
-        pool_module.reset_run_costs()
+        pool_module._COST_EMA.clear()
         assert effective_jobs(4, 100, scenario="never-ran") == 4
         assert effective_jobs(4, 3) == 3  # capped at the pending count
 
@@ -61,7 +66,7 @@ class TestEffectiveJobs:
         assert effective_jobs(4, 100, adaptive=False) == 4
 
     def test_cost_ema_blends_observations(self):
-        pool_module.reset_run_costs()
+        pool_module._COST_EMA.clear()
         try:
             pool_module.record_run_cost("s", 1.0)
             pool_module.record_run_cost("s", 0.0)  # non-positive is ignored
@@ -70,7 +75,7 @@ class TestEffectiveJobs:
             assert pool_module.estimated_run_cost("s") == pytest.approx(2.0)
             assert pool_module.estimated_run_cost(None) is None
         finally:
-            pool_module.reset_run_costs()
+            pool_module._COST_EMA.clear()
 
 
 class TestWorkerPool:
@@ -81,7 +86,7 @@ class TestWorkerPool:
     def test_lazy_start_and_close(self):
         with WorkerPool(2) as pool:
             assert not pool.started
-            assert pool.worker_pids() == []
+            assert worker_pids(pool) == []
             results = dict(pool.imap_unordered(_double, [1, 2, 3]))
             assert results == {1: 2, 2: 4, 3: 6}
             assert pool.started
@@ -92,9 +97,9 @@ class TestWorkerPool:
     def test_reuse_across_dispatches_keeps_workers(self):
         with WorkerPool(2) as pool:
             list(pool.imap_unordered(_double, [1, 2]))
-            pids = set(pool.worker_pids())
+            pids = set(worker_pids(pool))
             list(pool.imap_unordered(_double, [3, 4]))
-            assert set(pool.worker_pids()) == pids
+            assert set(worker_pids(pool)) == pids
             assert pool.starts == 1
             assert pool.dispatched == 4
 
@@ -103,12 +108,12 @@ class TestWorkerPool:
         with WorkerPool(2) as pool:
             runner = SweepRunner(jobs=2, pool=pool, adaptive=False)
             first = runner.run(tiny_scenario("pool-sweep-a"), SMOKE)
-            pids = set(pool.worker_pids())
+            pids = set(worker_pids(pool))
             second = runner.run(tiny_scenario("pool-sweep-b", cycles=4), SMOKE)
             assert first.executed == second.executed == 4
             assert pool.starts == 1
             assert pool.dispatched == 8
-            assert set(pool.worker_pids()) == pids
+            assert set(worker_pids(pool)) == pids
 
     def test_late_registration_restarts_workers(self):
         """A durable registration after fork must reach the workers."""
@@ -125,18 +130,18 @@ class TestWorkerPool:
                 assert sweep.executed == 2
                 assert pool.starts == 2  # stale workers were replaced
             finally:
-                del STRATEGIES.builders["zlate-naive"]
+                del STRATEGIES._builders["zlate-naive"]
 
     def test_runner_records_scale_aware_cost_key(self):
         """The EMA key carries num_nodes/cycles, so a cheap smoke estimate
         cannot force a later paper-scale sweep of the same scenario serial."""
-        pool_module.reset_run_costs()
+        pool_module._COST_EMA.clear()
         try:
             SweepRunner().run(tiny_scenario("cost-key"), SMOKE)
             (key,) = pool_module._COST_EMA
             assert key == ("cost-key", SMOKE.num_nodes, 3)
         finally:
-            pool_module.reset_run_costs()
+            pool_module._COST_EMA.clear()
 
     def test_adaptive_fallback_never_starts_the_pool(self, monkeypatch):
         monkeypatch.setattr(pool_module, "usable_cpus", lambda: 1)

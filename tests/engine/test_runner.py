@@ -9,9 +9,9 @@ from repro.engine import (
     SweepRunner,
     register_strategy,
     reset_workload_caches,
-    workload_cache_stats,
 )
 from repro.engine.registry import STRATEGIES
+from repro.engine import workload
 from repro.engine.workload import TOPOLOGY_CACHE_MAX, build_topology
 from repro.experiments.scenarios import BUILTIN_SCENARIOS, resolve_scenario
 
@@ -134,7 +134,7 @@ class TestRegistries:
             sweep = SweepRunner().run(scenario, SMOKE)
             assert sweep.only()["test-naive-alias"].mean("total_traffic") > 0
         finally:
-            del STRATEGIES.builders["test-naive-alias"]
+            del STRATEGIES._builders["test-naive-alias"]
 
     def test_unknown_algorithm_lists_choices(self):
         with pytest.raises(KeyError, match="unknown algorithm"):
@@ -146,6 +146,16 @@ class TestRegistries:
             assert scenario.expand(SMOKE)
         with pytest.raises(KeyError, match="unknown scenario"):
             resolve_scenario("fig99")
+
+
+def workload_cache_stats():
+    """How many entries each workload cache holds."""
+    return {
+        "topologies": len(workload._TOPOLOGY_CACHE),
+        "queries": len(workload._QUERY_CACHE),
+        "data_sources": len(workload._DATA_SOURCE_CACHE),
+        "providers": len(workload._PROVIDER_CACHE),
+    }
 
 
 class TestWorkloadCaches:

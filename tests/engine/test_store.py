@@ -21,7 +21,8 @@ def _one_spec():
 class TestResultStore:
     def test_wal_mode(self, tmp_path):
         with ResultStore(tmp_path / "results.sqlite") as store:
-            assert store.journal_mode() == "wal"
+            mode = store._connection.execute("PRAGMA journal_mode").fetchone()[0]
+            assert mode == "wal"
 
     def test_put_get_round_trip(self, tmp_path):
         spec = _one_spec()
@@ -83,10 +84,6 @@ class TestResultStore:
         store.close()
         assert store.closed
 
-    def test_flush_commits(self, tmp_path):
-        with ResultStore(tmp_path / "results.sqlite") as store:
-            store.flush()  # no open transaction: plain no-op commit
-
 
 class TestStreamingWriter:
     def _spec_and_report(self):
@@ -98,10 +95,10 @@ class TestStreamingWriter:
         with ResultStore(tmp_path / "results.sqlite") as store:
             writer = StreamingWriter(store, flush_every=2, flush_seconds=1e9)
             writer.add(spec, report)
-            assert (writer.pending, writer.written) == (1, 0)
+            assert (len(writer._buffer), writer.written) == (1, 0)
             assert spec.run_key() not in store
             writer.add(spec, report)  # same key: INSERT OR REPLACE, 2 writes
-            assert (writer.pending, writer.written, writer.flushes) == (0, 2, 1)
+            assert (len(writer._buffer), writer.written, writer.flushes) == (0, 2, 1)
             assert spec.run_key() in store
 
     def test_flushes_at_time_threshold(self, tmp_path, monkeypatch):
@@ -113,10 +110,10 @@ class TestStreamingWriter:
         with ResultStore(tmp_path / "results.sqlite") as store:
             writer = StreamingWriter(store, flush_every=100, flush_seconds=5.0)
             writer.add(spec, report)
-            assert writer.pending == 1
+            assert len(writer._buffer) == 1
             clock[0] = 6.0
             writer.add(spec, report)
-            assert writer.pending == 0
+            assert len(writer._buffer) == 0
             assert writer.written == 2
 
     def test_context_manager_flushes_remainder(self, tmp_path):
@@ -124,7 +121,7 @@ class TestStreamingWriter:
         with ResultStore(tmp_path / "results.sqlite") as store:
             with StreamingWriter(store, flush_every=100) as writer:
                 writer.add(spec, report)
-            assert writer.pending == 0
+            assert len(writer._buffer) == 0
             assert spec.run_key() in store
 
     def test_empty_flush_is_a_noop(self, tmp_path):

@@ -155,11 +155,6 @@ class TestAdaptiveFigures:
             by_setting["no_failure"]["delay_cycles"]
         )
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: InnetJoin._finish_recoveries replays each producer's "
-        "last window to the base and probes it against a fresh window, so "
-        "pairs the dead join node already joined are joined again "
-        "(29 results with the failure, 27 without); ROADMAP item 20"))
     def test_fig14_smoke_failure_adds_no_results(self):
         rows = figure_rows("fig14-smoke", SMOKE)
         by_setting = {row["setting"]: row for row in rows if row["sigma_st"] == 0.2}

@@ -11,13 +11,13 @@ from repro.engine import (
     RunResult,
     ScenarioSpec,
     SweepRunner,
-    available_algorithms,
     build_topology,
     build_workload,
     make_strategy,
     run_single,
     scale_from_env,
 )
+from repro.engine.registry import STRATEGIES
 from repro.experiments.report import format_table, sweep_to_rows
 from repro.joins import InnetJoin, NaiveJoin
 from repro.workloads.queries import build_query1
@@ -54,7 +54,7 @@ class TestScales:
 
 class TestStrategyFactory:
     def test_all_figure_algorithms_available(self):
-        names = available_algorithms()
+        names = STRATEGIES.names()
         for name in FIGURE2_ALGORITHMS + MESH_ALGORITHMS:
             assert name in names
 

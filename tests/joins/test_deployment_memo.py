@@ -188,7 +188,7 @@ class TestCopyOnRepair:
         # re-attach, each with a charged beacon
         hub = max((n for n in topology.node_ids
                    if n not in (topology.base_id, far, near)),
-                  key=lambda n: (len(shared.primary_tree.children_of(n)), -n))
+                  key=lambda n: (len(shared.primary_tree.children.get(n, [])), -n))
         topology.nodes[hub].fail()
         repairs = []
         for executor in executors:

@@ -3,9 +3,9 @@
 from repro.core import Selectivities
 from repro.joins import GHTJoin, InnetJoin, InnetVariant, JoinExecutor, NaiveJoin
 from repro.network.traffic import TrafficAccounting
-from repro.workloads.intel import intel_query3_workload
 
 from tests.joins.conftest import make_workload, run_strategy
+from tests.workloads.sample_oracle import intel_query3_workload
 
 
 class TestMeshMode:

@@ -5,21 +5,28 @@ of them on ground truth.  On lossless links a strategy's results are fully
 determined by the query and the data: each (s, t) pair that joins statically
 keeps the last ``w`` tuples sent by each side, and a newly arrived tuple
 joins the opposite side's window as it stands.  The oracle below computes
-that from ``data_source.sample``, ``analysis.producer_sends`` and
-``analysis.tuples_join`` alone -- no window class, no strategy code -- in
+that from ``sample``, ``producer_sends`` and ``tuples_join`` below alone -- no window class, no strategy code -- in
 the order the strategy lets a cycle's tuples arrive.
 """
 
-from collections import deque
+import functools
+from collections import Counter, deque
+from contextlib import contextmanager
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Selectivities
-from repro.engine.registry import available_algorithms, make_strategy
+from repro.engine.registry import STRATEGIES, make_strategy
 from repro.joins import JoinExecutor
+from repro.joins.innet import FAILOVER_CYCLES
+from repro.network.failures import FailureInjector
 from repro.network.topology import random_topology
 from repro.query.analysis import analyze_query
+from repro.query.expressions import as_column
+from repro.query.window import WindowStore, row_dicts
 from repro.workloads import (
     SyntheticDataSource,
     assign_table1_attributes,
@@ -28,14 +35,36 @@ from repro.workloads import (
     build_send_probability_map,
 )
 
+from tests.workloads.sample_oracle import sample
+
 #: Strategies whose target readings are buffered before the cycle's source
 #: readings reach them (they stay at their own node); everywhere else the
 #: source relation is shipped and joined first.
 TARGET_FIRST = {"yang07"}
 
 
-def nested_loop_join(query, topology, data_source, cycles, target_first):
-    """How many results the windowed join has, by definition."""
+def producer_sends(analysis, alias, attrs):
+    """Do *alias*'s dynamic selections hold for one reading?"""
+    return bool(analysis.selection_kernel(alias).scalar(attrs))
+
+
+def tuples_join(analysis, source_attrs, target_attrs):
+    """Do the dynamic join clauses hold for a pair of tuples?"""
+    return analysis.compiled_tuples_join()(source_attrs, target_attrs)
+
+
+def nested_loop_join(query, topology, data_source, cycles, target_first,
+                     failures=None, dead_producer_ends_pair=False):
+    """The windowed join's results, by definition: one ``(pair, source
+    cycle, target cycle)`` per joined pair of tuples, in join order.
+
+    *failures* maps a node to the cycle it dies at: from then on it sends
+    nothing, and what it sent before stays in its pairs' windows -- unless
+    *dead_producer_ends_pair*, under which a pair joins nothing from the
+    cycle either of its producers dies.  A failed relay or join node changes
+    no result, so the oracle does not model one.
+    """
+    failures = failures or {}
     analysis = analyze_query(query)
     source_alias, target_alias = query.aliases
     static = {n: topology.nodes[n].static_attributes for n in topology.node_ids}
@@ -50,26 +79,34 @@ def nested_loop_join(query, topology, data_source, cycles, target_first):
     ]
     windows = {pair: (deque(maxlen=query.window_size), deque(maxlen=query.window_size))
                for pair in pairs}
-    results = 0
+    ends = {pair: min(failures.get(pair[0], cycles), failures.get(pair[1], cycles))
+            if dead_producer_ends_pair else cycles for pair in pairs}
+    results = []
     for cycle in range(cycles):
         sent = {}
         for alias in query.aliases:
             for node in eligible[alias]:
-                values = {**static[node], **data_source.sample(node, cycle)}
-                if analysis.producer_sends(alias, values):
-                    sent[alias, node] = values
+                if failures.get(node, cycles) <= cycle:
+                    continue
+                values = {**static[node], **sample(data_source, node, cycle)}
+                if producer_sends(analysis, alias, values):
+                    sent[alias, node] = (values, cycle)
         order = (target_alias, source_alias) if target_first else query.aliases
         for alias in order:
             for pair in pairs:
+                if ends[pair] <= cycle:
+                    continue
                 s_window, t_window = windows[pair]
                 if alias == source_alias and (alias, pair[0]) in sent:
-                    new = sent[alias, pair[0]]
-                    results += sum(analysis.tuples_join(new, old) for old in t_window)
-                    s_window.append(new)
+                    new, _ = sent[alias, pair[0]]
+                    results += [(pair, cycle, old_cycle) for old, old_cycle in t_window
+                                if tuples_join(analysis, new, old)]
+                    s_window.append(sent[alias, pair[0]])
                 elif alias == target_alias and (alias, pair[1]) in sent:
-                    new = sent[alias, pair[1]]
-                    results += sum(analysis.tuples_join(old, new) for old in s_window)
-                    t_window.append(new)
+                    new, _ = sent[alias, pair[1]]
+                    results += [(pair, old_cycle, cycle) for old, old_cycle in s_window
+                                if tuples_join(analysis, old, new)]
+                    t_window.append(sent[alias, pair[1]])
     return results
 
 
@@ -115,10 +152,10 @@ def test_every_strategy_equals_the_nested_loop_join(setting):
     data_source = workload(topology, query, selectivities, setting["data_seed"])
     cycles = 12
     expected = {
-        first: nested_loop_join(query, topology, data_source, cycles, first)
+        first: len(nested_loop_join(query, topology, data_source, cycles, first))
         for first in (False, True)
     }
-    for algorithm in available_algorithms():
+    for algorithm in STRATEGIES.names():
         report = JoinExecutor(
             query, topology.copy(), data_source, make_strategy(algorithm),
             selectivities, seed=setting["data_seed"],
@@ -134,8 +171,8 @@ def test_the_oracle_sees_results():
     assign_table1_attributes(topology, seed=2)
     query = build_query1(window_size=3)
     data_source = workload(topology, query, Selectivities(1.0, 1.0, 0.2), seed=9)
-    source_first = nested_loop_join(query, topology, data_source, 10, False)
-    target_first = nested_loop_join(query, topology, data_source, 10, True)
+    source_first = len(nested_loop_join(query, topology, data_source, 10, False))
+    target_first = len(nested_loop_join(query, topology, data_source, 10, True))
     assert source_first > 100
     # Which relation arrives first decides whose window already holds the
     # cycle's tuple and who evicts before the probe: the totals differ, so
@@ -149,13 +186,164 @@ def test_the_oracle_sees_results():
         assert report.results_produced == want
 
 
+#: What each strategy's recovery keeps of a dead producer's tuples: the base
+#: station keeps them in its windows; an ``innet`` pair with a failed node on
+#: a producer's path (the producer itself, here) moves to the base and
+#: rebuilds its window from its live producers only.
+DEAD_PRODUCER_ENDS_PAIR = {"base": False, "innet": True, "innet-cm": True,
+                           "innet-cmg": True}
+
+
+@functools.lru_cache(maxsize=None)
+def failure_setting(seed, window, sigma_t):
+    """A deployment, its Query 1 workload and who may fail in it: the join
+    nodes of its ``innet`` plan, its producers and its relays (neither)."""
+    topology = random_topology(num_nodes=70, average_degree=8, seed=seed)
+    assign_table1_attributes(topology, seed=seed)
+    query = build_query1(window_size=window)
+    selectivities = Selectivities(1.0, sigma_t, 0.2)
+    data_source = workload(topology, query, selectivities, seed + 10)
+    scout = make_strategy("innet")
+    JoinExecutor(query, topology.copy(), data_source, scout, selectivities).initiate()
+    pairs = scout.plan.pairs()
+    producers = sorted({node for pair in pairs for node in pair})
+    join_nodes = sorted({scout.plan.decision_for(pair).join_node for pair in pairs}
+                        - {topology.base_id})
+    relays = sorted(set(topology.node_ids) - set(producers) - set(join_nodes)
+                    - {topology.base_id})
+    victims = [kind for kind in (join_nodes, relays, producers) if kind]
+    return topology, query, data_source, selectivities, victims
+
+
+#: Failures strike at these cycles only: the recoveries one starts end
+#: before the next strikes, and within the run.  (A backlog still held at
+#: the end of a run is never joined, and a producer that dies while its pair
+#: recovers takes the readings it holds for the pair with it; the oracle
+#: models neither.)
+FAILURE_CYCLES = tuple(range(2, 15, FAILOVER_CYCLES + 1))
+FAILURE_RUN_CYCLES = FAILURE_CYCLES[-1] + FAILOVER_CYCLES + 2
+
+
+@st.composite
+def failure_runs(draw):
+    """A setting and up to three failures (join node, relay or producer)
+    that leave the live nodes connected."""
+    setting = (draw(st.integers(0, 5)), draw(st.integers(1, 3)),
+               draw(st.sampled_from([0.5, 1.0])))
+    topology, *_, victims = failure_setting(*setting)
+    failures = {}
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(draw(st.sampled_from(victims))))
+        failures.setdefault(node, draw(st.sampled_from(FAILURE_CYCLES)))
+    survivors = topology.copy()
+    for node in failures:
+        survivors.nodes[node].fail()
+    assume(survivors.is_connected())
+    return setting, failures
+
+
+@contextmanager
+def recorded_results(monkeypatch):
+    """Record every result a strategy's window store makes, as ``(pair,
+    source cycle, target cycle)``.
+
+    A result is an arriving tuple that joins a tuple of the opposite
+    window.  On the per-tuple path a cycle's arrivals are matched, shipped
+    and then inserted under their delivery mask, and the opposite side does
+    not change in between, so joining each inserted tuple against it again
+    finds exactly the counted results.  A recovery's replays are recorded
+    from what ``probe_row`` returns.
+    """
+    found = []
+    insert, probe_row = WindowStore.insert, WindowStore.probe_row
+
+    def pair_of(store):
+        return {row: pair for pair, row in store.row_of.items()}
+
+    def recording_insert(store, from_source, rows, values, cycle, mask=None):
+        if mask is not None:
+            arrived, arriving = rows[mask], {a: c[mask] for a, c in values.items()}
+        else:
+            arrived, arriving = rows, values
+        joins, other = store.kernel.scalar, store._window[1 if from_source else 0]
+        pairs = pair_of(store)
+        for row, new in zip(arrived.tolist(), row_dicts(arriving, arrived.size)):
+            for old, old_cycle in other.contents(row):
+                if from_source and joins(new, old):
+                    found.append((pairs[row], cycle, old_cycle))
+                elif not from_source and joins(old, new):
+                    found.append((pairs[row], old_cycle, cycle))
+        return insert(store, from_source, rows, values, cycle, mask)
+
+    def recording_probe_row(store, row, from_source, values, cycle, probe=True):
+        matched = probe_row(store, row, from_source, values, cycle, probe)
+        pair = pair_of(store)[row]
+        found.extend((pair, cycle, old) if from_source else (pair, old, cycle)
+                     for old in matched)
+        return matched
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WindowStore, "insert", recording_insert)
+        patch.setattr(WindowStore, "probe_row", recording_probe_row)
+        yield found
+
+
+@given(run=failure_runs())
+# two producers that are also join nodes, one recovery apart: pairs the first
+# failure moved to the base recover a second time
+@example(run=((0, 1, 0.5), {1: 2, 2: 8}))
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much,
+                                 HealthCheck.function_scoped_fixture])
+def test_failures_neither_lose_nor_add_results(run, per_tuple_cycles, monkeypatch):
+    """A join node, relay or producer dying mid-run: every strategy produces
+    exactly the nested-loop join's results under the same failures -- as
+    many on its own path, and the same ones, (pair, source cycle, target
+    cycle) each, on the per-tuple path."""
+    setting, failures = run
+    topology, query, data_source, selectivities, _ = failure_setting(*setting)
+    cycles = FAILURE_RUN_CYCLES
+
+    def run_strategy(algorithm):
+        injector = FailureInjector()
+        for node, cycle in failures.items():
+            injector.schedule(node, sampling_cycle=cycle)
+        return JoinExecutor(query, topology.copy(), data_source,
+                            make_strategy(algorithm), selectivities,
+                            failure_injector=injector).run(cycles)
+
+    for algorithm, ends_pair in DEAD_PRODUCER_ENDS_PAIR.items():
+        want = Counter(nested_loop_join(query, topology, data_source, cycles, False,
+                                        failures, ends_pair))
+        assert run_strategy(algorithm).results_produced == sum(want.values()), algorithm
+        with per_tuple_cycles(), recorded_results(monkeypatch) as found:
+            report = run_strategy(algorithm)
+        assert report.results_produced == len(found), algorithm
+        assert Counter(found) == want, algorithm
+
+
 class TupleSource:
-    """A row-only data source (``sample`` and nothing else) whose join
-    attribute is a tuple: every reading takes the scalar kernels."""
+    """A data source whose join attribute is a tuple: every reading takes
+    the scalar kernels.  Its columns are its per-node rows, stacked."""
 
     def sample(self, node_id, cycle):
         draw = (node_id * 7919 + cycle * 104729) % 1000
         return {"u": (draw % 3, "reading"), "adc0": draw}
+
+    def next_switch(self, cycle):
+        return None
+
+    def sample_columns(self, node_ids, cycles):
+        block = range(cycles, cycles + 1) if isinstance(cycles, int) else cycles
+        columns = {}
+        for attribute in ("u", "adc0"):
+            column = np.empty((len(block), len(node_ids)), dtype=object)
+            for row, cycle in enumerate(block):
+                column[row] = as_column(
+                    [self.sample(n, cycle)[attribute] for n in node_ids])
+            columns[attribute] = column
+        return columns if not isinstance(cycles, int) else {
+            a: values[0] for a, values in columns.items()}
 
 
 def test_values_numpy_cannot_hold_take_the_scalar_kernels_to_the_same_results():
@@ -174,11 +362,11 @@ def test_values_numpy_cannot_hold_take_the_scalar_kernels_to_the_same_results():
     assert analysis.selection_kernel("T").array is not None
     data_source = TupleSource()
     expected = {
-        first: nested_loop_join(query, topology, data_source, 12, first)
+        first: len(nested_loop_join(query, topology, data_source, 12, first))
         for first in (False, True)
     }
     assert expected[False] > 20
-    for algorithm in available_algorithms():
+    for algorithm in STRATEGIES.names():
         report = JoinExecutor(query, topology.copy(), data_source,
                               make_strategy(algorithm),
                               Selectivities(0.5, 0.6, 0.3)).run(12)

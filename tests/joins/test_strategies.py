@@ -18,9 +18,9 @@ from repro.joins import (
     ThroughBaseJoin,
 )
 from repro.workloads import build_query0, build_query3
-from repro.workloads.intel import intel_query3_workload
 
 from tests.joins.conftest import make_workload, run_strategy
+from tests.workloads.sample_oracle import intel_query3_workload
 
 ALL_STRATEGIES = [
     NaiveJoin,

@@ -5,12 +5,12 @@ import pytest
 from repro.metrics import EnergyModel, EnergySink, HotspotSink, LatencySink
 from repro.metrics.latency import StreamingQuantile
 from repro.network import (
-    CSRAdjacency,
     MessageKind,
     NetworkSimulator,
     SensorNode,
     Topology,
 )
+from tests.network.topology_oracle import csr_from_mapping
 
 
 def chain_topology(length=5):
@@ -19,7 +19,7 @@ def chain_topology(length=5):
     for i in range(length - 1):
         adjacency[i].add(i + 1)
         adjacency[i + 1].add(i)
-    return Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping(adjacency, length),
+    return Topology(nodes=nodes, adjacency=csr_from_mapping(adjacency, length),
                     base_id=0, radio_range=1.5)
 
 
@@ -142,12 +142,10 @@ class TestEnergyArithmetic:
         with pytest.raises(ValueError):
             EnergySink(EnergyModel(), capacity_uj=1.0)
 
-    def test_node_series_and_reset(self):
+    def test_node_series(self):
         sink = self._sink()
         sink.charge_path([0, 1], 10, MessageKind.DATA)
         assert sink.node_series() == {"energy_uj": {0: 20.0, 1: 10.0}}
-        sink.reset()
-        assert sink.summary()["energy_total_uj"] == 0.0
 
 
 class TestHotspotSink:

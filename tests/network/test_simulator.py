@@ -3,7 +3,6 @@
 import pytest
 
 from repro.network import (
-    CSRAdjacency,
     LinkModel,
     MessageKind,
     NetworkSimulator,
@@ -11,6 +10,7 @@ from repro.network import (
     Topology,
     TrafficAccounting,
 )
+from tests.network.topology_oracle import csr_from_mapping
 
 
 def chain_topology(length=5):
@@ -19,7 +19,7 @@ def chain_topology(length=5):
     for i in range(length - 1):
         adjacency[i].add(i + 1)
         adjacency[i + 1].add(i)
-    return Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping(adjacency, length),
+    return Topology(nodes=nodes, adjacency=csr_from_mapping(adjacency, length),
                     base_id=0, radio_range=1.5)
 
 

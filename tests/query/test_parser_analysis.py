@@ -123,13 +123,15 @@ class TestAnalyzer:
         assert analysis.node_eligible("T", {"id": 60})
         even_u = next(v for v in range(100) if hash16(v) % 2 == 0)
         odd_u = next(v for v in range(100) if hash16(v) % 2 == 1)
-        assert analysis.producer_sends("S", {"u": even_u})
-        assert not analysis.producer_sends("S", {"u": odd_u})
+        sends = analysis.selection_kernel("S").scalar
+        assert sends({"u": even_u})
+        assert not sends({"u": odd_u})
 
     def test_tuples_join_dynamic_clause(self):
         analysis = analyze_query(parse_query(QUERY1_SQL, name="query1"))
-        assert analysis.tuples_join({"u": 3}, {"u": 3})
-        assert not analysis.tuples_join({"u": 3}, {"u": 4})
+        tuples_join = analysis.compiled_tuples_join()
+        assert tuples_join({"u": 3}, {"u": 3})
+        assert not tuples_join({"u": 3}, {"u": 4})
         assert analysis.dynamic_join_clauses
 
     def test_secondary_static_join_clause(self):
@@ -166,8 +168,9 @@ class TestAnalyzer:
         assert routing.radius == 5.0
         assert len(analysis.secondary_static_join_clauses) == 1
         assert len(analysis.dynamic_join_clauses) == 1
-        assert analysis.tuples_join({"v": 3000}, {"v": 500})
-        assert not analysis.tuples_join({"v": 1200}, {"v": 900})
+        tuples_join = analysis.compiled_tuples_join()
+        assert tuples_join({"v": 3000}, {"v": 500})
+        assert not tuples_join({"v": 1200}, {"v": 900})
 
     def test_no_routable_join(self):
         # Purely dynamic join: nothing to pattern-match.

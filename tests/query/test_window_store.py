@@ -90,11 +90,16 @@ class Reference:
         return [(t.values, t.cycle) for t in window]
 
 
+def window(store, row, from_source):
+    """One side of a store row's window, oldest first."""
+    return store._window[0 if from_source else 1].contents(row)
+
+
 def assert_same_state(store, reference, rows):
     total = 0
     for row in range(rows):
         for from_source in (True, False):
-            assert store.window(row, from_source) == reference.window(row, from_source)
+            assert window(store, row, from_source) == reference.window(row, from_source)
         buffered = reference.states[row].buffered_tuple_count()
         assert store.buffered(row) == buffered
         total += buffered
@@ -155,7 +160,7 @@ def test_numeric_columns_take_the_array_kernel_and_others_do_not():
     assert set(calls) == {"scalar"}
 
 
-def test_recent_tuples_survive_a_reset_and_replays_do_not_enter_them():
+def test_recent_tuples_survive_a_reset_and_only_probing_replays_enter_them():
     store = WindowStore([(0, 1)], 2, join_kernel("S.u = T.u"), keep_recent=True)
     row = np.array([0])
     for cycle, value in enumerate([4, 5, 6]):
@@ -165,10 +170,17 @@ def test_recent_tuples_survive_a_reset_and_replays_do_not_enter_them():
     assert store.recent(0, False) == []          # the masked tuple never arrived
     store.reset_row(0)
     assert store.total == 0 and store.buffered(0) == 0
-    assert store.probe_row(0, False, {"u": 6}, 7) == []
-    assert store.probe_row(0, True, {"u": 6}, 8) == [7]
+    # forwarded tuples rebuild the window: remembered already, never probed
+    for value, cycle in store.recent(0, True):
+        assert store.probe_row(0, True, value, cycle, probe=False) == []
     assert store.recent(0, True) == [({"u": 5}, 1), ({"u": 6}, 2)]
-    assert store.window(0, True) == [({"u": 6}, 8)]
+    # held tuples reach the row for the first time: they probe, and count
+    # among the last tuples that got through
+    assert store.probe_row(0, False, {"u": 6}, 7) == [2]
+    assert store.probe_row(0, True, {"u": 6}, 8) == [7]
+    assert store.recent(0, True) == [({"u": 6}, 2), ({"u": 6}, 8)]
+    assert store.recent(0, False) == [({"u": 6}, 7)]
+    assert window(store, 0, True) == [({"u": 6}, 2), ({"u": 6}, 8)]
 
 
 def test_window_size_is_validated():
@@ -256,8 +268,8 @@ def test_one_block_join_equals_its_cycles_one_by_one(block):
     assert totals.tolist() == totals_stepped
     for row in range(rows):
         for from_source in (True, False):
-            assert (blocked.window(row, from_source)
-                    == stepped.window(row, from_source))
+            assert (window(blocked, row, from_source)
+                    == window(stepped, row, from_source))
             assert (blocked.recent(row, from_source)
                     == stepped.recent(row, from_source))
     assert_same_state(blocked, reference, rows)

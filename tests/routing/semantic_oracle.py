@@ -1,20 +1,21 @@
 """The object build of semantic routing tables: the test oracle.
 
 One summary object per (node, attribute), a copy per child link and a merge
-per edge, aggregated bottom-up node by node.  ``SemanticRoutingTable``
-computes the same tables as arrays; ``test_semantic_array.py`` holds it to
-this build row by row.
+per edge, aggregated bottom-up node by node, with the object summaries of
+``tests/summaries/object_summaries.py`` made from each attribute's prototype.
+``SemanticRoutingTable`` computes the same tables as arrays;
+``test_semantic_array.py`` holds it to this build row by row, reading the
+array table's rows with :func:`subtree_row` and :func:`child_row`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.network.message import MessageKind
-from repro.network.simulator import NetworkSimulator
-from repro.routing.semantic import SummaryFactory, ValueExtractor
+from repro.routing.semantic import SemanticRoutingTable, SummaryFactory, ValueExtractor
 from repro.routing.tree import RoutingTree
-from repro.summaries.base import Summary
+from repro.summaries import BloomFilterSummary, Summary
+from tests.summaries.object_summaries import ObjectBloomFilter, ObjectRectSummary, empty_like
 
 
 class ObjectSemanticRoutingTable:
@@ -39,7 +40,7 @@ class ObjectSemanticRoutingTable:
         self.maintenance_bytes = 0
         self.build()
 
-    def build(self, simulator: Optional[NetworkSimulator] = None) -> None:
+    def build(self) -> None:
         """Aggregate summaries bottom-up over the tree."""
         self._child_summaries = {node: {} for node in sorted(self.tree.parent)}
         self._subtree_summaries = {}
@@ -50,26 +51,21 @@ class ObjectSemanticRoutingTable:
         for node in order:
             own: Dict[str, Summary] = {}
             for attr, factory in self.attribute_factories.items():
-                summary = factory()
+                summary = empty_like(factory())
                 values = self.value_extractors[attr](node)
                 if isinstance(values, (list, tuple)) and not self._is_point(attr, values):
                     summary.add_all(values)
                 else:
                     summary.add(values)
                 own[attr] = summary
-            for child in self.tree.children_of(node):
+            for child in self.tree.children.get(node, ()):
                 child_summaries = self._subtree_summaries[child]
                 self._child_summaries[node][child] = {
                     attr: summary.copy() for attr, summary in child_summaries.items()
                 }
                 for attr, summary in child_summaries.items():
                     own[attr] = own[attr].merge(summary)
-                report_bytes = sum(s.size_bytes() for s in child_summaries.values())
-                self.maintenance_bytes += report_bytes
-                if simulator is not None:
-                    simulator.transfer(
-                        [child, node], report_bytes or 1, MessageKind.TREE_MAINT
-                    )
+                self.maintenance_bytes += sum(s.size_bytes() for s in child_summaries.values())
             self._subtree_summaries[node] = own
 
     @staticmethod
@@ -90,11 +86,28 @@ class ObjectSemanticRoutingTable:
         self, node: int, attr: str, probe: Callable[[Summary], bool]
     ) -> List[int]:
         matching = []
-        for child in self.tree.children_of(node):
+        for child in self.tree.children.get(node, ()):
             summary = self._child_summaries[node].get(child, {}).get(attr)
             if summary is not None and probe(summary):
                 matching.append(child)
         return matching
 
-    def total_maintenance_bytes(self) -> int:
-        return self.maintenance_bytes
+
+def subtree_row(table: SemanticRoutingTable, node: int, attr: str) -> Summary:
+    """The array table's summary of the subtree rooted at *node*, copied out
+    of its rows into an object summary."""
+    if node not in table._covered:
+        raise KeyError(node)
+    view = table._rows[attr].view(node)
+    if isinstance(view, BloomFilterSummary):
+        summary = ObjectBloomFilter(view.num_bits, view.num_hashes)
+        summary._bits, summary._count = view._bits, view._count
+        return summary
+    return ObjectRectSummary(view.rect)
+
+
+def child_row(table: SemanticRoutingTable, node: int, child: int, attr: str) -> Summary:
+    """What *node* keeps for its child link to *child*: the child's subtree row."""
+    if child not in table.tree.children.get(node, ()):
+        raise KeyError((node, child))
+    return subtree_row(table, child, attr)

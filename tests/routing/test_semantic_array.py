@@ -4,9 +4,8 @@
 (``semantic_oracle.ObjectSemanticRoutingTable``) merges one summary object
 per node and edge.  Over random and grid topologies, roots, tie-break seeds
 and value types, every subtree and child-link summary must agree (Bloom bits
-and item counts, bounding rectangles), as must the children
-a probe selects, the maintenance bytes and the ``TREE_MAINT`` transfers,
-including the link model's RNG state after a lossy build.
+and item counts, bounding rectangles), as must the children a probe
+selects and the maintenance bytes.
 """
 
 import math
@@ -16,14 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.network import NetworkSimulator
-from repro.network.links import lossy_links
 from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.semantic import bloom_masks
 from repro.summaries import BloomFilterSummary, RectSummary, Summary
 from repro.summaries.bloom import _mask_for
-from tests.routing.semantic_oracle import ObjectSemanticRoutingTable
+from tests.routing.semantic_oracle import ObjectSemanticRoutingTable, child_row, subtree_row
 
 NUM_BITS = (64, 100, 128, 256, 257)
 SETTINGS = settings(max_examples=40, deadline=None,
@@ -65,19 +62,18 @@ def node_values(draw, topology, values):
 def assert_same_summary(array, oracle):
     if isinstance(oracle, BloomFilterSummary):
         assert (array.num_bits, array.num_hashes) == (oracle.num_bits, oracle.num_hashes)
-        assert array._bits == oracle._bits
-        assert array.approximate_items == oracle.approximate_items
+        assert (array._bits, array._count) == (oracle._bits, oracle._count)
     else:
-        assert array.bounding_rect() == oracle.bounding_rect()
+        assert array.rect == oracle.rect
 
 
 def assert_same_rows(array, oracle, tree, attrs):
     for attr in attrs:
         for node in sorted(tree.parent):
-            assert_same_summary(array.subtree_summary(node, attr),
+            assert_same_summary(subtree_row(array, node, attr),
                                 oracle.subtree_summary(node, attr))
-            for child in tree.children_of(node):
-                assert_same_summary(array.child_summary(node, child, attr),
+            for child in tree.children.get(node, ()):
+                assert_same_summary(child_row(array, node, child, attr),
                                     oracle.child_summary(node, child, attr))
 
 
@@ -127,7 +123,7 @@ def test_bloom_tables_agree_with_the_object_build(data):
         v for v in values.values() if not isinstance(v, list)][:4]
     assert_same_choices(array, oracle, tree, "key", [
         lambda summary, v=v: summary.might_contain(v) for v in probe_values])
-    assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
+    assert array.maintenance_bytes == oracle.maintenance_bytes
 
 
 @SETTINGS
@@ -145,27 +141,13 @@ def test_pos_tables_keep_the_bounding_rectangles(data):
     assert_same_choices(array, oracle, tree, "pos", [
         lambda summary, c=c, r=r: summary.intersects_radius(c, r) for c, r in probes])
     # a pos report is one rectangle per tree edge
-    assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
-    assert array.total_maintenance_bytes() == 8 * (len(tree.parent) - 1)
-
-
-def recorded_build(build, topology, seed):
-    simulator = NetworkSimulator(topology, link_model=lossy_links(0.3, seed=seed))
-    calls = []
-    transfer = simulator.transfer
-
-    def recording(path, size, kind, *args, **kwargs):
-        calls.append((tuple(path), size, kind))
-        return transfer(path, size, kind, *args, **kwargs)
-
-    simulator.transfer = recording
-    table = build(simulator)
-    return table, calls, simulator
+    assert array.maintenance_bytes == oracle.maintenance_bytes
+    assert array.maintenance_bytes == 8 * (len(tree.parent) - 1)
 
 
 @SETTINGS
 @given(st.data())
-def test_tree_maint_charges_match_the_object_build(data):
+def test_two_attribute_tables_agree_with_the_object_build(data):
     topology, tree = data.draw(trees())
     num_bits = data.draw(st.sampled_from(NUM_BITS))
     factories = {"key": lambda: BloomFilterSummary(num_bits=num_bits),
@@ -173,23 +155,10 @@ def test_tree_maint_charges_match_the_object_build(data):
     keys = node_values(data.draw, topology, bloom_values)
     positions = node_values(data.draw, topology, pos_values)
     extractors = {"key": keys.__getitem__, "pos": positions.__getitem__}
-    seed = data.draw(st.integers(0, 100))
-
-    def oracle_build(simulator):
-        table = ObjectSemanticRoutingTable(tree, factories, extractors)
-        table.build(simulator)
-        return table
-
-    array, array_calls, array_sim = recorded_build(
-        lambda sim: SemanticRoutingTable(tree, factories, extractors, simulator=sim),
-        topology, seed)
-    oracle, oracle_calls, oracle_sim = recorded_build(oracle_build, topology, seed)
-    assert array_calls == oracle_calls
-    assert array_sim.stats.total() == oracle_sim.stats.total()
-    assert array_sim.stats.messages_dropped == oracle_sim.stats.messages_dropped
-    assert (array_sim.links._rng.bit_generator.state
-            == oracle_sim.links._rng.bit_generator.state)
-    assert array.total_maintenance_bytes() == oracle.total_maintenance_bytes()
+    array, oracle = both(tree, factories, extractors)
+    # one report per tree edge, both attributes' summaries in it
+    assert array.maintenance_bytes == oracle.maintenance_bytes
+    assert array.maintenance_bytes == ((num_bits + 7) // 8 + 8) * (len(tree.parent) - 1)
     assert_same_rows(array, oracle, tree, ["key", "pos"])
 
 
@@ -205,7 +174,7 @@ def test_substrate_tables_after_repair_agree_and_read_live_values(num_trees):
     factories = {"group": lambda: BloomFilterSummary(num_bits=100),
                  "id": lambda: BloomFilterSummary(num_bits=128),
                  "pos": RectSummary}
-    extractors = {"group": lambda n: topology.nodes[n].get_attribute("group"),
+    extractors = {"group": lambda n: topology.nodes[n].static_attributes["group"],
                   "id": lambda n: n,
                   "pos": lambda n: topology.nodes[n].position}
     substrate = MultiTreeSubstrate(topology, num_trees=num_trees,
@@ -218,7 +187,7 @@ def test_substrate_tables_after_repair_agree_and_read_live_values(num_trees):
         n for n in topology.node_ids
         if n != topology.base_id
         and n not in {t.root for t in substrate.trees}
-        and substrate.primary_tree.children_of(n)
+        and substrate.primary_tree.children.get(n)
     )
     topology.nodes[victim].fail()
     topology.nodes[0].set_static("group", 99)   # repair re-extracts values
@@ -227,10 +196,10 @@ def test_substrate_tables_after_repair_agree_and_read_live_values(num_trees):
         assert victim not in tree.parent
         assert_same_rows(table, ObjectSemanticRoutingTable(tree, factories, extractors),
                          tree, factories)
-        assert table.subtree_summary(tree.root, "group").might_contain(99)
+        assert subtree_row(table, tree.root, "group").might_contain(99)
 
 
-def test_indexing_with_a_simulator_builds_and_charges_each_table_once():
+def test_indexing_builds_one_prototype_per_tree_and_nothing_per_node():
     topology = random_topology(num_nodes=40, average_degree=7, seed=4)
     calls = []
 
@@ -240,32 +209,21 @@ def test_indexing_with_a_simulator_builds_and_charges_each_table_once():
 
     extractors = {"id": lambda n: n}
     substrate = MultiTreeSubstrate(topology, num_trees=3)
-    sim = NetworkSimulator(topology)
-    substrate.index_attributes({"id": factory}, extractors, simulator=sim)
-    assert len(calls) == 3   # one prototype per tree, nothing per node
-    reference = NetworkSimulator(topology)
-    for tree in substrate.trees:
-        ObjectSemanticRoutingTable(tree, {"id": factory}, extractors).build(reference)
-    assert sim.stats.total() == reference.stats.total()
+    substrate.index_attributes({"id": factory}, extractors)
+    assert len(calls) == 3
+    for tree, table in zip(substrate.trees, substrate.tables):
+        oracle = ObjectSemanticRoutingTable(tree, {"id": factory}, extractors)
+        assert table.maintenance_bytes == oracle.maintenance_bytes
 
 
 class _OtherSummary(Summary):
     """A summary type the array table has no layout for."""
 
-    def add(self, value):
-        pass
-
     def might_contain(self, value):
         return True
 
-    def merge(self, other):
-        return self
-
     def size_bytes(self):
         return 0
-
-    def copy(self):
-        return self
 
 
 def test_unsupported_summary_types_are_refused_by_name():
@@ -275,15 +233,11 @@ def test_unsupported_summary_types_are_refused_by_name():
                              {"id": lambda n: n})
 
 
-def test_lookups_of_uncovered_nodes_and_unindexed_attributes():
+def test_probes_of_uncovered_nodes_and_unindexed_attributes_match_nothing():
     topology = grid_topology(num_nodes=16)
     tree = RoutingTree(topology)
     table = SemanticRoutingTable(tree, {"id": lambda: BloomFilterSummary(num_bits=128)},
                                  {"id": lambda n: n})
-    with pytest.raises(KeyError):
-        table.subtree_summary(999, "id")
-    with pytest.raises(KeyError):
-        table.child_summary(tree.root, tree.root, "id")
     assert table.children_that_might_match(tree.root, "other", lambda s: True) == []
-    assert not table.subtree_might_match(999, "id", lambda s: True)
-    assert table.subtree_might_match(tree.root, "id", lambda s: s.might_contain(15))
+    assert table.children_that_might_match(999, "id", lambda s: True) == []
+    assert table.children_that_might_match(tree.root, "id", lambda s: s.might_contain(15))

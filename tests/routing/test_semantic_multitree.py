@@ -8,6 +8,7 @@ from repro.network.topology import grid_topology, random_topology
 from repro.routing import MultiTreeSubstrate, RoutingTree, SemanticRoutingTable
 from repro.routing.paths import path_quality_for_pairs
 from repro.summaries import BloomFilterSummary, Rect, RectSummary
+from tests.routing.semantic_oracle import subtree_row
 
 
 @pytest.fixture
@@ -33,12 +34,12 @@ class TestSemanticRoutingTable:
         table = SemanticRoutingTable(
             tree,
             {"group": bloom_factory},
-            {"group": lambda nid: topo.nodes[nid].get_attribute("group")},
+            {"group": lambda nid: topo.nodes[nid].static_attributes["group"]},
         )
         for node in topo.node_ids:
-            summary = table.subtree_summary(node, "group")
+            summary = subtree_row(table, node, "group")
             for member in tree.subtree_nodes(node):
-                value = topo.nodes[member].get_attribute("group")
+                value = topo.nodes[member].static_attributes["group"]
                 assert summary.might_contain(value)
 
     def test_child_summary_pruning_no_false_negatives(self, topo):
@@ -46,12 +47,12 @@ class TestSemanticRoutingTable:
         table = SemanticRoutingTable(
             tree,
             {"group": bloom_factory},
-            {"group": lambda nid: topo.nodes[nid].get_attribute("group")},
+            {"group": lambda nid: topo.nodes[nid].static_attributes["group"]},
         )
         target_value = 3
         holders = {
             nid for nid in topo.node_ids
-            if topo.nodes[nid].get_attribute("group") == target_value
+            if topo.nodes[nid].static_attributes["group"] == target_value
         }
         # Every holder must be reachable through children flagged as matching.
         for node in topo.node_ids:
@@ -59,7 +60,7 @@ class TestSemanticRoutingTable:
                 table.children_that_might_match(
                     node, "group", lambda summary: summary.might_contain(target_value))
             )
-            for child in tree.children_of(node):
+            for child in tree.children.get(node, []):
                 subtree = set(tree.subtree_nodes(child))
                 if subtree & holders:
                     assert child in matching_children
@@ -72,20 +73,17 @@ class TestSemanticRoutingTable:
             {"pos": lambda nid: topo.nodes[nid].position},
         )
         xs, ys = zip(*(topo.nodes[nid].position for nid in topo.node_ids))
-        root_summary = table.subtree_summary(tree.root, "pos")
-        assert root_summary.bounding_rect() == Rect(min(xs), min(ys), max(xs), max(ys))
+        root_summary = subtree_row(table, tree.root, "pos")
+        assert root_summary.rect == Rect(min(xs), min(ys), max(xs), max(ys))
 
-    def test_maintenance_traffic_charged(self, topo):
+    def test_maintenance_bytes_count_one_report_per_tree_edge(self, topo):
         tree = RoutingTree(topo)
-        sim = NetworkSimulator(topo)
         table = SemanticRoutingTable(
             tree,
             {"group": bloom_factory},
-            {"group": lambda nid: topo.nodes[nid].get_attribute("group")},
+            {"group": lambda nid: topo.nodes[nid].static_attributes["group"]},
         )
-        table.build(sim)
-        assert sim.stats.total() > 0
-        assert table.total_maintenance_bytes() > 0
+        assert table.maintenance_bytes == 32 * (len(tree.parent) - 1)
 
 
 class TestMultiTreeSubstrate:
@@ -103,7 +101,7 @@ class TestMultiTreeSubstrate:
 
     def test_hops_to_base_matches_primary_tree(self, topo):
         substrate = MultiTreeSubstrate(topo, num_trees=2)
-        hops = topo.shortest_hops(topo.base_id)
+        hops = topo.shortest_hops_view(topo.base_id)
         for node in topo.node_ids:
             assert substrate.hops_to_base(node) == hops[node]
 
@@ -127,19 +125,19 @@ class TestMultiTreeSubstrate:
             topo,
             num_trees=2,
             indexed_attributes={"group": bloom_factory},
-            value_extractors={"group": lambda nid: topo.nodes[nid].get_attribute("group")},
+            value_extractors={"group": lambda nid: topo.nodes[nid].static_attributes["group"]},
         )
         source = topo.node_ids[5]
-        wanted = topo.nodes[source].get_attribute("group")
+        wanted = topo.nodes[source].static_attributes["group"]
         result = substrate.find_matches(
             source,
             "group",
             summary_probe=lambda summary: summary.might_contain(wanted),
-            node_matches=lambda nid: topo.nodes[nid].get_attribute("group") == wanted,
+            node_matches=lambda nid: topo.nodes[nid].static_attributes["group"] == wanted,
         )
         expected = {
             nid for nid in topo.node_ids
-            if nid != source and topo.nodes[nid].get_attribute("group") == wanted
+            if nid != source and topo.nodes[nid].static_attributes["group"] == wanted
         }
         assert set(result.paths) == expected
         # every recorded message crosses one tree edge
@@ -170,15 +168,15 @@ class TestMultiTreeSubstrate:
             topo,
             num_trees=2,
             indexed_attributes={"group": bloom_factory},
-            value_extractors={"group": lambda nid: topo.nodes[nid].get_attribute("group")},
+            value_extractors={"group": lambda nid: topo.nodes[nid].static_attributes["group"]},
         )
         source = topo.node_ids[5]
-        wanted = topo.nodes[source].get_attribute("group")
+        wanted = topo.nodes[source].static_attributes["group"]
         result = substrate.find_matches(
             source,
             "group",
             summary_probe=lambda summary: summary.might_contain(wanted),
-            node_matches=lambda nid: topo.nodes[nid].get_attribute("group") == wanted,
+            node_matches=lambda nid: topo.nodes[nid].static_attributes["group"] == wanted,
         )
         assert sim.stats.total() == 0
         for sender, receiver, path_len in result.edges:
@@ -194,13 +192,13 @@ class TestMultiTreeSubstrate:
             topo,
             num_trees=2,
             indexed_attributes={"group": bloom_factory},
-            value_extractors={"group": lambda nid: topo.nodes[nid].get_attribute("group")},
+            value_extractors={"group": lambda nid: topo.nodes[nid].static_attributes["group"]},
         )
         victim = next(
             n for n in topo.node_ids
             if n != topo.base_id
             and n not in {t.root for t in substrate.trees}
-            and substrate.primary_tree.children_of(n)
+            and substrate.primary_tree.children.get(n, [])
         )
         topo.nodes[victim].fail()
         stranded = substrate.repair_after_failure(victim)
@@ -218,7 +216,7 @@ class TestMultiTreeSubstrate:
             n for n in topo.node_ids
             if n != topo.base_id
             and n not in {t.root for t in substrate.trees}
-            and substrate.primary_tree.children_of(n)
+            and substrate.primary_tree.children.get(n, [])
         )
         twin = substrate.copy()
         topo.nodes[victim].fail()

@@ -25,14 +25,14 @@ class TestConstruction:
 
     def test_depths_match_bfs(self, topo):
         tree = RoutingTree(topo)
-        hops = topo.shortest_hops(topo.base_id)
+        hops = topo.shortest_hops_view(topo.base_id)
         for node in topo.node_ids:
             assert tree.depth_of(node) == hops[node]
 
     def test_parent_child_consistency(self, topo):
         tree = RoutingTree(topo)
         for node in sorted(tree.parent):
-            for child in tree.children_of(node):
+            for child in tree.children.get(node, []):
                 assert tree.parent_of(child) == node
                 assert tree.depth_of(child) == tree.depth_of(node) + 1
 
@@ -81,7 +81,7 @@ class TestRouting:
         tree = RoutingTree(topo)
         all_nodes = tree.subtree_nodes(tree.root)
         assert sorted(all_nodes) == sorted(topo.node_ids)
-        leaves = [n for n in topo.node_ids if not tree.children_of(n)]
+        leaves = [n for n in topo.node_ids if not tree.children.get(n, [])]
         assert leaves  # any non-trivial tree has leaves
         for leaf in leaves[:5]:
             assert tree.subtree_nodes(leaf) == [leaf]
@@ -94,7 +94,7 @@ class TestRepair:
         # Fail an interior node that has children in the tree.
         victim = next(
             n for n in topo.node_ids
-            if n != tree.root and tree.children_of(n)
+            if n != tree.root and tree.children.get(n, [])
         )
         topo.nodes[victim].fail()
         stranded = tree.repair_after_failure(victim)
@@ -112,7 +112,7 @@ class TestRepair:
         tree = RoutingTree(topo)
         sim = NetworkSimulator(topo)
         victim = next(
-            n for n in topo.node_ids if n != tree.root and tree.children_of(n)
+            n for n in topo.node_ids if n != tree.root and tree.children.get(n, [])
         )
         topo.nodes[victim].fail()
         tree.repair_after_failure(victim, simulator=sim)
@@ -126,7 +126,7 @@ class TestRepair:
     def test_repair_of_leaf(self):
         topo = grid_topology(num_nodes=25)
         tree = RoutingTree(topo)
-        leaf = next(n for n in topo.node_ids if not tree.children_of(n) and n != tree.root)
+        leaf = next(n for n in topo.node_ids if not tree.children.get(n, []) and n != tree.root)
         topo.nodes[leaf].fail()
         stranded = tree.repair_after_failure(leaf)
         assert stranded == []

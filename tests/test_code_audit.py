@@ -65,45 +65,14 @@ ALLOWED_DEFS: Dict[str, str] = {
     "repro.experiments.scenarios.register_scenario":
         "public hook for user scenarios: tests/experiments/test_cli.py",
     "repro.service.daemon._RequestHandler.handle": "socketserver calls it per connection",
-    # the Summary protocol: the object oracle merges, the array tests compare
-    "repro.summaries.base.Summary.merge": "tests/routing/semantic_oracle.py",
-    "repro.summaries.bloom.BloomFilterSummary.merge": "tests/routing/semantic_oracle.py",
-    "repro.summaries.rect.RectSummary.merge": "tests/routing/semantic_oracle.py",
-    "repro.summaries.rect.RectSummary.bounding_rect": "tests/routing/test_semantic_array.py",
-    "repro.summaries.bloom.BloomFilterSummary.approximate_items":
-        "tests/routing/test_semantic_array.py",
-    "repro.routing.semantic.SemanticRoutingTable.child_summary":
-        "tests/routing/test_semantic_array.py",
-    "repro.routing.semantic.SemanticRoutingTable.subtree_summary":
-        "tests/routing/test_semantic_array.py",
-    "repro.routing.semantic.SemanticRoutingTable.subtree_might_match":
-        "tests/routing/test_semantic_array.py",
-    "repro.routing.semantic.SemanticRoutingTable.total_maintenance_bytes":
-        "tests/routing/test_semantic_array.py",
-    "repro.routing.tree.RoutingTree.children_of": "tests/routing/semantic_oracle.py",
     # read by tests only; candidates for deletion or a move into tests/
-    "repro.engine.pool.WorkerPool.worker_pids": "tests/engine/test_pool.py",
-    "repro.engine.pool.reset_run_costs":
-        "tests/engine/test_pool.py, benchmarks/test_perf_sweep.py",
-    "repro.engine.registry.Registry.builders": "tests/engine/test_pool.py",
-    "repro.engine.registry.available_algorithms": "tests/experiments/test_harness.py",
     "repro.engine.spec.ScenarioSpec.to_json": "tests/engine/test_spec.py",
     "repro.engine.spec.ScenarioSpec.from_json": "tests/engine/test_spec.py",
-    "repro.engine.store.ResultStore.journal_mode": "tests/engine/test_store.py",
-    "repro.engine.workload.workload_cache_stats": "tests/engine/test_runner.py",
-    "repro.network.links.LinkModel.expected_attempts": "tests/network/test_links.py",
     "repro.network.mobility.max_supported_speed": "benchmarks/test_appg_mobility.py",
-    "repro.network.node.SensorNode.get_attribute": "tests/network/test_node.py",
-    "repro.network.node.SensorNode.recover": "tests/network/test_path_cache.py",
-    "repro.network.topology.CSRAdjacency.from_mapping": "tests/network/test_topology.py",
-    "repro.network.topology.Topology.shortest_hops": "tests/network/test_topology.py",
     "repro.network.traffic.TrafficStats.snapshot": "benchmarks/test_perf_transport.py",
-    "repro.query.analysis.QueryAnalysis.producer_sends": "tests/joins/test_result_oracle.py",
-    "repro.query.analysis.QueryAnalysis.tuples_join": "tests/joins/test_result_oracle.py",
     "repro.query.window.JoinState.buffered_tuple_count": "tests/query/test_window.py",
     "repro.query.window.JoinState.export_state": "tests/query/test_window.py",
     "repro.query.window.JoinState.import_state": "tests/query/test_window.py",
-    "repro.workloads.intel.intel_query3_workload": "tests/joins/test_strategies.py",
 }
 
 #: Defaulted parameters no call site passes, each with its reader.
@@ -137,10 +106,6 @@ ALLOWED_PARAMS: Dict[str, str] = {
         "build_topology's presets (the paper's 256 m field)",
     "repro.network.topology.intel_lab_topology(radio_range)": "the intel preset",
     "repro.network.topology.intel_lab_topology(name)": "the intel preset",
-    "repro.workloads.intel.intel_query3_workload(radius_m)": "tests/joins/test_strategies.py",
-    "repro.workloads.intel.intel_query3_workload(difference_threshold)":
-        "tests/joins/test_strategies.py",
-    "repro.workloads.intel.intel_query3_workload(window_size)": "tests/joins/test_strategies.py",
     "repro.workloads.intel.measure_dynamic_join_selectivity(radius_m)":
         "fig13's selectivity measurement",
     "repro.workloads.intel.measure_dynamic_join_selectivity(difference_threshold)":

@@ -29,6 +29,8 @@ from repro.workloads import (
 from repro.workloads.attributes import X_RANGE, Y_RANGE
 from repro.workloads.datasource import SEND_THRESHOLD
 
+from tests.workloads.sample_oracle import intel_query3_workload, sample
+
 
 @pytest.fixture(scope="module")
 def topo():
@@ -160,8 +162,9 @@ class TestQueries:
         analysis = analyze_query(query)
         assert isinstance(analysis.routing_predicate, RegionRouting)
         assert analysis.routing_predicate.radius == 5.0
-        assert analysis.tuples_join({"v": 5000}, {"v": 100})
-        assert not analysis.tuples_join({"v": 500}, {"v": 100})
+        tuples_join = analysis.compiled_tuples_join()
+        assert tuples_join({"v": 5000}, {"v": 100})
+        assert not tuples_join({"v": 500}, {"v": 100})
 
 
 class TestSelectivityRegimes:
@@ -192,20 +195,20 @@ class TestSyntheticDataSource:
     def test_deterministic_per_seed(self):
         a = SyntheticDataSource(sigma_st=0.2, send_probability=0.5, seed=1)
         b = SyntheticDataSource(sigma_st=0.2, send_probability=0.5, seed=1)
-        assert [a.sample(3, c) for c in range(20)] == [b.sample(3, c) for c in range(20)]
+        assert [sample(a, 3, c) for c in range(20)] == [sample(b, 3, c) for c in range(20)]
         c = SyntheticDataSource(sigma_st=0.2, send_probability=0.5, seed=2)
-        assert [a.sample(3, i) for i in range(20)] != [c.sample(3, i) for i in range(20)]
+        assert [sample(a, 3, i) for i in range(20)] != [sample(c, 3, i) for i in range(20)]
 
     def test_u_range_matches_sigma_st(self):
         source = SyntheticDataSource(sigma_st=0.2, seed=0)
-        values = {source.sample(1, c)["u"] for c in range(500)}
+        values = {sample(source, 1, c)["u"] for c in range(500)}
         assert values <= set(range(5))
         assert len(values) == 5
 
     def test_send_probability_realized(self):
         source = SyntheticDataSource(sigma_st=0.2, send_probability=0.3, seed=0)
         sends = sum(
-            1 for c in range(2000) if source.sample(7, c)["adc0"] < SEND_THRESHOLD
+            1 for c in range(2000) if sample(source, 7, c)["adc0"] < SEND_THRESHOLD
         )
         assert sends / 2000 == pytest.approx(0.3, abs=0.05)
 
@@ -214,7 +217,7 @@ class TestSyntheticDataSource:
         matches = sum(
             1
             for c in range(3000)
-            if source.sample(1, c)["u"] == source.sample(2, c)["u"]
+            if sample(source, 1, c)["u"] == sample(source, 2, c)["u"]
         )
         assert matches / 3000 == pytest.approx(0.1, abs=0.03)
 
@@ -225,10 +228,10 @@ class TestSyntheticDataSource:
             per_node_u_range={5: 2},
         )
         assert all(
-            source.sample(5, c)["adc0"] >= SEND_THRESHOLD for c in range(100)
+            sample(source, 5, c)["adc0"] >= SEND_THRESHOLD for c in range(100)
         )
-        assert all(source.sample(5, c)["u"] < 2 for c in range(100))
-        assert any(source.sample(6, c)["adc0"] < SEND_THRESHOLD for c in range(10))
+        assert all(sample(source, 5, c)["u"] < 2 for c in range(100))
+        assert any(sample(source, 6, c)["adc0"] < SEND_THRESHOLD for c in range(10))
 
     def test_temporal_switch(self):
         late = SyntheticDataSource(sigma_st=0.5, send_probability=0.0, seed=0)
@@ -236,8 +239,8 @@ class TestSyntheticDataSource:
             sigma_st=0.2, send_probability=1.0, seed=0,
             switch_cycle=10, switched=late,
         )
-        assert source.sample(1, 5)["adc0"] < SEND_THRESHOLD
-        assert source.sample(1, 15)["adc0"] >= SEND_THRESHOLD
+        assert sample(source, 1, 5)["adc0"] < SEND_THRESHOLD
+        assert sample(source, 1, 15)["adc0"] >= SEND_THRESHOLD
 
     def test_build_send_probability_map(self):
         mapping = build_send_probability_map([1, 2], [2, 3], 0.1, 1.0)
@@ -249,9 +252,9 @@ class TestSyntheticDataSource:
     @settings(max_examples=60)
     def test_samples_always_well_formed(self, node, cycle):
         source = SyntheticDataSource(sigma_st=0.25, send_probability=0.5, seed=3)
-        sample = source.sample(node, cycle)
-        assert 0 <= sample["u"] < 4
-        assert 0 <= sample["adc0"] < 1000
+        reading = sample(source, node, cycle)
+        assert 0 <= reading["u"] < 4
+        assert 0 <= reading["adc0"] < 1000
 
     @given(st.lists(st.integers(0, 2 ** 40), max_size=12), st.integers(0, 2 ** 33),
            st.integers(0, 2 ** 62))
@@ -266,7 +269,7 @@ class TestSyntheticDataSource:
             per_node_u_range={n: 7 for n in nodes[1::3]},
             switch_cycle=2 ** 20, switched=switched,
         )
-        expected = [source.sample(n, cycle) for n in nodes]
+        expected = [sample(source, n, cycle) for n in nodes]
         assert source.sample_many(nodes, cycle) == expected
         columns = source.sample_columns(nodes, cycle)
         assert sorted(columns) == ["adc0", "u", "v"]
@@ -297,7 +300,7 @@ class TestSyntheticDataSource:
                 assert column.shape == (length, len(nodes))
                 assert column[step].tolist() == one[attribute].tolist()
             assert [{a: int(block[a][step][i]) for a in block}
-                    for i in range(len(nodes))] == [source.sample(n, cycle) for n in nodes]
+                    for i in range(len(nodes))] == [sample(source, n, cycle) for n in nodes]
 
 
     def test_a_three_regime_schedule_samples_every_regime(self, topo):
@@ -321,8 +324,10 @@ class TestSyntheticDataSource:
             10, 10, 20, 20, None, None]
         block = source.sample_columns(nodes, range(5, 30))
         for cycle in range(5, 30):
-            expected = [regime(cycle).sample(n, cycle) for n in nodes]
-            assert [source.sample(n, cycle) for n in nodes] == expected
+            expected = [sample(regime(cycle), n, cycle) for n in nodes]
+            assert [sample(source, n, cycle) for n in nodes] == expected
+            assert [{a: int(block[a][cycle - 5][i]) for a in block}
+                    for i in range(len(nodes))] == expected
             one = source.sample_columns(nodes, cycle)
             for attribute, column in regime(cycle).sample_columns(nodes, cycle).items():
                 assert one[attribute].tolist() == column.tolist()
@@ -330,21 +335,17 @@ class TestSyntheticDataSource:
         # the third regime sends on every eligible node
         senders = [n for n in nodes if alone[2].send_probability_for(n) == 1.0]
         assert senders
-        assert all(source.sample(n, 25)["adc0"] < SEND_THRESHOLD for n in senders)
+        assert all(sample(source, n, 25)["adc0"] < SEND_THRESHOLD for n in senders)
 
 class TestIntelWorkload:
     def test_workload_components(self):
-        from repro.workloads import intel_query3_workload
-
         topo, source, query = intel_query3_workload(seed=1)
         assert topo.num_nodes == 54
         assert query.name == "query3"
-        sample = source.sample(topo.node_ids[0], 0)
-        assert 0 <= sample["v"] <= 65535
+        reading = source.sample_columns(topo.node_ids, 0)
+        assert 0 <= int(reading["v"][0]) <= 65535
 
     def test_humidity_spatially_correlated(self):
-        from repro.workloads import intel_query3_workload
-
         topo, source, _ = intel_query3_workload(seed=1)
         ids = topo.node_ids
         near_pairs = [
@@ -364,16 +365,35 @@ class TestIntelWorkload:
         assert near_diff < far_diff
 
     def test_dynamic_selectivity_moderate(self):
-        from repro.workloads.intel import (
-            intel_query3_workload,
-            measure_dynamic_join_selectivity,
-        )
+        from repro.workloads.intel import measure_dynamic_join_selectivity
 
         topo, source, _ = intel_query3_workload(seed=1)
         sigma = measure_dynamic_join_selectivity(source, topo, cycles=20)
         # The paper's Query 3 runs at sigma_st ~ 20%; the synthetic trace
         # should land in a comparable, non-degenerate band.
         assert 0.05 <= sigma <= 0.45
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_columns_are_the_per_node_samples(self, seed):
+        """``sample_columns`` equals the per-node oracle for an int cycle and
+        for a block, with cycles asked out of order (the AR(1) noise is
+        cached, so the order of the questions cannot change an answer)."""
+        from repro.workloads.intel import IntelDataSource
+
+        topo = intel_query3_workload(seed=seed)[0]
+        nodes = topo.node_ids[5:40:3] + topo.node_ids[:4]
+        fresh = IntelDataSource(topology=topo, seed=seed, send_probability=0.6)
+        for cycles in (range(30, 45), 3, range(0, 12), 44, range(12, 13), 200):
+            columns = fresh.sample_columns(nodes, cycles)
+            assert list(columns) == ["v", "humidity", "u", "adc0"]
+            block = [cycles] if isinstance(cycles, int) else cycles
+            oracle = IntelDataSource(topology=topo, seed=seed, send_probability=0.6)
+            for step, cycle in enumerate(block):
+                expected = [sample(oracle, n, cycle) for n in nodes]
+                row = {a: (c if isinstance(cycles, int) else c[step]).tolist()
+                       for a, c in columns.items()}
+                assert [{a: row[a][i] for a in row} for i in range(len(nodes))] == expected
+        assert fresh.next_switch(0) is None
 
     def test_intel_validation(self):
         from repro.workloads.intel import IntelDataSource
