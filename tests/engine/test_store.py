@@ -77,6 +77,15 @@ class TestResultStore:
         assert "queue_drops" not in report_to_dict(report)
         assert "queue_drops" not in report.as_dict()
 
+    def test_put_commits_before_close(self, tmp_path):
+        path = tmp_path / "results.sqlite"
+        spec = _one_spec()
+        report = execute_run(spec).report
+        with ResultStore(path) as writer:
+            writer.put(spec, report)
+            with ResultStore(path) as reader:
+                assert reader.get(spec.run_key()) == report
+
     def test_close_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path / "results.sqlite")
         assert not store.closed

@@ -58,6 +58,16 @@ class TestPathCacheEquivalence:
                 hops = topo.hops_between(source, target)
                 assert hops == (None if path is None else len(path) - 1)
 
+    def test_shortest_hops_view_is_served_from_the_cache(self, topo):
+        base = topo.base_id
+        first = topo.shortest_hops_view(base)
+        assert topo.shortest_hops_view(base) is first
+        victim = next(n for n in topo.node_ids if n != base)
+        topo.nodes[victim].fail()
+        fresh = topo.shortest_hops_view(base)
+        assert fresh is not first
+        assert victim in first and victim not in fresh
+
 
 class TestInvalidation:
     def test_direct_node_fail_invalidates(self, topo):

@@ -46,6 +46,16 @@ class TestBasics:
         )
         assert false_positives < 100  # well under 10%
 
+    def test_fill_ratio_monotone(self):
+        # An add only sets bits: the fill ratio never falls and no set bit clears.
+        bloom = ObjectBloomFilter(num_bits=64)
+        previous_bits = bloom._bits
+        for value in range(10):
+            bloom.add(value)
+            assert bloom._bits & previous_bits == previous_bits
+            assert bin(bloom._bits).count("1") >= bin(previous_bits).count("1")
+            previous_bits = bloom._bits
+
     def test_size_bytes(self):
         assert BloomFilterSummary(num_bits=64).size_bytes() == 8
         assert BloomFilterSummary(num_bits=65).size_bytes() == 9

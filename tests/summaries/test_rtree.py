@@ -21,6 +21,20 @@ class TestRect:
         with pytest.raises(ValueError):
             Rect(5, 0, 1, 1)
 
+    def test_contains(self):
+        # Containment is inclusive at the border, for the oracle's object
+        # summary and for a zero-radius probe of the summary the table keeps.
+        summary = RectSummary()
+        summary.rect = Rect(0, 0, 10, 10)
+        oracle = ObjectRectSummary(Rect(0, 0, 10, 10))
+        for point, inside in (((5, 5), True), ((10, 0), True), ((11, 5), False)):
+            assert oracle.might_contain(point) == inside
+            assert summary.intersects_radius(point, 0.0) == inside
+
+    def test_expand(self):
+        merged = ObjectRectSummary(Rect(0, 0, 1, 1)).merge(ObjectRectSummary(Rect(2, 2, 3, 3)))
+        assert merged.rect == Rect(0, 0, 3, 3)
+
     def test_min_distance(self):
         rect = Rect(0, 0, 10, 10)
         assert rect.min_distance((5, 5)) == 0.0
