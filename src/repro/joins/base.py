@@ -368,9 +368,8 @@ class ExecutionContext:
         size_bytes: int,
         kind: MessageKind = MessageKind.DATA,
     ) -> bool:
-        """Send a message along a path (instant accounting)."""
-        if len(path) <= 1:
-            return True
+        """Send a message along a path (instant accounting); a one-node path
+        sends nothing and is delivered."""
         if self._batcher is not None:
             return self._batcher.ship(path, size_bytes, kind)
         # transfer() never stores or mutates the path, so shipping avoids a

@@ -105,7 +105,8 @@ class SharedShipmentPlane:
     Sessions sample the same physical sensors, so two queries shipping the
     same reading along the same path in the same cycle correspond to one
     radio transmission.  The first copy goes to the simulator; duplicates
-    replay its delivery verdict and bank the avoided traffic units.
+    replay its delivery verdict and bank the avoided traffic units.  A
+    one-node path transmits nothing, so it is never a duplicate.
     """
 
     def __init__(self, simulator: NetworkSimulator) -> None:
@@ -124,7 +125,7 @@ class SharedShipmentPlane:
         return float(hops * size_bytes)
 
     def ship(self, path: Sequence[int], size_bytes: int, kind: MessageKind) -> bool:
-        if kind is not MessageKind.DATA:
+        if kind is not MessageKind.DATA or len(path) <= 1:
             return self._simulator.transfer(path, size_bytes, kind)
         key = (tuple(path), size_bytes)
         verdict = self._seen.get(key)

@@ -191,12 +191,12 @@ class CountingSource:
         self.inner = inner
         self.calls = []
 
-    def sample(self, node_id, cycle):
-        return self.inner.sample(node_id, cycle)
-
     def sample_columns(self, node_ids, cycle):
         self.calls.append((tuple(node_ids), cycle))
         return self.inner.sample_columns(node_ids, cycle)
+
+    def next_switch(self, cycle):
+        return self.inner.next_switch(cycle)
 
 
 class TestSharedSampling:
